@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use olap_engine::{merge_shard_scans, Engine, ResourceGovernor, ShardScan};
+use olap_engine::{merge_shard_scans, Engine, Grouping, ResourceGovernor, ShardScan};
 use olap_model::{CubeQuery, DerivedCube};
 
 use crate::analyze::Analyzer;
@@ -541,6 +541,8 @@ impl AssessRunner {
                             outcome.rows_scanned as u64,
                             outcome.morsels as u64,
                             outcome.parallelism as u64,
+                            outcome.grouping,
+                            outcome.groups as u64,
                         )
                         .with_detail(format!(
                             "fp={} consumers={consumers}",
@@ -562,6 +564,8 @@ impl AssessRunner {
                     rows_scanned: outcome.rows_scanned,
                     parallelism: outcome.parallelism,
                     morsels: outcome.morsels,
+                    grouping: outcome.grouping,
+                    groups: outcome.groups,
                     per_shard: outcome.per_shard,
                 },
             );
@@ -602,6 +606,8 @@ struct SharedScan {
     rows_scanned: usize,
     parallelism: usize,
     morsels: usize,
+    grouping: Grouping,
+    groups: usize,
     per_shard: Vec<ShardScan>,
 }
 
@@ -615,6 +621,8 @@ impl SharedScan {
             rows_scanned: self.rows_scanned,
             parallelism: self.parallelism,
             morsels: self.morsels,
+            grouping: self.grouping,
+            groups: self.groups,
             per_shard: self.per_shard.clone(),
         }
     }
@@ -822,6 +830,8 @@ fn absorb(
                 outcome.rows_scanned as u64,
                 outcome.morsels as u64,
                 outcome.parallelism as u64,
+                outcome.grouping,
+                outcome.groups as u64,
             );
         } else {
             // Scatter-gather: one child span per shard carries that
@@ -837,6 +847,8 @@ fn absorb(
                             s.rows_scanned as u64,
                             s.morsels as u64,
                             s.parallelism as u64,
+                            outcome.grouping,
+                            s.groups as u64,
                         )
                     })
                     .collect(),

@@ -33,6 +33,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
+use olap_engine::Grouping;
 use serde::Value;
 
 use crate::exec::{ExecutionReport, StageTimings};
@@ -150,6 +151,10 @@ pub struct SpanScan {
     pub morsels: u64,
     /// Threads that actually worked the scan.
     pub parallelism: u64,
+    /// How the engine resolved group keys to aggregation slots.
+    pub grouping: Grouping,
+    /// Groups the scan aggregated into.
+    pub groups: u64,
 }
 
 /// One node of a query trace: an executed operator (or phase) with its wall
@@ -188,8 +193,15 @@ impl TraceSpan {
         self
     }
 
-    pub fn with_scan(mut self, rows_scanned: u64, morsels: u64, parallelism: u64) -> Self {
-        self.scan = Some(SpanScan { rows_scanned, morsels, parallelism });
+    pub fn with_scan(
+        mut self,
+        rows_scanned: u64,
+        morsels: u64,
+        parallelism: u64,
+        grouping: Grouping,
+        groups: u64,
+    ) -> Self {
+        self.scan = Some(SpanScan { rows_scanned, morsels, parallelism, grouping, groups });
         self
     }
 
@@ -218,6 +230,9 @@ impl TraceSpan {
             fields.push(("rows_scanned".to_string(), Value::Number(scan.rows_scanned as f64)));
             fields.push(("morsels".to_string(), Value::Number(scan.morsels as f64)));
             fields.push(("parallelism".to_string(), Value::Number(scan.parallelism as f64)));
+            let grouping = scan.grouping.as_str().to_string();
+            fields.push(("grouping".to_string(), Value::String(grouping)));
+            fields.push(("groups".to_string(), Value::Number(scan.groups as f64)));
         }
         if let Some(detail) = &self.detail {
             fields.push(("detail".to_string(), Value::String(detail.clone())));
@@ -243,8 +258,12 @@ impl TraceSpan {
         out.push_str(&format!(" rows_out={}", self.rows_out));
         if let Some(scan) = &self.scan {
             out.push_str(&format!(
-                " scanned={} morsels={} dop={}",
-                scan.rows_scanned, scan.morsels, scan.parallelism
+                " scanned={} morsels={} dop={} grouping={} groups={}",
+                scan.rows_scanned,
+                scan.morsels,
+                scan.parallelism,
+                scan.grouping.as_str(),
+                scan.groups
             ));
         }
         if let Some(detail) = &self.detail {
@@ -616,7 +635,13 @@ mod tests {
     use super::*;
 
     fn scan_span() -> TraceSpan {
-        TraceSpan::new("get(c)", Duration::from_millis(3)).with_rows(4).with_scan(20, 1, 1)
+        TraceSpan::new("get(c)", Duration::from_millis(3)).with_rows(4).with_scan(
+            20,
+            1,
+            1,
+            Grouping::Direct,
+            4,
+        )
     }
 
     #[test]
@@ -642,9 +667,13 @@ mod tests {
                 TraceSpan::new("resolve", Duration::ZERO),
                 TraceSpan::new("execute", Duration::from_millis(5)).with_children(vec![
                     scan_span(),
-                    TraceSpan::new("get(b)", Duration::from_millis(1))
-                        .with_rows(2)
-                        .with_scan(10, 2, 4),
+                    TraceSpan::new("get(b)", Duration::from_millis(1)).with_rows(2).with_scan(
+                        10,
+                        2,
+                        4,
+                        Grouping::Hashed,
+                        3,
+                    ),
                     TraceSpan::new("label", Duration::ZERO).with_rows(4),
                 ]),
             ],
@@ -666,7 +695,9 @@ mod tests {
         let text = tree.render(true);
         assert!(text.starts_with("trace  strategy=POP\n"), "{text}");
         assert!(text.contains("└─ execute  time=<t> rows_out=4"), "{text}");
-        assert!(text.contains("   └─ get(c)  time=<t> rows_out=4 scanned=20 morsels=1 dop=1"));
+        assert!(text.contains(
+            "   └─ get(c)  time=<t> rows_out=4 scanned=20 morsels=1 dop=1 grouping=direct groups=4"
+        ));
         assert!(!text.contains("ms"), "masked render must not leak timings: {text}");
     }
 
@@ -679,6 +710,8 @@ mod tests {
         let spans = json.get("spans").and_then(Value::as_array).unwrap();
         assert_eq!(spans[0].get("name").and_then(Value::as_str), Some("get(c)"));
         assert_eq!(spans[0].get("morsels").and_then(Value::as_f64), Some(1.0));
+        assert_eq!(spans[0].get("grouping").and_then(Value::as_str), Some("direct"));
+        assert_eq!(spans[0].get("groups").and_then(Value::as_f64), Some(4.0));
     }
 
     #[test]

@@ -1,10 +1,16 @@
-//! Hash aggregation: accumulators, group tables, and the chunk
-//! aggregation kernel of the morsel-driven scan pipeline.
+//! Partial aggregates: per-measure state columns, the [`Partial`] every
+//! scan, merge and exchange path shares, the [`Grouper`] that resolves
+//! packed keys to its slots, and the chunk kernel of the morsel pipeline.
+//!
+//! A [`Partial`] is plain data — first-seen keys plus one state column per
+//! measure — and carries no index: whoever folds rows or other partials
+//! into it brings a [`Grouper`]. Per-worker scan scratch owns one and
+//! forgets a morsel's keys after the morsel; the final merge owns another.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-use olap_model::AggOp;
+use olap_model::{AggOp, MemberId};
 
 use crate::key::KeyLayout;
 
@@ -18,6 +24,40 @@ pub enum Accumulator {
     Avg { sums: Vec<f64>, counts: Vec<f64> },
 }
 
+/// `state[slots[i]] = f(state[slots[i]], x_i)` in `i` order, where `x_i` is
+/// `lane[selection[i]]` under a selection and `lane[i]` otherwise. The
+/// operator is a type parameter, so each call site compiles to its own
+/// branch-free loop.
+#[inline(always)]
+fn scatter(
+    state: &mut [f64],
+    slots: &[u32],
+    selection: Option<&[u32]>,
+    lane: &[f64],
+    f: impl Fn(f64, f64) -> f64,
+) {
+    match selection {
+        Some(sel) => {
+            for (&slot, &row) in slots.iter().zip(sel) {
+                let cell = &mut state[slot as usize];
+                *cell = f(*cell, lane[row as usize]);
+            }
+        }
+        None => {
+            for (&slot, &x) in slots.iter().zip(lane) {
+                let cell = &mut state[slot as usize];
+                *cell = f(*cell, x);
+            }
+        }
+    }
+}
+
+fn count_rows(counts: &mut [f64], slots: &[u32]) {
+    for &slot in slots {
+        counts[slot as usize] += 1.0;
+    }
+}
+
 impl Accumulator {
     pub fn new(op: AggOp) -> Self {
         match op {
@@ -29,7 +69,29 @@ impl Accumulator {
         }
     }
 
-    /// Grows to `n` group slots, initializing new slots to the identity.
+    /// The operator this accumulator folds with.
+    pub fn op(&self) -> AggOp {
+        match self {
+            Accumulator::Sum(_) => AggOp::Sum,
+            Accumulator::Min(_) => AggOp::Min,
+            Accumulator::Max(_) => AggOp::Max,
+            Accumulator::Count(_) => AggOp::Count,
+            Accumulator::Avg { .. } => AggOp::Avg,
+        }
+    }
+
+    /// Group slots held (`None` when an Avg's two columns disagree).
+    fn len(&self) -> Option<usize> {
+        match self {
+            Accumulator::Sum(v)
+            | Accumulator::Min(v)
+            | Accumulator::Max(v)
+            | Accumulator::Count(v) => Some(v.len()),
+            Accumulator::Avg { sums, counts } => (sums.len() == counts.len()).then_some(sums.len()),
+        }
+    }
+
+    /// Resizes to `n` group slots, initializing new slots to the identity.
     pub fn grow_to(&mut self, n: usize) {
         match self {
             Accumulator::Sum(v) | Accumulator::Count(v) => v.resize(n, 0.0),
@@ -57,41 +119,39 @@ impl Accumulator {
         }
     }
 
-    /// Merges another accumulator's slot `from` into this one's slot `into`
-    /// (for parallel partial aggregates).
-    pub fn merge_slot(&mut self, into: usize, other: &Accumulator, from: usize) {
+    /// Folds a batch of rows, row `i` into slot `slots[i]`, in row order;
+    /// the operator is matched once per batch, not per row.
+    fn fold_rows(&mut self, slots: &[u32], selection: Option<&[u32]>, lane: &[f64]) {
+        match self {
+            Accumulator::Sum(v) => scatter(v, slots, selection, lane, |a, x| a + x),
+            Accumulator::Min(v) => scatter(v, slots, selection, lane, f64::min),
+            Accumulator::Max(v) => scatter(v, slots, selection, lane, f64::max),
+            Accumulator::Count(v) => count_rows(v, slots),
+            Accumulator::Avg { sums, counts } => {
+                scatter(sums, slots, selection, lane, |a, x| a + x);
+                count_rows(counts, slots);
+            }
+        }
+    }
+
+    /// Merges `other`'s slot `i` into this one's slot `slots[i]`, in slot
+    /// order — the one merge rule of morsel, shard and delta partials.
+    fn merge_rows(&mut self, slots: &[u32], other: &Accumulator) {
         match (self, other) {
             (Accumulator::Sum(a), Accumulator::Sum(b))
-            | (Accumulator::Count(a), Accumulator::Count(b)) => a[into] += b[from],
-            (Accumulator::Min(a), Accumulator::Min(b)) => a[into] = a[into].min(b[from]),
-            (Accumulator::Max(a), Accumulator::Max(b)) => a[into] = a[into].max(b[from]),
+            | (Accumulator::Count(a), Accumulator::Count(b)) => {
+                scatter(a, slots, None, b, |a, x| a + x)
+            }
+            (Accumulator::Min(a), Accumulator::Min(b)) => scatter(a, slots, None, b, f64::min),
+            (Accumulator::Max(a), Accumulator::Max(b)) => scatter(a, slots, None, b, f64::max),
             (
                 Accumulator::Avg { sums: asums, counts: acounts },
                 Accumulator::Avg { sums: bsums, counts: bcounts },
             ) => {
-                asums[into] += bsums[from];
-                acounts[into] += bcounts[from];
+                scatter(asums, slots, None, bsums, |a, x| a + x);
+                scatter(acounts, slots, None, bcounts, |a, x| a + x);
             }
             _ => unreachable!("merging accumulators of different operators"),
-        }
-    }
-
-    /// The current finalized value of slot `idx` (without consuming the
-    /// accumulator) — used by fused operators that probe partial results.
-    #[inline]
-    pub fn current(&self, idx: usize) -> f64 {
-        match self {
-            Accumulator::Sum(v)
-            | Accumulator::Min(v)
-            | Accumulator::Max(v)
-            | Accumulator::Count(v) => v[idx],
-            Accumulator::Avg { sums, counts } => {
-                if counts[idx] > 0.0 {
-                    sums[idx] / counts[idx]
-                } else {
-                    f64::NAN
-                }
-            }
         }
     }
 
@@ -111,8 +171,304 @@ impl Accumulator {
     }
 }
 
-/// A hash group table keyed by `K` (packed `u64` keys on the fast path,
-/// [`olap_model::Coordinate`] on the wide fallback path).
+/// A partial aggregate over packed `u64` keys: the keys in first-seen
+/// order and, parallel to them, the **pre-finalize** state of every
+/// measure (Avg stays a sum+count pair). One type serves morsel partials,
+/// shard partials (it is their wire form), delta partials and the merged
+/// result; [`Partial::merge`] is their one merge rule.
+#[derive(Debug, Clone)]
+pub struct Partial {
+    keys: Vec<u64>,
+    accs: Vec<Accumulator>,
+}
+
+impl Partial {
+    pub fn new(ops: &[AggOp]) -> Self {
+        Partial { keys: Vec::new(), accs: ops.iter().map(|op| Accumulator::new(*op)).collect() }
+    }
+
+    /// Reassembles a partial from its parts (possibly deserialized from a
+    /// remote shard); every state column must be as long as `keys`.
+    pub fn from_parts(keys: Vec<u64>, accs: Vec<Accumulator>) -> Result<Self, String> {
+        if accs.iter().any(|acc| acc.len() != Some(keys.len())) {
+            return Err("accumulator length does not match the key count".to_string());
+        }
+        Ok(Partial { keys, accs })
+    }
+
+    /// Whether this partial could have come from a scan with `layout` and
+    /// `ops`: every key inside the key space, one state column per
+    /// operator. Checked on partials received from outside the process.
+    pub fn conforms(&self, layout: &KeyLayout, ops: &[AggOp]) -> bool {
+        self.accs.iter().map(Accumulator::op).eq(ops.iter().copied())
+            && self.keys.iter().all(|&key| layout.contains(key))
+    }
+
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The group keys, in first-seen order.
+    pub fn keys(&self) -> &[u64] {
+        &self.keys
+    }
+
+    /// The per-measure state columns, parallel to [`Partial::keys`].
+    pub fn accs(&self) -> &[Accumulator] {
+        &self.accs
+    }
+
+    /// Drops every group, keeping the operators and the allocations.
+    pub fn clear(&mut self) {
+        self.keys.clear();
+        self.grow();
+    }
+
+    /// Brings every state column to the key count (new slots at identity).
+    fn grow(&mut self) {
+        for acc in &mut self.accs {
+            acc.grow_to(self.keys.len());
+        }
+    }
+
+    /// The finalized column of measure `measure_idx` (a copy: fused
+    /// operators probe one side's values before materializing the other).
+    pub fn measure(&self, measure_idx: usize) -> Vec<f64> {
+        self.accs[measure_idx].clone().finish()
+    }
+
+    /// Merges `other` into this partial: matching keys fold per operator,
+    /// unseen keys append at identity and then fold. `grouper` must index
+    /// exactly this partial's keys and keeps doing so afterwards.
+    pub fn merge(&mut self, grouper: &mut Grouper, other: &Partial) {
+        grouper.index.resolve(&other.keys, &mut grouper.slots, &mut self.keys);
+        self.grow();
+        for (acc, oacc) in self.accs.iter_mut().zip(&other.accs) {
+            acc.merge_rows(&grouper.slots, oacc);
+        }
+    }
+
+    /// Finalizes into `(keys, measure columns)`, in first-seen order.
+    pub fn finish(self) -> (Vec<u64>, Vec<Vec<f64>>) {
+        (self.keys, self.accs.into_iter().map(Accumulator::finish).collect())
+    }
+
+    /// Finalizes and emits the groups in `slots`, in that order: their
+    /// coordinate columns (keys unpacked by `layout`) and measure columns.
+    pub fn emit(self, layout: &KeyLayout, slots: &[u32]) -> (Vec<Vec<MemberId>>, Vec<Vec<f64>>) {
+        let (keys, cols) = self.finish();
+        let coords = (0..layout.arity())
+            .map(|c| slots.iter().map(|&s| layout.unpack_component(keys[s as usize], c)).collect())
+            .collect();
+        let measures =
+            cols.iter().map(|col| slots.iter().map(|&s| col[s as usize]).collect()).collect();
+        (coords, measures)
+    }
+
+    /// The slots in ascending key order — with [`KeyLayout`]'s packing,
+    /// lexicographic coordinate order.
+    pub fn key_order(&self) -> Vec<u32> {
+        let mut order: Vec<(u64, u32)> = self.keys.iter().copied().zip(0..).collect();
+        order.sort_unstable();
+        order.into_iter().map(|(_, slot)| slot).collect()
+    }
+}
+
+/// How a scan resolves packed group keys to slots (reported on scan spans).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Grouping {
+    /// A flat array indexed by the packed key itself.
+    Direct,
+    /// A multiplicative-hash map (also reported by the wide-key fallback).
+    Hashed,
+}
+
+impl Grouping {
+    /// The grouping [`Grouper::for_layout`] picks for `layout`.
+    pub fn of(layout: &KeyLayout) -> Self {
+        if layout.total_bits() <= Grouper::DIRECT_BITS {
+            Grouping::Direct
+        } else {
+            Grouping::Hashed
+        }
+    }
+
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Grouping::Direct => "direct",
+            Grouping::Hashed => "hashed",
+        }
+    }
+}
+
+/// Fibonacci hashing for packed keys: one multiply, then a fold so both the
+/// low bits (bucket) and the high bits (tag) std's table reads are mixed.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u64 keys are hashed");
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+#[derive(Debug)]
+enum Index {
+    /// One entry per point of the key space: `table[key]` is the key's
+    /// slot **plus one**, 0 while vacant (so the table starts as lazily
+    /// zeroed pages and only touched pages ever become resident).
+    Direct(Vec<u32>),
+    Hashed(HashMap<u64, u32, BuildHasherDefault<KeyHasher>>),
+}
+
+impl Index {
+    /// Resolves a batch: `slots[i]` becomes the slot of `batch[i]` among
+    /// `keys`, unseen keys appending in batch order.
+    fn resolve(&mut self, batch: &[u64], slots: &mut Vec<u32>, keys: &mut Vec<u64>) {
+        slots.clear();
+        match self {
+            Index::Direct(table) => slots.extend(batch.iter().map(|&key| {
+                let entry = &mut table[key as usize];
+                if *entry == 0 {
+                    keys.push(key);
+                    *entry = keys.len() as u32;
+                }
+                *entry - 1
+            })),
+            Index::Hashed(map) => slots.extend(batch.iter().map(|&key| {
+                *map.entry(key).or_insert_with(|| {
+                    keys.push(key);
+                    keys.len() as u32 - 1
+                })
+            })),
+        }
+    }
+}
+
+/// Resolves packed group keys to the slots of a [`Partial`]: by direct
+/// addressing — a flat array indexed by the key itself — when the
+/// layout's key space is small, by a multiplicative-hash map otherwise.
+/// Also owns the batch scratch of the kernels that drive it.
+#[derive(Debug)]
+pub struct Grouper {
+    index: Index,
+    /// Scratch: the packed keys of the chunk being folded.
+    packed: Vec<u64>,
+    /// Scratch: the slot of every row (or merged group) of the batch.
+    slots: Vec<u32>,
+}
+
+impl Grouper {
+    /// Widest packed key, in bits, resolved by direct addressing. A
+    /// constant, not a knob: 2^20 four-byte entries cap the index at 4 MB
+    /// per worker, which stays cache- and RSS-friendly on any host, and
+    /// both sides of the bound produce bit-identical partials.
+    pub const DIRECT_BITS: u32 = 20;
+
+    /// An empty grouper for keys of `layout`.
+    pub fn for_layout(layout: &KeyLayout) -> Self {
+        let index = match Grouping::of(layout) {
+            Grouping::Direct => Index::Direct(vec![0; 1 << layout.total_bits()]),
+            Grouping::Hashed => Index::Hashed(HashMap::default()),
+        };
+        Grouper { index, packed: Vec::new(), slots: Vec::new() }
+    }
+
+    /// A grouper indexing `keys[i] → i`; the keys must be distinct (they
+    /// resolve, in order, against an empty key list).
+    pub fn over(layout: &KeyLayout, keys: &[u64]) -> Self {
+        let mut grouper = Grouper::for_layout(layout);
+        grouper.index.resolve(keys, &mut grouper.slots, &mut Vec::with_capacity(keys.len()));
+        grouper
+    }
+
+    /// The slot of `key`, if indexed.
+    pub fn lookup(&self, key: u64) -> Option<usize> {
+        match &self.index {
+            Index::Direct(table) => match table.get(key as usize) {
+                Some(&entry) if entry != 0 => Some(entry as usize - 1),
+                _ => None,
+            },
+            Index::Hashed(map) => map.get(&key).map(|&slot| slot as usize),
+        }
+    }
+
+    /// Forgets every indexed key. `keys` must list them all — the direct
+    /// index is cleared by walking them, O(groups) and never O(key space).
+    pub fn clear(&mut self, keys: &[u64]) {
+        match &mut self.index {
+            Index::Direct(table) => keys.iter().for_each(|&key| table[key as usize] = 0),
+            Index::Hashed(map) => map.clear(),
+        }
+    }
+}
+
+/// The aggregation kernel of the morsel pipeline: folds the rows of one
+/// chunk into `out`, in two tight passes over flat buffers the chunk layer
+/// prepared (see `DataChunk::key_lane` / `f64_lane`):
+///
+/// 1. per group-by component, gather the roll-up of every row's code and
+///    pack it into the row's key; then resolve all keys to slots of `out`
+///    through `grouper`;
+/// 2. per measure, match the operator once and fold `state[slot[i]]` with
+///    the row's value, in row order.
+///
+/// * `len` — rows in the chunk; every lane must have that length;
+/// * `selection` — chunk-local ids of the rows to fold (the predicate
+///   kernel's output), or `None` to fold every row;
+/// * `keys` — per group-by component: the code lane and the roll-up map
+///   from the carried level to the queried level (as raw `u32` codes);
+/// * `measures` — one value lane per measure, in accumulator order.
+pub fn accumulate_chunk<'a>(
+    out: &mut Partial,
+    grouper: &mut Grouper,
+    layout: &KeyLayout,
+    len: usize,
+    selection: Option<&[u32]>,
+    keys: impl IntoIterator<Item = (&'a [u32], &'a [u32])>,
+    measures: impl IntoIterator<Item = &'a [f64]>,
+) {
+    let Grouper { index, packed, slots } = grouper;
+    packed.clear();
+    packed.resize(selection.map_or(len, <[u32]>::len), 0);
+    for (comp, (lane, rollmap)) in keys.into_iter().enumerate() {
+        match selection {
+            Some(sel) => {
+                for (key, &row) in packed.iter_mut().zip(sel) {
+                    layout.pack_code(key, comp, rollmap[lane[row as usize] as usize]);
+                }
+            }
+            None => {
+                for (key, &code) in packed.iter_mut().zip(&lane[..len]) {
+                    layout.pack_code(key, comp, rollmap[code as usize]);
+                }
+            }
+        }
+    }
+    index.resolve(packed, slots, &mut out.keys);
+    out.grow();
+    for (acc, lane) in out.accs.iter_mut().zip(measures) {
+        acc.fold_rows(slots, selection, &lane[..len]);
+    }
+}
+
+/// A hash group table keyed by boxed `K` — the wide-key fallback
+/// ([`olap_model::Coordinate`] keys) for group-by sets whose packed key
+/// exceeds a machine word. Packed keys aggregate through [`Partial`].
 #[derive(Debug)]
 pub struct GroupTable<K: Eq + Hash + Clone> {
     map: HashMap<K, u32>,
@@ -129,145 +485,29 @@ impl<K: Eq + Hash + Clone> GroupTable<K> {
         }
     }
 
-    /// Number of groups.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// The group keys, in first-seen order.
-    pub fn keys(&self) -> &[K] {
-        &self.keys
-    }
-
-    /// The dense slot of `key`, creating it if new.
-    #[inline]
-    pub fn slot(&mut self, key: K) -> usize {
-        if let Some(&idx) = self.map.get(&key) {
-            return idx as usize;
-        }
-        let idx = self.keys.len();
-        self.map.insert(key.clone(), idx as u32);
-        self.keys.push(key);
-        for acc in &mut self.accs {
-            acc.grow_to(idx + 1);
-        }
-        idx
-    }
-
-    /// The dense slot of `key`, if present.
-    pub fn lookup(&self, key: &K) -> Option<usize> {
-        self.map.get(key).map(|i| *i as usize)
-    }
-
     /// Folds one row of measure values into the group of `key`.
     #[inline]
     pub fn update(&mut self, key: K, values: &[f64]) {
-        let idx = self.slot(key);
+        let idx = match self.map.get(&key) {
+            Some(&idx) => idx as usize,
+            None => {
+                let idx = self.keys.len();
+                self.map.insert(key.clone(), idx as u32);
+                self.keys.push(key);
+                for acc in &mut self.accs {
+                    acc.grow_to(idx + 1);
+                }
+                idx
+            }
+        };
         for (acc, v) in self.accs.iter_mut().zip(values.iter()) {
             acc.update(idx, *v);
         }
     }
 
-    /// Folds a single-measure row (the hot loop for one-measure queries).
-    #[inline]
-    pub fn update1(&mut self, key: K, value: f64) {
-        let idx = self.slot(key);
-        self.accs[0].update(idx, value);
-    }
-
-    /// The current finalized value of measure `measure_idx` in group slot
-    /// `slot` (fused operators probe before materialization).
-    #[inline]
-    pub fn value(&self, measure_idx: usize, slot: usize) -> f64 {
-        self.accs[measure_idx].current(slot)
-    }
-
-    /// Merges another group table (parallel partial aggregates).
-    pub fn merge(&mut self, other: GroupTable<K>) {
-        for (from, key) in other.keys.iter().enumerate() {
-            let into = self.slot(key.clone());
-            for (acc, oacc) in self.accs.iter_mut().zip(other.accs.iter()) {
-                acc.merge_slot(into, oacc, from);
-            }
-        }
-    }
-
-    /// Finalizes into `(keys, measure columns)`.
+    /// Finalizes into `(keys, measure columns)`, in first-seen order.
     pub fn finish(self) -> (Vec<K>, Vec<Vec<f64>>) {
         (self.keys, self.accs.into_iter().map(Accumulator::finish).collect())
-    }
-
-    /// Decomposes into raw `(keys, accumulators)` **without** finalizing —
-    /// the wire form of a shard's partial aggregate, still mergeable.
-    pub fn into_raw(self) -> (Vec<K>, Vec<Accumulator>) {
-        (self.keys, self.accs)
-    }
-
-    /// Rebuilds a group table from raw parts produced by [`Self::into_raw`]
-    /// (possibly deserialized from a remote shard).
-    pub fn from_raw(keys: Vec<K>, mut accs: Vec<Accumulator>) -> Self {
-        let map =
-            keys.iter().enumerate().map(|(i, k)| (k.clone(), i as u32)).collect::<HashMap<_, _>>();
-        for acc in &mut accs {
-            acc.grow_to(keys.len());
-        }
-        GroupTable { map, keys, accs }
-    }
-}
-
-/// The aggregation kernel of the morsel pipeline: folds the rows of one
-/// chunk into `out`, packing each row's group key with `layout`.
-///
-/// All inputs are flat buffers the chunk layer prepared (see
-/// `DataChunk::key_lane` / `f64_lane`): the kernel reads `u32` member
-/// codes and `f64` measure values with no per-row type or encoding
-/// dispatch, so the key-packing and value loads auto-vectorize and only
-/// the hash-table update remains irreducibly branchy.
-///
-/// * `len` — rows in the chunk; every lane must have that length;
-/// * `selection` — chunk-local ids of the rows to fold (the predicate
-///   kernel's output), or `None` to fold every row;
-/// * `keys` — per group-by component: the code lane and the roll-up map
-///   from the carried level to the queried level (as raw `u32` codes);
-/// * `measures` — one value lane per measure, in accumulator order.
-pub fn accumulate_chunk(
-    out: &mut GroupTable<u64>,
-    layout: &KeyLayout,
-    len: usize,
-    selection: Option<&[u32]>,
-    keys: &[(&[u32], &[u32])],
-    measures: &[&[f64]],
-) {
-    let mut values = vec![0.0f64; measures.len()];
-    let mut fold = |row: usize| {
-        let mut key = 0u64;
-        for (comp, (lane, rollmap)) in keys.iter().enumerate() {
-            layout.pack_code(&mut key, comp, rollmap[lane[row] as usize]);
-        }
-        if measures.len() == 1 {
-            out.update1(key, measures[0][row]);
-        } else {
-            for (v, m) in values.iter_mut().zip(measures) {
-                *v = m[row];
-            }
-            out.update(key, &values);
-        }
-    };
-    match selection {
-        Some(sel) => {
-            for &row in sel {
-                fold(row as usize);
-            }
-        }
-        None => {
-            for row in 0..len {
-                fold(row);
-            }
-        }
     }
 }
 
@@ -275,67 +515,51 @@ pub fn accumulate_chunk(
 mod tests {
     use super::*;
 
-    #[test]
-    fn sum_and_avg_accumulate() {
-        let mut t: GroupTable<u64> = GroupTable::new(&[AggOp::Sum, AggOp::Avg]);
-        t.update(7, &[1.0, 10.0]);
-        t.update(7, &[2.0, 20.0]);
-        t.update(9, &[5.0, 5.0]);
-        assert_eq!(t.len(), 2);
-        let (keys, cols) = t.finish();
-        assert_eq!(keys, vec![7, 9]);
-        assert_eq!(cols[0], vec![3.0, 5.0]);
-        assert_eq!(cols[1], vec![15.0, 5.0]);
+    /// One layout on each side of the direct-addressing bound.
+    fn layouts() -> [KeyLayout; 2] {
+        [
+            KeyLayout::for_cardinalities(&[1 << Grouper::DIRECT_BITS]),
+            KeyLayout::for_cardinalities(&[1 << (Grouper::DIRECT_BITS + 1)]),
+        ]
+    }
+
+    /// Folds rows `(codes[i], values[i])` of a one-component key into `out`,
+    /// the same value lane feeding every measure.
+    fn fold(out: &mut Partial, g: &mut Grouper, layout: &KeyLayout, codes: &[u32], values: &[f64]) {
+        let roll: Vec<u32> = (0..=codes.iter().copied().max().unwrap_or(0)).collect();
+        let measures = out.accs.iter().map(|_| values).collect::<Vec<_>>();
+        accumulate_chunk(out, g, layout, codes.len(), None, [(codes, &roll[..])], measures);
     }
 
     #[test]
-    fn min_max_count() {
-        let mut t: GroupTable<u64> = GroupTable::new(&[AggOp::Min, AggOp::Max, AggOp::Count]);
-        for v in [3.0, -1.0, 7.0] {
-            t.update(0, &[v, v, v]);
+    fn every_operator_accumulates_on_both_sides_of_the_bound() {
+        let ops = [AggOp::Sum, AggOp::Min, AggOp::Max, AggOp::Count, AggOp::Avg];
+        for layout in layouts() {
+            let mut g = Grouper::for_layout(&layout);
+            let mut t = Partial::new(&ops);
+            fold(&mut t, &mut g, &layout, &[7, 7, 9], &[1.0, 2.0, 5.0]);
+            fold(&mut t, &mut g, &layout, &[9, 7], &[-4.0, 6.0]);
+            assert_eq!((g.lookup(7), g.lookup(9), g.lookup(8)), (Some(0), Some(1), None));
+            assert_eq!(t.measure(4), vec![3.0, 0.5]);
+            let (keys, cols) = t.finish();
+            assert_eq!(keys, vec![7, 9]);
+            let expected = [[9.0, 1.0], [1.0, -4.0], [6.0, 5.0], [3.0, 2.0], [3.0, 0.5]];
+            assert_eq!(cols, expected.map(|c| c.to_vec()));
         }
-        let (_, cols) = t.finish();
-        assert_eq!(cols[0], vec![-1.0]);
-        assert_eq!(cols[1], vec![7.0]);
-        assert_eq!(cols[2], vec![3.0]);
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let ops = [AggOp::Sum, AggOp::Min];
-        let rows: Vec<(u64, [f64; 2])> =
-            (0..100).map(|i| ((i % 7) as u64, [i as f64, (100 - i) as f64])).collect();
-        let mut seq: GroupTable<u64> = GroupTable::new(&ops);
-        for (k, v) in &rows {
-            seq.update(*k, v);
+    fn merge_folds_matches_and_appends_the_rest() {
+        for layout in layouts() {
+            let (mut a, mut b) = (Partial::new(&[AggOp::Sum]), Partial::new(&[AggOp::Sum]));
+            let (mut ga, mut gb) = (Grouper::for_layout(&layout), Grouper::for_layout(&layout));
+            fold(&mut a, &mut ga, &layout, &[3, 1], &[1.0, 2.0]);
+            fold(&mut b, &mut gb, &layout, &[5, 1], &[4.0, 8.0]);
+            a.merge(&mut ga, &b);
+            assert_eq!(ga.lookup(5), Some(2), "the grouper follows the merge");
+            assert_eq!(a.key_order(), vec![1, 0, 2]);
+            assert_eq!(a.finish(), (vec![3, 1, 5], vec![vec![1.0, 10.0, 4.0]]));
         }
-        let mut a: GroupTable<u64> = GroupTable::new(&ops);
-        let mut b: GroupTable<u64> = GroupTable::new(&ops);
-        for (i, (k, v)) in rows.iter().enumerate() {
-            if i % 2 == 0 {
-                a.update(*k, v);
-            } else {
-                b.update(*k, v);
-            }
-        }
-        a.merge(b);
-        let (mut ka, mut ca) = a.finish();
-        let (mut ks, mut cs) = seq.finish();
-        // Key order may differ; sort both sides consistently.
-        let mut perm_a: Vec<usize> = (0..ka.len()).collect();
-        perm_a.sort_by_key(|&i| ka[i]);
-        let mut perm_s: Vec<usize> = (0..ks.len()).collect();
-        perm_s.sort_by_key(|&i| ks[i]);
-        ka = perm_a.iter().map(|&i| ka[i]).collect();
-        ks = perm_s.iter().map(|&i| ks[i]).collect();
-        for col in ca.iter_mut() {
-            *col = perm_a.iter().map(|&i| col[i]).collect();
-        }
-        for col in cs.iter_mut() {
-            *col = perm_s.iter().map(|&i| col[i]).collect();
-        }
-        assert_eq!(ka, ks);
-        assert_eq!(ca, cs);
     }
 
     #[test]
@@ -347,35 +571,39 @@ mod tests {
     }
 
     #[test]
-    fn chunk_kernel_matches_row_at_a_time_updates() {
-        // Two hierarchies of 3 and 2 members, rolled to themselves.
-        let layout = KeyLayout::for_cardinalities(&[3, 2]);
+    fn from_parts_checks_column_lengths() {
+        assert!(Partial::from_parts(vec![1, 2], vec![Accumulator::Sum(vec![1.0, 2.0])]).is_ok());
+        assert!(Partial::from_parts(vec![1, 2], vec![Accumulator::Sum(vec![1.0])]).is_err());
+        let ragged = Accumulator::Avg { sums: vec![1.0, 2.0], counts: vec![1.0] };
+        assert!(Partial::from_parts(vec![1, 2], vec![ragged]).is_err());
+    }
+
+    #[test]
+    fn chunk_kernel_packs_rolls_up_and_selects() {
+        // Hierarchies of 3 and 2 members; the first rolls 0,1 → 0 and 2 → 1.
+        let layout = KeyLayout::for_cardinalities(&[2, 2]);
         let fk_a: Vec<u32> = vec![0, 1, 2, 0, 1, 2];
         let fk_b: Vec<u32> = vec![0, 0, 1, 1, 0, 1];
-        let roll_a: Vec<u32> = (0..3).collect();
-        let roll_b: Vec<u32> = (0..2).collect();
-        let m1: Vec<f64> = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let m2: Vec<f64> = vec![0.5; 6];
+        let (roll_a, roll_b) = (vec![0u32, 0, 1], vec![0u32, 1]);
+        let m: Vec<f64> = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         let keys = [(&fk_a[..], &roll_a[..]), (&fk_b[..], &roll_b[..])];
-        let measures = [&m1[..], &m2[..]];
-        let ops = [AggOp::Sum, AggOp::Count];
+        let key = |a, b| layout.pack(&[olap_model::MemberId(a), olap_model::MemberId(b)]);
 
-        let mut expected: GroupTable<u64> = GroupTable::new(&ops);
-        for row in [1usize, 3, 4] {
-            let mut key = 0u64;
-            layout.pack_code(&mut key, 0, roll_a[fk_a[row] as usize]);
-            layout.pack_code(&mut key, 1, roll_b[fk_b[row] as usize]);
-            expected.update(key, &[m1[row], m2[row]]);
-        }
-        let mut out: GroupTable<u64> = GroupTable::new(&ops);
-        accumulate_chunk(&mut out, &layout, 6, Some(&[1, 3, 4]), &keys, &measures);
-        assert_eq!(out.finish(), expected.finish());
+        let mut g = Grouper::for_layout(&layout);
+        let mut out = Partial::new(&[AggOp::Sum, AggOp::Count]);
+        accumulate_chunk(&mut out, &mut g, &layout, 6, Some(&[1, 3, 4]), keys, [&m[..], &m[..]]);
+        assert_eq!(
+            out.finish(),
+            (vec![key(0, 0), key(0, 1)], vec![vec![7.0, 4.0], vec![2.0, 1.0]])
+        );
 
-        // No selection folds every row; single-measure path hits update1.
-        let mut all: GroupTable<u64> = GroupTable::new(&[AggOp::Sum]);
-        accumulate_chunk(&mut all, &layout, 6, None, &keys, &measures[..1]);
-        let (_, cols) = all.finish();
-        assert_eq!(cols[0].iter().sum::<f64>(), 21.0);
+        // No selection folds every row.
+        let mut g = Grouper::for_layout(&layout);
+        let mut all = Partial::new(&[AggOp::Sum]);
+        accumulate_chunk(&mut all, &mut g, &layout, 6, None, keys, [&m[..]]);
+        let (all_keys, cols) = all.finish();
+        assert_eq!(all_keys, vec![key(0, 0), key(1, 1), key(0, 1)]);
+        assert_eq!(cols[0], vec![8.0, 9.0, 4.0]);
     }
 
     #[test]
@@ -383,10 +611,10 @@ mod tests {
         use olap_model::{Coordinate, MemberId};
         let mut t: GroupTable<Coordinate> = GroupTable::new(&[AggOp::Sum]);
         let k = Coordinate::new(vec![MemberId(1), MemberId(2)]);
-        t.update1(k.clone(), 4.0);
-        t.update1(k.clone(), 6.0);
-        assert_eq!(t.lookup(&k), Some(0));
-        let (_, cols) = t.finish();
+        t.update(k.clone(), &[4.0]);
+        t.update(k.clone(), &[6.0]);
+        let (keys, cols) = t.finish();
+        assert_eq!(keys, vec![k]);
         assert_eq!(cols[0], vec![10.0]);
     }
 }

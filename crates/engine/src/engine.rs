@@ -7,9 +7,9 @@ use olap_model::{
     AggOp, Coordinate, CubeColumn, CubeQuery, CubeSchema, DerivedCube, GroupBySet, MemberId,
     NumericColumn,
 };
-use olap_storage::{Catalog, KeyAccess, MaterializedAggregate, NumericSlice, Table};
+use olap_storage::{Catalog, MaterializedAggregate, NumericSlice, Table};
 
-use crate::aggregate::{accumulate_chunk, GroupTable};
+use crate::aggregate::{accumulate_chunk, Grouper, Grouping, Partial};
 use crate::error::EngineError;
 use crate::fault::{FaultInjector, FaultSite};
 use crate::governor::{ResourceGovernor, CHECK_INTERVAL};
@@ -102,11 +102,59 @@ pub struct GetOutcome {
     pub parallelism: usize,
     /// Morsels the scan was split into (fused operators report the sum).
     pub morsels: usize,
+    /// How the scan resolved group keys to aggregation slots.
+    pub grouping: Grouping,
+    /// Groups the scan aggregated into, before any fused join or pivot
+    /// dropped cells (fused operators report the sum of their sides).
+    pub groups: usize,
     /// Per-shard scan statistics when the engine coordinates a
     /// [`ShardSet`]; empty for unsharded execution. The entries sum to
     /// `rows_scanned`/`morsels` (fused operators merge both sides per
     /// shard index).
     pub per_shard: Vec<ShardScan>,
+}
+
+/// Access-path diagnostics of one executed get, or of the two sides of a
+/// fused operator combined.
+struct ScanStats {
+    used_view: Option<String>,
+    rows_scanned: usize,
+    parallelism: usize,
+    morsels: usize,
+    groups: usize,
+    per_shard: Vec<ShardScan>,
+}
+
+impl ScanStats {
+    /// Stats of one unsharded scan ([`GetInternal::new`] fills `groups`).
+    fn of_scan(
+        used_view: Option<String>,
+        rows_scanned: usize,
+        parallelism: usize,
+        morsels: usize,
+    ) -> Self {
+        ScanStats {
+            used_view,
+            rows_scanned,
+            parallelism,
+            morsels,
+            groups: 0,
+            per_shard: Vec::new(),
+        }
+    }
+
+    /// Both sides of a fused operator: counts add, parallelism takes the
+    /// maximum, the left (target) side names the view.
+    fn fused(self, right: &ScanStats) -> ScanStats {
+        ScanStats {
+            used_view: self.used_view,
+            rows_scanned: self.rows_scanned + right.rows_scanned,
+            parallelism: self.parallelism.max(right.parallelism),
+            morsels: self.morsels + right.morsels,
+            groups: self.groups + right.groups,
+            per_shard: merge_shard_scans(&self.per_shard, &right.per_shard),
+        }
+    }
 }
 
 /// An executed get kept in the engine's internal packed representation, so
@@ -115,13 +163,61 @@ struct GetInternal {
     schema: Arc<CubeSchema>,
     group_by: GroupBySet,
     layout: KeyLayout,
-    table: GroupTable<u64>,
+    table: Partial,
     measures: Vec<String>,
-    used_view: Option<String>,
-    rows_scanned: usize,
-    parallelism: usize,
-    morsels: usize,
-    per_shard: Vec<ShardScan>,
+    stats: ScanStats,
+}
+
+impl GetInternal {
+    fn new(
+        q: &CubeQuery,
+        schema: &Arc<CubeSchema>,
+        layout: &KeyLayout,
+        table: Partial,
+        stats: ScanStats,
+    ) -> Self {
+        GetInternal {
+            schema: schema.clone(),
+            group_by: q.group_by.clone(),
+            layout: layout.clone(),
+            stats: ScanStats { groups: table.len(), ..stats },
+            table,
+            measures: q.measures.clone(),
+        }
+    }
+
+    /// Materializes the cells in `slots` (slots of `table`, in output
+    /// order — callers pass ascending key order, which is the canonical
+    /// coordinate order) with the `extra` nullable columns appended;
+    /// `right` is the other side of a fused operator, if any.
+    fn into_outcome(
+        self,
+        slots: &[u32],
+        extra: Vec<(String, Vec<Option<f64>>)>,
+        right: Option<&ScanStats>,
+    ) -> Result<GetOutcome, EngineError> {
+        let stats = match right {
+            Some(right) => self.stats.fused(right),
+            None => self.stats,
+        };
+        let grouping = Grouping::of(&self.layout);
+        let (coord_cols, cols) = self.table.emit(&self.layout, slots);
+        let dense =
+            self.measures.into_iter().zip(cols).map(|(n, col)| NumericColumn::dense(n, col));
+        let nullable = extra.into_iter().map(|(n, col)| NumericColumn::nullable(n, col));
+        let columns = dense.chain(nullable).map(CubeColumn::Numeric).collect();
+        let cube = DerivedCube::from_parts(self.schema, self.group_by, coord_cols, columns)?;
+        Ok(GetOutcome {
+            cube,
+            used_view: stats.used_view,
+            rows_scanned: stats.rows_scanned,
+            parallelism: stats.parallelism,
+            morsels: stats.morsels,
+            grouping,
+            groups: stats.groups,
+            per_shard: stats.per_shard,
+        })
+    }
 }
 
 /// Which storage object a morsel-driven scan reads.
@@ -169,29 +265,58 @@ fn lane_slot(lane_cols: &mut Vec<usize>, col: usize) -> usize {
 }
 
 impl ScanCtx {
-    /// Runs the kernels over one morsel's decoded lanes.
-    fn run_kernels(
-        &self,
+    /// Runs the select + accumulate kernels over one morsel's decoded lanes.
+    fn run_kernels<'a>(
+        &'a self,
         sel: &mut Vec<u32>,
-        out: &mut GroupTable<u64>,
+        lanes: &'a [Vec<u32>],
+        grouper: &mut Grouper,
+        out: &mut Partial,
         len: usize,
-        lanes: &[Vec<u32>],
-        measures: &[&[f64]],
+        measures: impl IntoIterator<Item = &'a [f64]>,
     ) {
         let selection = if self.masks.is_empty() {
             None
         } else {
-            let masks: Vec<(&[u32], &[bool])> =
-                self.masks.iter().map(|(slot, m)| (lanes[*slot].as_slice(), &**m)).collect();
-            select_into(sel, len, &masks);
+            let masks = self.masks.iter().map(|(slot, m)| (lanes[*slot].as_slice(), &**m));
+            select_into(sel, len, masks);
             Some(sel.as_slice())
         };
-        let keys: Vec<(&[u32], &[u32])> = self
-            .keys
-            .iter()
-            .map(|(slot, roll)| (lanes[*slot].as_slice(), roll.as_slice()))
-            .collect();
-        accumulate_chunk(out, &self.layout, len, selection, &keys, measures);
+        let keys = self.keys.iter().map(|(slot, roll)| (lanes[*slot].as_slice(), roll.as_slice()));
+        accumulate_chunk(out, grouper, &self.layout, len, selection, keys, measures);
+    }
+
+    /// The index fast path: aggregates the sparse, ascending `rows` of
+    /// `fact`. The row set is sparse, so whole-column decode would be
+    /// waste: codes and values are gathered through point accessors into
+    /// the scratch lanes, one governor-check interval at a time, and the
+    /// same kernels fold each gathered chunk into one partial. Serial.
+    fn aggregate_rows(
+        &self,
+        fact: &Table,
+        rows: &[u32],
+        check: impl Fn() -> Result<(), EngineError>,
+    ) -> Result<Partial, EngineError> {
+        let cols = fact.columns();
+        let mut scratch = MorselScratch::new(&self.layout, &self.ops);
+        scratch.ensure_slots(self.lane_cols.len(), self.measures.len());
+        for chunk in rows.chunks(CHECK_INTERVAL) {
+            check()?;
+            let MorselScratch { sel, lanes, vals, grouper, partial } = &mut scratch;
+            for (col, lane) in self.lane_cols.iter().zip(lanes.iter_mut()) {
+                let codes = cols[*col].key_access().expect("validated key column");
+                lane.clear();
+                lane.extend(chunk.iter().map(|&row| codes.get(row as usize) as u32));
+            }
+            for (col, lane) in self.measures.iter().zip(vals.iter_mut()) {
+                let values = NumericSlice::from_column(&cols[*col]).expect("validated measure");
+                lane.clear();
+                lane.extend(chunk.iter().map(|&row| values.get(row as usize)));
+            }
+            let measures = vals.iter().map(|lane| &lane[..]);
+            self.run_kernels(sel, lanes, grouper, partial, chunk.len(), measures);
+        }
+        Ok(scratch.partial)
     }
 }
 
@@ -203,8 +328,12 @@ impl MorselScan for ScanCtx {
         }
     }
 
-    fn new_table(&self) -> GroupTable<u64> {
-        GroupTable::new(&self.ops)
+    fn layout(&self) -> &KeyLayout {
+        &self.layout
+    }
+
+    fn ops(&self) -> &[AggOp] {
+        &self.ops
     }
 
     fn process(
@@ -212,10 +341,10 @@ impl MorselScan for ScanCtx {
         lo: usize,
         hi: usize,
         scratch: &mut MorselScratch,
-        out: &mut GroupTable<u64>,
     ) -> Result<(), EngineError> {
         let len = hi - lo;
         scratch.ensure_slots(self.lane_cols.len(), self.measures.len());
+        let MorselScratch { sel, lanes, vals, grouper, partial } = scratch;
         match &self.source {
             ScanSource::Fact(t) => {
                 // Morsel skipping: a masked run-length column whose
@@ -238,26 +367,25 @@ impl MorselScan for ScanCtx {
                     return Ok(());
                 }
                 let chunk = t.chunk(lo, len);
-                for (col, buf) in self.lane_cols.iter().zip(scratch.lanes.iter_mut()) {
+                for (col, buf) in self.lane_cols.iter().zip(lanes.iter_mut()) {
                     chunk.key_lane(*col, buf).expect("validated key column");
                 }
-                let mut measures: Vec<&[f64]> = Vec::with_capacity(self.measures.len());
-                for (idx, buf) in self.measures.iter().zip(scratch.vals.iter_mut()) {
-                    measures.push(chunk.f64_lane(*idx, buf).expect("validated measure column"));
-                }
-                self.run_kernels(&mut scratch.sel, out, len, &scratch.lanes, &measures);
+                let measures =
+                    self.measures.iter().zip(vals.iter_mut()).map(|(idx, buf)| {
+                        chunk.f64_lane(*idx, buf).expect("validated measure column")
+                    });
+                self.run_kernels(sel, lanes, grouper, partial, len, measures);
             }
             ScanSource::View(v) => {
-                for (comp, buf) in self.lane_cols.iter().zip(scratch.lanes.iter_mut()) {
+                for (comp, buf) in self.lane_cols.iter().zip(lanes.iter_mut()) {
                     buf.clear();
                     buf.extend(v.coord_cols()[*comp][lo..hi].iter().map(|m| m.0));
                 }
-                let measures: Vec<&[f64]> = self
+                let measures = self
                     .measures
                     .iter()
-                    .map(|idx| &v.measure_at(*idx).expect("validated view measure")[lo..hi])
-                    .collect();
-                self.run_kernels(&mut scratch.sel, out, len, &scratch.lanes, &measures);
+                    .map(|idx| &v.measure_at(*idx).expect("validated view measure")[lo..hi]);
+                self.run_kernels(sel, lanes, grouper, partial, len, measures);
             }
         }
         Ok(())
@@ -497,23 +625,37 @@ impl Engine {
     /// requiring packed keys.
     pub fn get(&self, q: &CubeQuery) -> Result<GetOutcome, EngineError> {
         let outcome = match self.run_get(q) {
-            Ok(internal) => materialize(internal),
+            Ok(internal) => materialize(internal)?,
             // The wide fallback reads the coordinator's own fact table,
             // which is empty by design when sharded — propagate instead.
-            Err(EngineError::Unsupported(msg))
-                if msg.contains("wide keys") && self.shards.is_none() =>
-            {
+            Err(EngineError::WideKey { .. }) if self.shards.is_none() => {
                 let o = crate::wide::get_wide(&self.catalog, q, self.config.morsel_rows)?;
                 self.metrics.record_scan(
                     ScanPath::Wide,
                     o.rows_scanned as u64,
                     o.morsels as u64,
                     o.parallelism as u64,
+                    o.grouping,
                 );
                 o
             }
             Err(e) => return Err(e),
         };
+        self.gov_charge_cells(outcome.cube.len())?;
+        Ok(outcome)
+    }
+
+    /// Assembles a fused operator's result from the kept cells of its left
+    /// side (see [`GetInternal::into_outcome`]) and charges the cells
+    /// against the budget.
+    fn fused_outcome(
+        &self,
+        left: GetInternal,
+        slots: &[u32],
+        extra: Vec<(String, Vec<Option<f64>>)>,
+        right: Option<&ScanStats>,
+    ) -> Result<GetOutcome, EngineError> {
+        let outcome = left.into_outcome(slots, extra, right)?;
         self.gov_charge_cells(outcome.cube.len())?;
         Ok(outcome)
     }
@@ -540,53 +682,24 @@ impl Engine {
                 right.measures.len()
             )));
         }
-        let right_index: std::collections::HashMap<u64, u32> =
-            right.table.keys().iter().enumerate().map(|(slot, &key)| (key, slot as u32)).collect();
-
-        let rows_scanned = left.rows_scanned + right.rows_scanned;
-        let parallelism = left.parallelism.max(right.parallelism);
-        let morsels = left.morsels + right.morsels;
-        let per_shard = merge_shard_scans(&left.per_shard, &right.per_shard);
-        let (left_keys, left_cols) = left.table.finish();
+        let right_index = Grouper::over(&right.layout, right.table.keys());
+        let mut kept: Vec<u32> = Vec::new();
+        let mut matched: Vec<Option<usize>> = Vec::new();
+        for slot in left.table.key_order() {
+            let m = right_index.lookup(left.table.keys()[slot as usize]);
+            if kind == JoinKind::Inner && m.is_none() {
+                continue;
+            }
+            kept.push(slot);
+            matched.push(m);
+        }
         let (_, right_cols) = right.table.finish();
-
-        let mut kept_rows: Vec<(usize, Option<u32>)> = Vec::with_capacity(left_keys.len());
-        for (row, &key) in left_keys.iter().enumerate() {
-            let matched = right_index.get(&key).copied();
-            match (kind, matched) {
-                (JoinKind::Inner, None) => {}
-                (_, m) => kept_rows.push((row, m)),
-            }
-        }
-
-        let mut coord_cols: Vec<Vec<MemberId>> =
-            (0..left.group_by.arity()).map(|_| Vec::with_capacity(kept_rows.len())).collect();
-        for (row, _) in &kept_rows {
-            for (c, col) in coord_cols.iter_mut().enumerate() {
-                col.push(left.layout.unpack_component(left_keys[*row], c));
-            }
-        }
-        let mut columns: Vec<CubeColumn> = Vec::new();
-        for (name, col) in left.measures.iter().zip(left_cols.iter()) {
-            let data: Vec<f64> = kept_rows.iter().map(|(row, _)| col[*row]).collect();
-            columns.push(CubeColumn::Numeric(NumericColumn::dense(name.clone(), data)));
-        }
-        for (name, col) in right_renames.iter().zip(right_cols.iter()) {
-            let data: Vec<Option<f64>> =
-                kept_rows.iter().map(|(_, m)| m.map(|slot| col[slot as usize])).collect();
-            columns.push(CubeColumn::Numeric(NumericColumn::nullable(name.clone(), data)));
-        }
-        let mut cube = DerivedCube::from_parts(left.schema, left.group_by, coord_cols, columns)?;
-        cube.sort_by_coordinates();
-        self.gov_charge_cells(cube.len())?;
-        Ok(GetOutcome {
-            cube,
-            used_view: left.used_view,
-            rows_scanned,
-            parallelism,
-            morsels,
-            per_shard,
-        })
+        let extra = right_renames
+            .iter()
+            .zip(&right_cols)
+            .map(|(name, col)| (name.clone(), matched.iter().map(|m| m.map(|s| col[s])).collect()))
+            .collect();
+        self.fused_outcome(left, &kept, extra, Some(&right.stats))
     }
 
     /// Executes two cube queries and **roll-up joins** them inside the
@@ -634,57 +747,28 @@ impl Engine {
             })?
             .composed_map(fine_level, coarse_level)?;
 
-        let rows_scanned = left.rows_scanned + right.rows_scanned;
-        let parallelism = left.parallelism.max(right.parallelism);
-        let morsels = left.morsels + right.morsels;
-        let per_shard = merge_shard_scans(&left.per_shard, &right.per_shard);
-        let right_layout = right.layout.clone();
-        let right_table = &right.table;
-        let (left_keys, left_cols) = left.table.finish();
-
-        let mut kept_rows: Vec<usize> = Vec::new();
+        let right_index = Grouper::over(&right.layout, right.table.keys());
+        let bench = right.table.measure(midx);
+        let mut kept: Vec<u32> = Vec::new();
         let mut bench_col: Vec<Option<f64>> = Vec::new();
-        for (row, &key) in left_keys.iter().enumerate() {
+        for slot in left.table.key_order() {
             // Re-pack the key in the right cube's layout, substituting the
             // rolled member for the fine one.
+            let key = left.table.keys()[slot as usize];
             let mut nb_key = 0u64;
             for c in 0..left.group_by.arity() {
                 let member = left.layout.unpack_component(key, c);
                 let member = if c == component { rollmap[member.index()] } else { member };
-                right_layout.pack_component(&mut nb_key, c, member);
+                right.layout.pack_component(&mut nb_key, c, member);
             }
-            let v = right_table.lookup(&nb_key).map(|slot| right_table.value(midx, slot));
+            let v = right_index.lookup(nb_key).map(|s| bench[s]);
             if kind == JoinKind::Inner && v.is_none() {
                 continue;
             }
-            kept_rows.push(row);
+            kept.push(slot);
             bench_col.push(v);
         }
-
-        let mut coord_cols: Vec<Vec<MemberId>> =
-            (0..left.group_by.arity()).map(|_| Vec::with_capacity(kept_rows.len())).collect();
-        for &row in &kept_rows {
-            for (c, col) in coord_cols.iter_mut().enumerate() {
-                col.push(left.layout.unpack_component(left_keys[row], c));
-            }
-        }
-        let mut columns: Vec<CubeColumn> = Vec::new();
-        for (name, col) in left.measures.iter().zip(left_cols.iter()) {
-            let data: Vec<f64> = kept_rows.iter().map(|&row| col[row]).collect();
-            columns.push(CubeColumn::Numeric(NumericColumn::dense(name.clone(), data)));
-        }
-        columns.push(CubeColumn::Numeric(NumericColumn::nullable(rename.to_string(), bench_col)));
-        let mut cube = DerivedCube::from_parts(left.schema, left.group_by, coord_cols, columns)?;
-        cube.sort_by_coordinates();
-        self.gov_charge_cells(cube.len())?;
-        Ok(GetOutcome {
-            cube,
-            used_view: left.used_view,
-            rows_scanned,
-            parallelism,
-            morsels,
-            per_shard,
-        })
+        self.fused_outcome(left, &kept, vec![(rename.to_string(), bench_col)], Some(&right.stats))
     }
 
     /// Executes two cube queries and **partially joins** them inside the
@@ -733,63 +817,29 @@ impl Engine {
             EngineError::NotJoinable(format!("measure `{measure}` not in the benchmark query"))
         })?;
 
-        let rows_scanned = left.rows_scanned + right.rows_scanned;
-        let parallelism = left.parallelism.max(right.parallelism);
-        let morsels = left.morsels + right.morsels;
-        let per_shard = merge_shard_scans(&left.per_shard, &right.per_shard);
-        // Probe the benchmark side's group table directly — no separate
-        // join index needs to be built.
-        let right_table = &right.table;
-        let (left_keys, left_cols) = left.table.finish();
-
-        let mut kept_rows: Vec<usize> = Vec::new();
+        let right_index = Grouper::over(&right.layout, right.table.keys());
+        let bench = right.table.measure(midx);
+        let mut kept: Vec<u32> = Vec::new();
         let mut slice_cols: Vec<Vec<Option<f64>>> = vec![Vec::new(); slice_members.len()];
-        for (row, &key) in left_keys.iter().enumerate() {
-            let base = left.layout.clear_component(key, component);
-            let mut any = false;
-            let mut values: Vec<Option<f64>> = Vec::with_capacity(slice_members.len());
-            for &member in slice_members {
+        let mut values: Vec<Option<f64>> = Vec::with_capacity(slice_members.len());
+        for slot in left.table.key_order() {
+            let base = left.layout.clear_component(left.table.keys()[slot as usize], component);
+            values.clear();
+            values.extend(slice_members.iter().map(|&member| {
                 let mut nb_key = base;
                 left.layout.pack_component(&mut nb_key, component, member);
-                let v = right_table.lookup(&nb_key).map(|slot| right_table.value(midx, slot));
-                any |= v.is_some();
-                values.push(v);
-            }
-            if kind == JoinKind::Inner && !any {
+                right_index.lookup(nb_key).map(|s| bench[s])
+            }));
+            if kind == JoinKind::Inner && values.iter().all(Option::is_none) {
                 continue;
             }
-            kept_rows.push(row);
-            for (col, v) in slice_cols.iter_mut().zip(values) {
-                col.push(v);
+            kept.push(slot);
+            for (col, v) in slice_cols.iter_mut().zip(&values) {
+                col.push(*v);
             }
         }
-
-        let mut coord_cols: Vec<Vec<MemberId>> =
-            (0..left.group_by.arity()).map(|_| Vec::with_capacity(kept_rows.len())).collect();
-        for &row in &kept_rows {
-            for (c, col) in coord_cols.iter_mut().enumerate() {
-                col.push(left.layout.unpack_component(left_keys[row], c));
-            }
-        }
-        let mut columns: Vec<CubeColumn> = Vec::new();
-        for (name, col) in left.measures.iter().zip(left_cols.iter()) {
-            let data: Vec<f64> = kept_rows.iter().map(|&row| col[row]).collect();
-            columns.push(CubeColumn::Numeric(NumericColumn::dense(name.clone(), data)));
-        }
-        for (name, col) in column_names.iter().zip(slice_cols) {
-            columns.push(CubeColumn::Numeric(NumericColumn::nullable(name.clone(), col)));
-        }
-        let mut cube = DerivedCube::from_parts(left.schema, left.group_by, coord_cols, columns)?;
-        cube.sort_by_coordinates();
-        self.gov_charge_cells(cube.len())?;
-        Ok(GetOutcome {
-            cube,
-            used_view: left.used_view,
-            rows_scanned,
-            parallelism,
-            morsels,
-            per_shard,
-        })
+        let extra = column_names.iter().cloned().zip(slice_cols).collect();
+        self.fused_outcome(left, &kept, extra, Some(&right.stats))
     }
 
     /// Executes one widened cube query and pivots it **inside the engine** —
@@ -830,51 +880,26 @@ impl Engine {
             EngineError::InvalidPivot(format!("measure `{measure}` not in the query"))
         })?;
 
-        let layout = internal.layout;
-        let used_view = internal.used_view;
-        let rows_scanned = internal.rows_scanned;
-        let parallelism = internal.parallelism;
-        let morsels = internal.morsels;
-        let per_shard = internal.per_shard.clone();
-        // Probe the group table directly for neighbor slices — the pivot
-        // needs no additional index.
-        let table = &internal.table;
-        let mut out_rows: Vec<usize> = Vec::new();
+        let (layout, table) = (&internal.layout, &internal.table);
+        let index = Grouper::over(layout, table.keys());
+        let values = table.measure(midx);
+        let mut kept: Vec<u32> = Vec::new();
         let mut neighbor_cols: Vec<Vec<Option<f64>>> = vec![Vec::new(); neighbors.len()];
-        for (slot, &key) in table.keys().iter().enumerate() {
+        for slot in table.key_order() {
+            let key = table.keys()[slot as usize];
             if layout.unpack_component(key, component) != reference {
                 continue;
             }
-            out_rows.push(slot);
+            kept.push(slot);
             let base = layout.clear_component(key, component);
-            for (j, &nb) in neighbors.iter().enumerate() {
+            for (col, &nb) in neighbor_cols.iter_mut().zip(neighbors) {
                 let mut nb_key = base;
                 layout.pack_component(&mut nb_key, component, nb);
-                neighbor_cols[j].push(table.lookup(&nb_key).map(|s| table.value(midx, s)));
+                col.push(index.lookup(nb_key).map(|s| values[s]));
             }
         }
-        let (keys, cols) = internal.table.finish();
-
-        let mut coord_cols: Vec<Vec<MemberId>> =
-            (0..internal.group_by.arity()).map(|_| Vec::with_capacity(out_rows.len())).collect();
-        for &slot in &out_rows {
-            for (c, col) in coord_cols.iter_mut().enumerate() {
-                col.push(layout.unpack_component(keys[slot], c));
-            }
-        }
-        let mut columns: Vec<CubeColumn> = Vec::new();
-        for (name, col) in internal.measures.iter().zip(cols.iter()) {
-            let data: Vec<f64> = out_rows.iter().map(|&s| col[s]).collect();
-            columns.push(CubeColumn::Numeric(NumericColumn::dense(name.clone(), data)));
-        }
-        for (name, col) in neighbor_names.iter().zip(neighbor_cols) {
-            columns.push(CubeColumn::Numeric(NumericColumn::nullable(name.clone(), col)));
-        }
-        let mut cube =
-            DerivedCube::from_parts(internal.schema, internal.group_by, coord_cols, columns)?;
-        cube.sort_by_coordinates();
-        self.gov_charge_cells(cube.len())?;
-        Ok(GetOutcome { cube, used_view, rows_scanned, parallelism, morsels, per_shard })
+        let extra = neighbor_names.iter().cloned().zip(neighbor_cols).collect();
+        self.fused_outcome(internal, &kept, extra, None)
     }
 
     /// Estimates the cost of a `get` without running it: the rows the chosen
@@ -948,10 +973,7 @@ impl Engine {
             .collect();
         let layout = KeyLayout::for_cardinalities(&cardinalities);
         if !layout.fits_u64() {
-            return Err(EngineError::Unsupported(format!(
-                "group-by key needs {} bits; wide keys are not supported by the fused engine paths",
-                layout.total_bits()
-            )));
+            return Err(EngineError::WideKey { bits: layout.total_bits() });
         }
 
         // Scatter-gather: a coordinator fans the scan/aggregate stage out
@@ -976,10 +998,10 @@ impl Engine {
 
     /// The coordinator side of a scatter-gather `get`: runs the planned
     /// scan/aggregate stage on every shard in ascending order, merging
-    /// each partial into one group table. Local shards execute through
-    /// sub-engines sharing this engine's governor/pool/metrics; remote
-    /// shards receive the remaining budget and their reported rows are
-    /// charged here on receipt. The first shard failure aborts the whole
+    /// each [`Partial`] into one through one [`Grouper`]. Local shards
+    /// execute through sub-engines sharing this engine's governor, pool
+    /// and metrics; remote shards receive the remaining budget and their
+    /// reported rows are charged here on receipt. The first shard failure aborts the whole
     /// get — partial merges are discarded, never returned.
     fn run_get_sharded(
         &self,
@@ -989,7 +1011,8 @@ impl Engine {
         ops: &[AggOp],
         set: &ShardSet,
     ) -> Result<GetInternal, EngineError> {
-        let mut table: GroupTable<u64> = GroupTable::new(ops);
+        let mut table = Partial::new(ops);
+        let mut grouper = Grouper::for_layout(layout);
         let mut per_shard: Vec<ShardScan> = Vec::with_capacity(set.len());
         let mut used_view: Option<String> = None;
         let mut views_agree = true;
@@ -1001,15 +1024,25 @@ impl Engine {
                     let internal = sub.run_get(q)?;
                     let scan = ShardScan {
                         shard: i,
-                        rows_scanned: internal.rows_scanned,
-                        parallelism: internal.parallelism,
-                        morsels: internal.morsels,
+                        rows_scanned: internal.stats.rows_scanned,
+                        parallelism: internal.stats.parallelism,
+                        morsels: internal.stats.morsels,
+                        groups: internal.table.len(),
                     };
-                    (internal.table, scan, internal.used_view)
+                    (internal.table, scan, internal.stats.used_view)
                 }
                 Shard::Remote(t) => {
                     let budget = self.shard_budget();
                     let p: ShardPartial = t.partial(q, budget).map_err(|e| at_shard(set, i, e))?;
+                    // The partial arrived from outside this process: its
+                    // keys index the direct-addressed merge below.
+                    if !p.partial.conforms(layout, ops) {
+                        let reason = "partial does not fit the query's key layout and measures";
+                        return Err(EngineError::ShardUnavailable {
+                            shard: set.label(i),
+                            reason: reason.into(),
+                        });
+                    }
                     // Remote rows are charged on receipt; the shard node
                     // enforced the forwarded budget during the scan.
                     self.gov_charge_rows(p.rows_scanned)?;
@@ -1018,8 +1051,9 @@ impl Engine {
                         rows_scanned: p.rows_scanned,
                         parallelism: p.parallelism,
                         morsels: p.morsels,
+                        groups: p.partial.len(),
                     };
-                    (GroupTable::from_raw(p.keys, p.accs), scan, p.used_view)
+                    (p.partial, scan, p.used_view)
                 }
             };
             if i == 0 {
@@ -1027,24 +1061,18 @@ impl Engine {
             } else if used_view != view {
                 views_agree = false;
             }
-            table.merge(partial);
+            table.merge(&mut grouper, &partial);
             per_shard.push(scan);
         }
-        let rows_scanned = per_shard.iter().map(|s| s.rows_scanned).sum();
-        let parallelism = per_shard.iter().map(|s| s.parallelism).max().unwrap_or(1);
-        let morsels = per_shard.iter().map(|s| s.morsels).sum();
-        Ok(GetInternal {
-            schema: schema.clone(),
-            group_by: q.group_by.clone(),
-            layout: layout.clone(),
-            table,
-            measures: q.measures.clone(),
+        let stats = ScanStats {
             used_view: if views_agree { used_view } else { None },
-            rows_scanned,
-            parallelism,
-            morsels,
+            rows_scanned: per_shard.iter().map(|s| s.rows_scanned).sum(),
+            parallelism: per_shard.iter().map(|s| s.parallelism).max().unwrap_or(1),
+            morsels: per_shard.iter().map(|s| s.morsels).sum(),
+            groups: 0,
             per_shard,
-        })
+        };
+        Ok(GetInternal::new(q, schema, layout, table, stats))
     }
 
     /// The remaining budget to forward with a remote shard request.
@@ -1062,10 +1090,14 @@ impl Engine {
     /// aggregate — the shard-node side of scatter-gather execution (the
     /// serve layer exposes this as the `partial` protocol operation).
     pub fn get_partial(&self, q: &CubeQuery) -> Result<ShardPartial, EngineError> {
-        let internal = self.run_get(q)?;
-        let GetInternal { table, used_view, rows_scanned, parallelism, morsels, .. } = internal;
-        let (keys, accs) = table.into_raw();
-        Ok(ShardPartial { keys, accs, used_view, rows_scanned, parallelism, morsels })
+        let GetInternal { table, stats, .. } = self.run_get(q)?;
+        Ok(ShardPartial {
+            partial: table,
+            used_view: stats.used_view,
+            rows_scanned: stats.rows_scanned,
+            parallelism: stats.parallelism,
+            morsels: stats.morsels,
+        })
     }
 
     fn get_from_view(
@@ -1108,9 +1140,7 @@ impl Engine {
                 })
                 .collect::<Result<_, _>>()?;
 
-        let n = view.len();
-        self.gov_charge_rows(n)?;
-        let run = self.run_scan(ScanCtx {
+        let ctx = ScanCtx {
             source: ScanSource::View(view.clone()),
             lane_cols,
             masks,
@@ -1118,25 +1148,32 @@ impl Engine {
             measures,
             layout: layout.clone(),
             ops: ops.to_vec(),
-        })?;
+        };
+        self.scan(q, schema, ctx, ScanPath::View, Some(view.name().to_string()))
+    }
+
+    /// Charges, runs and records one planned morsel scan.
+    fn scan(
+        &self,
+        q: &CubeQuery,
+        schema: &Arc<CubeSchema>,
+        ctx: ScanCtx,
+        path: ScanPath,
+        used_view: Option<String>,
+    ) -> Result<GetInternal, EngineError> {
+        let n = MorselScan::n_rows(&ctx);
+        self.gov_charge_rows(n)?;
+        let layout = ctx.layout.clone();
+        let run = self.run_scan(ctx)?;
         self.metrics.record_scan(
-            ScanPath::View,
+            path,
             n as u64,
             run.morsels as u64,
             run.parallelism as u64,
+            Grouping::of(&layout),
         );
-        Ok(GetInternal {
-            schema: schema.clone(),
-            group_by: q.group_by.clone(),
-            layout: layout.clone(),
-            table: run.table,
-            measures: q.measures.clone(),
-            used_view: Some(view.name().to_string()),
-            rows_scanned: n,
-            parallelism: run.parallelism,
-            morsels: run.morsels,
-            per_shard: Vec::new(),
-        })
+        let stats = ScanStats::of_scan(used_view, n, run.parallelism, run.morsels);
+        Ok(GetInternal::new(q, schema, &layout, run.table, stats))
     }
 
     fn get_from_fact(
@@ -1180,71 +1217,7 @@ impl Engine {
             measures.push(fact.column_index(col_name).expect("numeric_slice checked existence"));
         }
 
-        // Index fast path: a highly selective point predicate on a finest
-        // level (e.g. `store = 'SmartMart'`) fetches the matching rows from
-        // the foreign-key hash index — the paper's B-tree-indexed keys —
-        // instead of scanning the whole fact table. The row set is sparse,
-        // so this path stays serial and row-at-a-time, reading encoded key
-        // columns through point accessors instead of decoding whole lanes.
-        if self.config.use_indexes {
-            if let Some(rows) = self.index_row_set(q, &fact, binding)? {
-                self.gov_charge_rows(rows.len())?;
-                let cols = fact.columns();
-                let access = |slot: usize| cols[lane_cols[slot]].key_access().expect("validated");
-                let mask_inputs: Vec<(KeyAccess<'_>, &[bool])> =
-                    masks.iter().map(|(slot, m)| (access(*slot), &**m)).collect();
-                let key_inputs: Vec<(KeyAccess<'_>, &[u32])> =
-                    keys.iter().map(|(slot, roll)| (access(*slot), roll.as_slice())).collect();
-                let measure_slices: Vec<NumericSlice<'_>> = measures
-                    .iter()
-                    .map(|idx| NumericSlice::from_column(&cols[*idx]).expect("validated"))
-                    .collect();
-                let mut table: GroupTable<u64> = GroupTable::new(ops);
-                let mut values = vec![0.0f64; measure_slices.len()];
-                let rows_scanned = rows.len();
-                'rows: for (i, &row) in rows.iter().enumerate() {
-                    if i.is_multiple_of(CHECK_INTERVAL) {
-                        self.gov_check()?;
-                    }
-                    let row = row as usize;
-                    for (fks, mask) in &mask_inputs {
-                        if !mask[fks.get(row) as usize] {
-                            continue 'rows;
-                        }
-                    }
-                    let mut key = 0u64;
-                    for (comp, (fks, rollmap)) in key_inputs.iter().enumerate() {
-                        layout.pack_code(&mut key, comp, rollmap[fks.get(row) as usize]);
-                    }
-                    if values.len() == 1 {
-                        table.update1(key, measure_slices[0].get(row));
-                    } else {
-                        for (v, mv) in values.iter_mut().zip(&measure_slices) {
-                            *v = mv.get(row);
-                        }
-                        table.update(key, &values);
-                    }
-                }
-                self.metrics.record_scan(ScanPath::Index, rows_scanned as u64, 0, 1);
-                return Ok(GetInternal {
-                    schema: schema.clone(),
-                    group_by: q.group_by.clone(),
-                    layout: layout.clone(),
-                    table,
-                    measures: q.measures.clone(),
-                    used_view: None,
-                    rows_scanned,
-                    parallelism: 1,
-                    morsels: 0,
-                    per_shard: Vec::new(),
-                });
-            }
-        }
-
-        self.fault(FaultSite::Scan)?;
-        let n = fact.n_rows();
-        self.gov_charge_rows(n)?;
-        let run = self.run_scan(ScanCtx {
+        let ctx = ScanCtx {
             source: ScanSource::Fact(fact.clone()),
             lane_cols,
             masks,
@@ -1252,25 +1225,30 @@ impl Engine {
             measures,
             layout: layout.clone(),
             ops: ops.to_vec(),
-        })?;
-        self.metrics.record_scan(
-            ScanPath::Fact,
-            n as u64,
-            run.morsels as u64,
-            run.parallelism as u64,
-        );
-        Ok(GetInternal {
-            schema: schema.clone(),
-            group_by: q.group_by.clone(),
-            layout: layout.clone(),
-            table: run.table,
-            measures: q.measures.clone(),
-            used_view: None,
-            rows_scanned: n,
-            parallelism: run.parallelism,
-            morsels: run.morsels,
-            per_shard: Vec::new(),
-        })
+        };
+
+        // Index fast path: a highly selective point predicate on a finest
+        // level (e.g. `store = 'SmartMart'`) fetches the matching rows from
+        // the foreign-key hash index — the paper's B-tree-indexed keys —
+        // instead of scanning the whole fact table.
+        if self.config.use_indexes {
+            if let Some(rows) = self.index_row_set(q, &fact, binding)? {
+                self.gov_charge_rows(rows.len())?;
+                let table = ctx.aggregate_rows(&fact, &rows, || self.gov_check())?;
+                self.metrics.record_scan(
+                    ScanPath::Index,
+                    rows.len() as u64,
+                    0,
+                    1,
+                    Grouping::of(layout),
+                );
+                let stats = ScanStats::of_scan(None, rows.len(), 1, 0);
+                return Ok(GetInternal::new(q, schema, layout, table, stats));
+            }
+        }
+
+        self.fault(FaultSite::Scan)?;
+        self.scan(q, schema, ctx, ScanPath::Fact, None)
     }
 
     /// The fact rows selected by an indexable point predicate, when one
@@ -1329,38 +1307,12 @@ fn check_joinable(left: &GetInternal, right: &GetInternal) -> Result<(), EngineE
     Ok(())
 }
 
-/// Materializes the internal representation into a sorted derived cube.
-fn materialize(internal: GetInternal) -> GetOutcome {
-    let GetInternal {
-        schema,
-        group_by,
-        layout,
-        table,
-        measures,
-        used_view,
-        rows_scanned,
-        parallelism,
-        morsels,
-        per_shard,
-    } = internal;
-    let (keys, cols) = table.finish();
-    let arity = group_by.arity();
-    let mut coord_cols: Vec<Vec<MemberId>> =
-        (0..arity).map(|_| Vec::with_capacity(keys.len())).collect();
-    for &key in &keys {
-        for (c, col) in coord_cols.iter_mut().enumerate() {
-            col.push(layout.unpack_component(key, c));
-        }
-    }
-    let columns: Vec<CubeColumn> = measures
-        .iter()
-        .zip(cols)
-        .map(|(name, data)| CubeColumn::Numeric(NumericColumn::dense(name.clone(), data)))
-        .collect();
-    let mut cube = DerivedCube::from_parts(schema, group_by, coord_cols, columns)
-        .expect("engine-produced columns are consistent");
-    cube.sort_by_coordinates();
-    GetOutcome { cube, used_view, rows_scanned, parallelism, morsels, per_shard }
+/// Materializes the internal representation into a derived cube in
+/// canonical coordinate order — which, with [`KeyLayout`]'s packing, is
+/// ascending key order: the packed keys are sorted, never the coordinates.
+fn materialize(internal: GetInternal) -> Result<GetOutcome, EngineError> {
+    let slots = internal.table.key_order();
+    internal.into_outcome(&slots, Vec::new(), None)
 }
 
 /// Convenience used by tests and the assess runtime: the coordinate of a

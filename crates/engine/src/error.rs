@@ -21,6 +21,10 @@ pub enum EngineError {
     InvalidPivot(String),
     /// An aggregation operator is not supported by the chosen access path.
     Unsupported(String),
+    /// The group-by set's packed key needs `bits` > 64 bits. Plain `get`
+    /// recovers through the wide-key scan; fused join/pivot paths and
+    /// sharded coordinators surface it.
+    WideKey { bits: u32 },
     /// A resource budget of the governing [`ResourceGovernor`] was
     /// exhausted. `limit`/`used` are in the resource's own unit
     /// (milliseconds for wall clock, counts otherwise).
@@ -50,6 +54,10 @@ impl fmt::Display for EngineError {
             EngineError::NotJoinable(msg) => write!(f, "cubes are not joinable: {msg}"),
             EngineError::InvalidPivot(msg) => write!(f, "invalid pivot: {msg}"),
             EngineError::Unsupported(msg) => write!(f, "unsupported operation: {msg}"),
+            EngineError::WideKey { bits } => write!(
+                f,
+                "unsupported operation: group-by key needs {bits} bits; wide keys are not supported by the fused engine paths"
+            ),
             EngineError::BudgetExceeded { resource, limit, used } => {
                 write!(f, "budget exceeded: {used} {resource} used, limit is {limit}")
             }

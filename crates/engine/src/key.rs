@@ -1,10 +1,14 @@
 //! Packed group-by keys.
 //!
-//! Aggregation hashes one key per qualifying fact row, so key construction
+//! Aggregation resolves one key per qualifying fact row, so key construction
 //! dominates the inner loop. When the combined bit width of all group-by
 //! components fits a machine word the engine packs the member ids into a
 //! single `u64`; otherwise it falls back to boxed wide keys. The layout also
 //! unpacks keys back into member ids when materializing result coordinates.
+//!
+//! Component 0 occupies the **most-significant** bits, so ascending `u64`
+//! key order is lexicographic coordinate order: sorting packed keys sorts
+//! cells into the canonical order cubes and views are materialized in.
 
 use olap_model::MemberId;
 
@@ -25,13 +29,16 @@ impl KeyLayout {
             .iter()
             .map(|&c| (usize::BITS - c.max(2).saturating_sub(1).leading_zeros()).max(1))
             .collect();
-        let mut shifts = Vec::with_capacity(bits.len());
-        let mut acc = 0;
-        for b in &bits {
-            shifts.push(acc);
-            acc += b;
-        }
-        KeyLayout { bits, shifts, total_bits: acc }
+        let total_bits: u32 = bits.iter().sum();
+        let mut below = total_bits;
+        let shifts = bits
+            .iter()
+            .map(|b| {
+                below -= b;
+                below
+            })
+            .collect();
+        KeyLayout { bits, shifts, total_bits }
     }
 
     /// Number of components.
@@ -47,6 +54,11 @@ impl KeyLayout {
     /// Total bit width.
     pub fn total_bits(&self) -> u32 {
         self.total_bits
+    }
+
+    /// Whether `key` lies inside this layout's key space.
+    pub fn contains(&self, key: u64) -> bool {
+        self.total_bits >= 64 || key >> self.total_bits == 0
     }
 
     /// Packs member ids into a `u64` key. Caller must have checked
@@ -162,6 +174,23 @@ mod tests {
             layout.pack_component(&mut key, i, *m);
         }
         assert_eq!(key, layout.pack(&members));
+    }
+
+    #[test]
+    fn key_order_is_coordinate_order() {
+        let layout = KeyLayout::for_cardinalities(&[3, 100, 7]);
+        let mut tuples: Vec<Vec<MemberId>> = Vec::new();
+        for a in 0..3 {
+            for b in [0, 1, 50, 99] {
+                for c in 0..7 {
+                    tuples.push(vec![MemberId(a), MemberId(b), MemberId(c)]);
+                }
+            }
+        }
+        let mut by_key = tuples.clone();
+        by_key.sort_by_key(|t| layout.pack(t));
+        tuples.sort();
+        assert_eq!(by_key, tuples);
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod shard;
 pub mod sqlgen;
 pub(crate) mod wide;
 
+pub use aggregate::Grouping;
 pub use engine::{Engine, EngineConfig, GetEstimate, GetOutcome, JoinKind};
 pub use error::EngineError;
 pub use fault::{FaultInjector, FaultSite};

@@ -27,8 +27,11 @@
 //! Both the delta scan and the rebuild scan run through the same
 //! morsel-driven pipeline as queries ([`run_morsels`]), so partial
 //! aggregates merge in morsel order and maintenance is byte-identical at
-//! every thread count. Maintained views are kept **coordinate-sorted**
-//! (the order `Engine::get` materializes), so a merged view is
+//! every thread count. A delta merge lifts the view's rows into a
+//! [`Partial`] and folds the delta's partial in with the same
+//! [`Partial::merge`] morsel and shard partials use. Maintained views are
+//! emitted in **key order** — coordinate order, the order `Engine::get`
+//! materializes — so a merged view is
 //! bit-comparable to one rebuilt from scratch; merged sums equal rebuilt
 //! sums exactly whenever measure values are integer-valued (exact f64
 //! addition), which the bundled datasets guarantee.
@@ -42,7 +45,6 @@
 //! [`StorageError::ConcurrentMutation`] and the append is retried from the
 //! fresh table, a bounded number of times.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use olap_model::{AggOp, Coordinate, MemberId};
@@ -50,7 +52,7 @@ use olap_storage::{
     Column, CubeBinding, Delta, KeyAccess, MaterializedAggregate, NumericSlice, StorageError, Table,
 };
 
-use crate::aggregate::{accumulate_chunk, GroupTable};
+use crate::aggregate::{accumulate_chunk, Accumulator, GroupTable, Grouper, Partial};
 use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::key::KeyLayout;
@@ -265,8 +267,8 @@ fn maintain_one(
             layout: r.layout.clone(),
             ops: r.ops.clone(),
         };
-        let partial = run_range(engine, scan)?;
-        Ok((merge(view, partial, &r.layout, &r.ops)?, true))
+        let delta = run_range(engine, scan)?;
+        Ok((merge(view, &delta, &r.layout, &r.ops)?, true))
     } else if r.layout.fits_u64() {
         let scan = RangeScan {
             table: table.clone(),
@@ -277,69 +279,62 @@ fn maintain_one(
             layout: r.layout.clone(),
             ops: r.ops.clone(),
         };
-        let rebuilt = run_range(engine, scan)?;
-        let (keys, cols) = rebuilt.finish();
-        let arity = view.group_by().arity();
-        let mut coords: Vec<Vec<MemberId>> =
-            (0..arity).map(|_| Vec::with_capacity(keys.len())).collect();
-        for &key in &keys {
-            for (c, col) in coords.iter_mut().enumerate() {
-                col.push(r.layout.unpack_component(key, c));
-            }
-        }
-        Ok((sorted_view(view, coords, cols)?, false))
+        Ok((keyed_view(view, &r.layout, run_range(engine, scan)?)?, false))
     } else {
         Ok((rebuild_wide(view, table, &r)?, false))
     }
 }
 
-/// Merges a delta partial aggregate into the existing view's rows:
-/// matching coordinates fold per operator, unseen coordinates append, and
-/// the result re-sorts to the engine's canonical coordinate order.
+/// Merges a delta partial aggregate into the existing view: the view's
+/// rows become a [`Partial`] (for the distributive operators a finalized
+/// value *is* the state), the delta merges in by the common rule, and the
+/// result is emitted in key order.
 fn merge(
     view: &MaterializedAggregate,
-    partial: GroupTable<u64>,
+    delta: &Partial,
     layout: &KeyLayout,
     ops: &[AggOp],
 ) -> Result<MaterializedAggregate, EngineError> {
-    let arity = view.group_by().arity();
-    let mut coords: Vec<Vec<MemberId>> = view.coord_cols().to_vec();
-    let mut measures: Vec<Vec<f64>> = (0..view.measure_names().len())
-        .map(|i| view.measure_at(i).expect("measure count checked at construction").to_vec())
+    let coords = view.coord_cols();
+    let keys: Vec<u64> = (0..view.len())
+        .map(|row| {
+            let mut key = 0u64;
+            for (comp, col) in coords.iter().enumerate() {
+                layout.pack_component(&mut key, comp, col[row]);
+            }
+            key
+        })
         .collect();
-    let mut index: HashMap<u64, usize> = HashMap::with_capacity(view.len());
-    for row in 0..view.len() {
-        let mut key = 0u64;
-        for (comp, col) in coords.iter().enumerate() {
-            layout.pack_component(&mut key, comp, col[row]);
-        }
-        index.insert(key, row);
-    }
-    let (keys, cols) = partial.finish();
-    for (slot, &key) in keys.iter().enumerate() {
-        match index.get(&key) {
-            Some(&row) => {
-                for (op, (col, delta_col)) in ops.iter().zip(measures.iter_mut().zip(&cols)) {
-                    let d = delta_col[slot];
-                    col[row] = match op {
-                        AggOp::Sum | AggOp::Count => col[row] + d,
-                        AggOp::Min => col[row].min(d),
-                        AggOp::Max => col[row].max(d),
-                        AggOp::Avg => unreachable!("avg views take the rebuild path"),
-                    };
-                }
+    let accs: Vec<Accumulator> = ops
+        .iter()
+        .enumerate()
+        .map(|(i, op)| {
+            let col = view.measure_at(i).expect("measure count checked at construction").to_vec();
+            match op {
+                AggOp::Sum => Accumulator::Sum(col),
+                AggOp::Count => Accumulator::Count(col),
+                AggOp::Min => Accumulator::Min(col),
+                AggOp::Max => Accumulator::Max(col),
+                AggOp::Avg => unreachable!("avg views take the rebuild path"),
             }
-            None => {
-                for (c, col) in coords.iter_mut().enumerate().take(arity) {
-                    col.push(layout.unpack_component(key, c));
-                }
-                for (col, delta_col) in measures.iter_mut().zip(&cols) {
-                    col.push(delta_col[slot]);
-                }
-            }
-        }
-    }
-    sorted_view(view, coords, measures)
+        })
+        .collect();
+    let mut merged = Partial::from_parts(keys, accs).expect("view columns are row-aligned");
+    let mut grouper = Grouper::over(layout, merged.keys());
+    merged.merge(&mut grouper, delta);
+    keyed_view(view, layout, merged)
+}
+
+/// Assembles the maintained view from a partial over `layout`, in
+/// ascending key order — lexicographic coordinate order.
+fn keyed_view(
+    view: &MaterializedAggregate,
+    layout: &KeyLayout,
+    partial: Partial,
+) -> Result<MaterializedAggregate, EngineError> {
+    let order = partial.key_order();
+    let (coords, measures) = partial.emit(layout, &order);
+    assemble_view(view, coords, measures)
 }
 
 /// Full rebuild with boxed coordinate keys, for group-by sets whose packed
@@ -385,9 +380,8 @@ fn rebuild_wide(
     sorted_view(view, coords, cols)
 }
 
-/// Assembles the maintained view, sorted lexicographically by coordinate —
-/// the same canonical order `Engine::get` materializes cubes in, so a
-/// merged view is byte-comparable to a rebuilt one.
+/// Sorts wide-key rebuild output lexicographically by coordinate — the
+/// canonical order packed paths get from key order — and assembles it.
 fn sorted_view(
     view: &MaterializedAggregate,
     mut coords: Vec<Vec<MemberId>>,
@@ -411,6 +405,16 @@ fn sorted_view(
     for col in measures.iter_mut() {
         *col = perm.iter().map(|&i| col[i]).collect();
     }
+    assemble_view(view, coords, measures)
+}
+
+/// The maintained successor of `view` over already-ordered rows, keeping
+/// its name, group-by set, measure names and provenance.
+fn assemble_view(
+    view: &MaterializedAggregate,
+    coords: Vec<Vec<MemberId>>,
+    measures: Vec<Vec<f64>>,
+) -> Result<MaterializedAggregate, EngineError> {
     let rebuilt = MaterializedAggregate::new(
         view.name(),
         view.group_by().clone(),
@@ -452,8 +456,12 @@ impl MorselScan for RangeScan {
         self.rows
     }
 
-    fn new_table(&self) -> GroupTable<u64> {
-        GroupTable::new(&self.ops)
+    fn layout(&self) -> &KeyLayout {
+        &self.layout
+    }
+
+    fn ops(&self) -> &[AggOp] {
+        &self.ops
     }
 
     fn process(
@@ -461,21 +469,21 @@ impl MorselScan for RangeScan {
         lo: usize,
         hi: usize,
         scratch: &mut MorselScratch,
-        out: &mut GroupTable<u64>,
     ) -> Result<(), EngineError> {
         let len = hi - lo;
         let chunk = self.table.chunk(self.start + lo, len);
         scratch.ensure_slots(self.keys.len(), self.measures.len());
-        let mut keys: Vec<(&[u32], &[u32])> = Vec::with_capacity(self.keys.len());
-        for ((idx, roll), buf) in self.keys.iter().zip(scratch.lanes.iter_mut()) {
-            let lane = chunk.key_lane(*idx, buf).expect("resolved fk column");
-            keys.push((lane, roll.as_slice()));
+        let MorselScratch { lanes, vals, grouper, partial, .. } = scratch;
+        for ((idx, _), buf) in self.keys.iter().zip(lanes.iter_mut()) {
+            chunk.key_lane(*idx, buf).expect("resolved fk column");
         }
-        let mut measures: Vec<&[f64]> = Vec::with_capacity(self.measures.len());
-        for (idx, buf) in self.measures.iter().zip(scratch.vals.iter_mut()) {
-            measures.push(chunk.f64_lane(*idx, buf).expect("resolved measure column"));
-        }
-        accumulate_chunk(out, &self.layout, len, None, &keys, &measures);
+        let keys = self.keys.iter().zip(&*lanes).map(|((_, roll), lane)| (&lane[..], &roll[..]));
+        let measures = self
+            .measures
+            .iter()
+            .zip(vals.iter_mut())
+            .map(|(idx, buf)| chunk.f64_lane(*idx, buf).expect("resolved measure column"));
+        accumulate_chunk(partial, grouper, &self.layout, len, None, keys, measures);
         Ok(())
     }
 }
@@ -483,7 +491,7 @@ impl MorselScan for RangeScan {
 /// Drives a maintenance scan through the same morsel pipeline and sizing
 /// rules as query scans, so maintenance output is byte-identical at every
 /// thread count.
-fn run_range(engine: &Engine, scan: RangeScan) -> Result<GroupTable<u64>, EngineError> {
+fn run_range(engine: &Engine, scan: RangeScan) -> Result<Partial, EngineError> {
     let n = scan.rows;
     let morsel_rows = engine.config().morsel_rows.max(1);
     let dop = if n < engine.config().parallel_threshold { 1 } else { engine.parallelism_cap() };

@@ -24,6 +24,8 @@ use std::sync::{Arc, OnceLock};
 
 use serde::Serialize;
 
+use crate::aggregate::Grouping;
+
 /// Which access path served a scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanPath {
@@ -52,6 +54,7 @@ pub struct EngineMetrics {
     appends: AtomicU64,
     mview_delta_merges: AtomicU64,
     mview_rebuilds: AtomicU64,
+    direct_group_scans: AtomicU64,
 }
 
 /// A point-in-time copy of an [`EngineMetrics`] registry, stable enough to
@@ -81,6 +84,9 @@ pub struct EngineMetricsSnapshot {
     pub mview_delta_merges: u64,
     /// Materialized views rebuilt from scratch during maintenance.
     pub mview_rebuilds: u64,
+    /// Scans (of any path) that resolved group keys by direct addressing;
+    /// the remainder of `scans` hashed them.
+    pub direct_group_scans: u64,
 }
 
 impl EngineMetricsSnapshot {
@@ -99,6 +105,7 @@ impl EngineMetricsSnapshot {
             appends: self.appends.saturating_sub(earlier.appends),
             mview_delta_merges: self.mview_delta_merges.saturating_sub(earlier.mview_delta_merges),
             mview_rebuilds: self.mview_rebuilds.saturating_sub(earlier.mview_rebuilds),
+            direct_group_scans: self.direct_group_scans.saturating_sub(earlier.direct_group_scans),
         }
     }
 
@@ -116,6 +123,7 @@ impl EngineMetricsSnapshot {
             ("appends", self.appends),
             ("mview_delta_merges", self.mview_delta_merges),
             ("mview_rebuilds", self.mview_rebuilds),
+            ("direct_group_scans", self.direct_group_scans),
         ]
     }
 }
@@ -128,8 +136,18 @@ impl EngineMetrics {
     /// Records one completed scan. Called once per engine `get` side —
     /// after the morsel merge — with the already-aggregated outcome.
     #[cfg(feature = "obs")]
-    pub fn record_scan(&self, path: ScanPath, rows: u64, morsels: u64, parallelism: u64) {
+    pub fn record_scan(
+        &self,
+        path: ScanPath,
+        rows: u64,
+        morsels: u64,
+        parallelism: u64,
+        grouping: Grouping,
+    ) {
         self.scans.fetch_add(1, Ordering::Relaxed);
+        if grouping == Grouping::Direct {
+            self.direct_group_scans.fetch_add(1, Ordering::Relaxed);
+        }
         self.rows_scanned.fetch_add(rows, Ordering::Relaxed);
         self.morsels.fetch_add(morsels, Ordering::Relaxed);
         if parallelism > 1 {
@@ -147,7 +165,15 @@ impl EngineMetrics {
     /// Zero-cost stub: with the `obs` feature off the call vanishes.
     #[cfg(not(feature = "obs"))]
     #[inline(always)]
-    pub fn record_scan(&self, _path: ScanPath, _rows: u64, _morsels: u64, _parallelism: u64) {}
+    pub fn record_scan(
+        &self,
+        _path: ScanPath,
+        _rows: u64,
+        _morsels: u64,
+        _parallelism: u64,
+        _grouping: Grouping,
+    ) {
+    }
 
     /// Records one committed append and its view-maintenance outcome:
     /// how many views were delta-merged versus rebuilt from scratch.
@@ -176,6 +202,7 @@ impl EngineMetrics {
             appends: self.appends.load(Ordering::Relaxed),
             mview_delta_merges: self.mview_delta_merges.load(Ordering::Relaxed),
             mview_rebuilds: self.mview_rebuilds.load(Ordering::Relaxed),
+            direct_group_scans: self.direct_group_scans.load(Ordering::Relaxed),
         }
     }
 }
@@ -194,23 +221,24 @@ mod tests {
     #[cfg(feature = "obs")]
     fn record_scan_routes_by_path() {
         let m = EngineMetrics::new();
-        m.record_scan(ScanPath::Fact, 100, 4, 2);
-        m.record_scan(ScanPath::View, 10, 1, 1);
-        m.record_scan(ScanPath::Index, 3, 0, 1);
-        m.record_scan(ScanPath::Wide, 7, 2, 1);
+        m.record_scan(ScanPath::Fact, 100, 4, 2, Grouping::Direct);
+        m.record_scan(ScanPath::View, 10, 1, 1, Grouping::Direct);
+        m.record_scan(ScanPath::Index, 3, 0, 1, Grouping::Hashed);
+        m.record_scan(ScanPath::Wide, 7, 2, 1, Grouping::Hashed);
         let s = m.snapshot();
         assert_eq!(s.scans, 4);
         assert_eq!(s.rows_scanned, 120);
         assert_eq!(s.morsels, 7);
         assert_eq!(s.parallel_scans, 1);
         assert_eq!((s.fact_scans, s.view_scans, s.index_scans, s.wide_scans), (1, 1, 1, 1));
+        assert_eq!(s.direct_group_scans, 2);
     }
 
     #[test]
     #[cfg(not(feature = "obs"))]
     fn record_scan_is_inert_without_the_feature() {
         let m = EngineMetrics::new();
-        m.record_scan(ScanPath::Fact, 100, 4, 2);
+        m.record_scan(ScanPath::Fact, 100, 4, 2, Grouping::Direct);
         assert_eq!(m.snapshot(), EngineMetricsSnapshot::default());
     }
 

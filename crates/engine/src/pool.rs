@@ -7,8 +7,9 @@
 //!
 //! * morsels are claimed from a shared atomic cursor, so the set of claimed
 //!   morsels is always a prefix `0..k` of the morsel sequence;
-//! * every claimed morsel aggregates into its **own** partial group table,
-//!   stashed under its morsel index;
+//! * every claimed morsel aggregates into its **own** [`Partial`], stashed
+//!   in the slot of its morsel index (the worker's [`Grouper`] and buffers
+//!   are reused across the morsels it claims — a partial carries no index);
 //! * after all workers finish, partials are merged in ascending morsel
 //!   order.
 //!
@@ -37,16 +38,19 @@
 //! behind other queries, so one pool can be shared by every session of
 //! `assess-serve` without cross-query stalls.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-use crate::aggregate::GroupTable;
+use olap_model::AggOp;
+
+use crate::aggregate::{Grouper, Partial};
 use crate::error::EngineError;
 use crate::fault::{FaultInjector, FaultSite};
 use crate::governor::ResourceGovernor;
+use crate::key::KeyLayout;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -249,13 +253,14 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// Reusable per-worker scan scratch: the selection vector plus the decode
+/// Reusable per-worker scan scratch: the selection vector, the decode
 /// buffers the chunk layer fills with flat `u32` key lanes and `f64`
-/// measure lanes (`DataChunk::key_lane` / `f64_lane`). Each driving thread
+/// measure lanes (`DataChunk::key_lane` / `f64_lane`), and the grouper +
+/// working partial the aggregation kernel folds into. Each driving thread
 /// owns one scratch; its buffers grow to the morsel size once and are
 /// reused for every morsel that thread claims, so steady-state scanning
-/// allocates nothing.
-#[derive(Debug, Default)]
+/// allocates only each morsel's exact-size partial.
+#[derive(Debug)]
 pub struct MorselScratch {
     /// Selection-vector buffer for the predicate kernel.
     pub sel: Vec<u32>,
@@ -264,9 +269,32 @@ pub struct MorselScratch {
     /// Measure lanes for columns that need conversion (plain `f64` columns
     /// are borrowed directly and leave their slot untouched).
     pub vals: Vec<Vec<f64>>,
+    /// Key → slot index over `partial`, forgotten after every morsel.
+    pub grouper: Grouper,
+    /// The partial aggregate of the morsel in progress.
+    pub partial: Partial,
 }
 
 impl MorselScratch {
+    pub fn new(layout: &KeyLayout, ops: &[AggOp]) -> Self {
+        MorselScratch {
+            sel: Vec::new(),
+            lanes: Vec::new(),
+            vals: Vec::new(),
+            grouper: Grouper::for_layout(layout),
+            partial: Partial::new(ops),
+        }
+    }
+
+    /// Hands out the finished morsel's partial (an exact-size copy) and
+    /// resets grouper and working partial for the next morsel.
+    pub fn take_partial(&mut self) -> Partial {
+        let out = self.partial.clone();
+        self.grouper.clear(out.keys());
+        self.partial.clear();
+        out
+    }
+
     /// Makes at least `lanes` key-lane slots and `vals` measure slots
     /// available (existing buffers keep their capacity).
     pub fn ensure_slots(&mut self, lanes: usize, vals: usize) {
@@ -284,24 +312,22 @@ impl MorselScratch {
 pub trait MorselScan: Send + Sync + 'static {
     /// Total rows to scan.
     fn n_rows(&self) -> usize;
-    /// An empty partial group table for one morsel.
-    fn new_table(&self) -> GroupTable<u64>;
-    /// Scans rows `lo..hi` into `out`. `scratch` holds the reusable
-    /// selection-vector and lane-decode buffers.
-    fn process(
-        &self,
-        lo: usize,
-        hi: usize,
-        scratch: &mut MorselScratch,
-        out: &mut GroupTable<u64>,
-    ) -> Result<(), EngineError>;
+    /// The packed layout of the scan's group keys.
+    fn layout(&self) -> &KeyLayout;
+    /// The aggregation operator of every measure.
+    fn ops(&self) -> &[AggOp];
+    /// Scans rows `lo..hi` into `scratch.partial` (through
+    /// `scratch.grouper`), using the scratch's reusable selection-vector
+    /// and lane-decode buffers.
+    fn process(&self, lo: usize, hi: usize, scratch: &mut MorselScratch)
+        -> Result<(), EngineError>;
 }
 
 /// The result of a morsel-driven scan.
 #[derive(Debug)]
 pub struct ScanRun {
-    /// The merged group table.
-    pub table: GroupTable<u64>,
+    /// The merged partial aggregate.
+    pub table: Partial,
     /// Morsels the scan was cut into.
     pub morsels: usize,
     /// Threads that actually worked the scan (helpers granted + caller).
@@ -312,7 +338,8 @@ struct RunState {
     n_morsels: usize,
     cursor: AtomicUsize,
     stop: AtomicBool,
-    partials: Mutex<BTreeMap<usize, GroupTable<u64>>>,
+    /// One slot per morsel, written once by whichever worker claimed it.
+    partials: Vec<Mutex<Option<Partial>>>,
     /// The failure with the minimum morsel index seen so far
     /// (`usize::MAX` marks a worker panic, outranked by any real morsel).
     failure: Mutex<Option<(usize, EngineError)>>,
@@ -326,7 +353,7 @@ impl RunState {
             n_morsels,
             cursor: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
-            partials: Mutex::new(BTreeMap::new()),
+            partials: (0..n_morsels).map(|_| Mutex::new(None)).collect(),
             failure: Mutex::new(None),
             outstanding: Mutex::new(helpers),
             done_cv: Condvar::new(),
@@ -369,7 +396,7 @@ fn drive<S: MorselScan>(
     morsel_rows: usize,
     n_rows: usize,
 ) {
-    let mut scratch = MorselScratch::default();
+    let mut scratch = MorselScratch::new(ctx.layout(), ctx.ops());
     loop {
         if state.stop.load(Ordering::Acquire) {
             return;
@@ -396,11 +423,8 @@ fn drive<S: MorselScan>(
         }
         let lo = morsel * morsel_rows;
         let hi = (lo + morsel_rows).min(n_rows);
-        let mut out = ctx.new_table();
-        match ctx.process(lo, hi, &mut scratch, &mut out) {
-            Ok(()) => {
-                lock(&state.partials).insert(morsel, out);
-            }
+        match ctx.process(lo, hi, &mut scratch) {
+            Ok(()) => *lock(&state.partials[morsel]) = Some(scratch.take_partial()),
             Err(e) => {
                 state.record_failure(morsel, e);
                 return;
@@ -425,7 +449,7 @@ pub fn run_morsels<S: MorselScan>(
     let morsel_rows = morsel_rows.max(1);
     let n_morsels = n_rows.div_ceil(morsel_rows);
     if n_morsels == 0 {
-        return Ok(ScanRun { table: ctx.new_table(), morsels: 0, parallelism: 1 });
+        return Ok(ScanRun { table: Partial::new(ctx.ops()), morsels: 0, parallelism: 1 });
     }
     let want = threads.saturating_sub(1).min(n_morsels - 1);
     let granted = match pool {
@@ -475,12 +499,13 @@ pub fn run_morsels<S: MorselScan>(
     if let Some((_, e)) = lock(&state.failure).take() {
         return Err(e);
     }
-    let partials = std::mem::take(&mut *lock(&state.partials));
-    debug_assert_eq!(partials.len(), n_morsels, "every morsel produced a partial");
-    let mut ordered = partials.into_values();
-    let mut table = ordered.next().unwrap_or_else(|| ctx.new_table());
-    for partial in ordered {
-        table.merge(partial);
+    let mut ordered = state.partials.iter().map(|slot| lock(slot).take());
+    let mut table = ordered.next().flatten().expect("every morsel produced a partial");
+    if n_morsels > 1 {
+        let mut grouper = Grouper::over(ctx.layout(), table.keys());
+        for partial in ordered {
+            table.merge(&mut grouper, &partial.expect("every morsel produced a partial"));
+        }
     }
     Ok(ScanRun { table, morsels: n_morsels, parallelism: granted + 1 })
 }
@@ -488,19 +513,28 @@ pub fn run_morsels<S: MorselScan>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use olap_model::AggOp;
+    use crate::aggregate::accumulate_chunk;
 
     /// A synthetic scan: rows 0..n, key = row % groups, value = row.
     struct TestScan {
         n: usize,
-        groups: u64,
+        /// The identity roll-up over the group codes.
+        groups: Vec<u32>,
+        layout: KeyLayout,
         panic_at: Option<usize>,
         fail_at: Option<usize>,
     }
 
     impl TestScan {
         fn new(n: usize, groups: u64) -> Self {
-            TestScan { n, groups, panic_at: None, fail_at: None }
+            let layout = KeyLayout::for_cardinalities(&[groups as usize]);
+            TestScan {
+                n,
+                groups: (0..groups as u32).collect(),
+                layout,
+                panic_at: None,
+                fail_at: None,
+            }
         }
     }
 
@@ -508,25 +542,29 @@ mod tests {
         fn n_rows(&self) -> usize {
             self.n
         }
-        fn new_table(&self) -> GroupTable<u64> {
-            GroupTable::new(&[AggOp::Sum])
+        fn layout(&self) -> &KeyLayout {
+            &self.layout
+        }
+        fn ops(&self) -> &[AggOp] {
+            &[AggOp::Sum]
         }
         fn process(
             &self,
             lo: usize,
             hi: usize,
-            _scratch: &mut MorselScratch,
-            out: &mut GroupTable<u64>,
+            scratch: &mut MorselScratch,
         ) -> Result<(), EngineError> {
-            for row in lo..hi {
-                if self.panic_at == Some(row) {
-                    panic!("synthetic worker panic");
-                }
-                if self.fail_at == Some(row) {
-                    return Err(EngineError::Unsupported("synthetic failure".into()));
-                }
-                out.update1(row as u64 % self.groups, row as f64);
+            if self.panic_at.is_some_and(|row| (lo..hi).contains(&row)) {
+                panic!("synthetic worker panic");
             }
+            if self.fail_at.is_some_and(|row| (lo..hi).contains(&row)) {
+                return Err(EngineError::Unsupported("synthetic failure".into()));
+            }
+            let codes: Vec<u32> = (lo..hi).map(|row| (row % self.groups.len()) as u32).collect();
+            let values: Vec<f64> = (lo..hi).map(|row| row as f64).collect();
+            let MorselScratch { grouper, partial, .. } = scratch;
+            let keys = [(&codes[..], &self.groups[..])];
+            accumulate_chunk(partial, grouper, &self.layout, hi - lo, None, keys, [&values[..]]);
             Ok(())
         }
     }

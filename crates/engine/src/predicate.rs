@@ -126,9 +126,14 @@ impl CompiledFilter {
 /// auto-vectorize and never stall the predictor on selectivity.
 ///
 /// `sel` is reset first so callers can reuse one buffer across morsels.
-pub fn select_into(sel: &mut Vec<u32>, len: usize, masks: &[(&[u32], &[bool])]) {
+pub fn select_into<'a>(
+    sel: &mut Vec<u32>,
+    len: usize,
+    masks: impl IntoIterator<Item = (&'a [u32], &'a [bool])>,
+) {
     sel.clear();
-    let Some(((first_ids, first_mask), rest)) = masks.split_first() else {
+    let mut rest = masks.into_iter();
+    let Some((first_ids, first_mask)) = rest.next() else {
         sel.extend(0..len as u32);
         return;
     };
@@ -140,7 +145,7 @@ pub fn select_into(sel: &mut Vec<u32>, len: usize, masks: &[(&[u32], &[bool])]) 
         k += first_mask[id as usize] as usize;
     }
     sel.truncate(k);
-    for &(ids, mask) in rest {
+    for (ids, mask) in rest {
         let mut k = 0usize;
         for i in 0..sel.len() {
             let row = sel[i];
@@ -230,19 +235,19 @@ mod tests {
         let ids: Vec<u32> = vec![0, 1, 2, 0, 2, 1];
         let product_mask = [true, false, true]; // members 0 and 2 pass
         let mut sel = Vec::new();
-        select_into(&mut sel, ids.len(), &[(&ids, &product_mask)]);
+        select_into(&mut sel, ids.len(), [(&ids[..], &product_mask[..])]);
         assert_eq!(sel, vec![0, 2, 3, 4]);
         // Conjunction of two masks: the second refines in place.
         let second = [false, true, true];
-        select_into(&mut sel, ids.len(), &[(&ids, &product_mask), (&ids, &second)]);
+        select_into(&mut sel, ids.len(), [(&ids[..], &product_mask[..]), (&ids[..], &second[..])]);
         assert_eq!(sel, vec![2, 4]);
         // No masks → everything passes; buffer reuse clears stale content.
-        select_into(&mut sel, 3, &[]);
+        select_into(&mut sel, 3, []);
         assert_eq!(sel, vec![0, 1, 2]);
         // All-false and all-true masks hit the truncate extremes.
-        select_into(&mut sel, ids.len(), &[(&ids, &[false, false, false])]);
+        select_into(&mut sel, ids.len(), [(&ids[..], &[false, false, false][..])]);
         assert!(sel.is_empty());
-        select_into(&mut sel, ids.len(), &[(&ids, &[true, true, true])]);
+        select_into(&mut sel, ids.len(), [(&ids[..], &[true, true, true][..])]);
         assert_eq!(sel, vec![0, 1, 2, 3, 4, 5]);
     }
 
@@ -265,7 +270,7 @@ mod tests {
             .filter(|&r| mask_a[lane_a[r as usize] as usize] && mask_b[lane_b[r as usize] as usize])
             .collect();
         let mut sel = vec![99u32; 4]; // stale content must not leak
-        select_into(&mut sel, 257, &[(&lane_a, &mask_a), (&lane_b, &mask_b)]);
+        select_into(&mut sel, 257, [(&lane_a[..], &mask_a[..]), (&lane_b[..], &mask_b[..])]);
         assert_eq!(sel, expected);
     }
 }

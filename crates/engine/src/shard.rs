@@ -41,20 +41,18 @@ use std::sync::{Arc, Mutex};
 use olap_model::CubeQuery;
 use olap_storage::{Catalog, Column, Delta, ShardScheme, StorageError, Table};
 
-use crate::aggregate::Accumulator;
+use crate::aggregate::Partial;
 use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::maintain::MaintainOutcome;
 
-/// One shard's contribution to a scatter-gather `get`: the packed group
-/// keys and the **pre-finalize** accumulator state per measure (Avg stays
-/// a sum+count pair), so merging across shards is exact.
+/// One shard's contribution to a scatter-gather `get`: its [`Partial`] —
+/// packed group keys in the shard's first-seen order plus the
+/// **pre-finalize** state per measure (Avg stays a sum+count pair), so
+/// merging across shards is exact — and the shard's scan statistics.
 #[derive(Debug)]
 pub struct ShardPartial {
-    /// Packed group-by keys, in the shard's first-seen order.
-    pub keys: Vec<u64>,
-    /// Raw accumulator state per measure, parallel to `keys`.
-    pub accs: Vec<Accumulator>,
+    pub partial: Partial,
     /// The materialized view that answered the query on this shard, if any.
     pub used_view: Option<String>,
     /// Rows this shard scanned (fact or view).
@@ -74,10 +72,13 @@ pub struct ShardScan {
     pub rows_scanned: usize,
     pub parallelism: usize,
     pub morsels: usize,
+    /// Groups in the shard's partial.
+    pub groups: usize,
 }
 
 /// Combines per-shard scan stats from two fused sides, keeping one entry
-/// per shard index (rows and morsels add, parallelism takes the maximum).
+/// per shard index (rows, morsels and groups add, parallelism takes the
+/// maximum).
 pub fn merge_shard_scans(left: &[ShardScan], right: &[ShardScan]) -> Vec<ShardScan> {
     let mut merged: Vec<ShardScan> = left.to_vec();
     for r in right {
@@ -85,6 +86,7 @@ pub fn merge_shard_scans(left: &[ShardScan], right: &[ShardScan]) -> Vec<ShardSc
             Some(s) => {
                 s.rows_scanned += r.rows_scanned;
                 s.morsels += r.morsels;
+                s.groups += r.groups;
                 s.parallelism = s.parallelism.max(r.parallelism);
             }
             None => merged.push(*r),

@@ -22,7 +22,7 @@ use olap_model::{
 };
 use olap_storage::NumericSlice;
 
-use crate::aggregate::GroupTable;
+use crate::aggregate::{GroupTable, Grouping};
 use crate::engine::GetOutcome;
 use crate::error::EngineError;
 use crate::predicate::{select_into, CompiledFilter};
@@ -88,8 +88,7 @@ pub(crate) fn get_wide(
         for (col, buf) in lane_cols.iter().zip(lanes.iter_mut()) {
             chunk.key_lane(*col, buf).expect("validated key column");
         }
-        let masks: Vec<(&[u32], &[bool])> =
-            mask_cols.iter().map(|(slot, m)| (lanes[*slot].as_slice(), *m)).collect();
+        let masks = mask_cols.iter().map(|(slot, m)| (lanes[*slot].as_slice(), *m));
         let keys: Vec<(&[u32], &[MemberId])> = key_cols
             .iter()
             .map(|(slot, roll)| (lanes[*slot].as_slice(), roll.as_slice()))
@@ -100,21 +99,16 @@ pub(crate) fn get_wide(
             .collect();
         // With no masks `select_into` passes every row; the extra selection
         // vector is noise next to the per-row key allocation below.
-        select_into(&mut sel, chunk.len(), &masks);
+        select_into(&mut sel, chunk.len(), masks);
         for &local in &sel {
             let row = local as usize;
             for (slot, (lane, rollmap)) in key_buf.iter_mut().zip(&keys) {
                 *slot = rollmap[lane[row] as usize];
             }
-            let key = Coordinate::new(key_buf.clone());
-            if values.len() == 1 {
-                table.update1(key, measures[0].get(row));
-            } else {
-                for (v, mv) in values.iter_mut().zip(&measures) {
-                    *v = mv.get(row);
-                }
-                table.update(key, &values);
+            for (v, mv) in values.iter_mut().zip(&measures) {
+                *v = mv.get(row);
             }
+            table.update(Coordinate::new(key_buf.clone()), &values);
         }
     }
 
@@ -135,12 +129,15 @@ pub(crate) fn get_wide(
         .collect();
     let mut cube = DerivedCube::from_parts(schema, q.group_by.clone(), coord_cols, columns)?;
     cube.sort_by_coordinates();
+    let cube_len = cube.len();
     Ok(GetOutcome {
         cube,
         used_view: None,
         rows_scanned: n,
         parallelism: 1,
         morsels,
+        grouping: Grouping::Hashed,
+        groups: cube_len,
         per_shard: Vec::new(),
     })
 }

@@ -684,5 +684,10 @@ fn wide_group_by_keys_fall_back_to_boxed_scan() {
     let err = engine
         .get_pivot(&q, 0, olap_model::MemberId(1), &[olap_model::MemberId(6)], "m", &["b".into()])
         .unwrap_err();
-    assert!(matches!(err, olap_engine::EngineError::Unsupported(_)));
+    assert_eq!(err, olap_engine::EngineError::WideKey { bits: 65 });
+    assert_eq!(
+        err.to_string(),
+        "unsupported operation: group-by key needs 65 bits; wide keys are not supported by the \
+         fused engine paths"
+    );
 }

@@ -1146,7 +1146,7 @@ fn execute_partial(shared: &Shared, job: &Job, opts: &PartialOptions) -> Value {
                 statement: format!("partial({})", query.cube),
                 outcome: "ok".to_string(),
                 elapsed_ms,
-                cells: partial.keys.len(),
+                cells: partial.partial.len(),
             });
             let mut fields = shard::partial_fields(&partial);
             fields.push(("elapsed_ms", n(elapsed_ms)));

@@ -33,7 +33,7 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use olap_engine::aggregate::Accumulator;
+use olap_engine::aggregate::{Accumulator, Partial};
 use olap_engine::{EngineError, ResourceKind, ShardBudget, ShardPartial, ShardTransport};
 use olap_model::{CubeQuery, GroupBySet, MemberId, Predicate, PredicateOp};
 use olap_storage::Column;
@@ -196,8 +196,8 @@ fn acc_from_json(value: &Value) -> Result<Accumulator, String> {
 /// [`ok_response`](crate::protocol::ok_response). Keys travel as decimal
 /// strings — packed `u64` keys can exceed the 2^53 JSON numbers carry.
 pub fn partial_fields(partial: &ShardPartial) -> Vec<(&'static str, Value)> {
-    let keys: Vec<Value> = partial.keys.iter().map(|k| s(k.to_string())).collect();
-    let accs: Vec<Value> = partial.accs.iter().map(acc_json).collect();
+    let keys: Vec<Value> = partial.partial.keys().iter().map(|k| s(k.to_string())).collect();
+    let accs: Vec<Value> = partial.partial.accs().iter().map(acc_json).collect();
     let mut fields = vec![
         ("keys", Value::Array(keys)),
         ("accs", Value::Array(accs)),
@@ -229,26 +229,8 @@ pub fn decode_partial(value: &Value) -> Result<ShardPartial, String> {
         Some(Value::Array(items)) => items.iter().map(acc_from_json).collect::<Result<_, _>>()?,
         _ => return Err("partial response needs an `accs` array".to_string()),
     };
-    for acc in &accs {
-        let len = match acc {
-            Accumulator::Sum(v)
-            | Accumulator::Min(v)
-            | Accumulator::Max(v)
-            | Accumulator::Count(v) => v.len(),
-            Accumulator::Avg { sums, counts } => {
-                if sums.len() != counts.len() {
-                    return Err("avg accumulator sums/counts differ in length".to_string());
-                }
-                sums.len()
-            }
-        };
-        if len != keys.len() {
-            return Err("accumulator length does not match the key count".to_string());
-        }
-    }
     Ok(ShardPartial {
-        keys,
-        accs,
+        partial: Partial::from_parts(keys, accs)?,
         used_view: get_str(value, "used_view").map(str::to_string),
         rows_scanned: get_u64(value, "rows_scanned").unwrap_or(0) as usize,
         parallelism: get_u64(value, "parallelism").unwrap_or(1).max(1) as usize,
@@ -477,12 +459,12 @@ mod tests {
     fn partials_round_trip_exactly() {
         // A key beyond 2^53 and f64 values that need full precision: the
         // codec must not lose a bit of either.
+        let accs = vec![
+            Accumulator::Sum(vec![0.1 + 0.2, -1.0e300, 42.0]),
+            Accumulator::Avg { sums: vec![1.0 / 3.0, 7.5, 0.0], counts: vec![3.0, 2.0, 0.0] },
+        ];
         let partial = ShardPartial {
-            keys: vec![u64::MAX - 1, 0, 1 << 60],
-            accs: vec![
-                Accumulator::Sum(vec![0.1 + 0.2, -1.0e300, 42.0]),
-                Accumulator::Avg { sums: vec![1.0 / 3.0, 7.5, 0.0], counts: vec![3.0, 2.0, 0.0] },
-            ],
+            partial: Partial::from_parts(vec![u64::MAX - 1, 0, 1 << 60], accs).unwrap(),
             used_view: Some("mv_customer_year".into()),
             rows_scanned: 1234,
             parallelism: 4,
@@ -491,18 +473,18 @@ mod tests {
         let response = ok_response(Some(1), partial_fields(&partial));
         let line = serde_json::to_string(&response).unwrap();
         let back = decode_partial(&serde_json::from_str(&line).unwrap()).unwrap();
-        assert_eq!(back.keys, partial.keys);
+        assert_eq!(back.partial.keys(), partial.partial.keys());
         assert_eq!(back.used_view, partial.used_view);
         assert_eq!(back.rows_scanned, 1234);
         assert_eq!(back.parallelism, 4);
         assert_eq!(back.morsels, 9);
-        match (&back.accs[0], &partial.accs[0]) {
+        match (&back.partial.accs()[0], &partial.partial.accs()[0]) {
             (Accumulator::Sum(a), Accumulator::Sum(b)) => {
                 assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
             }
             other => panic!("wrong accumulator shape: {other:?}"),
         }
-        match &back.accs[1] {
+        match &back.partial.accs()[1] {
             Accumulator::Avg { sums, counts } => {
                 assert_eq!(sums[0].to_bits(), (1.0f64 / 3.0).to_bits());
                 assert_eq!(counts, &vec![3.0, 2.0, 0.0]);
@@ -513,15 +495,11 @@ mod tests {
 
     #[test]
     fn length_mismatches_are_rejected() {
-        let partial = ShardPartial {
-            keys: vec![1, 2],
-            accs: vec![Accumulator::Sum(vec![1.0])],
-            used_view: None,
-            rows_scanned: 0,
-            parallelism: 1,
-            morsels: 0,
-        };
-        let response = ok_response(Some(1), partial_fields(&partial));
+        let sums = obj(vec![("op", s("sum")), ("values", numbers(&[1.0]))]);
+        let response = ok_response(
+            Some(1),
+            vec![("keys", Value::Array(vec![s("1"), s("2")])), ("accs", Value::Array(vec![sums]))],
+        );
         assert!(decode_partial(&response).is_err());
     }
 
