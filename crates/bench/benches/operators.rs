@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use olap_engine::{Engine, EngineConfig, JoinKind};
+use olap_engine::{AttachSpec, Engine, EngineConfig, JoinKind, Keep, Rewrite};
 use olap_model::{CubeQuery, GroupBySet, Predicate};
 use ssb_data::{generate::generate, views, SsbConfig};
 
@@ -95,19 +95,14 @@ fn bench_slice_alignment(c: &mut Criterion) {
         b.iter(|| {
             let l = engine.get(&target).unwrap().cube;
             let r = engine.get(&bench_q).unwrap().cube;
-            let component = l.group_by().component_of(0).unwrap();
-            assess_core::memops::sliced_join(
-                &l,
-                &r,
-                component,
-                &[america],
-                "revenue",
-                &names,
-                JoinKind::Inner,
-                assess_core::memops::OpGuard::none(),
-            )
-            .unwrap()
-            .len()
+            let spec = AttachSpec {
+                on: Some(0),
+                rewrites: vec![Rewrite::Member(america)],
+                keep: Keep::Matched,
+                measure: "revenue",
+                names: &names,
+            };
+            assess_core::memops::attach(&l, Some(&r), &spec, None).unwrap().len()
         })
     });
     group.bench_function("fused_join", |b| {

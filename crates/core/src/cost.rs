@@ -126,10 +126,7 @@ fn walk(
             let l = walk(left, fuse, engine, rows_scanned, client_work, engine_work)?;
             let r = walk(right, fuse, engine, rows_scanned, client_work, engine_work)?;
             let probe_side = l.max(r);
-            if fuse
-                && matches!(left.as_ref(), LogicalOp::Get { .. })
-                && matches!(right.as_ref(), LogicalOp::Get { .. })
-            {
+            if fuse && op.fusable_gets().is_some() {
                 *engine_work += ENGINE_JOIN_FACTOR * probe_side;
             } else {
                 *client_work += MEMORY_JOIN_FACTOR * probe_side;
@@ -142,7 +139,7 @@ fn walk(
             // k neighbors.
             let reference = cells / (neighbors.len() as f64 + 1.0);
             let probes = reference * neighbors.len().max(1) as f64;
-            if fuse && matches!(input.as_ref(), LogicalOp::Get { .. }) {
+            if fuse && op.fusable_gets().is_some() {
                 *engine_work += ENGINE_JOIN_FACTOR * probes;
             } else {
                 *client_work += MEMORY_JOIN_FACTOR * probes;

@@ -16,15 +16,18 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use olap_engine::{merge_shard_scans, Engine, Grouping, ResourceGovernor, ShardScan};
-use olap_model::{CubeQuery, DerivedCube};
+use olap_engine::{
+    merge_shard_scans, AttachSpec, Engine, EngineError, Grouping, Keep, ResourceGovernor, Rewrite,
+    ShardScan,
+};
+use olap_model::{CubeQuery, CubeSchema, DerivedCube};
 
 use crate::analyze::Analyzer;
 use crate::ast::{AssessStatement, StatementSpans};
 use crate::diag::Diagnostic;
 use crate::error::AssessError;
 use crate::logical::LogicalOp;
-use crate::memops::{self, OpGuard};
+use crate::memops;
 use crate::obs::{TraceSpan, TraceTree};
 use crate::plan::{self, PhysicalPlan, Strategy};
 use crate::policy::ExecutionPolicy;
@@ -185,14 +188,6 @@ impl ExecState<'_> {
         match &self.governor {
             Some(g) => g.check().map_err(AssessError::from),
             None => Ok(()),
-        }
-    }
-
-    /// Guard handed to client-side operators for in-loop checks.
-    fn guard(&self) -> OpGuard<'_> {
-        match &self.governor {
-            Some(g) => OpGuard::governed(g),
-            None => OpGuard::none(),
         }
     }
 }
@@ -775,7 +770,8 @@ fn execute_plan_shared_on(
     let mut drop_span = None;
     if !resolved.starred {
         let t = Instant::now();
-        cube = memops::drop_null_rows(&cube, &resolved.benchmark_column(), state.guard())?;
+        cube =
+            memops::drop_null_rows(&cube, &resolved.benchmark_column(), state.governor.as_deref())?;
         state.timings.join += t.elapsed();
         drop_span = state
             .tracing
@@ -895,6 +891,103 @@ fn op_span(
 
 type Evaluated = (DerivedCube, Option<TraceSpan>);
 
+/// Lowers a join or pivot node to the engine's one attach operator:
+/// natural join = probe the cell's own coordinate; partial join and pivot =
+/// one fixed member per output column; roll-up join = the member's
+/// ancestor. `schema` is the target cube's (it owns the roll-up map).
+fn lower<'a>(op: &'a LogicalOp, schema: &CubeSchema) -> Result<AttachSpec<'a>, AssessError> {
+    Ok(match op {
+        LogicalOp::NaturalJoin { kind, measure, rename, .. } => AttachSpec {
+            on: None,
+            rewrites: vec![Rewrite::Same],
+            keep: (*kind).into(),
+            measure,
+            names: std::slice::from_ref(rename),
+        },
+        LogicalOp::RollupJoin {
+            kind,
+            hierarchy,
+            fine_level,
+            coarse_level,
+            measure,
+            rename,
+            ..
+        } => {
+            let h = schema
+                .hierarchy(*hierarchy)
+                .ok_or_else(|| AssessError::Statement("roll-up hierarchy out of range".into()))?;
+            AttachSpec {
+                on: Some(*hierarchy),
+                rewrites: vec![Rewrite::Roll(h.composed_map(*fine_level, *coarse_level)?)],
+                keep: (*kind).into(),
+                measure,
+                names: std::slice::from_ref(rename),
+            }
+        }
+        LogicalOp::SlicedJoin { kind, hierarchy, members, measure, names, .. } => AttachSpec {
+            on: Some(*hierarchy),
+            rewrites: Rewrite::members(members),
+            keep: (*kind).into(),
+            measure,
+            names,
+        },
+        LogicalOp::Pivot { hierarchy, reference, neighbors, measure, names, .. } => AttachSpec {
+            on: Some(*hierarchy),
+            rewrites: Rewrite::members(neighbors),
+            keep: Keep::Slice(*reference),
+            measure,
+            names,
+        },
+        other => unreachable!("`{}` is neither a join nor a pivot", other.describe()),
+    })
+}
+
+/// Evaluates a join or pivot node. The strategy decides only *where* the
+/// one operator runs: fused into the engine, on the partial aggregates of
+/// `get` leaves (JOP/POP), or on the client over the materialized inputs
+/// (NP, and any node whose inputs are not plain gets).
+fn eval_attach(op: &LogicalOp, state: &mut ExecState<'_>) -> Result<Evaluated, AssessError> {
+    let inputs = op.children();
+    let (target, bench) = (inputs[0], inputs.get(1).copied());
+    let pivot = bench.is_none();
+    if let (true, Some((target_q, bench_q))) = (state.fuse, op.fusable_gets()) {
+        let t = Instant::now();
+        let binding = state.engine.catalog().binding(&target_q.cube).map_err(EngineError::from)?;
+        let outcome = state.engine.get_attach(target_q, bench_q, &lower(op, binding.schema())?)?;
+        let elapsed = t.elapsed();
+        state.timings.get_cb += elapsed;
+        let name = if pivot { "get+pivot" } else { "get(c+b)" };
+        return Ok(absorb(state, outcome, ScanStage::GetCb, name, elapsed));
+    }
+    let t0 = Instant::now();
+    let (target, target_span) = eval(target, state)?;
+    let (bench, bench_span) = match bench {
+        Some(bench) => {
+            let (cube, span) = eval(bench, state)?;
+            (Some(cube), span)
+        }
+        None => (None, None),
+    };
+    let t = Instant::now();
+    let spec = lower(op, target.schema())?;
+    let out = memops::attach(&target, bench.as_ref(), &spec, state.governor.as_deref())?;
+    // The NP cost model counts the in-memory pivot as transformation
+    // (Section 6.2), the in-memory joins as join.
+    let stage = if pivot { &mut state.timings.transform } else { &mut state.timings.join };
+    *stage += t.elapsed();
+    let span = state.tracing.then(|| {
+        let span = TraceSpan::new(if pivot { "pivot" } else { "join" }, t0.elapsed())
+            .with_rows(out.len() as u64)
+            .with_children(target_span.into_iter().chain(bench_span).collect());
+        match op {
+            LogicalOp::RollupJoin { .. } => span.with_detail("rollup"),
+            LogicalOp::SlicedJoin { .. } => span.with_detail("sliced"),
+            _ => span,
+        }
+    });
+    Ok((out, span))
+}
+
 fn eval(op: &LogicalOp, state: &mut ExecState<'_>) -> Result<Evaluated, AssessError> {
     // Cooperative cancellation: every operator boundary re-checks the
     // governor, so a cancel or deadline expiry surfaces between operators
@@ -924,164 +1017,10 @@ fn eval(op: &LogicalOp, state: &mut ExecState<'_>) -> Result<Evaluated, AssessEr
             let span = if from_shared { span.map(|s| s.with_detail("shared scan")) } else { span };
             Ok((cube, span))
         }
-        LogicalOp::NaturalJoin { left, right, kind, measure, rename } => {
-            if state.fuse {
-                if let (LogicalOp::Get { query: lq, .. }, LogicalOp::Get { query: rq, .. }) =
-                    (left.as_ref(), right.as_ref())
-                {
-                    let t = Instant::now();
-                    let outcome =
-                        state.engine.get_join(lq, rq, *kind, std::slice::from_ref(rename))?;
-                    let elapsed = t.elapsed();
-                    state.timings.get_cb += elapsed;
-                    return Ok(absorb(state, outcome, ScanStage::GetCb, "get(c+b)", elapsed));
-                }
-            }
-            let t0 = Instant::now();
-            let (l, ls) = eval(left, state)?;
-            let (r, rs) = eval(right, state)?;
-            let t = Instant::now();
-            let joined = memops::natural_join(&l, &r, *kind, measure, rename, state.guard())?;
-            state.timings.join += t.elapsed();
-            let span = state.tracing.then(|| {
-                TraceSpan::new("join", t0.elapsed())
-                    .with_rows(joined.len() as u64)
-                    .with_children(ls.into_iter().chain(rs).collect())
-            });
-            Ok((joined, span))
-        }
-        LogicalOp::RollupJoin {
-            left,
-            right,
-            kind,
-            hierarchy,
-            fine_level,
-            coarse_level,
-            measure,
-            rename,
-        } => {
-            if state.fuse {
-                if let (LogicalOp::Get { query: lq, .. }, LogicalOp::Get { query: rq, .. }) =
-                    (left.as_ref(), right.as_ref())
-                {
-                    let t = Instant::now();
-                    let outcome = state.engine.get_join_rollup(
-                        lq,
-                        rq,
-                        *hierarchy,
-                        *fine_level,
-                        *coarse_level,
-                        measure,
-                        rename,
-                        *kind,
-                    )?;
-                    let elapsed = t.elapsed();
-                    state.timings.get_cb += elapsed;
-                    return Ok(absorb(state, outcome, ScanStage::GetCb, "get(c+b)", elapsed));
-                }
-            }
-            let t0 = Instant::now();
-            let (l, ls) = eval(left, state)?;
-            let (r, rs) = eval(right, state)?;
-            let component = l.group_by().component_of(*hierarchy).ok_or_else(|| {
-                AssessError::Statement("rolled level is not in the group-by set".into())
-            })?;
-            let t = Instant::now();
-            let joined = memops::rollup_join(
-                &l,
-                &r,
-                component,
-                *hierarchy,
-                *fine_level,
-                *coarse_level,
-                measure,
-                rename,
-                *kind,
-                state.guard(),
-            )?;
-            state.timings.join += t.elapsed();
-            let span = state.tracing.then(|| {
-                TraceSpan::new("join", t0.elapsed())
-                    .with_rows(joined.len() as u64)
-                    .with_detail("rollup")
-                    .with_children(ls.into_iter().chain(rs).collect())
-            });
-            Ok((joined, span))
-        }
-        LogicalOp::SlicedJoin { left, right, kind, hierarchy, members, measure, names } => {
-            if state.fuse {
-                if let (LogicalOp::Get { query: lq, .. }, LogicalOp::Get { query: rq, .. }) =
-                    (left.as_ref(), right.as_ref())
-                {
-                    let t = Instant::now();
-                    let outcome = state
-                        .engine
-                        .get_join_sliced(lq, rq, *hierarchy, members, measure, names, *kind)?;
-                    let elapsed = t.elapsed();
-                    state.timings.get_cb += elapsed;
-                    return Ok(absorb(state, outcome, ScanStage::GetCb, "get(c+b)", elapsed));
-                }
-            }
-            let t0 = Instant::now();
-            let (l, ls) = eval(left, state)?;
-            let (r, rs) = eval(right, state)?;
-            let component = l.group_by().component_of(*hierarchy).ok_or_else(|| {
-                AssessError::Statement("sliced level is not in the group-by set".into())
-            })?;
-            let t = Instant::now();
-            let joined = memops::sliced_join(
-                &l,
-                &r,
-                component,
-                members,
-                measure,
-                names,
-                *kind,
-                state.guard(),
-            )?;
-            state.timings.join += t.elapsed();
-            let span = state.tracing.then(|| {
-                TraceSpan::new("join", t0.elapsed())
-                    .with_rows(joined.len() as u64)
-                    .with_detail("sliced")
-                    .with_children(ls.into_iter().chain(rs).collect())
-            });
-            Ok((joined, span))
-        }
-        LogicalOp::Pivot { input, hierarchy, reference, neighbors, measure, names } => {
-            if state.fuse {
-                if let LogicalOp::Get { query, .. } = input.as_ref() {
-                    let t = Instant::now();
-                    let outcome = state
-                        .engine
-                        .get_pivot(query, *hierarchy, *reference, neighbors, measure, names)?;
-                    let elapsed = t.elapsed();
-                    state.timings.get_cb += elapsed;
-                    return Ok(absorb(state, outcome, ScanStage::GetCb, "get+pivot", elapsed));
-                }
-            }
-            let t0 = Instant::now();
-            let (cube, child) = eval(input, state)?;
-            let component = cube.group_by().component_of(*hierarchy).ok_or_else(|| {
-                AssessError::Statement("pivot level is not in the group-by set".into())
-            })?;
-            // The NP cost model counts the in-memory pivot as transformation
-            // (Section 6.2: "the cost for the pivot operation is counted as
-            // transformation").
-            let t = Instant::now();
-            let pivoted = memops::pivot(
-                &cube,
-                component,
-                *reference,
-                neighbors,
-                measure,
-                names,
-                state.guard(),
-            )?;
-            state.timings.transform += t.elapsed();
-            let span = op_span(state, "pivot", t0.elapsed(), &pivoted, child);
-            Ok((pivoted, span))
-        }
+        LogicalOp::NaturalJoin { .. }
+        | LogicalOp::RollupJoin { .. }
+        | LogicalOp::SlicedJoin { .. }
+        | LogicalOp::Pivot { .. } => eval_attach(op, state),
         LogicalOp::Transform { input, step } => {
             let t0 = Instant::now();
             let (mut cube, child) = eval(input, state)?;

@@ -94,6 +94,28 @@ impl LogicalOp {
         }
     }
 
+    /// For a join or pivot whose inputs are plain `get`s: their queries,
+    /// target first — the prefix a fusing strategy (JOP/POP) hands to the
+    /// engine in one call. The pivot has no benchmark get: it probes the
+    /// widened target.
+    pub fn fusable_gets(&self) -> Option<(&CubeQuery, Option<&CubeQuery>)> {
+        fn query(op: &LogicalOp) -> Option<&CubeQuery> {
+            match op {
+                LogicalOp::Get { query, .. } => Some(query),
+                _ => None,
+            }
+        }
+        match self {
+            LogicalOp::NaturalJoin { left, right, .. }
+            | LogicalOp::RollupJoin { left, right, .. }
+            | LogicalOp::SlicedJoin { left, right, .. } => {
+                Some((query(left)?, Some(query(right)?)))
+            }
+            LogicalOp::Pivot { input, .. } => Some((query(input)?, None)),
+            _ => None,
+        }
+    }
+
     /// Number of nodes in the subtree.
     pub fn size(&self) -> usize {
         1 + self.children().iter().map(|c| c.size()).sum::<usize>()

@@ -1,63 +1,22 @@
 //! In-memory (client-side) implementations of the logical operators.
 //!
 //! The paper's prototype does everything the DBMS is not asked to do in
-//! Python over Pandas DataFrames; these functions are that layer. They work
-//! on materialized [`DerivedCube`]s using per-row [`Coordinate`] hash keys —
-//! deliberately *not* the engine's packed keys, because the client does not
-//! see the engine's internal encodings. This cost difference is exactly what
-//! the NP-vs-JOP/POP experiments measure.
+//! Python over Pandas DataFrames; these functions are that layer, working on
+//! materialized [`DerivedCube`]s. Joins and pivots run the engine's one
+//! [`attach`](olap_engine::attach()) operator — the same probe the fused
+//! plans run — so what the Naive Plan still pays for, and what the
+//! NP-vs-JOP/POP experiments measure, is *where* it runs: both inputs are
+//! materialized into coordinate and value columns first (two `get` round
+//! trips), their coordinates re-packed into keys, and the target's columns
+//! gathered a second time for the joined cube.
 
-use std::collections::HashMap;
-
-use olap_engine::governor::CHECK_INTERVAL;
-use olap_engine::{JoinKind, ResourceGovernor};
-use olap_model::{Coordinate, CubeColumn, DerivedCube, LabelColumn, MemberId, NumericColumn};
+use olap_engine::{pack_cells, AttachSpec, ResourceGovernor, Side};
+use olap_model::{CubeColumn, DerivedCube, LabelColumn, MemberId, NumericColumn};
 use olap_timeseries::{Forecaster, Predictor};
 
 use crate::error::AssessError;
 use crate::functions::{ColRef, TransformStep};
 use crate::labeling::{self, ResolvedLabeling};
-
-/// Cooperative resource guard for the client-side operators.
-///
-/// The heavy memops take a guard so that a governed execution keeps its
-/// deadline/cancellation checks and output-cell accounting even in the
-/// stages that never call the engine (the paper's "in main memory" layer).
-/// [`OpGuard::none`] makes every check a no-op for standalone use.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OpGuard<'a> {
-    governor: Option<&'a ResourceGovernor>,
-}
-
-impl<'a> OpGuard<'a> {
-    /// A guard that never trips — for ungoverned (standalone) use.
-    pub fn none() -> Self {
-        OpGuard { governor: None }
-    }
-
-    /// A guard enforcing `governor`'s deadline, cancellation and
-    /// output-cell budget.
-    pub fn governed(governor: &'a ResourceGovernor) -> Self {
-        OpGuard { governor: Some(governor) }
-    }
-
-    /// Cooperative check inside row loops, cheap enough to call per row:
-    /// it only consults the governor every [`CHECK_INTERVAL`] rows.
-    fn tick(&self, row: usize) -> Result<(), AssessError> {
-        match self.governor {
-            Some(g) if row.is_multiple_of(CHECK_INTERVAL) => g.check().map_err(AssessError::from),
-            _ => Ok(()),
-        }
-    }
-
-    /// Charges materialized result cells against the output budget.
-    fn charge_cells(&self, cells: usize) -> Result<(), AssessError> {
-        match self.governor {
-            Some(g) => g.charge_output_cells(cells as u64).map_err(AssessError::from),
-            None => Ok(()),
-        }
-    }
-}
 
 /// Reads a numeric column as nullable values.
 fn column_values(cube: &DerivedCube, name: &str) -> Result<Vec<Option<f64>>, AssessError> {
@@ -105,32 +64,22 @@ fn input_values(cube: &DerivedCube, input: &ColRef) -> Result<Vec<Option<f64>>, 
     }
 }
 
-/// Checks Definition 3.1 joinability: equal group-by sets.
-fn check_joinable(left: &DerivedCube, right: &DerivedCube) -> Result<(), AssessError> {
-    if left.group_by() != right.group_by() {
-        return Err(AssessError::Statement(
-            "cubes are not joinable: different group-by sets".into(),
-        ));
-    }
-    Ok(())
-}
-
-/// Keeps the rows of `cube` flagged in `keep`, preserving column order.
-pub fn filter_rows(cube: &DerivedCube, keep: &[bool]) -> DerivedCube {
-    let rows: Vec<usize> = (0..cube.len()).filter(|&r| keep[r]).collect();
+/// The cells of `cube` at `rows`, in that order, preserving column order.
+pub fn take_rows(cube: &DerivedCube, rows: &[u32]) -> DerivedCube {
+    let rows = || rows.iter().map(|&r| r as usize);
     let coord_cols: Vec<Vec<MemberId>> =
-        cube.coord_cols().iter().map(|col| rows.iter().map(|&r| col[r]).collect()).collect();
+        cube.coord_cols().iter().map(|col| rows().map(|r| col[r]).collect()).collect();
     let columns: Vec<CubeColumn> = cube
         .columns()
         .iter()
         .map(|c| match c {
             CubeColumn::Numeric(nc) => CubeColumn::Numeric(NumericColumn::nullable(
                 nc.name.clone(),
-                rows.iter().map(|&r| nc.get(r)).collect(),
+                rows().map(|r| nc.get(r)).collect(),
             )),
             CubeColumn::Label(lc) => {
                 let mut out = LabelColumn::new(lc.name.clone());
-                for &r in &rows {
+                for r in rows() {
                     out.push(lc.get(r));
                 }
                 CubeColumn::Label(out)
@@ -138,7 +87,7 @@ pub fn filter_rows(cube: &DerivedCube, keep: &[bool]) -> DerivedCube {
         })
         .collect();
     DerivedCube::from_parts(cube.schema().clone(), cube.group_by().clone(), coord_cols, columns)
-        .expect("filtered columns stay consistent")
+        .expect("gathered columns stay consistent")
 }
 
 /// Drops the rows whose `column` is null (the `assess` inner semantics
@@ -146,169 +95,47 @@ pub fn filter_rows(cube: &DerivedCube, keep: &[bool]) -> DerivedCube {
 pub fn drop_null_rows(
     cube: &DerivedCube,
     column: &str,
-    guard: OpGuard<'_>,
+    governor: Option<&ResourceGovernor>,
 ) -> Result<DerivedCube, AssessError> {
-    guard.tick(0)?;
+    if let Some(g) = governor {
+        g.check()?;
+    }
     let col = cube.require_numeric(column)?;
-    let keep: Vec<bool> = (0..cube.len()).map(|r| col.get(r).is_some()).collect();
-    Ok(filter_rows(cube, &keep))
+    let rows: Vec<u32> = (0..cube.len() as u32).filter(|&r| col.validity[r as usize]).collect();
+    Ok(take_rows(cube, &rows))
 }
 
-/// Natural join `C ⋈ B`: appends `measure` of the matching `right` cell as
-/// a nullable column `rename`.
-pub fn natural_join(
-    left: &DerivedCube,
-    right: &DerivedCube,
-    kind: JoinKind,
-    measure: &str,
-    rename: &str,
-    guard: OpGuard<'_>,
+/// Every join and the pivot `⊞`, client-side: attaches `spec.measure` of
+/// the matching `bench` cells to the cells of `target` as the nullable
+/// columns `spec.names` (see [`olap_engine::attach()`] for what pairs up).
+/// Without a `bench` the target cube is probed itself — the pivot. A
+/// benchmark cell whose measure is null counts as absent, as it would be
+/// from a cube the engine computed.
+pub fn attach(
+    target: &DerivedCube,
+    bench: Option<&DerivedCube>,
+    spec: &AttachSpec<'_>,
+    governor: Option<&ResourceGovernor>,
 ) -> Result<DerivedCube, AssessError> {
-    check_joinable(left, right)?;
-    let rcol = right.require_numeric(measure)?;
-    let index: HashMap<Coordinate, u32> = right.build_index();
-    let mut matches: Vec<Option<f64>> = Vec::with_capacity(left.len());
-    for row in 0..left.len() {
-        guard.tick(row)?;
-        matches.push(index.get(&left.coordinate(row)).and_then(|&r| rcol.get(r as usize)));
+    let bench = bench.unwrap_or(target);
+    let values = bench.require_numeric(spec.measure)?;
+    let valued: Vec<usize> = (0..bench.len()).filter(|&r| values.validity[r]).collect();
+    let (t_layout, t_keys) = pack_cells(target, 0..target.len())?;
+    let (b_layout, b_keys) = pack_cells(bench, valued.iter().copied())?;
+    let found = olap_engine::attach(
+        Side { group_by: target.group_by(), layout: &t_layout, keys: &t_keys },
+        Side { group_by: bench.group_by(), layout: &b_layout, keys: &b_keys },
+        spec,
+        governor,
+    )?;
+    let mut out = take_rows(target, &found.kept);
+    for (name, col) in found.columns(spec.names, |row| values.data[valued[row as usize]]) {
+        out.add_column(CubeColumn::Numeric(NumericColumn::nullable(name, col)))?;
     }
-    let out = attach_and_filter(left, vec![(rename.to_string(), matches)], kind)?;
-    guard.charge_cells(out.len())?;
+    if let Some(g) = governor {
+        g.charge_output_cells(out.len() as u64)?;
+    }
     Ok(out)
-}
-
-/// Partial join `C ⋈_{G\l} B`: for each slice member, appends its value of
-/// `measure` under the corresponding name.
-#[allow(clippy::too_many_arguments)]
-pub fn sliced_join(
-    left: &DerivedCube,
-    right: &DerivedCube,
-    component: usize,
-    members: &[MemberId],
-    measure: &str,
-    names: &[String],
-    kind: JoinKind,
-    guard: OpGuard<'_>,
-) -> Result<DerivedCube, AssessError> {
-    check_joinable(left, right)?;
-    if members.len() != names.len() {
-        return Err(AssessError::Statement(format!(
-            "{} slice members but {} column names",
-            members.len(),
-            names.len()
-        )));
-    }
-    let rcol = right.require_numeric(measure)?;
-    let index: HashMap<Coordinate, u32> = right.build_index();
-    let mut new_cols: Vec<(String, Vec<Option<f64>>)> =
-        names.iter().map(|n| (n.clone(), Vec::with_capacity(left.len()))).collect();
-    for row in 0..left.len() {
-        guard.tick(row)?;
-        let coord = left.coordinate(row);
-        for (j, &member) in members.iter().enumerate() {
-            let key = coord.with_component(component, member);
-            new_cols[j].1.push(index.get(&key).and_then(|&r| rcol.get(r as usize)));
-        }
-    }
-    let out = attach_and_filter(left, new_cols, kind)?;
-    guard.charge_cells(out.len())?;
-    Ok(out)
-}
-
-/// Roll-up join (ancestor benchmarks): pairs each left cell with the right
-/// cell whose component `component` is the left member's ancestor at the
-/// right cube's coarser level, appending the ancestor's `measure` under
-/// `rename`.
-#[allow(clippy::too_many_arguments)]
-pub fn rollup_join(
-    left: &DerivedCube,
-    right: &DerivedCube,
-    component: usize,
-    hierarchy: usize,
-    fine_level: usize,
-    coarse_level: usize,
-    measure: &str,
-    rename: &str,
-    kind: JoinKind,
-    guard: OpGuard<'_>,
-) -> Result<DerivedCube, AssessError> {
-    // Not coordinate-equal joinable: the group-by sets differ exactly on the
-    // rolled hierarchy.
-    let rcol = right.require_numeric(measure)?;
-    let index: HashMap<Coordinate, u32> = right.build_index();
-    let h = left
-        .schema()
-        .hierarchy(hierarchy)
-        .ok_or_else(|| AssessError::Statement("roll-up hierarchy out of range".into()))?;
-    let rollmap = h.composed_map(fine_level, coarse_level)?;
-    let mut matches: Vec<Option<f64>> = Vec::with_capacity(left.len());
-    for row in 0..left.len() {
-        guard.tick(row)?;
-        let mut coord = left.coordinate(row);
-        let fine_member = coord.members()[component];
-        coord = coord.with_component(component, rollmap[fine_member.index()]);
-        matches.push(index.get(&coord).and_then(|&r| rcol.get(r as usize)));
-    }
-    let out = attach_and_filter(left, vec![(rename.to_string(), matches)], kind)?;
-    guard.charge_cells(out.len())?;
-    Ok(out)
-}
-
-/// Pivot `⊞`: keeps the `reference` slice of coordinate component
-/// `component`, appending each neighbor slice's `measure` under `names`.
-pub fn pivot(
-    input: &DerivedCube,
-    component: usize,
-    reference: MemberId,
-    neighbors: &[MemberId],
-    measure: &str,
-    names: &[String],
-    guard: OpGuard<'_>,
-) -> Result<DerivedCube, AssessError> {
-    if neighbors.len() != names.len() {
-        return Err(AssessError::Statement(format!(
-            "{} neighbors but {} names",
-            neighbors.len(),
-            names.len()
-        )));
-    }
-    let mcol = input.require_numeric(measure)?;
-    let index: HashMap<Coordinate, u32> = input.build_index();
-    let keep: Vec<bool> =
-        (0..input.len()).map(|row| input.coord_cols()[component][row] == reference).collect();
-    let reference_rows = filter_rows(input, &keep);
-    let mut new_cols: Vec<(String, Vec<Option<f64>>)> =
-        names.iter().map(|n| (n.clone(), Vec::with_capacity(reference_rows.len()))).collect();
-    for row in 0..reference_rows.len() {
-        guard.tick(row)?;
-        let coord = reference_rows.coordinate(row);
-        for (j, &nb) in neighbors.iter().enumerate() {
-            let key = coord.with_component(component, nb);
-            new_cols[j].1.push(index.get(&key).and_then(|&r| mcol.get(r as usize)));
-        }
-    }
-    let out = attach_and_filter(&reference_rows, new_cols, JoinKind::LeftOuter)?;
-    guard.charge_cells(out.len())?;
-    Ok(out)
-}
-
-/// Appends nullable columns to a copy of `left`; under [`JoinKind::Inner`],
-/// rows with no valid value in any of the new columns are dropped.
-fn attach_and_filter(
-    left: &DerivedCube,
-    new_cols: Vec<(String, Vec<Option<f64>>)>,
-    kind: JoinKind,
-) -> Result<DerivedCube, AssessError> {
-    let mut cube = left.clone();
-    let keep: Vec<bool> =
-        (0..left.len()).map(|row| new_cols.iter().any(|(_, vals)| vals[row].is_some())).collect();
-    for (name, vals) in new_cols {
-        cube.add_column(CubeColumn::Numeric(NumericColumn::nullable(name, vals)))?;
-    }
-    Ok(match kind {
-        JoinKind::LeftOuter => cube,
-        JoinKind::Inner => filter_rows(&cube, &keep),
-    })
 }
 
 /// Applies one `⊟`/`⊡` transform step, appending its output column.
@@ -375,6 +202,7 @@ pub fn apply_label(
 mod tests {
     use super::*;
     use crate::functions::Function;
+    use olap_engine::{Keep, Rewrite};
     use olap_model::{AggOp, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef};
     use std::sync::Arc;
 
@@ -411,6 +239,11 @@ mod tests {
         .unwrap()
     }
 
+    /// The natural join attaching `quantity` under `names`.
+    fn natural(keep: Keep, names: &[String]) -> AttachSpec<'_> {
+        AttachSpec { on: None, rewrites: vec![Rewrite::Same], keep, measure: "quantity", names }
+    }
+
     fn figure_1() -> (DerivedCube, DerivedCube) {
         let s = schema();
         let italy = cube(&s, 0, &[(0, 100.0), (1, 90.0), (2, 30.0)]);
@@ -422,17 +255,15 @@ mod tests {
     fn figure_1_sliced_join_and_transforms() {
         let (italy, france) = figure_1();
         // D = C ⋈_product B (component 1 is the country).
-        let mut d = sliced_join(
-            &italy,
-            &france,
-            1,
-            &[MemberId(1)],
-            "quantity",
-            &["benchmark.quantity".to_string()],
-            JoinKind::Inner,
-            OpGuard::none(),
-        )
-        .unwrap();
+        let names = ["benchmark.quantity".to_string()];
+        let spec = AttachSpec {
+            on: Some(1),
+            rewrites: vec![Rewrite::Member(MemberId(1))],
+            keep: Keep::Matched,
+            measure: "quantity",
+            names: &names,
+        };
+        let mut d = attach(&italy, Some(&france), &spec, None).unwrap();
         assert_eq!(d.len(), 3);
         // E = ⊟ difference → diff.
         apply_transform(
@@ -493,16 +324,15 @@ mod tests {
             vec![CubeColumn::Numeric(NumericColumn::dense("quantity", q))],
         )
         .unwrap();
-        let pivoted = pivot(
-            &all,
-            1,
-            MemberId(0),
-            &[MemberId(1)],
-            "quantity",
-            &["qtyFrance".to_string()],
-            OpGuard::none(),
-        )
-        .unwrap();
+        let names = ["qtyFrance".to_string()];
+        let spec = AttachSpec {
+            on: Some(1),
+            rewrites: vec![Rewrite::Member(MemberId(1))],
+            keep: Keep::Slice(MemberId(0)),
+            measure: "quantity",
+            names: &names,
+        };
+        let pivoted = attach(&all, None, &spec, None).unwrap();
         assert_eq!(pivoted.len(), 3);
         assert_eq!(
             column_values(&pivoted, "qtyFrance").unwrap(),
@@ -515,12 +345,10 @@ mod tests {
         let s = schema();
         let left = cube(&s, 0, &[(0, 1.0), (1, 2.0), (2, 3.0)]);
         let right = cube(&s, 0, &[(0, 10.0), (2, 30.0)]);
-        let inner =
-            natural_join(&left, &right, JoinKind::Inner, "quantity", "b", OpGuard::none()).unwrap();
+        let b = ["b".to_string()];
+        let inner = attach(&left, Some(&right), &natural(Keep::Matched, &b), None).unwrap();
         assert_eq!(inner.len(), 2);
-        let outer =
-            natural_join(&left, &right, JoinKind::LeftOuter, "quantity", "b", OpGuard::none())
-                .unwrap();
+        let outer = attach(&left, Some(&right), &natural(Keep::All, &b), None).unwrap();
         assert_eq!(outer.len(), 3);
         assert_eq!(column_values(&outer, "b").unwrap(), vec![Some(10.0), None, Some(30.0)]);
     }
@@ -537,9 +365,8 @@ mod tests {
             vec![CubeColumn::Numeric(NumericColumn::dense("quantity", vec![1.0]))],
         )
         .unwrap();
-        assert!(
-            natural_join(&left, &right, JoinKind::Inner, "quantity", "b", OpGuard::none()).is_err()
-        );
+        let b = ["b".to_string()];
+        assert!(attach(&left, Some(&right), &natural(Keep::Matched, &b), None).is_err());
     }
 
     #[test]
@@ -567,7 +394,7 @@ mod tests {
         assert_eq!(column_values(&c, "benchmark.quantity").unwrap(), vec![Some(5.0), Some(5.0)]);
         c.add_column(CubeColumn::Numeric(NumericColumn::nullable("maybe", vec![Some(1.0), None])))
             .unwrap();
-        let dropped = drop_null_rows(&c, "maybe", OpGuard::none()).unwrap();
+        let dropped = drop_null_rows(&c, "maybe", None).unwrap();
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped.coordinate(0).members()[0], MemberId(0));
     }

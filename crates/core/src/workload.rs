@@ -402,14 +402,9 @@ pub fn standalone_gets(root: &LogicalOp, fuse: bool) -> Vec<&CubeQuery> {
 }
 
 fn collect_standalone<'p>(op: &'p LogicalOp, fuse: bool, out: &mut Vec<&'p CubeQuery>) {
-    let is_get = |o: &LogicalOp| matches!(o, LogicalOp::Get { .. });
     match op {
         LogicalOp::Get { query, .. } => out.push(query),
-        LogicalOp::NaturalJoin { left, right, .. }
-        | LogicalOp::RollupJoin { left, right, .. }
-        | LogicalOp::SlicedJoin { left, right, .. }
-            if fuse && is_get(left) && is_get(right) => {}
-        LogicalOp::Pivot { input, .. } if fuse && is_get(input) => {}
+        fused if fuse && fused.fusable_gets().is_some() => {}
         other => {
             for child in other.children() {
                 collect_standalone(child, fuse, out);

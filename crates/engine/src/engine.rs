@@ -1,15 +1,15 @@
-//! The engine proper: `get`, fused `get ⋈ get` (JOP) and fused
-//! `get + pivot` (POP) execution.
+//! The engine proper: `get`, and `get` fused with the one join/pivot
+//! operator ([`mod@crate::attach`]) — JOP's `get ⋈ get` and POP's `get + pivot`.
 
 use std::sync::Arc;
 
 use olap_model::{
-    AggOp, Coordinate, CubeColumn, CubeQuery, CubeSchema, DerivedCube, GroupBySet, MemberId,
-    NumericColumn,
+    AggOp, CubeColumn, CubeQuery, CubeSchema, DerivedCube, GroupBySet, MemberId, NumericColumn,
 };
 use olap_storage::{Catalog, MaterializedAggregate, NumericSlice, Table};
 
 use crate::aggregate::{accumulate_chunk, Grouper, Grouping, Partial};
+use crate::attach::{attach, AttachSpec, Keep, Rewrite, Side};
 use crate::error::EngineError;
 use crate::fault::{FaultInjector, FaultSite};
 use crate::governor::{ResourceGovernor, CHECK_INTERVAL};
@@ -184,6 +184,11 @@ impl GetInternal {
             table,
             measures: q.measures.clone(),
         }
+    }
+
+    /// This get as one side of an [`attach()`] over `keys` of its table.
+    fn side<'a>(&'a self, keys: &'a [u64]) -> Side<'a> {
+        Side { group_by: &self.group_by, layout: &self.layout, keys }
     }
 
     /// Materializes the cells in `slots` (slots of `table`, in output
@@ -645,26 +650,45 @@ impl Engine {
         Ok(outcome)
     }
 
-    /// Assembles a fused operator's result from the kept cells of its left
-    /// side (see [`GetInternal::into_outcome`]) and charges the cells
-    /// against the budget.
-    fn fused_outcome(
+    /// Executes the target query and the benchmark query and attaches the
+    /// benchmark's cells to the target's **inside the engine**, on the two
+    /// partial aggregates, before anything is materialized — the fused half
+    /// of the Join-Optimized Plan (Listing 4) and, with no `bench_q`, of
+    /// the Pivot-Optimized Plan (Listing 5), whose benchmark is the widened
+    /// target get itself. `spec` says which cells pair up (see
+    /// [`mod@crate::attach`]); `spec.measure` is selected from the benchmark by
+    /// name and lands in one nullable column per `spec.names` entry.
+    pub fn get_attach(
         &self,
-        left: GetInternal,
-        slots: &[u32],
-        extra: Vec<(String, Vec<Option<f64>>)>,
-        right: Option<&ScanStats>,
+        target_q: &CubeQuery,
+        bench_q: Option<&CubeQuery>,
+        spec: &AttachSpec<'_>,
     ) -> Result<GetOutcome, EngineError> {
-        let outcome = left.into_outcome(slots, extra, right)?;
+        let target = self.run_get(target_q)?;
+        let bench = bench_q.map(|q| self.run_get(q)).transpose()?;
+        let probed = bench.as_ref().unwrap_or(&target);
+        let midx = probed.measures.iter().position(|m| m == spec.measure).ok_or_else(|| {
+            spec.refuse(format!("measure `{}` not in the benchmark query", spec.measure))
+        })?;
+        let order = target.table.key_order();
+        let keys: Vec<u64> = order.iter().map(|&s| target.table.keys()[s as usize]).collect();
+        let found = attach(
+            target.side(&keys),
+            probed.side(probed.table.keys()),
+            spec,
+            self.governor.as_deref(),
+        )?;
+        let values = probed.table.measure(midx);
+        let extra = found.columns(spec.names, |row| values[row as usize]).collect();
+        let slots: Vec<u32> = found.kept.iter().map(|&i| order[i as usize]).collect();
+        let outcome = target.into_outcome(&slots, extra, bench.as_ref().map(|b| &b.stats))?;
         self.gov_charge_cells(outcome.cube.len())?;
         Ok(outcome)
     }
 
-    /// Executes two cube queries and **naturally joins** them inside the
-    /// engine (`C ⋈ B`, Listing 4) — the Join-Optimized Plan for external
-    /// benchmarks. Cells pair by coordinate equality (Definition 3.1 requires
-    /// equal group-by sets). Right-side measures are appended under
-    /// `right_renames`.
+    /// [`Engine::get_attach`] as a natural join `C ⋈ B` (Definition 3.1:
+    /// cells pair by coordinate equality): the benchmark query's first
+    /// measure lands in the column `right_renames` names.
     pub fn get_join(
         &self,
         left_q: &CubeQuery,
@@ -672,118 +696,17 @@ impl Engine {
         kind: JoinKind,
         right_renames: &[String],
     ) -> Result<GetOutcome, EngineError> {
-        let left = self.run_get(left_q)?;
-        let right = self.run_get(right_q)?;
-        check_joinable(&left, &right)?;
-        if right_renames.len() != right.measures.len() {
-            return Err(EngineError::Unsupported(format!(
-                "{} renames for {} benchmark measures",
-                right_renames.len(),
-                right.measures.len()
-            )));
-        }
-        let right_index = Grouper::over(&right.layout, right.table.keys());
-        let mut kept: Vec<u32> = Vec::new();
-        let mut matched: Vec<Option<usize>> = Vec::new();
-        for slot in left.table.key_order() {
-            let m = right_index.lookup(left.table.keys()[slot as usize]);
-            if kind == JoinKind::Inner && m.is_none() {
-                continue;
-            }
-            kept.push(slot);
-            matched.push(m);
-        }
-        let (_, right_cols) = right.table.finish();
-        let extra = right_renames
-            .iter()
-            .zip(&right_cols)
-            .map(|(name, col)| (name.clone(), matched.iter().map(|m| m.map(|s| col[s])).collect()))
-            .collect();
-        self.fused_outcome(left, &kept, extra, Some(&right.stats))
+        let measure = right_q.measures.first().map_or("", String::as_str);
+        let rewrites = vec![Rewrite::Same];
+        let spec =
+            AttachSpec { on: None, rewrites, keep: kind.into(), measure, names: right_renames };
+        self.get_attach(left_q, Some(right_q), &spec)
     }
 
-    /// Executes two cube queries and **roll-up joins** them inside the
-    /// engine: the right query groups the sliced `hierarchy` at a coarser
-    /// level than the left, and every left cell pairs with the right cell
-    /// holding its ancestor. The ancestor's `measure` is appended as
-    /// `rename` (the ancestor-benchmark extension).
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_join_rollup(
-        &self,
-        left_q: &CubeQuery,
-        right_q: &CubeQuery,
-        hierarchy: usize,
-        fine_level: usize,
-        coarse_level: usize,
-        measure: &str,
-        rename: &str,
-        kind: JoinKind,
-    ) -> Result<GetOutcome, EngineError> {
-        let left = self.run_get(left_q)?;
-        let right = self.run_get(right_q)?;
-        let component = left.group_by.component_of(hierarchy).ok_or_else(|| {
-            EngineError::NotJoinable(format!(
-                "hierarchy #{hierarchy} rolled by the join is not in the group-by set"
-            ))
-        })?;
-        let right_component = right.group_by.component_of(hierarchy).ok_or_else(|| {
-            EngineError::NotJoinable("the benchmark dropped the rolled hierarchy".into())
-        })?;
-        if component != right_component {
-            return Err(EngineError::NotJoinable(
-                "the two cubes disagree on the rolled hierarchy's position".into(),
-            ));
-        }
-        let midx = right.measures.iter().position(|m| m == measure).ok_or_else(|| {
-            EngineError::NotJoinable(format!("measure `{measure}` not in the benchmark query"))
-        })?;
-        let rollmap = left
-            .schema
-            .hierarchy(hierarchy)
-            .ok_or_else(|| {
-                EngineError::Model(olap_model::ModelError::UnknownHierarchy(format!(
-                    "#{hierarchy}"
-                )))
-            })?
-            .composed_map(fine_level, coarse_level)?;
-
-        let right_index = Grouper::over(&right.layout, right.table.keys());
-        let bench = right.table.measure(midx);
-        let mut kept: Vec<u32> = Vec::new();
-        let mut bench_col: Vec<Option<f64>> = Vec::new();
-        for slot in left.table.key_order() {
-            // Re-pack the key in the right cube's layout, substituting the
-            // rolled member for the fine one.
-            let key = left.table.keys()[slot as usize];
-            let mut nb_key = 0u64;
-            for c in 0..left.group_by.arity() {
-                let member = left.layout.unpack_component(key, c);
-                let member = if c == component { rollmap[member.index()] } else { member };
-                right.layout.pack_component(&mut nb_key, c, member);
-            }
-            let v = right_index.lookup(nb_key).map(|s| bench[s]);
-            if kind == JoinKind::Inner && v.is_none() {
-                continue;
-            }
-            kept.push(slot);
-            bench_col.push(v);
-        }
-        self.fused_outcome(left, &kept, vec![(rename.to_string(), bench_col)], Some(&right.stats))
-    }
-
-    /// Executes two cube queries and **partially joins** them inside the
-    /// engine: `C ⋈_{G\l} B` (Section 4.2), where the benchmark holds one or
-    /// more slices of level `l` (hierarchy `slice_hierarchy`). Every slice
-    /// member in `slice_members` contributes one nullable output column
-    /// (`column_names`, same order) holding that slice's value of `measure`
-    /// for the matching coordinate — exactly the paper's partial join, whose
-    /// output row concatenates the measures of **all** matching benchmark
-    /// cells. This is the Join-Optimized Plan for sibling (one slice) and
-    /// past (k slices) benchmarks.
-    ///
-    /// With [`JoinKind::Inner`], target cells with no matching benchmark
-    /// cell in any slice are dropped; with [`JoinKind::LeftOuter`] they are
-    /// kept with all-null slice columns.
+    /// [`Engine::get_attach`] as the partial join `C ⋈_{G\l} B` (Section
+    /// 4.2): the benchmark holds slices of `slice_hierarchy`'s level, and
+    /// every member of `slice_members` contributes the column of
+    /// `column_names` holding that slice's `measure`.
     #[allow(clippy::too_many_arguments)]
     pub fn get_join_sliced(
         &self,
@@ -795,62 +718,17 @@ impl Engine {
         column_names: &[String],
         kind: JoinKind,
     ) -> Result<GetOutcome, EngineError> {
-        if slice_members.len() != column_names.len() {
-            return Err(EngineError::NotJoinable(format!(
-                "{} slice members but {} column names",
-                slice_members.len(),
-                column_names.len()
-            )));
-        }
-        if slice_members.is_empty() {
-            return Err(EngineError::NotJoinable("no benchmark slices".into()));
-        }
-        let left = self.run_get(left_q)?;
-        let right = self.run_get(right_q)?;
-        check_joinable(&left, &right)?;
-        let component = left.group_by.component_of(slice_hierarchy).ok_or_else(|| {
-            EngineError::NotJoinable(format!(
-                "hierarchy #{slice_hierarchy} sliced by the partial join is not in the group-by set"
-            ))
-        })?;
-        let midx = right.measures.iter().position(|m| m == measure).ok_or_else(|| {
-            EngineError::NotJoinable(format!("measure `{measure}` not in the benchmark query"))
-        })?;
-
-        let right_index = Grouper::over(&right.layout, right.table.keys());
-        let bench = right.table.measure(midx);
-        let mut kept: Vec<u32> = Vec::new();
-        let mut slice_cols: Vec<Vec<Option<f64>>> = vec![Vec::new(); slice_members.len()];
-        let mut values: Vec<Option<f64>> = Vec::with_capacity(slice_members.len());
-        for slot in left.table.key_order() {
-            let base = left.layout.clear_component(left.table.keys()[slot as usize], component);
-            values.clear();
-            values.extend(slice_members.iter().map(|&member| {
-                let mut nb_key = base;
-                left.layout.pack_component(&mut nb_key, component, member);
-                right_index.lookup(nb_key).map(|s| bench[s])
-            }));
-            if kind == JoinKind::Inner && values.iter().all(Option::is_none) {
-                continue;
-            }
-            kept.push(slot);
-            for (col, v) in slice_cols.iter_mut().zip(&values) {
-                col.push(*v);
-            }
-        }
-        let extra = column_names.iter().cloned().zip(slice_cols).collect();
-        self.fused_outcome(left, &kept, extra, Some(&right.stats))
+        let rewrites = Rewrite::members(slice_members);
+        let (on, keep) = (Some(slice_hierarchy), kind.into());
+        let spec = AttachSpec { on, rewrites, keep, measure, names: column_names };
+        self.get_attach(left_q, Some(right_q), &spec)
     }
 
-    /// Executes one widened cube query and pivots it **inside the engine** —
-    /// the Pivot-Optimized Plan's `get + pivot` pushed to SQL (Listing 5).
-    ///
-    /// `q_all` must select, on `pivot_hierarchy`, both the `reference` slice
-    /// and every slice in `neighbors`. The result keeps only the reference
-    /// slice; for each neighbor `j` and the measure `measure`, a nullable
-    /// column `neighbor_names[j]` holds the neighbor cell's value
-    /// (null when the neighbor cell does not exist — cube sparsity).
-    #[allow(clippy::too_many_arguments)]
+    /// [`Engine::get_attach`] as `get + pivot` (Listing 5): `q_all` selects
+    /// the `reference` slice of `pivot_hierarchy` and every slice in
+    /// `neighbors`; the result keeps the reference slice, with one column
+    /// of `neighbor_names` per neighbor holding its `measure` (null where
+    /// the neighbor cell does not exist — cube sparsity).
     pub fn get_pivot(
         &self,
         q_all: &CubeQuery,
@@ -860,46 +738,10 @@ impl Engine {
         measure: &str,
         neighbor_names: &[String],
     ) -> Result<GetOutcome, EngineError> {
-        if neighbors.len() != neighbor_names.len() {
-            return Err(EngineError::InvalidPivot(format!(
-                "{} neighbor slices but {} names",
-                neighbors.len(),
-                neighbor_names.len()
-            )));
-        }
-        if neighbors.is_empty() {
-            return Err(EngineError::InvalidPivot("no neighbor slices".into()));
-        }
-        let internal = self.run_get(q_all)?;
-        let component = internal.group_by.component_of(pivot_hierarchy).ok_or_else(|| {
-            EngineError::InvalidPivot(format!(
-                "pivot hierarchy #{pivot_hierarchy} is not in the group-by set"
-            ))
-        })?;
-        let midx = internal.measures.iter().position(|m| m == measure).ok_or_else(|| {
-            EngineError::InvalidPivot(format!("measure `{measure}` not in the query"))
-        })?;
-
-        let (layout, table) = (&internal.layout, &internal.table);
-        let index = Grouper::over(layout, table.keys());
-        let values = table.measure(midx);
-        let mut kept: Vec<u32> = Vec::new();
-        let mut neighbor_cols: Vec<Vec<Option<f64>>> = vec![Vec::new(); neighbors.len()];
-        for slot in table.key_order() {
-            let key = table.keys()[slot as usize];
-            if layout.unpack_component(key, component) != reference {
-                continue;
-            }
-            kept.push(slot);
-            let base = layout.clear_component(key, component);
-            for (col, &nb) in neighbor_cols.iter_mut().zip(neighbors) {
-                let mut nb_key = base;
-                layout.pack_component(&mut nb_key, component, nb);
-                col.push(index.lookup(nb_key).map(|s| values[s]));
-            }
-        }
-        let extra = neighbor_names.iter().cloned().zip(neighbor_cols).collect();
-        self.fused_outcome(internal, &kept, extra, None)
+        let rewrites = Rewrite::members(neighbors);
+        let (on, keep) = (Some(pivot_hierarchy), Keep::Slice(reference));
+        let spec = AttachSpec { on, rewrites, keep, measure, names: neighbor_names };
+        self.get_attach(q_all, None, &spec)
     }
 
     /// Estimates the cost of a `get` without running it: the rows the chosen
@@ -964,14 +806,7 @@ impl Engine {
             .map(|m| schema.require_measure(m).map(|d| d.agg()))
             .collect::<Result<_, _>>()?;
 
-        let cardinalities: Vec<usize> = q
-            .group_by
-            .included_hierarchies()
-            .map(|(hi, li)| {
-                schema.hierarchy(hi).and_then(|h| h.level(li)).map(|l| l.cardinality()).unwrap_or(0)
-            })
-            .collect();
-        let layout = KeyLayout::for_cardinalities(&cardinalities);
+        let layout = KeyLayout::for_group_by(&schema, &q.group_by);
         if !layout.fits_u64() {
             return Err(EngineError::WideKey { bits: layout.total_bits() });
         }
@@ -1291,32 +1126,10 @@ impl Engine {
     }
 }
 
-/// Joinability check (Definition 3.1): equal group-by sets, and reconciled
-/// member domains (identical key layouts).
-fn check_joinable(left: &GetInternal, right: &GetInternal) -> Result<(), EngineError> {
-    if left.group_by != right.group_by {
-        return Err(EngineError::NotJoinable(
-            "the target cube and the benchmark have different group-by sets".into(),
-        ));
-    }
-    if left.layout.total_bits() != right.layout.total_bits() {
-        return Err(EngineError::NotJoinable(
-            "the two cubes have unreconciled member domains".into(),
-        ));
-    }
-    Ok(())
-}
-
 /// Materializes the internal representation into a derived cube in
 /// canonical coordinate order — which, with [`KeyLayout`]'s packing, is
 /// ascending key order: the packed keys are sorted, never the coordinates.
 fn materialize(internal: GetInternal) -> Result<GetOutcome, EngineError> {
     let slots = internal.table.key_order();
     internal.into_outcome(&slots, Vec::new(), None)
-}
-
-/// Convenience used by tests and the assess runtime: the coordinate of a
-/// cube row as owned member ids.
-pub fn row_coordinate(cube: &DerivedCube, row: usize) -> Coordinate {
-    cube.coordinate(row)
 }

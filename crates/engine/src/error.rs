@@ -22,8 +22,8 @@ pub enum EngineError {
     /// An aggregation operator is not supported by the chosen access path.
     Unsupported(String),
     /// The group-by set's packed key needs `bits` > 64 bits. Plain `get`
-    /// recovers through the wide-key scan; fused join/pivot paths and
-    /// sharded coordinators surface it.
+    /// recovers through the wide-key scan; joins and pivots — fused or on
+    /// materialized cubes — and sharded coordinators surface it.
     WideKey { bits: u32 },
     /// A resource budget of the governing [`ResourceGovernor`] was
     /// exhausted. `limit`/`used` are in the resource's own unit

@@ -10,7 +10,7 @@
 //! key order is lexicographic coordinate order: sorting packed keys sorts
 //! cells into the canonical order cubes and views are materialized in.
 
-use olap_model::MemberId;
+use olap_model::{CubeSchema, GroupBySet, MemberId};
 
 /// Bit layout of a packed group-by key.
 #[derive(Debug, Clone)]
@@ -39,6 +39,23 @@ impl KeyLayout {
             })
             .collect();
         KeyLayout { bits, shifts, total_bits }
+    }
+
+    /// The layout every `get` of `group_by` packs its cells with: one
+    /// component per included hierarchy, sized by its level's domain.
+    pub fn for_group_by(schema: &CubeSchema, group_by: &GroupBySet) -> Self {
+        let cardinalities: Vec<usize> = group_by
+            .included_hierarchies()
+            .map(|(hi, li)| {
+                schema.hierarchy(hi).and_then(|h| h.level(li)).map_or(0, |l| l.cardinality())
+            })
+            .collect();
+        Self::for_cardinalities(&cardinalities)
+    }
+
+    /// Bit width of every component.
+    pub fn component_bits(&self) -> &[u32] {
+        &self.bits
     }
 
     /// Number of components.

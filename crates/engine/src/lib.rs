@@ -11,26 +11,28 @@
 //!
 //! * operations **pushed to the engine** run fused over the engine's internal
 //!   dense representations (dictionary-encoded keys packed into machine
-//!   words, shared predicate bitmaps, single fact scans);
+//!   words, shared predicate bitmaps, single fact scans), before any cube
+//!   is materialized;
 //! * operations **left to the client** (the assess runtime) work on
-//!   materialized [`olap_model::DerivedCube`]s with per-row coordinate
-//!   objects — the analogue of the paper's Python/Pandas post-processing.
+//!   materialized [`olap_model::DerivedCube`]s, which they must re-pack and
+//!   re-gather — the analogue of the paper's Python/Pandas post-processing.
 //!
-//! The three engine entry points mirror the paper's plans:
+//! The engine entry points mirror the paper's plans:
 //!
 //! * [`Engine::get`] — one cube query (every plan starts here; NP uses only
 //!   this);
-//! * [`Engine::get_join`] — two cube queries joined inside the engine
-//!   (the Join-Optimized Plan, Listing 4);
-//! * [`Engine::get_pivot`] — one widened cube query pivoted inside the
-//!   engine (the Pivot-Optimized Plan, Listing 5).
+//! * [`Engine::get_attach`] — the one join/pivot operator ([`attach()`])
+//!   fused onto its gets: two cube queries joined inside the engine (the
+//!   Join-Optimized Plan, Listing 4), or one widened cube query pivoted
+//!   inside it (the Pivot-Optimized Plan, Listing 5).
 //!
-//! All three run their scans through the morsel-driven pipeline
+//! Both run their scans through the morsel-driven pipeline
 //! ([`pool`]): tables are split into fixed-size chunks, a shared
 //! [`WorkerPool`] executes them, and partial aggregates merge in morsel
 //! order so results are byte-identical at every thread count.
 
 pub mod aggregate;
+pub mod attach;
 pub mod engine;
 pub mod error;
 pub mod fault;
@@ -45,6 +47,7 @@ pub mod sqlgen;
 pub(crate) mod wide;
 
 pub use aggregate::Grouping;
+pub use attach::{attach, pack_cells, AttachSpec, Attached, Keep, Rewrite, Side};
 pub use engine::{Engine, EngineConfig, GetEstimate, GetOutcome, JoinKind};
 pub use error::EngineError;
 pub use fault::{FaultInjector, FaultSite};

@@ -226,15 +226,12 @@ impl Resolved {
 fn resolve(binding: &CubeBinding, view: &MaterializedAggregate, table: &Table) -> Option<Resolved> {
     let schema = binding.schema();
     let mut keys = Vec::new();
-    let mut cardinalities = Vec::new();
     for (hi, li) in view.group_by().included_hierarchies() {
         let idx = table.column_index(binding.fk_column(hi))?;
         if !table.columns()[idx].is_key_like() {
             return None;
         }
-        let h = schema.hierarchy(hi)?;
-        keys.push((idx, h.composed_map(0, li).ok()?));
-        cardinalities.push(h.level(li)?.cardinality());
+        keys.push((idx, schema.hierarchy(hi)?.composed_map(0, li).ok()?));
     }
     let mut measures = Vec::new();
     let mut ops = Vec::new();
@@ -245,7 +242,7 @@ fn resolve(binding: &CubeBinding, view: &MaterializedAggregate, table: &Table) -
         measures.push(idx);
         ops.push(schema.require_measure(m).ok()?.agg());
     }
-    Some(Resolved { keys, measures, ops, layout: KeyLayout::for_cardinalities(&cardinalities) })
+    Some(Resolved { keys, measures, ops, layout: KeyLayout::for_group_by(schema, view.group_by()) })
 }
 
 /// Maintains one view: delta merge when possible, full rebuild otherwise.

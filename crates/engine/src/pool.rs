@@ -220,7 +220,13 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // The flag flips under the queue lock: a worker that has read
+        // `shutdown == false` still holds that lock until it parks, so it
+        // cannot miss the notification below and sleep through the join.
+        {
+            let _queue = lock(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.work_cv.notify_all();
         for h in lock(&self.handles).drain(..) {
             let _ = h.join();
@@ -643,6 +649,22 @@ mod tests {
         let out = run(Some(&pool), 4, 16, TestScan::new(64, 3)).unwrap();
         assert_eq!(out.parallelism, 1);
         assert_eq!(out.morsels, 4);
+    }
+
+    #[test]
+    fn dropping_a_fresh_pool_never_loses_the_shutdown_wakeup() {
+        // Workers are still on their way to the condvar when the drop
+        // lands, which is the window the shutdown flag used to slip through.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            for _ in 0..4000 {
+                drop(WorkerPool::new(4));
+            }
+            let _ = done_tx.send(());
+        });
+        let verdict = done_rx.recv_timeout(std::time::Duration::from_secs(120));
+        assert!(verdict.is_ok(), "WorkerPool::drop hung joining a parked worker");
+        dropper.join().expect("the drop loop finished cleanly");
     }
 
     #[test]

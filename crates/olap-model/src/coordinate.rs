@@ -108,15 +108,6 @@ impl Coordinate {
         Ok(Coordinate(out))
     }
 
-    /// Returns a copy with component `idx` replaced by `member` — the
-    /// cell-to-cell mapping used by sibling benchmarks ("replacing `u` with
-    /// `u_sib` in each coordinate", Section 3.1).
-    pub fn with_component(&self, idx: usize, member: MemberId) -> Coordinate {
-        let mut members = self.0.clone();
-        members[idx] = member;
-        Coordinate(members)
-    }
-
     /// Projection of the coordinate on the components *other than* `idx`
     /// (`γ|G\l` in the pivot/partial-join definitions).
     pub fn without_component(&self, idx: usize) -> Coordinate {
@@ -206,13 +197,10 @@ mod tests {
     }
 
     #[test]
-    fn with_and_without_component() {
+    fn without_component_projects_the_rest() {
         let s = schema();
         let g = GroupBySet::from_level_names(&s, &["date", "product"]).unwrap();
         let c = Coordinate::from_names(&s, &g, &["1997-04-15", "Lemon"]).unwrap();
-        let apple = s.hierarchy(1).unwrap().level(0).unwrap().member_id("Apple").unwrap();
-        let swapped = c.with_component(1, apple);
-        assert_eq!(swapped.members()[1], apple);
         assert_eq!(c.without_component(0).arity(), 1);
         assert_eq!(c.without_component(0).members()[0], c.members()[1]);
     }

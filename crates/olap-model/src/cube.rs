@@ -347,27 +347,6 @@ impl DerivedCube {
         Ok(())
     }
 
-    /// Builds a hash index from coordinates to row numbers (for joins).
-    pub fn build_index(&self) -> HashMap<Coordinate, u32> {
-        let mut index = HashMap::with_capacity(self.len());
-        for row in 0..self.len() {
-            index.insert(self.coordinate(row), row as u32);
-        }
-        index
-    }
-
-    /// Builds a hash index keyed on a *subset* of coordinate components
-    /// (those with indices in `components`) — used by partial joins.
-    pub fn build_partial_index(&self, components: &[usize]) -> HashMap<Coordinate, Vec<u32>> {
-        let mut index: HashMap<Coordinate, Vec<u32>> = HashMap::with_capacity(self.len());
-        for row in 0..self.len() {
-            let key =
-                Coordinate::new(components.iter().map(|&c| self.coord_cols[c][row]).collect());
-            index.entry(key).or_default().push(row as u32);
-        }
-        index
-    }
-
     /// Sorts rows by coordinate (lexicographically on member ids) for
     /// deterministic output; reorders every column consistently.
     pub fn sort_by_coordinates(&mut self) {
@@ -553,19 +532,6 @@ mod tests {
         assert_eq!(col.get(0), Some("good"));
         assert_eq!(col.get(4), None);
         assert_eq!(col.len(), 5);
-    }
-
-    #[test]
-    fn index_and_partial_index() {
-        let s = schema();
-        let cube = figure_1_target(&s);
-        let index = cube.build_index();
-        assert_eq!(index.len(), 3);
-        let by_product = cube.build_partial_index(&[0]);
-        assert_eq!(by_product.len(), 3);
-        assert!(by_product
-            .get(&Coordinate::new(vec![MemberId(1)]))
-            .is_some_and(|rows| rows == &[1]));
     }
 
     #[test]

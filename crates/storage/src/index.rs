@@ -1,58 +1,13 @@
 //! Key indexes over table columns.
 //!
-//! The paper's setup indexes primary and foreign keys with B-trees. We keep
-//! both an ordered [`BTreeIndex`] (range scans over temporal keys, as needed
-//! by past benchmarks) and a [`HashIndex`] (point lookups during star joins).
+//! The paper's setup indexes primary and foreign keys with B-trees; the
+//! engine only ever probes them for equality, so a [`HashIndex`] (point
+//! lookups on foreign keys) stands in for them.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crate::error::StorageError;
 use crate::table::Table;
-
-/// An ordered index from key value to the row ids holding it.
-#[derive(Debug, Clone, Default)]
-pub struct BTreeIndex {
-    map: BTreeMap<i64, Vec<u32>>,
-}
-
-impl BTreeIndex {
-    /// Builds the index over a key-like (`i64` or encoded) column.
-    pub fn build(table: &Table, column: &str) -> Result<Self, StorageError> {
-        let idx = table.require_key_like(column)?;
-        let keys = table.columns()[idx].i64_iter().expect("key-like column iterates");
-        let mut map: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
-        for (row, k) in keys.enumerate() {
-            map.entry(k).or_default().push(row as u32);
-        }
-        Ok(BTreeIndex { map })
-    }
-
-    /// Rows with exactly this key.
-    pub fn lookup(&self, key: i64) -> &[u32] {
-        self.map.get(&key).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Rows with keys in `[lo, hi]` (inclusive), in key order.
-    pub fn range(&self, lo: i64, hi: i64) -> Vec<u32> {
-        let mut rows = Vec::new();
-        for (_, rs) in self.map.range(lo..=hi) {
-            rows.extend_from_slice(rs);
-        }
-        rows
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Smallest and largest key, when non-empty.
-    pub fn key_bounds(&self) -> Option<(i64, i64)> {
-        let lo = self.map.keys().next()?;
-        let hi = self.map.keys().next_back()?;
-        Some((*lo, *hi))
-    }
-}
 
 /// A hash index from key value to row ids.
 #[derive(Debug, Clone, Default)]
@@ -94,16 +49,6 @@ mod tests {
     }
 
     #[test]
-    fn btree_point_and_range() {
-        let idx = BTreeIndex::build(&table(), "fk").unwrap();
-        assert_eq!(idx.lookup(5), &[0, 2, 5]);
-        assert_eq!(idx.lookup(42), &[] as &[u32]);
-        assert_eq!(idx.range(3, 5), vec![1, 4, 0, 2, 5]);
-        assert_eq!(idx.distinct_keys(), 3);
-        assert_eq!(idx.key_bounds(), Some((3, 9)));
-    }
-
-    #[test]
     fn hash_point_lookup() {
         let idx = HashIndex::build(&table(), "fk").unwrap();
         assert_eq!(idx.lookup(9), &[3]);
@@ -116,26 +61,15 @@ mod tests {
         let plain = table();
         let encoded =
             Table::new("fact", vec![plain.column("fk").unwrap().encode_key(10).unwrap()]).unwrap();
-        let a = BTreeIndex::build(&plain, "fk").unwrap();
-        let b = BTreeIndex::build(&encoded, "fk").unwrap();
+        let a = HashIndex::build(&plain, "fk").unwrap();
+        let b = HashIndex::build(&encoded, "fk").unwrap();
         assert_eq!(a.lookup(5), b.lookup(5));
-        assert_eq!(a.range(3, 9), b.range(3, 9));
-        let h = HashIndex::build(&encoded, "fk").unwrap();
-        assert_eq!(h.lookup(9), &[3]);
+        assert_eq!(b.lookup(9), &[3]);
     }
 
     #[test]
     fn building_over_wrong_type_fails() {
         let t = Table::new("t", vec![Column::from_strings("s", ["a", "b"])]).unwrap();
-        assert!(BTreeIndex::build(&t, "s").is_err());
         assert!(HashIndex::build(&t, "s").is_err());
-    }
-
-    #[test]
-    fn empty_index() {
-        let t = Table::new("t", vec![Column::i64("k", vec![])]).unwrap();
-        let idx = BTreeIndex::build(&t, "k").unwrap();
-        assert_eq!(idx.key_bounds(), None);
-        assert_eq!(idx.range(0, 100), Vec::<u32>::new());
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! * dictionary-encoded, typed, columnar [`Table`]s (fact and dimension
 //!   tables of a star schema);
-//! * [`BTreeIndex`]/[`HashIndex`] over key columns — the equivalent of the
-//!   B-tree indexes the paper creates on primary and foreign keys;
+//! * a [`HashIndex`] over key columns — the equivalent of the B-tree
+//!   indexes the paper creates on primary and foreign keys;
 //! * [`MaterializedAggregate`] views with roll-up view matching — the
 //!   equivalent of the materialized views the paper creates "to improve
 //!   performances";
@@ -40,7 +40,7 @@ pub use delta::Delta;
 pub use dictionary::Dictionary;
 pub use encode::{CodeStore, KeyAccess, KeyColumn, Validity};
 pub use error::StorageError;
-pub use index::{BTreeIndex, HashIndex};
+pub use index::HashIndex;
 pub use mview::MaterializedAggregate;
 pub use shard::ShardScheme;
 pub use table::{ColumnStat, Table};

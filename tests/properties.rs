@@ -6,8 +6,9 @@ use std::sync::Arc;
 
 use assess_olap::assess::ast::AssessStatement;
 use assess_olap::assess::exec::AssessRunner;
+use assess_olap::assess::memops;
 use assess_olap::assess::plan::Strategy as ExecStrategy;
-use assess_olap::engine::{Engine, JoinKind};
+use assess_olap::engine::{AttachSpec, Engine, Keep, Rewrite};
 use assess_olap::model::{
     AggOp, CubeQuery, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef, Predicate,
 };
@@ -227,45 +228,57 @@ proptest! {
         }
     }
 
-    /// The engine's fused sliced join agrees with the in-memory join on the
-    /// same inputs (the "pushed to SQL" path computes the same partial join).
+    /// The engine's fused joins and pivot agree with the client-side ones on
+    /// the same inputs (the "pushed to SQL" path computes the same operator):
+    /// partial join, natural join, roll-up join and pivot, inner and outer.
     #[test]
     fn fused_join_matches_memory_join(mini in mini_cube()) {
         let (catalog, schema) = build(&mini);
         let engine = Engine::new(catalog);
-        let g = GroupBySet::from_level_names(&schema, &["product", "country"]).unwrap();
-        let italy_q = CubeQuery::new(
-            "MINI",
-            g.clone(),
-            vec![Predicate::eq(&schema, "country", "Italy").unwrap()],
-            vec!["quantity".into()],
-        );
-        let france_q = CubeQuery::new(
-            "MINI",
-            g,
-            vec![Predicate::eq(&schema, "country", "France").unwrap()],
-            vec!["quantity".into()],
-        );
-        let france = schema.hierarchy(1).unwrap().level(1).unwrap().member_id("France").unwrap();
+        let by_product = GroupBySet::from_level_names(&schema, &["product", "country"]).unwrap();
+        let by_type = GroupBySet::from_level_names(&schema, &["type", "country"]).unwrap();
+        let slice = |g: &GroupBySet, preds: &[(&str, &str)]| {
+            let preds = preds.iter().map(|(l, m)| Predicate::eq(&schema, l, m).unwrap()).collect();
+            CubeQuery::new("MINI", g.clone(), preds, vec!["quantity".into()])
+        };
+        let italy_q = slice(&by_product, &[("country", "Italy")]);
+        let france_q = slice(&by_product, &[("country", "France")]);
+        let alpha_q = slice(&by_product, &[("country", "Italy"), ("type", "alpha")]);
+        let types_q = slice(&by_type, &[("country", "Italy"), ("type", "beta")]);
+        let all_q = slice(&by_product, &[]);
+        let country = schema.hierarchy(1).unwrap().level(1).unwrap();
+        let (italy, france) =
+            (country.member_id("Italy").unwrap(), country.member_id("France").unwrap());
+        let to_type = schema.hierarchy(0).unwrap().composed_map(0, 1).unwrap();
         let names = vec!["b".to_string()];
-        let fused = engine
-            .get_join_sliced(&italy_q, &france_q, 1, &[france], "quantity", &names, JoinKind::Inner)
-            .unwrap()
-            .cube;
-        let l = engine.get(&italy_q).unwrap().cube;
-        let r = engine.get(&france_q).unwrap().cube;
-        let component = l.group_by().component_of(1).unwrap();
-        let mem = assess_olap::assess::memops::sliced_join(
-            &l, &r, component, &[france], "quantity", &names, JoinKind::Inner,
-            assess_olap::assess::memops::OpGuard::none(),
-        )
-        .unwrap();
-        prop_assert_eq!(fused.len(), mem.len());
-        let fcol = fused.numeric_column("b").unwrap();
-        let mcol = mem.numeric_column("b").unwrap();
-        for row in 0..fused.len() {
-            prop_assert_eq!(fused.coordinate(row), mem.coordinate(row));
-            prop_assert_eq!(fcol.get(row), mcol.get(row));
+        let spec = |on, rewrite, keep| AttachSpec {
+            on,
+            rewrites: vec![rewrite],
+            keep,
+            measure: "quantity",
+            names: &names,
+        };
+        let cases = [
+            (&italy_q, Some(&france_q), spec(Some(1), Rewrite::Member(france), Keep::Matched)),
+            (&italy_q, Some(&france_q), spec(Some(1), Rewrite::Member(france), Keep::All)),
+            (&italy_q, Some(&alpha_q), spec(None, Rewrite::Same, Keep::Matched)),
+            (&italy_q, Some(&alpha_q), spec(None, Rewrite::Same, Keep::All)),
+            (&italy_q, Some(&types_q), spec(Some(0), Rewrite::Roll(to_type.clone()), Keep::Matched)),
+            (&italy_q, Some(&types_q), spec(Some(0), Rewrite::Roll(to_type), Keep::All)),
+            (&all_q, None, spec(Some(1), Rewrite::Member(france), Keep::Slice(italy))),
+        ];
+        for (target_q, bench_q, spec) in &cases {
+            let fused = engine.get_attach(target_q, *bench_q, spec).unwrap().cube;
+            let target = engine.get(target_q).unwrap().cube;
+            let bench = bench_q.map(|q| engine.get(q).unwrap().cube);
+            let mem = memops::attach(&target, bench.as_ref(), spec, None).unwrap();
+            prop_assert_eq!(fused.len(), mem.len());
+            let fcol = fused.numeric_column("b").unwrap();
+            let mcol = mem.numeric_column("b").unwrap();
+            for row in 0..fused.len() {
+                prop_assert_eq!(fused.coordinate(row), mem.coordinate(row));
+                prop_assert_eq!(fcol.get(row), mcol.get(row));
+            }
         }
     }
 }
