@@ -1,12 +1,13 @@
 //! The engine proper: `get`, and `get` fused with the one join/pivot
 //! operator ([`mod@crate::attach`]) — JOP's `get ⋈ get` and POP's `get + pivot`.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use olap_model::{
     AggOp, CubeColumn, CubeQuery, CubeSchema, DerivedCube, GroupBySet, MemberId, NumericColumn,
 };
-use olap_storage::{Catalog, MaterializedAggregate, NumericSlice, Table};
+use olap_storage::{Catalog, CubeBinding, MaterializedAggregate, NumericSlice, Table};
 
 use crate::aggregate::{accumulate_chunk, Grouper, Grouping, Partial};
 use crate::attach::{attach, AttachSpec, Keep, Rewrite, Side};
@@ -225,15 +226,20 @@ impl GetInternal {
     }
 }
 
-/// Which storage object a morsel-driven scan reads.
-enum ScanSource {
-    Fact(Arc<Table>),
+/// Which storage object a scan reads.
+pub(crate) enum ScanSource {
+    /// The given rows of a fact table: all of them for a query or a view
+    /// rebuild, the appended tail for a view's delta merge.
+    Fact(Arc<Table>, Range<usize>),
     View(Arc<MaterializedAggregate>),
 }
 
-/// The shared, immutable context of one morsel-driven scan: the source,
+/// The one plan for "these rows of this source → groups": the source,
 /// compiled predicate masks, roll-up maps and resolved column indexes.
-/// Column *existence and types* are validated when the context is built.
+/// Column *existence and types* are validated when the plan is built. It
+/// has three consumers: the morsel driver ([`MorselScan::process`]), the
+/// index fast path over sparse rows ([`ScanCtx::aggregate_rows`]) and the
+/// serial wide-key fold ([`crate::wide`]).
 ///
 /// Per morsel, workers first decode every distinct id column into a flat
 /// `u32` lane of the scratch (`DataChunk::key_lane` unpacks bit-packed and
@@ -241,23 +247,23 @@ enum ScanSource {
 /// to `f64` lanes, then run the branch-free select + accumulate kernels
 /// over those lanes — the inner loops never branch on the physical
 /// encoding.
-struct ScanCtx {
-    source: ScanSource,
+pub(crate) struct ScanCtx {
+    pub(crate) source: ScanSource,
     /// Distinct id columns the kernels read (fact: fk column index; view:
     /// coordinate component), each decoded into one scratch lane per morsel.
     /// Masks and keys refer to these by slot, so a column shared by a
     /// predicate and a group-by component decodes once.
-    lane_cols: Vec<usize>,
+    pub(crate) lane_cols: Vec<usize>,
     /// Per predicate: the lane slot of its id column and the allowed-member
     /// mask over its domain.
     masks: Vec<(usize, Arc<[bool]>)>,
     /// Per group-by component: the lane slot and the roll-up map (member
     /// ids as raw codes) from the carried level to the queried level.
-    keys: Vec<(usize, Vec<u32>)>,
+    pub(crate) keys: Vec<(usize, Vec<u32>)>,
     /// Measure columns (fact: table column index; view: measure index).
-    measures: Vec<usize>,
-    layout: KeyLayout,
-    ops: Vec<AggOp>,
+    pub(crate) measures: Vec<usize>,
+    pub(crate) layout: KeyLayout,
+    pub(crate) ops: Vec<AggOp>,
 }
 
 /// The scratch-lane slot for id column `col`, reusing an existing slot when
@@ -269,7 +275,123 @@ fn lane_slot(lane_cols: &mut Vec<usize>, col: usize) -> usize {
     })
 }
 
+/// What every plan of `q` starts from: the query validated against
+/// `schema`, each measure's aggregation operator, and the packed key layout
+/// of its group-by set (which may exceed a machine word — see
+/// [`KeyLayout::fits_u64`]).
+pub(crate) fn query_shape(
+    schema: &CubeSchema,
+    q: &CubeQuery,
+) -> Result<(Vec<AggOp>, KeyLayout), EngineError> {
+    q.validate(schema)?;
+    let ops = q
+        .measures
+        .iter()
+        .map(|m| schema.require_measure(m).map(|d| d.agg()))
+        .collect::<Result<_, _>>()?;
+    Ok((ops, KeyLayout::for_group_by(schema, &q.group_by)))
+}
+
 impl ScanCtx {
+    /// Plans `q` (of shape `ops` / `layout`, see [`query_shape`]) over rows
+    /// `rows` of `fact`: resolves and type-checks every column up front
+    /// (borrowing, never copying measure columns per query), so consumers
+    /// can index into chunks infallibly. Foreign keys may be plain `i64` or
+    /// encoded key columns — both decode into the same flat lanes. `fact`
+    /// and `rows` are explicit because view maintenance plans against a
+    /// grown table the catalog does not hold yet; neither the governor nor
+    /// the fault injector is consulted.
+    pub(crate) fn over_fact(
+        binding: &CubeBinding,
+        fact: &Arc<Table>,
+        rows: Range<usize>,
+        q: &CubeQuery,
+        ops: &[AggOp],
+        layout: &KeyLayout,
+    ) -> Result<ScanCtx, EngineError> {
+        let schema = binding.schema();
+        let carrier: Vec<Option<usize>> = vec![Some(0); schema.hierarchies().len()];
+        let filter = CompiledFilter::compile(schema, &q.predicates, &carrier)?;
+        let mut lane_cols: Vec<usize> = Vec::new();
+        let mut masks: Vec<(usize, Arc<[bool]>)> = Vec::new();
+        for m in filter.masks() {
+            let idx = fact.require_key_like(binding.fk_column(m.hierarchy))?;
+            masks.push((lane_slot(&mut lane_cols, idx), m.mask.clone()));
+        }
+        let mut keys: Vec<(usize, Vec<u32>)> = Vec::new();
+        for (hi, li) in q.group_by.included_hierarchies() {
+            let idx = fact.require_key_like(binding.fk_column(hi))?;
+            let h = schema.hierarchy(hi).expect("hierarchy in range");
+            let roll: Vec<u32> = h.composed_map(0, li)?.iter().map(|m| m.0).collect();
+            keys.push((lane_slot(&mut lane_cols, idx), roll));
+        }
+        let mut measures: Vec<usize> = Vec::new();
+        for m in &q.measures {
+            let col_name = binding.measure_column_by_name(m).ok_or_else(|| {
+                EngineError::Model(olap_model::ModelError::UnknownMeasure(m.clone()))
+            })?;
+            fact.numeric_slice(col_name).map_err(|_| {
+                EngineError::Unsupported(format!("measure column `{col_name}` is not numeric"))
+            })?;
+            measures.push(fact.column_index(col_name).expect("numeric_slice checked existence"));
+        }
+        Ok(ScanCtx {
+            source: ScanSource::Fact(fact.clone(), rows),
+            lane_cols,
+            masks,
+            keys,
+            measures,
+            layout: layout.clone(),
+            ops: ops.to_vec(),
+        })
+    }
+
+    /// Decodes rows `lo..lo + len` of `fact` for the kernels: every distinct
+    /// id column into its lane of `lanes`, and each measure as one `f64`
+    /// slice (borrowed, or converted into `vals`). `None` skips the morsel:
+    /// a masked run-length column whose overlapping runs all fail its mask
+    /// proves no row survives the predicate conjunction, so the decode and
+    /// the kernels can be skipped outright. On date-clustered facts this
+    /// prunes most of the table for time-sliced queries; bit-packed columns
+    /// answer "maybe" and take the normal path.
+    pub(crate) fn decode_fact<'a>(
+        &'a self,
+        fact: &'a Table,
+        lo: usize,
+        len: usize,
+        lanes: &mut [Vec<u32>],
+        vals: &'a mut [Vec<f64>],
+    ) -> Option<impl Iterator<Item = &'a [f64]>> {
+        let cant_match = |(slot, m): &(usize, Arc<[bool]>)| {
+            matches!(
+                &fact.columns()[self.lane_cols[*slot]].data,
+                olap_storage::ColumnData::Key(k)
+                    if !k.codes.may_match(lo, lo + len, |c| {
+                        m.get(c as usize).copied().unwrap_or(false)
+                    })
+            )
+        };
+        if self.masks.iter().any(cant_match) {
+            return None;
+        }
+        let chunk = fact.chunk(lo, len);
+        for (col, buf) in self.lane_cols.iter().zip(lanes.iter_mut()) {
+            chunk.key_lane(*col, buf).expect("validated key column");
+        }
+        Some(
+            self.measures.iter().zip(vals.iter_mut()).map(move |(idx, buf)| {
+                chunk.f64_lane(*idx, buf).expect("validated measure column")
+            }),
+        )
+    }
+
+    /// The predicate kernel over one morsel's decoded lanes: `sel` becomes
+    /// the morsel-local ids of the rows that pass every mask.
+    pub(crate) fn select(&self, sel: &mut Vec<u32>, lanes: &[Vec<u32>], len: usize) {
+        let masks = self.masks.iter().map(|(slot, m)| (lanes[*slot].as_slice(), &**m));
+        select_into(sel, len, masks);
+    }
+
     /// Runs the select + accumulate kernels over one morsel's decoded lanes.
     fn run_kernels<'a>(
         &'a self,
@@ -283,8 +405,7 @@ impl ScanCtx {
         let selection = if self.masks.is_empty() {
             None
         } else {
-            let masks = self.masks.iter().map(|(slot, m)| (lanes[*slot].as_slice(), &**m));
-            select_into(sel, len, masks);
+            self.select(sel, lanes, len);
             Some(sel.as_slice())
         };
         let keys = self.keys.iter().map(|(slot, roll)| (lanes[*slot].as_slice(), roll.as_slice()));
@@ -328,7 +449,7 @@ impl ScanCtx {
 impl MorselScan for ScanCtx {
     fn n_rows(&self) -> usize {
         match &self.source {
-            ScanSource::Fact(t) => t.n_rows(),
+            ScanSource::Fact(_, rows) => rows.len(),
             ScanSource::View(v) => v.len(),
         }
     }
@@ -341,6 +462,9 @@ impl MorselScan for ScanCtx {
         &self.ops
     }
 
+    /// `lo..hi` is morsel-local: a fact scan adds the start of its row
+    /// range, so morsel *k* of a ranged scan covers
+    /// `start + k·morsel_rows ..` of the table.
     fn process(
         &self,
         lo: usize,
@@ -351,35 +475,10 @@ impl MorselScan for ScanCtx {
         scratch.ensure_slots(self.lane_cols.len(), self.measures.len());
         let MorselScratch { sel, lanes, vals, grouper, partial } = scratch;
         match &self.source {
-            ScanSource::Fact(t) => {
-                // Morsel skipping: a masked run-length column whose
-                // overlapping runs all fail its mask proves no row of the
-                // morsel survives the predicate conjunction, so the decode
-                // and the kernels can be skipped outright. On date-
-                // clustered facts this prunes most of the table for
-                // time-sliced queries; bit-packed columns answer "maybe"
-                // and take the normal path.
-                let cant_match = |(slot, m): &(usize, Arc<[bool]>)| {
-                    matches!(
-                        &t.columns()[self.lane_cols[*slot]].data,
-                        olap_storage::ColumnData::Key(k)
-                            if !k.codes.may_match(lo, hi, |c| {
-                                m.get(c as usize).copied().unwrap_or(false)
-                            })
-                    )
-                };
-                if self.masks.iter().any(cant_match) {
-                    return Ok(());
+            ScanSource::Fact(t, rows) => {
+                if let Some(measures) = self.decode_fact(t, rows.start + lo, len, lanes, vals) {
+                    self.run_kernels(sel, lanes, grouper, partial, len, measures);
                 }
-                let chunk = t.chunk(lo, len);
-                for (col, buf) in self.lane_cols.iter().zip(lanes.iter_mut()) {
-                    chunk.key_lane(*col, buf).expect("validated key column");
-                }
-                let measures =
-                    self.measures.iter().zip(vals.iter_mut()).map(|(idx, buf)| {
-                        chunk.f64_lane(*idx, buf).expect("validated measure column")
-                    });
-                self.run_kernels(sel, lanes, grouper, partial, len, measures);
             }
             ScanSource::View(v) => {
                 for (comp, buf) in self.lane_cols.iter().zip(lanes.iter_mut()) {
@@ -558,7 +657,7 @@ impl Engine {
     }
 
     /// Cooperative deadline/cancellation checkpoint.
-    fn gov_check(&self) -> Result<(), EngineError> {
+    pub(crate) fn gov_check(&self) -> Result<(), EngineError> {
         match &self.governor {
             Some(g) => g.check(),
             None => Ok(()),
@@ -567,7 +666,7 @@ impl Engine {
 
     /// Charges scanned rows against the budget (pre-charged, so over-budget
     /// scans fail before doing the work).
-    fn gov_charge_rows(&self, n: usize) -> Result<(), EngineError> {
+    pub(crate) fn gov_charge_rows(&self, n: usize) -> Result<(), EngineError> {
         match &self.governor {
             Some(g) => g.charge_rows_scanned(n as u64),
             None => Ok(()),
@@ -586,24 +685,18 @@ impl Engine {
     /// (size gating, config/env caps), picks the pool, and hands off to
     /// [`run_morsels`]. Small inputs run serially on the caller's thread
     /// through the same code path, so results are byte-identical at every
-    /// thread count.
-    fn run_scan(&self, ctx: ScanCtx) -> Result<ScanRun, EngineError> {
+    /// thread count. Queries run `governed` — every claimed morsel checks
+    /// the governor and the fault injector; view maintenance does not (an
+    /// append is not a tenant's query, and a committed table needs its
+    /// views).
+    pub(crate) fn run_scan(&self, ctx: ScanCtx, governed: bool) -> Result<ScanRun, EngineError> {
         let n_rows = MorselScan::n_rows(&ctx);
         let morsel_rows = self.config.morsel_rows.max(1);
         let dop = if n_rows < self.config.parallel_threshold { 1 } else { self.parallelism_cap() };
-        let ctx = Arc::new(ctx);
-        if dop <= 1 {
-            return run_morsels(
-                None,
-                1,
-                morsel_rows,
-                ctx,
-                self.governor.clone(),
-                self.faults.clone(),
-            );
-        }
-        let pool = self.pool.clone().unwrap_or_else(WorkerPool::global);
-        run_morsels(Some(&pool), dop, morsel_rows, ctx, self.governor.clone(), self.faults.clone())
+        let pool = (dop > 1).then(|| self.pool.clone().unwrap_or_else(WorkerPool::global));
+        let (governor, faults) =
+            if governed { (self.governor.clone(), self.faults.clone()) } else { (None, None) };
+        run_morsels(pool.as_ref(), dop, morsel_rows, Arc::new(ctx), governor, faults)
     }
 
     /// Appends a batch of fact rows to `cube`'s fact table, incrementally
@@ -634,7 +727,12 @@ impl Engine {
             // The wide fallback reads the coordinator's own fact table,
             // which is empty by design when sharded — propagate instead.
             Err(EngineError::WideKey { .. }) if self.shards.is_none() => {
-                let o = crate::wide::get_wide(&self.catalog, q, self.config.morsel_rows)?;
+                let binding = self.catalog.binding(&q.cube)?;
+                let fact = self.catalog.table(binding.fact_table())?;
+                let (ops, layout) = query_shape(binding.schema(), q)?;
+                let rows = 0..fact.n_rows();
+                let ctx = ScanCtx::over_fact(&binding, &fact, rows, q, &ops, &layout)?;
+                let o = crate::wide::get_wide(self, &ctx, binding.schema(), q)?;
                 self.metrics.record_scan(
                     ScanPath::Wide,
                     o.rows_scanned as u64,
@@ -750,12 +848,7 @@ impl Engine {
     pub fn estimate_get(&self, q: &CubeQuery) -> Result<GetEstimate, EngineError> {
         let binding = self.catalog.binding(&q.cube)?;
         let schema = binding.schema().clone();
-        q.validate(&schema)?;
-        let ops: Vec<AggOp> = q
-            .measures
-            .iter()
-            .map(|m| schema.require_measure(m).map(|d| d.agg()))
-            .collect::<Result<_, _>>()?;
+        let (ops, _) = query_shape(&schema, q)?;
         let pred_levels: Vec<(usize, usize)> =
             q.predicates.iter().map(|p| (p.hierarchy, p.level)).collect();
         // When sharded the coordinator's fact table is empty by design; the
@@ -799,14 +892,7 @@ impl Engine {
         self.gov_check()?;
         let binding = self.catalog.binding(&q.cube)?;
         let schema = binding.schema().clone();
-        q.validate(&schema)?;
-        let ops: Vec<AggOp> = q
-            .measures
-            .iter()
-            .map(|m| schema.require_measure(m).map(|d| d.agg()))
-            .collect::<Result<_, _>>()?;
-
-        let layout = KeyLayout::for_group_by(&schema, &q.group_by);
+        let (ops, layout) = query_shape(&schema, q)?;
         if !layout.fits_u64() {
             return Err(EngineError::WideKey { bits: layout.total_bits() });
         }
@@ -999,7 +1085,7 @@ impl Engine {
         let n = MorselScan::n_rows(&ctx);
         self.gov_charge_rows(n)?;
         let layout = ctx.layout.clone();
-        let run = self.run_scan(ctx)?;
+        let run = self.run_scan(ctx, true)?;
         self.metrics.record_scan(
             path,
             n as u64,
@@ -1017,50 +1103,11 @@ impl Engine {
         schema: &Arc<CubeSchema>,
         layout: &KeyLayout,
         ops: &[AggOp],
-        binding: &olap_storage::CubeBinding,
+        binding: &CubeBinding,
     ) -> Result<GetInternal, EngineError> {
         let fact = self.catalog.table(binding.fact_table())?;
         self.fault(FaultSite::DictLookup)?;
-        let carrier: Vec<Option<usize>> = vec![Some(0); schema.hierarchies().len()];
-        let filter = CompiledFilter::compile(schema, &q.predicates, &carrier)?;
-
-        // Resolve and type-check every column up front (borrowing, never
-        // copying measure columns per query), so workers can index into
-        // chunks infallibly. Foreign keys may be plain `i64` or encoded
-        // key columns — both decode into the same flat lanes.
-        let mut lane_cols: Vec<usize> = Vec::new();
-        let mut masks: Vec<(usize, Arc<[bool]>)> = Vec::new();
-        for m in filter.masks() {
-            let idx = fact.require_key_like(binding.fk_column(m.hierarchy))?;
-            masks.push((lane_slot(&mut lane_cols, idx), m.mask.clone()));
-        }
-        let mut keys: Vec<(usize, Vec<u32>)> = Vec::new();
-        for (hi, li) in q.group_by.included_hierarchies() {
-            let idx = fact.require_key_like(binding.fk_column(hi))?;
-            let h = schema.hierarchy(hi).expect("hierarchy in range");
-            let roll: Vec<u32> = h.composed_map(0, li)?.iter().map(|m| m.0).collect();
-            keys.push((lane_slot(&mut lane_cols, idx), roll));
-        }
-        let mut measures: Vec<usize> = Vec::new();
-        for m in &q.measures {
-            let col_name = binding.measure_column_by_name(m).ok_or_else(|| {
-                EngineError::Model(olap_model::ModelError::UnknownMeasure(m.clone()))
-            })?;
-            fact.numeric_slice(col_name).map_err(|_| {
-                EngineError::Unsupported(format!("measure column `{col_name}` is not numeric"))
-            })?;
-            measures.push(fact.column_index(col_name).expect("numeric_slice checked existence"));
-        }
-
-        let ctx = ScanCtx {
-            source: ScanSource::Fact(fact.clone()),
-            lane_cols,
-            masks,
-            keys,
-            measures,
-            layout: layout.clone(),
-            ops: ops.to_vec(),
-        };
+        let ctx = ScanCtx::over_fact(binding, &fact, 0..fact.n_rows(), q, ops, layout)?;
 
         // Index fast path: a highly selective point predicate on a finest
         // level (e.g. `store = 'SmartMart'`) fetches the matching rows from
@@ -1093,8 +1140,8 @@ impl Engine {
     fn index_row_set(
         &self,
         q: &CubeQuery,
-        fact: &olap_storage::Table,
-        binding: &olap_storage::CubeBinding,
+        fact: &Table,
+        binding: &CubeBinding,
     ) -> Result<Option<Vec<u32>>, EngineError> {
         let schema = binding.schema();
         let candidate = q.predicates.iter().find(|p| {

@@ -3,8 +3,9 @@
 //! Aggregation resolves one key per qualifying fact row, so key construction
 //! dominates the inner loop. When the combined bit width of all group-by
 //! components fits a machine word the engine packs the member ids into a
-//! single `u64`; otherwise it falls back to boxed wide keys. The layout also
-//! unpacks keys back into member ids when materializing result coordinates.
+//! single `u64`; otherwise the same fact-scan plan is folded with boxed wide
+//! keys (`wide.rs`). The layout also unpacks keys back into member ids when
+//! materializing result coordinates.
 //!
 //! Component 0 occupies the **most-significant** bits, so ascending `u64`
 //! key order is lexicographic coordinate order: sorting packed keys sorts

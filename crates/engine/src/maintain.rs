@@ -8,27 +8,37 @@
 //!
 //! ## View maintenance policy
 //!
+//! A view is the stored answer of its defining `get`: the predicate-free
+//! [`CubeQuery`] over its recorded [`source`](MaterializedAggregate::source)
+//! cube, grouped by its group-by set, of its measures. Maintenance plans
+//! that query with the planner every fact scan uses
+//! (`ScanCtx::over_fact`) against the grown, not-yet-committed table.
 //! For every view in the catalog:
 //!
-//! * its recorded [`source`](MaterializedAggregate::source) cube resolves
-//!   to a binding over the appended fact table → the view is maintained:
-//!   **merged** when every one of its measures aggregates distributively
-//!   (sum/count/min/max) and its group-by key packs into a machine word,
-//!   **rebuilt** from the full fact table otherwise;
+//! * its source resolves to a binding over the appended fact table and the
+//!   query plans → the view is maintained: **merged** — the query runs over
+//!   the appended rows only and folds into the stored answer by the
+//!   distributive rule — when every measure aggregates distributively
+//!   (sum/count/min/max) and the group-by key packs into a machine word,
+//!   **rebuilt** — the query runs over the whole table — otherwise;
 //! * its source resolves to a binding over a *different* fact table → the
 //!   view is untouched;
-//! * its provenance cannot be resolved (no source recorded, unknown
+//! * it has no defining query that plans (no source recorded, unknown
 //!   source cube, or columns that no longer line up) → the view is
 //!   **dropped**: a view that cannot be re-derived must not keep serving
 //!   stale aggregates after its underlying data may have grown.
 //!
+//! Packed maintenance scans are neither charged to the engine's governor
+//! nor fault-injected; a wide-key rebuild goes through `wide::get_wide` and
+//! is governed like the wide `get` it is.
+//!
 //! ## Determinism
 //!
-//! Both the delta scan and the rebuild scan run through the same
-//! morsel-driven pipeline as queries ([`run_morsels`]), so partial
-//! aggregates merge in morsel order and maintenance is byte-identical at
-//! every thread count. A delta merge lifts the view's rows into a
-//! [`Partial`] and folds the delta's partial in with the same
+//! The defining query runs through the engine's one morsel driver
+//! (`Engine::run_scan`), morsels counted from the start of the scanned row
+//! range, so partial aggregates merge in morsel order and maintenance is
+//! byte-identical at every thread count. A delta merge lifts the view's
+//! rows into a [`Partial`] and folds the delta's partial in with the same
 //! [`Partial::merge`] morsel and shard partials use. Maintained views are
 //! emitted in **key order** — coordinate order, the order `Engine::get`
 //! materializes — so a merged view is
@@ -47,16 +57,13 @@
 
 use std::sync::Arc;
 
-use olap_model::{AggOp, Coordinate, MemberId};
-use olap_storage::{
-    Column, CubeBinding, Delta, KeyAccess, MaterializedAggregate, NumericSlice, StorageError, Table,
-};
+use olap_model::{AggOp, CubeQuery, MemberId};
+use olap_storage::{Column, CubeBinding, Delta, MaterializedAggregate, StorageError, Table};
 
-use crate::aggregate::{accumulate_chunk, Accumulator, GroupTable, Grouper, Partial};
-use crate::engine::Engine;
+use crate::aggregate::{Accumulator, Grouper, Partial};
+use crate::engine::{query_shape, Engine, ScanCtx};
 use crate::error::EngineError;
 use crate::key::KeyLayout;
-use crate::pool::{run_morsels, MorselScan, MorselScratch, WorkerPool};
 
 /// Attempts before a repeatedly lost commit race is surfaced to the caller.
 const MAX_COMMIT_ATTEMPTS: usize = 4;
@@ -183,9 +190,8 @@ fn maintain_views(
         if vb.fact_table() != table.name() {
             continue; // aggregates a different fact table: unaffected
         }
-        match resolve(&vb, &view, table) {
-            Some(r) => {
-                let (maintained, merged) = maintain_one(engine, &view, table, delta, r)?;
+        match maintain_one(engine, &vb, &view, table, delta)? {
+            Some((maintained, merged)) => {
                 plan.maintained.push(maintained);
                 if merged {
                     plan.merged += 1;
@@ -199,87 +205,52 @@ fn maintain_views(
     Ok(plan)
 }
 
-/// A view's maintenance inputs, resolved against the grown fact table:
-/// fk column indexes + roll-up maps per group-by component, measure column
-/// indexes, aggregation operators and the packed key layout.
-struct Resolved {
-    keys: Vec<(usize, Vec<MemberId>)>,
-    measures: Vec<usize>,
-    ops: Vec<AggOp>,
-    layout: KeyLayout,
-}
-
-impl Resolved {
-    /// Whether the delta's partial aggregates can be merged into the
-    /// existing view directly: every operator distributive, packed keys.
-    fn mergeable(&self) -> bool {
-        self.layout.fits_u64()
-            && self
-                .ops
-                .iter()
-                .all(|op| matches!(op, AggOp::Sum | AggOp::Count | AggOp::Min | AggOp::Max))
-    }
-}
-
-/// Resolves a view against binding + table; `None` means the view cannot
-/// be re-derived (its columns or levels no longer line up) and must drop.
-fn resolve(binding: &CubeBinding, view: &MaterializedAggregate, table: &Table) -> Option<Resolved> {
-    let schema = binding.schema();
-    let mut keys = Vec::new();
-    for (hi, li) in view.group_by().included_hierarchies() {
-        let idx = table.column_index(binding.fk_column(hi))?;
-        if !table.columns()[idx].is_key_like() {
-            return None;
-        }
-        keys.push((idx, schema.hierarchy(hi)?.composed_map(0, li).ok()?));
-    }
-    let mut measures = Vec::new();
-    let mut ops = Vec::new();
-    for m in view.measure_names() {
-        let col = binding.measure_column_by_name(m)?;
-        let idx = table.column_index(col)?;
-        NumericSlice::from_column(&table.columns()[idx])?;
-        measures.push(idx);
-        ops.push(schema.require_measure(m).ok()?.agg());
-    }
-    Some(Resolved { keys, measures, ops, layout: KeyLayout::for_group_by(schema, view.group_by()) })
-}
-
-/// Maintains one view: delta merge when possible, full rebuild otherwise.
-/// Returns the new view and whether it was merged (vs rebuilt).
+/// Maintains one view by running its defining query over the grown
+/// `table`: over the delta's rows and merged when possible, over every row
+/// otherwise. Returns the new view and whether it was merged (vs rebuilt);
+/// `None` means the query does not plan (the view's columns or levels no
+/// longer line up), so the view cannot be re-derived and must drop.
 fn maintain_one(
     engine: &Engine,
+    binding: &CubeBinding,
     view: &MaterializedAggregate,
     table: &Arc<Table>,
     delta: &Delta,
-    r: Resolved,
-) -> Result<(MaterializedAggregate, bool), EngineError> {
-    if r.mergeable() {
-        let scan = RangeScan {
-            table: table.clone(),
-            start: delta.start_row(),
-            rows: delta.rows(),
-            keys: code_rolls(&r.keys),
-            measures: r.measures,
-            layout: r.layout.clone(),
-            ops: r.ops.clone(),
-        };
-        let delta = run_range(engine, scan)?;
-        Ok((merge(view, &delta, &r.layout, &r.ops)?, true))
-    } else if r.layout.fits_u64() {
-        let scan = RangeScan {
-            table: table.clone(),
-            start: 0,
-            rows: table.n_rows(),
-            keys: code_rolls(&r.keys),
-            measures: r.measures,
-            layout: r.layout.clone(),
-            ops: r.ops.clone(),
-        };
-        Ok((keyed_view(view, &r.layout, run_range(engine, scan)?)?, false))
+) -> Result<Option<(MaterializedAggregate, bool)>, EngineError> {
+    let Some(source) = view.source() else {
+        return Ok(None);
+    };
+    let measures = view.measure_names().to_vec();
+    let q = CubeQuery::new(source, view.group_by().clone(), vec![], measures);
+    let Ok((ops, layout)) = query_shape(binding.schema(), &q) else {
+        return Ok(None);
+    };
+    // Mergeable: every operator distributive (a finalized value *is* the
+    // state), packed keys.
+    let merged = layout.fits_u64()
+        && ops.iter().all(|op| matches!(op, AggOp::Sum | AggOp::Count | AggOp::Min | AggOp::Max));
+    let rows = if merged {
+        delta.start_row()..delta.start_row() + delta.rows()
     } else {
-        Ok((rebuild_wide(view, table, &r)?, false))
-    }
+        0..table.n_rows()
+    };
+    let Ok(ctx) = ScanCtx::over_fact(binding, table, rows, &q, &ops, &layout) else {
+        return Ok(None);
+    };
+    let maintained = if !layout.fits_u64() {
+        let cube = crate::wide::get_wide(engine, &ctx, binding.schema(), &q)?.cube;
+        let measures =
+            cube.columns().iter().filter_map(|c| c.as_numeric()).map(|c| c.data.clone()).collect();
+        assemble_view(view, cube.coord_cols().to_vec(), measures)?
+    } else {
+        let partial = engine.run_scan(ctx, false)?.table;
+        if merged {
+            merge(view, &partial, &layout, &ops)?
+        } else {
+            keyed_view(view, &layout, partial)?
+        }
+    };
+    Ok(Some((maintained, merged)))
 }
 
 /// Merges a delta partial aggregate into the existing view: the view's
@@ -334,77 +305,6 @@ fn keyed_view(
     assemble_view(view, coords, measures)
 }
 
-/// Full rebuild with boxed coordinate keys, for group-by sets whose packed
-/// key exceeds a machine word. Serial, like the engine's wide query path.
-fn rebuild_wide(
-    view: &MaterializedAggregate,
-    table: &Table,
-    r: &Resolved,
-) -> Result<MaterializedAggregate, EngineError> {
-    let key_cols: Vec<(KeyAccess<'_>, &[MemberId])> = r
-        .keys
-        .iter()
-        .map(|(idx, roll)| {
-            (table.columns()[*idx].key_access().expect("resolved fk column"), roll.as_slice())
-        })
-        .collect();
-    let measure_slices: Vec<NumericSlice<'_>> = r
-        .measures
-        .iter()
-        .map(|idx| NumericSlice::from_column(&table.columns()[*idx]).expect("resolved measure"))
-        .collect();
-    let mut out: GroupTable<Coordinate> = GroupTable::new(&r.ops);
-    let mut key_buf: Vec<MemberId> = vec![MemberId(0); key_cols.len()];
-    let mut values = vec![0.0f64; measure_slices.len()];
-    for row in 0..table.n_rows() {
-        for (slot, (fks, roll)) in key_buf.iter_mut().zip(&key_cols) {
-            *slot = roll[fks.get(row) as usize];
-        }
-        for (v, m) in values.iter_mut().zip(&measure_slices) {
-            *v = m.get(row);
-        }
-        out.update(Coordinate::new(key_buf.clone()), &values);
-    }
-    let (keys, cols) = out.finish();
-    let arity = view.group_by().arity();
-    let mut coords: Vec<Vec<MemberId>> =
-        (0..arity).map(|_| Vec::with_capacity(keys.len())).collect();
-    for key in &keys {
-        for (c, col) in coords.iter_mut().enumerate() {
-            col.push(key.members()[c]);
-        }
-    }
-    sorted_view(view, coords, cols)
-}
-
-/// Sorts wide-key rebuild output lexicographically by coordinate — the
-/// canonical order packed paths get from key order — and assembles it.
-fn sorted_view(
-    view: &MaterializedAggregate,
-    mut coords: Vec<Vec<MemberId>>,
-    mut measures: Vec<Vec<f64>>,
-) -> Result<MaterializedAggregate, EngineError> {
-    let n =
-        coords.first().map(Vec::len).unwrap_or_else(|| measures.first().map(Vec::len).unwrap_or(0));
-    let mut perm: Vec<usize> = (0..n).collect();
-    perm.sort_unstable_by(|&a, &b| {
-        for col in &coords {
-            match col[a].cmp(&col[b]) {
-                std::cmp::Ordering::Equal => {}
-                other => return other,
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    for col in coords.iter_mut() {
-        *col = perm.iter().map(|&i| col[i]).collect();
-    }
-    for col in measures.iter_mut() {
-        *col = perm.iter().map(|&i| col[i]).collect();
-    }
-    assemble_view(view, coords, measures)
-}
-
 /// The maintained successor of `view` over already-ordered rows, keeping
 /// its name, group-by set, measure names and provenance.
 fn assemble_view(
@@ -424,82 +324,6 @@ fn assemble_view(
         Some(src) => rebuilt.with_source(src),
         None => rebuilt,
     })
-}
-
-/// A morsel scan over a row range of a fact table, grouping by resolved
-/// fk columns through roll-up maps — the maintenance analogue of the
-/// engine's query scan context (no predicate masks: appends are total).
-/// Per morsel, fk columns decode into flat `u32` lanes of the scratch and
-/// measures convert to `f64` lanes, exactly like query scans.
-struct RangeScan {
-    table: Arc<Table>,
-    start: usize,
-    rows: usize,
-    /// Per group-by component: fk column index and the roll-up map as raw
-    /// member codes.
-    keys: Vec<(usize, Vec<u32>)>,
-    measures: Vec<usize>,
-    layout: KeyLayout,
-    ops: Vec<AggOp>,
-}
-
-/// Roll-up maps re-expressed as raw member codes for the lane kernels.
-fn code_rolls(keys: &[(usize, Vec<MemberId>)]) -> Vec<(usize, Vec<u32>)> {
-    keys.iter().map(|(idx, roll)| (*idx, roll.iter().map(|m| m.0).collect())).collect()
-}
-
-impl MorselScan for RangeScan {
-    fn n_rows(&self) -> usize {
-        self.rows
-    }
-
-    fn layout(&self) -> &KeyLayout {
-        &self.layout
-    }
-
-    fn ops(&self) -> &[AggOp] {
-        &self.ops
-    }
-
-    fn process(
-        &self,
-        lo: usize,
-        hi: usize,
-        scratch: &mut MorselScratch,
-    ) -> Result<(), EngineError> {
-        let len = hi - lo;
-        let chunk = self.table.chunk(self.start + lo, len);
-        scratch.ensure_slots(self.keys.len(), self.measures.len());
-        let MorselScratch { lanes, vals, grouper, partial, .. } = scratch;
-        for ((idx, _), buf) in self.keys.iter().zip(lanes.iter_mut()) {
-            chunk.key_lane(*idx, buf).expect("resolved fk column");
-        }
-        let keys = self.keys.iter().zip(&*lanes).map(|((_, roll), lane)| (&lane[..], &roll[..]));
-        let measures = self
-            .measures
-            .iter()
-            .zip(vals.iter_mut())
-            .map(|(idx, buf)| chunk.f64_lane(*idx, buf).expect("resolved measure column"));
-        accumulate_chunk(partial, grouper, &self.layout, len, None, keys, measures);
-        Ok(())
-    }
-}
-
-/// Drives a maintenance scan through the same morsel pipeline and sizing
-/// rules as query scans, so maintenance output is byte-identical at every
-/// thread count.
-fn run_range(engine: &Engine, scan: RangeScan) -> Result<Partial, EngineError> {
-    let n = scan.rows;
-    let morsel_rows = engine.config().morsel_rows.max(1);
-    let dop = if n < engine.config().parallel_threshold { 1 } else { engine.parallelism_cap() };
-    let ctx = Arc::new(scan);
-    let run = if dop <= 1 {
-        run_morsels(None, 1, morsel_rows, ctx, None, None)?
-    } else {
-        let pool = engine.worker_pool().cloned().unwrap_or_else(WorkerPool::global);
-        run_morsels(Some(&pool), dop, morsel_rows, ctx, None, None)?
-    };
-    Ok(run.table)
 }
 
 #[cfg(test)]
@@ -597,33 +421,81 @@ mod tests {
 
     #[test]
     fn merged_views_match_a_from_scratch_rebuild() {
-        let (catalog, schema) = seed();
-        seed_view(&catalog, &schema, "mv_type", "type");
-        seed_view(&catalog, &schema, "mv_product", "product");
-        let engine = Engine::new(catalog.clone());
-        let out = engine.append("SALES", &batch()).unwrap();
-        assert_eq!(out.views_merged, 2);
-        assert_eq!(out.views_rebuilt, 0);
-        assert!(out.views_dropped.is_empty());
+        // The third size is smaller than the seed table, so the delta range
+        // starts mid-morsel (row 4 of morsels 3..6, 6..9): its scan must
+        // count morsels from the range's start, not the table's.
+        for morsel_rows in [EngineConfig::default().morsel_rows, 2, 3] {
+            let (catalog, schema) = seed();
+            seed_view(&catalog, &schema, "mv_type", "type");
+            seed_view(&catalog, &schema, "mv_product", "product");
+            let config = EngineConfig { morsel_rows, ..EngineConfig::default() };
+            let engine = Engine::with_config(catalog.clone(), config);
+            let out = engine.append("SALES", &batch()).unwrap();
+            assert_eq!(out.views_merged, 2);
+            assert_eq!(out.views_rebuilt, 0);
+            assert!(out.views_dropped.is_empty());
 
-        // Rebuild both views from scratch over the grown data.
-        let (fresh, _) = seed();
-        let fresh_engine = Engine::new(fresh.clone());
-        fresh_engine.append("SALES", &batch()).unwrap();
-        seed_view(&fresh, &schema, "mv_type", "type");
-        seed_view(&fresh, &schema, "mv_product", "product");
+            // Rebuild both views from scratch over the grown data.
+            let (fresh, _) = seed();
+            let fresh_engine = Engine::new(fresh.clone());
+            fresh_engine.append("SALES", &batch()).unwrap();
+            seed_view(&fresh, &schema, "mv_type", "type");
+            seed_view(&fresh, &schema, "mv_product", "product");
 
-        for name in ["mv_type", "mv_product"] {
-            let merged = catalog.views().into_iter().find(|v| v.name() == name).unwrap();
-            let rebuilt = fresh.views().into_iter().find(|v| v.name() == name).unwrap();
-            assert_eq!(merged.coord_cols(), rebuilt.coord_cols(), "{name} coordinates");
-            assert_eq!(
-                merged.measure("quantity").unwrap(),
-                rebuilt.measure("quantity").unwrap(),
-                "{name} values"
-            );
-            assert_eq!(merged.source(), Some("SALES"), "{name} keeps provenance");
+            for name in ["mv_type", "mv_product"] {
+                let merged = catalog.views().into_iter().find(|v| v.name() == name).unwrap();
+                let rebuilt = fresh.views().into_iter().find(|v| v.name() == name).unwrap();
+                assert_eq!(merged.coord_cols(), rebuilt.coord_cols(), "{name} coordinates");
+                assert_eq!(
+                    merged.measure("quantity").unwrap(),
+                    rebuilt.measure("quantity").unwrap(),
+                    "{name} values at morsel_rows = {morsel_rows}"
+                );
+                assert_eq!(merged.source(), Some("SALES"), "{name} keeps provenance");
+            }
         }
+    }
+
+    #[test]
+    fn wide_views_are_rebuilt_as_their_defining_get() {
+        use crate::wide::tests::{wide_catalog, wide_rows};
+        let seed_rows = [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [1, 2, 3, 4, 5]];
+        let (catalog, schema) = wide_catalog(&seed_rows);
+        let q = CubeQuery::new("WIDE", GroupBySet::top(&schema), vec![], vec!["m".into()]);
+        // Registered stale (one cell, wrong value): a rebuild recomputes it.
+        let stale = MaterializedAggregate::new(
+            "mv_wide",
+            q.group_by.clone(),
+            vec![vec![MemberId(0)]; 5],
+            vec!["m".into()],
+            vec![vec![-1.0]],
+        )
+        .unwrap()
+        .with_source("WIDE");
+        catalog.register_view(stale);
+        // Two morsels per scan once the table has grown.
+        let config = EngineConfig { morsel_rows: 4, ..EngineConfig::default() };
+        let engine = Engine::with_config(catalog.clone(), config);
+        let batches = [
+            vec![[6, 7, 8, 9, 10], [8191, 0, 8191, 0, 8191]],
+            vec![[0, 0, 0, 0, 0], [1, 2, 3, 4, 5], [8191, 0, 8191, 0, 8191]],
+        ];
+        let mut first = seed_rows.len();
+        for rows in &batches {
+            let out = engine.append("WIDE", &wide_rows(rows, first)).unwrap();
+            first += rows.len();
+            assert_eq!((out.views_merged, out.views_rebuilt), (0, 1));
+            assert!(out.views_dropped.is_empty());
+            let view = catalog.views().into_iter().find(|v| v.name() == "mv_wide").unwrap();
+            let cube = engine.get(&q).unwrap().cube;
+            assert_eq!(view.coord_cols(), cube.coord_cols());
+            assert_eq!(view.measure("m").unwrap(), &cube.numeric_column("m").unwrap().data[..]);
+            assert_eq!(view.source(), Some("WIDE"));
+        }
+        // Rows 0..8 carry m = 0..8; the cell [1,2,3,4,5] holds rows 0, 2, 6.
+        let view = catalog.views().into_iter().find(|v| v.name() == "mv_wide").unwrap();
+        assert_eq!(view.len(), 4);
+        assert_eq!(view.measure("m").unwrap(), &[5.0, 8.0, 4.0, 11.0]);
     }
 
     #[test]

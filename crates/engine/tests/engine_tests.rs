@@ -2,7 +2,10 @@
 
 use std::sync::Arc;
 
-use olap_engine::{Engine, EngineConfig, JoinKind};
+use olap_engine::{
+    CancelToken, Engine, EngineConfig, EngineError, EngineMetrics, JoinKind, ResourceGovernor,
+    ResourceKind,
+};
 use olap_model::{
     AggOp, CubeQuery, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef, Predicate,
 };
@@ -690,4 +693,79 @@ fn wide_group_by_keys_fall_back_to_boxed_scan() {
         "unsupported operation: group-by key needs 65 bits; wide keys are not supported by the \
          fused engine paths"
     );
+}
+
+/// The 65-bit schema of `wide_group_by_keys_fall_back_to_boxed_scan` (five
+/// flat hierarchies of 8192 members) over its four facts, and the wide
+/// query grouping by all five.
+fn wide_catalog() -> (Arc<Catalog>, CubeQuery) {
+    const CARD: usize = 8192;
+    let mut hierarchies = Vec::new();
+    let mut fk_cols = Vec::new();
+    let mut dims = Vec::new();
+    for h in 0..5 {
+        let mut b = HierarchyBuilder::new(format!("H{h}"), [format!("l{h}")]);
+        for m in 0..CARD {
+            b.add_member_chain(&[format!("h{h}m{m}")]).unwrap();
+        }
+        hierarchies.push(b.build().unwrap());
+        fk_cols.push(format!("fk{h}"));
+        dims.push(DimInfo {
+            table: format!("d{h}"),
+            pk: format!("fk{h}"),
+            level_columns: vec![format!("l{h}")],
+        });
+    }
+    let schema =
+        Arc::new(CubeSchema::new("WIDE", hierarchies, vec![MeasureDef::new("m", AggOp::Sum)]));
+    let rows: Vec<[i64; 5]> =
+        vec![[1, 2, 3, 4, 5], [1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [8191, 0, 8191, 0, 8191]];
+    let mut columns: Vec<Column> = (0..5)
+        .map(|c| Column::i64(format!("fk{c}"), rows.iter().map(|r| r[c]).collect()))
+        .collect();
+    columns.push(Column::f64("m", vec![1.0, 2.0, 4.0, 8.0]));
+    let fact = Table::new("wide_fact", columns).unwrap();
+    let binding = CubeBinding::new(schema.clone(), &fact, fk_cols, vec!["m".into()], dims).unwrap();
+    let catalog = Arc::new(Catalog::new());
+    catalog.register_table(fact);
+    catalog.register_binding("WIDE", binding);
+    let q = CubeQuery::new("WIDE", GroupBySet::top(&schema), vec![], vec!["m".into()]);
+    (catalog, q)
+}
+
+#[test]
+fn wide_gets_are_charged_to_the_row_budget() {
+    let (catalog, q) = wide_catalog();
+    // A tenant's row ceiling binds a wide get exactly as it binds a packed
+    // one: the four fact rows are pre-charged and refused.
+    let capped = Arc::new(ResourceGovernor::unlimited().with_max_rows_scanned(1));
+    let err = Engine::new(catalog.clone()).with_governor(capped).get(&q).unwrap_err();
+    assert_eq!(
+        err,
+        EngineError::BudgetExceeded { resource: ResourceKind::RowsScanned, limit: 1, used: 4 }
+    );
+
+    // Within budget the rows are counted against it and the scan still
+    // lands in the wide path's metrics.
+    let roomy = Arc::new(ResourceGovernor::unlimited().with_max_rows_scanned(4));
+    let metrics = Arc::new(EngineMetrics::new());
+    let engine = Engine::new(catalog).with_governor(roomy.clone()).with_metrics(metrics.clone());
+    let out = engine.get(&q).unwrap();
+    assert_eq!((out.cube.len(), out.rows_scanned), (3, 4));
+    assert_eq!(roomy.rows_scanned(), 4);
+    #[cfg(feature = "obs")]
+    {
+        let s = metrics.snapshot();
+        assert_eq!((s.wide_scans, s.fact_scans, s.rows_scanned), (1, 0, 4));
+    }
+}
+
+#[test]
+fn wide_gets_honour_cancellation() {
+    let (catalog, q) = wide_catalog();
+    let token = CancelToken::new();
+    token.cancel();
+    let governor = Arc::new(ResourceGovernor::unlimited().with_cancel_token(token));
+    let err = Engine::new(catalog).with_governor(governor).get(&q).unwrap_err();
+    assert_eq!(err, EngineError::Cancelled);
 }

@@ -395,9 +395,20 @@ fn overload_is_refused_with_queue_full_and_server_full() {
     let handle = boot(config);
     let mut client = connect(&handle);
 
-    let a = client.start_run(SIBLING).unwrap();
-    let b = client.start_run(CONSTANT).unwrap();
-    let b_response = client.wait_for(b).unwrap();
+    // B is refused only while A still holds the one slot, and A can finish
+    // (≈ 1 ms) before the reader thread gets to B's frame on a loaded
+    // host: pair them again until B meets an outstanding A.
+    let mut attempts = 0;
+    let (a, b_response) = loop {
+        let a = client.start_run(SIBLING).unwrap();
+        let b = client.start_run(CONSTANT).unwrap();
+        let b_response = client.wait_for(b).unwrap();
+        attempts += 1;
+        if error_code(&b_response).is_some() || attempts == 50 {
+            break (a, b_response);
+        }
+        assert_ok(&client.wait_for(a).unwrap());
+    };
     assert_eq!(error_code(&b_response), Some("queue_full"));
     // Every admission refusal carries a backoff hint.
     let hint = b_response
