@@ -11,7 +11,7 @@ use assess_core::ast::{
     AssessStatement, BenchmarkSpec, Bound, FuncExpr, FuncSpans, LabelingSpec, PredicateSpans,
     PredicateSpec, RangeRule, StatementSpans,
 };
-use assess_core::diag::Span;
+use assess_core::diag::{DiagCode, Diagnostic, Span};
 
 use crate::lexer::{tokenize_spanned, LexError, SpannedToken, Token};
 
@@ -31,6 +31,15 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+impl ParseError {
+    /// The error as the analyzer's `E001` diagnostic, anchored at the
+    /// offending token — how every front end (server, REPL, linter) reports
+    /// unparsable text.
+    pub fn diagnostic(&self) -> Diagnostic {
+        Diagnostic::new(DiagCode::E001, self.span, self.message.clone())
+    }
+}
 
 impl From<LexError> for ParseError {
     fn from(e: LexError) -> Self {

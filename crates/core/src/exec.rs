@@ -3,8 +3,8 @@
 //! [`ExecutionPolicy`], and [`AssessRunner::run_auto`] degrades through a
 //! strategy-fallback ladder (POP → JOP → NP) when an attempt fails.
 //!
-//! The traced entry points ([`AssessRunner::run_traced`],
-//! [`AssessRunner::run_auto_traced`]) additionally build a per-query
+//! Every entry point is an adapter over [`AssessRunner::run_with`]; the
+//! traced ones (`run_traced`, `run_auto_traced`) additionally build a per-query
 //! [`TraceTree`]: one span per executed operator, carrying wall time, output
 //! rows and — for engine scans — rows scanned, morsel count and the degree
 //! of parallelism the pool granted. Tracing is runtime-opt-in: the untraced
@@ -12,13 +12,14 @@
 //! [`query_metrics`](crate::obs::query_metrics) registry once per query,
 //! gated behind the `obs` feature.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use olap_engine::{
-    merge_shard_scans, AttachSpec, Engine, EngineError, Grouping, Keep, ResourceGovernor, Rewrite,
-    ShardScan,
+    merge_shard_scans, AttachSpec, Engine, EngineError, GetOutcome, Keep, ResourceGovernor,
+    Rewrite, ShardScan,
 };
 use olap_model::{CubeQuery, CubeSchema, DerivedCube};
 
@@ -179,7 +180,7 @@ struct ExecState<'a> {
     tracing: bool,
     /// Pre-executed shared scans of a `batch`, keyed by the canonical
     /// fingerprint of the `get`'s cube query. `None` outside batches.
-    shared: Option<&'a HashMap<u64, SharedScan>>,
+    shared: Option<&'a HashMap<u64, GetOutcome>>,
 }
 
 impl ExecState<'_> {
@@ -269,8 +270,7 @@ impl AssessRunner {
         statement: &AssessStatement,
         strategy: Strategy,
     ) -> Result<(AssessedCube, ExecutionReport), AssessError> {
-        let resolved = self.resolve(statement)?;
-        self.execute(&resolved, strategy)
+        self.run_with(statement, Some(strategy), false).map(|(cube, report, _)| (cube, report))
     }
 
     /// Like [`run`](Self::run), but additionally builds the per-operator
@@ -281,19 +281,8 @@ impl AssessRunner {
         statement: &AssessStatement,
         strategy: Strategy,
     ) -> Result<(AssessedCube, ExecutionReport, TraceTree), AssessError> {
-        let wall = Instant::now();
-        let _in_flight = InFlightGuard::enter();
-        let t = Instant::now();
-        let resolved = self.resolve(statement)?;
-        let resolve_span = TraceSpan::new("resolve", t.elapsed());
-        let t = Instant::now();
-        let (cube, mut report, tree) =
-            self.attempt(&resolved, strategy, self.policy.deadline_at(), true)?;
-        report.attempts.push(AttemptRecord { strategy, elapsed: t.elapsed(), error: None });
-        record_success(&report, wall.elapsed());
-        let mut tree = tree.unwrap_or_default();
-        tree.spans.insert(0, resolve_span);
-        Ok((cube, report, tree))
+        self.run_with(statement, Some(strategy), true)
+            .map(|(cube, report, tree)| (cube, report, tree.unwrap_or_default()))
     }
 
     /// Resolves a statement and executes it under the strategy the
@@ -308,7 +297,7 @@ impl AssessRunner {
         &self,
         statement: &AssessStatement,
     ) -> Result<(AssessedCube, ExecutionReport), AssessError> {
-        self.run_auto_impl(statement, false).map(|(cube, report, _)| (cube, report))
+        self.run_with(statement, None, false).map(|(cube, report, _)| (cube, report))
     }
 
     /// Like [`run_auto`](Self::run_auto), but additionally builds the
@@ -319,25 +308,66 @@ impl AssessRunner {
         &self,
         statement: &AssessStatement,
     ) -> Result<(AssessedCube, ExecutionReport, TraceTree), AssessError> {
-        self.run_auto_impl(statement, true)
+        self.run_with(statement, None, true)
             .map(|(cube, report, tree)| (cube, report, tree.unwrap_or_default()))
     }
 
-    fn run_auto_impl(
+    /// The one road from a statement to an assessed cube; every other entry
+    /// point is an adapter over it. `pinned` fixes the strategy (a one-rung
+    /// ladder, no fallback); `None` lets the cost model choose and the
+    /// policy decide about fallback. With `tracing` the tree leads with the
+    /// `resolve` span. Every ladder that runs is recorded in the query
+    /// metrics exactly once, whichever way it ends and whether or not it
+    /// was traced.
+    pub fn run_with(
         &self,
         statement: &AssessStatement,
+        pinned: Option<Strategy>,
         tracing: bool,
     ) -> Result<(AssessedCube, ExecutionReport, Option<TraceTree>), AssessError> {
         let wall = Instant::now();
-        let _in_flight = InFlightGuard::enter();
-        let t = Instant::now();
         let resolved = self.resolve(statement)?;
-        let chosen = crate::cost::choose(&resolved, &self.engine)?;
-        let mut resolve_span = tracing.then(|| TraceSpan::new("resolve", t.elapsed()));
+        let first = match pinned {
+            Some(strategy) => strategy,
+            None => crate::cost::choose(&resolved, &self.engine)?,
+        };
+        let resolve_span = tracing.then(|| TraceSpan::new("resolve", wall.elapsed()));
+        let fallback = pinned.is_none() && self.policy.fallback;
+        let (cube, report, mut tree) = self.ladder(&resolved, first, fallback, tracing, wall)?;
+        if let (Some(tree), Some(span)) = (&mut tree, resolve_span) {
+            tree.spans.insert(0, span);
+        }
+        Ok((cube, report, tree))
+    }
+
+    /// Plans and executes a resolved statement under a strategy (a single
+    /// attempt — no fallback — but still under the policy's limits).
+    pub fn execute(
+        &self,
+        resolved: &ResolvedAssess,
+        strategy: Strategy,
+    ) -> Result<(AssessedCube, ExecutionReport), AssessError> {
+        self.ladder(resolved, strategy, false, false, Instant::now())
+            .map(|(cube, report, _)| (cube, report))
+    }
+
+    /// Walks the degradation ladder from `first` (see
+    /// [`run_auto`](Self::run_auto)); without `fallback` it has one rung.
+    /// `wall` is when the caller started the clock. The outcome is recorded
+    /// in the query metrics on both exits.
+    fn ladder(
+        &self,
+        resolved: &ResolvedAssess,
+        first: Strategy,
+        fallback: bool,
+        tracing: bool,
+        wall: Instant,
+    ) -> Result<(AssessedCube, ExecutionReport, Option<TraceTree>), AssessError> {
+        let _in_flight = InFlightGuard::enter();
         let deadline_at = self.policy.deadline_at();
-        let mut order = vec![chosen];
-        if self.policy.fallback {
-            let from = LADDER.iter().position(|&s| s == chosen).map_or(0, |i| i + 1);
+        let mut order = vec![first];
+        if fallback {
+            let from = LADDER.iter().position(|&s| s == first).map_or(0, |i| i + 1);
             order.extend(
                 LADDER[from..].iter().copied().filter(|s| s.feasible_for(&resolved.benchmark)),
             );
@@ -347,17 +377,14 @@ impl AssessRunner {
         let mut last_err: Option<AssessError> = None;
         for strategy in order {
             let t = Instant::now();
-            match self.attempt(&resolved, strategy, deadline_at, tracing) {
+            match self.attempt(resolved, strategy, deadline_at, tracing) {
                 Ok((cube, mut report, tree)) => {
                     attempts.push(AttemptRecord { strategy, elapsed: t.elapsed(), error: None });
                     report.attempts = attempts;
                     record_success(&report, wall.elapsed());
                     let tree = tree.map(|mut tr| {
-                        let mut spans = Vec::with_capacity(2 + failed_spans.len() + tr.spans.len());
-                        spans.extend(resolve_span.take());
-                        spans.append(&mut failed_spans);
-                        spans.append(&mut tr.spans);
-                        tr.spans = spans;
+                        failed_spans.append(&mut tr.spans);
+                        tr.spans = failed_spans;
                         tr
                     });
                     return Ok((cube, report, tree));
@@ -387,29 +414,6 @@ impl AssessRunner {
         Err(last_err.expect("ladder ran at least one attempt"))
     }
 
-    /// Plans and executes a resolved statement under a strategy (a single
-    /// attempt — no fallback — but still under the policy's limits).
-    pub fn execute(
-        &self,
-        resolved: &ResolvedAssess,
-        strategy: Strategy,
-    ) -> Result<(AssessedCube, ExecutionReport), AssessError> {
-        let wall = Instant::now();
-        let _in_flight = InFlightGuard::enter();
-        let t = Instant::now();
-        match self.attempt(resolved, strategy, self.policy.deadline_at(), false) {
-            Ok((cube, mut report, _)) => {
-                report.attempts.push(AttemptRecord { strategy, elapsed: t.elapsed(), error: None });
-                record_success(&report, wall.elapsed());
-                Ok((cube, report))
-            }
-            Err(err) => {
-                record_failure(1, wall.elapsed());
-                Err(err)
-            }
-        }
-    }
-
     /// One governed attempt: plans, compiles the policy into a fresh
     /// per-attempt governor sharing the ladder's absolute deadline, and
     /// executes on an engine clone carrying that governor.
@@ -424,28 +428,32 @@ impl AssessRunner {
         let physical = plan::plan(resolved, strategy)?;
         let plan_span =
             tracing.then(|| TraceSpan::new("plan", t.elapsed()).with_detail(strategy.acronym()));
+        let engine = self.governed_engine(deadline_at);
+        let (cube, report, mut tree) =
+            execute_plan_on(&engine, resolved, &physical, tracing, None)?;
+        if let (Some(tree), Some(span)) = (&mut tree, plan_span) {
+            tree.spans.insert(0, span);
+        }
+        Ok((cube, report, tree))
+    }
+
+    /// The engine one execution runs on: the runner's own when the policy
+    /// sets neither a limit, a cancel token nor a thread cap, else a clone
+    /// carrying a fresh governor (budgets reset per call; the deadline is
+    /// the caller's absolute instant) and the cap.
+    fn governed_engine(&self, deadline_at: Option<Instant>) -> Cow<'_, Engine> {
         let needs_governor = self.policy.needs_governor();
-        let result = if !needs_governor && self.policy.max_threads.is_none() {
-            execute_plan_traced_on(&self.engine, resolved, &physical, tracing)
-        } else {
-            let mut engine = self.engine.clone();
-            if needs_governor {
-                engine = engine.with_governor(self.policy.governor(deadline_at));
-            }
-            if let Some(n) = self.policy.max_threads {
-                engine = engine.with_thread_cap(n);
-            }
-            execute_plan_traced_on(&engine, resolved, &physical, tracing)
-        };
-        result.map(|(cube, report, tree)| {
-            let tree = tree.map(|mut tr| {
-                if let Some(span) = plan_span {
-                    tr.spans.insert(0, span);
-                }
-                tr
-            });
-            (cube, report, tree)
-        })
+        if !needs_governor && self.policy.max_threads.is_none() {
+            return Cow::Borrowed(&self.engine);
+        }
+        let mut engine = self.engine.clone();
+        if needs_governor {
+            engine = engine.with_governor(self.policy.governor(deadline_at));
+        }
+        if let Some(n) = self.policy.max_threads {
+            engine = engine.with_thread_cap(n);
+        }
+        Cow::Owned(engine)
     }
 
     /// Executes an already-built physical plan on the runner's engine.
@@ -454,7 +462,8 @@ impl AssessRunner {
         resolved: &ResolvedAssess,
         physical: &PhysicalPlan,
     ) -> Result<(AssessedCube, ExecutionReport), AssessError> {
-        execute_plan_on(&self.engine, resolved, physical)
+        execute_plan_on(&self.engine, resolved, physical, false, None)
+            .map(|(cube, report, _)| (cube, report))
     }
 
     /// Executes a group of statements as one *batch* with shared-scan
@@ -474,22 +483,7 @@ impl AssessRunner {
     /// once and has no standalone result to store.
     pub fn run_batch(&self, statements: &[AssessStatement], tracing: bool) -> BatchOutcome {
         let _in_flight = InFlightGuard::enter();
-        let deadline_at = self.policy.deadline_at();
-        let needs_governor = self.policy.needs_governor();
-        let governed;
-        let engine: &Engine = if !needs_governor && self.policy.max_threads.is_none() {
-            &self.engine
-        } else {
-            let mut e = self.engine.clone();
-            if needs_governor {
-                e = e.with_governor(self.policy.governor(deadline_at));
-            }
-            if let Some(n) = self.policy.max_threads {
-                e = e.with_thread_cap(n);
-            }
-            governed = e;
-            &governed
-        };
+        let engine = self.governed_engine(self.policy.deadline_at());
 
         // Plan every statement first: sharing decisions need all plans.
         let planned: Vec<Result<(ResolvedAssess, PhysicalPlan), AssessError>> = statements
@@ -517,7 +511,7 @@ impl AssessRunner {
         }
 
         // Pre-execute every scan with at least two consumers.
-        let mut shared: HashMap<u64, SharedScan> = HashMap::new();
+        let mut shared: HashMap<u64, GetOutcome> = HashMap::new();
         let mut reports: Vec<SharedScanReport> = Vec::new();
         let mut shared_spans: Vec<TraceSpan> = Vec::new();
         for (fp, query, consumers) in &wanted {
@@ -551,19 +545,7 @@ impl AssessRunner {
                 rows_scanned: outcome.rows_scanned,
                 query: LogicalOp::Get { query: query.clone(), alias: None }.describe(),
             });
-            shared.insert(
-                *fp,
-                SharedScan {
-                    cube: outcome.cube,
-                    used_view: outcome.used_view,
-                    rows_scanned: outcome.rows_scanned,
-                    parallelism: outcome.parallelism,
-                    morsels: outcome.morsels,
-                    grouping: outcome.grouping,
-                    groups: outcome.groups,
-                    per_shard: outcome.per_shard,
-                },
-            );
+            shared.insert(*fp, outcome);
         }
 
         // Execute every plan, feeding consumers from the shared store.
@@ -572,7 +554,7 @@ impl AssessRunner {
             .map(|planned| {
                 let wall = Instant::now();
                 let (resolved, physical) = planned?;
-                match execute_plan_shared_on(engine, &resolved, &physical, tracing, Some(&shared)) {
+                match execute_plan_on(&engine, &resolved, &physical, tracing, Some(&shared)) {
                     Ok((cube, mut report, tree)) => {
                         report.attempts.push(AttemptRecord {
                             strategy: physical.strategy,
@@ -590,36 +572,6 @@ impl AssessRunner {
             })
             .collect();
         BatchOutcome { items, shared: reports, shared_spans }
-    }
-}
-
-/// A pre-executed scan a batch shares across statements: the result cube
-/// plus the scan metadata each consumer folds into its own report.
-struct SharedScan {
-    cube: DerivedCube,
-    used_view: Option<String>,
-    rows_scanned: usize,
-    parallelism: usize,
-    morsels: usize,
-    grouping: Grouping,
-    groups: usize,
-    per_shard: Vec<ShardScan>,
-}
-
-impl SharedScan {
-    /// Rebuilds the engine outcome a consumer would have seen had it run
-    /// the scan itself (the cube is cloned per consumer).
-    fn outcome(&self) -> olap_engine::GetOutcome {
-        olap_engine::GetOutcome {
-            cube: self.cube.clone(),
-            used_view: self.used_view.clone(),
-            rows_scanned: self.rows_scanned,
-            parallelism: self.parallelism,
-            morsels: self.morsels,
-            grouping: self.grouping,
-            groups: self.groups,
-            per_shard: self.per_shard.clone(),
-        }
     }
 }
 
@@ -719,37 +671,17 @@ const _: () = {
 };
 
 /// Executes a physical plan on `engine`, picking up whatever governor the
-/// engine carries for client-side (memops) work too.
+/// engine carries for client-side (memops) work too. With `tracing` the
+/// returned tree holds one `execute` span whose children are the evaluated
+/// operators in execution order. `get` nodes whose canonical fingerprint
+/// hits `shared` absorb the stored outcome instead of re-scanning (the
+/// `batch` op's sharing path).
 fn execute_plan_on(
     engine: &Engine,
     resolved: &ResolvedAssess,
     physical: &PhysicalPlan,
-) -> Result<(AssessedCube, ExecutionReport), AssessError> {
-    execute_plan_traced_on(engine, resolved, physical, false)
-        .map(|(cube, report, _)| (cube, report))
-}
-
-/// [`execute_plan_on`] with optional tracing: when `tracing` is set the
-/// returned tree holds one `execute` span whose children are the evaluated
-/// operators in execution order.
-fn execute_plan_traced_on(
-    engine: &Engine,
-    resolved: &ResolvedAssess,
-    physical: &PhysicalPlan,
     tracing: bool,
-) -> Result<(AssessedCube, ExecutionReport, Option<TraceTree>), AssessError> {
-    execute_plan_shared_on(engine, resolved, physical, tracing, None)
-}
-
-/// [`execute_plan_traced_on`] with an optional store of pre-executed shared
-/// scans: `get` nodes whose canonical fingerprint hits the store absorb the
-/// stored result instead of re-scanning (the `batch` op's sharing path).
-fn execute_plan_shared_on(
-    engine: &Engine,
-    resolved: &ResolvedAssess,
-    physical: &PhysicalPlan,
-    tracing: bool,
-    shared: Option<&HashMap<u64, SharedScan>>,
+    shared: Option<&HashMap<u64, GetOutcome>>,
 ) -> Result<(AssessedCube, ExecutionReport, Option<TraceTree>), AssessError> {
     let mut state = ExecState {
         engine,
@@ -814,7 +746,7 @@ enum ScanStage {
 /// outcome's bookkeeping into the state and returns the cube.
 fn absorb(
     state: &mut ExecState<'_>,
-    outcome: olap_engine::GetOutcome,
+    outcome: GetOutcome,
     stage: ScanStage,
     name: &str,
     elapsed: Duration,
@@ -1002,7 +934,7 @@ fn eval(op: &LogicalOp, state: &mut ExecState<'_>) -> Result<Evaluated, AssessEr
                 // Consumers absorb the stored scan's metadata, so the
                 // per-statement report matches a serial execution exactly;
                 // only the engine's scan counters show the single scan.
-                Some(entry) => (entry.outcome(), true),
+                Some(stored) => (stored.clone(), true),
                 None => (state.engine.get(query)?, false),
             };
             let elapsed = t.elapsed();

@@ -110,7 +110,7 @@ impl ExecutionPolicy {
     /// Compiles the policy into a fresh per-attempt governor. Row/cell
     /// budgets reset per attempt; the deadline is the shared absolute
     /// instant of the whole ladder.
-    pub(crate) fn governor(&self, deadline_at: Option<Instant>) -> Arc<ResourceGovernor> {
+    pub fn governor(&self, deadline_at: Option<Instant>) -> Arc<ResourceGovernor> {
         let mut g = ResourceGovernor::unlimited();
         if let Some(at) = deadline_at {
             g = g.with_deadline_at(at);

@@ -91,7 +91,7 @@ pub struct GetEstimate {
 }
 
 /// The result of a `get`, with access-path diagnostics.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GetOutcome {
     pub cube: DerivedCube,
     /// Name of the materialized view answering the query, if one was used.

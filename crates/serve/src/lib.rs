@@ -26,9 +26,8 @@
 //!   token-bucket rate limits behind structured `overloaded`/`queue_full`
 //!   refusals carrying `retry_after_ms` hints, soft-shedding levels, the
 //!   deficit-weighted-round-robin [`FairQueue`](admission::FairQueue) the
-//!   executors drain, and the derivation of each run's effective policy
-//!   from the server's ceiling, the tenant's ceiling and the session's
-//!   preferences;
+//!   executors drain, and the min-wins clamp behind each run's effective
+//!   policy (server ceiling ∧ tenant ceiling ∧ session preferences);
 //! * [`cache`] — the shared LRU result cache, keyed on the normalized
 //!   statement text ([`assess_core::stmt::normalize`]) plus a policy
 //!   fingerprint, validated against the catalog's mutation counter
@@ -38,8 +37,11 @@
 //!   after every `append`, pushed to clients as cell-level diff frames
 //!   (only new/changed/removed cells travel), with per-tenant subscription
 //!   ceilings and full-resend degradation under lag or load shedding;
+//! * `statement` — the one pipeline every statement-taking op walks:
+//!   parse → check → derive limits → execute → encode the cube or the
+//!   structured refusal;
 //! * [`server`] — the TCP listener, per-connection reader threads, the
-//!   fixed executor pool that drives the engine, and graceful shutdown;
+//!   fixed executor pool that drives the pipeline, and graceful shutdown;
 //! * [`shard`] — scatter-gather over the wire: the `partial` operation's
 //!   query/accumulator codec and [`RemoteShard`], a
 //!   [`ShardTransport`](olap_engine::ShardTransport) that lets one
@@ -55,6 +57,7 @@ pub mod protocol;
 pub mod server;
 pub mod session;
 pub mod shard;
+mod statement;
 pub mod subscribe;
 pub mod tenant;
 

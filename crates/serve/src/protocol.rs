@@ -432,24 +432,27 @@ pub fn ok_response(id: Option<u64>, fields: Vec<(&str, Value)>) -> Value {
 
 /// An error response: `{"id", "ok": false, "error": {"code", "message"}}`.
 pub fn error_response(id: Option<u64>, code: &str, message: &str) -> Value {
-    obj(vec![
-        ("id", id_field(id)),
-        ("ok", Value::Bool(false)),
-        ("error", obj(vec![("code", s(code)), ("message", s(message))])),
-    ])
+    error_response_with(id, code, message, Vec::new())
+}
+
+/// An [`error_response`] whose error object also carries structured
+/// `extra` fields, after `code` and `message`.
+pub(crate) fn error_response_with(
+    id: Option<u64>,
+    code: &str,
+    message: &str,
+    extra: Vec<(&str, Value)>,
+) -> Value {
+    let mut error = vec![("code", s(code)), ("message", s(message))];
+    error.extend(extra);
+    obj(vec![("id", id_field(id)), ("ok", Value::Bool(false)), ("error", obj(error))])
 }
 
 /// An overload refusal: an [`error_response`] whose error object also
 /// carries the backoff hint — `{"error": {"code", "message",
 /// "retry_after_ms"}}`. Clients must not retry sooner than the hint.
 pub fn overload_response(id: Option<u64>, code: &str, message: &str, retry_after_ms: u64) -> Value {
-    let mut value = error_response(id, code, message);
-    if let Value::Object(fields) = &mut value {
-        if let Some((_, Value::Object(error))) = fields.iter_mut().find(|(k, _)| k == "error") {
-            error.push(("retry_after_ms".to_string(), n(retry_after_ms)));
-        }
-    }
-    value
+    error_response_with(id, code, message, vec![("retry_after_ms", n(retry_after_ms))])
 }
 
 /// Like [`error_response`], with diagnostics attached.

@@ -1,5 +1,10 @@
 //! The TCP server: listener, per-connection readers, the fixed executor
-//! pool, and graceful shutdown.
+//! pool, and graceful shutdown. What a statement goes through between its
+//! text and its cube lives in `crate::statement`; left here are threads,
+//! framing, dispatch, the per-op executors (each keeps only what is its
+//! own: `run` the result cache, `batch` the sharing report, `subscribe`
+//! the registration and diff frames, `partial` the shard codec), `append`,
+//! and the `stats` / `metrics` renderings.
 //!
 //! Threading model:
 //!
@@ -30,7 +35,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use assess_core::diag::{DiagCode, Diagnostic, Span};
+use assess_core::diag::{Diagnostic, Span};
 use assess_core::exec::AssessRunner;
 use assess_core::obs::{self, TraceSpan, TraceTree};
 use assess_core::semantics::ResolvedBenchmark;
@@ -38,15 +43,16 @@ use assess_core::{
     explain, stmt, AssessError, AssessStatement, AssessedCube, ExecutionPolicy, Strategy,
 };
 use olap_engine::predicate::CompiledFilter;
-use olap_engine::{CancelToken, Engine, EngineError, ResourceGovernor, WorkerPool};
+use olap_engine::{CancelToken, Engine, WorkerPool};
 use olap_storage::Column;
 use serde::Value;
 
 use crate::admission::{self, Admission, FairQueue, Permit, ShedLevel};
 use crate::cache::{cache_key, policy_fingerprint, CacheStats, EntryScope, ResultCache};
-use crate::protocol::{self, n, s, BatchOptions, Op, PartialOptions, RunFormat, RunOptions};
+use crate::protocol::{self, n, s, BatchOptions, Op, PartialOptions, RunOptions};
 use crate::session::{HistoryEntry, Session, SessionRegistry};
 use crate::shard;
+use crate::statement::{self, Refusal};
 use crate::subscribe::{self, SubscriptionManager};
 use crate::tenant::{TenantDirectory, ANONYMOUS};
 
@@ -155,25 +161,44 @@ struct Job {
 }
 
 #[derive(Default)]
-struct RunCounters {
-    executed: AtomicU64,
+pub(crate) struct RunCounters {
+    pub(crate) executed: AtomicU64,
     cache_hits: AtomicU64,
     failed: AtomicU64,
     cancelled: AtomicU64,
 }
 
-struct Shared {
-    engine: Engine,
+impl RunCounters {
+    /// Counts a statement that was answered with wire code `code` instead
+    /// of a result: cancellations on their own, everything else as failed.
+    pub(crate) fn refused(&self, code: &str) {
+        let counter = if code == "cancelled" { &self.cancelled } else { &self.failed };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The `runs` object of `stats`, also the `serve` section of `metrics`.
+    fn to_json(&self) -> Value {
+        protocol::obj(vec![
+            ("executed", n(self.executed.load(Ordering::Relaxed))),
+            ("cache_hits", n(self.cache_hits.load(Ordering::Relaxed))),
+            ("failed", n(self.failed.load(Ordering::Relaxed))),
+            ("cancelled", n(self.cancelled.load(Ordering::Relaxed))),
+        ])
+    }
+}
+
+pub(crate) struct Shared {
+    pub(crate) engine: Engine,
     /// The scan pool the engine draws helpers from, kept for `stats`.
     pool: Arc<WorkerPool>,
     /// Policy-free runner for `check` and `explain` (no execution).
-    runner: AssessRunner,
-    config: ServerConfig,
+    pub(crate) runner: AssessRunner,
+    pub(crate) config: ServerConfig,
     sessions: SessionRegistry,
-    admission: Arc<Admission>,
+    pub(crate) admission: Arc<Admission>,
     cache: ResultCache<CachedResult>,
     ops: Mutex<BTreeMap<&'static str, u64>>,
-    runs: RunCounters,
+    pub(crate) runs: RunCounters,
     started: Instant,
     shutdown: AtomicBool,
     /// Admitted runs waiting for an executor, drained fairly across
@@ -704,12 +729,27 @@ fn executor_loop(shared: Arc<Shared>) {
         job.permit.mark_running();
         shared.running.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
-        let response = match &job.payload {
-            Payload::Run(opts) => execute_run(&shared, &job, opts),
-            Payload::Batch(opts) => execute_batch(&shared, &job, opts),
-            Payload::Append { cube, rows } => execute_append(&shared, &job, cube, rows),
-            Payload::Subscribe { statement } => execute_subscribe(&shared, &job, statement),
-            Payload::Partial(opts) => execute_partial(&shared, &job, opts),
+        let response = if job.token.is_cancelled() {
+            // Cancelled before an executor got to it: nothing is parsed,
+            // checked or run, whatever the op.
+            shared.runs.refused("cancelled");
+            if let Payload::Run(opts) = &job.payload {
+                job.session.record(HistoryEntry {
+                    statement: opts.statement.clone(),
+                    outcome: "cancelled".to_string(),
+                    elapsed_ms: 0,
+                    cells: 0,
+                });
+            }
+            protocol::error_response(Some(job.request_id), "cancelled", "cancelled while queued")
+        } else {
+            match &job.payload {
+                Payload::Run(opts) => execute_run(&shared, &job, opts),
+                Payload::Batch(opts) => execute_batch(&shared, &job, opts),
+                Payload::Append { cube, rows } => execute_append(&shared, &job, cube, rows),
+                Payload::Subscribe { statement } => execute_subscribe(&shared, &job, statement),
+                Payload::Partial(opts) => execute_partial(&shared, &job, opts),
+            }
         };
         let counters = shared.admission.counters(job.permit.tenant());
         counters.completed.fetch_add(1, Ordering::Relaxed);
@@ -725,78 +765,74 @@ fn executor_loop(shared: Arc<Shared>) {
     }
 }
 
+/// Executes a `run` job. What is `run`'s own around the statement
+/// pipeline: the shared result cache (lookup before, scoped insert after),
+/// soft shedding, the session history and the response's run summary.
 fn execute_run(shared: &Shared, job: &Job, opts: &RunOptions) -> Value {
-    let id = Some(job.request_id);
     let t0 = Instant::now();
-    let record = |outcome: &str, elapsed_ms: u64, cells: usize| {
-        job.session.record(HistoryEntry {
-            statement: opts.statement.clone(),
-            outcome: outcome.to_string(),
-            elapsed_ms,
-            cells,
-        });
+    let (response, outcome, cells) = match run_statement(shared, job, opts, t0) {
+        Ok(done) => done,
+        Err(refusal) => (refusal.response(Some(job.request_id), &opts.statement), refusal.code, 0),
     };
+    job.session.record(HistoryEntry {
+        statement: opts.statement.clone(),
+        outcome: outcome.to_string(),
+        elapsed_ms: ms(t0.elapsed()),
+        cells,
+    });
+    response
+}
 
-    if job.token.is_cancelled() {
-        shared.runs.cancelled.fetch_add(1, Ordering::Relaxed);
-        record("cancelled", 0, 0);
-        return protocol::error_response(id, "cancelled", "cancelled while queued");
-    }
-
-    // Blank out `--` comments before parsing; the stripping is length
-    // preserving, so spans still index into the client's original text.
-    let spanned = match assess_sql::parse_spanned(&stmt::strip_comments(&opts.statement)) {
-        Ok(spanned) => spanned,
-        Err(e) => {
-            shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-            record("parse_error", ms(t0.elapsed()), 0);
-            let diag = Diagnostic::new(DiagCode::E001, e.span, e.message.clone());
-            return protocol::error_with_diagnostics(
-                id,
-                "parse_error",
-                &e.to_string(),
-                &[diag],
-                Some(&opts.statement),
-            );
-        }
-    };
-    let diagnostics = shared.runner.check_spanned(&spanned.statement, Some(&spanned.spans));
-    if diagnostics.iter().any(Diagnostic::is_error) {
-        shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-        record("check_failed", ms(t0.elapsed()), 0);
-        return protocol::error_with_diagnostics(
-            id,
-            "check_failed",
-            "static analysis reported errors",
-            &diagnostics,
-            Some(&opts.statement),
-        );
-    }
-    let warnings = diagnostics; // errors returned above; only warnings left
+/// The body of [`execute_run`]: the response, the history outcome
+/// (`cached` / `ok`) and the cell count, or the refusal.
+fn run_statement(
+    shared: &Shared,
+    job: &Job,
+    opts: &RunOptions,
+    t0: Instant,
+) -> Result<(Value, &'static str, usize), Refusal> {
+    let prepared = statement::prepare(shared, &opts.statement)?;
 
     // Soft shedding: under pressure the run still executes, but trace
     // capture and cache *inserts* are disabled (lookups stay on — a hit is
     // the cheapest way to serve). The response says so via `"shed"`.
     let shed = job.permit.shed();
     let want_trace = opts.trace && shed == ShedLevel::Full;
+    let limit = opts.limit.unwrap_or(shared.config.default_row_limit);
+    let respond = |result: &CachedResult, cached: bool, trace: Option<TraceTree>| {
+        let labels = result.cube.label_histogram().into_iter();
+        let mut fields = vec![
+            ("cached", Value::Bool(cached)),
+            ("strategy", s(result.strategy.acronym())),
+            ("cells", n(result.cube.len() as u64)),
+            ("rows_scanned", n(result.rows_scanned as u64)),
+            ("attempts", n(result.attempts as u64)),
+            ("elapsed_ms", n(ms(t0.elapsed()))),
+            ("labels", Value::Object(labels.map(|(label, k)| (label, n(k as u64))).collect())),
+        ];
+        fields.extend(statement::cube_fields(&result.cube, opts.format, limit));
+        if let Some(tree) = trace {
+            fields.push(("trace", tree.to_json()));
+        }
+        if !prepared.warnings.is_empty() {
+            let warnings = protocol::diagnostics_json(&prepared.warnings, Some(&opts.statement));
+            fields.push(("diagnostics", warnings));
+        }
+        mark_shed(protocol::ok_response(Some(job.request_id), fields), shed)
+    };
 
-    let tenant_ceiling = &shared.admission.directory().spec(job.permit.tenant()).ceiling;
-    let policy = admission::derive_policy(
-        &shared.config.ceiling,
-        tenant_ceiling,
-        &job.session.policy(),
-        job.token.clone(),
+    let runner =
+        statement::runner_for(shared, &job.session, job.permit.tenant(), job.token.clone());
+    let key = cache_key(
+        &stmt::normalize(&opts.statement),
+        &policy_fingerprint(runner.policy(), opts.strategy),
     );
-    let key =
-        cache_key(&stmt::normalize(&opts.statement), &policy_fingerprint(&policy, opts.strategy));
     let catalog = shared.engine.catalog().clone();
     let version_before = catalog.version();
 
     if opts.cache {
         if let Some(hit) = shared.cache.lookup(&key, version_before) {
             shared.runs.cache_hits.fetch_add(1, Ordering::Relaxed);
-            let elapsed_ms = ms(t0.elapsed());
-            record("cached", elapsed_ms, hit.cube.len());
             // A hit never scans: its trace is a single `cache_hit` leaf
             // (zero scan spans), with the original strategy for context.
             let trace = want_trace.then(|| TraceTree {
@@ -806,242 +842,100 @@ fn execute_run(shared: &Shared, job: &Job, opts: &RunOptions) -> Value {
                     TraceSpan::new("cache_hit", t0.elapsed()).with_rows(hit.cube.len() as u64)
                 ],
             });
-            let response = run_response(id, &hit, true, elapsed_ms, &warnings, opts, shared, trace);
-            return mark_shed(response, shed);
+            return Ok((respond(&hit, true, trace), "cached", hit.cube.len()));
         }
     }
 
-    let runner = AssessRunner::new(shared.engine.clone()).with_policy(policy);
-    let outcome = match (opts.strategy, want_trace) {
-        (Some(strategy), false) => {
-            runner.run(&spanned.statement, strategy).map(|(cube, report)| (cube, report, None))
-        }
-        (Some(strategy), true) => runner
-            .run_traced(&spanned.statement, strategy)
-            .map(|(cube, report, trace)| (cube, report, Some(trace))),
-        (None, false) => {
-            runner.run_auto(&spanned.statement).map(|(cube, report)| (cube, report, None))
-        }
-        (None, true) => runner
-            .run_auto_traced(&spanned.statement)
-            .map(|(cube, report, trace)| (cube, report, Some(trace))),
+    let (cube, report, trace) =
+        statement::execute(shared, &runner, &prepared, opts.strategy, want_trace)?;
+    let result = CachedResult {
+        cube,
+        strategy: report.strategy,
+        plan: report.plan,
+        rows_scanned: report.rows_scanned,
+        attempts: report.attempts.len(),
+        elapsed_ms: ms(t0.elapsed()),
     };
-    match outcome {
-        Ok((cube, report, trace)) => {
-            let elapsed_ms = ms(t0.elapsed());
-            shared.runs.executed.fetch_add(1, Ordering::Relaxed);
-            record("ok", elapsed_ms, cube.len());
-            let result = CachedResult {
-                cube,
-                strategy: report.strategy,
-                plan: report.plan,
-                rows_scanned: report.rows_scanned,
-                attempts: report.attempts.len(),
-                elapsed_ms,
-            };
-            let response =
-                run_response(id, &result, false, elapsed_ms, &warnings, opts, shared, trace);
-            // Only cache results the catalog provably did not shift under:
-            // same even version before and after the run. Under shedding,
-            // skip the insert entirely. When the statement's predicate
-            // scope is derivable, the entry is inserted *scoped* so later
-            // append deltas that provably miss it patch the entry forward
-            // instead of evicting it.
-            if opts.cache && shed == ShedLevel::Full && catalog.version() == version_before {
-                match entry_scope(shared, &spanned.statement) {
-                    Some(scope) => shared.cache.insert_scoped(key, result, version_before, scope),
-                    None => shared.cache.insert(key, result, version_before),
-                }
-            }
-            mark_shed(response, shed)
-        }
-        Err(e) => {
-            let elapsed_ms = ms(t0.elapsed());
-            let code = match &e {
-                AssessError::Cancelled => {
-                    shared.runs.cancelled.fetch_add(1, Ordering::Relaxed);
-                    "cancelled"
-                }
-                AssessError::BudgetExceeded { .. } => {
-                    shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-                    "budget_exceeded"
-                }
-                AssessError::Engine(EngineError::ShardUnavailable { .. }) => {
-                    // A shard died or stalled mid-fan-out: the run is
-                    // aborted whole (never a torn cube) with a code the
-                    // client can retry on once the shard returns.
-                    shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-                    "shard_unavailable"
-                }
-                _ => {
-                    shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-                    "execution_error"
-                }
-            };
-            record(code, elapsed_ms, 0);
-            let diag = Diagnostic::from_error(&e, spanned.spans.span);
-            protocol::error_with_diagnostics(
-                id,
-                code,
-                &e.to_string(),
-                &[diag],
-                Some(&opts.statement),
-            )
+    let (response, cells) = (respond(&result, false, trace), result.cube.len());
+    // Only cache results the catalog provably did not shift under: same
+    // even version before and after the run. Under shedding, skip the
+    // insert entirely. When the statement's predicate scope is derivable,
+    // the entry is inserted *scoped* so later append deltas that provably
+    // miss it patch the entry forward instead of evicting it.
+    if opts.cache && shed == ShedLevel::Full && catalog.version() == version_before {
+        match entry_scope(shared, &prepared.spanned.statement) {
+            Some(scope) => shared.cache.insert_scoped(key, result, version_before, scope),
+            None => shared.cache.insert(key, result, version_before),
         }
     }
+    Ok((response, "ok", cells))
 }
 
-/// Executes a `batch` job: per-statement parse/check, then
-/// [`AssessRunner::run_batch`] with shared-scan scheduling. The response is
-/// `ok` at the batch level; per-statement failures travel inside the
-/// `results` array. Batches bypass the result cache in both directions —
-/// the point of a batch is the shared scan, and mixed hit/miss groups
-/// would break its exactly-once accounting.
+/// Executes a `batch` job: every statement is prepared on its own, the
+/// clean ones run through [`AssessRunner::run_batch`] with shared-scan
+/// scheduling. The response is `ok` at the batch level; per-statement
+/// refusals travel inside the `results` array. Batches bypass the result
+/// cache in both directions — the point of a batch is the shared scan, and
+/// mixed hit/miss groups would break its exactly-once accounting.
 fn execute_batch(shared: &Shared, job: &Job, opts: &BatchOptions) -> Value {
-    let id = Some(job.request_id);
     let t0 = Instant::now();
-    if job.token.is_cancelled() {
-        shared.runs.cancelled.fetch_add(1, Ordering::Relaxed);
-        return protocol::error_response(id, "cancelled", "cancelled while queued");
-    }
     let shed = job.permit.shed();
     let want_trace = opts.trace && shed == ShedLevel::Full;
+    let limit = opts.limit.unwrap_or(shared.config.default_row_limit);
 
-    // Parse and statically check every statement; failures become
-    // per-statement result objects and are excluded from execution.
-    enum Slot {
-        Ready { index: usize, warnings: Vec<Diagnostic>, span: Span },
-        Failed(Value),
-    }
-    let mut statements: Vec<AssessStatement> = Vec::new();
-    let mut slots: Vec<Slot> = Vec::with_capacity(opts.statements.len());
-    for text in &opts.statements {
-        match assess_sql::parse_spanned(&stmt::strip_comments(text)) {
-            Err(e) => {
-                let diag = Diagnostic::new(DiagCode::E001, e.span, e.message.clone());
-                slots.push(Slot::Failed(statement_error(
-                    "parse_error",
-                    &e.to_string(),
-                    &[diag],
-                    text,
-                )));
-            }
-            Ok(spanned) => {
-                let diagnostics =
-                    shared.runner.check_spanned(&spanned.statement, Some(&spanned.spans));
-                if diagnostics.iter().any(Diagnostic::is_error) {
-                    slots.push(Slot::Failed(statement_error(
-                        "check_failed",
-                        "static analysis reported errors",
-                        &diagnostics,
-                        text,
-                    )));
-                } else {
-                    slots.push(Slot::Ready {
-                        index: statements.len(),
-                        warnings: diagnostics,
-                        span: spanned.spans.span,
-                    });
-                    statements.push(spanned.statement);
-                }
-            }
-        }
-    }
+    // Refused statements keep their slot and are excluded from execution.
+    let mut statements = Vec::new();
+    let slots: Vec<Result<(Vec<Diagnostic>, Span), Refusal>> = opts
+        .statements
+        .iter()
+        .map(|text| {
+            let prepared = statement::prepare(shared, text)?;
+            statements.push(prepared.spanned.statement);
+            Ok((prepared.warnings, prepared.spanned.spans.span))
+        })
+        .collect();
 
-    let tenant_ceiling = &shared.admission.directory().spec(job.permit.tenant()).ceiling;
-    let policy = admission::derive_policy(
-        &shared.config.ceiling,
-        tenant_ceiling,
-        &job.session.policy(),
-        job.token.clone(),
-    );
-    let runner = AssessRunner::new(shared.engine.clone()).with_policy(policy);
+    let runner =
+        statement::runner_for(shared, &job.session, job.permit.tenant(), job.token.clone());
     let mut outcome = runner.run_batch(&statements, want_trace);
-    let mut items: Vec<Option<Result<assess_core::BatchItem, AssessError>>> =
-        outcome.items.drain(..).map(Some).collect();
+    let mut items = std::mem::take(&mut outcome.items).into_iter();
 
-    let mut results: Vec<Value> = Vec::with_capacity(slots.len());
     let mut ok_count = 0usize;
     let mut total_cells = 0usize;
-    for (slot, text) in slots.into_iter().zip(&opts.statements) {
-        match slot {
-            Slot::Failed(value) => {
-                shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-                results.push(value);
+    let results: Vec<Value> = slots
+        .into_iter()
+        .zip(&opts.statements)
+        .map(|(slot, text)| {
+            let executed = slot.and_then(|(warnings, span)| {
+                items
+                    .next()
+                    .unwrap_or_else(|| Err(AssessError::Statement("missing batch result".into())))
+                    .map(|item| (item, warnings))
+                    .map_err(|e| Refusal::of(&shared.runs, &e, span))
+            });
+            let (item, warnings) = match executed {
+                Ok(done) => done,
+                Err(refusal) => return refusal.result_object(text),
+            };
+            shared.runs.executed.fetch_add(1, Ordering::Relaxed);
+            ok_count += 1;
+            total_cells += item.cube.len();
+            let mut fields = vec![
+                ("ok", Value::Bool(true)),
+                ("strategy", s(item.report.strategy.acronym())),
+                ("cells", n(item.cube.len() as u64)),
+                ("rows_scanned", n(item.report.rows_scanned as u64)),
+            ];
+            fields.extend(statement::cube_fields(&item.cube, opts.format, limit));
+            if let Some(tree) = item.trace {
+                fields.push(("trace", tree.to_json()));
             }
-            Slot::Ready { index, warnings, span } => {
-                match items.get_mut(index).and_then(Option::take) {
-                    Some(Ok(item)) => {
-                        shared.runs.executed.fetch_add(1, Ordering::Relaxed);
-                        ok_count += 1;
-                        total_cells += item.cube.len();
-                        let mut fields = vec![
-                            ("ok", Value::Bool(true)),
-                            ("strategy", s(item.report.strategy.acronym())),
-                            ("cells", n(item.cube.len() as u64)),
-                            ("rows_scanned", n(item.report.rows_scanned as u64)),
-                        ];
-                        match opts.format {
-                            RunFormat::Csv => fields.push(("csv", s(item.cube.to_csv()))),
-                            RunFormat::Cells => {
-                                let limit = opts.limit.unwrap_or(shared.config.default_row_limit);
-                                let rows: Vec<Value> = item
-                                    .cube
-                                    .cells()
-                                    .iter()
-                                    .take(limit)
-                                    .map(serde::Serialize::to_value)
-                                    .collect();
-                                fields.push(("rows", Value::Array(rows)));
-                                fields.push(("truncated", Value::Bool(item.cube.len() > limit)));
-                            }
-                        }
-                        if let Some(tree) = item.trace {
-                            fields.push(("trace", tree.to_json()));
-                        }
-                        if !warnings.is_empty() {
-                            fields.push((
-                                "diagnostics",
-                                protocol::diagnostics_json(&warnings, Some(text)),
-                            ));
-                        }
-                        results.push(protocol::obj(fields));
-                    }
-                    Some(Err(e)) => {
-                        let code = match &e {
-                            AssessError::Cancelled => {
-                                shared.runs.cancelled.fetch_add(1, Ordering::Relaxed);
-                                "cancelled"
-                            }
-                            AssessError::BudgetExceeded { .. } => {
-                                shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-                                "budget_exceeded"
-                            }
-                            AssessError::Engine(EngineError::ShardUnavailable { .. }) => {
-                                shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-                                "shard_unavailable"
-                            }
-                            _ => {
-                                shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-                                "execution_error"
-                            }
-                        };
-                        let diag = Diagnostic::from_error(&e, span);
-                        results.push(statement_error(code, &e.to_string(), &[diag], text));
-                    }
-                    None => {
-                        shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-                        results.push(statement_error(
-                            "internal",
-                            "missing batch result",
-                            &[],
-                            text,
-                        ));
-                    }
-                }
+            if !warnings.is_empty() {
+                fields.push(("diagnostics", protocol::diagnostics_json(&warnings, Some(text))));
             }
-        }
-    }
+            protocol::obj(fields)
+        })
+        .collect();
 
     let shared_scans: Vec<Value> = outcome
         .shared
@@ -1085,86 +979,58 @@ fn execute_batch(shared: &Shared, job: &Job, opts: &BatchOptions) -> Value {
         };
         fields.push(("trace", tree.to_json()));
     }
-    mark_shed(protocol::ok_response(id, fields), shed)
-}
-
-/// A per-statement failure object inside a batch `results` array.
-fn statement_error(code: &str, message: &str, diagnostics: &[Diagnostic], source: &str) -> Value {
-    let mut fields = vec![
-        ("ok", Value::Bool(false)),
-        ("error", protocol::obj(vec![("code", s(code)), ("message", s(message))])),
-    ];
-    if !diagnostics.is_empty() {
-        fields.push(("diagnostics", protocol::diagnostics_json(diagnostics, Some(source))));
-    }
-    protocol::obj(fields)
+    mark_shed(protocol::ok_response(Some(job.request_id), fields), shed)
 }
 
 /// Executes a `partial` job on a shard node: decode the coordinator's
-/// planned query, run just the scan/aggregate stage under a governor
-/// clamped to min(forwarded budget, server ceiling), and answer with the
-/// raw accumulator state. Engine failures travel with their structured
-/// fields so the coordinator reconstructs the exact error
+/// planned query, run just the scan/aggregate stage under the limits every
+/// other execution of this session runs under, further clamped by the
+/// coordinator's forwarded budget, and answer with the raw accumulator
+/// state. Engine failures travel with their structured fields so the
+/// coordinator reconstructs the exact error
 /// ([`shard::engine_error_response`]).
 fn execute_partial(shared: &Shared, job: &Job, opts: &PartialOptions) -> Value {
     let id = Some(job.request_id);
     let t0 = Instant::now();
-    if job.token.is_cancelled() {
-        shared.runs.cancelled.fetch_add(1, Ordering::Relaxed);
-        return protocol::error_response(id, "cancelled", "cancelled while queued");
-    }
     let query = match shard::decode_query(&opts.query) {
         Ok(query) => query,
         Err(message) => return protocol::error_response(id, "bad_request", &message),
     };
 
-    // Min-wins between the coordinator's remaining budget and this
-    // server's own ceiling; the job token keeps `cancel` (and dropped
-    // connections) working for partials too.
-    let ceiling = &shared.config.ceiling;
-    let mut governor = ResourceGovernor::unlimited().with_cancel_token(job.token.clone());
-    let forwarded = opts.deadline_ms.map(Duration::from_millis);
-    if let Some(deadline) = match (forwarded, ceiling.deadline) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    } {
-        governor = governor.with_timeout(deadline);
-    }
-    if let Some(max_rows) = match (opts.max_rows, ceiling.max_rows_scanned) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    } {
-        governor = governor.with_max_rows_scanned(max_rows);
+    let forwarded = ExecutionPolicy {
+        deadline: opts.deadline_ms.map(Duration::from_millis),
+        max_rows_scanned: opts.max_rows,
+        ..ExecutionPolicy::default()
+    };
+    let runner =
+        statement::runner_for(shared, &job.session, job.permit.tenant(), job.token.clone());
+    // The clamp drops the cancel token; the job's keeps `cancel` (and
+    // dropped connections) working for partials too.
+    let policy =
+        admission::clamp_policies(runner.policy(), &forwarded).with_cancel_token(job.token.clone());
+    let deadline_at = policy.deadline.and_then(|d| t0.checked_add(d));
+    let mut engine = shared.engine.clone().with_governor(policy.governor(deadline_at));
+    if let Some(threads) = policy.max_threads {
+        engine = engine.with_thread_cap(threads);
     }
 
-    let engine = shared.engine.clone().with_governor(Arc::new(governor));
-    match engine.get_partial(&query) {
+    let outcome = engine.get_partial(&query);
+    let elapsed_ms = ms(t0.elapsed());
+    job.session.record(HistoryEntry {
+        statement: format!("partial({})", query.cube),
+        outcome: if outcome.is_ok() { "ok" } else { "failed" }.to_string(),
+        elapsed_ms,
+        cells: outcome.as_ref().map_or(0, |partial| partial.partial.len()),
+    });
+    match outcome {
         Ok(partial) => {
             shared.runs.executed.fetch_add(1, Ordering::Relaxed);
-            let elapsed_ms = ms(t0.elapsed());
-            job.session.record(HistoryEntry {
-                statement: format!("partial({})", query.cube),
-                outcome: "ok".to_string(),
-                elapsed_ms,
-                cells: partial.partial.len(),
-            });
             let mut fields = shard::partial_fields(&partial);
             fields.push(("elapsed_ms", n(elapsed_ms)));
             protocol::ok_response(id, fields)
         }
         Err(e) => {
-            if matches!(e, EngineError::Cancelled) {
-                shared.runs.cancelled.fetch_add(1, Ordering::Relaxed);
-            } else {
-                shared.runs.failed.fetch_add(1, Ordering::Relaxed);
-            }
-            let elapsed_ms = ms(t0.elapsed());
-            job.session.record(HistoryEntry {
-                statement: format!("partial({})", query.cube),
-                outcome: "failed".to_string(),
-                elapsed_ms,
-                cells: 0,
-            });
+            shared.runs.refused(shard::engine_error_fields(&e).0);
             shard::engine_error_response(id, &e)
         }
     }
@@ -1221,10 +1087,6 @@ fn parse_append_rows(table: &olap_storage::Table, rows: &Value) -> Result<Vec<Co
 fn execute_append(shared: &Shared, job: &Job, cube: &str, rows: &Value) -> Value {
     let id = Some(job.request_id);
     let t0 = Instant::now();
-    if job.token.is_cancelled() {
-        shared.runs.cancelled.fetch_add(1, Ordering::Relaxed);
-        return protocol::error_response(id, "cancelled", "cancelled while queued");
-    }
     let catalog = shared.engine.catalog().clone();
     let binding = match catalog.binding(cube) {
         Ok(binding) => binding,
@@ -1286,46 +1148,30 @@ fn notify_subscriptions(shared: &Shared, version: u64) -> (u64, u64) {
     for sub in shared.subs.snapshot() {
         let (writer, session) = sub.writer();
         let tenant = session.tenant();
-        let permit = match shared.admission.try_admit(tenant) {
-            Ok(permit) => permit,
-            Err(refusal) => {
-                sub.mark_lagged();
-                lagged += 1;
-                write_line(
-                    writer,
-                    &subscribe::lagged_json(sub.id(), refusal.code(), refusal.retry_after_ms()),
-                );
-                continue;
+        // `Err` carries the `lagged` notice's code and backoff hint. A
+        // statement that validated at registration fails only transiently
+        // (budget, cancellation), so the op-level code stays generic.
+        let evaluated = match shared.admission.try_admit(tenant) {
+            Err(refusal) => Err((refusal.code(), refusal.retry_after_ms())),
+            Ok(mut permit) => {
+                permit.mark_running();
+                statement::evaluate(shared, session, tenant, CancelToken::new(), sub.statement())
+                    .map(|(cube, _report)| (cube, permit))
+                    .map_err(|_| ("execution_error", 0))
             }
         };
-        let mut permit = permit;
-        permit.mark_running();
-        let shed = permit.shed();
-        let tenant_ceiling = &shared.admission.directory().spec(tenant).ceiling;
-        let policy = admission::derive_policy(
-            &shared.config.ceiling,
-            tenant_ceiling,
-            &session.policy(),
-            CancelToken::new(),
-        );
-        let runner = AssessRunner::new(shared.engine.clone()).with_policy(policy);
-        let evaluated = assess_sql::parse_spanned(&stmt::strip_comments(sub.statement()))
-            .map_err(|e| e.to_string())
-            .and_then(|spanned| runner.run_auto(&spanned.statement).map_err(|e| e.to_string()));
         match evaluated {
-            Ok((cube, _report)) => {
-                shared.runs.executed.fetch_add(1, Ordering::Relaxed);
-                let (seq, frame) = sub.advance(&cube.cells(), shed == ShedLevel::Light);
+            Ok((cube, permit)) => {
+                let (seq, frame) = sub.advance(&cube.cells(), permit.shed() == ShedLevel::Light);
                 write_line(writer, &subscribe::frame_json(sub.id(), seq, version, &frame));
                 notified += 1;
             }
-            Err(_) => {
-                // The statement validated at registration; a failure here
-                // is transient (budget, cancellation). Leave the baseline
-                // stale and flag it so the next frame re-sends in full.
+            Err((code, retry_after_ms)) => {
+                // The baseline is stale now; flag it so the next frame
+                // re-sends in full.
                 sub.mark_lagged();
                 lagged += 1;
-                write_line(writer, &subscribe::lagged_json(sub.id(), "execution_error", 0));
+                write_line(writer, &subscribe::lagged_json(sub.id(), code, retry_after_ms));
             }
         }
     }
@@ -1338,47 +1184,12 @@ fn notify_subscriptions(shared: &Shared, version: u64) -> (u64, u64) {
 fn execute_subscribe(shared: &Shared, job: &Job, statement: &str) -> Value {
     let id = Some(job.request_id);
     let t0 = Instant::now();
-    if job.token.is_cancelled() {
-        shared.runs.cancelled.fetch_add(1, Ordering::Relaxed);
-        return protocol::error_response(id, "cancelled", "cancelled while queued");
-    }
-    let spanned = match assess_sql::parse_spanned(&stmt::strip_comments(statement)) {
-        Ok(spanned) => spanned,
-        Err(e) => {
-            let diag = Diagnostic::new(DiagCode::E001, e.span, e.message.clone());
-            return protocol::error_with_diagnostics(
-                id,
-                "parse_error",
-                &e.to_string(),
-                &[diag],
-                Some(statement),
-            );
-        }
-    };
-    let diagnostics = shared.runner.check_spanned(&spanned.statement, Some(&spanned.spans));
-    if diagnostics.iter().any(Diagnostic::is_error) {
-        return protocol::error_with_diagnostics(
-            id,
-            "check_failed",
-            "static analysis reported errors",
-            &diagnostics,
-            Some(statement),
-        );
-    }
     let tenant = job.session.tenant();
-    let tenant_ceiling = &shared.admission.directory().spec(tenant).ceiling;
-    let policy = admission::derive_policy(
-        &shared.config.ceiling,
-        tenant_ceiling,
-        &job.session.policy(),
-        job.token.clone(),
-    );
-    let runner = AssessRunner::new(shared.engine.clone()).with_policy(policy);
-    let (cube, report) = match runner.run_auto(&spanned.statement) {
-        Ok(out) => out,
-        Err(e) => return protocol::error_response(id, "execution_error", &e.to_string()),
+    let evaluated = statement::evaluate(shared, &job.session, tenant, job.token.clone(), statement);
+    let (cube, report) = match evaluated {
+        Ok(done) => done,
+        Err(refusal) => return refusal.response(id, statement),
     };
-    shared.runs.executed.fetch_add(1, Ordering::Relaxed);
     let channel: SubChannel = (job.writer.clone(), job.session.clone());
     let tenant_name = shared.admission.directory().spec(tenant).name.clone();
     let sub = match shared.subs.register(
@@ -1524,94 +1335,28 @@ fn auth_response(shared: &Shared, session: &Session, id: Option<u64>, key: Optio
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_response(
-    id: Option<u64>,
-    result: &CachedResult,
-    cached: bool,
-    elapsed_ms: u64,
-    warnings: &[Diagnostic],
-    opts: &RunOptions,
-    shared: &Shared,
-    trace: Option<TraceTree>,
-) -> Value {
-    let labels = Value::Object(
-        result
-            .cube
-            .label_histogram()
-            .into_iter()
-            .map(|(label, count)| (label, n(count as u64)))
-            .collect(),
-    );
-    let mut fields = vec![
-        ("cached", Value::Bool(cached)),
-        ("strategy", s(result.strategy.acronym())),
-        ("cells", n(result.cube.len() as u64)),
-        ("rows_scanned", n(result.rows_scanned as u64)),
-        ("attempts", n(result.attempts as u64)),
-        ("elapsed_ms", n(elapsed_ms)),
-        ("labels", labels),
-    ];
-    match opts.format {
-        RunFormat::Csv => fields.push(("csv", s(result.cube.to_csv()))),
-        RunFormat::Cells => {
-            let limit = opts.limit.unwrap_or(shared.config.default_row_limit);
-            let rows: Vec<Value> =
-                result.cube.cells().iter().take(limit).map(serde::Serialize::to_value).collect();
-            fields.push(("rows", Value::Array(rows)));
-            fields.push(("truncated", Value::Bool(result.cube.len() > limit)));
-        }
-    }
-    if let Some(tree) = trace {
-        fields.push(("trace", tree.to_json()));
-    }
-    if !warnings.is_empty() {
-        fields.push(("diagnostics", protocol::diagnostics_json(warnings, Some(&opts.statement))));
-    }
-    protocol::ok_response(id, fields)
-}
-
 fn check_response(shared: &Shared, id: Option<u64>, statement: &str) -> Value {
-    match assess_sql::parse_spanned(&stmt::strip_comments(statement)) {
-        Err(e) => {
-            let diag = Diagnostic::new(DiagCode::E001, e.span, e.message.clone());
-            protocol::error_with_diagnostics(
-                id,
-                "parse_error",
-                &e.to_string(),
-                &[diag],
-                Some(statement),
-            )
-        }
-        Ok(spanned) => {
-            let diagnostics = shared.runner.check_spanned(&spanned.statement, Some(&spanned.spans));
-            let errors = diagnostics.iter().filter(|d| d.is_error()).count();
-            protocol::ok_response(
-                id,
-                vec![
-                    ("clean", Value::Bool(diagnostics.is_empty())),
-                    ("errors", n(errors as u64)),
-                    ("warnings", n((diagnostics.len() - errors) as u64)),
-                    ("diagnostics", protocol::diagnostics_json(&diagnostics, Some(statement))),
-                ],
-            )
-        }
-    }
+    let spanned = match statement::parse(statement) {
+        Ok(spanned) => spanned,
+        Err(refusal) => return refusal.response(id, statement),
+    };
+    let diagnostics = shared.runner.check_spanned(&spanned.statement, Some(&spanned.spans));
+    let errors = diagnostics.iter().filter(|d| d.is_error()).count();
+    protocol::ok_response(
+        id,
+        vec![
+            ("clean", Value::Bool(diagnostics.is_empty())),
+            ("errors", n(errors as u64)),
+            ("warnings", n((diagnostics.len() - errors) as u64)),
+            ("diagnostics", protocol::diagnostics_json(&diagnostics, Some(statement))),
+        ],
+    )
 }
 
 fn explain_response(shared: &Shared, id: Option<u64>, statement: &str) -> Value {
-    let spanned = match assess_sql::parse_spanned(&stmt::strip_comments(statement)) {
+    let spanned = match statement::parse(statement) {
         Ok(spanned) => spanned,
-        Err(e) => {
-            let diag = Diagnostic::new(DiagCode::E001, e.span, e.message.clone());
-            return protocol::error_with_diagnostics(
-                id,
-                "parse_error",
-                &e.to_string(),
-                &[diag],
-                Some(statement),
-            );
-        }
+        Err(refusal) => return refusal.response(id, statement),
     };
     let explained = shared
         .runner
@@ -1715,15 +1460,7 @@ fn stats_response(shared: &Shared, session: &Session, id: Option<u64>) -> Value 
                     ("reservations_denied", n(p.reservations_denied)),
                 ])
             }),
-            (
-                "runs",
-                protocol::obj(vec![
-                    ("executed", n(shared.runs.executed.load(Ordering::Relaxed))),
-                    ("cache_hits", n(shared.runs.cache_hits.load(Ordering::Relaxed))),
-                    ("failed", n(shared.runs.failed.load(Ordering::Relaxed))),
-                    ("cancelled", n(shared.runs.cancelled.load(Ordering::Relaxed))),
-                ]),
-            ),
+            ("runs", shared.runs.to_json()),
             (
                 "obs",
                 protocol::obj(vec![
@@ -2000,15 +1737,7 @@ fn metrics_response(shared: &Shared, id: Option<u64>) -> Value {
     let metrics = protocol::obj(vec![
         ("core", core.to_json()),
         ("engine", engine_metrics_json(shared)),
-        (
-            "serve",
-            protocol::obj(vec![
-                ("executed", n(shared.runs.executed.load(Ordering::Relaxed))),
-                ("cache_hits", n(shared.runs.cache_hits.load(Ordering::Relaxed))),
-                ("failed", n(shared.runs.failed.load(Ordering::Relaxed))),
-                ("cancelled", n(shared.runs.cancelled.load(Ordering::Relaxed))),
-            ]),
-        ),
+        ("serve", shared.runs.to_json()),
     ]);
     protocol::ok_response(id, vec![("exposition", s(exp.finish())), ("metrics", metrics)])
 }

@@ -268,15 +268,7 @@ pub fn engine_error_fields(e: &EngineError) -> (&'static str, Vec<(&'static str,
 /// to reconstruct the exact error on the coordinator.
 pub fn engine_error_response(id: Option<u64>, e: &EngineError) -> Value {
     let (code, fields) = engine_error_fields(e);
-    let mut response = crate::protocol::error_response(id, code, &e.to_string());
-    if let Value::Object(outer) = &mut response {
-        if let Some((_, Value::Object(error))) = outer.iter_mut().find(|(k, _)| k == "error") {
-            for (k, v) in fields {
-                error.push((k.to_string(), v));
-            }
-        }
-    }
-    response
+    crate::protocol::error_response_with(id, code, &e.to_string(), fields)
 }
 
 /// Reconstructs the [`EngineError`] a shard node reported. Unknown or

@@ -1420,3 +1420,164 @@ fn appends_interleave_with_runs_without_torn_reads() {
 
     handle.shutdown();
 }
+
+// ------------------------------------------------------ statement pipeline
+
+/// A statement that is clean apart from one warning: the label ranges
+/// leave `[0.5, 1.5]` uncovered (W101).
+const GAPPED: &str = "with SSB by customer, year assess revenue against 1300000 \
+     using ratio(revenue, 1300000) \
+     labels {[0, 0.5): low, (1.5, inf]: high}";
+
+/// `run`, a one-member `batch` and `subscribe` walk the same statement
+/// pipeline: whichever op carries a statement, a refusal has the same
+/// error code and the same diagnostics (codes, spans, rendered carets),
+/// and a clean statement yields the same cells.
+#[test]
+fn run_batch_and_subscribe_answer_a_statement_alike() {
+    let handle = boot(ServerConfig { cache_capacity: 0, ..ServerConfig::default() });
+    let mut client = connect(&handle);
+    let limit = Value::Number(1e6);
+    let text = |statement: &str| Value::String(statement.to_string());
+
+    // (statement, session row budget, expected error code or clean)
+    let cases: [(&str, Option<u64>, Option<&str>); 4] = [
+        ("with SSB by customer year assess", None, Some("parse_error")),
+        (
+            "with NO_SUCH_CUBE by x assess y using ratio(y, 1) labels quartiles",
+            None,
+            Some("check_failed"),
+        ),
+        (CONSTANT, Some(1), Some("budget_exceeded")),
+        (GAPPED, None, None),
+    ];
+    for (statement, budget, expected) in cases {
+        assert_ok(&client.set_policy(None, budget, None).unwrap());
+        let run = client
+            .request(vec![
+                ("op", text("run")),
+                ("statement", text(statement)),
+                ("limit", limit.clone()),
+            ])
+            .unwrap();
+        let batch = client
+            .request(vec![
+                ("op", text("batch")),
+                ("statements", Value::Array(vec![text(statement)])),
+                ("limit", limit.clone()),
+            ])
+            .unwrap();
+        assert_ok(&batch);
+        let member = &batch.get("results").and_then(Value::as_array).expect("batch results")[0];
+        let subscribed = client.subscribe(statement).unwrap();
+
+        match expected {
+            Some(code) => {
+                assert_eq!(error_code(&run), Some(code), "{statement}: {run:?}");
+                assert_eq!(error_code(member), Some(code), "{statement}: {member:?}");
+                assert_eq!(error_code(&subscribed), Some(code), "{statement}: {subscribed:?}");
+                let diagnostics = run.get("diagnostics").expect("run diagnostics");
+                assert!(
+                    diagnostics.as_array().is_some_and(|d| !d.is_empty()),
+                    "{statement}: a refusal without diagnostics: {run:?}"
+                );
+                assert_eq!(member.get("diagnostics"), Some(diagnostics), "{statement}: batch");
+                assert_eq!(subscribed.get("diagnostics"), Some(diagnostics), "{statement}: sub");
+            }
+            None => {
+                assert_ok(&run);
+                assert_ok(&subscribed);
+                assert_eq!(member.get("ok").and_then(Value::as_bool), Some(true), "{member:?}");
+                let warnings = run.get("diagnostics").and_then(Value::as_array).expect("warning");
+                assert_eq!(warnings[0].get("code").and_then(Value::as_str), Some("W101"));
+                assert_eq!(member.get("diagnostics"), run.get("diagnostics"));
+                assert_eq!(run.get("truncated").and_then(Value::as_bool), Some(false));
+                for other in [member, &subscribed] {
+                    assert_eq!(other.get("cells"), run.get("cells"), "{statement}");
+                    assert_eq!(other.get("rows"), run.get("rows"), "{statement}");
+                }
+            }
+        }
+    }
+    handle.shutdown();
+}
+
+/// A `subscribe` whose baseline evaluation fails is refused the way `run`
+/// refuses: the specific code, the diagnostics, and a failed run in
+/// `stats`. A live subscription whose re-evaluation fails still gets the
+/// `lagged` notice.
+#[test]
+fn subscribe_failures_are_classified_and_counted() {
+    let (handle, catalog) = boot_fresh(ServerConfig::default(), None);
+    let mut client = connect(&handle);
+
+    assert_ok(&client.set_policy(None, Some(1), None).unwrap());
+    let failed_before = stat_u64(&client.stats().unwrap(), &["runs", "failed"]);
+    let refused = client.subscribe(CONSTANT).unwrap();
+    assert_eq!(error_code(&refused), Some("budget_exceeded"), "{refused:?}");
+    let diagnostics = refused.get("diagnostics").and_then(Value::as_array);
+    assert!(diagnostics.is_some_and(|d| !d.is_empty()), "no diagnostics: {refused:?}");
+    let stats = client.stats().unwrap();
+    assert_eq!(stat_u64(&stats, &["runs", "failed"]), failed_before + 1);
+    assert_eq!(stat_u64(&stats, &["subscriptions", "active"]), 0);
+
+    // Register under no budget, then starve the session: the append's
+    // re-evaluation fails and the subscriber is told it lags.
+    assert_ok(&client.set_policy(None, None, None).unwrap());
+    let subscribed = client.subscribe(CONSTANT).unwrap();
+    assert_ok(&subscribed);
+    let sub = subscribed.get("sub").and_then(Value::as_f64).expect("subscription id");
+    assert_ok(&client.set_policy(None, Some(1), None).unwrap());
+    let mut writer = connect(&handle);
+    let append = writer.append("SSB", wire_batch(&catalog, &[2])).unwrap();
+    assert_ok(&append);
+    assert_eq!(append.get("subscriptions_notified").and_then(Value::as_f64), Some(0.0));
+    assert_eq!(append.get("subscriptions_lagged").and_then(Value::as_f64), Some(1.0));
+    let event = client.next_event().unwrap();
+    assert_eq!(event.get("event").and_then(Value::as_str), Some("lagged"), "{event:?}");
+    assert_eq!(event.get("sub").and_then(Value::as_f64), Some(sub));
+    assert_eq!(event.get("code").and_then(Value::as_str), Some("execution_error"));
+
+    handle.shutdown();
+}
+
+/// The `partial` op runs under the limits of the session that sent it: a
+/// tenant's row ceiling binds even when the coordinator forwards no budget,
+/// and the refusal is the structured error the coordinator decodes back
+/// into the exact [`EngineError`](olap_engine::EngineError).
+#[test]
+fn partial_runs_under_the_tenant_ceiling() {
+    let ceiling = assess_core::ExecutionPolicy::default().with_max_rows_scanned(1);
+    let capped = TenantSpec::named("capped").with_key("capped-key").with_ceiling(ceiling);
+    let tenants = Arc::new(
+        TenantDirectory::new(TenantSpec::named("anonymous"), vec![capped])
+            .expect("directory builds"),
+    );
+    let handle = boot(ServerConfig { tenants, ..ServerConfig::default() });
+    let mut client = connect(&handle);
+    assert_ok(&client.auth("capped-key").unwrap());
+
+    let runner = AssessRunner::new(Engine::new(ssb_catalog()));
+    let parsed = assess_sql::parse(CONSTANT).expect("statement parses");
+    let query = runner.resolve(&parsed).expect("statement resolves").target_query;
+    let response = client
+        .request(vec![
+            ("op", Value::String("partial".into())),
+            ("query", assess_serve::shard::encode_query(&query)),
+        ])
+        .unwrap();
+
+    assert_eq!(error_code(&response), Some("budget_exceeded"), "{response:?}");
+    let error = response.get("error").expect("error object");
+    assert_eq!(error.get("resource").and_then(Value::as_str), Some("rows_scanned"));
+    assert_eq!(error.get("limit").and_then(Value::as_f64), Some(1.0));
+    match assess_serve::shard::decode_engine_error("node", &response) {
+        olap_engine::EngineError::BudgetExceeded { resource, limit, .. } => {
+            assert_eq!(resource, olap_engine::ResourceKind::RowsScanned);
+            assert_eq!(limit, 1);
+        }
+        other => panic!("the refusal did not round-trip as a budget error: {other:?}"),
+    }
+
+    handle.shutdown();
+}

@@ -25,7 +25,7 @@
 
 use std::process::ExitCode;
 
-use assess_olap::assess::diag::{self, DiagCode, Diagnostic};
+use assess_olap::assess::diag::{self, Diagnostic};
 use assess_olap::assess::exec::AssessRunner;
 use assess_olap::assess::explain;
 use assess_olap::assess::workload::{WorkloadAnalyzer, WorkloadStatement};
@@ -268,19 +268,14 @@ fn usage(problem: &str) -> ExitCode {
 fn check_source(runner: &AssessRunner, source: &str) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (offset, text) in assess_olap::assess::stmt::split_statements(source) {
-        match assess_olap::sql::parse_spanned(&text) {
-            Ok(spanned) => {
-                let mut diagnostics =
-                    runner.check_spanned(&spanned.statement, Some(&spanned.spans));
-                for d in &mut diagnostics {
-                    d.span = d.span.offset(offset);
-                }
-                out.extend(diagnostics);
-            }
-            Err(e) => {
-                out.push(Diagnostic::new(DiagCode::E001, e.span.offset(offset), e.message));
-            }
+        let mut diagnostics = match assess_olap::sql::parse_spanned(&text) {
+            Ok(spanned) => runner.check_spanned(&spanned.statement, Some(&spanned.spans)),
+            Err(e) => vec![e.diagnostic()],
+        };
+        for d in &mut diagnostics {
+            d.span = d.span.offset(offset);
         }
+        out.extend(diagnostics);
     }
     out
 }

@@ -23,7 +23,7 @@
 use std::io::{BufRead, Write};
 
 use assess_olap::assess::ast::{AssessStatement, StatementSpans};
-use assess_olap::assess::diag::{self, DiagCode, Diagnostic};
+use assess_olap::assess::diag;
 use assess_olap::assess::exec::AssessRunner;
 use assess_olap::assess::plan::Strategy;
 use assess_olap::assess::{explain, plan, suggest};
@@ -145,8 +145,7 @@ fn main() {
                     }
                 }
                 Err(e) => {
-                    let d = Diagnostic::new(DiagCode::E001, e.span, e.message.clone());
-                    eprintln!("{}", diag::render(&d, Some(rest)));
+                    eprintln!("{}", diag::render(&e.diagnostic(), Some(rest)));
                 }
             }
         }
