@@ -1,93 +1,8 @@
-//! Validates the cost-based strategy chooser (a §8 extension) against
-//! measurement: for every canonical intention and scale, does the chooser's
-//! pick match the strategy that actually ran fastest?
-//!
-//! ```text
-//! cargo run -p assess-bench --release --bin chooser_accuracy \
-//!     [-- --scales 0.01,0.1 --reps 3]
-//! ```
+//! The cost-based chooser (a §8 extension) against the measured fastest plan.
 
-use assess_bench::{report, scales, setup, workloads};
-use assess_core::cost;
-use assess_core::plan::Strategy;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct ChooserRow {
-    intention: String,
-    sf: f64,
-    chosen: String,
-    fastest: String,
-    correct: bool,
-    /// Chosen-strategy time over fastest time (1.0 = perfect pick).
-    regret: f64,
-}
+use assess_bench::{artifacts, runs, scales};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (scale_specs, reps, with_views) = scales::parse_cli(&args);
-    let mut rows: Vec<ChooserRow> = Vec::new();
-    for scale in &scale_specs {
-        eprintln!("[setup] generating {} …", scale.label());
-        let env = setup(scale.sf, with_views);
-        for intention in workloads::intentions() {
-            let resolved = env.runner.resolve(&intention.statement).expect("resolves");
-            let chosen = cost::choose(&resolved, env.runner.engine()).expect("chooser runs");
-            let mut measured: Vec<(Strategy, f64)> = Vec::new();
-            for strategy in Strategy::all() {
-                if !strategy.feasible_for(&resolved.benchmark) {
-                    continue;
-                }
-                let mut best = f64::INFINITY;
-                for _ in 0..reps.max(1) {
-                    let (_, report) = env.runner.execute(&resolved, strategy).expect("executes");
-                    best = best.min(report.timings.total().as_secs_f64());
-                }
-                measured.push((strategy, best));
-            }
-            let (fastest, fastest_t) = measured
-                .iter()
-                .copied()
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                .expect("at least NP is feasible");
-            let chosen_t =
-                measured.iter().find(|(s, _)| *s == chosen).map(|(_, t)| *t).unwrap_or(f64::NAN);
-            rows.push(ChooserRow {
-                intention: intention.name.to_string(),
-                sf: scale.sf,
-                chosen: chosen.acronym().to_string(),
-                fastest: fastest.acronym().to_string(),
-                correct: chosen == fastest,
-                regret: chosen_t / fastest_t,
-            });
-        }
-    }
-
-    let mut table = vec![vec![
-        "intention".to_string(),
-        "scale".to_string(),
-        "chosen".to_string(),
-        "fastest".to_string(),
-        "regret".to_string(),
-    ]];
-    for r in &rows {
-        table.push(vec![
-            r.intention.clone(),
-            format!("SF={}", r.sf),
-            r.chosen.clone(),
-            r.fastest.clone(),
-            format!("{:.2}x", r.regret),
-        ]);
-    }
-    println!("Cost-based chooser vs measured fastest strategy\n");
-    println!("{}", report::render_table(&table));
-    let correct = rows.iter().filter(|r| r.correct).count();
-    let worst = rows.iter().map(|r| r.regret).fold(1.0f64, f64::max);
-    println!(
-        "exact picks: {correct}/{} · worst regret {:.2}x (time lost when the pick was not the fastest)",
-        rows.len(),
-        worst
-    );
-    let path = report::write_json("chooser_accuracy", &rows).expect("write report");
-    println!("report: {}", path.display());
+    let (scales, reps, with_views) = scales::cli();
+    artifacts::chooser(&runs::run_matrix(&scales, reps, None, with_views)).publish();
 }

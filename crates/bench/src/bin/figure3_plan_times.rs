@@ -1,91 +1,9 @@
-//! Figure 3 — execution times for increasing cardinalities of the target
-//! cube, one panel per intention, one series per feasible plan (log scale in
-//! the paper; here the raw series plus the plan-ordering checks).
-//!
-//! ```text
-//! cargo run -p assess-bench --release --bin figure3_plan_times \
-//!     [-- --scales 0.01,0.1,1 --reps 3]
-//! ```
+//! Figure 3 — NP/JOP/POP times per intention and scale: table, log chart and
+//! plan ordering.
 
-use assess_bench::{report, runs, scales};
+use assess_bench::{artifacts, runs, scales};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (scale_specs, reps, with_views) = scales::parse_cli(&args);
-    let rows = runs::run_matrix(&scale_specs, reps, None, with_views);
-
-    println!("Figure 3: Execution times (s) for increasing cardinalities\n");
-    for intention in ["Constant", "External", "Sibling", "Past"] {
-        let mut table = vec![vec![intention.to_string()]];
-        table[0].extend(scale_specs.iter().map(|s| s.label()));
-        for strategy in ["NP", "JOP", "POP"] {
-            let series: Vec<Option<f64>> = scale_specs
-                .iter()
-                .map(|scale| {
-                    rows.iter()
-                        .find(|r| {
-                            r.intention == intention && r.strategy == strategy && r.sf == scale.sf
-                        })
-                        .map(|r| r.seconds)
-                })
-                .collect();
-            if series.iter().all(Option::is_none) {
-                continue; // infeasible plan for this intention
-            }
-            let mut row = vec![strategy.to_string()];
-            row.extend(series.iter().map(|v| match v {
-                Some(s) => report::fmt_secs(*s),
-                None => "—".to_string(),
-            }));
-            table.push(row);
-        }
-        println!("{}", report::render_table(&table));
-        // The figure itself, as an ASCII log-scale panel.
-        let x_labels: Vec<String> = scale_specs.iter().map(|s| s.label()).collect();
-        let chart_series: Vec<(String, Vec<Option<f64>>)> = ["NP", "JOP", "POP"]
-            .iter()
-            .filter_map(|strategy| {
-                let vs: Vec<Option<f64>> = scale_specs
-                    .iter()
-                    .map(|scale| {
-                        rows.iter()
-                            .find(|r| {
-                                r.intention == intention
-                                    && r.strategy == *strategy
-                                    && r.sf == scale.sf
-                            })
-                            .map(|r| r.seconds)
-                    })
-                    .collect();
-                if vs.iter().all(Option::is_none) {
-                    None
-                } else {
-                    Some((strategy.to_string(), vs))
-                }
-            })
-            .collect();
-        println!("{}", report::ascii_log_chart(intention, &x_labels, &chart_series));
-    }
-
-    // The paper's conclusions: JOP ≥ NP, POP ≥ JOP where feasible.
-    println!("Plan ordering at the largest scale (paper: POP ≤ JOP ≤ NP):");
-    if let Some(largest) = scale_specs.last() {
-        for intention in ["External", "Sibling", "Past"] {
-            let time = |strategy: &str| {
-                rows.iter()
-                    .find(|r| {
-                        r.intention == intention && r.strategy == strategy && r.sf == largest.sf
-                    })
-                    .map(|r| r.seconds)
-            };
-            let parts: Vec<String> = ["NP", "JOP", "POP"]
-                .iter()
-                .filter_map(|s| time(s).map(|t| format!("{s}={}", report::fmt_secs(t))))
-                .collect();
-            println!("  {intention}: {}", parts.join("  "));
-        }
-    }
-
-    let path = report::write_json("figure3_plan_times", &rows).expect("write report");
-    println!("\nreport: {}", path.display());
+    let (scales, reps, with_views) = scales::cli();
+    artifacts::figure3(&runs::run_matrix(&scales, reps, None, with_views)).publish();
 }

@@ -1,64 +1,8 @@
-//! Figure 4 — breakdown of the execution time of the Past intention for
-//! increasing cardinalities of the target cube, one panel per plan.
-//!
-//! The categories are the paper's: Get C, Get B, Get C+B, Trans., Join,
-//! Comp., Label.
-//!
-//! ```text
-//! cargo run -p assess-bench --release --bin figure4_breakdown \
-//!     [-- --scales 0.01,0.1,1 --reps 3]
-//! ```
+//! Figure 4 — per-stage breakdown of the Past intention per plan and scale.
 
-use assess_bench::{report, runs, scales};
+use assess_bench::{artifacts, runs, scales};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (scale_specs, reps, with_views) = scales::parse_cli(&args);
-    let rows = runs::run_matrix(&scale_specs, reps, Some("Past"), with_views);
-
-    println!("Figure 4: Breakdown of the execution time of the Past intention (s)\n");
-    for strategy in ["NP", "JOP", "POP"] {
-        let mut table = vec![vec![strategy.to_string()]];
-        table[0].extend(scale_specs.iter().map(|s| s.label()));
-        let categories: Vec<String> = rows
-            .first()
-            .map(|r| r.breakdown.iter().map(|(k, _)| k.clone()).collect())
-            .unwrap_or_default();
-        for category in &categories {
-            let mut row = vec![category.clone()];
-            for scale in &scale_specs {
-                let v = rows
-                    .iter()
-                    .find(|r| r.strategy == strategy && r.sf == scale.sf)
-                    .and_then(|r| r.breakdown.iter().find(|(k, _)| k == category).map(|(_, v)| *v));
-                row.push(match v {
-                    Some(s) => report::fmt_secs(s),
-                    None => "—".to_string(),
-                });
-            }
-            table.push(row);
-        }
-        println!("{}", report::render_table(&table));
-    }
-
-    // The paper's observations: comparison and labeling are negligible;
-    // the transformation (regression) dominates.
-    if let Some(largest) = scale_specs.last() {
-        for strategy in ["NP", "JOP", "POP"] {
-            if let Some(r) = rows.iter().find(|r| r.strategy == strategy && r.sf == largest.sf) {
-                let get = |k: &str| {
-                    r.breakdown.iter().find(|(c, _)| c == k).map(|(_, v)| *v).unwrap_or(0.0)
-                };
-                println!(
-                    "{strategy} at {}: transform {:.0}% of total, comparison+label {:.2}%",
-                    largest.label(),
-                    100.0 * get("Trans.") / r.seconds.max(f64::MIN_POSITIVE),
-                    100.0 * (get("Comp.") + get("Label")) / r.seconds.max(f64::MIN_POSITIVE),
-                );
-            }
-        }
-    }
-
-    let path = report::write_json("figure4_breakdown", &rows).expect("write report");
-    println!("\nreport: {}", path.display());
+    let (scales, reps, with_views) = scales::cli();
+    artifacts::figure4(&runs::run_matrix(&scales, reps, Some("Past"), with_views)).publish();
 }

@@ -1,142 +1,13 @@
-//! Runs every experiment in sequence (Tables 1–3, Figures 3–4) with shared
-//! dataset generation, writing all JSON reports.
-//!
-//! ```text
-//! cargo run -p assess-bench --release --bin run_all \
-//!     [-- --scales 0.01,0.1,1 --reps 3]
-//! ```
+//! Every artifact (Tables 1–3, Figures 3–4, the chooser check) from one
+//! measured matrix.
 
-use assess_bench::{report, runs, scales, setup, workloads};
+use assess_bench::{artifacts, runs, scales};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (scale_specs, reps, with_views) = scales::parse_cli(&args);
-
-    // ---- Table 1 (schemas only) -------------------------------------------
-    println!("==== Table 1: formulation effort ====\n");
-    let env = setup(0.001, false);
-    let mut t1_rows = Vec::new();
-    let mut t1 = vec![vec!["".to_string()]];
-    for intention in workloads::intentions() {
-        let resolved = env.runner.resolve(&intention.statement).expect("resolves");
-        let code = assess_core::codegen::generate(&resolved, env.runner.engine().catalog())
-            .expect("codegen");
-        t1[0].push(intention.name.to_string());
-        t1_rows.push((
-            intention.name.to_string(),
-            code.sql_chars(),
-            code.python_chars(),
-            code.total_chars(),
-            intention.statement.to_string().chars().count(),
-        ));
+    let (scales, reps, with_views) = scales::cli();
+    artifacts::table1().publish();
+    let matrix = runs::run_matrix(&scales, reps, None, with_views);
+    for artifact in artifacts::from_matrix(&matrix) {
+        artifact.publish();
     }
-    for (label, pick) in [("SQL:", 1usize), ("Python:", 2), ("Total:", 3), ("assess:", 4)] {
-        let mut row = vec![label.to_string()];
-        for r in &t1_rows {
-            let v = match pick {
-                1 => r.1,
-                2 => r.2,
-                3 => r.3,
-                _ => r.4,
-            };
-            row.push(v.to_string());
-        }
-        t1.push(row);
-    }
-    println!("{}", report::render_table(&t1));
-    report::write_json("table1_formulation_effort", &t1_rows).expect("write t1");
-
-    // ---- Timing matrix feeds Tables 2-3 and Figures 3-4 --------------------
-    println!("==== Timing matrix (Tables 2-3, Figures 3-4) ====\n");
-    let rows = runs::run_matrix(&scale_specs, reps, None, with_views);
-    report::write_json("figure3_plan_times", &rows).expect("write matrix");
-
-    println!("\n==== Table 2: target cube cardinalities ====\n");
-    let mut t2 = vec![vec!["".to_string()]];
-    t2[0].extend(scale_specs.iter().map(|s| s.label()));
-    for intention in ["Constant", "External", "Sibling", "Past"] {
-        let mut row = vec![intention.to_string()];
-        for scale in &scale_specs {
-            let cells = rows
-                .iter()
-                .find(|r| r.intention == intention && r.sf == scale.sf)
-                .map(|r| r.cells)
-                .unwrap_or(0);
-            row.push(report::fmt_cardinality(cells));
-        }
-        t2.push(row);
-    }
-    println!("{}", report::render_table(&t2));
-
-    println!("==== Table 3: minimum execution times (NP in parentheses) ====\n");
-    let mut t3 = vec![vec!["".to_string()]];
-    t3[0].extend(scale_specs.iter().map(|s| s.label()));
-    for intention in ["Constant", "External", "Sibling", "Past"] {
-        let mut row = vec![intention.to_string()];
-        for scale in &scale_specs {
-            let cell: Vec<_> =
-                rows.iter().filter(|r| r.intention == intention && r.sf == scale.sf).collect();
-            let best = cell.iter().map(|r| r.seconds).fold(f64::INFINITY, f64::min);
-            let np =
-                cell.iter().find(|r| r.strategy == "NP").map(|r| r.seconds).unwrap_or(f64::NAN);
-            row.push(format!("{} ({})", report::fmt_secs(best), report::fmt_secs(np)));
-        }
-        t3.push(row);
-    }
-    println!("{}", report::render_table(&t3));
-
-    println!("==== Figure 3: per-plan times ====\n");
-    for intention in ["Constant", "External", "Sibling", "Past"] {
-        let mut table = vec![vec![intention.to_string()]];
-        table[0].extend(scale_specs.iter().map(|s| s.label()));
-        for strategy in ["NP", "JOP", "POP"] {
-            let series: Vec<Option<f64>> = scale_specs
-                .iter()
-                .map(|scale| {
-                    rows.iter()
-                        .find(|r| {
-                            r.intention == intention && r.strategy == strategy && r.sf == scale.sf
-                        })
-                        .map(|r| r.seconds)
-                })
-                .collect();
-            if series.iter().all(Option::is_none) {
-                continue;
-            }
-            let mut row = vec![strategy.to_string()];
-            row.extend(series.iter().map(|v| match v {
-                Some(s) => report::fmt_secs(*s),
-                None => "—".to_string(),
-            }));
-            table.push(row);
-        }
-        println!("{}", report::render_table(&table));
-    }
-
-    println!("==== Figure 4: Past intention breakdown ====\n");
-    for strategy in ["NP", "JOP", "POP"] {
-        let mut table = vec![vec![strategy.to_string()]];
-        table[0].extend(scale_specs.iter().map(|s| s.label()));
-        let categories: Vec<String> = rows
-            .first()
-            .map(|r| r.breakdown.iter().map(|(k, _)| k.clone()).collect())
-            .unwrap_or_default();
-        for category in &categories {
-            let mut row = vec![category.clone()];
-            for scale in &scale_specs {
-                let v = rows
-                    .iter()
-                    .find(|r| r.intention == "Past" && r.strategy == strategy && r.sf == scale.sf)
-                    .and_then(|r| r.breakdown.iter().find(|(k, _)| k == category).map(|(_, v)| *v));
-                row.push(match v {
-                    Some(s) => report::fmt_secs(s),
-                    None => "—".to_string(),
-                });
-            }
-            table.push(row);
-        }
-        println!("{}", report::render_table(&table));
-    }
-
-    println!("reports in {}", report::output_dir().display());
 }

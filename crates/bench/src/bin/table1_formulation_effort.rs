@@ -1,63 +1,6 @@
-//! Table 1 — formulation effort for different intentions.
-//!
-//! Reports the ASCII character length of (a) the SQL and (b) the Python code
-//! the prototype generates for each canonical intention (following the least
-//! complex plan), against the length of the assess statement itself.
-//!
-//! ```text
-//! cargo run -p assess-bench --release --bin table1_formulation_effort
-//! ```
-
-use assess_bench::{report, setup, workloads};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct EffortRow {
-    intention: String,
-    sql_chars: usize,
-    python_chars: usize,
-    total_chars: usize,
-    assess_chars: usize,
-}
+//! Table 1 — formulation effort: characters of generated SQL + Python against
+//! the assess statement, per intention.
 
 fn main() {
-    // Code generation only needs schemas and bindings: the tiniest dataset.
-    let env = setup(0.001, false);
-    let mut rows = Vec::new();
-    for intention in workloads::intentions() {
-        let resolved = env.runner.resolve(&intention.statement).expect("statement resolves");
-        let code = assess_core::codegen::generate(&resolved, env.runner.engine().catalog())
-            .expect("code generation succeeds");
-        rows.push(EffortRow {
-            intention: intention.name.to_string(),
-            sql_chars: code.sql_chars(),
-            python_chars: code.python_chars(),
-            total_chars: code.total_chars(),
-            assess_chars: intention.statement.to_string().chars().count(),
-        });
-    }
-
-    let mut table = vec![vec!["".to_string()]];
-    table[0].extend(rows.iter().map(|r| r.intention.clone()));
-    let metric = |name: &str, f: &dyn Fn(&EffortRow) -> usize| {
-        let mut row = vec![name.to_string()];
-        row.extend(rows.iter().map(|r| f(r).to_string()));
-        row
-    };
-    table.push(metric("SQL:", &|r| r.sql_chars));
-    table.push(metric("Python:", &|r| r.python_chars));
-    table.push(metric("Total:", &|r| r.total_chars));
-    table.push(metric("assess:", &|r| r.assess_chars));
-
-    println!("Table 1: Formulation effort for different intentions (ASCII chars)\n");
-    println!("{}", report::render_table(&table));
-    for r in &rows {
-        println!(
-            "{}: SQL+Python is {:.1}x the assess statement",
-            r.intention,
-            r.total_chars as f64 / r.assess_chars as f64
-        );
-    }
-    let path = report::write_json("table1_formulation_effort", &rows).expect("write report");
-    println!("\nreport: {}", path.display());
+    assess_bench::artifacts::table1().publish();
 }

@@ -1,58 +1,8 @@
-//! Table 2 — target cube cardinalities for each intention type applied to
-//! each detailed cube.
-//!
-//! ```text
-//! cargo run -p assess-bench --release --bin table2_cardinalities \
-//!     [-- --scales 0.01,0.1,1]
-//! ```
+//! Table 2 — target cube cardinalities per intention and scale.
 
-use assess_bench::{report, scales, setup, workloads};
-use assess_core::plan::Strategy;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct CardinalityRow {
-    intention: String,
-    sf: f64,
-    cells: usize,
-}
+use assess_bench::{artifacts, runs, scales};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (scale_specs, _, with_views) = scales::parse_cli(&args);
-    let mut rows: Vec<CardinalityRow> = Vec::new();
-    for scale in &scale_specs {
-        eprintln!("[setup] generating {} …", scale.label());
-        let env = setup(scale.sf, with_views);
-        for intention in workloads::intentions() {
-            let (result, _) = env
-                .runner
-                .run(&intention.statement, Strategy::Naive)
-                .expect("canonical statements execute");
-            rows.push(CardinalityRow {
-                intention: intention.name.to_string(),
-                sf: scale.sf,
-                cells: result.len(),
-            });
-        }
-    }
-
-    let mut table = vec![vec!["".to_string()]];
-    table[0].extend(scale_specs.iter().map(|s| s.label()));
-    for intention in workloads::intentions() {
-        let mut row = vec![intention.name.to_string()];
-        for scale in &scale_specs {
-            let cells = rows
-                .iter()
-                .find(|r| r.intention == intention.name && r.sf == scale.sf)
-                .map(|r| r.cells)
-                .unwrap_or(0);
-            row.push(report::fmt_cardinality(cells));
-        }
-        table.push(row);
-    }
-    println!("Table 2: Target cube cardinalities per intention and scale\n");
-    println!("{}", report::render_table(&table));
-    let path = report::write_json("table2_cardinalities", &rows).expect("write report");
-    println!("report: {}", path.display());
+    let (scales, reps, with_views) = scales::cli();
+    artifacts::table2(&runs::run_matrix(&scales, reps, None, with_views)).publish();
 }

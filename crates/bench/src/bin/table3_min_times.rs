@@ -1,54 +1,9 @@
-//! Table 3 — minimum execution times for different intentions, with the NP
-//! times in parentheses.
-//!
-//! ```text
-//! cargo run -p assess-bench --release --bin table3_min_times \
-//!     [-- --scales 0.01,0.1,1 --reps 3]
-//! ```
+//! Table 3 — minimum execution times per intention and scale, NP's in
+//! parentheses, and the linear-scaling check.
 
-use assess_bench::{report, runs, scales};
+use assess_bench::{artifacts, runs, scales};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (scale_specs, reps, with_views) = scales::parse_cli(&args);
-    let rows = runs::run_matrix(&scale_specs, reps, None, with_views);
-
-    let mut table = vec![vec!["".to_string()]];
-    table[0].extend(scale_specs.iter().map(|s| s.label()));
-    for intention in ["Constant", "External", "Sibling", "Past"] {
-        let mut row = vec![intention.to_string()];
-        for scale in &scale_specs {
-            let cell: Vec<&runs::PlanTiming> =
-                rows.iter().filter(|r| r.intention == intention && r.sf == scale.sf).collect();
-            let best = cell.iter().map(|r| r.seconds).fold(f64::INFINITY, f64::min);
-            let np =
-                cell.iter().find(|r| r.strategy == "NP").map(|r| r.seconds).unwrap_or(f64::NAN);
-            row.push(format!("{} ({})", report::fmt_secs(best), report::fmt_secs(np)));
-        }
-        table.push(row);
-    }
-    println!(
-        "Table 3: Minimum execution times in seconds per intention and scale\n\
-         (in parentheses, the corresponding execution times for NP)\n"
-    );
-    println!("{}", report::render_table(&table));
-
-    // The paper's scaling claim: linear in the fact-table cardinality.
-    println!("Scaling check (best-time ratios between consecutive ×10 scales — linear ≈ 10):");
-    for intention in ["Constant", "External", "Sibling", "Past"] {
-        let mut best: Vec<f64> = Vec::new();
-        for scale in &scale_specs {
-            let b = rows
-                .iter()
-                .filter(|r| r.intention == intention && r.sf == scale.sf)
-                .map(|r| r.seconds)
-                .fold(f64::INFINITY, f64::min);
-            best.push(b);
-        }
-        let ratios: Vec<String> = best.windows(2).map(|w| format!("{:.1}", w[1] / w[0])).collect();
-        println!("  {intention}: {}", ratios.join(", "));
-    }
-
-    let path = report::write_json("table3_min_times", &rows).expect("write report");
-    println!("\nreport: {}", path.display());
+    let (scales, reps, with_views) = scales::cli();
+    artifacts::table3(&runs::run_matrix(&scales, reps, None, with_views)).publish();
 }

@@ -1,25 +1,19 @@
 //! # assess-bench
 //!
-//! The experiment harness reproducing Section 6 of the paper. Each binary
-//! regenerates one table or figure:
+//! The experiment harness reproducing Section 6 of the paper. The binaries
+//! `table1_formulation_effort`, `table2_cardinalities`, `table3_min_times`,
+//! `figure3_plan_times`, `figure4_breakdown` and `chooser_accuracy` each
+//! print one artifact; `run_all` prints them all. All but Table 1 take
+//! `--scales 0.01,0.1,1 --reps 3 --no-views`.
 //!
-//! | target | paper artifact |
-//! |---|---|
-//! | `table1_formulation_effort` | Table 1 — formulation effort (chars) |
-//! | `table2_cardinalities`      | Table 2 — target cube cardinalities |
-//! | `table3_min_times`          | Table 3 — minimum execution times |
-//! | `figure3_plan_times`        | Figure 3 — NP/JOP/POP times per scale |
-//! | `figure4_breakdown`         | Figure 4 — Past intention breakdown |
-//! | `run_all`                   | everything above, writing JSON reports |
-//!
-//! The Criterion benches under `benches/` are ablations: join vs pivot,
-//! materialized views on/off, labeling strategies, function evaluation and
-//! parser throughput.
+//! Every timed number comes from one loop, [`runs::run_matrix`] (warm-up,
+//! rotated strategy order, medians and quartiles), and every artifact is
+//! rendered once, in [`artifacts`]. Each printed artifact and its JSON
+//! report under the workspace's `target/experiments/` open with a
+//! [`report::Provenance`] record.
 
+pub mod artifacts;
 pub mod report;
 pub mod runs;
 pub mod scales;
 pub mod workloads;
-
-pub use scales::{setup, ExperimentEnv, ScaleSpec};
-pub use workloads::{intentions, Intention};

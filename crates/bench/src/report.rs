@@ -1,8 +1,80 @@
-//! Text-table rendering and JSON persistence of experiment results.
+//! Text-table rendering, provenance and JSON persistence of experiment
+//! results.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
+use std::sync::Arc;
 
-use serde::Serialize;
+use serde::{Serialize, Value};
+
+use crate::scales::{engine, ScaleSpec};
+
+/// What produced a report. Every artifact's text and JSON open with it:
+/// without it a number cannot be compared with another.
+#[derive(Debug, Clone, Serialize)]
+pub struct Provenance {
+    pub cores: usize,
+    /// `Engine::parallelism_cap` of the experiments' engine.
+    pub engine_thread_cap: usize,
+    pub morsel_rows: usize,
+    pub scales: Vec<f64>,
+    /// Timed repetitions per (intention, strategy, scale); 0 when nothing
+    /// was timed.
+    pub reps: usize,
+    /// Whether the default materialized views were registered.
+    pub views: bool,
+    /// `git rev-parse --short HEAD` of the workspace, or `unknown`.
+    pub git_commit: String,
+}
+
+impl Provenance {
+    /// Reads the host, the experiments' engine configuration and the commit.
+    pub fn new(scales: &[ScaleSpec], reps: usize, views: bool) -> Self {
+        let engine = engine(Arc::default());
+        let git = Command::new("git")
+            .arg("-C")
+            .arg(workspace())
+            .args(["rev-parse", "--short", "HEAD"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok());
+        Provenance {
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            engine_thread_cap: engine.parallelism_cap(),
+            morsel_rows: engine.config().morsel_rows,
+            scales: scales.iter().map(|s| s.sf).collect(),
+            reps,
+            views,
+            git_commit: git.map_or_else(|| "unknown".to_string(), |g| g.trim().to_string()),
+        }
+    }
+}
+
+/// One rendered paper artifact: its text and the JSON rows behind it.
+pub struct Artifact {
+    /// File stem of the JSON report under [`output_dir`].
+    pub name: &'static str,
+    pub provenance: Provenance,
+    pub text: String,
+    pub rows: Value,
+}
+
+impl Artifact {
+    /// Prints the artifact under its provenance record and writes the report
+    /// `{"provenance": …, "rows": …}`.
+    pub fn publish(&self) {
+        let provenance = self.provenance.to_value();
+        let line = serde_json::to_string(&provenance).expect("provenance serializes");
+        println!("provenance: {line}\n{}", self.text);
+        let report = Value::Object(vec![
+            ("provenance".to_string(), provenance),
+            ("rows".to_string(), self.rows.clone()),
+        ]);
+        let path = write_json(self.name, &report).expect("write report");
+        println!("report: {}\n", path.display());
+    }
+}
 
 /// Renders an aligned text table (first row is the header).
 pub fn render_table(rows: &[Vec<String>]) -> String {
@@ -54,9 +126,21 @@ pub fn fmt_cardinality(n: usize) -> String {
     format!("{mantissa:.1}e{exp}")
 }
 
+/// The workspace root, fixed at build time, so that the harness writes to
+/// one place whichever directory it runs from.
+fn workspace() -> &'static Path {
+    let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+    crate_dir.ancestors().nth(2).unwrap_or(crate_dir)
+}
+
+/// The workspace's `target/` directory: dataset cache and reports.
+pub(crate) fn target_dir() -> PathBuf {
+    workspace().join("target")
+}
+
 /// The directory experiment JSON reports are written to.
 pub fn output_dir() -> PathBuf {
-    let dir = PathBuf::from("target/experiments");
+    let dir = target_dir().join("experiments");
     std::fs::create_dir_all(&dir).ok();
     dir
 }

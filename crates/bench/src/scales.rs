@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use assess_core::exec::AssessRunner;
 use olap_engine::{Engine, EngineConfig};
+use olap_storage::Catalog;
 use ssb_data::{SsbConfig, SsbDataset};
 
 /// One evaluated scale.
@@ -58,17 +59,28 @@ pub fn parse_cli(args: &[String]) -> (Vec<ScaleSpec>, usize, bool) {
     (scales, reps, with_views)
 }
 
+/// [`parse_cli`] over this process's arguments.
+pub fn cli() -> (Vec<ScaleSpec>, usize, bool) {
+    parse_cli(&std::env::args().skip(1).collect::<Vec<_>>())
+}
+
 /// A generated dataset plus the runner executing statements over it.
 pub struct ExperimentEnv {
     pub dataset: SsbDataset,
     pub runner: AssessRunner,
 }
 
-/// Generates the SSB dataset at `sf` (reusing the on-disk cache under
-/// `target/ssb_cache` across runs), optionally materializes the default
-/// views (the paper's setup does), and builds the runner.
+/// The engine every experiment runs on: the default configuration over
+/// `catalog`.
+pub(crate) fn engine(catalog: Arc<Catalog>) -> Engine {
+    Engine::with_config(catalog, EngineConfig::default())
+}
+
+/// Generates the SSB dataset at `sf` (reusing the on-disk cache under the
+/// workspace's `target/ssb_cache` across runs), optionally materializes the
+/// default views (the paper's setup does), and builds the runner.
 pub fn setup(sf: f64, with_views: bool) -> ExperimentEnv {
-    let cache_root = std::path::PathBuf::from("target/ssb_cache");
+    let cache_root = crate::report::target_dir().join("ssb_cache");
     let (dataset, cache_hit) =
         ssb_data::cache::generate_cached(&cache_root, SsbConfig::with_scale(sf));
     if cache_hit {
@@ -78,8 +90,8 @@ pub fn setup(sf: f64, with_views: bool) -> ExperimentEnv {
         ssb_data::views::register_default_views(&dataset.catalog, &dataset.schema)
             .expect("default views materialize");
     }
-    let engine = Engine::with_config(Arc::clone(&dataset.catalog), EngineConfig::default());
-    ExperimentEnv { dataset, runner: AssessRunner::new(engine) }
+    let runner = AssessRunner::new(engine(Arc::clone(&dataset.catalog)));
+    ExperimentEnv { dataset, runner }
 }
 
 #[cfg(test)]

@@ -858,7 +858,7 @@ impl Engine {
             None => self.catalog.table(binding.fact_table())?.n_rows(),
         };
         let (rows, from_view) = if self.config.use_views && ops.iter().all(|op| *op == AggOp::Sum) {
-            match self.catalog.best_view(&q.group_by, &pred_levels, &q.measures) {
+            match self.catalog.best_view(&q.cube, &q.group_by, &pred_levels, &q.measures) {
                 Some(view) => (view.len(), true),
                 None => (fact_rows, false),
             }
@@ -908,7 +908,9 @@ impl Engine {
         if self.config.use_views && ops.iter().all(|op| *op == AggOp::Sum) {
             let pred_levels: Vec<(usize, usize)> =
                 q.predicates.iter().map(|p| (p.hierarchy, p.level)).collect();
-            if let Some(view) = self.catalog.best_view(&q.group_by, &pred_levels, &q.measures) {
+            if let Some(view) =
+                self.catalog.best_view(&q.cube, &q.group_by, &pred_levels, &q.measures)
+            {
                 self.fault(FaultSite::ViewMatch)?;
                 return self.get_from_view(q, &schema, &layout, &ops, &view);
             }

@@ -769,3 +769,77 @@ fn wide_gets_honour_cancellation() {
     let err = Engine::new(catalog).with_governor(governor).get(&q).unwrap_err();
     assert_eq!(err, EngineError::Cancelled);
 }
+
+/// Two cubes of one shape over two fact tables: a view sourced from the
+/// first answers the first only. The second cube's gets scan its own fact
+/// table and its estimates say so.
+#[test]
+fn views_answer_only_the_cube_they_aggregate() {
+    let (catalog, schema) = build_catalog();
+    let returns = Arc::new(CubeSchema::new(
+        "RETURNS",
+        schema.hierarchies().to_vec(),
+        schema.measures().to_vec(),
+    ));
+    let fact = Table::new(
+        "returns",
+        vec![
+            Column::i64("pkey", vec![0, 1, 3, 0]),
+            Column::i64("skey", vec![0, 2, 1, 2]),
+            Column::i64("mkey", vec![0, 1, 2, 3]),
+            Column::f64("quantity", vec![1.0, 2.0, 4.0, 8.0]),
+        ],
+    )
+    .unwrap();
+    let dims = [("product", "pkey", "type"), ("store", "skey", "country")]
+        .into_iter()
+        .map(|(table, pk, upper)| DimInfo {
+            table: table.into(),
+            pk: pk.into(),
+            level_columns: vec![pk.into(), upper.into()],
+        })
+        .chain([DimInfo {
+            table: "dates".into(),
+            pk: "mkey".into(),
+            level_columns: vec!["month".into()],
+        }])
+        .collect();
+    let binding = CubeBinding::new(
+        returns,
+        &fact,
+        vec!["pkey".into(), "skey".into(), "mkey".into()],
+        vec!["quantity".into(), "quantity".into()],
+        dims,
+    )
+    .unwrap();
+    catalog.register_table(fact);
+    catalog.register_binding("RETURNS", binding);
+
+    let engine = Engine::new(catalog.clone());
+    let g = GroupBySet::from_level_names(&schema, &["product", "country"]).unwrap();
+    let query = |cube: &str| CubeQuery::new(cube, g.clone(), vec![], vec!["quantity".into()]);
+    let base = engine.get(&query("SALES")).unwrap();
+    catalog.register_view(
+        MaterializedAggregate::new(
+            "mv_sales",
+            g.clone(),
+            base.cube.coord_cols().to_vec(),
+            vec!["quantity".into()],
+            vec![base.cube.numeric_column("quantity").unwrap().data.clone()],
+        )
+        .unwrap()
+        .with_source("SALES"),
+    );
+    assert_eq!(engine.get(&query("SALES")).unwrap().used_view.as_deref(), Some("mv_sales"));
+    assert!(engine.estimate_get(&query("SALES")).unwrap().from_view);
+
+    let out = engine.get(&query("RETURNS")).unwrap();
+    assert_eq!(out.used_view, None);
+    let fact_scan =
+        Engine::with_config(catalog, EngineConfig { use_views: false, ..EngineConfig::default() })
+            .get(&query("RETURNS"))
+            .unwrap();
+    assert_eq!(rows_of(&out.cube, "quantity"), rows_of(&fact_scan.cube, "quantity"));
+    assert_eq!(out.rows_scanned, 4);
+    assert!(!engine.estimate_get(&query("RETURNS")).unwrap().from_view);
+}

@@ -305,11 +305,13 @@ impl Catalog {
         Some(covering)
     }
 
-    /// Finds the smallest registered view answering a query with the given
-    /// group-by, predicate levels and measures; `None` when the fact table
-    /// must be scanned.
+    /// Finds the smallest registered view answering a query on `cube` with
+    /// the given group-by, predicate levels and measures; `None` when the
+    /// fact table must be scanned. A view recorded as aggregating another
+    /// cube never matches; a view without a recorded source matches any.
     pub fn best_view(
         &self,
+        cube: &str,
         group_by: &olap_model::GroupBySet,
         predicate_levels: &[(usize, usize)],
         measures: &[String],
@@ -317,6 +319,7 @@ impl Catalog {
         self.read()
             .views
             .iter()
+            .filter(|v| v.source().is_none_or(|source| source == cube))
             .filter(|v| v.matches(group_by, predicate_levels, measures))
             .min_by_key(|v| v.len())
             .cloned()
@@ -435,11 +438,11 @@ mod tests {
         };
         cat.register_view(mk("big", 100, vec![Some(0)]));
         cat.register_view(mk("small", 10, vec![Some(0)]));
-        let best = cat.best_view(&g_query, &[], &["m".to_string()]).unwrap();
+        let best = cat.best_view("c", &g_query, &[], &["m".to_string()]).unwrap();
         assert_eq!(best.name(), "small");
-        assert!(cat.best_view(&g_fine, &[], &["other".to_string()]).is_none());
+        assert!(cat.best_view("c", &g_fine, &[], &["other".to_string()]).is_none());
         cat.clear_views();
-        assert!(cat.best_view(&g_query, &[], &["m".to_string()]).is_none());
+        assert!(cat.best_view("c", &g_query, &[], &["m".to_string()]).is_none());
     }
 
     #[test]
