@@ -709,7 +709,7 @@ fn execute_plan_on(
     if !resolved.starred {
         let t = Instant::now();
         cube =
-            memops::drop_null_rows(&cube, &resolved.benchmark_column(), state.governor.as_deref())?;
+            memops::drop_null_rows(cube, &resolved.benchmark_column(), state.governor.as_deref())?;
         state.timings.join += t.elapsed();
         drop_span = state
             .tracing

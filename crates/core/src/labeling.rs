@@ -1,5 +1,17 @@
 //! Labeling functions (Section 3.3): explicit ranges and labelings based on
 //! the overall value distribution.
+//!
+//! A labeling is applied by [`codes`], a column kernel: it reads the
+//! comparison column's `data` and `validity` and writes one code per cell
+//! into the labeling's label table — the rule index for ranges, the bin for
+//! equi-width, the clamped rounded score for z-scores, the group for
+//! quantiles. No label string is copied per cell; strings are read back from
+//! the table only when a result is rendered. Quantile groups come from `k−1`
+//! cut-point selections instead of a sort: ordering cells by (value, row)
+//! is exactly the order a stable sort by value leaves, so every cell lands
+//! in the group the sorted positions give it, ties included.
+
+use olap_model::{LabelColumn, NumericColumn};
 
 use crate::ast::{Bound, LabelingSpec, RangeRule};
 use crate::error::AssessError;
@@ -46,13 +58,14 @@ pub fn validate_ranges(rules: &[RangeRule]) -> Vec<RangeIssue> {
         }
     }
     let mut order: Vec<usize> = (0..rules.len()).collect();
-    order.sort_by(|&a, &b| {
+    order.sort_unstable_by(|&a, &b| {
         rules[a]
             .lo
             .value
             .partial_cmp(&rules[b].lo.value)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| rules[b].lo.inclusive.cmp(&rules[a].lo.inclusive))
+            .then(a.cmp(&b))
     });
     for w in order.windows(2) {
         let (a, b) = (&rules[w[0]], &rules[w[1]]);
@@ -138,81 +151,102 @@ pub fn resolve(spec: &LabelingSpec) -> Result<ResolvedLabeling, AssessError> {
     }
 }
 
-/// Applies a labeling to comparison values. Null values — and values no
-/// range covers — label as `None`.
+/// Applies a labeling to comparison values, as strings: [`codes`] read back
+/// through the label table. Null values — and values no range covers —
+/// label as `None`.
 pub fn apply(labeling: &ResolvedLabeling, values: &[Option<f64>]) -> Vec<Option<String>> {
-    match labeling {
-        ResolvedLabeling::Ranges(rules) => values
-            .iter()
-            .map(|v| v.and_then(|x| rules.iter().find(|r| r.contains(x)).map(|r| r.label.clone())))
-            .collect(),
-        ResolvedLabeling::Quantiles { k, labels } => {
-            let mut order: Vec<usize> =
-                (0..values.len()).filter(|&i| values[i].is_some()).collect();
-            order.sort_by(|&a, &b| {
-                // All indices hold Some; Option's ordering compares them.
-                values[a].partial_cmp(&values[b]).unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let n = order.len();
-            let mut out = vec![None; values.len()];
-            for (pos, &idx) in order.iter().enumerate() {
-                // pos 0 is the smallest value → last group (`top-k`); the
-                // largest value always lands in `top-1`.
-                let group_from_bottom =
-                    if n <= 1 { k - 1 } else { (pos * *k / (n - 1)).min(k - 1) };
-                let top_index = k - 1 - group_from_bottom;
-                out[idx] = Some(labels[top_index].clone());
-            }
-            out
-        }
+    let column = codes(labeling, &NumericColumn::nullable("values", values.to_vec()));
+    (0..column.len()).map(|row| column.get(row).map(str::to_string)).collect()
+}
+
+/// Labels every cell of `values`: the `label` column, one code per cell
+/// into the labeling's table. Null values — and values no range covers —
+/// get a null code.
+pub fn codes(labeling: &ResolvedLabeling, values: &NumericColumn) -> LabelColumn {
+    let valid = |row: usize| values.validity[row].then(|| values.data[row]);
+    let n = values.len();
+    let (table, codes): (Vec<String>, Vec<Option<u32>>) = match labeling {
+        ResolvedLabeling::Ranges(rules) => (
+            rules.iter().map(|r| r.label.clone()).collect(),
+            (0..n)
+                .map(|row| {
+                    let rule = valid(row).and_then(|x| rules.iter().position(|r| r.contains(x)));
+                    rule.map(|r| r as u32)
+                })
+                .collect(),
+        ),
+        ResolvedLabeling::Quantiles { k, labels } => (labels.clone(), quantile_codes(*k, values)),
         ResolvedLabeling::ZScoreRound { clamp } => {
-            let valid: Vec<f64> = values.iter().flatten().copied().collect();
-            if valid.is_empty() {
-                return vec![None; values.len()];
-            }
-            let n = valid.len() as f64;
-            let mean = valid.iter().sum::<f64>() / n;
-            let sd = (valid.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n).sqrt();
-            values
-                .iter()
-                .map(|v| {
-                    v.map(|x| {
+            let table = (-clamp..=*clamp)
+                .map(|z| if z >= 0 { format!("z+{z}") } else { format!("z{z}") })
+                .collect();
+            // With no valid cell there is nothing to standardise or code.
+            let count = values.valid_values().count() as f64;
+            let mean = values.valid_values().sum::<f64>() / count;
+            let sd = (values.valid_values().map(|v| (v - mean) * (v - mean)).sum::<f64>() / count)
+                .sqrt();
+            let codes = (0..n)
+                .map(|row| {
+                    valid(row).map(|x| {
                         let z = if sd == 0.0 { 0.0 } else { (x - mean) / sd };
-                        let rounded = (z.round() as i32).clamp(-clamp, *clamp);
-                        if rounded >= 0 {
-                            format!("z+{rounded}")
+                        ((z.round() as i32).clamp(-clamp, *clamp) + clamp) as u32
+                    })
+                })
+                .collect();
+            (table, codes)
+        }
+        ResolvedLabeling::EquiWidth { k, labels } => {
+            let (Some(min), Some(max)) =
+                (values.valid_values().reduce(f64::min), values.valid_values().reduce(f64::max))
+            else {
+                return LabelColumn::from_codes("label", labels.clone(), vec![None; n]);
+            };
+            let width = (max - min) / *k as f64;
+            let codes = (0..n)
+                .map(|row| {
+                    valid(row).map(|x| {
+                        if width == 0.0 {
+                            0
                         } else {
-                            format!("z{rounded}")
+                            (((x - min) / width) as usize).min(k - 1) as u32
                         }
                     })
                 })
-                .collect()
+                .collect();
+            (labels.clone(), codes)
         }
-        ResolvedLabeling::EquiWidth { k, labels } => {
-            let valid: Vec<f64> = values.iter().flatten().copied().collect();
-            let (min, max) = match (
-                valid.iter().cloned().reduce(f64::min),
-                valid.iter().cloned().reduce(f64::max),
-            ) {
-                (Some(min), Some(max)) => (min, max),
-                _ => return vec![None; values.len()],
-            };
-            let width = (max - min) / *k as f64;
-            values
-                .iter()
-                .map(|v| {
-                    v.map(|x| {
-                        let bin = if width == 0.0 {
-                            0
-                        } else {
-                            (((x - min) / width) as usize).min(k - 1)
-                        };
-                        labels[bin].clone()
-                    })
-                })
-                .collect()
+    };
+    LabelColumn::from_codes("label", table, codes)
+}
+
+/// Equi-depth groups by rank position: with the `n` valid cells ordered by
+/// (value, row), position `p` falls in group `⌊p·k/(n−1)⌋` (capped at
+/// `k−1`) counted from the bottom, and the top group gets code 0. Group `g`
+/// ends where `p·k ≥ (g+1)(n−1)` starts, so `k−1` selections at those
+/// positions split the cells without sorting them.
+fn quantile_codes(k: usize, values: &NumericColumn) -> Vec<Option<u32>> {
+    let mut cells: Vec<(f64, u32)> = (0..values.len())
+        .filter(|&row| values.validity[row])
+        .map(|row| (values.data[row], row as u32))
+        .collect();
+    // Value order as the comparison sees it (±0.0 tie, NaN last), then row.
+    let order = |a: &(f64, u32), b: &(f64, u32)| {
+        a.0.partial_cmp(&b.0).unwrap_or_else(|| a.0.is_nan().cmp(&b.0.is_nan())).then(a.1.cmp(&b.1))
+    };
+    let n = cells.len();
+    let mut codes = vec![None; values.len()];
+    let mut start = 0;
+    for group in 0..k {
+        let end = if group + 1 == k { n } else { ((group + 1) * n.saturating_sub(1)).div_ceil(k) };
+        if start < end && end < n {
+            cells[start..].select_nth_unstable_by(end - start, order);
         }
+        for &(_, row) in &cells[start..end] {
+            codes[row as usize] = Some((k - 1 - group) as u32);
+        }
+        start = end;
     }
+    codes
 }
 
 /// A convenience constructor for the `{[lo, hi): label, …}` style used by

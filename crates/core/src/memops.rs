@@ -9,28 +9,49 @@
 //! materialized into coordinate and value columns first (two `get` round
 //! trips), their coordinates re-packed into keys, and the target's columns
 //! gathered a second time for the joined cube.
+//!
+//! The other stages are column kernels over [`NumericColumn`]'s `data` and
+//! `validity`: a cell-wise (`⊟`) transform reads its inputs in place — a
+//! literal stays a literal — through a fixed-size argument array, labeling
+//! writes codes ([`labeling::codes`]), and gathers copy codes, values and
+//! validity as they are. Holistic (`⊡`) functions still take whole nullable
+//! columns.
 
 use olap_engine::{pack_cells, AttachSpec, ResourceGovernor, Side};
-use olap_model::{CubeColumn, DerivedCube, LabelColumn, MemberId, NumericColumn};
+use olap_model::{CubeColumn, DerivedCube, NumericColumn};
 use olap_timeseries::{Forecaster, Predictor};
 
 use crate::error::AssessError;
 use crate::functions::{ColRef, TransformStep};
 use crate::labeling::{self, ResolvedLabeling};
 
-/// Reads a numeric column as nullable values.
-fn column_values(cube: &DerivedCube, name: &str) -> Result<Vec<Option<f64>>, AssessError> {
-    let col = cube.require_numeric(name)?;
-    Ok((0..col.len()).map(|row| col.get(row)).collect())
+/// A transform input as the kernels read it.
+enum Input<'a> {
+    /// A column of the cube, read in place.
+    Column(&'a NumericColumn),
+    /// A level property's value per cell.
+    Property(NumericColumn),
+    Literal(f64),
 }
 
-/// Resolves a transform input to per-row values (literals broadcast;
-/// properties looked up on each cell's coordinate, rolling the group-by
-/// member up to the property's level when needed).
-fn input_values(cube: &DerivedCube, input: &ColRef) -> Result<Vec<Option<f64>>, AssessError> {
+impl Input<'_> {
+    #[inline]
+    fn get(&self, row: usize) -> Option<f64> {
+        match self {
+            Input::Column(col) => col.get(row),
+            Input::Property(col) => col.get(row),
+            Input::Literal(v) => Some(*v),
+        }
+    }
+}
+
+/// Resolves a transform input (properties are looked up on each cell's
+/// coordinate, rolling the group-by member up to the property's level when
+/// needed).
+fn input<'a>(cube: &'a DerivedCube, input: &ColRef) -> Result<Input<'a>, AssessError> {
     match input {
-        ColRef::Column(name) => column_values(cube, name),
-        ColRef::Literal(v) => Ok(vec![Some(*v); cube.len()]),
+        ColRef::Column(name) => Ok(Input::Column(cube.require_numeric(name)?)),
+        ColRef::Literal(v) => Ok(Input::Literal(*v)),
         ColRef::Property { level, name } => {
             let schema = cube.schema();
             let (hi, li) = schema.locate_level(level)?;
@@ -54,55 +75,29 @@ fn input_values(cube: &DerivedCube, input: &ColRef) -> Result<Vec<Option<f64>>, 
             let rollmap = h.composed_map(group_level, li)?;
             let component = cube.group_by().component_of(hi).expect("included hierarchy");
             let col = &cube.coord_cols()[component];
-            Ok((0..cube.len())
-                .map(|row| {
-                    let member = rollmap[col[row].index()];
-                    lvl.property_of(name, member)
-                })
-                .collect())
+            let values = col.iter().map(|m| lvl.property_of(name, rollmap[m.index()])).collect();
+            Ok(Input::Property(NumericColumn::nullable(name.clone(), values)))
         }
     }
 }
 
-/// The cells of `cube` at `rows`, in that order, preserving column order.
-pub fn take_rows(cube: &DerivedCube, rows: &[u32]) -> DerivedCube {
-    let rows = || rows.iter().map(|&r| r as usize);
-    let coord_cols: Vec<Vec<MemberId>> =
-        cube.coord_cols().iter().map(|col| rows().map(|r| col[r]).collect()).collect();
-    let columns: Vec<CubeColumn> = cube
-        .columns()
-        .iter()
-        .map(|c| match c {
-            CubeColumn::Numeric(nc) => CubeColumn::Numeric(NumericColumn::nullable(
-                nc.name.clone(),
-                rows().map(|r| nc.get(r)).collect(),
-            )),
-            CubeColumn::Label(lc) => {
-                let mut out = LabelColumn::new(lc.name.clone());
-                for r in rows() {
-                    out.push(lc.get(r));
-                }
-                CubeColumn::Label(out)
-            }
-        })
-        .collect();
-    DerivedCube::from_parts(cube.schema().clone(), cube.group_by().clone(), coord_cols, columns)
-        .expect("gathered columns stay consistent")
-}
-
 /// Drops the rows whose `column` is null (the `assess` inner semantics
-/// applied after the benchmark measure is computed).
+/// applied after the benchmark measure is computed). A cube without nulls
+/// there is returned as it is.
 pub fn drop_null_rows(
-    cube: &DerivedCube,
+    cube: DerivedCube,
     column: &str,
     governor: Option<&ResourceGovernor>,
 ) -> Result<DerivedCube, AssessError> {
     if let Some(g) = governor {
         g.check()?;
     }
-    let col = cube.require_numeric(column)?;
-    let rows: Vec<u32> = (0..cube.len() as u32).filter(|&r| col.validity[r as usize]).collect();
-    Ok(take_rows(cube, &rows))
+    let validity = &cube.require_numeric(column)?.validity;
+    if validity.iter().all(|&v| v) {
+        return Ok(cube);
+    }
+    let rows: Vec<u32> = (0..cube.len() as u32).filter(|&r| validity[r as usize]).collect();
+    Ok(cube.take_rows(&rows))
 }
 
 /// Every join and the pivot `⊞`, client-side: attaches `spec.measure` of
@@ -128,7 +123,7 @@ pub fn attach(
         spec,
         governor,
     )?;
-    let mut out = take_rows(target, &found.kept);
+    let mut out = target.take_rows(&found.kept);
     for (name, col) in found.columns(spec.names, |row| values.data[valued[row as usize]]) {
         out.add_column(CubeColumn::Numeric(NumericColumn::nullable(name, col)))?;
     }
@@ -140,20 +135,31 @@ pub fn attach(
 
 /// Applies one `⊟`/`⊡` transform step, appending its output column.
 pub fn apply_transform(cube: &mut DerivedCube, step: &TransformStep) -> Result<(), AssessError> {
-    let inputs: Vec<Vec<Option<f64>>> =
-        step.inputs.iter().map(|i| input_values(cube, i)).collect::<Result<_, _>>()?;
-    let out: Vec<Option<f64>> = if step.function.is_holistic() {
-        let refs: Vec<&[Option<f64>]> = inputs.iter().map(Vec::as_slice).collect();
-        step.function.eval_holistic(&refs)
+    let inputs: Vec<Input<'_>> =
+        step.inputs.iter().map(|i| input(cube, i)).collect::<Result<_, _>>()?;
+    let n = cube.len();
+    let out = if step.function.is_holistic() {
+        let cols: Vec<Vec<Option<f64>>> =
+            inputs.iter().map(|i| (0..n).map(|row| i.get(row)).collect()).collect();
+        let refs: Vec<&[Option<f64>]> = cols.iter().map(Vec::as_slice).collect();
+        NumericColumn::nullable(step.output.clone(), step.function.eval_holistic(&refs))
     } else {
-        (0..cube.len())
-            .map(|row| {
-                let args: Vec<Option<f64>> = inputs.iter().map(|col| col[row]).collect();
-                step.function.eval_cell(&args)
-            })
-            .collect()
+        // Cell functions take at most two arguments.
+        let mut args = [None; 2];
+        let arity = inputs.len().min(args.len());
+        let mut data = Vec::with_capacity(n);
+        let mut validity = Vec::with_capacity(n);
+        for row in 0..n {
+            for (arg, input) in args.iter_mut().zip(&inputs) {
+                *arg = input.get(row);
+            }
+            let value = step.function.eval_cell(&args[..arity]);
+            data.push(value.unwrap_or(f64::NAN));
+            validity.push(value.is_some());
+        }
+        NumericColumn { name: step.output.clone(), data, validity }
     };
-    cube.add_column(CubeColumn::Numeric(NumericColumn::nullable(step.output.clone(), out)))?;
+    cube.add_column(CubeColumn::Numeric(out))?;
     Ok(())
 }
 
@@ -164,12 +170,14 @@ pub fn apply_regression(
     history: &[String],
     output: &str,
 ) -> Result<(), AssessError> {
-    let cols: Vec<Vec<Option<f64>>> =
-        history.iter().map(|name| column_values(cube, name)).collect::<Result<_, _>>()?;
+    let cols: Vec<&NumericColumn> =
+        history.iter().map(|name| cube.require_numeric(name)).collect::<Result<_, _>>()?;
     let forecaster = Forecaster::new(Predictor::LinearRegression);
+    let mut series = Vec::with_capacity(cols.len());
     let out: Vec<Option<f64>> = (0..cube.len())
         .map(|row| {
-            let series: Vec<Option<f64>> = cols.iter().map(|c| c[row]).collect();
+            series.clear();
+            series.extend(cols.iter().map(|c| c.get(row)));
             forecaster.predict(&series)
         })
         .collect();
@@ -191,10 +199,8 @@ pub fn apply_label(
     labeling: &ResolvedLabeling,
     input_column: &str,
 ) -> Result<(), AssessError> {
-    let values = column_values(cube, input_column)?;
-    let labels = labeling::apply(labeling, &values);
-    let col = LabelColumn::from_labels("label", labels);
-    cube.add_column(CubeColumn::Label(col))?;
+    let labels = labeling::codes(labeling, cube.require_numeric(input_column)?);
+    cube.add_column(CubeColumn::Label(labels))?;
     Ok(())
 }
 
@@ -203,8 +209,13 @@ mod tests {
     use super::*;
     use crate::functions::Function;
     use olap_engine::{Keep, Rewrite};
-    use olap_model::{AggOp, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef};
+    use olap_model::{AggOp, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef, MemberId};
     use std::sync::Arc;
+
+    fn column_values(cube: &DerivedCube, name: &str) -> Result<Vec<Option<f64>>, AssessError> {
+        let col = cube.require_numeric(name)?;
+        Ok((0..col.len()).map(|row| col.get(row)).collect())
+    }
 
     /// Figure 1's cubes: fresh-fruit quantities in Italy and France.
     fn schema() -> Arc<CubeSchema> {
@@ -394,7 +405,9 @@ mod tests {
         assert_eq!(column_values(&c, "benchmark.quantity").unwrap(), vec![Some(5.0), Some(5.0)]);
         c.add_column(CubeColumn::Numeric(NumericColumn::nullable("maybe", vec![Some(1.0), None])))
             .unwrap();
-        let dropped = drop_null_rows(&c, "maybe", None).unwrap();
+        let kept = drop_null_rows(c.clone(), "benchmark.quantity", None).unwrap();
+        assert_eq!(kept.len(), 2);
+        let dropped = drop_null_rows(c, "maybe", None).unwrap();
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped.coordinate(0).members()[0], MemberId(0));
     }

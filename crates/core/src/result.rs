@@ -93,21 +93,32 @@ impl AssessedCube {
         (0..self.len()).map(|row| self.cell(row)).collect()
     }
 
-    /// Label frequencies (null cells counted under `"<unlabeled>"`).
+    /// Label frequencies (null cells counted under `"<unlabeled>"`). Codes
+    /// are counted first; entries of the label table that name the same
+    /// label fold into one count.
     pub fn label_histogram(&self) -> BTreeMap<String, usize> {
         let mut hist = BTreeMap::new();
-        match self.cube.label_column("label") {
-            Some(col) => {
-                for row in 0..self.len() {
-                    let key = col.get(row).unwrap_or("<unlabeled>").to_string();
-                    *hist.entry(key).or_insert(0) += 1;
-                }
+        let Some(col) = self.cube.label_column("label") else {
+            if !self.is_empty() {
+                hist.insert("<unlabeled>".to_string(), self.len());
             }
-            None => {
-                if !self.is_empty() {
-                    hist.insert("<unlabeled>".to_string(), self.len());
-                }
+            return hist;
+        };
+        let mut counts = vec![0usize; col.distinct().len()];
+        let mut unlabeled = 0;
+        for code in col.codes() {
+            match code {
+                Some(c) => counts[*c as usize] += 1,
+                None => unlabeled += 1,
             }
+        }
+        for (label, n) in col.distinct().iter().zip(counts) {
+            if n > 0 {
+                *hist.entry(label.clone()).or_insert(0) += n;
+            }
+        }
+        if unlabeled > 0 {
+            *hist.entry("<unlabeled>".to_string()).or_insert(0) += unlabeled;
         }
         hist
     }
@@ -175,39 +186,76 @@ impl AssessedCube {
 impl AssessedCube {
     /// Serializes the result as CSV: coordinate levels, then the five
     /// Section 4.1 columns. Fields are quoted when they contain commas or
-    /// quotes.
+    /// quotes. Member names are read from the schema and labels from the
+    /// label table, straight into the output.
     pub fn to_csv(&self) -> String {
-        fn field(s: &str) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
+        use std::fmt::Write as _;
+        fn field(out: &mut String, s: &str) {
+            if s.contains([',', '"', '\n']) {
+                out.push('"');
+                out.push_str(&s.replace('"', "\"\""));
+                out.push('"');
             } else {
-                s.to_string()
+                out.push_str(s);
             }
         }
+        let cube = &self.cube;
         let mut out = String::new();
-        let mut header: Vec<String> = self
-            .cube
-            .group_by()
-            .level_names(self.cube.schema())
-            .into_iter()
-            .map(str::to_string)
-            .collect();
-        header.extend([
-            self.measure.clone(),
-            self.benchmark_column.clone(),
-            DELTA_COLUMN.to_string(),
-            "label".to_string(),
-        ]);
-        out.push_str(&header.iter().map(|h| field(h)).collect::<Vec<_>>().join(","));
+        let level_names = cube.group_by().level_names(cube.schema());
+        let columns = [self.measure.as_str(), &self.benchmark_column, DELTA_COLUMN, "label"];
+        for (i, name) in level_names.into_iter().chain(columns).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            field(&mut out, name);
+        }
         out.push('\n');
-        for cell in self.cells() {
-            let mut row: Vec<String> = cell.coordinate.iter().map(|c| field(c)).collect();
-            let num = |v: Option<f64>| v.map(|x| x.to_string()).unwrap_or_default();
-            row.push(num(cell.value));
-            row.push(num(cell.benchmark));
-            row.push(num(cell.comparison));
-            row.push(cell.label.map(|l| field(&l)).unwrap_or_default());
-            out.push_str(&row.join(","));
+        let levels: Vec<_> = cube
+            .group_by()
+            .included_hierarchies()
+            .map(|(h, l)| cube.schema().hierarchy(h).and_then(|h| h.level(l)))
+            .collect();
+        let numeric = [self.measure.as_str(), &self.benchmark_column, DELTA_COLUMN]
+            .map(|name| cube.numeric_column(name));
+        let labels = cube.label_column("label").map(|col| {
+            let table: Vec<String> = col
+                .distinct()
+                .iter()
+                .map(|label| {
+                    let mut quoted = String::new();
+                    field(&mut quoted, label);
+                    quoted
+                })
+                .collect();
+            (table, col.codes())
+        });
+        for row in 0..self.len() {
+            // A coordinate with a member outside its level's domain is
+            // written without member names, as `cell` decodes it.
+            let start = out.len();
+            for (level, col) in levels.iter().zip(cube.coord_cols()) {
+                match level.and_then(|l| l.member_name(col[row])) {
+                    Some(name) => {
+                        field(&mut out, name);
+                        out.push(',');
+                    }
+                    None => {
+                        out.truncate(start);
+                        break;
+                    }
+                }
+            }
+            for col in numeric {
+                if let Some(x) = col.and_then(|c| c.get(row)) {
+                    let _ = write!(out, "{x}");
+                }
+                out.push(',');
+            }
+            if let Some((table, codes)) = &labels {
+                if let Some(code) = codes[row] {
+                    out.push_str(&table[code as usize]);
+                }
+            }
             out.push('\n');
         }
         out
@@ -217,5 +265,75 @@ impl AssessedCube {
     /// `Serialize` implementation).
     pub fn to_json(&self) -> serde_json::Result<String> {
         serde_json::to_string_pretty(&self.cells())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use olap_model::{
+        AggOp, CubeColumn, CubeSchema, GroupBySet, HierarchyBuilder, LabelColumn, MeasureDef,
+        MemberId, NumericColumn,
+    };
+    use std::sync::Arc;
+
+    /// Three cities, one with a comma and one with quotes in its name, and a
+    /// fourth cell whose member is outside the level's domain.
+    fn assessed(table: &[&str], codes: Vec<Option<u32>>) -> AssessedCube {
+        let mut city = HierarchyBuilder::new("City", ["city"]);
+        for name in ["Bolzano, BZ", "say \"hi\"", "Plain"] {
+            city.add_member_chain(&[name]).unwrap();
+        }
+        let schema = Arc::new(CubeSchema::new(
+            "SALES",
+            vec![city.build().unwrap()],
+            vec![MeasureDef::new("quantity", AggOp::Sum)],
+        ));
+        let g = GroupBySet::from_level_names(&schema, &["city"]).unwrap();
+        let numeric = |name: &str, values: Vec<Option<f64>>| {
+            CubeColumn::Numeric(NumericColumn::nullable(name, values))
+        };
+        let cube = DerivedCube::from_parts(
+            schema,
+            g,
+            vec![vec![MemberId(0), MemberId(1), MemberId(2), MemberId(7)]],
+            vec![
+                numeric("quantity", vec![Some(1.0), None, Some(0.5), Some(3.0)]),
+                numeric("benchmark.quantity", vec![Some(2.0); 4]),
+                numeric(DELTA_COLUMN, vec![Some(-1.0), None, Some(-1.5), Some(1.0)]),
+                CubeColumn::Label(LabelColumn::from_codes(
+                    "label",
+                    table.iter().map(|l| l.to_string()).collect(),
+                    codes,
+                )),
+            ],
+        )
+        .unwrap();
+        AssessedCube {
+            cube,
+            measure: "quantity".into(),
+            benchmark_column: "benchmark.quantity".into(),
+        }
+    }
+
+    #[test]
+    fn csv_quotes_names_and_labels_and_skips_unknown_members() {
+        let cube = assessed(&["ok, fine", "bad"], vec![Some(0), None, Some(1), Some(1)]);
+        assert_eq!(
+            cube.to_csv(),
+            "city,quantity,benchmark.quantity,delta,label\n\
+             \"Bolzano, BZ\",1,2,-1,\"ok, fine\"\n\
+             \"say \"\"hi\"\"\",,2,,\n\
+             Plain,0.5,2,-1.5,bad\n\
+             3,2,1,bad\n"
+        );
+    }
+
+    #[test]
+    fn histogram_folds_a_label_shared_by_two_codes() {
+        let cube =
+            assessed(&["edge", "par", "edge", "unused"], vec![Some(0), Some(2), Some(1), None]);
+        let hist: Vec<(String, usize)> = cube.label_histogram().into_iter().collect();
+        assert_eq!(hist, [("<unlabeled>".into(), 1), ("edge".into(), 2), ("par".into(), 1)]);
     }
 }

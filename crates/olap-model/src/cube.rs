@@ -5,11 +5,10 @@
 //! [`MemberId`] column per hierarchy included in the group-by set, plus a set
 //! of value columns. Value columns are either numeric (measures, derived
 //! measures produced by `⊟`/`⊡` transforms) or label columns (produced by the
-//! labeling step). Numeric columns carry a validity bitmap so that the
-//! `assess*` variant can represent cells "completed with null values"
-//! (Section 4.2, left-outer join).
+//! labeling step, as codes into a label table). Numeric columns carry a
+//! validity bitmap so that the `assess*` variant can represent cells
+//! "completed with null values" (Section 4.2, left-outer join).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::coordinate::Coordinate;
@@ -76,53 +75,59 @@ impl NumericColumn {
     }
 }
 
-/// A dictionary-encoded label column: labels repeat heavily, so each distinct
-/// label string is stored once.
+/// A label column: a table of the labels a labeling can assign (at most
+/// its `k` groups or ranges) and one nullable code per row indexing it.
+/// Strings are only read back when a result is rendered.
 #[derive(Debug, Clone)]
 pub struct LabelColumn {
     pub name: String,
+    table: Vec<String>,
     codes: Vec<Option<u32>>,
-    dict: Vec<String>,
-    lookup: HashMap<String, u32>,
 }
 
 impl LabelColumn {
     pub fn new(name: impl Into<String>) -> Self {
-        LabelColumn {
-            name: name.into(),
-            codes: Vec::new(),
-            dict: Vec::new(),
-            lookup: HashMap::new(),
-        }
+        LabelColumn::from_codes(name, Vec::new(), Vec::new())
     }
 
-    /// Builds from nullable label strings.
-    pub fn from_labels<S: AsRef<str>>(name: impl Into<String>, labels: Vec<Option<S>>) -> Self {
-        let mut col = LabelColumn::new(name);
-        for l in labels {
-            col.push(l.as_ref().map(|s| s.as_ref()));
-        }
-        col
+    /// A column from its label table and one code (an index into `table`,
+    /// or null) per row. The table may hold labels no row uses, and the
+    /// same label twice.
+    pub fn from_codes(
+        name: impl Into<String>,
+        table: Vec<String>,
+        codes: Vec<Option<u32>>,
+    ) -> Self {
+        debug_assert!(codes.iter().flatten().all(|&c| (c as usize) < table.len()));
+        LabelColumn { name: name.into(), table, codes }
     }
 
-    /// Appends a label (or null).
+    /// Appends a label (or null), adding it to the table when new.
     pub fn push(&mut self, label: Option<&str>) {
-        let code = label.map(|l| {
-            if let Some(&c) = self.lookup.get(l) {
-                c
-            } else {
-                let c = self.dict.len() as u32;
-                self.lookup.insert(l.to_string(), c);
-                self.dict.push(l.to_string());
-                c
+        let code = label.map(|l| match self.table.iter().position(|t| t == l) {
+            Some(c) => c as u32,
+            None => {
+                self.table.push(l.to_string());
+                (self.table.len() - 1) as u32
             }
         });
         self.codes.push(code);
     }
 
+    /// The rows at `rows`, in that order, over the same table.
+    pub fn gather(&self, rows: &[u32]) -> LabelColumn {
+        let codes = rows.iter().map(|&r| self.codes[r as usize]).collect();
+        LabelColumn::from_codes(self.name.clone(), self.table.clone(), codes)
+    }
+
     /// The label at `row`, or `None` when null.
     pub fn get(&self, row: usize) -> Option<&str> {
-        self.codes[row].map(|c| self.dict[c as usize].as_str())
+        self.codes[row].map(|c| self.table[c as usize].as_str())
+    }
+
+    /// One code per row: an index into [`distinct`](Self::distinct), or null.
+    pub fn codes(&self) -> &[Option<u32>] {
+        &self.codes
     }
 
     pub fn len(&self) -> usize {
@@ -133,9 +138,9 @@ impl LabelColumn {
         self.codes.is_empty()
     }
 
-    /// Distinct labels actually used.
+    /// The label table the codes index.
     pub fn distinct(&self) -> &[String] {
-        &self.dict
+        &self.table
     }
 }
 
@@ -350,10 +355,10 @@ impl DerivedCube {
     /// Sorts rows by coordinate (lexicographically on member ids) for
     /// deterministic output; reorders every column consistently.
     pub fn sort_by_coordinates(&mut self) {
-        let n = self.len();
-        let mut perm: Vec<usize> = (0..n).collect();
+        let mut perm: Vec<u32> = (0..self.len() as u32).collect();
         let coord_cols = &self.coord_cols;
         perm.sort_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
             for col in coord_cols {
                 match col[a].cmp(&col[b]) {
                     std::cmp::Ordering::Equal => continue,
@@ -362,27 +367,31 @@ impl DerivedCube {
             }
             std::cmp::Ordering::Equal
         });
-        let apply_u32 =
-            |col: &Vec<MemberId>| -> Vec<MemberId> { perm.iter().map(|&i| col[i]).collect() };
-        self.coord_cols = self.coord_cols.iter().map(apply_u32).collect();
-        self.columns = self
+        *self = self.take_rows(&perm);
+    }
+
+    /// The cells at `rows`, in that order: coordinates, numeric data and
+    /// validity, and label codes are gathered as they are.
+    pub fn take_rows(&self, rows: &[u32]) -> DerivedCube {
+        let gather = |col: &Vec<MemberId>| rows.iter().map(|&r| col[r as usize]).collect();
+        let columns = self
             .columns
             .iter()
             .map(|c| match c {
                 CubeColumn::Numeric(nc) => CubeColumn::Numeric(NumericColumn {
                     name: nc.name.clone(),
-                    data: perm.iter().map(|&i| nc.data[i]).collect(),
-                    validity: perm.iter().map(|&i| nc.validity[i]).collect(),
+                    data: rows.iter().map(|&r| nc.data[r as usize]).collect(),
+                    validity: rows.iter().map(|&r| nc.validity[r as usize]).collect(),
                 }),
-                CubeColumn::Label(lc) => {
-                    let mut out = LabelColumn::new(lc.name.clone());
-                    for &i in &perm {
-                        out.push(lc.get(i));
-                    }
-                    CubeColumn::Label(out)
-                }
+                CubeColumn::Label(lc) => CubeColumn::Label(lc.gather(rows)),
             })
             .collect();
+        DerivedCube {
+            schema: self.schema.clone(),
+            group_by: self.group_by.clone(),
+            coord_cols: self.coord_cols.iter().map(gather).collect(),
+            columns,
+        }
     }
 
     /// Renders the cube as a plain-text table for examples and debugging.
@@ -538,16 +547,30 @@ mod tests {
     fn sort_by_coordinates_reorders_all_columns() {
         let s = schema();
         let g = GroupBySet::from_level_names(&s, &["product"]).unwrap();
+        let labels = LabelColumn::from_codes(
+            "label",
+            vec!["bad".into(), "ok".into()],
+            vec![Some(0), None, Some(1)],
+        );
         let mut cube = DerivedCube::from_parts(
             s,
             g,
             vec![vec![MemberId(2), MemberId(0), MemberId(1)]],
-            vec![CubeColumn::Numeric(NumericColumn::dense("q", vec![30.0, 100.0, 90.0]))],
+            vec![
+                CubeColumn::Numeric(NumericColumn::dense("q", vec![30.0, 100.0, 90.0])),
+                CubeColumn::Label(labels),
+            ],
         )
         .unwrap();
         cube.sort_by_coordinates();
         assert_eq!(cube.coord_cols()[0], vec![MemberId(0), MemberId(1), MemberId(2)]);
         assert_eq!(cube.numeric_column("q").unwrap().data, vec![100.0, 90.0, 30.0]);
+        let labels = cube.label_column("label").unwrap();
+        assert_eq!(
+            (0..3).map(|r| labels.get(r)).collect::<Vec<_>>(),
+            [None, Some("ok"), Some("bad")]
+        );
+        assert_eq!(labels.distinct(), ["bad", "ok"]);
     }
 
     #[test]
