@@ -289,17 +289,6 @@ pub struct PredicateSpans {
     pub members: Vec<Span>,
 }
 
-impl PredicateSpans {
-    /// All-dummy spans shaped like `pred` (for statements built in code).
-    pub fn dummy_for(pred: &PredicateSpec) -> Self {
-        PredicateSpans {
-            span: Span::dummy(),
-            level: Span::dummy(),
-            members: vec![Span::dummy(); pred.members.len()],
-        }
-    }
-}
-
 /// Byte spans for a `using` expression, mirroring the [`FuncExpr`] tree.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FuncSpans {
@@ -314,18 +303,6 @@ pub struct FuncSpans {
 impl FuncSpans {
     pub fn leaf(span: Span) -> Self {
         FuncSpans { span, name: Span::dummy(), args: Vec::new() }
-    }
-
-    /// All-dummy spans shaped like `expr`.
-    pub fn dummy_for(expr: &FuncExpr) -> Self {
-        match expr {
-            FuncExpr::Call { args, .. } => FuncSpans {
-                span: Span::dummy(),
-                name: Span::dummy(),
-                args: args.iter().map(FuncSpans::dummy_for).collect(),
-            },
-            _ => FuncSpans::leaf(Span::dummy()),
-        }
     }
 }
 
@@ -350,27 +327,6 @@ pub struct StatementSpans {
     pub labels: Span,
     /// One span per inline range rule (empty for named labelings).
     pub label_rules: Vec<Span>,
-}
-
-impl StatementSpans {
-    /// All-dummy spans shaped like `statement`, so statements built with
-    /// the fluent API can flow through span-aware passes.
-    pub fn dummy_for(statement: &AssessStatement) -> Self {
-        StatementSpans {
-            span: Span::dummy(),
-            cube: Span::dummy(),
-            for_preds: statement.for_preds.iter().map(PredicateSpans::dummy_for).collect(),
-            by: vec![Span::dummy(); statement.by.len()],
-            measure: Span::dummy(),
-            against: statement.against.as_ref().map(|_| Span::dummy()),
-            using: statement.using.as_ref().map(FuncSpans::dummy_for),
-            labels: Span::dummy(),
-            label_rules: match &statement.labels {
-                LabelingSpec::Ranges(rules) => vec![Span::dummy(); rules.len()],
-                LabelingSpec::Named(_) => Vec::new(),
-            },
-        }
-    }
 }
 
 /// Quotes a member name as a statement string literal (`'` escapes to `''`).

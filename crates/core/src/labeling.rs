@@ -89,11 +89,6 @@ pub fn known_labelings() -> &'static [&'static str] {
     &["quartiles", "quintiles", "terciles", "deciles", "5stars", "5star", "zscore", "zround"]
 }
 
-/// Looks up a named labeling of the library.
-pub fn lookup_named(name: &str) -> Option<ResolvedLabeling> {
-    named(name)
-}
-
 /// The named labelings of the library, as a `(name, constructor)` list.
 fn named(name: &str) -> Option<ResolvedLabeling> {
     let top_labels = |k: usize| (1..=k).map(|i| format!("top-{i}")).collect::<Vec<_>>();
@@ -345,11 +340,11 @@ mod tests {
     }
 
     #[test]
-    fn named_lookup_is_public_and_total_over_known_names() {
+    fn named_lookup_is_total_over_known_names() {
         for name in known_labelings() {
-            assert!(lookup_named(name).is_some(), "known labeling `{name}` must resolve");
+            assert!(named(name).is_some(), "known labeling `{name}` must resolve");
         }
-        assert!(lookup_named("septiles").is_none());
+        assert!(named("septiles").is_none());
     }
 
     #[test]

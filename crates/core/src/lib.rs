@@ -101,6 +101,6 @@ pub use obs::{
 };
 pub use plan::Strategy;
 pub use policy::ExecutionPolicy;
-pub use result::AssessedCube;
+pub use result::{AssessedCube, CellDiff};
 pub use semantics::{ResolvedAssess, SchemaProvider};
 pub use workload::{Fingerprint, SharingReport, WorkloadAnalyzer, WorkloadStatement};

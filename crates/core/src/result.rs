@@ -4,9 +4,10 @@
 //! assessed measure value, (iii) the benchmark measure value, (iv) the
 //! comparison value, and (v) the label.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use olap_model::DerivedCube;
+use olap_model::{DerivedCube, LabelColumn, MemberId, NumericColumn};
 use serde::Serialize;
 
 use crate::functions::DELTA_COLUMN;
@@ -28,6 +29,18 @@ pub struct AssessedCell {
     pub label: Option<String>,
 }
 
+/// The rows in which two evaluations of one statement differ, as
+/// [`AssessedCube::diff`] finds them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CellDiff {
+    /// Rows of the next evaluation whose cell is new or whose value,
+    /// benchmark, comparison or label changed, ascending.
+    pub changed: Vec<usize>,
+    /// Rows of the previous evaluation whose coordinate is absent from the
+    /// next one, ascending.
+    pub removed: Vec<usize>,
+}
+
 /// The assessed cube: the target cube extended with the benchmark,
 /// comparison and label columns.
 #[derive(Debug, Clone)]
@@ -39,11 +52,18 @@ pub struct AssessedCube {
 
 impl AssessedCube {
     pub(crate) fn new(cube: DerivedCube, resolved: &ResolvedAssess) -> Self {
-        AssessedCube {
-            cube,
-            measure: resolved.measure.clone(),
-            benchmark_column: resolved.benchmark_column(),
-        }
+        AssessedCube::from_parts(cube, resolved.measure.clone(), resolved.benchmark_column())
+    }
+
+    /// An assessed cube over `cube`, reading the assessed measure from the
+    /// column `measure`, the benchmark from `benchmark_column`, the
+    /// comparison from `delta` and the label from `label`.
+    pub fn from_parts(
+        cube: DerivedCube,
+        measure: impl Into<String>,
+        benchmark_column: impl Into<String>,
+    ) -> Self {
+        AssessedCube { cube, measure: measure.into(), benchmark_column: benchmark_column.into() }
     }
 
     /// The underlying derived cube (all columns, including intermediate
@@ -91,6 +111,55 @@ impl AssessedCube {
     /// Decodes every cell.
     pub fn cells(&self) -> Vec<AssessedCell> {
         (0..self.len()).map(|row| self.cell(row)).collect()
+    }
+
+    /// The cells of `next`, a later evaluation of the same statement, that
+    /// differ from this one's, found without decoding a cell: two rows are
+    /// the same cell when their member ids are (names are interned per
+    /// level, so equal ids are equal names), and differ when a numeric
+    /// column differs as `Option<f64>` (NaN never equals, −0.0 equals 0.0)
+    /// or the label does as a string. Both sides are walked in coordinate
+    /// order — their row order unless a side is not already sorted — and
+    /// merged. `None` when the group-by sets differ.
+    pub fn diff(&self, next: &AssessedCube) -> Option<CellDiff> {
+        if self.cube.group_by() != next.cube.group_by() {
+            return None;
+        }
+        let mut labels = Vec::new();
+        let (prev, next) = (DiffSide::new(self, &mut labels), DiffSide::new(next, &mut labels));
+        let same = |a: usize, b: usize| {
+            let mut numeric = prev.numeric.iter().zip(&next.numeric);
+            numeric.all(|(p, n)| p.and_then(|c| c.get(a)) == n.and_then(|c| c.get(b)))
+                && prev.label(a) == next.label(b)
+        };
+        let mut diff = CellDiff::default();
+        let (mut i, mut j) = (0, 0);
+        while i < prev.order.len() && j < next.order.len() {
+            let (a, b) = (prev.order[i], next.order[j]);
+            match compare_coordinates(prev.coords, a, next.coords, b) {
+                Ordering::Less => {
+                    diff.removed.push(a);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    diff.changed.push(b);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    if !same(a, b) {
+                        diff.changed.push(b);
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        diff.removed.extend(&prev.order[i..]);
+        diff.changed.extend(&next.order[j..]);
+        // Already ascending when neither side needed sorting.
+        diff.removed.sort_unstable();
+        diff.changed.sort_unstable();
+        Some(diff)
     }
 
     /// Label frequencies (null cells counted under `"<unlabeled>"`). Codes
@@ -181,6 +250,66 @@ impl AssessedCube {
         }
         out
     }
+}
+
+/// One evaluation as [`AssessedCube::diff`] reads it.
+struct DiffSide<'a> {
+    coords: &'a [Vec<MemberId>],
+    /// The value, benchmark and comparison columns.
+    numeric: [Option<&'a NumericColumn>; 3],
+    /// The label codes; empty when the cube has no label column.
+    codes: &'a [Option<u32>],
+    /// Code → index into the label list both sides share.
+    label_ids: Vec<u32>,
+    /// The rows in coordinate order.
+    order: Vec<usize>,
+}
+
+impl<'a> DiffSide<'a> {
+    /// Reads `assessed`, adding the labels of its table that `labels` lacks.
+    fn new(assessed: &'a AssessedCube, labels: &mut Vec<&'a str>) -> Self {
+        let cube = &assessed.cube;
+        let coords = cube.coord_cols();
+        let by_coordinate = |a: &usize, b: &usize| compare_coordinates(coords, *a, coords, *b);
+        let mut order: Vec<usize> = (0..cube.len()).collect();
+        if !order.is_sorted_by(|a, b| by_coordinate(a, b).is_le()) {
+            order.sort_unstable_by(by_coordinate);
+        }
+        let numeric = [assessed.measure.as_str(), &assessed.benchmark_column, DELTA_COLUMN];
+        let labeled = cube.label_column("label");
+        let table = labeled.map_or(&[][..], LabelColumn::distinct);
+        let label_ids = table.iter().map(|label| {
+            let id = labels.iter().position(|l| l == label);
+            id.unwrap_or_else(|| {
+                labels.push(label);
+                labels.len() - 1
+            }) as u32
+        });
+        DiffSide {
+            coords,
+            numeric: numeric.map(|name| cube.numeric_column(name)),
+            codes: labeled.map_or(&[][..], LabelColumn::codes),
+            label_ids: label_ids.collect(),
+            order,
+        }
+    }
+
+    /// The label of `row` as an index into the shared label list.
+    fn label(&self, row: usize) -> Option<u32> {
+        self.codes.get(row).copied().flatten().map(|code| self.label_ids[code as usize])
+    }
+}
+
+/// Orders row `a` of the coordinate columns `left` against row `b` of
+/// `right`, lexicographically on member ids.
+fn compare_coordinates(
+    left: &[Vec<MemberId>],
+    a: usize,
+    right: &[Vec<MemberId>],
+    b: usize,
+) -> Ordering {
+    let mut members = left.iter().zip(right).map(|(l, r)| l[a].cmp(&r[b]));
+    members.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
 }
 
 impl AssessedCube {
@@ -335,5 +464,31 @@ mod tests {
             assessed(&["edge", "par", "edge", "unused"], vec![Some(0), Some(2), Some(1), None]);
         let hist: Vec<(String, usize)> = cube.label_histogram().into_iter().collect();
         assert_eq!(hist, [("<unlabeled>".into(), 1), ("edge".into(), 2), ("par".into(), 1)]);
+    }
+
+    #[test]
+    fn diff_compares_labels_by_string_across_label_tables() {
+        let prev = assessed(&["ok, fine", "bad"], vec![Some(0), None, Some(1), Some(1)]);
+        // Another table, where `bad` has two codes: the same labels.
+        let next = assessed(&["bad", "ok, fine", "bad"], vec![Some(1), None, Some(2), Some(0)]);
+        assert_eq!(prev.diff(&next), Some(CellDiff::default()));
+        let next = assessed(&["bad", "ok, fine"], vec![Some(0), Some(1), Some(0), Some(0)]);
+        assert_eq!(prev.diff(&next), Some(CellDiff { changed: vec![0, 1], removed: vec![] }));
+    }
+
+    #[test]
+    fn diff_needs_equal_group_bys() {
+        let prev = assessed(&[], vec![None; 4]);
+        let schema = prev.cube().schema().clone();
+        let total = DerivedCube::from_parts(
+            schema.clone(),
+            GroupBySet::all(&schema),
+            Vec::new(),
+            vec![CubeColumn::Numeric(NumericColumn::dense("quantity", vec![6.5]))],
+        )
+        .unwrap();
+        let next = AssessedCube::from_parts(total, "quantity", "benchmark.quantity");
+        assert_eq!(prev.diff(&next), None);
+        assert_eq!(next.diff(&next), Some(CellDiff::default()));
     }
 }

@@ -34,9 +34,10 @@
 //!   ([`olap_storage::Catalog::version`]) so any catalog change invalidates
 //!   stale entries;
 //! * [`subscribe`] — live re-assessment: registered statements re-evaluated
-//!   after every `append`, pushed to clients as cell-level diff frames
-//!   (only new/changed/removed cells travel), with per-tenant subscription
-//!   ceilings and full-resend degradation under lag or load shedding;
+//!   after every `append`, diffed column by column against the previous
+//!   evaluation and pushed to clients as cell-level diff frames (only
+//!   new/changed/removed cells are decoded and travel), with per-tenant
+//!   subscription ceilings and a full re-send after a lag;
 //! * `statement` — the one pipeline every statement-taking op walks:
 //!   parse → check → derive limits → execute → encode the cube or the
 //!   structured refusal;
@@ -68,5 +69,5 @@ pub use protocol::{parse_request, Op, ProtoError, Request, RunFormat, RunOptions
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use session::{HistoryEntry, Session, SessionRegistry};
 pub use shard::{RemoteShard, DEFAULT_SHARD_TIMEOUT};
-pub use subscribe::{apply_diff, diff_cells, index_cells, DiffFrame, SubscriptionManager};
+pub use subscribe::{apply_diff, DiffFrame, SubscriptionManager};
 pub use tenant::{TenantDirectory, TenantId, TenantSpec, ANONYMOUS};

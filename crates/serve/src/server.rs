@@ -1136,10 +1136,11 @@ fn execute_append(shared: &Shared, job: &Job, cube: &str, rows: &Value) -> Value
 }
 
 /// Re-evaluates every live subscription after a committed append and
-/// pushes one frame each. Every re-evaluation passes tenant admission: a
-/// refusal pushes a `lagged` event instead (the next successful frame is a
-/// full re-send), and soft shedding degrades the frame to a full re-send
-/// rather than computing the diff. Returns `(notified, lagged)` counts.
+/// pushes one frame each: the evaluated cube moves into the subscription,
+/// which decodes only the cells that changed. Every re-evaluation passes
+/// tenant admission: a refusal pushes a `lagged` event instead (the next
+/// successful frame is a full re-send). Soft shedding still sends a diff,
+/// the cheaper frame to build. Returns `(notified, lagged)` counts.
 fn notify_subscriptions(shared: &Shared, version: u64) -> (u64, u64) {
     let mut notified = 0;
     let mut lagged = 0;
@@ -1159,8 +1160,9 @@ fn notify_subscriptions(shared: &Shared, version: u64) -> (u64, u64) {
             }
         };
         match evaluated {
-            Ok((cube, permit)) => {
-                let (seq, frame) = sub.advance(&cube.cells(), permit.shed() == ShedLevel::Light);
+            // The admission slot stays held until the frame is written.
+            Ok((cube, _permit)) => {
+                let (seq, frame) = sub.advance(cube);
                 write_line(writer, &subscribe::frame_json(sub.id(), seq, version, &frame));
                 notified += 1;
             }
@@ -1188,15 +1190,13 @@ fn execute_subscribe(shared: &Shared, job: &Job, statement: &str) -> Value {
         Ok(done) => done,
         Err(refusal) => return refusal.response(id, statement),
     };
+    // The baseline travels in full (never truncated): diff frames patch
+    // exactly this state forward.
+    let cells = cube.len();
+    let rows: Vec<Value> = cube.cells().iter().map(serde::Serialize::to_value).collect();
     let channel: SubChannel = (job.writer.clone(), job.session.clone());
     let tenant_name = shared.admission.directory().spec(tenant).name.clone();
-    let sub = match shared.subs.register(
-        job.session.id(),
-        &tenant_name,
-        statement,
-        &cube.cells(),
-        channel,
-    ) {
+    let sub = match shared.subs.register(job.session.id(), &tenant_name, statement, cube, channel) {
         Ok(sub) => sub,
         Err(ceiling) => {
             return protocol::error_response(
@@ -1211,16 +1211,13 @@ fn execute_subscribe(shared: &Shared, job: &Job, statement: &str) -> Value {
         statement: statement.to_string(),
         outcome: format!("subscribed #{}", sub.id()),
         elapsed_ms,
-        cells: cube.len(),
+        cells,
     });
-    // The baseline travels in full (never truncated): diff frames patch
-    // exactly this state forward.
-    let rows: Vec<Value> = cube.cells().iter().map(serde::Serialize::to_value).collect();
     protocol::ok_response(
         id,
         vec![
             ("sub", n(sub.id())),
-            ("cells", n(cube.len() as u64)),
+            ("cells", n(cells as u64)),
             ("strategy", s(report.strategy.acronym())),
             ("version", n(shared.engine.catalog().version())),
             ("rows", Value::Array(rows)),

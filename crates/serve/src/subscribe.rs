@@ -9,28 +9,26 @@
 //! `"event": "diff"` and carry no `"id"`, which is how clients tell pushed
 //! events from request responses on the shared line protocol.
 //!
-//! The diff/apply algebra here is pure (no sockets, no locks beyond the
-//! per-subscription state), so its exactness — *baseline + frame =
-//! re-evaluation* — is unit-testable and proptestable in isolation.
+//! A subscription keeps its previous evaluation as the cube itself.
+//! [`AssessedCube::diff`] compares the two cubes column by column — member
+//! ids, the numeric columns, label codes through their tables — and only
+//! the rows it reports are decoded into wire cells: the changed cells of
+//! the new evaluation and the coordinates of the removed ones. A full
+//! re-send, which decodes every cell, is left for recovery from a lag.
+//!
+//! The wire algebra here — frame encoding and [`apply_diff`] — is pure, so
+//! its exactness (*baseline + frame = re-evaluation*) is unit-testable and
+//! proptestable in isolation.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use assess_core::result::AssessedCell;
+use assess_core::AssessedCube;
 use serde::Value;
 
 use crate::protocol::{n, obj, s};
-
-/// A cube snapshot keyed by cell coordinate, the shape diffs are computed
-/// over. Coordinates are the full group-by member tuples, so they identify
-/// a cell across re-evaluations.
-pub type CellIndex = BTreeMap<Vec<String>, AssessedCell>;
-
-/// Indexes a result's cells by coordinate.
-pub fn index_cells(cells: &[AssessedCell]) -> CellIndex {
-    cells.iter().map(|c| (c.coordinate.clone(), c.clone())).collect()
-}
 
 /// The difference between two evaluations of one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,23 +38,9 @@ pub struct DiffFrame {
     pub changed: Vec<AssessedCell>,
     /// Coordinates present before but absent now. Empty on `full` frames.
     pub removed: Vec<Vec<String>>,
-    /// Whether the frame is a full re-send (first frame after a lag, or a
-    /// shed-level degradation) rather than an incremental diff.
+    /// Whether the frame is a full re-send (the first frame after a lag)
+    /// rather than an incremental diff.
     pub full: bool,
-}
-
-/// Diffs a new evaluation against the indexed previous one.
-pub fn diff_cells(prev: &CellIndex, next: &[AssessedCell]) -> DiffFrame {
-    let mut changed = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
-    for cell in next {
-        seen.insert(&cell.coordinate);
-        if prev.get(&cell.coordinate) != Some(cell) {
-            changed.push(cell.clone());
-        }
-    }
-    let removed = prev.keys().filter(|coord| !seen.contains(coord)).cloned().collect::<Vec<_>>();
-    DiffFrame { changed, removed, full: false }
 }
 
 /// A full-resend frame carrying the entire evaluation.
@@ -134,7 +118,8 @@ pub fn lagged_json(sub: u64, code: &str, retry_after_ms: u64) -> Value {
 /// Per-subscription mutable state, behind one lock so re-evaluations for
 /// the same subscription serialize.
 struct SubState {
-    baseline: CellIndex,
+    /// The previous evaluation, which the next one is diffed against.
+    baseline: AssessedCube,
     seq: u64,
     /// Set when a re-evaluation was skipped (admission refusal): the
     /// baseline is stale, so the next frame must be a full re-send.
@@ -174,17 +159,26 @@ impl<W> Subscription<W> {
     }
 
     /// Folds a re-evaluation into the subscription: computes the frame
-    /// against the baseline (a full re-send when forced, or when a prior
-    /// refusal left the baseline stale), advances the baseline and the
-    /// sequence number. Returns `(seq, frame)` for the push.
-    pub fn advance(&self, next: &[AssessedCell], force_full: bool) -> (u64, DiffFrame) {
+    /// against the baseline (a full re-send when a prior refusal left the
+    /// baseline stale, or when the group-by changed), makes `next` the
+    /// baseline and advances the sequence number. Returns `(seq, frame)`
+    /// for the push.
+    pub fn advance(&self, next: AssessedCube) -> (u64, DiffFrame) {
         let mut state = self.state.lock().unwrap_or_else(|poison| poison.into_inner());
-        let frame = if force_full || state.lagged {
-            full_frame(next)
-        } else {
-            diff_cells(&state.baseline, next)
+        let diff = if state.lagged { None } else { state.baseline.diff(&next) };
+        let frame = match diff {
+            Some(diff) => DiffFrame {
+                changed: diff.changed.iter().map(|&row| next.cell(row)).collect(),
+                removed: diff
+                    .removed
+                    .iter()
+                    .map(|&row| state.baseline.cell(row).coordinate)
+                    .collect(),
+                full: false,
+            },
+            None => full_frame(&next.cells()),
         };
-        state.baseline = index_cells(next);
+        state.baseline = next;
         state.lagged = false;
         state.seq += 1;
         (state.seq, frame)
@@ -223,7 +217,7 @@ impl<W> SubscriptionManager<W> {
         session: u64,
         tenant: &str,
         statement: &str,
-        initial: &[AssessedCell],
+        initial: AssessedCube,
         writer: W,
     ) -> Result<std::sync::Arc<Subscription<W>>, usize> {
         let mut subs = self.guard();
@@ -239,7 +233,7 @@ impl<W> SubscriptionManager<W> {
             tenant: tenant.to_string(),
             statement: statement.to_string(),
             writer,
-            state: Mutex::new(SubState { baseline: index_cells(initial), seq: 0, lagged: false }),
+            state: Mutex::new(SubState { baseline: initial, seq: 0, lagged: false }),
         });
         subs.push(sub.clone());
         Ok(sub)
@@ -274,24 +268,75 @@ impl<W> SubscriptionManager<W> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use olap_model::{
+        AggOp, CubeColumn, CubeSchema, DerivedCube, GroupBySet, HierarchyBuilder, LabelColumn,
+        MeasureDef, MemberId, NumericColumn,
+    };
+
     use super::*;
 
-    fn cell(coord: &[&str], value: f64, label: &str) -> AssessedCell {
-        AssessedCell {
-            coordinate: coord.iter().map(|m| m.to_string()).collect(),
-            value: Some(value),
-            benchmark: Some(1.0),
-            comparison: Some(value),
-            label: Some(label.to_string()),
+    /// One cell: its city, its value (also its comparison; the benchmark
+    /// is 1) and its label.
+    type Cell<'a> = (&'a str, f64, &'a str);
+
+    const CITIES: [&str; 4] = ["a", "b", "c", "zombie"];
+
+    /// An evaluation by city, its rows in the given order.
+    fn cube(cells: &[Cell]) -> AssessedCube {
+        let mut city = HierarchyBuilder::new("City", ["city"]);
+        for name in CITIES {
+            city.add_member_chain(&[name]).unwrap();
         }
+        let schema = Arc::new(CubeSchema::new(
+            "SALES",
+            vec![city.build().unwrap()],
+            vec![MeasureDef::new("quantity", AggOp::Sum)],
+        ));
+        let by_city = GroupBySet::from_level_names(&schema, &["city"]).unwrap();
+        let member = |name: &str| MemberId(CITIES.iter().position(|c| *c == name).unwrap() as u32);
+        let values: Vec<f64> = cells.iter().map(|c| c.1).collect();
+        let mut labels = LabelColumn::new("label");
+        for c in cells {
+            labels.push(Some(c.2));
+        }
+        let cube = DerivedCube::from_parts(
+            schema,
+            by_city,
+            vec![cells.iter().map(|c| member(c.0)).collect()],
+            vec![
+                CubeColumn::Numeric(NumericColumn::dense("quantity", values.clone())),
+                CubeColumn::Numeric(NumericColumn::dense(
+                    "benchmark.quantity",
+                    vec![1.0; cells.len()],
+                )),
+                CubeColumn::Numeric(NumericColumn::dense("delta", values)),
+                CubeColumn::Label(labels),
+            ],
+        )
+        .unwrap();
+        AssessedCube::from_parts(cube, "quantity", "benchmark.quantity")
+    }
+
+    /// The frame a subscription registered on `before` pushes for `after`.
+    fn frame(before: &[Cell], after: &[Cell]) -> DiffFrame {
+        let manager: SubscriptionManager<()> = SubscriptionManager::new(0);
+        let sub = manager.register(1, "t", "stmt", cube(before), ()).unwrap();
+        sub.advance(cube(after)).1
+    }
+
+    /// A client's state: serialized cells by coordinate.
+    fn state(cells: &[Cell]) -> BTreeMap<Vec<String>, Value> {
+        let cells = cube(cells).cells();
+        cells.iter().map(|c| (c.coordinate.clone(), serde::Serialize::to_value(c))).collect()
     }
 
     #[test]
     fn diff_reports_only_changes() {
-        let before = vec![cell(&["a"], 1.0, "low"), cell(&["b"], 2.0, "high")];
-        let after =
-            vec![cell(&["a"], 1.0, "low"), cell(&["b"], 3.0, "high"), cell(&["c"], 9.0, "high")];
-        let frame = diff_cells(&index_cells(&before), &after);
+        let before = [("a", 1.0, "low"), ("b", 2.0, "high")];
+        let after = [("a", 1.0, "low"), ("b", 3.0, "high"), ("c", 9.0, "high")];
+        let frame = frame(&before, &after);
         assert!(!frame.full);
         let changed: Vec<&str> = frame.changed.iter().map(|c| c.coordinate[0].as_str()).collect();
         assert_eq!(changed, vec!["b", "c"], "unchanged `a` must not travel");
@@ -300,57 +345,51 @@ mod tests {
 
     #[test]
     fn diff_reports_removed_coordinates() {
-        let before = vec![cell(&["a"], 1.0, "low"), cell(&["b"], 2.0, "high")];
-        let after = vec![cell(&["b"], 2.0, "high")];
-        let frame = diff_cells(&index_cells(&before), &after);
+        // Rows out of coordinate order: removed cells leave in row order.
+        let before = [("c", 1.0, "low"), ("a", 1.0, "low"), ("b", 2.0, "high")];
+        let frame = frame(&before, &[("b", 2.0, "high")]);
         assert!(frame.changed.is_empty());
-        assert_eq!(frame.removed, vec![vec!["a".to_string()]]);
+        assert_eq!(frame.removed, vec![vec!["c".to_string()], vec!["a".to_string()]]);
     }
 
     #[test]
     fn apply_reproduces_the_next_evaluation() {
-        let before = vec![cell(&["a"], 1.0, "low"), cell(&["b"], 2.0, "high")];
-        let after = vec![cell(&["b"], 3.0, "par"), cell(&["c"], 9.0, "high")];
-        let frame = diff_cells(&index_cells(&before), &after);
+        let before = [("a", 1.0, "low"), ("b", 2.0, "high")];
+        let after = [("b", 3.0, "par"), ("c", 9.0, "high")];
         // Client side: serialized state, serialized frame.
-        let mut state: BTreeMap<Vec<String>, Value> =
-            before.iter().map(|c| (c.coordinate.clone(), serde::Serialize::to_value(c))).collect();
-        apply_diff(&mut state, &frame_json(1, 1, 2, &frame)).unwrap();
-        let expected: BTreeMap<Vec<String>, Value> =
-            after.iter().map(|c| (c.coordinate.clone(), serde::Serialize::to_value(c))).collect();
-        assert_eq!(state, expected);
+        let mut client = state(&before);
+        apply_diff(&mut client, &frame_json(1, 1, 2, &frame(&before, &after))).unwrap();
+        assert_eq!(client, state(&after));
     }
 
     #[test]
     fn full_frames_replace_the_state_wholesale() {
-        let stale = [cell(&["zombie"], 0.0, "low")];
-        let after = vec![cell(&["a"], 1.0, "low")];
-        let mut state: BTreeMap<Vec<String>, Value> =
-            stale.iter().map(|c| (c.coordinate.clone(), serde::Serialize::to_value(c))).collect();
-        apply_diff(&mut state, &frame_json(1, 1, 2, &full_frame(&after))).unwrap();
-        assert_eq!(state.len(), 1);
-        assert!(state.contains_key(&vec!["a".to_string()]));
+        let mut client = state(&[("zombie", 0.0, "low")]);
+        let after = cube(&[("a", 1.0, "low")]).cells();
+        apply_diff(&mut client, &frame_json(1, 1, 2, &full_frame(&after))).unwrap();
+        assert_eq!(client.len(), 1);
+        assert!(client.contains_key(&vec!["a".to_string()]));
     }
 
     #[test]
     fn lagged_subscriptions_resend_in_full() {
         let manager: SubscriptionManager<()> = SubscriptionManager::new(0);
-        let initial = vec![cell(&["a"], 1.0, "low"), cell(&["b"], 2.0, "high")];
-        let sub = manager.register(1, "t", "stmt", &initial, ()).unwrap();
+        let initial = cube(&[("a", 1.0, "low"), ("b", 2.0, "high")]);
+        let sub = manager.register(1, "t", "stmt", initial, ()).unwrap();
         // Normal advance: a one-cell change diffs to one cell.
-        let next = vec![cell(&["a"], 1.0, "low"), cell(&["b"], 5.0, "high")];
-        let (seq, frame) = sub.advance(&next, false);
+        let next = [("a", 1.0, "low"), ("b", 5.0, "high")];
+        let (seq, frame) = sub.advance(cube(&next));
         assert_eq!(seq, 1);
         assert!(!frame.full);
         assert_eq!(frame.changed.len(), 1);
         // After a lag, even an identical evaluation is a full re-send.
         sub.mark_lagged();
-        let (seq, frame) = sub.advance(&next, false);
+        let (seq, frame) = sub.advance(cube(&next));
         assert_eq!(seq, 2);
         assert!(frame.full);
         assert_eq!(frame.changed.len(), 2);
         // And the lag is consumed: the following advance diffs again.
-        let (_, frame) = sub.advance(&next, false);
+        let (_, frame) = sub.advance(cube(&next));
         assert!(!frame.full);
         assert!(frame.changed.is_empty());
     }
@@ -358,27 +397,27 @@ mod tests {
     #[test]
     fn manager_enforces_the_per_tenant_ceiling() {
         let manager: SubscriptionManager<()> = SubscriptionManager::new(2);
-        manager.register(1, "t", "s1", &[], ()).expect("first fits");
-        manager.register(2, "t", "s2", &[], ()).expect("second fits");
-        match manager.register(3, "t", "s3", &[], ()) {
+        manager.register(1, "t", "s1", cube(&[]), ()).expect("first fits");
+        manager.register(2, "t", "s2", cube(&[]), ()).expect("second fits");
+        match manager.register(3, "t", "s3", cube(&[]), ()) {
             Err(ceiling) => assert_eq!(ceiling, 2),
             Ok(_) => panic!("third subscription must hit the ceiling"),
         }
         // A different tenant is unaffected.
-        manager.register(3, "u", "s3", &[], ()).unwrap();
+        manager.register(3, "u", "s3", cube(&[]), ()).unwrap();
         assert_eq!(manager.active(), 3);
     }
 
     #[test]
     fn unregister_is_owner_only_and_sessions_drop_their_subs() {
         let manager: SubscriptionManager<()> = SubscriptionManager::new(0);
-        let sub = manager.register(7, "t", "s", &[], ()).unwrap();
+        let sub = manager.register(7, "t", "s", cube(&[]), ()).unwrap();
         assert!(!manager.unregister(8, sub.id()), "another session must not unsubscribe");
         assert!(manager.unregister(7, sub.id()));
         assert!(!manager.unregister(7, sub.id()), "already gone");
-        manager.register(7, "t", "a", &[], ()).unwrap();
-        manager.register(7, "t", "b", &[], ()).unwrap();
-        manager.register(9, "t", "c", &[], ()).unwrap();
+        manager.register(7, "t", "a", cube(&[]), ()).unwrap();
+        manager.register(7, "t", "b", cube(&[]), ()).unwrap();
+        manager.register(9, "t", "c", cube(&[]), ()).unwrap();
         assert_eq!(manager.drop_session(7), 2);
         assert_eq!(manager.active(), 1);
     }

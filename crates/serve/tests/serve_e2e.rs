@@ -4,6 +4,7 @@
 //! serial-identical answers, warm-cache repeats skip execution, client
 //! `cancel` reaches in-flight runs, and overload is refused crisply.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -1225,6 +1226,77 @@ fn subscribe_receives_exact_diffs_that_patch_to_a_full_rerun() {
     assert_ok(&second);
     assert_eq!(second.get("subscriptions_notified").and_then(Value::as_f64), Some(0.0));
 
+    handle.shutdown();
+}
+
+/// Cells keyed by their string coordinate, as a client holds them.
+fn by_coordinate<'a>(cells: impl IntoIterator<Item = &'a Value>) -> BTreeMap<Vec<String>, Value> {
+    let coordinate = |cell: &Value| -> Vec<String> {
+        let members = cell.get("coordinate").and_then(Value::as_array).expect("cell coordinate");
+        members.iter().map(|m| m.as_str().expect("string member").to_string()).collect()
+    };
+    cells.into_iter().map(|cell| (coordinate(cell), cell.clone())).collect()
+}
+
+/// A subscription to a holistic statement: each append moves the grand
+/// total `percOfTotal` divides by, so nearly every cell's comparison
+/// changes and the quartile cuts shift. Over two appends — the first into
+/// a customer × year cell that did not exist — the patched client state
+/// equals a full re-run after each.
+#[test]
+fn quartile_subscriptions_patch_to_a_full_rerun() {
+    const QUARTILES: &str = "with SSB by customer, year assess revenue against 1300000 \
+         using percOfTotal(difference(revenue, 1300000)) labels quartiles";
+    // The smallest dataset, 1 000 facts over 100 customers × 7 years,
+    // leaves customer × year cells empty for an append to fill.
+    let dataset = ssb_data::generate::generate(SsbConfig::with_scale(0.0001));
+    ssb_data::views::register_default_views(&dataset.catalog, &dataset.schema)
+        .expect("default views build");
+    let catalog = dataset.catalog.clone();
+    let handle = serve(Engine::new(catalog.clone()), ServerConfig::default()).expect("boots");
+    let mut client = connect(&handle);
+
+    let subscribed = client.subscribe(QUARTILES).unwrap();
+    assert_ok(&subscribed);
+    let mut state =
+        by_coordinate(subscribed.get("rows").and_then(Value::as_array).expect("baseline rows"));
+
+    // An empty cell, and a date key inside its year (keys count days from
+    // 1992-01-01).
+    let (ckey, year) = (0..100i64)
+        .flat_map(|ckey| (1992..=1998).map(move |year| (ckey, year)))
+        .find(|(ckey, year)| {
+            !state.contains_key(&vec![format!("Customer#{ckey:09}"), year.to_string()])
+        })
+        .expect("an empty customer × year cell");
+    let dkey: i64 = (1992..year).map(|y| if y % 4 == 0 { 366 } else { 365 }).sum::<i64>() + 100;
+    let new_cell = vec![format!("Customer#{ckey:09}"), year.to_string()];
+    let mut into_new_cell = wire_batch(&catalog, &[ckey]);
+    if let Value::Object(fields) = &mut into_new_cell {
+        for (_, value) in fields.iter_mut().filter(|(name, _)| name == "dkey") {
+            *value = Value::Array(vec![Value::Number(dkey as f64)]);
+        }
+    }
+
+    for (seq, batch) in [into_new_cell, wire_batch(&catalog, &[0, 1])].into_iter().enumerate() {
+        let cells = state.len();
+        let append = client.append("SSB", batch).unwrap();
+        assert_ok(&append);
+        assert_eq!(append.get("subscriptions_notified").and_then(Value::as_f64), Some(1.0));
+        let frame = client.next_event().unwrap();
+        assert_eq!(frame.get("seq").and_then(Value::as_f64), Some(seq as f64 + 1.0));
+        assert_eq!(frame.get("full").and_then(Value::as_bool), Some(false));
+        let changed = by_coordinate(frame.get("changed").and_then(Value::as_array).unwrap());
+        assert!(2 * changed.len() > cells, "the total moved, yet few cells changed");
+        if seq == 0 {
+            assert!(changed.contains_key(&new_cell), "the new cell {new_cell:?} did not travel");
+        }
+        assess_serve::apply_diff(&mut state, &frame).expect("frame applies cleanly");
+        let rerun = serial_rerun(&catalog, QUARTILES).cells();
+        let rerun = rerun.iter().map(|c| (c.coordinate.clone(), serde::Serialize::to_value(c)));
+        let rerun: BTreeMap<_, _> = rerun.collect();
+        assert_eq!(state, rerun, "append {seq}: patched state diverged from a full re-run");
+    }
     handle.shutdown();
 }
 

@@ -4,13 +4,41 @@
 //! client helper — must reconstruct exactly the state a full re-run
 //! yields. Mirrors the flagship e2e test, but over randomized cube shapes
 //! instead of one SSB instance.
+//!
+//! Frames are built by the string-keyed diff below, kept verbatim from
+//! before the server diffed cubes column by column; `cube_diff_props.rs` in
+//! `assess-core` proves the column diff names exactly the cells it names.
 
 use std::collections::BTreeMap;
 
 use assess_core::result::AssessedCell;
-use assess_serve::{apply_diff, diff_cells, index_cells};
+use assess_serve::{apply_diff, DiffFrame};
 use proptest::prelude::*;
 use serde::Value;
+
+/// A cube snapshot keyed by cell coordinate, the shape diffs are computed
+/// over. Coordinates are the full group-by member tuples, so they identify
+/// a cell across re-evaluations.
+pub type CellIndex = BTreeMap<Vec<String>, AssessedCell>;
+
+/// Indexes a result's cells by coordinate.
+pub fn index_cells(cells: &[AssessedCell]) -> CellIndex {
+    cells.iter().map(|c| (c.coordinate.clone(), c.clone())).collect()
+}
+
+/// Diffs a new evaluation against the indexed previous one.
+pub fn diff_cells(prev: &CellIndex, next: &[AssessedCell]) -> DiffFrame {
+    let mut changed = Vec::new();
+    let mut seen = std::collections::BTreeSet::new();
+    for cell in next {
+        seen.insert(&cell.coordinate);
+        if prev.get(&cell.coordinate) != Some(cell) {
+            changed.push(cell.clone());
+        }
+    }
+    let removed = prev.keys().filter(|coord| !seen.contains(coord)).cloned().collect::<Vec<_>>();
+    DiffFrame { changed, removed, full: false }
+}
 
 /// An arbitrary assessed cell over a compact coordinate space, so
 /// generated evaluations overlap and diffs contain all three kinds of
@@ -45,7 +73,7 @@ fn state_of(cells: &[AssessedCell]) -> BTreeMap<Vec<String>, Value> {
     cells.iter().map(|c| (c.coordinate.clone(), serde::Serialize::to_value(c))).collect()
 }
 
-/// The wire frame for `prev → next`, as `notify_subscriptions` builds it.
+/// The wire frame for `prev → next`.
 fn wire_frame(prev: &[AssessedCell], next: &[AssessedCell], seq: u64) -> Value {
     let frame = diff_cells(&index_cells(prev), next);
     assess_serve::subscribe::frame_json(7, seq, 2 * seq, &frame)
@@ -101,8 +129,8 @@ proptest! {
         }
     }
 
-    /// A full frame (lag recovery, shed degradation) wipes whatever stale
-    /// state the client holds and replaces it wholesale.
+    /// A full frame (lag recovery) wipes whatever stale state the client
+    /// holds and replaces it wholesale.
     #[test]
     fn full_frames_replace_stale_state(
         stale in evaluation(),
