@@ -6,15 +6,14 @@
 //!
 //! * engine scans dominate (cost ∝ rows read by each `get`'s access path);
 //! * NP additionally pays to **materialize and transfer** both cubes to the
-//!   client and to hash-join them there with boxed coordinate keys;
+//!   client and to re-pack and join them there (`memops::attach`);
 //! * JOP pays the two scans but joins on packed keys inside the engine;
 //! * POP reads all slices in a single scan;
 //! * comparison and labeling are negligible (they never change the choice).
 //!
-//! Unit costs are expressed relative to "scanning one row ≙ 1"; the
-//! calibration constants below come from the operator microbenches
-//! (`benches/operators.rs`) and only need to be right within a factor of a
-//! few for the ranking to hold.
+//! Unit costs are expressed relative to "scanning one row ≙ 1". The
+//! constants below are hand-set and unfitted until ROADMAP item 7; they
+//! only need to be right within a factor of a few for the ranking to hold.
 
 use serde::Serialize;
 
@@ -26,8 +25,8 @@ use crate::semantics::ResolvedAssess;
 /// Transferring + materializing one result cell on the client, relative to
 /// scanning one row.
 const TRANSFER_FACTOR: f64 = 4.0;
-/// Hash-joining one client-side cell (boxed coordinate keys), relative to
-/// scanning one row.
+/// Joining one client-side cell (re-packing its coordinates into a key,
+/// then probing), relative to scanning one row.
 const MEMORY_JOIN_FACTOR: f64 = 8.0;
 /// Probing/attaching one cell inside the engine (packed keys).
 const ENGINE_JOIN_FACTOR: f64 = 1.5;

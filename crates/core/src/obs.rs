@@ -147,7 +147,7 @@ impl Gauge {
 pub struct SpanScan {
     /// Fact/view rows charged by the scan.
     pub rows_scanned: u64,
-    /// Morsels the scan was split into (0 = index fast path).
+    /// Morsels the scan was split into.
     pub morsels: u64,
     /// Threads that actually worked the scan.
     pub parallelism: u64,

@@ -243,9 +243,7 @@ fn targeted_fault_falls_back_with_identical_result() {
 
     // Kill the first probe of every access path so the POP attempt dies
     // whichever one it takes; later attempts see later ordinals and pass.
-    let injector = Arc::new(
-        FaultInjector::targeted().fail_nth(FaultSite::Scan, 0).fail_nth(FaultSite::IndexProbe, 0),
-    );
+    let injector = Arc::new(FaultInjector::targeted().fail_nth(FaultSite::Scan, 0));
     let runner = runner_with(&cat, Some(injector.clone()));
     let (result, report) = runner.run_auto(&stmt).expect("ladder must recover");
     assert_eq!(result.cells(), baseline.cells());
@@ -264,9 +262,7 @@ fn targeted_fault_falls_back_with_identical_result() {
 fn no_fallback_policy_surfaces_the_fault() {
     let cat = catalog();
     let stmt = intentions().remove(2).1;
-    let injector = Arc::new(
-        FaultInjector::targeted().fail_nth(FaultSite::Scan, 0).fail_nth(FaultSite::IndexProbe, 0),
-    );
+    let injector = Arc::new(FaultInjector::targeted().fail_nth(FaultSite::Scan, 0));
     let runner =
         runner_with(&cat, Some(injector)).with_policy(ExecutionPolicy::new().without_fallback());
     let err = runner.run_auto(&stmt).unwrap_err();

@@ -8,7 +8,7 @@
 //! forgets a morsel's keys after the morsel; the final merge owns another.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use olap_model::{AggOp, MemberId};
 
@@ -100,21 +100,6 @@ impl Accumulator {
             Accumulator::Avg { sums, counts } => {
                 sums.resize(n, 0.0);
                 counts.resize(n, 0.0);
-            }
-        }
-    }
-
-    /// Folds one value into group slot `idx`.
-    #[inline]
-    pub fn update(&mut self, idx: usize, value: f64) {
-        match self {
-            Accumulator::Sum(v) => v[idx] += value,
-            Accumulator::Min(v) => v[idx] = v[idx].min(value),
-            Accumulator::Max(v) => v[idx] = v[idx].max(value),
-            Accumulator::Count(v) => v[idx] += 1.0,
-            Accumulator::Avg { sums, counts } => {
-                sums[idx] += value;
-                counts[idx] += 1.0;
             }
         }
     }
@@ -284,7 +269,7 @@ impl Partial {
 pub enum Grouping {
     /// A flat array indexed by the packed key itself.
     Direct,
-    /// A multiplicative-hash map (also reported by the wide-key fallback).
+    /// A multiplicative-hash map.
     Hashed,
 }
 
@@ -466,51 +451,6 @@ pub fn accumulate_chunk<'a>(
     }
 }
 
-/// A hash group table keyed by boxed `K` — the wide-key fallback
-/// ([`olap_model::Coordinate`] keys) for group-by sets whose packed key
-/// exceeds a machine word. Packed keys aggregate through [`Partial`].
-#[derive(Debug)]
-pub struct GroupTable<K: Eq + Hash + Clone> {
-    map: HashMap<K, u32>,
-    keys: Vec<K>,
-    accs: Vec<Accumulator>,
-}
-
-impl<K: Eq + Hash + Clone> GroupTable<K> {
-    pub fn new(ops: &[AggOp]) -> Self {
-        GroupTable {
-            map: HashMap::new(),
-            keys: Vec::new(),
-            accs: ops.iter().map(|op| Accumulator::new(*op)).collect(),
-        }
-    }
-
-    /// Folds one row of measure values into the group of `key`.
-    #[inline]
-    pub fn update(&mut self, key: K, values: &[f64]) {
-        let idx = match self.map.get(&key) {
-            Some(&idx) => idx as usize,
-            None => {
-                let idx = self.keys.len();
-                self.map.insert(key.clone(), idx as u32);
-                self.keys.push(key);
-                for acc in &mut self.accs {
-                    acc.grow_to(idx + 1);
-                }
-                idx
-            }
-        };
-        for (acc, v) in self.accs.iter_mut().zip(values.iter()) {
-            acc.update(idx, *v);
-        }
-    }
-
-    /// Finalizes into `(keys, measure columns)`, in first-seen order.
-    pub fn finish(self) -> (Vec<K>, Vec<Vec<f64>>) {
-        (self.keys, self.accs.into_iter().map(Accumulator::finish).collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,17 +544,5 @@ mod tests {
         let (all_keys, cols) = all.finish();
         assert_eq!(all_keys, vec![key(0, 0), key(1, 1), key(0, 1)]);
         assert_eq!(cols[0], vec![8.0, 9.0, 4.0]);
-    }
-
-    #[test]
-    fn wide_keys_work() {
-        use olap_model::{Coordinate, MemberId};
-        let mut t: GroupTable<Coordinate> = GroupTable::new(&[AggOp::Sum]);
-        let k = Coordinate::new(vec![MemberId(1), MemberId(2)]);
-        t.update(k.clone(), &[4.0]);
-        t.update(k.clone(), &[6.0]);
-        let (keys, cols) = t.finish();
-        assert_eq!(keys, vec![k]);
-        assert_eq!(cols[0], vec![10.0]);
     }
 }

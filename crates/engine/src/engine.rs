@@ -7,7 +7,7 @@ use std::sync::Arc;
 use olap_model::{
     AggOp, CubeColumn, CubeQuery, CubeSchema, DerivedCube, GroupBySet, MemberId, NumericColumn,
 };
-use olap_storage::{Catalog, CubeBinding, MaterializedAggregate, NumericSlice, Table};
+use olap_storage::{Catalog, CubeBinding, MaterializedAggregate, Table};
 
 use crate::aggregate::{accumulate_chunk, Grouper, Grouping, Partial};
 use crate::attach::{attach, AttachSpec, Keep, Rewrite, Side};
@@ -28,12 +28,6 @@ pub struct EngineConfig {
     /// Answer queries from materialized views when possible (the paper's
     /// setup always has them; the ablation bench turns this off).
     pub use_views: bool,
-    /// Use foreign-key hash indexes for selective point predicates on
-    /// finest levels (the paper's B-tree-indexed keys).
-    pub use_indexes: bool,
-    /// Maximum fraction of a level's domain a predicate may select and
-    /// still take the index path.
-    pub index_selectivity: f64,
     /// Rows per morsel — the unit of parallel work distribution *and* of
     /// the deterministic partial-aggregate merge. The default matches the
     /// governor's [`CHECK_INTERVAL`], preserving the serial engine's
@@ -50,8 +44,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             use_views: true,
-            use_indexes: true,
-            index_selectivity: 0.01,
             morsel_rows: CHECK_INTERVAL,
             max_threads: 0,
             parallel_threshold: 1 << 16,
@@ -236,10 +228,9 @@ pub(crate) enum ScanSource {
 
 /// The one plan for "these rows of this source → groups": the source,
 /// compiled predicate masks, roll-up maps and resolved column indexes.
-/// Column *existence and types* are validated when the plan is built. It
-/// has three consumers: the morsel driver ([`MorselScan::process`]), the
-/// index fast path over sparse rows ([`ScanCtx::aggregate_rows`]) and the
-/// serial wide-key fold ([`crate::wide`]).
+/// Column *existence and types* are validated when the plan is built. Its
+/// one consumer is the morsel driver ([`MorselScan::process`]): queries,
+/// view delta merges and view rebuilds all run through it.
 ///
 /// Per morsel, workers first decode every distinct id column into a flat
 /// `u32` lane of the scratch (`DataChunk::key_lane` unpacks bit-packed and
@@ -248,22 +239,22 @@ pub(crate) enum ScanSource {
 /// over those lanes — the inner loops never branch on the physical
 /// encoding.
 pub(crate) struct ScanCtx {
-    pub(crate) source: ScanSource,
+    source: ScanSource,
     /// Distinct id columns the kernels read (fact: fk column index; view:
     /// coordinate component), each decoded into one scratch lane per morsel.
     /// Masks and keys refer to these by slot, so a column shared by a
     /// predicate and a group-by component decodes once.
-    pub(crate) lane_cols: Vec<usize>,
+    lane_cols: Vec<usize>,
     /// Per predicate: the lane slot of its id column and the allowed-member
     /// mask over its domain.
     masks: Vec<(usize, Arc<[bool]>)>,
     /// Per group-by component: the lane slot and the roll-up map (member
     /// ids as raw codes) from the carried level to the queried level.
-    pub(crate) keys: Vec<(usize, Vec<u32>)>,
+    keys: Vec<(usize, Vec<u32>)>,
     /// Measure columns (fact: table column index; view: measure index).
-    pub(crate) measures: Vec<usize>,
-    pub(crate) layout: KeyLayout,
-    pub(crate) ops: Vec<AggOp>,
+    measures: Vec<usize>,
+    layout: KeyLayout,
+    ops: Vec<AggOp>,
 }
 
 /// The scratch-lane slot for id column `col`, reusing an existing slot when
@@ -354,7 +345,7 @@ impl ScanCtx {
     /// the kernels can be skipped outright. On date-clustered facts this
     /// prunes most of the table for time-sliced queries; bit-packed columns
     /// answer "maybe" and take the normal path.
-    pub(crate) fn decode_fact<'a>(
+    fn decode_fact<'a>(
         &'a self,
         fact: &'a Table,
         lo: usize,
@@ -385,14 +376,9 @@ impl ScanCtx {
         )
     }
 
-    /// The predicate kernel over one morsel's decoded lanes: `sel` becomes
-    /// the morsel-local ids of the rows that pass every mask.
-    pub(crate) fn select(&self, sel: &mut Vec<u32>, lanes: &[Vec<u32>], len: usize) {
-        let masks = self.masks.iter().map(|(slot, m)| (lanes[*slot].as_slice(), &**m));
-        select_into(sel, len, masks);
-    }
-
-    /// Runs the select + accumulate kernels over one morsel's decoded lanes.
+    /// Runs the select + accumulate kernels over one morsel's decoded lanes:
+    /// with predicates, `sel` becomes the morsel-local ids of the rows that
+    /// pass every mask and only those rows fold.
     fn run_kernels<'a>(
         &'a self,
         sel: &mut Vec<u32>,
@@ -405,44 +391,12 @@ impl ScanCtx {
         let selection = if self.masks.is_empty() {
             None
         } else {
-            self.select(sel, lanes, len);
+            let masks = self.masks.iter().map(|(slot, m)| (lanes[*slot].as_slice(), &**m));
+            select_into(sel, len, masks);
             Some(sel.as_slice())
         };
         let keys = self.keys.iter().map(|(slot, roll)| (lanes[*slot].as_slice(), roll.as_slice()));
         accumulate_chunk(out, grouper, &self.layout, len, selection, keys, measures);
-    }
-
-    /// The index fast path: aggregates the sparse, ascending `rows` of
-    /// `fact`. The row set is sparse, so whole-column decode would be
-    /// waste: codes and values are gathered through point accessors into
-    /// the scratch lanes, one governor-check interval at a time, and the
-    /// same kernels fold each gathered chunk into one partial. Serial.
-    fn aggregate_rows(
-        &self,
-        fact: &Table,
-        rows: &[u32],
-        check: impl Fn() -> Result<(), EngineError>,
-    ) -> Result<Partial, EngineError> {
-        let cols = fact.columns();
-        let mut scratch = MorselScratch::new(&self.layout, &self.ops);
-        scratch.ensure_slots(self.lane_cols.len(), self.measures.len());
-        for chunk in rows.chunks(CHECK_INTERVAL) {
-            check()?;
-            let MorselScratch { sel, lanes, vals, grouper, partial } = &mut scratch;
-            for (col, lane) in self.lane_cols.iter().zip(lanes.iter_mut()) {
-                let codes = cols[*col].key_access().expect("validated key column");
-                lane.clear();
-                lane.extend(chunk.iter().map(|&row| codes.get(row as usize) as u32));
-            }
-            for (col, lane) in self.measures.iter().zip(vals.iter_mut()) {
-                let values = NumericSlice::from_column(&cols[*col]).expect("validated measure");
-                lane.clear();
-                lane.extend(chunk.iter().map(|&row| values.get(row as usize)));
-            }
-            let measures = vals.iter().map(|lane| &lane[..]);
-            self.run_kernels(sel, lanes, grouper, partial, chunk.len(), measures);
-        }
-        Ok(scratch.partial)
     }
 }
 
@@ -716,34 +670,15 @@ impl Engine {
     }
 
     /// Executes a cube query (the `get` logical operator, Definition 2.6),
-    /// producing a sorted, materialized derived cube.
+    /// producing a sorted, materialized derived cube: one packed-key morsel
+    /// scan of a view or the fact table, materialized in key order, its
+    /// cells charged to the governor.
     ///
-    /// Group-by sets whose packed key does not fit a machine word fall back
-    /// to a wide-key scan (`crate::wide`); fused join/pivot paths keep
-    /// requiring packed keys.
+    /// A group-by set whose packed key does not fit a machine word is
+    /// refused with [`EngineError::WideKey`] before any row is charged, as
+    /// the fused join/pivot paths refuse it.
     pub fn get(&self, q: &CubeQuery) -> Result<GetOutcome, EngineError> {
-        let outcome = match self.run_get(q) {
-            Ok(internal) => materialize(internal)?,
-            // The wide fallback reads the coordinator's own fact table,
-            // which is empty by design when sharded — propagate instead.
-            Err(EngineError::WideKey { .. }) if self.shards.is_none() => {
-                let binding = self.catalog.binding(&q.cube)?;
-                let fact = self.catalog.table(binding.fact_table())?;
-                let (ops, layout) = query_shape(binding.schema(), q)?;
-                let rows = 0..fact.n_rows();
-                let ctx = ScanCtx::over_fact(&binding, &fact, rows, q, &ops, &layout)?;
-                let o = crate::wide::get_wide(self, &ctx, binding.schema(), q)?;
-                self.metrics.record_scan(
-                    ScanPath::Wide,
-                    o.rows_scanned as u64,
-                    o.morsels as u64,
-                    o.parallelism as u64,
-                    o.grouping,
-                );
-                o
-            }
-            Err(e) => return Err(e),
-        };
+        let outcome = materialize(self.run_get(q)?)?;
         self.gov_charge_cells(outcome.cube.len())?;
         Ok(outcome)
     }
@@ -1110,68 +1045,8 @@ impl Engine {
         let fact = self.catalog.table(binding.fact_table())?;
         self.fault(FaultSite::DictLookup)?;
         let ctx = ScanCtx::over_fact(binding, &fact, 0..fact.n_rows(), q, ops, layout)?;
-
-        // Index fast path: a highly selective point predicate on a finest
-        // level (e.g. `store = 'SmartMart'`) fetches the matching rows from
-        // the foreign-key hash index — the paper's B-tree-indexed keys —
-        // instead of scanning the whole fact table.
-        if self.config.use_indexes {
-            if let Some(rows) = self.index_row_set(q, &fact, binding)? {
-                self.gov_charge_rows(rows.len())?;
-                let table = ctx.aggregate_rows(&fact, &rows, || self.gov_check())?;
-                self.metrics.record_scan(
-                    ScanPath::Index,
-                    rows.len() as u64,
-                    0,
-                    1,
-                    Grouping::of(layout),
-                );
-                let stats = ScanStats::of_scan(None, rows.len(), 1, 0);
-                return Ok(GetInternal::new(q, schema, layout, table, stats));
-            }
-        }
-
         self.fault(FaultSite::Scan)?;
         self.scan(q, schema, ctx, ScanPath::Fact, None)
-    }
-
-    /// The fact rows selected by an indexable point predicate, when one
-    /// exists and is selective enough to beat a scan: an `Eq` (or small
-    /// `In`) predicate at level 0 of some hierarchy, whose member set covers
-    /// at most [`EngineConfig::index_selectivity`] of the level's domain.
-    fn index_row_set(
-        &self,
-        q: &CubeQuery,
-        fact: &Table,
-        binding: &CubeBinding,
-    ) -> Result<Option<Vec<u32>>, EngineError> {
-        let schema = binding.schema();
-        let candidate = q.predicates.iter().find(|p| {
-            if p.level != 0 {
-                return false;
-            }
-            let domain = schema
-                .hierarchy(p.hierarchy)
-                .and_then(|h| h.level(0))
-                .map(|l| l.cardinality())
-                .unwrap_or(0);
-            if domain == 0 {
-                return false;
-            }
-            let members = p.members().len();
-            members <= 16 && (members as f64 / domain as f64) <= self.config.index_selectivity
-        });
-        let Some(pred) = candidate else {
-            return Ok(None);
-        };
-        self.fault(FaultSite::IndexProbe)?;
-        let index = self.catalog.hash_index(fact.name(), binding.fk_column(pred.hierarchy))?;
-        let mut rows: Vec<u32> = Vec::new();
-        for member in pred.members() {
-            rows.extend_from_slice(index.lookup(member.0 as i64));
-        }
-        rows.sort_unstable();
-        Ok(Some(rows))
     }
 }
 

@@ -21,9 +21,9 @@ pub enum EngineError {
     InvalidPivot(String),
     /// An aggregation operator is not supported by the chosen access path.
     Unsupported(String),
-    /// The group-by set's packed key needs `bits` > 64 bits. Plain `get`
-    /// recovers through the wide-key scan; joins and pivots — fused or on
-    /// materialized cubes — and sharded coordinators surface it.
+    /// The group-by set's packed key needs `bits` > 64 bits. Every engine
+    /// `get`, join and pivot (and the client join on materialized cubes)
+    /// refuses such a group-by before any row is charged.
     WideKey { bits: u32 },
     /// A resource budget of the governing [`ResourceGovernor`] was
     /// exhausted. `limit`/`used` are in the resource's own unit
@@ -56,7 +56,7 @@ impl fmt::Display for EngineError {
             EngineError::Unsupported(msg) => write!(f, "unsupported operation: {msg}"),
             EngineError::WideKey { bits } => write!(
                 f,
-                "unsupported operation: group-by key needs {bits} bits; wide keys are not supported by the fused engine paths"
+                "unsupported operation: group-by key needs {bits} bits; keys wider than 64 bits are not supported"
             ),
             EngineError::BudgetExceeded { resource, limit, used } => {
                 write!(f, "budget exceeded: {used} {resource} used, limit is {limit}")

@@ -28,8 +28,6 @@ use crate::error::EngineError;
 pub enum FaultSite {
     /// A fact-table scan (the workhorse of every plan).
     Scan,
-    /// A foreign-key hash-index probe (the selective-predicate fast path).
-    IndexProbe,
     /// Answering a query from a matched materialized view.
     ViewMatch,
     /// Dictionary/member resolution while compiling predicates.
@@ -41,28 +39,28 @@ pub enum FaultSite {
 }
 
 impl FaultSite {
-    pub const ALL: [FaultSite; 5] = [
-        FaultSite::Scan,
-        FaultSite::IndexProbe,
-        FaultSite::ViewMatch,
-        FaultSite::DictLookup,
-        FaultSite::Morsel,
-    ];
+    pub const ALL: [FaultSite; 4] =
+        [FaultSite::Scan, FaultSite::ViewMatch, FaultSite::DictLookup, FaultSite::Morsel];
 
     fn index(self) -> usize {
         match self {
             FaultSite::Scan => 0,
-            FaultSite::IndexProbe => 1,
-            FaultSite::ViewMatch => 2,
-            FaultSite::DictLookup => 3,
-            FaultSite::Morsel => 4,
+            FaultSite::ViewMatch => 1,
+            FaultSite::DictLookup => 2,
+            FaultSite::Morsel => 3,
         }
     }
 
     fn salt(self) -> u64 {
         // Arbitrary distinct constants so sites draw independent schedules
-        // from one seed.
-        [0x5CA4_0001, 0x1DE8_0002, 0x71E3_0003, 0xD1C7_0004, 0x3A8F_0005][self.index()]
+        // from one seed. Each belongs to its site for good: a retired
+        // site's constant is not handed on, so a seed keeps its schedule.
+        match self {
+            FaultSite::Scan => 0x5CA4_0001,
+            FaultSite::ViewMatch => 0x71E3_0003,
+            FaultSite::DictLookup => 0xD1C7_0004,
+            FaultSite::Morsel => 0x3A8F_0005,
+        }
     }
 }
 
@@ -70,7 +68,6 @@ impl fmt::Display for FaultSite {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FaultSite::Scan => write!(f, "scan"),
-            FaultSite::IndexProbe => write!(f, "index probe"),
             FaultSite::ViewMatch => write!(f, "view match"),
             FaultSite::DictLookup => write!(f, "dictionary lookup"),
             FaultSite::Morsel => write!(f, "morsel"),
@@ -95,7 +92,7 @@ pub struct FaultInjector {
     /// Targeted faults: `(site, ordinal)` pairs that always fail.
     targeted: Vec<(FaultSite, u64)>,
     /// Per-site invocation counters (ordinals are 0-based).
-    counters: [AtomicU64; 5],
+    counters: [AtomicU64; 4],
     trips: AtomicU64,
 }
 
@@ -218,11 +215,11 @@ mod tests {
 
     #[test]
     fn targeted_fault_fires_exactly_once() {
-        let f = FaultInjector::targeted().fail_nth(FaultSite::IndexProbe, 1);
-        f.check(FaultSite::IndexProbe).unwrap();
-        assert!(f.check(FaultSite::IndexProbe).is_err());
-        f.check(FaultSite::IndexProbe).unwrap();
+        let f = FaultInjector::targeted().fail_nth(FaultSite::DictLookup, 1);
+        f.check(FaultSite::DictLookup).unwrap();
+        assert!(f.check(FaultSite::DictLookup).is_err());
+        f.check(FaultSite::DictLookup).unwrap();
         f.check(FaultSite::Scan).unwrap();
-        assert_eq!(f.invocations(FaultSite::IndexProbe), 3);
+        assert_eq!(f.invocations(FaultSite::DictLookup), 3);
     }
 }

@@ -44,7 +44,6 @@ pub mod pool;
 pub mod predicate;
 pub mod shard;
 pub mod sqlgen;
-pub(crate) mod wide;
 
 pub use aggregate::Grouping;
 pub use attach::{attach, pack_cells, AttachSpec, Attached, Keep, Rewrite, Side};

@@ -19,18 +19,18 @@
 //!   query plans → the view is maintained: **merged** — the query runs over
 //!   the appended rows only and folds into the stored answer by the
 //!   distributive rule — when every measure aggregates distributively
-//!   (sum/count/min/max) and the group-by key packs into a machine word,
-//!   **rebuilt** — the query runs over the whole table — otherwise;
+//!   (sum/count/min/max), **rebuilt** — the query runs over the whole
+//!   table — otherwise;
 //! * its source resolves to a binding over a *different* fact table → the
 //!   view is untouched;
 //! * it has no defining query that plans (no source recorded, unknown
-//!   source cube, or columns that no longer line up) → the view is
-//!   **dropped**: a view that cannot be re-derived must not keep serving
-//!   stale aggregates after its underlying data may have grown.
+//!   source cube, columns that no longer line up, or a group-by whose
+//!   packed key needs more than 64 bits, which `get` refuses too) → the
+//!   view is **dropped**: a view that cannot be re-derived must not keep
+//!   serving stale aggregates after its underlying data may have grown.
 //!
-//! Packed maintenance scans are neither charged to the engine's governor
-//! nor fault-injected; a wide-key rebuild goes through `wide::get_wide` and
-//! is governed like the wide `get` it is.
+//! Maintenance scans are neither charged to the engine's governor nor
+//! fault-injected: an append is not a tenant's query.
 //!
 //! ## Determinism
 //!
@@ -57,7 +57,7 @@
 
 use std::sync::Arc;
 
-use olap_model::{AggOp, CubeQuery, MemberId};
+use olap_model::{AggOp, CubeQuery};
 use olap_storage::{Column, CubeBinding, Delta, MaterializedAggregate, StorageError, Table};
 
 use crate::aggregate::{Accumulator, Grouper, Partial};
@@ -225,10 +225,13 @@ fn maintain_one(
     let Ok((ops, layout)) = query_shape(binding.schema(), &q) else {
         return Ok(None);
     };
+    if !layout.fits_u64() {
+        return Ok(None);
+    }
     // Mergeable: every operator distributive (a finalized value *is* the
-    // state), packed keys.
-    let merged = layout.fits_u64()
-        && ops.iter().all(|op| matches!(op, AggOp::Sum | AggOp::Count | AggOp::Min | AggOp::Max));
+    // state).
+    let merged =
+        ops.iter().all(|op| matches!(op, AggOp::Sum | AggOp::Count | AggOp::Min | AggOp::Max));
     let rows = if merged {
         delta.start_row()..delta.start_row() + delta.rows()
     } else {
@@ -237,18 +240,11 @@ fn maintain_one(
     let Ok(ctx) = ScanCtx::over_fact(binding, table, rows, &q, &ops, &layout) else {
         return Ok(None);
     };
-    let maintained = if !layout.fits_u64() {
-        let cube = crate::wide::get_wide(engine, &ctx, binding.schema(), &q)?.cube;
-        let measures =
-            cube.columns().iter().filter_map(|c| c.as_numeric()).map(|c| c.data.clone()).collect();
-        assemble_view(view, cube.coord_cols().to_vec(), measures)?
+    let partial = engine.run_scan(ctx, false)?.table;
+    let maintained = if merged {
+        merge(view, &partial, &layout, &ops)?
     } else {
-        let partial = engine.run_scan(ctx, false)?.table;
-        if merged {
-            merge(view, &partial, &layout, &ops)?
-        } else {
-            keyed_view(view, &layout, partial)?
-        }
+        keyed_view(view, &layout, partial)?
     };
     Ok(Some((maintained, merged)))
 }
@@ -293,8 +289,9 @@ fn merge(
     keyed_view(view, layout, merged)
 }
 
-/// Assembles the maintained view from a partial over `layout`, in
-/// ascending key order — lexicographic coordinate order.
+/// The maintained successor of `view` from a partial over `layout`, in
+/// ascending key order — lexicographic coordinate order — keeping its
+/// name, group-by set, measure names and provenance.
 fn keyed_view(
     view: &MaterializedAggregate,
     layout: &KeyLayout,
@@ -302,16 +299,6 @@ fn keyed_view(
 ) -> Result<MaterializedAggregate, EngineError> {
     let order = partial.key_order();
     let (coords, measures) = partial.emit(layout, &order);
-    assemble_view(view, coords, measures)
-}
-
-/// The maintained successor of `view` over already-ordered rows, keeping
-/// its name, group-by set, measure names and provenance.
-fn assemble_view(
-    view: &MaterializedAggregate,
-    coords: Vec<Vec<MemberId>>,
-    measures: Vec<Vec<f64>>,
-) -> Result<MaterializedAggregate, EngineError> {
     let rebuilt = MaterializedAggregate::new(
         view.name(),
         view.group_by().clone(),
@@ -330,7 +317,7 @@ fn assemble_view(
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use olap_model::{CubeQuery, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef};
+    use olap_model::{CubeQuery, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef, MemberId};
     use olap_storage::binding::DimInfo;
     use olap_storage::{Catalog, CubeBinding};
 
@@ -456,46 +443,65 @@ mod tests {
         }
     }
 
+    /// The fact columns of `rows` (five foreign keys each) with measure
+    /// `m` = the row's ordinal, counted from `first`.
+    fn wide_rows(rows: &[[i64; 5]], first: usize) -> Vec<Column> {
+        let mut columns: Vec<Column> = (0..5)
+            .map(|c| Column::i64(format!("fk{c}"), rows.iter().map(|r| r[c]).collect()))
+            .collect();
+        columns.push(Column::f64("m", (first..first + rows.len()).map(|i| i as f64).collect()));
+        columns
+    }
+
+    /// Cube `WIDE` over `rows`: five flat hierarchies of 8192 members need
+    /// 5 × 13 = 65 key bits, one past the packed-key limit.
+    fn wide_catalog(rows: &[[i64; 5]]) -> (Arc<Catalog>, Arc<CubeSchema>) {
+        let mut hierarchies = Vec::new();
+        let mut dims = Vec::new();
+        for h in 0..5 {
+            let mut b = HierarchyBuilder::new(format!("H{h}"), [format!("l{h}")]);
+            for m in 0..8192 {
+                b.add_member_chain(&[format!("h{h}m{m}")]).unwrap();
+            }
+            hierarchies.push(b.build().unwrap());
+            dims.push(DimInfo {
+                table: format!("d{h}"),
+                pk: format!("fk{h}"),
+                level_columns: vec![format!("l{h}")],
+            });
+        }
+        let schema =
+            Arc::new(CubeSchema::new("WIDE", hierarchies, vec![MeasureDef::new("m", AggOp::Sum)]));
+        let fact = Table::new("wide_fact", wide_rows(rows, 0)).unwrap();
+        let fks = (0..5).map(|h| format!("fk{h}")).collect();
+        let binding = CubeBinding::new(schema.clone(), &fact, fks, vec!["m".into()], dims).unwrap();
+        let catalog = Arc::new(Catalog::new());
+        catalog.register_table(fact);
+        catalog.register_binding("WIDE", binding);
+        (catalog, schema)
+    }
+
     #[test]
-    fn wide_views_are_rebuilt_as_their_defining_get() {
-        use crate::wide::tests::{wide_catalog, wide_rows};
-        let seed_rows = [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [1, 2, 3, 4, 5]];
+    fn wide_views_are_dropped_at_the_first_append() {
+        let seed_rows = [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]];
         let (catalog, schema) = wide_catalog(&seed_rows);
-        let q = CubeQuery::new("WIDE", GroupBySet::top(&schema), vec![], vec!["m".into()]);
-        // Registered stale (one cell, wrong value): a rebuild recomputes it.
-        let stale = MaterializedAggregate::new(
+        // A 65-bit view has no packed-key plan, so it cannot be re-derived.
+        let view = MaterializedAggregate::new(
             "mv_wide",
-            q.group_by.clone(),
-            vec![vec![MemberId(0)]; 5],
+            GroupBySet::top(&schema),
+            (1..=5).map(|m| vec![MemberId(m), MemberId(m + 5)]).collect(),
             vec!["m".into()],
-            vec![vec![-1.0]],
+            vec![vec![0.0, 1.0]],
         )
         .unwrap()
         .with_source("WIDE");
-        catalog.register_view(stale);
-        // Two morsels per scan once the table has grown.
-        let config = EngineConfig { morsel_rows: 4, ..EngineConfig::default() };
-        let engine = Engine::with_config(catalog.clone(), config);
-        let batches = [
-            vec![[6, 7, 8, 9, 10], [8191, 0, 8191, 0, 8191]],
-            vec![[0, 0, 0, 0, 0], [1, 2, 3, 4, 5], [8191, 0, 8191, 0, 8191]],
-        ];
-        let mut first = seed_rows.len();
-        for rows in &batches {
-            let out = engine.append("WIDE", &wide_rows(rows, first)).unwrap();
-            first += rows.len();
-            assert_eq!((out.views_merged, out.views_rebuilt), (0, 1));
-            assert!(out.views_dropped.is_empty());
-            let view = catalog.views().into_iter().find(|v| v.name() == "mv_wide").unwrap();
-            let cube = engine.get(&q).unwrap().cube;
-            assert_eq!(view.coord_cols(), cube.coord_cols());
-            assert_eq!(view.measure("m").unwrap(), &cube.numeric_column("m").unwrap().data[..]);
-            assert_eq!(view.source(), Some("WIDE"));
-        }
-        // Rows 0..8 carry m = 0..8; the cell [1,2,3,4,5] holds rows 0, 2, 6.
-        let view = catalog.views().into_iter().find(|v| v.name() == "mv_wide").unwrap();
-        assert_eq!(view.len(), 4);
-        assert_eq!(view.measure("m").unwrap(), &[5.0, 8.0, 4.0, 11.0]);
+        catalog.register_view(view);
+        let engine = Engine::new(catalog.clone());
+        let out = engine.append("WIDE", &wide_rows(&[[1, 2, 3, 4, 5]], seed_rows.len())).unwrap();
+        assert_eq!(out.views_dropped, vec!["mv_wide".to_string()]);
+        assert_eq!((out.views_merged, out.views_rebuilt), (0, 0));
+        assert!(catalog.views().is_empty());
+        assert_eq!(catalog.table("wide_fact").unwrap().n_rows(), 3, "the rows still land");
     }
 
     #[test]

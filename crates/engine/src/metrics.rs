@@ -33,10 +33,6 @@ pub enum ScanPath {
     Fact,
     /// Scan of a materialized aggregate view.
     View,
-    /// Index-driven row-set probe (serial fast path).
-    Index,
-    /// Wide-key (boxed coordinate) fallback scan.
-    Wide,
 }
 
 /// Atomic counters for the engine's scan activity. See the module docs for
@@ -49,8 +45,6 @@ pub struct EngineMetrics {
     parallel_scans: AtomicU64,
     fact_scans: AtomicU64,
     view_scans: AtomicU64,
-    index_scans: AtomicU64,
-    wide_scans: AtomicU64,
     appends: AtomicU64,
     mview_delta_merges: AtomicU64,
     mview_rebuilds: AtomicU64,
@@ -65,7 +59,7 @@ pub struct EngineMetricsSnapshot {
     pub scans: u64,
     /// Fact/view rows charged across all scans.
     pub rows_scanned: u64,
-    /// Morsels the scans were split into (0 for index probes).
+    /// Morsels the scans were split into.
     pub morsels: u64,
     /// Scans that ran with more than one thread. **Not** deterministic
     /// across thread counts — helper grants depend on pool load.
@@ -74,9 +68,13 @@ pub struct EngineMetricsSnapshot {
     pub fact_scans: u64,
     /// Scans served from a materialized view.
     pub view_scans: u64,
-    /// Scans served by the index fast path.
+    /// Scans served by the index fast path, which is gone: nothing
+    /// increments this any more, so it reads 0. Kept because the
+    /// repository benchmark (`benchmark/src/run.rs`) still reads it.
     pub index_scans: u64,
-    /// Scans served by the wide-key fallback.
+    /// Scans served by the wide-key fallback, which is gone (a wide
+    /// group-by is refused): nothing increments this any more, so it reads
+    /// 0. Kept because the repository benchmark still reads it.
     pub wide_scans: u64,
     /// Fact-batch appends committed through the engine.
     pub appends: u64,
@@ -100,8 +98,8 @@ impl EngineMetricsSnapshot {
             parallel_scans: self.parallel_scans.saturating_sub(earlier.parallel_scans),
             fact_scans: self.fact_scans.saturating_sub(earlier.fact_scans),
             view_scans: self.view_scans.saturating_sub(earlier.view_scans),
-            index_scans: self.index_scans.saturating_sub(earlier.index_scans),
-            wide_scans: self.wide_scans.saturating_sub(earlier.wide_scans),
+            index_scans: 0,
+            wide_scans: 0,
             appends: self.appends.saturating_sub(earlier.appends),
             mview_delta_merges: self.mview_delta_merges.saturating_sub(earlier.mview_delta_merges),
             mview_rebuilds: self.mview_rebuilds.saturating_sub(earlier.mview_rebuilds),
@@ -118,8 +116,6 @@ impl EngineMetricsSnapshot {
             ("parallel_scans", self.parallel_scans),
             ("fact_scans", self.fact_scans),
             ("view_scans", self.view_scans),
-            ("index_scans", self.index_scans),
-            ("wide_scans", self.wide_scans),
             ("appends", self.appends),
             ("mview_delta_merges", self.mview_delta_merges),
             ("mview_rebuilds", self.mview_rebuilds),
@@ -156,8 +152,6 @@ impl EngineMetrics {
         let by_path = match path {
             ScanPath::Fact => &self.fact_scans,
             ScanPath::View => &self.view_scans,
-            ScanPath::Index => &self.index_scans,
-            ScanPath::Wide => &self.wide_scans,
         };
         by_path.fetch_add(1, Ordering::Relaxed);
     }
@@ -197,8 +191,8 @@ impl EngineMetrics {
             parallel_scans: self.parallel_scans.load(Ordering::Relaxed),
             fact_scans: self.fact_scans.load(Ordering::Relaxed),
             view_scans: self.view_scans.load(Ordering::Relaxed),
-            index_scans: self.index_scans.load(Ordering::Relaxed),
-            wide_scans: self.wide_scans.load(Ordering::Relaxed),
+            index_scans: 0,
+            wide_scans: 0,
             appends: self.appends.load(Ordering::Relaxed),
             mview_delta_merges: self.mview_delta_merges.load(Ordering::Relaxed),
             mview_rebuilds: self.mview_rebuilds.load(Ordering::Relaxed),
@@ -223,15 +217,16 @@ mod tests {
         let m = EngineMetrics::new();
         m.record_scan(ScanPath::Fact, 100, 4, 2, Grouping::Direct);
         m.record_scan(ScanPath::View, 10, 1, 1, Grouping::Direct);
-        m.record_scan(ScanPath::Index, 3, 0, 1, Grouping::Hashed);
-        m.record_scan(ScanPath::Wide, 7, 2, 1, Grouping::Hashed);
+        m.record_scan(ScanPath::Fact, 7, 2, 1, Grouping::Hashed);
         let s = m.snapshot();
-        assert_eq!(s.scans, 4);
-        assert_eq!(s.rows_scanned, 120);
+        assert_eq!(s.scans, 3);
+        assert_eq!(s.rows_scanned, 117);
         assert_eq!(s.morsels, 7);
         assert_eq!(s.parallel_scans, 1);
-        assert_eq!((s.fact_scans, s.view_scans, s.index_scans, s.wide_scans), (1, 1, 1, 1));
+        assert_eq!((s.fact_scans, s.view_scans, s.index_scans, s.wide_scans), (2, 1, 0, 0));
         assert_eq!(s.direct_group_scans, 2);
+        let names: Vec<&str> = s.as_rows().into_iter().map(|(name, _)| name).collect();
+        assert!(!names.contains(&"index_scans") && !names.contains(&"wide_scans"));
     }
 
     #[test]

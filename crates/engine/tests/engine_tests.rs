@@ -4,7 +4,6 @@ use std::sync::Arc;
 
 use olap_engine::{
     CancelToken, Engine, EngineConfig, EngineError, EngineMetrics, JoinKind, ResourceGovernor,
-    ResourceKind,
 };
 use olap_model::{
     AggOp, CubeQuery, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef, Predicate,
@@ -557,52 +556,6 @@ fn sql_generation_shapes() {
 }
 
 #[test]
-fn index_fast_path_matches_full_scan() {
-    let (catalog, schema) = build_catalog();
-    let indexed = Engine::with_config(
-        catalog.clone(),
-        EngineConfig { use_indexes: true, index_selectivity: 0.5, ..EngineConfig::default() },
-    );
-    let scanning = Engine::with_config(
-        catalog,
-        EngineConfig { use_indexes: false, ..EngineConfig::default() },
-    );
-    let g = GroupBySet::from_level_names(&schema, &["product", "month"]).unwrap();
-    // Point predicate on the finest store level: 1 of 3 members.
-    let q = CubeQuery::new(
-        "SALES",
-        g,
-        vec![Predicate::eq(&schema, "store", "S1").unwrap()],
-        vec!["quantity".into()],
-    );
-    let a = indexed.get(&q).unwrap();
-    let b = scanning.get(&q).unwrap();
-    // The index touches only S1's 4 fact rows instead of all 10.
-    assert!(a.rows_scanned < b.rows_scanned, "{} vs {}", a.rows_scanned, b.rows_scanned);
-    assert_eq!(a.rows_scanned, 4);
-    assert_eq!(rows_of(&a.cube, "quantity"), rows_of(&b.cube, "quantity"));
-}
-
-#[test]
-fn index_path_declines_unselective_predicates() {
-    let (catalog, schema) = build_catalog();
-    let engine = Engine::with_config(
-        catalog,
-        EngineConfig { use_indexes: true, index_selectivity: 0.01, ..EngineConfig::default() },
-    );
-    let g = GroupBySet::from_level_names(&schema, &["product"]).unwrap();
-    let q = CubeQuery::new(
-        "SALES",
-        g,
-        vec![Predicate::eq(&schema, "store", "S1").unwrap()],
-        vec!["quantity".into()],
-    );
-    // 1/3 of the store domain exceeds the 1% threshold: full scan.
-    let out = engine.get(&q).unwrap();
-    assert_eq!(out.rows_scanned, FACT.len());
-}
-
-#[test]
 fn estimate_get_predicts_access_path_and_size() {
     let (catalog, schema) = build_catalog();
     let engine = Engine::new(catalog.clone());
@@ -638,66 +591,9 @@ fn estimate_get_predicts_access_path_and_size() {
     assert_eq!(est.rows_scanned, base.cube.len());
 }
 
-#[test]
-fn wide_group_by_keys_fall_back_to_boxed_scan() {
-    // Five hierarchies of 8192 members each need 5 × 13 = 65 bits: one past
-    // the packed-key limit, forcing the wide path.
-    let mut hierarchies = Vec::new();
-    let mut fk_cols = Vec::new();
-    let mut dims = Vec::new();
-    const CARD: usize = 8192;
-    for h in 0..5 {
-        let mut b = HierarchyBuilder::new(format!("H{h}"), [format!("l{h}")]);
-        for m in 0..CARD {
-            b.add_member_chain(&[format!("h{h}m{m}")]).unwrap();
-        }
-        hierarchies.push(b.build().unwrap());
-        fk_cols.push(format!("fk{h}"));
-        dims.push(DimInfo {
-            table: format!("d{h}"),
-            pk: format!("fk{h}"),
-            level_columns: vec![format!("l{h}")],
-        });
-    }
-    let schema =
-        Arc::new(CubeSchema::new("WIDE", hierarchies, vec![MeasureDef::new("m", AggOp::Sum)]));
-    // A handful of facts, two of them sharing every coordinate.
-    let rows: Vec<[i64; 5]> =
-        vec![[1, 2, 3, 4, 5], [1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [8191, 0, 8191, 0, 8191]];
-    let mut columns: Vec<Column> = (0..5)
-        .map(|c| Column::i64(format!("fk{c}"), rows.iter().map(|r| r[c]).collect()))
-        .collect();
-    columns.push(Column::f64("m", vec![1.0, 2.0, 4.0, 8.0]));
-    let fact = Table::new("wide_fact", columns).unwrap();
-    let binding = CubeBinding::new(schema.clone(), &fact, fk_cols, vec!["m".into()], dims).unwrap();
-    let catalog = Arc::new(Catalog::new());
-    catalog.register_table(fact);
-    catalog.register_binding("WIDE", binding);
-    let engine = Engine::new(catalog);
-
-    let g = GroupBySet::top(&schema);
-    let q = CubeQuery::new("WIDE", g, vec![], vec!["m".into()]);
-    let out = engine.get(&q).unwrap();
-    assert_eq!(out.cube.len(), 3, "duplicate coordinates aggregate");
-    let col = out.cube.numeric_column("m").unwrap();
-    let mut sums: Vec<f64> = (0..3).map(|r| col.get(r).unwrap()).collect();
-    sums.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    assert_eq!(sums, vec![3.0, 4.0, 8.0]);
-    // Fused paths still refuse wide keys.
-    let err = engine
-        .get_pivot(&q, 0, olap_model::MemberId(1), &[olap_model::MemberId(6)], "m", &["b".into()])
-        .unwrap_err();
-    assert_eq!(err, olap_engine::EngineError::WideKey { bits: 65 });
-    assert_eq!(
-        err.to_string(),
-        "unsupported operation: group-by key needs 65 bits; wide keys are not supported by the \
-         fused engine paths"
-    );
-}
-
-/// The 65-bit schema of `wide_group_by_keys_fall_back_to_boxed_scan` (five
-/// flat hierarchies of 8192 members) over its four facts, and the wide
-/// query grouping by all five.
+/// Five flat hierarchies of 8192 members, whose packed key needs
+/// 5 × 13 = 65 bits (one past a machine word), over four facts, and the
+/// wide query grouping by all five.
 fn wide_catalog() -> (Arc<Catalog>, CubeQuery) {
     const CARD: usize = 8192;
     let mut hierarchies = Vec::new();
@@ -734,30 +630,32 @@ fn wide_catalog() -> (Arc<Catalog>, CubeQuery) {
 }
 
 #[test]
-fn wide_gets_are_charged_to_the_row_budget() {
+fn wide_group_by_keys_are_refused_before_any_row_is_charged() {
     let (catalog, q) = wide_catalog();
-    // A tenant's row ceiling binds a wide get exactly as it binds a packed
-    // one: the four fact rows are pre-charged and refused.
-    let capped = Arc::new(ResourceGovernor::unlimited().with_max_rows_scanned(1));
-    let err = Engine::new(catalog.clone()).with_governor(capped).get(&q).unwrap_err();
-    assert_eq!(
-        err,
-        EngineError::BudgetExceeded { resource: ResourceKind::RowsScanned, limit: 1, used: 4 }
-    );
-
-    // Within budget the rows are counted against it and the scan still
-    // lands in the wide path's metrics.
-    let roomy = Arc::new(ResourceGovernor::unlimited().with_max_rows_scanned(4));
+    let governor = Arc::new(ResourceGovernor::unlimited());
     let metrics = Arc::new(EngineMetrics::new());
-    let engine = Engine::new(catalog).with_governor(roomy.clone()).with_metrics(metrics.clone());
-    let out = engine.get(&q).unwrap();
-    assert_eq!((out.cube.len(), out.rows_scanned), (3, 4));
-    assert_eq!(roomy.rows_scanned(), 4);
-    #[cfg(feature = "obs")]
-    {
-        let s = metrics.snapshot();
-        assert_eq!((s.wide_scans, s.fact_scans, s.rows_scanned), (1, 0, 4));
-    }
+    let engine = Engine::new(catalog).with_governor(governor.clone()).with_metrics(metrics.clone());
+    let wide = Some(EngineError::WideKey { bits: 65 });
+    assert_eq!(engine.get(&q).err(), wide);
+    assert_eq!(engine.get_partial(&q).err(), wide);
+    let (m1, m6) = (olap_model::MemberId(1), olap_model::MemberId(6));
+    assert_eq!(engine.get_pivot(&q, 0, m1, &[m6], "m", &["b".into()]).err(), wide);
+    assert_eq!(governor.rows_scanned(), 0);
+    assert_eq!(metrics.snapshot().scans, 0);
+}
+
+/// A plain `get` grouping by a key wider than a machine word answers
+/// with a refusal that names the bits the key would need.
+#[test]
+fn wide_group_by_keys_are_refused_with_their_bit_count() {
+    let (catalog, q) = wide_catalog();
+    let err = Engine::new(catalog).get(&q).unwrap_err();
+    assert_eq!(err, EngineError::WideKey { bits: 65 });
+    assert_eq!(
+        err.to_string(),
+        "unsupported operation: group-by key needs 65 bits; keys wider than 64 bits are not \
+         supported"
+    );
 }
 
 #[test]
@@ -842,4 +740,81 @@ fn views_answer_only_the_cube_they_aggregate() {
     assert_eq!(rows_of(&out.cube, "quantity"), rows_of(&fact_scan.cube, "quantity"));
     assert_eq!(out.rows_scanned, 4);
     assert!(!engine.estimate_get(&query("RETURNS")).unwrap().from_view);
+}
+
+/// The fact table of cube `ITEMS` over rows `(item, store, quantity)`.
+fn items_fact(rows: &[(i64, i64, f64)]) -> Table {
+    Table::new(
+        "items",
+        vec![
+            Column::i64("ikey", rows.iter().map(|r| r.0).collect()),
+            Column::i64("skey", rows.iter().map(|r| r.1).collect()),
+            Column::f64("quantity", rows.iter().map(|r| r.2).collect()),
+        ],
+    )
+    .unwrap()
+}
+
+/// Cube `ITEMS`: 100 items (i0..i99, two parities) × two stores (s0, s1)
+/// over [`items_fact`]`(rows)`.
+fn items_catalog(rows: &[(i64, i64, f64)]) -> (Arc<Catalog>, Arc<CubeSchema>) {
+    let mut item = HierarchyBuilder::new("Item", ["item", "parity"]);
+    for i in 0..100 {
+        item.add_member_chain(&[format!("i{i}"), ["even", "odd"][i % 2].to_string()]).unwrap();
+    }
+    let mut store = HierarchyBuilder::new("Store", ["store"]);
+    for s in ["s0", "s1"] {
+        store.add_member_chain(&[s]).unwrap();
+    }
+    let schema = Arc::new(CubeSchema::new(
+        "ITEMS",
+        vec![item.build().unwrap(), store.build().unwrap()],
+        vec![MeasureDef::new("quantity", AggOp::Sum)],
+    ));
+    let fact = items_fact(rows);
+    let dims = vec![
+        DimInfo {
+            table: "item".into(),
+            pk: "ikey".into(),
+            level_columns: vec!["ikey".into(), "parity".into()],
+        },
+        DimInfo { table: "store".into(), pk: "skey".into(), level_columns: vec!["skey".into()] },
+    ];
+    let fks = vec!["ikey".into(), "skey".into()];
+    let binding =
+        CubeBinding::new(schema.clone(), &fact, fks, vec!["quantity".into()], dims).unwrap();
+    let catalog = Arc::new(Catalog::new());
+    catalog.register_table(fact);
+    catalog.register_binding("ITEMS", binding);
+    (catalog, schema)
+}
+
+/// A point predicate selecting one member of a 100-member finest level
+/// reads the table the catalog holds now: after `register_table` replaces
+/// the fact table, the same get answers as a fresh catalog over the new
+/// rows, with no row ids remembered from the old table.
+#[test]
+fn point_predicate_gets_read_a_replaced_table() {
+    let before = [(7, 0, 1.0), (7, 1, 2.0), (1, 0, 4.0), (2, 1, 8.0)];
+    let after = [(1, 0, 1.0), (2, 1, 2.0), (7, 0, 4.0), (7, 1, 8.0)];
+    let (catalog, schema) = items_catalog(&before);
+    let g = GroupBySet::from_level_names(&schema, &["store"]).unwrap();
+    let q = CubeQuery::new(
+        "ITEMS",
+        g,
+        vec![Predicate::eq(&schema, "item", "i7").unwrap()],
+        vec!["quantity".into()],
+    );
+    let engine = Engine::new(catalog.clone());
+    let cell = |store: &str, q: f64| (vec![store.to_string()], Some(q));
+    assert_eq!(
+        rows_of(&engine.get(&q).unwrap().cube, "quantity"),
+        [cell("s0", 1.0), cell("s1", 2.0)]
+    );
+
+    catalog.register_table(items_fact(&after));
+    let got = rows_of(&engine.get(&q).unwrap().cube, "quantity");
+    let (fresh, _) = items_catalog(&after);
+    assert_eq!(got, rows_of(&Engine::new(fresh).get(&q).unwrap().cube, "quantity"));
+    assert_eq!(got, [cell("s0", 4.0), cell("s1", 8.0)]);
 }

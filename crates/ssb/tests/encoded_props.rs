@@ -39,7 +39,6 @@ fn engine(ds: &SsbDataset, threads: usize, pool: &Arc<WorkerPool>) -> Engine {
             max_threads: threads,
             parallel_threshold: 1,
             morsel_rows: 512,
-            ..EngineConfig::default()
         },
     )
     .with_worker_pool(pool.clone())
@@ -140,10 +139,11 @@ fn encoded_and_plain_catalogs_answer_identically_at_every_thread_count() {
 }
 
 #[test]
-fn index_path_reads_encoded_columns_identically() {
-    // A point predicate on the finest customer level takes the hash-index
-    // path (serial, point accessors over the encoded column) — it too must
-    // match the plain layout exactly.
+fn point_predicates_read_encoded_columns_identically() {
+    // A point predicate on the finest customer level runs through the
+    // morsel scan: its mask skips whole morsels where a run-length column
+    // proves no row can match, and filters the decoded lanes elsewhere. It
+    // too must match the plain layout exactly.
     let plain = dataset(false);
     let encoded = dataset(true);
     let q = CubeQuery::new(
@@ -156,7 +156,7 @@ fn index_path_reads_encoded_columns_identically() {
     let ee = Engine::new(encoded.catalog.clone());
     let a = ep.get(&q).unwrap().cube;
     let b = ee.get(&q).unwrap().cube;
-    assert_identical(&a, &b, "index path");
+    assert_identical(&a, &b, "point predicate");
 }
 
 // ---------------------------------------------------------------------------

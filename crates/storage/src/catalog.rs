@@ -1,4 +1,4 @@
-//! A thread-safe catalog of tables, cube bindings, indexes and views.
+//! A thread-safe catalog of tables, cube bindings and views.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -7,7 +7,6 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use crate::binding::CubeBinding;
 use crate::delta::Delta;
 use crate::error::StorageError;
-use crate::index::HashIndex;
 use crate::mview::MaterializedAggregate;
 use crate::table::Table;
 
@@ -20,7 +19,6 @@ const DELTA_HISTORY: usize = 64;
 struct CatalogInner {
     tables: HashMap<String, Arc<Table>>,
     bindings: HashMap<String, Arc<CubeBinding>>,
-    indexes: HashMap<(String, String), Arc<HashIndex>>,
     views: Vec<Arc<MaterializedAggregate>>,
     /// Recent append deltas in commit order, each stamped with the settled
     /// version its commit produced.
@@ -84,14 +82,20 @@ impl Catalog {
         self.inner.read().unwrap_or_else(|poison| poison.into_inner())
     }
 
-    /// Write access, with the same poison-recovery policy as [`Self::read`].
-    /// Every writer is a mutation; the returned guard bumps the version on
-    /// acquisition and again on release (seqlock style), so the version is
-    /// odd exactly while a mutation is in flight and any work overlapping a
-    /// mutation observes two different version readings.
+    /// The bare write lock, with the same poison-recovery policy as
+    /// [`Self::read`]. Holding it is not yet a mutation: a writer that may
+    /// back out checks its precondition first, then calls
+    /// [`Self::versioned`].
+    fn lock(&self) -> RwLockWriteGuard<'_, CatalogInner> {
+        self.inner.write().unwrap_or_else(|poison| poison.into_inner())
+    }
+
+    /// Write access. Every writer is a mutation; the returned guard bumps
+    /// the version on acquisition and again on release (seqlock style), so
+    /// the version is odd exactly while a mutation is in flight and any
+    /// work overlapping a mutation observes two different version readings.
     fn write(&self) -> VersionedWriteGuard<'_> {
-        let guard = self.inner.write().unwrap_or_else(|poison| poison.into_inner());
-        self.versioned(guard)
+        self.versioned(self.lock())
     }
 
     /// Wraps an already-acquired write lock in the seqlock protocol:
@@ -115,20 +119,12 @@ impl Catalog {
         guard
     }
 
-    /// Write access that bypasses the seqlock entirely, for mutations of
-    /// *derived* state (cached indexes) that cannot change any query
-    /// result. Invisible to versioned readers by design.
-    fn write_plain(&self) -> RwLockWriteGuard<'_, CatalogInner> {
-        self.inner.write().unwrap_or_else(|poison| poison.into_inner())
-    }
-
     /// The current mutation-counter value. Two equal **even** readings
     /// bracketing a computation guarantee the catalog's semantic contents
     /// did not change while it ran; any registration (table, binding,
     /// view), removal or append commit changes the value, and an odd value
     /// means a mutation is in flight right now. Result caches key entries
-    /// on this. (Cached hash indexes are derived state and excepted: they
-    /// cannot change any query result.)
+    /// on this.
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
     }
@@ -169,31 +165,6 @@ impl Catalog {
             .ok_or_else(|| StorageError::UnknownBinding(name.to_string()))
     }
 
-    /// Builds (or reuses) a hash index on `table.column`.
-    ///
-    /// Index caching is a derived-state mutation: it never changes a query
-    /// result, so it does not bump the catalog version. The insert is
-    /// guarded against a table swap racing the build — an index built from
-    /// a superseded table snapshot is discarded and rebuilt.
-    pub fn hash_index(&self, table: &str, column: &str) -> Result<Arc<HashIndex>, StorageError> {
-        let key = (table.to_string(), column.to_string());
-        loop {
-            if let Some(idx) = self.read().indexes.get(&key) {
-                return Ok(idx.clone());
-            }
-            let t = self.table(table)?;
-            let idx = Arc::new(HashIndex::build(&t, column)?);
-            let mut guard = self.write_plain();
-            match guard.tables.get(table) {
-                Some(current) if Arc::ptr_eq(current, &t) => {
-                    guard.indexes.insert(key, idx.clone());
-                    return Ok(idx);
-                }
-                _ => continue, // the table moved mid-build; start over
-            }
-        }
-    }
-
     /// Registers a materialized aggregate view.
     pub fn register_view(&self, view: MaterializedAggregate) -> Arc<MaterializedAggregate> {
         let view = Arc::new(view);
@@ -215,8 +186,8 @@ impl Catalog {
     /// the commit was prepared against the *current* snapshot `base`),
     /// replaces each maintained view by name (new names are added),
     /// drops the views named in `drop_views` (those that could not be
-    /// maintained), discards the table's cached indexes, and records
-    /// `delta` stamped with the commit's settled version.
+    /// maintained), and records `delta` stamped with the commit's settled
+    /// version.
     ///
     /// This is the one mutation that is **not** structural: the delta it
     /// records explains the version step completely, so delta-aware caches
@@ -235,7 +206,7 @@ impl Catalog {
         delta: Delta,
     ) -> Result<Arc<Delta>, StorageError> {
         let name = table.name().to_string();
-        let plain = self.write_plain();
+        let plain = self.lock();
         match plain.tables.get(&name) {
             Some(current) if Arc::ptr_eq(current, base) => {}
             _ => return Err(StorageError::ConcurrentMutation(name)),
@@ -243,7 +214,6 @@ impl Catalog {
         let mut guard = self.versioned(plain);
         let settled = guard.settled;
         guard.tables.insert(name.clone(), table);
-        guard.indexes.retain(|(t, _), _| t != &name);
         for view in views {
             let view = Arc::new(view);
             match guard.views.iter_mut().find(|v| v.name() == view.name()) {
@@ -412,16 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_index_is_cached() {
-        let cat = Catalog::new();
-        cat.register_table(Table::new("t", vec![Column::i64("k", vec![1, 1, 2])]).unwrap());
-        let a = cat.hash_index("t", "k").unwrap();
-        let b = cat.hash_index("t", "k").unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(a.lookup(1), &[0, 1]);
-    }
-
-    #[test]
     fn best_view_picks_smallest_match() {
         let cat = Catalog::new();
         let g_fine = GroupBySet::from_slots(vec![Some(0)]);
@@ -517,10 +477,9 @@ mod tests {
     }
 
     #[test]
-    fn commit_append_replaces_views_drops_indexes() {
+    fn commit_append_replaces_and_drops_views() {
         let cat = Catalog::new();
         let base = cat.register_table(Table::new("t", vec![Column::i64("k", vec![0, 0])]).unwrap());
-        cat.hash_index("t", "k").unwrap();
         let mk = |name: &str, total: f64| {
             MaterializedAggregate::new(
                 name,
@@ -548,18 +507,6 @@ mod tests {
         assert_eq!(views.len(), 1);
         assert_eq!(views[0].name(), "kept");
         assert_eq!(views[0].measure("m"), Some(&[3.0][..]));
-        // The stale index is gone; the next probe rebuilds from the new table.
-        let idx = cat.hash_index("t", "k").unwrap();
-        assert_eq!(idx.lookup(0), &[0, 1, 2]);
-    }
-
-    #[test]
-    fn index_caching_is_invisible_to_the_version() {
-        let cat = Catalog::new();
-        cat.register_table(Table::new("t", vec![Column::i64("k", vec![0])]).unwrap());
-        let v = cat.version();
-        cat.hash_index("t", "k").unwrap();
-        assert_eq!(cat.version(), v, "derived-state mutation, no semantic change");
     }
 
     #[test]

@@ -36,15 +36,6 @@ impl<'a> NumericSlice<'a> {
         }
     }
 
-    /// The value at `row`, coercing integers.
-    #[inline]
-    pub fn get(&self, row: usize) -> f64 {
-        match self {
-            NumericSlice::I64(v) => v[row] as f64,
-            NumericSlice::F64(v) => v[row],
-        }
-    }
-
     pub fn len(&self) -> usize {
         match self {
             NumericSlice::I64(v) => v.len(),
@@ -268,13 +259,12 @@ mod tests {
         let t = table();
         let k = NumericSlice::from_column(t.require_column("k").unwrap()).unwrap();
         let m = NumericSlice::from_column(t.require_column("m").unwrap()).unwrap();
-        assert_eq!(k.get(3), 3.0);
-        assert_eq!(m.get(3), 1.5);
+        assert_eq!(k.to_vec()[3], 3.0);
+        assert_eq!(m.to_vec()[3], 1.5);
         assert_eq!(k.len(), 10);
         assert!(NumericSlice::from_column(t.require_column("s").unwrap()).is_none());
         let sub = k.slice(4, 3);
         assert_eq!(sub.len(), 3);
-        assert_eq!(sub.get(0), 4.0);
         assert_eq!(sub.to_vec(), vec![4.0, 5.0, 6.0]);
     }
 
@@ -292,7 +282,7 @@ mod tests {
         // Chunk-local column views line up with the global offsets.
         let last = &chunks[2];
         assert_eq!(last.require_i64("k").unwrap(), &[8, 9]);
-        assert_eq!(last.require_numeric("m").unwrap().get(1), 4.5);
+        assert_eq!(last.require_numeric("m").unwrap().to_vec(), vec![4.0, 4.5]);
         assert_eq!(last.i64_at(0).unwrap(), &[8, 9]);
         assert!(last.i64_at(1).is_none(), "f64 column is not i64");
         assert!(last.numeric_at(2).is_none(), "dict column is not numeric");

@@ -490,8 +490,9 @@ impl KeyColumn {
 }
 
 /// Random row access over either physical key representation, for the
-/// serial point-lookup paths (index probes, row-at-a-time rebuilds) that
-/// must not pay a whole-column decode.
+/// row-at-a-time readers (appends, shard partitioning,
+/// [`Column::i64_iter`](crate::Column::i64_iter)) that must not pay a
+/// whole-column decode.
 #[derive(Debug, Clone, Copy)]
 pub enum KeyAccess<'a> {
     Plain(&'a [i64]),

@@ -5,8 +5,6 @@
 //!
 //! * dictionary-encoded, typed, columnar [`Table`]s (fact and dimension
 //!   tables of a star schema);
-//! * a [`HashIndex`] over key columns — the equivalent of the B-tree
-//!   indexes the paper creates on primary and foreign keys;
 //! * [`MaterializedAggregate`] views with roll-up view matching — the
 //!   equivalent of the materialized views the paper creates "to improve
 //!   performances";
@@ -26,7 +24,6 @@ pub mod delta;
 pub mod dictionary;
 pub mod encode;
 pub mod error;
-pub mod index;
 pub mod mview;
 pub mod persist;
 pub mod shard;
@@ -40,7 +37,6 @@ pub use delta::Delta;
 pub use dictionary::Dictionary;
 pub use encode::{CodeStore, KeyAccess, KeyColumn, Validity};
 pub use error::StorageError;
-pub use index::HashIndex;
 pub use mview::MaterializedAggregate;
 pub use shard::ShardScheme;
 pub use table::{ColumnStat, Table};

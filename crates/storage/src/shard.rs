@@ -133,9 +133,10 @@ mod tests {
         let keys = full.require_i64("dkey").unwrap();
         let revs: Vec<f64> = full.numeric_slice("rev").unwrap().to_vec();
         let p0_plain = p0.decode_keys();
+        let p0_revs = p0_plain.numeric_slice("rev").unwrap().to_vec();
         for (j, &r) in rows[0].iter().enumerate() {
             assert_eq!(p0_plain.require_i64("dkey").unwrap()[j], keys[r as usize]);
-            assert_eq!(p0_plain.numeric_slice("rev").unwrap().get(j), revs[r as usize]);
+            assert_eq!(p0_revs[j], revs[r as usize]);
         }
     }
 

@@ -389,7 +389,7 @@ mod tests {
         assert_eq!(t.n_rows(), 3);
         assert_eq!(t.require_i64("ckey").unwrap(), &[0, 1, 2]);
         assert_eq!(t.numeric_slice("balance").unwrap().to_vec(), vec![10.5, -3.0, 0.0]);
-        assert_eq!(t.numeric_slice("ckey").unwrap().get(2), 2.0, "i64 coerces without a copy");
+        assert_eq!(t.numeric_slice("ckey").unwrap().to_vec()[2], 2.0, "i64 coerces");
         assert!(matches!(
             t.require_i64("nation"),
             Err(StorageError::TypeMismatch { expected: "i64", .. })
