@@ -53,8 +53,9 @@
 //! * [`stmt`] — source-level statement utilities (comment-aware splitting,
 //!   termination detection, cache-key normalization) shared by the batch
 //!   linter, the REPL and the `assess-serve` network service;
-//! * [`codegen`] — SQL + Python-equivalent code emission for the
-//!   formulation-effort experiment (Table 1);
+//! * [`codegen`] — the formulation-effort instrument (Table 1): renders
+//!   the SQL (Listings 1, 4, 5) and the Python of a statement's least
+//!   complex plan — the engine itself renders no SQL;
 //! * [`cost`] — the cost-based strategy chooser (a future-work extension);
 //! * [`suggest`] — ranked completion of partial statements (a future-work
 //!   extension);

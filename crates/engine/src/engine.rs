@@ -321,10 +321,9 @@ impl ScanCtx {
             let col_name = binding.measure_column_by_name(m).ok_or_else(|| {
                 EngineError::Model(olap_model::ModelError::UnknownMeasure(m.clone()))
             })?;
-            fact.numeric_slice(col_name).map_err(|_| {
+            measures.push(fact.require_numeric(col_name).map_err(|_| {
                 EngineError::Unsupported(format!("measure column `{col_name}` is not numeric"))
-            })?;
-            measures.push(fact.column_index(col_name).expect("numeric_slice checked existence"));
+            })?);
         }
         Ok(ScanCtx {
             source: ScanSource::Fact(fact.clone(), rows),

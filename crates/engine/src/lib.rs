@@ -43,7 +43,6 @@ pub mod metrics;
 pub mod pool;
 pub mod predicate;
 pub mod shard;
-pub mod sqlgen;
 
 pub use aggregate::Grouping;
 pub use attach::{attach, pack_cells, AttachSpec, Attached, Keep, Rewrite, Side};

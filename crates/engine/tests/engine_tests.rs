@@ -508,54 +508,6 @@ fn unknown_cube_or_measure_errors_cleanly() {
 }
 
 #[test]
-fn sql_generation_shapes() {
-    let (catalog, schema) = build_catalog();
-    let binding = catalog.binding("SALES").unwrap();
-    let g = GroupBySet::from_level_names(&schema, &["product", "country"]).unwrap();
-    let q = CubeQuery::new(
-        "SALES",
-        g.clone(),
-        vec![
-            Predicate::eq(&schema, "type", "Fresh Fruit").unwrap(),
-            Predicate::eq(&schema, "country", "Italy").unwrap(),
-        ],
-        vec!["quantity".into()],
-    );
-    let sql = olap_engine::sqlgen::select_sql(&binding, &q);
-    assert!(sql.contains("select f.pkey, store.country, sum(f.quantity) as quantity"));
-    assert!(sql.contains("join product on product.pkey = f.pkey"));
-    assert!(sql.contains("where type = 'Fresh Fruit' and country = 'Italy'"));
-    assert!(sql.contains("group by f.pkey, store.country"));
-
-    let mut right = q.clone();
-    right.predicates[1] = Predicate::eq(&schema, "country", "France").unwrap();
-    let join = olap_engine::sqlgen::join_sql(
-        &binding,
-        &q,
-        &right,
-        &["pkey".to_string()],
-        &["bc_quantity".to_string()],
-    );
-    assert!(join.contains("t1.pkey = t2.pkey"));
-    assert!(join.contains("t2.quantity as bc_quantity"));
-
-    let mut q_all = q.clone();
-    q_all.predicates[1] = Predicate::is_in(&schema, "country", &["Italy", "France"]).unwrap();
-    let pivot = olap_engine::sqlgen::pivot_sql(
-        &binding,
-        &q_all,
-        1,
-        1,
-        "Italy",
-        &[("France".to_string(), "bc_quantity".to_string())],
-        "quantity",
-    );
-    assert!(pivot.contains("pivot ("));
-    assert!(pivot.contains("'France' as bc_quantity"));
-    assert!(pivot.contains("bc_quantity is not null"));
-}
-
-#[test]
 fn estimate_get_predicts_access_path_and_size() {
     let (catalog, schema) = build_catalog();
     let engine = Engine::new(catalog.clone());

@@ -23,25 +23,13 @@ pub struct SsbConfig {
     pub seed: u64,
     /// Generate the fact table on multiple threads (identical output).
     pub parallel: bool,
-    /// Store fact foreign keys as encoded key columns (bit-packed or RLE,
-    /// width from the dimension cardinality) instead of plain `i64` — the
-    /// compressed "dims as narrow codes" layout. Queries are byte-identical
-    /// either way; `false` builds the uncompressed baseline the storage
-    /// benchmarks compare against.
-    pub encode_facts: bool,
     /// External benchmark cube settings.
     pub external: ExternalConfig,
 }
 
 impl SsbConfig {
     pub fn with_scale(scale: f64) -> Self {
-        SsbConfig {
-            scale,
-            seed: 0x55B,
-            parallel: true,
-            encode_facts: true,
-            external: ExternalConfig::default(),
-        }
+        SsbConfig { scale, seed: 0x55B, parallel: true, external: ExternalConfig::default() }
     }
 
     /// Row counts implied by the scale factor.
@@ -130,19 +118,14 @@ pub fn generate_with_tables(
     };
     // Foreign keys as narrow codes: each column's width comes from its
     // dimension's cardinality. Already-encoded columns (the disk-cache
-    // path) pass through; `encode_facts: false` decodes back to plain
-    // `i64` so overridden tables still honor the requested layout.
+    // path) pass through.
     let fk_domains: [(&str, u32); 4] = [
         ("ckey", counts.customers as u32),
         ("skey", counts.suppliers as u32),
         ("pkey", counts.parts as u32),
         ("dkey", counts.dates as u32),
     ];
-    let lineorder = if config.encode_facts {
-        lineorder.encode_keys(&fk_domains)?
-    } else {
-        lineorder.decode_keys()
-    };
+    let lineorder = lineorder.encode_keys(&fk_domains)?;
 
     let catalog = Arc::new(Catalog::new());
     let dims_meta = vec![
@@ -210,11 +193,7 @@ pub fn generate_with_tables(
         }
         None => external::gen_external(&config.external, &counts, &schema, config.seed),
     };
-    let external_table = if config.encode_facts {
-        external_table.encode_keys(&fk_domains)?
-    } else {
-        external_table.decode_keys()
-    };
+    let external_table = external_table.encode_keys(&fk_domains)?;
     let external_binding = CubeBinding::new(
         external_schema.clone(),
         &external_table,

@@ -18,11 +18,18 @@ use olap_storage::{binding::DimInfo, Catalog, Column, CubeBinding, Table};
 use proptest::prelude::*;
 use ssb_data::generate::{generate, SsbConfig, SsbDataset, EXTERNAL_CUBE, SSB_CUBE};
 
-/// One SSB dataset per physical layout, same `(scale, seed)`.
+/// One SSB dataset per physical layout, same `(scale, seed)`. The generator
+/// always encodes fact keys; the plain layout re-registers both fact tables
+/// (`lineorder` and the external cube's) with their keys decoded to `i64`.
 fn dataset(encode_facts: bool) -> SsbDataset {
-    let mut config = SsbConfig::with_scale(0.002);
-    config.encode_facts = encode_facts;
-    generate(config)
+    let ds = generate(SsbConfig::with_scale(0.002));
+    if !encode_facts {
+        for cube in [SSB_CUBE, EXTERNAL_CUBE] {
+            let fact = ds.catalog.binding(cube).unwrap().fact_table().to_string();
+            ds.catalog.register_table(ds.catalog.table(&fact).unwrap().decode_keys());
+        }
+    }
+    ds
 }
 
 /// An engine forced through the morsel pipeline at `threads` (threshold 1

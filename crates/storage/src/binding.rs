@@ -6,7 +6,8 @@
 //! metadata: for every hierarchy of the cube schema it names the fact-table
 //! foreign-key column whose values are the [`olap_model::MemberId`]s of the
 //! hierarchy's finest level, and for every measure the fact column holding
-//! its values. Dimension-table info is kept for SQL text generation.
+//! its values. Dimension-table info is kept for the SQL text `assess-core`'s
+//! `codegen` renders for Table 1.
 
 use std::sync::Arc;
 
@@ -36,7 +37,7 @@ pub struct CubeBinding {
     fk_columns: Vec<String>,
     /// One fact column per schema measure.
     measure_columns: Vec<String>,
-    /// One entry per hierarchy, for SQL generation.
+    /// One entry per hierarchy, for SQL text rendering.
     dims: Vec<DimInfo>,
 }
 
@@ -89,7 +90,7 @@ impl CubeBinding {
             }
         }
         for m in &measure_columns {
-            fact.numeric_slice(m)?;
+            fact.require_numeric(m)?;
         }
         for (h, d) in schema.hierarchies().iter().zip(&dims) {
             if d.level_columns.len() != h.depth() {

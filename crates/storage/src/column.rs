@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use crate::dictionary::Dictionary;
-use crate::encode::{CodeStore, KeyAccess, KeyColumn};
+use crate::encode::{CodeStore, KeyColumn};
 
 /// The physical data of one column.
 ///
@@ -142,8 +142,8 @@ impl Column {
     }
 
     /// The `i64` values, if this is a *plain* integer column. Encoded key
-    /// columns do not expose a borrowed slice — use [`Column::key_access`]
-    /// or [`Column::i64_iter`] for representation-independent reads.
+    /// columns do not expose a borrowed slice — use [`Column::i64_iter`]
+    /// for representation-independent reads.
     pub fn as_i64(&self) -> Option<&[i64]> {
         match &self.data {
             ColumnData::I64(v) => Some(v),
@@ -181,21 +181,19 @@ impl Column {
         matches!(self.data, ColumnData::I64(_) | ColumnData::Key(_))
     }
 
-    /// Random row access over either key representation; `None` for
-    /// non-key columns.
-    pub fn key_access(&self) -> Option<KeyAccess<'_>> {
-        match &self.data {
-            ColumnData::I64(v) => Some(KeyAccess::Plain(v)),
-            ColumnData::Key(k) => Some(KeyAccess::Encoded(k)),
-            _ => None,
-        }
-    }
-
-    /// Iterates the values of a key-like column as `i64`, decoding on the
-    /// fly; `None` for non-key columns.
+    /// Iterates the values of a key-like column as `i64`, decoding encoded
+    /// keys row by row — the one row-at-a-time key reader (appends, shard
+    /// partitioning, binding validation); `None` for non-key columns.
     pub fn i64_iter(&self) -> Option<impl Iterator<Item = i64> + '_> {
-        let access = self.key_access()?;
-        Some((0..access.len()).map(move |row| access.get(row)))
+        let (plain, encoded): (&[i64], _) = match &self.data {
+            ColumnData::I64(v) => (v, None),
+            ColumnData::Key(k) => (&[], Some(k)),
+            _ => return None,
+        };
+        Some((0..self.len()).map(move |row| match encoded {
+            Some(k) => k.get(row) as i64,
+            None => plain[row],
+        }))
     }
 
     /// Encodes a plain `i64` key column into narrow codes over
@@ -229,27 +227,6 @@ impl Column {
         }
     }
 
-    /// The value at `row` as `f64`, coercing integers and decoding keys
-    /// (measures may be stored either way); `None` for dictionary columns.
-    pub fn numeric_at(&self, row: usize) -> Option<f64> {
-        match &self.data {
-            ColumnData::I64(v) => v.get(row).map(|x| *x as f64),
-            ColumnData::F64(v) => v.get(row).copied(),
-            ColumnData::Key(k) => (row < k.len()).then(|| k.get(row) as f64),
-            ColumnData::Dict { .. } => None,
-        }
-    }
-
-    /// The whole column coerced to `f64` (integer, float, or key columns).
-    pub fn to_f64_vec(&self) -> Option<Vec<f64>> {
-        match &self.data {
-            ColumnData::I64(v) => Some(v.iter().map(|x| *x as f64).collect()),
-            ColumnData::F64(v) => Some(v.clone()),
-            ColumnData::Key(k) => Some(k.codes.to_vec().into_iter().map(|c| c as f64).collect()),
-            ColumnData::Dict { .. } => None,
-        }
-    }
-
     /// The string at `row`, if this is a dictionary column.
     pub fn string_at(&self, row: usize) -> Option<&str> {
         match &self.data {
@@ -270,8 +247,6 @@ mod tests {
         let c = Column::i64("k", vec![1, 2, 3]);
         assert_eq!(c.as_i64(), Some(&[1i64, 2, 3][..]));
         assert!(c.as_f64().is_none());
-        assert_eq!(c.numeric_at(1), Some(2.0));
-        assert_eq!(c.to_f64_vec(), Some(vec![1.0, 2.0, 3.0]));
         assert!(c.is_key_like());
     }
 
@@ -283,7 +258,6 @@ mod tests {
         assert_eq!(dict.len(), 2);
         assert_eq!(c.string_at(2), Some("ASIA"));
         assert_eq!(c.string_at(3), None);
-        assert_eq!(c.numeric_at(0), None);
         assert!(!c.is_key_like());
     }
 
@@ -295,13 +269,22 @@ mod tests {
         assert!(encoded.is_key_like());
         assert_eq!(encoded.as_key().unwrap().domain, 25);
         assert_eq!(encoded.i64_iter().unwrap().collect::<Vec<_>>(), vec![3, 0, 24, 3]);
-        assert_eq!(encoded.numeric_at(2), Some(24.0));
         let back = encoded.decode_key();
         assert_eq!(back.as_i64(), Some(&[3i64, 0, 24, 3][..]));
         // Negative values are not encodable keys.
         assert!(Column::i64("bad", vec![-1, 0]).encode_key(4).is_none());
         // Encoding is idempotent.
         assert!(encoded.encode_key(25).is_some());
+    }
+
+    #[test]
+    fn i64_iter_reads_both_representations() {
+        let plain = Column::i64("k", vec![2, 6, 3]);
+        let encoded = plain.encode_key(8).unwrap();
+        assert_eq!(plain.i64_iter().unwrap().collect::<Vec<_>>(), vec![2, 6, 3]);
+        assert_eq!(encoded.i64_iter().unwrap().collect::<Vec<_>>(), vec![2, 6, 3]);
+        assert!(Column::f64("m", vec![1.0]).i64_iter().is_none());
+        assert!(Column::from_strings("s", ["a"]).i64_iter().is_none());
     }
 
     #[test]

@@ -489,37 +489,6 @@ impl KeyColumn {
     }
 }
 
-/// Random row access over either physical key representation, for the
-/// row-at-a-time readers (appends, shard partitioning,
-/// [`Column::i64_iter`](crate::Column::i64_iter)) that must not pay a
-/// whole-column decode.
-#[derive(Debug, Clone, Copy)]
-pub enum KeyAccess<'a> {
-    Plain(&'a [i64]),
-    Encoded(&'a KeyColumn),
-}
-
-impl KeyAccess<'_> {
-    #[inline]
-    pub fn get(&self, row: usize) -> i64 {
-        match self {
-            KeyAccess::Plain(v) => v[row],
-            KeyAccess::Encoded(k) => k.get(row) as i64,
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        match self {
-            KeyAccess::Plain(v) => v.len(),
-            KeyAccess::Encoded(k) => k.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -664,16 +633,6 @@ mod tests {
         assert_eq!(mask.count_valid(), 5);
         assert!(!mask.is_valid(5));
         assert!(k.byte_size() > 0);
-    }
-
-    #[test]
-    fn key_access_reads_both_representations() {
-        let plain = [5i64, 6, 7];
-        let encoded = KeyColumn::new(&[5, 6, 7], 8);
-        assert_eq!(KeyAccess::Plain(&plain).get(1), 6);
-        assert_eq!(KeyAccess::Encoded(&encoded).get(1), 6);
-        assert_eq!(KeyAccess::Plain(&plain).len(), 3);
-        assert_eq!(KeyAccess::Encoded(&encoded).len(), 3);
     }
 }
 

@@ -31,11 +31,11 @@ pub mod table;
 
 pub use binding::CubeBinding;
 pub use catalog::{Catalog, TableStorageStats};
-pub use chunk::{DataChunk, Morsels, NumericSlice};
+pub use chunk::{DataChunk, Morsels};
 pub use column::{Column, ColumnData};
 pub use delta::Delta;
 pub use dictionary::Dictionary;
-pub use encode::{CodeStore, KeyAccess, KeyColumn, Validity};
+pub use encode::{CodeStore, KeyColumn, Validity};
 pub use error::StorageError;
 pub use mview::MaterializedAggregate;
 pub use shard::ShardScheme;

@@ -58,14 +58,14 @@ impl ShardScheme {
     /// order and are deterministic.
     pub fn partition_rows(&self, table: &Table) -> Result<Vec<Vec<u32>>, StorageError> {
         let col = table.require_column(&self.column)?;
-        let access = col.key_access().ok_or(StorageError::TypeMismatch {
+        let keys = col.i64_iter().ok_or(StorageError::TypeMismatch {
             column: self.column.clone(),
             expected: "key",
             got: col.data.type_name(),
         })?;
         let mut rows = vec![Vec::new(); self.shards];
-        for r in 0..table.n_rows() {
-            rows[self.shard_of(access.get(r))].push(r as u32);
+        for (r, key) in keys.enumerate() {
+            rows[self.shard_of(key)].push(r as u32);
         }
         Ok(rows)
     }
@@ -131,9 +131,9 @@ mod tests {
         let p0 = t.take_rows(&rows[0]);
         let full = t.decode_keys();
         let keys = full.require_i64("dkey").unwrap();
-        let revs: Vec<f64> = full.numeric_slice("rev").unwrap().to_vec();
+        let revs = full.column("rev").unwrap().as_f64().unwrap();
         let p0_plain = p0.decode_keys();
-        let p0_revs = p0_plain.numeric_slice("rev").unwrap().to_vec();
+        let p0_revs = p0_plain.column("rev").unwrap().as_f64().unwrap();
         for (j, &r) in rows[0].iter().enumerate() {
             assert_eq!(p0_plain.require_i64("dkey").unwrap()[j], keys[r as usize]);
             assert_eq!(p0_revs[j], revs[r as usize]);

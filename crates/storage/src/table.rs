@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::chunk::{DataChunk, Morsels, NumericSlice};
+use crate::chunk::{DataChunk, Morsels};
 use crate::column::{Column, ColumnData};
 use crate::error::StorageError;
 
@@ -95,29 +95,33 @@ impl Table {
     /// returns its index — the validation step of scan planning, which
     /// accepts either physical layout.
     pub fn require_key_like(&self, name: &str) -> Result<usize, StorageError> {
+        self.require_typed(name, "key", Column::is_key_like)
+    }
+
+    /// Requires a numeric (`i64` or `f64`) column — exactly the types
+    /// [`DataChunk::f64_lane`] reads — and returns its index: the measure
+    /// validation step of scan planning and of bindings.
+    pub fn require_numeric(&self, name: &str) -> Result<usize, StorageError> {
+        self.require_typed(name, "numeric", |c| {
+            matches!(c.data, ColumnData::I64(_) | ColumnData::F64(_))
+        })
+    }
+
+    fn require_typed(
+        &self,
+        name: &str,
+        expected: &'static str,
+        accepts: impl Fn(&Column) -> bool,
+    ) -> Result<usize, StorageError> {
         let idx = self.column_index(name).ok_or_else(|| StorageError::UnknownColumn {
             table: self.name.clone(),
             column: name.to_string(),
         })?;
-        if !self.columns[idx].is_key_like() {
-            return Err(StorageError::TypeMismatch {
-                column: name.to_string(),
-                expected: "key",
-                got: self.columns[idx].data.type_name(),
-            });
+        if !accepts(&self.columns[idx]) {
+            let got = self.columns[idx].data.type_name();
+            return Err(StorageError::TypeMismatch { column: name.to_string(), expected, got });
         }
         Ok(idx)
-    }
-
-    /// Requires a numeric (`i64` or `f64`) column as a borrowed
-    /// [`NumericSlice`] — no conversion copy for integer measures.
-    pub fn numeric_slice(&self, name: &str) -> Result<NumericSlice<'_>, StorageError> {
-        let c = self.require_column(name)?;
-        NumericSlice::from_column(c).ok_or(StorageError::TypeMismatch {
-            column: name.to_string(),
-            expected: "numeric",
-            got: c.data.type_name(),
-        })
     }
 
     /// A zero-copy view over rows `offset .. offset + len`.
@@ -209,9 +213,7 @@ impl Table {
                 // grow the domain and, when needed, the packing width.
                 (ColumnData::Key(old), _) if incoming.is_key_like() => {
                     let mut grown = old.clone();
-                    let access = incoming.key_access().expect("key-like");
-                    for row in 0..incoming.len() {
-                        let v = access.get(row);
+                    for v in incoming.i64_iter().expect("key-like") {
                         let code = u32::try_from(v).map_err(|_| {
                             mismatch(format!(
                                 "column `{}` got value {v}, not encodable as a key code",
@@ -332,14 +334,7 @@ impl Table {
             .collect()
     }
 
-    /// Total cell count (rows × columns) — cardinality statistics for the
-    /// experiment reports.
-    pub fn cell_count(&self) -> usize {
-        self.n_rows * self.columns.len()
-    }
-
-    /// Renders a `CREATE TABLE`-ish description (used by the SQL generator
-    /// for the formulation-effort experiment).
+    /// Renders a `CREATE TABLE`-ish description of the logical schema.
     pub fn describe(&self) -> String {
         let cols: Vec<String> = self
             .columns
@@ -388,15 +383,9 @@ mod tests {
         let t = customers();
         assert_eq!(t.n_rows(), 3);
         assert_eq!(t.require_i64("ckey").unwrap(), &[0, 1, 2]);
-        assert_eq!(t.numeric_slice("balance").unwrap().to_vec(), vec![10.5, -3.0, 0.0]);
-        assert_eq!(t.numeric_slice("ckey").unwrap().to_vec()[2], 2.0, "i64 coerces");
         assert!(matches!(
             t.require_i64("nation"),
             Err(StorageError::TypeMismatch { expected: "i64", .. })
-        ));
-        assert!(matches!(
-            t.numeric_slice("nation"),
-            Err(StorageError::TypeMismatch { expected: "numeric", .. })
         ));
         assert!(matches!(t.require_column("ghost"), Err(StorageError::UnknownColumn { .. })));
         assert_eq!(t.column_index("balance"), Some(2));
@@ -547,6 +536,49 @@ mod tests {
     fn empty_table_is_fine() {
         let t = Table::new("empty", vec![]).unwrap();
         assert_eq!(t.n_rows(), 0);
-        assert_eq!(t.cell_count(), 0);
+    }
+
+    #[test]
+    fn require_numeric_accepts_exactly_the_lane_types() {
+        let t = customers().encode_keys(&[("ckey", 3)]).unwrap();
+        let t = Table::new(
+            "customer",
+            t.columns().iter().cloned().chain([Column::i64("visits", vec![4, 0, 7])]).collect(),
+        )
+        .unwrap();
+        let chunk = t.chunk(0, 3);
+        for (column, idx) in [("balance", 2), ("visits", 3)] {
+            assert_eq!(t.require_numeric(column).unwrap(), idx, "{column} is numeric");
+            assert!(chunk.f64_lane(idx, &mut Vec::new()).is_some(), "f64_lane reads {column}");
+        }
+        for (column, idx, got) in [("nation", 1, "dict"), ("ckey", 0, "key")] {
+            assert!(matches!(
+                t.require_numeric(column),
+                Err(StorageError::TypeMismatch { column: c, expected: "numeric", got: g })
+                    if c == column && g == got
+            ));
+            assert!(chunk.f64_lane(idx, &mut Vec::new()).is_none(), "f64_lane skips {column}");
+        }
+        assert!(matches!(
+            t.require_numeric("ghost"),
+            Err(StorageError::UnknownColumn { table, column }) if table == "customer" && column == "ghost"
+        ));
+    }
+
+    #[test]
+    fn type_errors_are_reported_by_name() {
+        let t = customers();
+        assert!(matches!(
+            t.require_key_like("balance"),
+            Err(StorageError::TypeMismatch { column, expected: "key", got: "f64" }) if column == "balance"
+        ));
+        assert!(matches!(
+            t.require_key_like("ghost"),
+            Err(StorageError::UnknownColumn { column, .. }) if column == "ghost"
+        ));
+        assert!(matches!(
+            t.require_numeric("nation"),
+            Err(StorageError::TypeMismatch { column, got: "dict", .. }) if column == "nation"
+        ));
     }
 }
