@@ -7,7 +7,7 @@ use std::sync::Arc;
 use olap_model::{
     AggOp, CubeColumn, CubeQuery, CubeSchema, DerivedCube, GroupBySet, MemberId, NumericColumn,
 };
-use olap_storage::{Catalog, CubeBinding, MaterializedAggregate, Table};
+use olap_storage::{Catalog, CubeBinding, DataChunk, MaterializedAggregate, Table};
 
 use crate::aggregate::{accumulate_chunk, Grouper, Grouping, Partial};
 use crate::attach::{attach, AttachSpec, Keep, Rewrite, Side};
@@ -336,35 +336,26 @@ impl ScanCtx {
         })
     }
 
-    /// Decodes rows `lo..lo + len` of `fact` for the kernels: every distinct
+    /// Decodes one chunk of the fact table for the kernels: every distinct
     /// id column into its lane of `lanes`, and each measure as one `f64`
-    /// slice (borrowed, or converted into `vals`). `None` skips the morsel:
+    /// slice (borrowed, or converted into `vals`). `None` skips the chunk:
     /// a masked run-length column whose overlapping runs all fail its mask
     /// proves no row survives the predicate conjunction, so the decode and
     /// the kernels can be skipped outright. On date-clustered facts this
     /// prunes most of the table for time-sliced queries; bit-packed columns
     /// answer "maybe" and take the normal path.
-    fn decode_fact<'a>(
+    fn decode_chunk<'a>(
         &'a self,
-        fact: &'a Table,
-        lo: usize,
-        len: usize,
+        chunk: DataChunk<'a>,
         lanes: &mut [Vec<u32>],
         vals: &'a mut [Vec<f64>],
     ) -> Option<impl Iterator<Item = &'a [f64]>> {
         let cant_match = |(slot, m): &(usize, Arc<[bool]>)| {
-            matches!(
-                &fact.columns()[self.lane_cols[*slot]].data,
-                olap_storage::ColumnData::Key(k)
-                    if !k.codes.may_match(lo, lo + len, |c| {
-                        m.get(c as usize).copied().unwrap_or(false)
-                    })
-            )
+            !chunk.may_match(self.lane_cols[*slot], |c| m.get(c as usize).copied().unwrap_or(false))
         };
         if self.masks.iter().any(cant_match) {
             return None;
         }
-        let chunk = fact.chunk(lo, len);
         for (col, buf) in self.lane_cols.iter().zip(lanes.iter_mut()) {
             chunk.key_lane(*col, buf).expect("validated key column");
         }
@@ -428,9 +419,14 @@ impl MorselScan for ScanCtx {
         scratch.ensure_slots(self.lane_cols.len(), self.measures.len());
         let MorselScratch { sel, lanes, vals, grouper, partial } = scratch;
         match &self.source {
+            // A morsel that spans a segment end folds piece by piece, in
+            // row order, into the one morsel partial: the same per-group
+            // sequence of folds as an unsegmented table.
             ScanSource::Fact(t, rows) => {
-                if let Some(measures) = self.decode_fact(t, rows.start + lo, len, lanes, vals) {
-                    self.run_kernels(sel, lanes, grouper, partial, len, measures);
+                for chunk in t.chunks(rows.start + lo, len) {
+                    if let Some(measures) = self.decode_chunk(chunk, lanes, vals) {
+                        self.run_kernels(sel, lanes, grouper, partial, chunk.len(), measures);
+                    }
                 }
             }
             ScanSource::View(v) => {

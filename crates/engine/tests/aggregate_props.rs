@@ -116,7 +116,7 @@ proptest! {
         let domain = [1 << (Grouper::DIRECT_BITS - split), 1 << split];
         let chunk = Chunk::random(&mut next, rows, domain, true);
         let selection: Option<Vec<u32>> =
-            selected.then(|| (0..rows as u32).filter(|_| next() % 3 != 0).collect());
+            selected.then(|| (0..rows as u32).filter(|_| !next().is_multiple_of(3)).collect());
 
         let mut partials = Vec::new();
         for layout in [&at, &above] {

@@ -1053,13 +1053,13 @@ fn parse_append_rows(table: &olap_storage::Table, rows: &Value) -> Result<Vec<Co
         for v in values {
             numbers.push(v.as_f64().ok_or_else(|| format!("column `{name}` holds a non-number"))?);
         }
-        let target = table
-            .column(name)
-            .ok_or_else(|| format!("table `{}` has no column `{name}`", table.name()))?;
+        if table.column_index(name).is_none() {
+            return Err(format!("table `{}` has no column `{name}`", table.name()));
+        }
         // Encoded key columns take the integer path too: the append batch
         // carries plain `i64` keys and the engine's maintenance encodes
         // them into the target's packed layout.
-        if target.as_i64().is_some() || target.as_key().is_some() {
+        if table.require_key_like(name).is_ok() {
             let mut ints = Vec::with_capacity(numbers.len());
             for x in &numbers {
                 if x.fract() != 0.0 || x.abs() > 9.0e15 {
@@ -1068,7 +1068,7 @@ fn parse_append_rows(table: &olap_storage::Table, rows: &Value) -> Result<Vec<Co
                 ints.push(*x as i64);
             }
             batch.push(Column::i64(name.clone(), ints));
-        } else if target.as_f64().is_some() {
+        } else if table.require_numeric(name).is_ok() {
             batch.push(Column::f64(name.clone(), numbers));
         } else {
             return Err(format!("column `{name}` is not numeric; appends carry numbers only"));
@@ -1734,7 +1734,38 @@ fn metrics_response(shared: &Shared, id: Option<u64>) -> Value {
 
 #[cfg(test)]
 mod tests {
-    use super::{FrameEvent, FrameReader};
+    use super::{parse_append_rows, FrameEvent, FrameReader};
+    use olap_storage::{Column, Table, TAIL_ROWS};
+
+    #[test]
+    fn append_rows_type_against_a_segmented_table() {
+        let n = TAIL_ROWS;
+        let seed = Table::new(
+            "facts",
+            vec![
+                Column::i64("k", vec![0; n]),
+                Column::f64("m", vec![1.0; n]),
+                Column::from_strings("s", vec!["a"; n]),
+            ],
+        )
+        .unwrap()
+        .encode_keys(&[("k", 4)])
+        .unwrap();
+        let batch = [
+            Column::i64("k", vec![1]),
+            Column::f64("m", vec![2.0]),
+            Column::from_strings("s", ["b"]),
+        ];
+        let table = seed.append_batch(&batch).unwrap();
+        assert_eq!(table.segments().len(), 2);
+        let parse = |text: &str| parse_append_rows(&table, &serde_json::from_str(text).unwrap());
+        let batch = parse(r#"{"k":[3],"m":[0.5]}"#).unwrap();
+        assert_eq!(batch[0].as_i64(), Some(&[3i64][..]), "encoded keys type as integers");
+        assert_eq!(batch[1].as_f64(), Some(&[0.5][..]));
+        assert!(parse(r#"{"k":[0.5]}"#).unwrap_err().contains("integer-typed"));
+        assert!(parse(r#"{"s":[1]}"#).unwrap_err().contains("not numeric"));
+        assert!(parse(r#"{"x":[1]}"#).unwrap_err().contains("no column `x`"));
+    }
 
     /// A reader serving predetermined chunks, one per `read` call — lets
     /// the tests control exactly how "TCP" slices the byte stream.

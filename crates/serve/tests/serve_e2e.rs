@@ -727,9 +727,19 @@ fn auth_binds_tenants_and_their_quotas_bite() {
 
     // max_in_flight = 1: while one run is outstanding the next is refused
     // at the tenant gate (`overloaded`), not the server gate (`queue_full`).
-    let a = client.start_run(SIBLING).unwrap();
-    let b = client.start_run(CONSTANT).unwrap();
-    let b_response = client.wait_for(b).unwrap();
+    // A can finish before the reader thread gets to B's frame on a loaded
+    // host: pair them again until B meets an outstanding A.
+    let mut attempts = 0;
+    let (a, b_response) = loop {
+        let a = client.start_run(SIBLING).unwrap();
+        let b = client.start_run(CONSTANT).unwrap();
+        let b_response = client.wait_for(b).unwrap();
+        attempts += 1;
+        if error_code(&b_response).is_some() || attempts == 50 {
+            break (a, b_response);
+        }
+        assert_ok(&client.wait_for(a).unwrap());
+    };
     assert_eq!(error_code(&b_response), Some("overloaded"));
     let hint = b_response
         .get("error")

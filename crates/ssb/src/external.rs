@@ -152,7 +152,8 @@ mod tests {
         let schema = tiny_schema();
         let cfg = ExternalConfig { coverage: 1.0, noise: 0.0 };
         let (t, _) = gen_external(&cfg, &counts(), &schema, 7);
-        let vals = t.column("expected_revenue").unwrap().as_f64().unwrap();
+        let vals = t.column("expected_revenue").unwrap();
+        let vals = vals.as_f64().unwrap();
         // ~2.857 facts per (customer, year) × mean revenue per fact,
         // rounded to the integer grid all measures live on.
         let expect = ((1_000.0 / (50.0 * 7.0)) * mean_revenue_per_fact(20)).round();
@@ -167,7 +168,7 @@ mod tests {
         let cfg = ExternalConfig::default();
         let (t, _) = gen_external(&cfg, &counts(), &schema, 7);
         let dates = calendar::all_dates();
-        for &dk in t.require_i64("dkey").unwrap() {
+        for dk in t.column("dkey").unwrap().i64_iter().unwrap() {
             let d = dates[dk as usize];
             assert_eq!((d.month, d.day), (1, 1));
         }

@@ -211,10 +211,15 @@ mod tests {
     const DOMAINS: FactDomains =
         FactDomains { customers: 100, suppliers: 10, parts: 50, dates: 365 };
 
+    /// The values of a key column, read whole.
+    fn ints(t: &Table, name: &str) -> Vec<i64> {
+        t.column(name).unwrap().i64_iter().unwrap().collect()
+    }
+
     #[test]
     fn facts_arrive_in_date_order() {
         let t = gen_lineorder(5_000, DOMAINS, 1, false);
-        let d = t.require_i64("dkey").unwrap();
+        let d = ints(&t, "dkey");
         assert!(d.windows(2).all(|w| w[0] <= w[1]), "lineorder is clustered by date key");
     }
 
@@ -223,21 +228,26 @@ mod tests {
         let t = gen_lineorder(5_000, DOMAINS, 1, false);
         assert_eq!(t.n_rows(), 5_000);
         for (col, max) in [("ckey", 100i64), ("skey", 10), ("pkey", 50), ("dkey", 365)] {
-            let keys = t.require_i64(col).unwrap();
+            let keys = ints(&t, col);
             assert!(keys.iter().all(|&k| k >= 0 && k < max), "{col} out of domain");
         }
-        let q = t.column("quantity").unwrap().as_f64().unwrap();
+        let q = t.column("quantity").unwrap();
+        let q = q.as_f64().unwrap();
         assert!(q.iter().all(|&v| (1.0..=50.0).contains(&v)));
-        let d = t.column("discount").unwrap().as_f64().unwrap();
+        let d = t.column("discount").unwrap();
+        let d = d.as_f64().unwrap();
         assert!(d.iter().all(|&v| (0.0..=10.0).contains(&v)));
     }
 
     #[test]
     fn revenue_is_discounted_extendedprice() {
         let t = gen_lineorder(1_000, DOMAINS, 2, false);
-        let ep = t.column("extendedprice").unwrap().as_f64().unwrap();
-        let disc = t.column("discount").unwrap().as_f64().unwrap();
-        let rev = t.column("revenue").unwrap().as_f64().unwrap();
+        let ep = t.column("extendedprice").unwrap();
+        let ep = ep.as_f64().unwrap();
+        let disc = t.column("discount").unwrap();
+        let disc = disc.as_f64().unwrap();
+        let rev = t.column("revenue").unwrap();
+        let rev = rev.as_f64().unwrap();
         for i in 0..1_000 {
             let expect = (ep[i] * (100.0 - disc[i]) / 100.0).round();
             assert_eq!(rev[i], expect);
@@ -250,7 +260,7 @@ mod tests {
         let n = 1_200_000; // spans multiple chunks
         let a = gen_lineorder(n, DOMAINS, 3, false);
         let b = gen_lineorder(n, DOMAINS, 3, true);
-        assert_eq!(a.require_i64("ckey").unwrap(), b.require_i64("ckey").unwrap());
+        assert_eq!(ints(&a, "ckey"), ints(&b, "ckey"));
         assert_eq!(
             a.column("revenue").unwrap().as_f64().unwrap(),
             b.column("revenue").unwrap().as_f64().unwrap()
@@ -261,15 +271,14 @@ mod tests {
     fn seeds_change_the_data() {
         let a = gen_lineorder(100, DOMAINS, 1, false);
         let b = gen_lineorder(100, DOMAINS, 2, false);
-        assert_ne!(a.require_i64("ckey").unwrap(), b.require_i64("ckey").unwrap());
+        assert_ne!(ints(&a, "ckey"), ints(&b, "ckey"));
     }
 
     #[test]
     fn keys_cover_their_domains_roughly_uniformly() {
         let t = gen_lineorder(50_000, DOMAINS, 4, false);
-        let keys = t.require_i64("skey").unwrap();
         let mut counts = [0usize; 10];
-        for &k in keys {
+        for k in ints(&t, "skey") {
             counts[k as usize] += 1;
         }
         let expect = 50_000.0 / 10.0;

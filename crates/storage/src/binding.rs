@@ -80,9 +80,11 @@ impl CubeBinding {
             // Accept either physical key layout (plain i64 or encoded
             // codes); the referential-integrity check is identical.
             let idx = fact.require_key_like(fk)?;
-            let keys = fact.columns()[idx].i64_iter().expect("key-like column iterates");
+            let mut keys = fact
+                .column_parts(idx)
+                .flat_map(|part| part.i64_iter().expect("key-like column iterates"));
             let domain = h.level(0).map(|l| l.cardinality() as i64).unwrap_or(0);
-            if let Some(bad) = keys.into_iter().find(|&k| k < 0 || k >= domain) {
+            if let Some(bad) = keys.find(|&k| k < 0 || k >= domain) {
                 return Err(StorageError::InvalidBinding(format!(
                     "foreign key `{fk}` holds value {bad} outside the domain of level `{}` (0..{domain})",
                     h.level(0).map(|l| l.name()).unwrap_or("?"),
@@ -192,6 +194,28 @@ mod tests {
         assert_eq!(b.fk_column(0), "pkey");
         assert_eq!(b.measure_column_by_name("quantity"), Some("quantity"));
         assert_eq!(b.level_sql_column(0, 1), "type");
+    }
+
+    #[test]
+    fn key_validation_reads_every_segment() {
+        let n = crate::TAIL_ROWS;
+        let seed = Table::new(
+            "sales",
+            vec![Column::i64("pkey", vec![0; n]), Column::f64("quantity", vec![1.0; n])],
+        )
+        .unwrap();
+        // The bad key lives only in the second segment.
+        let grown = seed
+            .append_batch(&[Column::i64("pkey", vec![1, 7]), Column::f64("quantity", vec![1.0; 2])])
+            .unwrap();
+        assert_eq!(grown.segments().len(), 2);
+        let bind = |t: &Table| {
+            CubeBinding::new(schema(), t, vec!["pkey".into()], vec!["quantity".into()], dims())
+        };
+        assert!(bind(&seed).is_ok());
+        assert!(
+            matches!(bind(&grown), Err(StorageError::InvalidBinding(m)) if m.contains("value 7"))
+        );
     }
 
     #[test]

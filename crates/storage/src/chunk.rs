@@ -1,37 +1,36 @@
 //! Chunked (morsel-wise) access to columnar tables.
 //!
-//! A [`DataChunk`] is a zero-copy view over a contiguous row range of a
-//! [`Table`]. [`Table::morsels`] cuts a table into fixed-size chunks —
-//! *morsels*, the unit of both work distribution and deterministic result
-//! merging in the parallel engine: partial aggregates are combined in
-//! morsel-index order, so the reduction tree is a function of the data and
-//! the morsel size alone, never of the thread count or the scheduling.
+//! A [`DataChunk`] is a zero-copy view over a contiguous row range of one
+//! segment of a [`Table`](crate::Table). [`Table::morsels`](crate::Table::morsels)
+//! cuts a table into fixed-size morsels — the unit of both work distribution
+//! and deterministic result merging in the parallel engine: partial
+//! aggregates are combined in morsel-index order, so the reduction tree is a
+//! function of the data and the morsel size alone, never of the thread count
+//! or the scheduling. A morsel that spans a segment end is read as one chunk
+//! per segment, in row order.
 //!
 //! The scan kernels read a chunk through two lanes: [`DataChunk::key_lane`]
 //! decodes a key column of either physical layout into flat `u32` codes,
 //! and [`DataChunk::f64_lane`] reads an `i64` or `f64` measure as flat
 //! `f64`s, borrowing float storage zero-copy.
 
-use crate::column::ColumnData;
-use crate::table::Table;
+use crate::column::{Column, ColumnData};
+use crate::table::Segment;
 
-/// A zero-copy view over rows `offset .. offset + len` of a table.
+/// A zero-copy view over rows `start .. start + len` of one segment, which
+/// are rows `offset .. offset + len` of the table.
 #[derive(Debug, Clone, Copy)]
 pub struct DataChunk<'a> {
-    table: &'a Table,
+    segment: &'a Segment,
+    start: usize,
     offset: usize,
     len: usize,
 }
 
 impl<'a> DataChunk<'a> {
-    pub(crate) fn new(table: &'a Table, offset: usize, len: usize) -> Self {
-        debug_assert!(offset + len <= table.n_rows());
-        DataChunk { table, offset, len }
-    }
-
-    /// The underlying table.
-    pub fn table(&self) -> &'a Table {
-        self.table
+    pub(crate) fn new(segment: &'a Segment, start: usize, offset: usize, len: usize) -> Self {
+        debug_assert!(start + len <= segment.n_rows());
+        DataChunk { segment, start, offset, len }
     }
 
     /// First table row covered by this chunk.
@@ -48,6 +47,11 @@ impl<'a> DataChunk<'a> {
         self.len == 0
     }
 
+    fn column(&self, col: usize) -> Option<(&'a Column, usize, usize)> {
+        let column = self.segment.columns.get(col)?;
+        Some((column, self.start, self.start + self.len))
+    }
+
     /// Chunk-local key codes of the key-like column at `col`, decoded into
     /// `scratch` as a flat `u32` lane. This is the decode-into-scratch fast
     /// path of the morsel kernels: plain `i64` keys are narrowed, encoded
@@ -58,8 +62,7 @@ impl<'a> DataChunk<'a> {
     /// append path validate keys before they reach a scan. Returns `None`
     /// for float and dictionary columns.
     pub fn key_lane<'s>(&self, col: usize, scratch: &'s mut Vec<u32>) -> Option<&'s [u32]> {
-        let column = self.table.columns().get(col)?;
-        let (lo, hi) = (self.offset, self.offset + self.len);
+        let (column, lo, hi) = self.column(col)?;
         scratch.clear();
         match &column.data {
             ColumnData::I64(v) => scratch.extend(v[lo..hi].iter().map(|&x| x as u32)),
@@ -77,8 +80,7 @@ impl<'a> DataChunk<'a> {
     where
         'a: 's,
     {
-        let column = self.table.columns().get(col)?;
-        let (lo, hi) = (self.offset, self.offset + self.len);
+        let (column, lo, hi) = self.column(col)?;
         match &column.data {
             ColumnData::F64(v) => Some(&v[lo..hi]),
             ColumnData::I64(v) => {
@@ -89,35 +91,18 @@ impl<'a> DataChunk<'a> {
             _ => None,
         }
     }
-}
 
-/// Iterator cutting a table into fixed-size [`DataChunk`]s; see
-/// [`Table::morsels`].
-#[derive(Debug)]
-pub struct Morsels<'a> {
-    table: &'a Table,
-    chunk_rows: usize,
-    next: usize,
-}
-
-impl<'a> Morsels<'a> {
-    pub(crate) fn new(table: &'a Table, chunk_rows: usize) -> Self {
-        Morsels { table, chunk_rows: chunk_rows.max(1), next: 0 }
-    }
-}
-
-impl<'a> Iterator for Morsels<'a> {
-    type Item = DataChunk<'a>;
-
-    fn next(&mut self) -> Option<DataChunk<'a>> {
-        let n = self.table.n_rows();
-        if self.next >= n {
-            return None;
+    /// Whether any row of the chunk may hold a code of the key column at
+    /// `col` that satisfies `pred`. Run-length key columns answer exactly
+    /// (see [`crate::CodeStore::may_match`]); every other layout answers
+    /// `true` for a non-empty chunk.
+    pub fn may_match(&self, col: usize, pred: impl Fn(u32) -> bool) -> bool {
+        match self.column(col) {
+            Some((Column { data: ColumnData::Key(k), .. }, lo, hi)) => {
+                k.codes.may_match(lo, hi, pred)
+            }
+            _ => !self.is_empty(),
         }
-        let offset = self.next;
-        let len = self.chunk_rows.min(n - offset);
-        self.next = offset + len;
-        Some(DataChunk::new(self.table, offset, len))
     }
 }
 
@@ -125,6 +110,7 @@ impl<'a> Iterator for Morsels<'a> {
 mod tests {
     use super::*;
     use crate::column::Column;
+    use crate::table::Table;
 
     fn table() -> Table {
         Table::new(
@@ -169,8 +155,8 @@ mod tests {
         let encoded = Table::new(
             "t2",
             vec![
-                plain.require_column("k").unwrap().encode_key(10).unwrap(),
-                plain.require_column("m").unwrap().clone(),
+                plain.column("k").unwrap().encode_key(10).unwrap(),
+                plain.column("m").unwrap().into_owned(),
                 Column::i64("im", (0..10).collect()),
             ],
         )
@@ -178,9 +164,9 @@ mod tests {
         let mut keys = Vec::new();
         let mut vals = Vec::new();
         // Key lanes: identical flat u32 codes from either representation.
-        let chunk = plain.chunk(4, 3);
+        let chunk = plain.chunks(4, 3).next().unwrap();
         assert_eq!(chunk.key_lane(0, &mut keys).unwrap(), &[4, 5, 6]);
-        let chunk = encoded.chunk(4, 3);
+        let chunk = encoded.chunks(4, 3).next().unwrap();
         assert_eq!(chunk.key_lane(0, &mut keys).unwrap(), &[4, 5, 6]);
         assert!(chunk.key_lane(1, &mut keys).is_none(), "f64 column has no key lane");
         // Measure lanes: f64 borrows zero-copy, i64 converts into scratch.

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use crate::dictionary::Dictionary;
-use crate::encode::{CodeStore, KeyColumn};
+use crate::encode::{CodeStore, KeyColumn, Validity};
 
 /// The physical data of one column.
 ///
@@ -225,6 +225,55 @@ impl Column {
             ),
             _ => self.clone(),
         }
+    }
+
+    /// Concatenates the pieces of one column (same name and physical type,
+    /// in row order) into a single column: what a segmented table's column
+    /// is as a whole. Dictionary pieces share codes — each later dictionary
+    /// extends the earlier ones — so the last piece's dictionary decodes
+    /// every code; key pieces take the widest domain.
+    ///
+    /// # Panics
+    /// When `parts` is empty or mixes physical types.
+    pub fn concat(parts: &[&Column]) -> Column {
+        let last = parts.last().expect("a column has at least one piece");
+        let data = match &last.data {
+            ColumnData::I64(_) => ColumnData::I64(
+                parts.iter().flat_map(|c| c.as_i64().expect("i64 piece")).copied().collect(),
+            ),
+            ColumnData::F64(_) => ColumnData::F64(
+                parts.iter().flat_map(|c| c.as_f64().expect("f64 piece")).copied().collect(),
+            ),
+            ColumnData::Dict { dict, .. } => {
+                let codes: Vec<u32> = parts
+                    .iter()
+                    .flat_map(|c| c.as_dict().expect("dict piece").0.to_vec())
+                    .collect();
+                let domain = (dict.len() as u32).max(1);
+                ColumnData::Dict {
+                    codes: CodeStore::from_codes(&codes, domain),
+                    dict: dict.clone(),
+                }
+            }
+            ColumnData::Key(_) => {
+                let keys: Vec<&KeyColumn> =
+                    parts.iter().map(|c| c.as_key().expect("key piece")).collect();
+                let codes: Vec<u32> = keys.iter().flat_map(|k| k.codes.to_vec()).collect();
+                let domain = keys.iter().map(|k| k.domain).max().unwrap_or(1);
+                let mut key = KeyColumn::new(&codes, domain);
+                if keys.iter().any(|k| k.validity.is_some()) {
+                    let valid: Vec<bool> = keys
+                        .iter()
+                        .flat_map(|k| {
+                            (0..k.len()).map(|r| k.validity.as_ref().is_none_or(|v| v.is_valid(r)))
+                        })
+                        .collect();
+                    key = key.with_validity(Validity::from_bools(&valid));
+                }
+                ColumnData::Key(key)
+            }
+        };
+        Column { name: last.name.clone(), data }
     }
 
     /// The string at `row`, if this is a dictionary column.

@@ -31,7 +31,7 @@ pub mod table;
 
 pub use binding::CubeBinding;
 pub use catalog::{Catalog, TableStorageStats};
-pub use chunk::{DataChunk, Morsels};
+pub use chunk::DataChunk;
 pub use column::{Column, ColumnData};
 pub use delta::Delta;
 pub use dictionary::Dictionary;
@@ -39,4 +39,4 @@ pub use encode::{CodeStore, KeyColumn, Validity};
 pub use error::StorageError;
 pub use mview::MaterializedAggregate;
 pub use shard::ShardScheme;
-pub use table::{ColumnStat, Table};
+pub use table::{ColumnStat, Segment, Table, TAIL_ROWS};

@@ -95,8 +95,10 @@ pub fn write_table(table: &Table) -> Vec<u8> {
     let mut buf = Vec::with_capacity(table.byte_size() + 1024);
     buf.extend_from_slice(MAGIC);
     put_str(&mut buf, table.name());
-    buf.extend_from_slice(&(table.columns().len() as u32).to_le_bytes());
-    for col in table.columns() {
+    // A segmented table is written whole: the format has no segments.
+    let columns = table.columns();
+    buf.extend_from_slice(&(columns.len() as u32).to_le_bytes());
+    for col in columns.iter() {
         put_str(&mut buf, &col.name);
         match &col.data {
             ColumnData::I64(v) => {
@@ -283,7 +285,8 @@ mod tests {
         .unwrap();
         let back = round_trip(&t);
         assert_eq!(back.name(), "lineorder");
-        assert_eq!(back.require_i64("custkey").unwrap(), &[3, 1, 4, 1, 5]);
+        let custkey: Vec<i64> = back.column("custkey").unwrap().i64_iter().unwrap().collect();
+        assert_eq!(custkey, [3, 1, 4, 1, 5]);
         assert_eq!(back.column("revenue").unwrap().as_f64().unwrap()[3], f64::MAX);
         assert_eq!(back.column("priority").unwrap().string_at(3), Some("MEDIUM"));
     }
@@ -322,12 +325,15 @@ mod tests {
         )
         .unwrap();
         let back = round_trip(&t);
-        let ckey = back.column("ckey").unwrap().as_key().unwrap();
+        let ckey = back.column("ckey").unwrap();
+        let ckey = ckey.as_key().unwrap();
         assert_eq!(ckey.domain, 25);
         assert_eq!(ckey.codes, t.column("ckey").unwrap().as_key().unwrap().codes);
-        let dkey = back.column("dkey").unwrap().as_key().unwrap();
+        let dkey = back.column("dkey").unwrap();
+        let dkey = dkey.as_key().unwrap();
         assert_eq!(dkey.codes.encoding_name(), "rle", "clustered column re-chooses RLE");
-        assert_eq!(back.decode_keys().require_i64("dkey").unwrap(), &clustered[..]);
+        let plain = back.decode_keys();
+        assert_eq!(plain.column("dkey").unwrap().as_i64().unwrap(), &clustered[..]);
 
         // With a validity mask attached.
         let valid: Vec<bool> = (0..300).map(|i| i % 7 != 0).collect();
@@ -338,7 +344,8 @@ mod tests {
         }
         let t = Table::new("fact", vec![col]).unwrap();
         let back = round_trip(&t);
-        let mask = back.column("ckey").unwrap().as_key().unwrap().validity.as_ref().unwrap();
+        let mask = back.column("ckey").unwrap();
+        let mask = mask.as_key().unwrap().validity.as_ref().unwrap();
         for (i, &b) in valid.iter().enumerate() {
             assert_eq!(mask.is_valid(i), b);
         }
@@ -358,6 +365,27 @@ mod tests {
     }
 
     #[test]
+    fn segmented_table_writes_like_the_built_one() {
+        let n = crate::TAIL_ROWS + 5;
+        let columns = |rows: std::ops::Range<usize>| {
+            vec![
+                Column::i64("k", rows.clone().map(|i| (i % 11) as i64).collect()),
+                Column::f64("m", rows.clone().map(|i| i as f64 * 0.5).collect()),
+                Column::from_strings("s", rows.map(|i| format!("v{}", i / 30_000))),
+            ]
+        };
+        let seed = Table::new("t", columns(0..crate::TAIL_ROWS)).unwrap();
+        let seed = seed.encode_keys(&[("k", 11)]).unwrap();
+        let appended = seed.append_batch(&columns(crate::TAIL_ROWS..n)).unwrap();
+        assert_eq!(appended.segments().len(), 2);
+        let built = Table::new("t", columns(0..n)).unwrap().encode_keys(&[("k", 11)]).unwrap();
+        assert_eq!(write_table(&appended), write_table(&built));
+        let back = round_trip(&appended);
+        assert_eq!(back.segments().len(), 1, "a loaded table is one segment");
+        assert_eq!(write_table(&back), write_table(&built));
+    }
+
+    #[test]
     fn unicode_strings_survive() {
         let t = Table::new("t", vec![Column::from_strings("city", ["Łódź", "北京", "São Paulo"])])
             .unwrap();
@@ -373,7 +401,7 @@ mod tests {
         let t = Table::new("t", vec![Column::i64("k", (0..100).collect())]).unwrap();
         save_table(&t, &path).unwrap();
         let back = load_table(&path).unwrap();
-        assert_eq!(back.require_i64("k").unwrap().len(), 100);
+        assert_eq!(back.column("k").unwrap().as_i64().unwrap().len(), 100);
         std::fs::remove_file(&path).ok();
     }
 }

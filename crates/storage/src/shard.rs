@@ -57,12 +57,8 @@ impl ShardScheme {
     /// to shard `i`, ascending, so shard contents preserve base-table
     /// order and are deterministic.
     pub fn partition_rows(&self, table: &Table) -> Result<Vec<Vec<u32>>, StorageError> {
-        let col = table.require_column(&self.column)?;
-        let keys = col.i64_iter().ok_or(StorageError::TypeMismatch {
-            column: self.column.clone(),
-            expected: "key",
-            got: col.data.type_name(),
-        })?;
+        let idx = table.require_key_like(&self.column)?;
+        let keys = table.column_parts(idx).flat_map(|part| part.i64_iter().expect("key-like"));
         let mut rows = vec![Vec::new(); self.shards];
         for (r, key) in keys.enumerate() {
             rows[self.shard_of(key)].push(r as u32);
@@ -115,7 +111,8 @@ mod tests {
         assert_eq!(parts.iter().map(Table::n_rows).sum::<usize>(), 500);
         for (i, p) in parts.iter().enumerate() {
             assert_eq!(p.name(), "fact");
-            let k = p.column("dkey").unwrap().as_key().unwrap();
+            let k = p.column("dkey").unwrap();
+            let k = k.as_key().unwrap();
             assert_eq!(k.domain, 97, "shard keeps the full key domain");
             for r in 0..p.n_rows() {
                 assert_eq!(s.shard_of(k.get(r) as i64), i);
@@ -130,14 +127,31 @@ mod tests {
         let rows = s.partition_rows(&t).unwrap();
         let p0 = t.take_rows(&rows[0]);
         let full = t.decode_keys();
-        let keys = full.require_i64("dkey").unwrap();
-        let revs = full.column("rev").unwrap().as_f64().unwrap();
+        let keys = full.column("dkey").unwrap();
+        let keys: Vec<i64> = keys.i64_iter().unwrap().collect();
+        let revs = full.column("rev").unwrap();
+        let revs = revs.as_f64().unwrap();
         let p0_plain = p0.decode_keys();
-        let p0_revs = p0_plain.column("rev").unwrap().as_f64().unwrap();
+        let p0_revs = p0_plain.column("rev").unwrap();
+        let p0_revs = p0_revs.as_f64().unwrap();
+        let p0_keys = p0_plain.column("dkey").unwrap();
+        let p0_keys: Vec<i64> = p0_keys.i64_iter().unwrap().collect();
         for (j, &r) in rows[0].iter().enumerate() {
-            assert_eq!(p0_plain.require_i64("dkey").unwrap()[j], keys[r as usize]);
+            assert_eq!(p0_keys[j], keys[r as usize]);
             assert_eq!(p0_revs[j], revs[r as usize]);
         }
+    }
+
+    #[test]
+    fn partition_reads_every_segment() {
+        let n = crate::TAIL_ROWS + 40;
+        let built = fact(n, 97);
+        let seed = fact(crate::TAIL_ROWS, 97);
+        let batch = built.take_rows(&(crate::TAIL_ROWS as u32..n as u32).collect::<Vec<_>>());
+        let grown = seed.append_batch(&batch.columns()).unwrap();
+        assert_eq!(grown.segments().len(), 2);
+        let s = ShardScheme::range("dkey", 97, 4);
+        assert_eq!(s.partition_rows(&grown).unwrap(), s.partition_rows(&built).unwrap());
     }
 
     #[test]

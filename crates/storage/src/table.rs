@@ -1,9 +1,11 @@
-//! Named, schema-checked columnar tables.
+//! Named, schema-checked columnar tables, stored as shared segments.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use crate::chunk::{DataChunk, Morsels};
+use crate::chunk::DataChunk;
 use crate::column::{Column, ColumnData};
+use crate::encode::{CodeStore, KeyColumn, Validity};
 use crate::error::StorageError;
 
 /// Physical storage statistics of one column; see [`Table::column_stats`].
@@ -20,12 +22,40 @@ pub struct ColumnStat {
     pub plain_bytes: usize,
 }
 
-/// A columnar table of a star schema (fact or dimension).
+/// Rows an append may grow a table's last segment to. Past it, the batch
+/// starts a new segment, so an append copies at most this many old rows.
+pub const TAIL_ROWS: usize = 65_536;
+
+/// One horizontal piece of a [`Table`]: equal-length columns in the table's
+/// column order. Segments are immutable; a table and the tables appended
+/// from it share them by `Arc`.
+#[derive(Debug)]
+pub struct Segment {
+    pub(crate) columns: Vec<Column>,
+    n_rows: usize,
+}
+
+impl Segment {
+    pub fn n_rows(&self) -> usize {
+        self.n_rows
+    }
+}
+
+/// A columnar table of a star schema (fact or dimension), stored as a list
+/// of segments in row order.
+///
+/// A table as built by [`Table::new`] (generated, loaded, or assembled by
+/// hand) is one segment. [`Table::append_batch`] keeps every segment and
+/// either copy-extends the last one while it stays within [`TAIL_ROWS`] or
+/// starts a new one from the batch. Every segment carries the first one's
+/// column names and physical types.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
-    columns: Vec<Column>,
-    n_rows: usize,
+    /// Never empty.
+    segments: Vec<Arc<Segment>>,
+    /// `ends[i]` is the table row just past segment `i`.
+    ends: Vec<usize>,
 }
 
 impl Table {
@@ -48,7 +78,31 @@ impl Table {
                 return Err(StorageError::DuplicateColumn { table: name, column: c.name.clone() });
             }
         }
-        Ok(Table { name, columns, n_rows })
+        Ok(Table::from_segments(name, vec![Arc::new(Segment { columns, n_rows })]))
+    }
+
+    fn from_segments(name: String, segments: Vec<Arc<Segment>>) -> Table {
+        let ends = segments
+            .iter()
+            .scan(0, |end, s| {
+                *end += s.n_rows;
+                Some(*end)
+            })
+            .collect();
+        Table { name, segments, ends }
+    }
+
+    /// A table with each segment's columns rebuilt by `f`.
+    fn map_segments(
+        &self,
+        mut f: impl FnMut(&[Column]) -> Result<Vec<Column>, StorageError>,
+    ) -> Result<Table, StorageError> {
+        let segments = self
+            .segments
+            .iter()
+            .map(|s| Ok(Arc::new(Segment { columns: f(&s.columns)?, n_rows: s.n_rows })))
+            .collect::<Result<_, StorageError>>()?;
+        Ok(Table::from_segments(self.name.clone(), segments))
     }
 
     pub fn name(&self) -> &str {
@@ -56,39 +110,52 @@ impl Table {
     }
 
     pub fn n_rows(&self) -> usize {
-        self.n_rows
+        *self.ends.last().expect("a table has at least one segment")
     }
 
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
+    /// The segments, in row order.
+    pub fn segments(&self) -> &[Arc<Segment>] {
+        &self.segments
     }
 
-    /// Looks up a column by name.
-    pub fn column(&self, name: &str) -> Option<&Column> {
-        self.columns.iter().find(|c| c.name == name)
+    /// Column names and physical types: the first segment's columns.
+    fn schema(&self) -> &[Column] {
+        &self.segments[0].columns
     }
 
-    /// Looks up a column by name, erroring when absent.
-    pub fn require_column(&self, name: &str) -> Result<&Column, StorageError> {
-        self.column(name).ok_or_else(|| StorageError::UnknownColumn {
-            table: self.name.clone(),
-            column: name.to_string(),
-        })
+    /// The pieces of column `idx`, one per segment, in row order.
+    pub(crate) fn column_parts(&self, idx: usize) -> impl Iterator<Item = &Column> + '_ {
+        self.segments.iter().map(move |s| &s.columns[idx])
+    }
+
+    /// Column `idx` as one whole column: borrowed from a one-segment table,
+    /// concatenated from the pieces of a segmented one.
+    fn whole(&self, idx: usize) -> Cow<'_, Column> {
+        match &self.segments[..] {
+            [only] => Cow::Borrowed(&only.columns[idx]),
+            _ => Cow::Owned(Column::concat(&self.column_parts(idx).collect::<Vec<_>>())),
+        }
+    }
+
+    /// Every column, whole; see [`Table::column`]. Readers inside this
+    /// crate that can go piece by piece use `column_parts`, which never
+    /// copies.
+    pub fn columns(&self) -> Cow<'_, [Column]> {
+        match &self.segments[..] {
+            [only] => Cow::Borrowed(&only.columns[..]),
+            _ => Cow::Owned((0..self.schema().len()).map(|i| self.whole(i).into_owned()).collect()),
+        }
+    }
+
+    /// Looks up a column by name, whole: borrowed from a one-segment table,
+    /// concatenated from the segments of an appended one.
+    pub fn column(&self, name: &str) -> Option<Cow<'_, Column>> {
+        self.column_index(name).map(|idx| self.whole(idx))
     }
 
     /// Index of a column by name.
     pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
-    /// Requires an `i64` column (keys).
-    pub fn require_i64(&self, name: &str) -> Result<&[i64], StorageError> {
-        let c = self.require_column(name)?;
-        c.as_i64().ok_or(StorageError::TypeMismatch {
-            column: name.to_string(),
-            expected: "i64",
-            got: c.data.type_name(),
-        })
+        self.schema().iter().position(|c| c.name == name)
     }
 
     /// Requires a key-like column (plain `i64` or encoded codes) and
@@ -117,26 +184,37 @@ impl Table {
             table: self.name.clone(),
             column: name.to_string(),
         })?;
-        if !accepts(&self.columns[idx]) {
-            let got = self.columns[idx].data.type_name();
+        let column = &self.schema()[idx];
+        if !accepts(column) {
+            let got = column.data.type_name();
             return Err(StorageError::TypeMismatch { column: name.to_string(), expected, got });
         }
         Ok(idx)
     }
 
-    /// A zero-copy view over rows `offset .. offset + len`.
+    /// Zero-copy views over rows `offset .. offset + len`, one per segment
+    /// the range touches, in row order.
     ///
     /// # Panics
     /// In debug builds, when the range exceeds the table.
-    pub fn chunk(&self, offset: usize, len: usize) -> DataChunk<'_> {
-        DataChunk::new(self, offset, len)
+    pub fn chunks(&self, offset: usize, len: usize) -> impl Iterator<Item = DataChunk<'_>> + '_ {
+        let end = offset + len;
+        debug_assert!(end <= self.n_rows());
+        let first = self.ends.partition_point(|&e| e <= offset);
+        self.segments[first..].iter().zip(&self.ends[first..]).map_while(move |(s, &seg_end)| {
+            let seg_start = seg_end - s.n_rows;
+            let lo = offset.max(seg_start);
+            (lo < end).then(|| DataChunk::new(s, lo - seg_start, lo, seg_end.min(end) - lo))
+        })
     }
 
-    /// Cuts the table into fixed-size [`DataChunk`]s of `chunk_rows` rows
-    /// (the last one may be shorter) — the morsel stream driving the
-    /// parallel scan pipeline.
-    pub fn morsels(&self, chunk_rows: usize) -> Morsels<'_> {
-        Morsels::new(self, chunk_rows)
+    /// Cuts the table into morsels of `chunk_rows` rows (the last one may
+    /// be shorter), each cut again at segment ends so that every
+    /// [`DataChunk`] lies inside one segment.
+    pub fn morsels(&self, chunk_rows: usize) -> impl Iterator<Item = DataChunk<'_>> + '_ {
+        let k = chunk_rows.max(1);
+        let n = self.n_rows();
+        (0..n).step_by(k).flat_map(move |lo| self.chunks(lo, k.min(n - lo)))
     }
 
     /// Returns a new table with `batch` appended row-wise — the storage
@@ -144,19 +222,26 @@ impl Table {
     /// (tables are handed out as `Arc<Table>`); the catalog swaps the new
     /// value in atomically via `commit_append`.
     ///
+    /// Every segment is kept by `Arc`. The last one is copied and extended
+    /// when it stays within [`TAIL_ROWS`]; otherwise the batch starts a new
+    /// segment in the last one's physical layout (key domains and
+    /// dictionaries included). An append thus costs O(batch + tail), never
+    /// O(table).
+    ///
     /// The batch must carry exactly the table's columns (matched by name,
     /// any order) with equal lengths and matching physical types.
     /// Dictionary columns grow the dictionary: incoming codes are decoded
     /// against the batch's own dictionary and re-interned into a copy of
-    /// the table's, so shared upstream dictionaries are never mutated.
+    /// the tail's, so sealed segments keep theirs and shared upstream
+    /// dictionaries are never mutated.
     pub fn append_batch(&self, batch: &[Column]) -> Result<Table, StorageError> {
         let mismatch =
             |detail: String| StorageError::AppendMismatch { table: self.name.clone(), detail };
-        if batch.len() != self.columns.len() {
+        if batch.len() != self.schema().len() {
             return Err(mismatch(format!(
                 "batch has {} columns, table has {}",
                 batch.len(),
-                self.columns.len()
+                self.schema().len()
             )));
         }
         let added = batch.first().map(Column::len).unwrap_or(0);
@@ -170,105 +255,69 @@ impl Table {
                 });
             }
         }
-        let mut columns = Vec::with_capacity(self.columns.len());
-        for base in &self.columns {
+        let tail = self.segments.last().expect("a table has at least one segment");
+        let extend = added > 0 && (tail.n_rows == 0 || tail.n_rows + added <= TAIL_ROWS);
+        let mut columns = Vec::with_capacity(tail.columns.len());
+        for base in &tail.columns {
             let incoming = batch
                 .iter()
                 .find(|c| c.name == base.name)
                 .ok_or_else(|| mismatch(format!("batch is missing column `{}`", base.name)))?;
-            let data = match (&base.data, &incoming.data) {
-                (ColumnData::I64(old), ColumnData::I64(new)) => {
-                    let mut v = old.clone();
-                    v.extend_from_slice(new);
-                    ColumnData::I64(v)
-                }
-                (ColumnData::F64(old), ColumnData::F64(new)) => {
-                    let mut v = old.clone();
-                    v.extend_from_slice(new);
-                    ColumnData::F64(v)
-                }
-                (
-                    ColumnData::Dict { codes, dict },
-                    ColumnData::Dict { codes: new_codes, dict: new_dict },
-                ) => {
-                    let mut grown = (**dict).clone();
-                    let mut all = codes.clone();
-                    for code in new_codes.to_vec() {
-                        let value = new_dict.value(code).ok_or_else(|| {
-                            mismatch(format!(
-                                "column `{}` has dictionary code {code} with no value",
-                                base.name
-                            ))
-                        })?;
-                        // Interning a new value may widen the code space;
-                        // the store grows its packing width on demand.
-                        all.push(grown.intern(value));
-                    }
-                    ColumnData::Dict { codes: all, dict: Arc::new(grown) }
-                }
-                // Encoded keys accept either physical layout in the batch:
-                // plain i64 values are narrowed (appends keep flowing from
-                // producers that build plain batches), encoded batches are
-                // decoded and re-packed. Codes beyond the current domain
-                // grow the domain and, when needed, the packing width.
-                (ColumnData::Key(old), _) if incoming.is_key_like() => {
-                    let mut grown = old.clone();
-                    for v in incoming.i64_iter().expect("key-like") {
-                        let code = u32::try_from(v).map_err(|_| {
-                            mismatch(format!(
-                                "column `{}` got value {v}, not encodable as a key code",
-                                base.name
-                            ))
-                        })?;
-                        grown.push(code, true);
-                    }
-                    ColumnData::Key(grown)
-                }
-                (old, new) => {
-                    return Err(StorageError::TypeMismatch {
-                        column: base.name.clone(),
-                        expected: old.type_name(),
-                        got: new.type_name(),
-                    })
-                }
-            };
+            let start = if extend { base.data.clone() } else { empty_like(&base.data) };
+            let data = extend_data(start, incoming, &mismatch)?;
             columns.push(Column { name: base.name.clone(), data });
         }
-        Ok(Table { name: self.name.clone(), columns, n_rows: self.n_rows + added })
+        if added == 0 {
+            return Ok(self.clone());
+        }
+        let mut segments = self.segments.clone();
+        if extend {
+            segments.pop();
+        }
+        let n_rows = columns.first().map_or(0, Column::len);
+        segments.push(Arc::new(Segment { columns, n_rows }));
+        Ok(Table::from_segments(self.name.clone(), segments))
     }
 
     /// Returns a new table with the named key columns encoded as narrow
     /// codes, each at the width its domain cardinality demands — the
     /// "dims as narrow codes" fact layout. Columns must exist and hold
     /// non-negative `i64` keys (already-encoded columns pass through).
+    /// Each segment is encoded on its own.
     pub fn encode_keys(&self, specs: &[(&str, u32)]) -> Result<Table, StorageError> {
-        let mut columns = self.columns.clone();
+        let mut targets = Vec::with_capacity(specs.len());
         for &(name, domain) in specs {
             let idx = self.column_index(name).ok_or_else(|| StorageError::UnknownColumn {
                 table: self.name.clone(),
                 column: name.to_string(),
             })?;
-            columns[idx] = columns[idx].encode_key(domain).ok_or(StorageError::TypeMismatch {
-                column: name.to_string(),
-                expected: "key",
-                got: self.columns[idx].data.type_name(),
-            })?;
+            targets.push((idx, domain));
         }
-        Ok(Table { name: self.name.clone(), columns, n_rows: self.n_rows })
+        self.map_segments(|columns| {
+            let mut columns = columns.to_vec();
+            for &(idx, domain) in &targets {
+                columns[idx] =
+                    columns[idx].encode_key(domain).ok_or(StorageError::TypeMismatch {
+                        column: columns[idx].name.clone(),
+                        expected: "key",
+                        got: columns[idx].data.type_name(),
+                    })?;
+            }
+            Ok(columns)
+        })
     }
 
-    /// Returns a new table holding exactly the given rows, in the given
-    /// order, preserving every column's physical encoding — including key
-    /// domains and dictionaries, so a horizontal partition of a fact table
-    /// still validates against the full dimension tables. This is the
-    /// storage half of the shard partitioner.
+    /// Returns a new one-segment table holding exactly the given rows, in
+    /// the given order, preserving every column's physical encoding —
+    /// including key domains and dictionaries, so a horizontal partition of
+    /// a fact table still validates against the full dimension tables. This
+    /// is the storage half of the shard partitioner.
     ///
     /// # Panics
     /// When a row index is out of range.
     pub fn take_rows(&self, rows: &[u32]) -> Table {
-        use crate::encode::{CodeStore, KeyColumn, Validity};
         let columns = self
-            .columns
+            .columns()
             .iter()
             .map(|c| {
                 let data = match &c.data {
@@ -301,57 +350,116 @@ impl Table {
                 Column { name: c.name.clone(), data }
             })
             .collect();
-        Table { name: self.name.clone(), columns, n_rows: rows.len() }
+        let segment = Segment { columns, n_rows: rows.len() };
+        Table::from_segments(self.name.clone(), vec![Arc::new(segment)])
     }
 
     /// Returns a copy with every encoded key column decoded back to plain
-    /// `i64` — the uncompressed baseline for storage and throughput
-    /// comparisons.
+    /// `i64`, segment by segment — the uncompressed baseline for storage
+    /// and throughput comparisons.
     pub fn decode_keys(&self) -> Table {
-        Table {
-            name: self.name.clone(),
-            columns: self.columns.iter().map(Column::decode_key).collect(),
-            n_rows: self.n_rows,
-        }
+        self.map_segments(|columns| Ok(columns.iter().map(Column::decode_key).collect()))
+            .expect("decoding keys cannot fail")
     }
 
     /// Approximate heap footprint of the table in bytes.
     pub fn byte_size(&self) -> usize {
-        self.columns.iter().map(|c| c.data.byte_size()).sum()
+        self.segments.iter().flat_map(|s| &s.columns).map(|c| c.data.byte_size()).sum()
     }
 
-    /// Per-column physical storage statistics: encoding, true footprint,
-    /// and the plain-layout footprint the encoding is measured against.
+    /// Per-column physical storage statistics: encoding (the first
+    /// segment's), true footprint and the plain-layout footprint the
+    /// encoding is measured against, each summed over the segments.
     pub fn column_stats(&self) -> Vec<ColumnStat> {
-        self.columns
+        self.schema()
             .iter()
-            .map(|c| ColumnStat {
+            .enumerate()
+            .map(|(idx, c)| ColumnStat {
                 name: c.name.clone(),
                 encoding: c.data.encoding_name(),
-                bytes: c.data.byte_size(),
-                plain_bytes: c.data.plain_byte_size(),
+                bytes: self.column_parts(idx).map(|p| p.data.byte_size()).sum(),
+                plain_bytes: self.column_parts(idx).map(|p| p.data.plain_byte_size()).sum(),
             })
             .collect()
     }
+}
 
-    /// Renders a `CREATE TABLE`-ish description of the logical schema.
-    pub fn describe(&self) -> String {
-        let cols: Vec<String> = self
-            .columns
-            .iter()
-            .map(|c| {
-                let ty = match c.data {
-                    // Plain and encoded keys are the same logical type; the
-                    // description is schema-level, not physical.
-                    ColumnData::I64(_) | ColumnData::Key(_) => "integer",
-                    ColumnData::F64(_) => "number",
-                    ColumnData::Dict { .. } => "varchar",
-                };
-                format!("{} {}", c.name, ty)
-            })
-            .collect();
-        format!("create table {} ({})", self.name, cols.join(", "))
+/// An empty column in `data`'s physical layout: the start of a new tail
+/// segment, carrying the key domain or the dictionary along.
+fn empty_like(data: &ColumnData) -> ColumnData {
+    match data {
+        ColumnData::I64(_) => ColumnData::I64(Vec::new()),
+        ColumnData::F64(_) => ColumnData::F64(Vec::new()),
+        ColumnData::Dict { dict, .. } => ColumnData::Dict {
+            codes: CodeStore::empty((dict.len() as u32).max(1)),
+            dict: dict.clone(),
+        },
+        ColumnData::Key(k) => ColumnData::Key(KeyColumn {
+            codes: CodeStore::empty(k.domain),
+            domain: k.domain,
+            validity: None,
+        }),
     }
+}
+
+/// `data` with `incoming`'s rows appended (see [`Table::append_batch`]).
+fn extend_data(
+    data: ColumnData,
+    incoming: &Column,
+    mismatch: &impl Fn(String) -> StorageError,
+) -> Result<ColumnData, StorageError> {
+    Ok(match (data, &incoming.data) {
+        (ColumnData::I64(mut v), ColumnData::I64(new)) => {
+            v.extend_from_slice(new);
+            ColumnData::I64(v)
+        }
+        (ColumnData::F64(mut v), ColumnData::F64(new)) => {
+            v.extend_from_slice(new);
+            ColumnData::F64(v)
+        }
+        (
+            ColumnData::Dict { mut codes, dict },
+            ColumnData::Dict { codes: new_codes, dict: new_dict },
+        ) => {
+            let mut grown = (*dict).clone();
+            for code in new_codes.to_vec() {
+                let value = new_dict.value(code).ok_or_else(|| {
+                    mismatch(format!(
+                        "column `{}` has dictionary code {code} with no value",
+                        incoming.name
+                    ))
+                })?;
+                // Interning a new value may widen the code space; the
+                // store grows its packing width on demand.
+                codes.push(grown.intern(value));
+            }
+            ColumnData::Dict { codes, dict: Arc::new(grown) }
+        }
+        // Encoded keys accept either physical layout in the batch: plain
+        // i64 values are narrowed (appends keep flowing from producers that
+        // build plain batches), encoded batches are decoded and re-packed.
+        // Codes beyond the current domain grow the domain and, when needed,
+        // the packing width.
+        (ColumnData::Key(mut k), _) if incoming.is_key_like() => {
+            for v in incoming.i64_iter().expect("key-like") {
+                let code = u32::try_from(v).map_err(|_| {
+                    mismatch(format!(
+                        "column `{}` got value {v}, not encodable as a key code",
+                        incoming.name
+                    ))
+                })?;
+                k.push(code, true);
+            }
+            ColumnData::Key(k)
+        }
+        (old, new) => {
+            return Err(StorageError::TypeMismatch {
+                column: incoming.name.clone(),
+                expected: old.type_name(),
+                got: new.type_name(),
+            })
+        }
+    })
 }
 
 #[cfg(test)]
@@ -370,6 +478,11 @@ mod tests {
         .unwrap()
     }
 
+    /// The values of a key-like column, read whole.
+    fn ints(t: &Table, name: &str) -> Vec<i64> {
+        t.column(name).unwrap().i64_iter().unwrap().collect()
+    }
+
     #[test]
     fn new_validates_shape() {
         let bad = Table::new("t", vec![Column::i64("a", vec![1, 2]), Column::i64("b", vec![1])]);
@@ -382,22 +495,10 @@ mod tests {
     fn lookups_and_typed_access() {
         let t = customers();
         assert_eq!(t.n_rows(), 3);
-        assert_eq!(t.require_i64("ckey").unwrap(), &[0, 1, 2]);
-        assert!(matches!(
-            t.require_i64("nation"),
-            Err(StorageError::TypeMismatch { expected: "i64", .. })
-        ));
-        assert!(matches!(t.require_column("ghost"), Err(StorageError::UnknownColumn { .. })));
+        assert_eq!(ints(&t, "ckey"), [0, 1, 2]);
+        assert!(t.column("nation").unwrap().i64_iter().is_none());
+        assert!(t.column("ghost").is_none());
         assert_eq!(t.column_index("balance"), Some(2));
-    }
-
-    #[test]
-    fn describe_renders_types() {
-        let t = customers();
-        assert_eq!(
-            t.describe(),
-            "create table customer (ckey integer, nation varchar, balance number)"
-        );
     }
 
     #[test]
@@ -412,12 +513,14 @@ mod tests {
             .unwrap();
         assert_eq!(appended.n_rows(), 4);
         assert_eq!(t.n_rows(), 3, "the receiver is untouched");
-        assert_eq!(appended.require_i64("ckey").unwrap(), &[0, 1, 2, 3]);
+        assert_eq!(ints(&appended, "ckey"), [0, 1, 2, 3]);
         assert_eq!(appended.column("nation").unwrap().string_at(3), Some("SPAIN"));
         assert_eq!(appended.column("nation").unwrap().string_at(2), Some("ITALY"));
-        let (_, dict) = appended.column("nation").unwrap().as_dict().unwrap();
+        let col = appended.column("nation").unwrap();
+        let (_, dict) = col.as_dict().unwrap();
         assert_eq!(dict.len(), 3, "dictionary grew by the one new value");
-        let (_, old_dict) = t.column("nation").unwrap().as_dict().unwrap();
+        let col = t.column("nation").unwrap();
+        let (_, old_dict) = col.as_dict().unwrap();
         assert_eq!(old_dict.len(), 2, "the shared base dictionary did not grow");
     }
 
@@ -435,7 +538,8 @@ mod tests {
             .unwrap();
         assert_eq!(appended.column("nation").unwrap().string_at(3), Some("FRANCE"));
         assert_eq!(appended.column("nation").unwrap().string_at(4), Some("ITALY"));
-        let (_, dict) = appended.column("nation").unwrap().as_dict().unwrap();
+        let col = appended.column("nation").unwrap();
+        let (_, dict) = col.as_dict().unwrap();
         assert_eq!(dict.len(), 2, "no new values, no dictionary growth");
     }
 
@@ -483,7 +587,7 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(appended.n_rows(), 3);
-        assert_eq!(appended.require_i64("ckey").unwrap(), t.require_i64("ckey").unwrap());
+        assert_eq!(ints(&appended, "ckey"), ints(&t, "ckey"));
     }
 
     #[test]
@@ -498,8 +602,7 @@ mod tests {
         .unwrap();
         let enc = t.encode_keys(&[("ckey", 25)]).unwrap();
         assert_eq!(enc.require_key_like("ckey").unwrap(), 0);
-        assert!(enc.require_i64("ckey").is_err(), "encoded keys have no plain slice");
-        assert_eq!(enc.describe(), t.describe(), "logical schema is unchanged");
+        assert!(enc.column("ckey").unwrap().as_i64().is_none(), "encoded keys have no plain slice");
         assert!(enc.byte_size() < t.byte_size());
         // Appends accept plain batches; a code beyond the current domain
         // grows it (width growth is exercised in the encode module tests).
@@ -510,13 +613,14 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(grown.n_rows(), 102);
-        let k = grown.column("ckey").unwrap().as_key().unwrap();
+        let k = grown.column("ckey").unwrap();
+        let k = k.as_key().unwrap();
         assert_eq!(k.domain, 31);
         assert_eq!(k.get(100), 24);
         assert_eq!(k.get(101), 30);
         // Round trip back to plain reproduces the same values.
         let plain = grown.decode_keys();
-        assert_eq!(plain.require_i64("ckey").unwrap()[99..], [24, 24, 30]);
+        assert_eq!(ints(&plain, "ckey")[99..], [24, 24, 30]);
         // Negative keys cannot append onto an encoded column.
         assert!(enc
             .append_batch(&[Column::i64("ckey", vec![-1]), Column::f64("revenue", vec![0.0]),])
@@ -530,6 +634,52 @@ mod tests {
         // encode_keys validates its targets.
         assert!(t.encode_keys(&[("ghost", 4)]).is_err());
         assert!(t.encode_keys(&[("revenue", 4)]).is_err());
+    }
+
+    /// `(appended, built)`: a full-tail seed of [`TAIL_ROWS`] rows plus a
+    /// 3-row batch that must start a second segment, and the same rows
+    /// built in one table.
+    fn segmented() -> (Table, Table) {
+        let n = TAIL_ROWS + 3;
+        let columns = |rows: std::ops::Range<usize>| {
+            vec![
+                Column::i64("ckey", rows.clone().map(|i| (i % 7) as i64).collect()),
+                Column::f64("balance", rows.clone().map(|i| i as f64 / 4.0).collect()),
+                Column::from_strings("nation", rows.map(|i| ["IT", "FR", "ES"][i % 3])),
+            ]
+        };
+        let seed = Table::new("c", columns(0..TAIL_ROWS)).unwrap();
+        let seed = seed.encode_keys(&[("ckey", 7)]).unwrap();
+        let appended = seed.append_batch(&columns(TAIL_ROWS..n)).unwrap();
+        assert_eq!(appended.segments().len(), 2);
+        assert!(Arc::ptr_eq(&seed.segments()[0], &appended.segments()[0]));
+        let built = Table::new("c", columns(0..n)).unwrap().encode_keys(&[("ckey", 7)]).unwrap();
+        (appended, built)
+    }
+
+    #[test]
+    fn segmented_readers_see_every_segment() {
+        let (appended, built) = segmented();
+        let rows: Vec<u32> = vec![TAIL_ROWS as u32 + 2, 0, TAIL_ROWS as u32, 5];
+        let (a, b) = (appended.take_rows(&rows), built.take_rows(&rows));
+        assert_eq!(ints(&a, "ckey"), ints(&b, "ckey"));
+        assert_eq!(a.column("balance").unwrap().as_f64(), b.column("balance").unwrap().as_f64());
+        for r in 0..rows.len() {
+            assert_eq!(
+                a.column("nation").unwrap().string_at(r),
+                b.column("nation").unwrap().string_at(r)
+            );
+        }
+        let plain = appended.decode_keys();
+        assert_eq!(plain.segments().len(), 2, "decoding keeps the segments");
+        assert_eq!(ints(&plain, "ckey"), ints(&built, "ckey"));
+        assert!(plain.column("ckey").unwrap().as_i64().is_some());
+        let encoded = plain.encode_keys(&[("ckey", 7)]).unwrap();
+        assert_eq!(encoded.segments().len(), 2, "encoding keeps the segments");
+        assert_eq!(ints(&encoded, "ckey"), ints(&built, "ckey"));
+        let (stats, whole) = (appended.column_stats(), built.column_stats());
+        assert_eq!(stats[0].plain_bytes, whole[0].plain_bytes, "key stats sum both segments");
+        assert_eq!(stats[1].bytes, whole[1].bytes, "measure stats sum both segments");
     }
 
     #[test]
@@ -546,7 +696,7 @@ mod tests {
             t.columns().iter().cloned().chain([Column::i64("visits", vec![4, 0, 7])]).collect(),
         )
         .unwrap();
-        let chunk = t.chunk(0, 3);
+        let chunk = t.chunks(0, 3).next().unwrap();
         for (column, idx) in [("balance", 2), ("visits", 3)] {
             assert_eq!(t.require_numeric(column).unwrap(), idx, "{column} is numeric");
             assert!(chunk.f64_lane(idx, &mut Vec::new()).is_some(), "f64_lane reads {column}");

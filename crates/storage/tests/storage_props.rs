@@ -58,7 +58,7 @@ proptest! {
         prop_assert_eq!(t.name(), back.name());
         prop_assert_eq!(t.n_rows(), back.n_rows());
         prop_assert_eq!(t.columns().len(), back.columns().len());
-        for (a, b) in t.columns().iter().zip(back.columns()) {
+        for (a, b) in t.columns().iter().zip(back.columns().iter()) {
             prop_assert_eq!(&a.name, &b.name);
             match (a.as_i64(), b.as_i64()) {
                 (Some(x), Some(y)) => prop_assert_eq!(x, y),
