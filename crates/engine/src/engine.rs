@@ -9,7 +9,7 @@ use olap_model::{
 };
 use olap_storage::{Catalog, CubeBinding, DataChunk, MaterializedAggregate, Table};
 
-use crate::aggregate::{accumulate_chunk, Grouper, Grouping, Partial};
+use crate::aggregate::{accumulate_chunk, Aggregator, Grouping, Partial};
 use crate::attach::{attach, AttachSpec, Keep, Rewrite, Side};
 use crate::error::EngineError;
 use crate::fault::{FaultInjector, FaultSite};
@@ -179,18 +179,18 @@ impl GetInternal {
         }
     }
 
-    /// This get as one side of an [`attach()`] over `keys` of its table.
-    fn side<'a>(&'a self, keys: &'a [u64]) -> Side<'a> {
-        Side { group_by: &self.group_by, layout: &self.layout, keys }
+    /// This get as one side of an [`attach()`], its cells in key order.
+    fn side(&self) -> Side<'_> {
+        Side { group_by: &self.group_by, layout: &self.layout, keys: self.table.keys() }
     }
 
-    /// Materializes the cells in `slots` (slots of `table`, in output
-    /// order — callers pass ascending key order, which is the canonical
-    /// coordinate order) with the `extra` nullable columns appended;
-    /// `right` is the other side of a fused operator, if any.
+    /// Materializes the cells of `table` — all of them, or the slots in
+    /// `kept` — in ascending key order, which is the canonical coordinate
+    /// order, with the `extra` nullable columns appended; `right` is the
+    /// other side of a fused operator, if any.
     fn into_outcome(
         self,
-        slots: &[u32],
+        kept: Option<&[u32]>,
         extra: Vec<(String, Vec<Option<f64>>)>,
         right: Option<&ScanStats>,
     ) -> Result<GetOutcome, EngineError> {
@@ -199,7 +199,11 @@ impl GetInternal {
             None => self.stats,
         };
         let grouping = Grouping::of(&self.layout);
-        let (coord_cols, cols) = self.table.emit(&self.layout, slots);
+        let table = match kept {
+            Some(slots) => self.table.gather(slots),
+            None => self.table,
+        };
+        let (coord_cols, cols) = table.emit(&self.layout);
         let dense =
             self.measures.into_iter().zip(cols).map(|(n, col)| NumericColumn::dense(n, col));
         let nullable = extra.into_iter().map(|(n, col)| NumericColumn::nullable(n, col));
@@ -373,8 +377,7 @@ impl ScanCtx {
         &'a self,
         sel: &mut Vec<u32>,
         lanes: &'a [Vec<u32>],
-        grouper: &mut Grouper,
-        out: &mut Partial,
+        agg: &mut Aggregator,
         len: usize,
         measures: impl IntoIterator<Item = &'a [f64]>,
     ) {
@@ -386,7 +389,7 @@ impl ScanCtx {
             Some(sel.as_slice())
         };
         let keys = self.keys.iter().map(|(slot, roll)| (lanes[*slot].as_slice(), roll.as_slice()));
-        accumulate_chunk(out, grouper, &self.layout, len, selection, keys, measures);
+        accumulate_chunk(agg, &self.layout, len, selection, keys, measures);
     }
 }
 
@@ -417,7 +420,7 @@ impl MorselScan for ScanCtx {
     ) -> Result<(), EngineError> {
         let len = hi - lo;
         scratch.ensure_slots(self.lane_cols.len(), self.measures.len());
-        let MorselScratch { sel, lanes, vals, grouper, partial } = scratch;
+        let MorselScratch { sel, lanes, vals, agg } = scratch;
         match &self.source {
             // A morsel that spans a segment end folds piece by piece, in
             // row order, into the one morsel partial: the same per-group
@@ -425,7 +428,7 @@ impl MorselScan for ScanCtx {
             ScanSource::Fact(t, rows) => {
                 for chunk in t.chunks(rows.start + lo, len) {
                     if let Some(measures) = self.decode_chunk(chunk, lanes, vals) {
-                        self.run_kernels(sel, lanes, grouper, partial, chunk.len(), measures);
+                        self.run_kernels(sel, lanes, agg, chunk.len(), measures);
                     }
                 }
             }
@@ -438,7 +441,7 @@ impl MorselScan for ScanCtx {
                     .measures
                     .iter()
                     .map(|idx| &v.measure_at(*idx).expect("validated view measure")[lo..hi]);
-                self.run_kernels(sel, lanes, grouper, partial, len, measures);
+                self.run_kernels(sel, lanes, agg, len, measures);
             }
         }
         Ok(())
@@ -698,18 +701,11 @@ impl Engine {
         let midx = probed.measures.iter().position(|m| m == spec.measure).ok_or_else(|| {
             spec.refuse(format!("measure `{}` not in the benchmark query", spec.measure))
         })?;
-        let order = target.table.key_order();
-        let keys: Vec<u64> = order.iter().map(|&s| target.table.keys()[s as usize]).collect();
-        let found = attach(
-            target.side(&keys),
-            probed.side(probed.table.keys()),
-            spec,
-            self.governor.as_deref(),
-        )?;
+        let found = attach(target.side(), probed.side(), spec, self.governor.as_deref())?;
         let values = probed.table.measure(midx);
         let extra = found.columns(spec.names, |row| values[row as usize]).collect();
-        let slots: Vec<u32> = found.kept.iter().map(|&i| order[i as usize]).collect();
-        let outcome = target.into_outcome(&slots, extra, bench.as_ref().map(|b| &b.stats))?;
+        let right = bench.as_ref().map(|b| &b.stats);
+        let outcome = target.into_outcome(Some(&found.kept), extra, right)?;
         self.gov_charge_cells(outcome.cube.len())?;
         Ok(outcome)
     }
@@ -851,7 +847,7 @@ impl Engine {
 
     /// The coordinator side of a scatter-gather `get`: runs the planned
     /// scan/aggregate stage on every shard in ascending order, merging
-    /// each [`Partial`] into one through one [`Grouper`]. Local shards
+    /// the [`Partial`]s in shard order with [`Aggregator::merge`]. Local shards
     /// execute through sub-engines sharing this engine's governor, pool
     /// and metrics; remote shards receive the remaining budget and their
     /// reported rows are charged here on receipt. The first shard failure aborts the whole
@@ -864,8 +860,7 @@ impl Engine {
         ops: &[AggOp],
         set: &ShardSet,
     ) -> Result<GetInternal, EngineError> {
-        let mut table = Partial::new(ops);
-        let mut grouper = Grouper::for_layout(layout);
+        let mut partials: Vec<Partial> = Vec::with_capacity(set.len());
         let mut per_shard: Vec<ShardScan> = Vec::with_capacity(set.len());
         let mut used_view: Option<String> = None;
         let mut views_agree = true;
@@ -888,7 +883,7 @@ impl Engine {
                     let budget = self.shard_budget();
                     let p: ShardPartial = t.partial(q, budget).map_err(|e| at_shard(set, i, e))?;
                     // The partial arrived from outside this process: its
-                    // keys index the direct-addressed merge below.
+                    // keys index the merge's per-key state below.
                     if !p.partial.conforms(layout, ops) {
                         let reason = "partial does not fit the query's key layout and measures";
                         return Err(EngineError::ShardUnavailable {
@@ -914,7 +909,7 @@ impl Engine {
             } else if used_view != view {
                 views_agree = false;
             }
-            table.merge(&mut grouper, &partial);
+            partials.push(partial);
             per_shard.push(scan);
         }
         let stats = ScanStats {
@@ -925,6 +920,7 @@ impl Engine {
             groups: 0,
             per_shard,
         };
+        let table = Aggregator::for_layout(layout, ops).merge(partials);
         Ok(GetInternal::new(q, schema, layout, table, stats))
     }
 
@@ -1047,8 +1043,8 @@ impl Engine {
 
 /// Materializes the internal representation into a derived cube in
 /// canonical coordinate order — which, with [`KeyLayout`]'s packing, is
-/// ascending key order: the packed keys are sorted, never the coordinates.
+/// ascending key order, the order every scan and merge emits its groups in:
+/// nothing is sorted here.
 fn materialize(internal: GetInternal) -> Result<GetOutcome, EngineError> {
-    let slots = internal.table.key_order();
-    internal.into_outcome(&slots, Vec::new(), None)
+    internal.into_outcome(None, Vec::new(), None)
 }

@@ -37,11 +37,12 @@
 //! The defining query runs through the engine's one morsel driver
 //! (`Engine::run_scan`), morsels counted from the start of the scanned row
 //! range, so partial aggregates merge in morsel order and maintenance is
-//! byte-identical at every thread count. A delta merge lifts the view's
-//! rows into a [`Partial`] and folds the delta's partial in with the same
-//! [`Partial::merge`] morsel and shard partials use. Maintained views are
-//! emitted in **key order** — coordinate order, the order `Engine::get`
-//! materializes — so a merged view is
+//! byte-identical at every thread count. The scan's [`Partial`] comes out in
+//! ascending key order, as every scan's does. Maintained views are emitted
+//! in **key order** — coordinate order, the order `Engine::get`
+//! materializes — so a delta merge is one walk over the view and the
+//! delta's partial together, folding a key on both sides by the
+//! operator's distributive rule, and a merged view is
 //! bit-comparable to one rebuilt from scratch; merged sums equal rebuilt
 //! sums exactly whenever measure values are integer-valued (exact f64
 //! addition), which the bundled datasets guarantee.
@@ -55,12 +56,13 @@
 //! [`StorageError::ConcurrentMutation`] and the append is retried from the
 //! fresh table, a bounded number of times.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use olap_model::{AggOp, CubeQuery};
+use olap_model::{AggOp, CubeQuery, MemberId};
 use olap_storage::{Column, CubeBinding, Delta, MaterializedAggregate, StorageError, Table};
 
-use crate::aggregate::{Accumulator, Grouper, Partial};
+use crate::aggregate::{Accumulator, Partial};
 use crate::engine::{query_shape, Engine, ScanCtx};
 use crate::error::EngineError;
 use crate::key::KeyLayout;
@@ -244,23 +246,32 @@ fn maintain_one(
     let maintained = if merged {
         merge(view, &partial, &layout, &ops)?
     } else {
-        keyed_view(view, &layout, partial)?
+        let (coords, measures) = partial.emit(&layout);
+        successor(view, coords, measures)?
     };
     Ok(Some((maintained, merged)))
 }
 
-/// Merges a delta partial aggregate into the existing view: the view's
-/// rows become a [`Partial`] (for the distributive operators a finalized
-/// value *is* the state), the delta merges in by the common rule, and the
-/// result is emitted in key order.
+/// Merges a delta partial aggregate into the existing view in one walk
+/// over key order: the delta's partial is in ascending key order (every
+/// scan's is), and so is the view — maintained views are emitted in it, and
+/// one registered out of it is sorted once here. Runs of view rows the
+/// delta misses are copied as they stand; a key on both sides folds to
+/// `f(view, delta)`, a new key to `f(identity, delta)` — for the
+/// distributive operators a finalized value *is* the state, so these are
+/// the values a merge of the two as partials yields.
 fn merge(
     view: &MaterializedAggregate,
     delta: &Partial,
     layout: &KeyLayout,
     ops: &[AggOp],
 ) -> Result<MaterializedAggregate, EngineError> {
-    let coords = view.coord_cols();
-    let keys: Vec<u64> = (0..view.len())
+    let mut coords: Vec<Cow<'_, [MemberId]>> =
+        view.coord_cols().iter().map(|col| Cow::Borrowed(&col[..])).collect();
+    let mut values: Vec<Cow<'_, [f64]>> = (0..ops.len())
+        .map(|i| Cow::Borrowed(view.measure_at(i).expect("measure count checked at construction")))
+        .collect();
+    let mut keys: Vec<u64> = (0..view.len())
         .map(|row| {
             let mut key = 0u64;
             for (comp, col) in coords.iter().enumerate() {
@@ -269,36 +280,73 @@ fn merge(
             key
         })
         .collect();
-    let accs: Vec<Accumulator> = ops
+    if !keys.is_sorted() {
+        // Stable: rows with equal coordinates keep their order, and the
+        // delta folds into the first of them.
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by_key(|&row| keys[row]);
+        keys = order.iter().map(|&row| keys[row]).collect();
+        coords.iter_mut().for_each(|col| *col = order.iter().map(|&row| col[row]).collect());
+        values.iter_mut().for_each(|col| *col = order.iter().map(|&row| col[row]).collect());
+    }
+    let deltas: Vec<&[f64]> = delta
+        .accs()
         .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            let col = view.measure_at(i).expect("measure count checked at construction").to_vec();
-            match op {
-                AggOp::Sum => Accumulator::Sum(col),
-                AggOp::Count => Accumulator::Count(col),
-                AggOp::Min => Accumulator::Min(col),
-                AggOp::Max => Accumulator::Max(col),
-                AggOp::Avg => unreachable!("avg views take the rebuild path"),
-            }
+        .map(|acc| match acc {
+            Accumulator::Sum(v)
+            | Accumulator::Count(v)
+            | Accumulator::Min(v)
+            | Accumulator::Max(v) => &v[..],
+            Accumulator::Avg { .. } => unreachable!("avg views take the rebuild path"),
         })
         .collect();
-    let mut merged = Partial::from_parts(keys, accs).expect("view columns are row-aligned");
-    let mut grouper = Grouper::over(layout, merged.keys());
-    merged.merge(&mut grouper, delta);
-    keyed_view(view, layout, merged)
+
+    let cap = keys.len() + delta.len();
+    let mut out_coords: Vec<Vec<MemberId>> =
+        coords.iter().map(|_| Vec::with_capacity(cap)).collect();
+    let mut out_values: Vec<Vec<f64>> = values.iter().map(|_| Vec::with_capacity(cap)).collect();
+    let copy_rows = |rows: std::ops::Range<usize>,
+                     oc: &mut Vec<Vec<MemberId>>,
+                     ov: &mut Vec<Vec<f64>>| {
+        oc.iter_mut().zip(&coords).for_each(|(out, col)| out.extend_from_slice(&col[rows.clone()]));
+        ov.iter_mut().zip(&values).for_each(|(out, col)| out.extend_from_slice(&col[rows.clone()]));
+    };
+    let mut at = 0;
+    for (d, &key) in delta.keys().iter().enumerate() {
+        let run_end = at + keys[at..].partition_point(|&k| k < key);
+        copy_rows(at..run_end, &mut out_coords, &mut out_values);
+        at = run_end;
+        let hit = keys.get(at) == Some(&key);
+        for (comp, out) in out_coords.iter_mut().enumerate() {
+            out.push(if hit { coords[comp][at] } else { layout.unpack_component(key, comp) });
+        }
+        for (m, out) in out_values.iter_mut().enumerate() {
+            let (identity, f) = distributive(ops[m]);
+            out.push(f(if hit { values[m][at] } else { identity }, deltas[m][d]));
+        }
+        at += usize::from(hit);
+    }
+    copy_rows(at..keys.len(), &mut out_coords, &mut out_values);
+    successor(view, out_coords, out_values)
 }
 
-/// The maintained successor of `view` from a partial over `layout`, in
-/// ascending key order — lexicographic coordinate order — keeping its
-/// name, group-by set, measure names and provenance.
-fn keyed_view(
+/// The identity and the fold of a distributive operator.
+fn distributive(op: AggOp) -> (f64, fn(f64, f64) -> f64) {
+    match op {
+        AggOp::Sum | AggOp::Count => (0.0, |a, x| a + x),
+        AggOp::Min => (f64::INFINITY, f64::min),
+        AggOp::Max => (f64::NEG_INFINITY, f64::max),
+        AggOp::Avg => unreachable!("avg views take the rebuild path"),
+    }
+}
+
+/// The maintained successor of `view` with these cells, keeping its name,
+/// group-by set, measure names and provenance.
+fn successor(
     view: &MaterializedAggregate,
-    layout: &KeyLayout,
-    partial: Partial,
+    coords: Vec<Vec<MemberId>>,
+    measures: Vec<Vec<f64>>,
 ) -> Result<MaterializedAggregate, EngineError> {
-    let order = partial.key_order();
-    let (coords, measures) = partial.emit(layout, &order);
     let rebuilt = MaterializedAggregate::new(
         view.name(),
         view.group_by().clone(),

@@ -8,10 +8,12 @@
 //! * morsels are claimed from a shared atomic cursor, so the set of claimed
 //!   morsels is always a prefix `0..k` of the morsel sequence;
 //! * every claimed morsel aggregates into its **own** [`Partial`], stashed
-//!   in the slot of its morsel index (the worker's [`Grouper`] and buffers
-//!   are reused across the morsels it claims — a partial carries no index);
+//!   in the slot of its morsel index (the worker's [`Aggregator`] and
+//!   buffers are reused across the morsels it claims — a partial carries no
+//!   index);
 //! * after all workers finish, partials are merged in ascending morsel
-//!   order.
+//!   order ([`Aggregator::merge`], over the caller's aggregator), into a
+//!   partial in ascending key order.
 //!
 //! The reduction tree is therefore a function of the data and the morsel
 //! size alone — never of the thread count or the scheduling — and the
@@ -46,7 +48,7 @@ use std::thread::JoinHandle;
 
 use olap_model::AggOp;
 
-use crate::aggregate::{Grouper, Partial};
+use crate::aggregate::{Aggregator, Partial};
 use crate::error::EngineError;
 use crate::fault::{FaultInjector, FaultSite};
 use crate::governor::ResourceGovernor;
@@ -261,11 +263,11 @@ fn worker_loop(shared: &PoolShared) {
 
 /// Reusable per-worker scan scratch: the selection vector, the decode
 /// buffers the chunk layer fills with flat `u32` key lanes and `f64`
-/// measure lanes (`DataChunk::key_lane` / `f64_lane`), and the grouper +
-/// working partial the aggregation kernel folds into. Each driving thread
+/// measure lanes (`DataChunk::key_lane` / `f64_lane`), and the
+/// [`Aggregator`] the aggregation kernel folds into. Each driving thread
 /// owns one scratch; its buffers grow to the morsel size once and are
 /// reused for every morsel that thread claims, so steady-state scanning
-/// allocates only each morsel's exact-size partial.
+/// allocates only each morsel's partial.
 #[derive(Debug)]
 pub struct MorselScratch {
     /// Selection-vector buffer for the predicate kernel.
@@ -275,10 +277,8 @@ pub struct MorselScratch {
     /// Measure lanes for columns that need conversion (plain `f64` columns
     /// are borrowed directly and leave their slot untouched).
     pub vals: Vec<Vec<f64>>,
-    /// Key → slot index over `partial`, forgotten after every morsel.
-    pub grouper: Grouper,
-    /// The partial aggregate of the morsel in progress.
-    pub partial: Partial,
+    /// The aggregation state of the morsel in progress.
+    pub agg: Aggregator,
 }
 
 impl MorselScratch {
@@ -287,18 +287,14 @@ impl MorselScratch {
             sel: Vec::new(),
             lanes: Vec::new(),
             vals: Vec::new(),
-            grouper: Grouper::for_layout(layout),
-            partial: Partial::new(ops),
+            agg: Aggregator::for_layout(layout, ops),
         }
     }
 
-    /// Hands out the finished morsel's partial (an exact-size copy) and
-    /// resets grouper and working partial for the next morsel.
+    /// Hands out the finished morsel's partial and resets the aggregator
+    /// for the next morsel.
     pub fn take_partial(&mut self) -> Partial {
-        let out = self.partial.clone();
-        self.grouper.clear(out.keys());
-        self.partial.clear();
-        out
+        self.agg.take()
     }
 
     /// Makes at least `lanes` key-lane slots and `vals` measure slots
@@ -322,9 +318,8 @@ pub trait MorselScan: Send + Sync + 'static {
     fn layout(&self) -> &KeyLayout;
     /// The aggregation operator of every measure.
     fn ops(&self) -> &[AggOp];
-    /// Scans rows `lo..hi` into `scratch.partial` (through
-    /// `scratch.grouper`), using the scratch's reusable selection-vector
-    /// and lane-decode buffers.
+    /// Scans rows `lo..hi` into `scratch.agg`, using the scratch's reusable
+    /// selection-vector and lane-decode buffers.
     fn process(&self, lo: usize, hi: usize, scratch: &mut MorselScratch)
         -> Result<(), EngineError>;
 }
@@ -332,7 +327,7 @@ pub trait MorselScan: Send + Sync + 'static {
 /// The result of a morsel-driven scan.
 #[derive(Debug)]
 pub struct ScanRun {
-    /// The merged partial aggregate.
+    /// The merged partial aggregate, in ascending key order.
     pub table: Partial,
     /// Morsels the scan was cut into.
     pub morsels: usize,
@@ -401,8 +396,8 @@ fn drive<S: MorselScan>(
     faults: Option<&FaultInjector>,
     morsel_rows: usize,
     n_rows: usize,
+    scratch: &mut MorselScratch,
 ) {
-    let mut scratch = MorselScratch::new(ctx.layout(), ctx.ops());
     loop {
         if state.stop.load(Ordering::Acquire) {
             return;
@@ -429,7 +424,7 @@ fn drive<S: MorselScan>(
         }
         let lo = morsel * morsel_rows;
         let hi = (lo + morsel_rows).min(n_rows);
-        match ctx.process(lo, hi, &mut scratch) {
+        match ctx.process(lo, hi, scratch) {
             Ok(()) => *lock(&state.partials[morsel]) = Some(scratch.take_partial()),
             Err(e) => {
                 state.record_failure(morsel, e);
@@ -441,8 +436,9 @@ fn drive<S: MorselScan>(
 
 /// Runs a morsel-driven scan at up to `threads` degree of parallelism
 /// (caller + up to `threads − 1` pool helpers), merging per-morsel partial
-/// aggregates in morsel order. With `threads <= 1` or no pool capacity the
-/// scan runs entirely on the calling thread through the same code path.
+/// aggregates in morsel order into one in ascending key order. With
+/// `threads <= 1` or no pool capacity the scan runs entirely on the calling
+/// thread through the same code path.
 pub fn run_morsels<S: MorselScan>(
     pool: Option<&Arc<WorkerPool>>,
     threads: usize,
@@ -473,6 +469,7 @@ pub fn run_morsels<S: MorselScan>(
             let pool = p.clone();
             p.submit(move || {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    let mut scratch = MorselScratch::new(ctx.layout(), ctx.ops());
                     drive(
                         &*ctx,
                         &state,
@@ -480,6 +477,7 @@ pub fn run_morsels<S: MorselScan>(
                         faults.as_deref(),
                         morsel_rows,
                         n_rows,
+                        &mut scratch,
                     )
                 }));
                 if outcome.is_err() {
@@ -493,9 +491,12 @@ pub fn run_morsels<S: MorselScan>(
     }
     // The caller participates too, with the same panic containment as the
     // helpers so the surfaced error does not depend on which thread claims
-    // the offending morsel.
+    // the offending morsel. Its aggregator, empty after its last morsel,
+    // then merges every partial.
+    let mut scratch = MorselScratch::new(ctx.layout(), ctx.ops());
     let caller = catch_unwind(AssertUnwindSafe(|| {
-        drive(&*ctx, &state, governor.as_deref(), faults.as_deref(), morsel_rows, n_rows)
+        let (gov, faults) = (governor.as_deref(), faults.as_deref());
+        drive(&*ctx, &state, gov, faults, morsel_rows, n_rows, &mut scratch)
     }));
     if caller.is_err() {
         state.record_failure(usize::MAX, EngineError::WorkerPanicked);
@@ -505,14 +506,11 @@ pub fn run_morsels<S: MorselScan>(
     if let Some((_, e)) = lock(&state.failure).take() {
         return Err(e);
     }
-    let mut ordered = state.partials.iter().map(|slot| lock(slot).take());
-    let mut table = ordered.next().flatten().expect("every morsel produced a partial");
-    if n_morsels > 1 {
-        let mut grouper = Grouper::over(ctx.layout(), table.keys());
-        for partial in ordered {
-            table.merge(&mut grouper, &partial.expect("every morsel produced a partial"));
-        }
-    }
+    let ordered = state
+        .partials
+        .iter()
+        .map(|slot| lock(slot).take().expect("every morsel produced a partial"));
+    let table = scratch.agg.merge(ordered);
     Ok(ScanRun { table, morsels: n_morsels, parallelism: granted + 1 })
 }
 
@@ -568,9 +566,9 @@ mod tests {
             }
             let codes: Vec<u32> = (lo..hi).map(|row| (row % self.groups.len()) as u32).collect();
             let values: Vec<f64> = (lo..hi).map(|row| row as f64).collect();
-            let MorselScratch { grouper, partial, .. } = scratch;
             let keys = [(&codes[..], &self.groups[..])];
-            accumulate_chunk(partial, grouper, &self.layout, hi - lo, None, keys, [&values[..]]);
+            let agg = &mut scratch.agg;
+            accumulate_chunk(agg, &self.layout, hi - lo, None, keys, [&values[..]]);
             Ok(())
         }
     }

@@ -47,7 +47,7 @@ use crate::error::EngineError;
 use crate::maintain::MaintainOutcome;
 
 /// One shard's contribution to a scatter-gather `get`: its [`Partial`] —
-/// packed group keys in the shard's first-seen order plus the
+/// packed group keys in ascending order plus the
 /// **pre-finalize** state per measure (Avg stays a sum+count pair), so
 /// merging across shards is exact — and the shard's scan statistics.
 #[derive(Debug)]

@@ -1,14 +1,21 @@
-//! Properties of the partial-aggregate algebra (`Partial` + `Grouper`):
-//! the direct-addressed and the hashed grouper are interchangeable bit for
-//! bit, worker scratch reused across morsels never leaks a slot, merging
-//! partials equals one sequential pass, and key order is coordinate order.
+//! Properties of the partial-aggregate algebra (`Partial` + `Aggregator`):
+//! the per-key (direct) and the hashed fold are interchangeable bit for
+//! bit, and both equal the slot fold they replace, worker scratch reused
+//! across morsels never leaks a key, merging partials equals one
+//! sequential pass, every scan result is in ascending key order, and key
+//! order is coordinate order.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use olap_engine::aggregate::{accumulate_chunk, Grouper, Grouping, Partial};
-use olap_engine::pool::MorselScratch;
-use olap_engine::{Engine, EngineConfig, KeyLayout};
-use olap_model::{AggOp, CubeQuery, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef};
+use olap_engine::aggregate::{
+    accumulate_chunk, Accumulator, Aggregator, Grouper, Grouping, Partial,
+};
+use olap_engine::pool::{run_morsels, MorselScan, MorselScratch};
+use olap_engine::{Engine, EngineConfig, EngineError, KeyLayout, WorkerPool};
+use olap_model::{
+    AggOp, CubeQuery, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef, MemberId,
+};
 use olap_storage::{binding::DimInfo, Catalog, Column, CubeBinding, Table};
 use proptest::prelude::*;
 
@@ -25,6 +32,7 @@ fn lcg(seed: u64) -> impl FnMut() -> u64 {
 
 /// One chunk of rows over two group-by components: code lanes, identity
 /// roll-up maps and one value lane per operator in [`OPS`].
+#[derive(Clone)]
 struct Chunk {
     lanes: [Vec<u32>; 2],
     rolls: [Vec<u32>; 2],
@@ -65,24 +73,23 @@ impl Chunk {
         self.lanes[0].len()
     }
 
-    /// Folds the chunk (or its `selection`) into `out` through `grouper`.
-    fn fold(
-        &self,
-        out: &mut Partial,
-        grouper: &mut Grouper,
-        layout: &KeyLayout,
-        selection: Option<&[u32]>,
-    ) {
+    /// Folds the chunk (or its `selection`) into `agg`.
+    fn fold(&self, agg: &mut Aggregator, layout: &KeyLayout, selection: Option<&[u32]>) {
         let keys = self.lanes.iter().zip(&self.rolls).map(|(l, r)| (&l[..], &r[..]));
         let measures = self.values.iter().map(|v| &v[..]);
-        accumulate_chunk(out, grouper, layout, self.len(), selection, keys, measures);
+        accumulate_chunk(agg, layout, self.len(), selection, keys, measures);
     }
 }
 
-/// Keys in first-seen order plus every state value as raw bits.
+/// Keys in ascending order plus every state value as raw bits (a direct
+/// layout's partials are in key order, a hashed layout's morsel partials
+/// in first-seen order).
 fn bits(p: &Partial) -> (Vec<u64>, Vec<Vec<u64>>) {
     let (keys, cols) = p.clone().finish();
-    (keys, cols.iter().map(|c| c.iter().map(|x| x.to_bits()).collect()).collect())
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by_key(|&i| keys[i]);
+    let keys = order.iter().map(|&i| keys[i]).collect();
+    (keys, cols.iter().map(|c| order.iter().map(|&i| c[i].to_bits()).collect()).collect())
 }
 
 /// Two layouts that pack the same codes to the same keys but sit on either
@@ -97,12 +104,175 @@ fn straddling_layouts(split: u32) -> (KeyLayout, KeyLayout) {
     (at, above)
 }
 
+/// `rows` rows in clustered runs of equal coordinates — component 0 drawn
+/// near either end of its domain or anywhere in it — with values that
+/// include `−0.0`, NaN and `±∞` beside fractional ones.
+fn clustered(next: &mut impl FnMut() -> u64, rows: usize, domain: [u32; 2]) -> Chunk {
+    let mut lanes = [Vec::with_capacity(rows), Vec::with_capacity(rows)];
+    while lanes[0].len() < rows {
+        let d0 = u64::from(domain[0]);
+        let c0 = match next() % 3 {
+            0 => next() % d0.min(4),
+            1 => d0 - 1 - next() % d0.min(4),
+            _ => next() % d0,
+        };
+        let c1 = next() % u64::from(domain[1]);
+        let run = (1 + next() % 12) as usize;
+        for _ in 0..run.min(rows - lanes[0].len()) {
+            lanes[0].push(c0 as u32);
+            lanes[1].push(c1 as u32);
+        }
+    }
+    let special = [-0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0];
+    let values = OPS
+        .iter()
+        .map(|_| {
+            (0..rows)
+                .map(|_| match next() % 10 {
+                    k @ 0..=4 => special[k as usize],
+                    _ => (next() % 20_000) as f64 / 7.0 - 1428.3,
+                })
+                .collect()
+        })
+        .collect();
+    Chunk { lanes, rolls: domain.map(|d| (0..d).collect()), values }
+}
+
+/// A morsel scan over one [`Chunk`]; rows with `keep[row] == false` fail
+/// the predicate.
+struct ChunkScan {
+    chunk: Chunk,
+    keep: Option<Vec<bool>>,
+    layout: KeyLayout,
+}
+
+impl MorselScan for ChunkScan {
+    fn n_rows(&self) -> usize {
+        self.chunk.len()
+    }
+
+    fn layout(&self) -> &KeyLayout {
+        &self.layout
+    }
+
+    fn ops(&self) -> &[AggOp] {
+        &OPS
+    }
+
+    fn process(
+        &self,
+        lo: usize,
+        hi: usize,
+        scratch: &mut MorselScratch,
+    ) -> Result<(), EngineError> {
+        let selection: Option<Vec<u32>> = self
+            .keep
+            .as_ref()
+            .map(|keep| (lo..hi).filter(|&row| keep[row]).map(|row| (row - lo) as u32).collect());
+        let Chunk { lanes, rolls, values } = &self.chunk;
+        let keys = lanes.iter().zip(rolls).map(|(l, r)| (&l[lo..hi], &r[..]));
+        let measures = values.iter().map(|v| &v[lo..hi]);
+        accumulate_chunk(
+            &mut scratch.agg,
+            &self.layout,
+            hi - lo,
+            selection.as_deref(),
+            keys,
+            measures,
+        );
+        Ok(())
+    }
+}
+
+/// The bits of `x`, every NaN as the one quiet NaN: Rust leaves the sign
+/// and payload of a NaN an operation produces unspecified (which NaN
+/// operand of `a + b` survives is up to code generation), so two folds
+/// agree on a NaN only as a NaN. `−0.0` and `±∞` keep their bits.
+fn canonical_bits(x: f64) -> u64 {
+    if x.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
+/// Keys plus every raw state column (Avg as its sum and its count) as
+/// [`canonical_bits`], in stored order.
+fn state_bits(p: &Partial) -> (Vec<u64>, Vec<Vec<u64>>) {
+    let col = |v: &[f64]| v.iter().copied().map(canonical_bits).collect::<Vec<u64>>();
+    let states = p
+        .accs()
+        .iter()
+        .flat_map(|acc| match acc {
+            Accumulator::Sum(v)
+            | Accumulator::Min(v)
+            | Accumulator::Max(v)
+            | Accumulator::Count(v) => vec![col(v)],
+            Accumulator::Avg { sums, counts } => vec![col(sums), col(counts)],
+        })
+        .collect();
+    (p.keys().to_vec(), states)
+}
+
+/// The slot fold the per-key fold replaced, as a model: each morsel folds
+/// its rows, in row order, into first-seen slots that start at the
+/// operator's identity; the morsel partials merge in morsel order into
+/// partial 0 as it stands; the groups are reported in ascending key order,
+/// as [`state_bits`] reports them.
+fn slot_fold(scan: &ChunkScan, morsel_rows: usize) -> (Vec<u64>, Vec<Vec<u64>>) {
+    // Sum, Min, Max, Count, and Avg's sum and count.
+    const IDENTITY: [f64; 6] = [0.0, f64::INFINITY, f64::NEG_INFINITY, 0.0, 0.0, 0.0];
+    let merge = |s: &mut [f64; 6], o: &[f64; 6]| {
+        *s = [s[0] + o[0], s[1].min(o[1]), s[2].max(o[2]), s[3] + o[3], s[4] + o[4], s[5] + o[5]];
+    };
+    let (lanes, values) = (&scan.chunk.lanes, &scan.chunk.values);
+    let n = scan.chunk.len();
+    let mut merged: Option<(Vec<u64>, Vec<[f64; 6]>)> = None;
+    for lo in (0..n).step_by(morsel_rows) {
+        let (mut slots, mut keys, mut states) = (HashMap::new(), Vec::new(), Vec::new());
+        for row in lo..(lo + morsel_rows).min(n) {
+            if scan.keep.as_ref().is_some_and(|keep| !keep[row]) {
+                continue;
+            }
+            let key = scan.layout.pack(&[MemberId(lanes[0][row]), MemberId(lanes[1][row])]);
+            let slot = *slots.entry(key).or_insert_with(|| {
+                keys.push(key);
+                states.push(IDENTITY);
+                keys.len() - 1
+            });
+            let (s, v) = (&mut states[slot], |op: usize| values[op][row]);
+            *s = [s[0] + v(0), s[1].min(v(1)), s[2].max(v(2)), s[3] + 1.0, s[4] + v(4), s[5] + 1.0];
+        }
+        merged = Some(match merged {
+            None => (keys, states),
+            Some((mut all, mut all_states)) => {
+                let mut index: HashMap<u64, usize> = all.iter().copied().zip(0..).collect();
+                for (key, o) in keys.iter().zip(&states) {
+                    let slot = *index.entry(*key).or_insert_with(|| {
+                        all.push(*key);
+                        all_states.push(IDENTITY);
+                        all.len() - 1
+                    });
+                    merge(&mut all_states[slot], o);
+                }
+                (all, all_states)
+            }
+        });
+    }
+    let (keys, states) = merged.unwrap_or_default();
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by_key(|&i| keys[i]);
+    let cols =
+        (0..6).map(|c| order.iter().map(|&i| canonical_bits(states[i][c])).collect()).collect();
+    (order.iter().map(|&i| keys[i]).collect(), cols)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Direct and hashed groupers produce bit-identical partials: same
-    /// first-seen key order, same `f64` bits, for every operator, on
-    /// fractional values, with and without a selection vector.
+    /// Direct and hashed folds produce bit-identical partials: same groups,
+    /// same `f64` bits, for every operator, on fractional values, with and
+    /// without a selection vector.
     #[test]
     fn direct_and_hashed_groupers_agree_bit_for_bit(
         seed in any::<u64>(),
@@ -120,12 +290,11 @@ proptest! {
 
         let mut partials = Vec::new();
         for layout in [&at, &above] {
-            let mut grouper = Grouper::for_layout(layout);
-            let mut out = Partial::new(&OPS);
-            chunk.fold(&mut out, &mut grouper, layout, selection.as_deref());
+            let mut agg = Aggregator::for_layout(layout, &OPS);
+            chunk.fold(&mut agg, layout, selection.as_deref());
             // A second chunk exercises lookups of already-registered keys.
-            chunk.fold(&mut out, &mut grouper, layout, None);
-            partials.push(out);
+            chunk.fold(&mut agg, layout, None);
+            partials.push(agg.take());
         }
         prop_assert_eq!(bits(&partials[0]), bits(&partials[1]));
         let folded = selection.map_or(rows, |s| s.len()) + rows;
@@ -135,7 +304,7 @@ proptest! {
 
     /// One scratch reused across consecutive morsels — with overlapping and
     /// with disjoint key sets — yields exactly the partials fresh scratch
-    /// would: no slot of an earlier morsel survives `take_partial`.
+    /// would: no key of an earlier morsel survives `take_partial`.
     #[test]
     fn scratch_reuse_never_leaks_a_stale_slot(
         seed in any::<u64>(),
@@ -158,22 +327,26 @@ proptest! {
 
         let mut reused = MorselScratch::new(&layout, &OPS);
         for chunk in &morsels {
-            chunk.fold(&mut reused.partial, &mut reused.grouper, &layout, None);
+            chunk.fold(&mut reused.agg, &layout, None);
             let got = reused.take_partial();
-            prop_assert!(reused.partial.is_empty());
+            let left = reused.take_partial();
+            prop_assert!(left.is_empty());
 
             let mut fresh = MorselScratch::new(&layout, &OPS);
-            chunk.fold(&mut fresh.partial, &mut fresh.grouper, &layout, None);
-            prop_assert_eq!(bits(&got), bits(&fresh.partial));
+            chunk.fold(&mut fresh.agg, &layout, None);
+            let fresh_partial = fresh.take_partial();
+            prop_assert_eq!(bits(&got), bits(&fresh_partial));
+            let fresh_index = Grouper::over(&layout, fresh_partial.keys());
+            let left = Grouper::over(&layout, left.keys());
             for (slot, key) in got.keys().iter().enumerate() {
-                prop_assert_eq!(fresh.grouper.lookup(*key), Some(slot));
-                prop_assert_eq!(reused.grouper.lookup(*key), None, "key survived the morsel");
+                prop_assert_eq!(fresh_index.lookup(*key), Some(slot));
+                prop_assert_eq!(left.lookup(*key), None, "key survived the morsel");
             }
         }
     }
 
     /// Merging N per-chunk partials in order equals one sequential pass
-    /// over all rows — keys in the same first-seen order, states equal — on
+    /// over all rows — the same groups, states equal — on
     /// integer-valued data, where f64 addition is exact.
     #[test]
     fn merge_of_partials_equals_one_sequential_pass(
@@ -193,22 +366,18 @@ proptest! {
             })
             .collect();
 
-        let mut grouper = Grouper::for_layout(&layout);
-        let mut sequential = Partial::new(&OPS);
+        let mut one_pass = Aggregator::for_layout(&layout, &OPS);
         for chunk in &chunks {
-            chunk.fold(&mut sequential, &mut grouper, &layout, None);
+            chunk.fold(&mut one_pass, &layout, None);
         }
+        let sequential = one_pass.take();
 
         let mut scratch = MorselScratch::new(&layout, &OPS);
-        let mut partials = chunks.iter().map(|chunk| {
-            chunk.fold(&mut scratch.partial, &mut scratch.grouper, &layout, None);
+        let partials = chunks.iter().map(|chunk| {
+            chunk.fold(&mut scratch.agg, &layout, None);
             scratch.take_partial()
         });
-        let mut merged = partials.next().unwrap();
-        let mut index = Grouper::over(&layout, merged.keys());
-        for partial in partials {
-            merged.merge(&mut index, &partial);
-        }
+        let merged = Aggregator::for_layout(&layout, &OPS).merge(partials);
         prop_assert_eq!(bits(&merged), bits(&sequential));
     }
 
@@ -274,5 +443,59 @@ proptest! {
         let mut coords: Vec<_> = (0..cube.len()).map(|r| cube.coordinate(r)).collect();
         coords.dedup();
         prop_assert_eq!(coords.len(), cube.len(), "every cell has its own coordinate");
+    }
+}
+
+proptest! {
+    // Each case runs 30 scans, some with 2^20-entry state per worker.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The per-key fold equals the slot fold it replaced, bit for bit, on
+    /// both sides of the direct-addressing bound: clustered runs of equal
+    /// keys, `−0.0`, NaN and `±∞` values, with and without a selection, at
+    /// morsel sizes 1, 2, 3, 7 and the default, on 1, 2 and 8 threads. Every
+    /// scan result, and every direct morsel partial, is in strictly
+    /// ascending key order.
+    #[test]
+    fn per_key_fold_equals_the_slot_fold_bit_for_bit(
+        seed in any::<u64>(),
+        split in 1u32..12,
+        rows in 1usize..400,
+        selected in any::<bool>(),
+    ) {
+        let (at, above) = straddling_layouts(split);
+        let mut next = lcg(seed);
+        let domain = [1 << (Grouper::DIRECT_BITS - split), 1 << split];
+        let chunk = clustered(&mut next, rows, domain);
+        let keep: Option<Vec<bool>> =
+            selected.then(|| (0..rows).map(|_| !next().is_multiple_of(3)).collect());
+        let pool = Arc::new(WorkerPool::new(7));
+        let ascending = |keys: &[u64]| keys.is_sorted_by(|a, b| a < b);
+        for layout in [at, above] {
+            let scan = Arc::new(ChunkScan { chunk: chunk.clone(), keep: keep.clone(), layout });
+            for morsel in [1, 2, 3, 7, EngineConfig::default().morsel_rows] {
+                let want = slot_fold(&scan, morsel);
+                for threads in [1, 2, 8] {
+                    let run = run_morsels(Some(&pool), threads, morsel, scan.clone(), None, None);
+                    let table = run.expect("the scan runs").table;
+                    prop_assert!(ascending(table.keys()), "morsel {} at {} threads", morsel, threads);
+                    prop_assert_eq!(
+                        state_bits(&table),
+                        want.clone(),
+                        "{} bits, morsel {}, {} threads",
+                        scan.layout.total_bits(),
+                        morsel,
+                        threads
+                    );
+                }
+                if Grouping::of(&scan.layout) == Grouping::Direct {
+                    let mut scratch = MorselScratch::new(&scan.layout, &OPS);
+                    for lo in (0..rows).step_by(morsel) {
+                        scan.process(lo, (lo + morsel).min(rows), &mut scratch).expect("folds");
+                        prop_assert!(ascending(scratch.take_partial().keys()));
+                    }
+                }
+            }
+        }
     }
 }

@@ -56,6 +56,18 @@ fn fact_columns(rows: &[Row]) -> Vec<Column> {
 /// (Avg) measure so maintenance exercises the rebuild path alongside the
 /// delta-merge path.
 fn catalog_with(rows: &[Row]) -> (Arc<Catalog>, Arc<CubeSchema>) {
+    let measures =
+        vec![MeasureDef::new("quantity", AggOp::Sum), MeasureDef::new("price", AggOp::Avg)];
+    sales_catalog(rows, measures, &["quantity", "price"])
+}
+
+/// The SALES cube over `rows` with `measures`, measure `i` aggregating the
+/// fact column `columns[i]`.
+fn sales_catalog(
+    rows: &[Row],
+    measures: Vec<MeasureDef>,
+    columns: &[&str],
+) -> (Arc<Catalog>, Arc<CubeSchema>) {
     let mut product = HierarchyBuilder::new("Product", ["product", "type"]);
     product.add_member_chain(&["Apple", "Fresh Fruit"]).unwrap();
     product.add_member_chain(&["Pear", "Fresh Fruit"]).unwrap();
@@ -70,14 +82,14 @@ fn catalog_with(rows: &[Row]) -> (Arc<Catalog>, Arc<CubeSchema>) {
     let schema = Arc::new(CubeSchema::new(
         "SALES",
         vec![product.build().unwrap(), store.build().unwrap(), date.build().unwrap()],
-        vec![MeasureDef::new("quantity", AggOp::Sum), MeasureDef::new("price", AggOp::Avg)],
+        measures,
     ));
     let fact = Table::new("sales", fact_columns(rows)).unwrap();
     let binding = CubeBinding::new(
         schema.clone(),
         &fact,
         vec!["pkey".into(), "skey".into(), "mkey".into()],
-        vec!["quantity".into(), "price".into()],
+        columns.iter().map(|c| c.to_string()).collect(),
         vec![
             DimInfo {
                 table: "product".into(),
@@ -297,6 +309,82 @@ proptest! {
                         name, m, i, seed
                     );
                 }
+            }
+        }
+    }
+}
+
+/// Every distributive operator over `quantity`.
+const EXTREMES: &[&str] = &["quantity", "least", "most", "rows"];
+
+/// The SALES cube with a Sum, a Min, a Max and a Count measure.
+fn extremes_catalog(rows: &[Row]) -> (Arc<Catalog>, Arc<CubeSchema>) {
+    let measures = vec![
+        MeasureDef::new("quantity", AggOp::Sum),
+        MeasureDef::new("least", AggOp::Min),
+        MeasureDef::new("most", AggOp::Max),
+        MeasureDef::new("rows", AggOp::Count),
+    ];
+    sales_catalog(rows, measures, &["quantity"; 4])
+}
+
+/// `view` with its rows in reverse order — out of key order.
+fn reversed(view: MaterializedAggregate) -> MaterializedAggregate {
+    let flip = |col: &[f64]| col.iter().rev().copied().collect::<Vec<f64>>();
+    let coords = view.coord_cols().iter().map(|c| c.iter().rev().copied().collect()).collect();
+    let measures = (0..view.measure_names().len()).map(|i| flip(view.measure_at(i).unwrap()));
+    MaterializedAggregate::new(
+        view.name(),
+        view.group_by().clone(),
+        coords,
+        view.measure_names().to_vec(),
+        measures.collect(),
+    )
+    .unwrap()
+    .with_source("SALES")
+}
+
+/// A view delta-merge is one walk over the view and the delta in key
+/// order. Whether the delta hits the view's first key, its last key, only
+/// new keys or only existing ones, and whether the view was registered in
+/// key order or out of it, the merged Sum, Min, Max and Count view is the
+/// view a from-scratch rebuild of the grown table yields, bit for bit.
+#[test]
+fn view_merge_walk_equals_rebuild_at_every_edge() {
+    // Base cells (product, month): (0, 1) first, (1, 2), (1, 4), (2, 3) last.
+    let base: Vec<Row> = [(0, 1, 5.0), (1, 2, 7.0), (1, 4, 2.0), (2, 3, 9.0), (0, 1, 3.0)]
+        .iter()
+        .map(|&(p, m, q)| (p, 0, m, q, 10.0))
+        .collect();
+    let deltas: [(&str, &[(i64, i64)]); 4] = [
+        ("first key", &[(0, 1)]),
+        ("last key", &[(2, 3), (2, 3)]),
+        ("only new keys", &[(0, 0), (1, 3), (2, 5)]),
+        ("only existing keys", &[(1, 4), (0, 1), (2, 3), (1, 2)]),
+    ];
+    let levels = ["product", "month"];
+    for (case, cells) in deltas {
+        for out_of_order in [false, true] {
+            let (cat, schema) = extremes_catalog(&base);
+            let view = build_view(&cat, &schema, "mv", &levels, EXTREMES);
+            cat.register_view(if out_of_order { reversed(view) } else { view });
+            let batch: Vec<Row> = (0..)
+                .zip(cells.iter())
+                .map(|(i, &(p, m))| (p, 1, m, f64::from(i) * 4.0 - 3.0, 10.0))
+                .collect();
+            let outcome =
+                Engine::new(cat.clone()).append("SALES", &fact_columns(&batch)).expect("commits");
+            assert_eq!((outcome.views_merged, outcome.views_rebuilt), (1, 0), "{case}");
+
+            let stored = cat.views().into_iter().find(|v| v.name() == "mv").expect("kept");
+            let fresh = build_view(&cat, &schema, "mv", &levels, EXTREMES);
+            let at = format!("{case}, registered out of order: {out_of_order}");
+            assert_eq!(stored.coord_cols(), fresh.coord_cols(), "{at}");
+            for m in EXTREMES {
+                let bits = |v: &MaterializedAggregate| {
+                    v.measure(m).expect("measure").iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&stored), bits(&fresh), "{m}: {at}");
             }
         }
     }

@@ -189,7 +189,10 @@ pub(crate) fn cube_fields(
     match format {
         RunFormat::Csv => vec![("csv", s(cube.to_csv()))],
         RunFormat::Cells => {
-            let rows = cube.cells().iter().take(limit).map(serde::Serialize::to_value).collect();
+            // Only the rows sent are decoded.
+            let rows = (0..cube.len().min(limit))
+                .map(|row| serde::Serialize::to_value(&cube.cell(row)))
+                .collect();
             vec![("rows", Value::Array(rows)), ("truncated", Value::Bool(cube.len() > limit))]
         }
     }

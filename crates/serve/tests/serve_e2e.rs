@@ -802,30 +802,43 @@ fn soft_shedding_drops_traces_and_cache_inserts_under_pressure() {
 
     // Six uncached traced runs pile onto the single worker; the sends are
     // microseconds apart while each run takes milliseconds, so the later
-    // admissions see outstanding ≥ 5 and are shed.
-    let xs: Vec<u64> = (0..6)
-        .map(|_| {
-            client
-                .send(vec![
-                    ("op", Value::String("run".into())),
-                    ("statement", Value::String(SIBLING.into())),
-                    ("cache", Value::Bool(false)),
-                    ("trace", Value::Bool(true)),
-                ])
-                .unwrap()
-        })
-        .collect();
-    // A seventh, cacheable run queued at peak pressure: its insert is shed.
-    let y = client
-        .send(vec![
-            ("op", Value::String("run".into())),
-            ("statement", Value::String(CONSTANT.into())),
-            ("trace", Value::Bool(true)),
-        ])
-        .unwrap();
+    // admissions see outstanding ≥ 5 and are shed. On a loaded host the
+    // worker can drain the pile as fast as the reader admits it, so no
+    // admission sees the pressure: pile again until one does, emptying the
+    // cache first so Y stays a cold, cacheable run.
+    let mut attempts = 0;
+    let (x_responses, y_response) = loop {
+        let xs: Vec<u64> = (0..6)
+            .map(|_| {
+                client
+                    .send(vec![
+                        ("op", Value::String("run".into())),
+                        ("statement", Value::String(SIBLING.into())),
+                        ("cache", Value::Bool(false)),
+                        ("trace", Value::Bool(true)),
+                    ])
+                    .unwrap()
+            })
+            .collect();
+        // A seventh, cacheable run queued at peak pressure: its insert is shed.
+        let y = client
+            .send(vec![
+                ("op", Value::String("run".into())),
+                ("statement", Value::String(CONSTANT.into())),
+                ("trace", Value::Bool(true)),
+            ])
+            .unwrap();
 
-    let x_responses: Vec<Value> = xs.iter().map(|&id| client.wait_for(id).unwrap()).collect();
-    let y_response = client.wait_for(y).unwrap();
+        let x_responses: Vec<Value> = xs.iter().map(|&id| client.wait_for(id).unwrap()).collect();
+        let y_response = client.wait_for(y).unwrap();
+        attempts += 1;
+        let shed =
+            x_responses.iter().any(|r| r.get("shed").and_then(Value::as_str) == Some("light"));
+        if shed || attempts == 50 {
+            break (x_responses, y_response);
+        }
+        assert_ok(&client.request(vec![("op", Value::String("invalidate_cache".into()))]).unwrap());
+    };
     for response in x_responses.iter().chain([&y_response]) {
         assert_ok(response);
         let shed = response.get("shed").and_then(Value::as_str) == Some("light");
@@ -1581,6 +1594,53 @@ fn run_batch_and_subscribe_answer_a_statement_alike() {
             }
         }
     }
+    handle.shutdown();
+}
+
+/// A `limit` cuts the answer after its first cells: a limited `run` or
+/// `batch` sends exactly the leading rows of the unlimited answer, and
+/// `truncated` says whether any were left out.
+#[test]
+fn a_limited_answer_is_the_head_of_the_whole_one() {
+    let handle = boot(ServerConfig { cache_capacity: 0, ..ServerConfig::default() });
+    let mut client = connect(&handle);
+    let text = |statement: &str| Value::String(statement.to_string());
+    let run = |client: &mut LineClient, limit: f64| {
+        let response = client
+            .request(vec![
+                ("op", text("run")),
+                ("statement", text(CONSTANT)),
+                ("limit", Value::Number(limit)),
+            ])
+            .unwrap();
+        assert_ok(&response);
+        response
+    };
+    let rows = |response: &Value| response.get("rows").and_then(Value::as_array).unwrap().clone();
+    let truncated = |response: &Value| response.get("truncated").and_then(Value::as_bool);
+
+    let whole = run(&mut client, 1e9);
+    let all = rows(&whole);
+    assert_eq!(truncated(&whole), Some(false));
+    assert_eq!(whole.get("cells").and_then(Value::as_f64), Some(all.len() as f64));
+    assert!(all.len() > 3, "the statement needs more cells than the limit: {}", all.len());
+
+    for limit in [0, 1, 3, all.len() - 1, all.len()] {
+        let head = run(&mut client, limit as f64);
+        assert_eq!(rows(&head), all[..limit], "limit {limit}");
+        assert_eq!(truncated(&head), Some(limit < all.len()), "limit {limit}");
+    }
+    let batch = client
+        .request(vec![
+            ("op", text("batch")),
+            ("statements", Value::Array(vec![text(CONSTANT)])),
+            ("limit", Value::Number(3.0)),
+        ])
+        .unwrap();
+    assert_ok(&batch);
+    let member = &batch.get("results").and_then(Value::as_array).expect("batch results")[0];
+    assert_eq!(rows(member), all[..3]);
+    assert_eq!(truncated(member), Some(true));
     handle.shutdown();
 }
 
