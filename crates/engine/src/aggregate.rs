@@ -3,12 +3,14 @@
 //! folds rows and merges partials with.
 //!
 //! A [`Partial`] is plain data — group keys plus one state column per
-//! measure — and carries no index. Over a layout of at most
-//! [`Grouper::DIRECT_BITS`] bits, rows and partials fold straight into
-//! per-key state indexed by the packed key and come out in ascending key
-//! order; wider layouts resolve keys to slots through a hashed
-//! [`Grouper`] and are put in key order once, at the end of the merge. So
-//! every scan result is in ascending key order — coordinate order.
+//! measure — and carries no index. An [`Aggregator`] folds rows and
+//! partials through one kernel, one [`StateOp`] per state column; only how
+//! a key finds its state entry depends on the layout. Over a layout of at
+//! most [`Grouper::DIRECT_BITS`] bits the entry is at the packed key
+//! itself and groups come out in ascending key order; over a wider layout
+//! a hashed [`Grouper`] resolves keys to first-seen slots, and the merge
+//! puts the groups in key order once, at its end. So every scan result is
+//! in ascending key order — coordinate order.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -25,40 +27,6 @@ pub enum Accumulator {
     Max(Vec<f64>),
     Count(Vec<f64>),
     Avg { sums: Vec<f64>, counts: Vec<f64> },
-}
-
-/// `state[slots[i]] = f(state[slots[i]], x_i)` in `i` order, where `x_i` is
-/// `lane[selection[i]]` under a selection and `lane[i]` otherwise. The
-/// operator is a type parameter, so each call site compiles to its own
-/// branch-free loop.
-#[inline(always)]
-fn scatter(
-    state: &mut [f64],
-    slots: &[u32],
-    selection: Option<&[u32]>,
-    lane: &[f64],
-    f: impl Fn(f64, f64) -> f64,
-) {
-    match selection {
-        Some(sel) => {
-            for (&slot, &row) in slots.iter().zip(sel) {
-                let cell = &mut state[slot as usize];
-                *cell = f(*cell, lane[row as usize]);
-            }
-        }
-        None => {
-            for (&slot, &x) in slots.iter().zip(lane) {
-                let cell = &mut state[slot as usize];
-                *cell = f(*cell, x);
-            }
-        }
-    }
-}
-
-fn count_rows(counts: &mut [f64], slots: &[u32]) {
-    for &slot in slots {
-        counts[slot as usize] += 1.0;
-    }
 }
 
 impl Accumulator {
@@ -95,7 +63,7 @@ impl Accumulator {
     }
 
     /// The state columns, in [`StateOp::of`] order.
-    fn states(&self) -> impl Iterator<Item = &[f64]> {
+    pub(crate) fn states(&self) -> impl Iterator<Item = &[f64]> {
         match self {
             Accumulator::Sum(v)
             | Accumulator::Min(v)
@@ -125,55 +93,6 @@ impl Accumulator {
         let pick = |v: &[f64]| -> Vec<f64> { slots.iter().map(|&s| v[s as usize]).collect() };
         let mut states = self.states().map(pick).collect::<Vec<_>>().into_iter();
         Accumulator::from_states(self.op(), &mut states)
-    }
-
-    /// Resizes to `n` group slots, initializing new slots to the identity.
-    pub fn grow_to(&mut self, n: usize) {
-        match self {
-            Accumulator::Sum(v) | Accumulator::Count(v) => v.resize(n, 0.0),
-            Accumulator::Min(v) => v.resize(n, f64::INFINITY),
-            Accumulator::Max(v) => v.resize(n, f64::NEG_INFINITY),
-            Accumulator::Avg { sums, counts } => {
-                sums.resize(n, 0.0);
-                counts.resize(n, 0.0);
-            }
-        }
-    }
-
-    /// Folds a batch of rows, row `i` into slot `slots[i]`, in row order;
-    /// the operator is matched once per batch, not per row.
-    fn fold_rows(&mut self, slots: &[u32], selection: Option<&[u32]>, lane: &[f64]) {
-        match self {
-            Accumulator::Sum(v) => scatter(v, slots, selection, lane, |a, x| a + x),
-            Accumulator::Min(v) => scatter(v, slots, selection, lane, f64::min),
-            Accumulator::Max(v) => scatter(v, slots, selection, lane, f64::max),
-            Accumulator::Count(v) => count_rows(v, slots),
-            Accumulator::Avg { sums, counts } => {
-                scatter(sums, slots, selection, lane, |a, x| a + x);
-                count_rows(counts, slots);
-            }
-        }
-    }
-
-    /// Merges `other`'s slot `i` into this one's slot `slots[i]`, in slot
-    /// order — the hashed layouts' merge rule.
-    fn merge_rows(&mut self, slots: &[u32], other: &Accumulator) {
-        match (self, other) {
-            (Accumulator::Sum(a), Accumulator::Sum(b))
-            | (Accumulator::Count(a), Accumulator::Count(b)) => {
-                scatter(a, slots, None, b, |a, x| a + x)
-            }
-            (Accumulator::Min(a), Accumulator::Min(b)) => scatter(a, slots, None, b, f64::min),
-            (Accumulator::Max(a), Accumulator::Max(b)) => scatter(a, slots, None, b, f64::max),
-            (
-                Accumulator::Avg { sums: asums, counts: acounts },
-                Accumulator::Avg { sums: bsums, counts: bcounts },
-            ) => {
-                scatter(asums, slots, None, bsums, |a, x| a + x);
-                scatter(acounts, slots, None, bcounts, |a, x| a + x);
-            }
-            _ => unreachable!("merging accumulators of different operators"),
-        }
     }
 
     /// Finalizes into per-group values.
@@ -246,52 +165,10 @@ impl Partial {
         &self.accs
     }
 
-    /// Drops every group, keeping the operators and the allocations.
-    fn clear(&mut self) {
-        self.keys.clear();
-        self.grow();
-    }
-
-    /// Brings every state column to the key count (new slots at identity).
-    fn grow(&mut self) {
-        for acc in &mut self.accs {
-            acc.grow_to(self.keys.len());
-        }
-    }
-
     /// The finalized column of measure `measure_idx` (a copy: fused
     /// operators probe one side's values before materializing the other).
     pub fn measure(&self, measure_idx: usize) -> Vec<f64> {
         self.accs[measure_idx].clone().finish()
-    }
-
-    /// Merges `other` into this partial: matching keys fold per operator,
-    /// unseen keys append at identity and then fold. `grouper` must index
-    /// exactly this partial's keys and keeps doing so afterwards.
-    fn merge(&mut self, grouper: &mut Grouper, other: &Partial) {
-        grouper.index.resolve(&other.keys, &mut grouper.slots, &mut self.keys);
-        self.grow();
-        for (acc, oacc) in self.accs.iter_mut().zip(&other.accs) {
-            acc.merge_rows(&grouper.slots, oacc);
-        }
-    }
-
-    /// Folds a batch of rows, row `i` (`selection[i]` under a selection)
-    /// into the slot `grouper` resolves `packed[i]` to, in row order — the
-    /// hashed layouts' fold. `grouper` must index exactly this partial's
-    /// keys and keeps doing so afterwards.
-    fn fold_slots<'a>(
-        &mut self,
-        grouper: &mut Grouper,
-        packed: &[u64],
-        selection: Option<&[u32]>,
-        measures: impl IntoIterator<Item = &'a [f64]>,
-    ) {
-        grouper.index.resolve(packed, &mut grouper.slots, &mut self.keys);
-        self.grow();
-        for (acc, lane) in self.accs.iter_mut().zip(measures) {
-            acc.fold_rows(&grouper.slots, selection, lane);
-        }
     }
 
     /// Finalizes into `(keys, measure columns)`, in stored order.
@@ -373,49 +250,20 @@ impl Hasher for KeyHasher {
     }
 }
 
-#[derive(Debug)]
-enum Index {
-    /// One entry per point of the key space: `table[key]` is the key's
-    /// slot **plus one**, 0 while vacant (so the table starts as lazily
-    /// zeroed pages and only touched pages ever become resident).
-    Direct(Vec<u32>),
-    Hashed(HashMap<u64, u32, BuildHasherDefault<KeyHasher>>),
-}
-
-impl Index {
-    /// Resolves a batch: `slots[i]` becomes the slot of `batch[i]` among
-    /// `keys`, unseen keys appending in batch order.
-    fn resolve(&mut self, batch: &[u64], slots: &mut Vec<u32>, keys: &mut Vec<u64>) {
-        slots.clear();
-        match self {
-            Index::Direct(table) => slots.extend(batch.iter().map(|&key| {
-                let entry = &mut table[key as usize];
-                if *entry == 0 {
-                    keys.push(key);
-                    *entry = keys.len() as u32;
-                }
-                *entry - 1
-            })),
-            Index::Hashed(map) => slots.extend(batch.iter().map(|&key| {
-                *map.entry(key).or_insert_with(|| {
-                    keys.push(key);
-                    keys.len() as u32 - 1
-                })
-            })),
-        }
-    }
-}
-
-/// Resolves packed keys to the slots of a [`Partial`]: by direct
-/// addressing — a flat array indexed by the key itself — when the layout's
-/// key space is small, by a multiplicative-hash map otherwise. Scans fold
-/// through it only over hashed layouts; [`Grouper::over`] builds the probe
-/// index of a finished partial for either.
-#[derive(Debug)]
+/// Resolves packed keys to slots: by direct addressing — a flat array
+/// indexed by the key itself — when the layout's key space is small, by a
+/// multiplicative-hash map otherwise. A hashed layout's [`Aggregator`]
+/// finds its state entries through one; [`Grouper::over`] builds the probe
+/// index of a finished partial for either layout.
+#[derive(Debug, Default)]
 pub struct Grouper {
-    index: Index,
-    /// Scratch: the slot of every row (or merged group) of the batch.
-    slots: Vec<u32>,
+    /// Over a direct layout, one entry per point of the key space:
+    /// `direct[key]` is the key's slot **plus one**, 0 while vacant (so the
+    /// table starts as lazily zeroed pages and only touched pages ever
+    /// become resident). Empty over a hashed layout.
+    direct: Vec<u32>,
+    /// Over a hashed layout, the slot of every indexed key.
+    hashed: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
 }
 
 impl Grouper {
@@ -427,47 +275,44 @@ impl Grouper {
     /// partials.
     pub const DIRECT_BITS: u32 = 20;
 
-    /// An empty grouper for keys of `layout`.
-    fn for_layout(layout: &KeyLayout) -> Self {
-        let index = match Grouping::of(layout) {
-            Grouping::Direct => Index::Direct(vec![0; 1 << layout.total_bits()]),
-            Grouping::Hashed => Index::Hashed(HashMap::default()),
-        };
-        Grouper { index, slots: Vec::new() }
-    }
-
-    /// A grouper indexing `keys[i] → i`; the keys must be distinct (they
-    /// resolve, in order, against an empty key list).
+    /// A grouper indexing `keys[i] → i`; the keys must be distinct.
     pub fn over(layout: &KeyLayout, keys: &[u64]) -> Self {
-        let mut grouper = Grouper::for_layout(layout);
-        grouper.index.resolve(keys, &mut grouper.slots, &mut Vec::with_capacity(keys.len()));
+        let mut grouper = Grouper::default();
+        match Grouping::of(layout) {
+            Grouping::Direct => {
+                grouper.direct = vec![0; 1 << layout.total_bits()];
+                keys.iter().zip(1..).for_each(|(&key, entry)| grouper.direct[key as usize] = entry);
+            }
+            Grouping::Hashed => grouper.hashed.extend(keys.iter().copied().zip(0..)),
+        }
         grouper
     }
 
     /// The slot of `key`, if indexed.
     pub fn lookup(&self, key: u64) -> Option<usize> {
-        match &self.index {
-            Index::Direct(table) => match table.get(key as usize) {
-                Some(&entry) if entry != 0 => Some(entry as usize - 1),
-                _ => None,
-            },
-            Index::Hashed(map) => map.get(&key).map(|&slot| slot as usize),
+        match self.direct.get(key as usize) {
+            Some(&entry) => (entry as usize).checked_sub(1),
+            None => self.hashed.get(&key).map(|&slot| slot as usize),
         }
     }
 
-    /// Forgets every indexed key. `keys` must list them all — the direct
-    /// index is cleared by walking them, O(groups) and never O(key space).
-    fn clear(&mut self, keys: &[u64]) {
-        match &mut self.index {
-            Index::Direct(table) => keys.iter().for_each(|&key| table[key as usize] = 0),
-            Index::Hashed(map) => map.clear(),
+    /// Rewrites every key of `batch`, in place, into its slot among `keys`,
+    /// unseen keys appending in batch order. Hashed groupers only.
+    fn resolve(&mut self, batch: &mut [u64], keys: &mut Vec<u64>) {
+        for at in batch {
+            let key = *at;
+            *at = u64::from(*self.hashed.entry(key).or_insert_with(|| {
+                keys.push(key);
+                keys.len() as u32 - 1
+            }));
         }
     }
 }
 
-/// One state column's fold: a row's value and another partial's state.
+/// One state column's fold: a row's value and another partial's state —
+/// the distributive table (Gray et al.) every partial merge uses.
 #[derive(Debug, Clone, Copy)]
-enum StateOp {
+pub(crate) enum StateOp {
     Sum,
     Count,
     Min,
@@ -476,7 +321,7 @@ enum StateOp {
 
 impl StateOp {
     /// The state columns of `op`, in its [`Accumulator`]'s order.
-    fn of(op: AggOp) -> &'static [StateOp] {
+    pub(crate) fn of(op: AggOp) -> &'static [StateOp] {
         match op {
             AggOp::Sum => &[StateOp::Sum],
             AggOp::Count => &[StateOp::Count],
@@ -489,7 +334,7 @@ impl StateOp {
     /// The bits of the identity. State is stored XORed with them, so zeroed
     /// memory reads as identity: `+0.0` for sums and counts, `±∞` for Min
     /// and Max.
-    fn identity(self) -> u64 {
+    pub(crate) fn identity(self) -> u64 {
         match self {
             StateOp::Sum | StateOp::Count => 0,
             StateOp::Min => f64::INFINITY.to_bits(),
@@ -497,13 +342,23 @@ impl StateOp {
         }
     }
 
-    /// Folds a batch of rows, row `i` into `state[keys[i]]`, in row order;
-    /// `mark` sees every key whose state loads.
+    /// Folds state `x` into state `a`, one pair at a time — the operator
+    /// [`StateOp::merge`] applies per key.
+    pub(crate) fn apply(self, a: f64, x: f64) -> f64 {
+        match self {
+            StateOp::Sum | StateOp::Count => a + x,
+            StateOp::Min => a.min(x),
+            StateOp::Max => a.max(x),
+        }
+    }
+
+    /// Folds a batch of rows, row `i` into `state[at[i]]`, in row order;
+    /// `mark` sees every position whose state loads.
     #[inline(always)]
     fn fold_rows(
         self,
         state: &mut [u64],
-        keys: &[u64],
+        at: &[u64],
         selection: Option<&[u32]>,
         lane: &[f64],
         mark: impl FnMut(usize),
@@ -512,64 +367,89 @@ impl StateOp {
         let (all, add) = (lane.iter().copied(), |a: f64, x: f64| a + x);
         let picked = selection.map(|sel| sel.iter().map(|&row| lane[row as usize]));
         match (self, picked) {
-            (StateOp::Count, _) => fold_runs(state, id, keys, std::iter::repeat(1.0), add, mark),
-            (StateOp::Sum, None) => fold_runs(state, id, keys, all, add, mark),
-            (StateOp::Sum, Some(picked)) => fold_runs(state, id, keys, picked, add, mark),
-            (StateOp::Min, None) => fold_runs(state, id, keys, all, f64::min, mark),
-            (StateOp::Min, Some(picked)) => fold_runs(state, id, keys, picked, f64::min, mark),
-            (StateOp::Max, None) => fold_runs(state, id, keys, all, f64::max, mark),
-            (StateOp::Max, Some(picked)) => fold_runs(state, id, keys, picked, f64::max, mark),
+            (StateOp::Count, _) => fold_runs(state, id, at, std::iter::repeat(1.0), add, mark),
+            (StateOp::Sum, None) => fold_runs(state, id, at, all, add, mark),
+            (StateOp::Sum, Some(picked)) => fold_runs(state, id, at, picked, add, mark),
+            (StateOp::Min, None) => fold_runs(state, id, at, all, f64::min, mark),
+            (StateOp::Min, Some(picked)) => fold_runs(state, id, at, picked, f64::min, mark),
+            (StateOp::Max, None) => fold_runs(state, id, at, all, f64::max, mark),
+            (StateOp::Max, Some(picked)) => fold_runs(state, id, at, picked, f64::max, mark),
         }
     }
 
-    /// Folds another partial's state `values[i]` into `state[keys[i]]`.
-    fn merge(self, state: &mut [u64], keys: &[u64], values: &[f64]) {
+    /// Folds another partial's state `values[i]` into `state[at[i]]`.
+    fn merge(self, state: &mut [u64], at: &[u64], values: &[f64]) {
         let (id, values) = (self.identity(), values.iter().copied());
         match self {
-            StateOp::Sum | StateOp::Count => fold_runs(state, id, keys, values, |a, x| a + x, drop),
-            StateOp::Min => fold_runs(state, id, keys, values, f64::min, drop),
-            StateOp::Max => fold_runs(state, id, keys, values, f64::max, drop),
+            StateOp::Sum | StateOp::Count => fold_runs(state, id, at, values, |a, x| a + x, drop),
+            StateOp::Min => fold_runs(state, id, at, values, f64::min, drop),
+            StateOp::Max => fold_runs(state, id, at, values, f64::max, drop),
         }
+    }
+
+    /// The states stored in `entries`.
+    fn values(self, entries: impl Iterator<Item = u64>) -> Vec<f64> {
+        let id = self.identity();
+        entries.map(|bits| f64::from_bits(bits ^ id)).collect()
     }
 }
 
-/// `state[keys[i]] = f(state[keys[i]], x_i)` in `i` order, state stored
-/// XORed with the identity bits `id`; `mark` sees every key whose state
-/// loads. A run of equal consecutive keys folds in a register: the state
-/// loads when the key changes and stores when it changes again — the same
-/// operations in the same order as a load and a store per row, without
-/// each row waiting for the previous one's store.
+/// `state[at[i]] = f(state[at[i]], x_i)` in `i` order, state stored XORed
+/// with the identity bits `id`; `mark` sees every position whose state
+/// loads. A run of equal consecutive positions folds in a register: the
+/// state loads when the position changes and stores when it changes again
+/// — the same operations in the same order as a load and a store per row,
+/// without each row waiting for the previous one's store.
 #[inline(always)]
 fn fold_runs(
     state: &mut [u64],
     id: u64,
-    keys: &[u64],
+    at: &[u64],
     values: impl Iterator<Item = f64>,
     f: impl Fn(f64, f64) -> f64,
     mut mark: impl FnMut(usize),
 ) {
-    let mut rows = keys.iter().zip(values);
+    let mut rows = at.iter().zip(values);
     let Some((&first, x)) = rows.next() else { return };
-    let mut key = first as usize;
-    mark(key);
-    let mut acc = f(f64::from_bits(state[key] ^ id), x);
+    let mut pos = first as usize;
+    mark(pos);
+    let mut acc = f(f64::from_bits(state[pos] ^ id), x);
     for (&next, x) in rows {
         let next = next as usize;
-        if next != key {
-            state[key] = acc.to_bits() ^ id;
-            key = next;
-            mark(key);
-            acc = f64::from_bits(state[key] ^ id);
+        if next != pos {
+            state[pos] = acc.to_bits() ^ id;
+            pos = next;
+            mark(pos);
+            acc = f64::from_bits(state[pos] ^ id);
         }
         acc = f(acc, x);
     }
-    state[key] = acc.to_bits() ^ id;
+    state[pos] = acc.to_bits() ^ id;
 }
 
-/// The keys a [`KeyedState`] holds: one byte per key and one per block of
-/// 64 keys. A key's first touch stores both bytes, later touches only read
-/// its own — no bit is read-modify-written, so no row waits on the store
-/// of the row before. The walk of [`Marks::take`] clears them.
+/// Folds one value lane per state column of `cols` into the entries at
+/// `at`, row `i` (`selection[i]` under a selection) into `at[i]`, in row
+/// order; `mark` sees every position the first column loads (every
+/// position, when there is no column).
+fn fold_lanes<'a>(
+    cols: &mut [(StateOp, Vec<u64>)],
+    at: &[u64],
+    selection: Option<&[u32]>,
+    lanes: impl Iterator<Item = &'a [f64]>,
+    mut mark: impl FnMut(usize),
+) {
+    let mut cols = cols.iter_mut().zip(lanes);
+    match cols.next() {
+        Some(((op, state), lane)) => op.fold_rows(state, at, selection, lane, mark),
+        None => at.iter().for_each(|&pos| mark(pos as usize)),
+    }
+    cols.for_each(|((op, state), lane)| op.fold_rows(state, at, selection, lane, drop));
+}
+
+/// The keys a direct [`Aggregator`] holds: one byte per key and one per
+/// block of 64 keys. A key's first touch stores both bytes, later touches
+/// only read its own — no bit is read-modify-written, so no row waits on
+/// the store of the row before. The walk of [`Marks::take`] clears them.
 #[derive(Debug)]
 struct Marks {
     keys: Vec<u8>,
@@ -608,133 +488,101 @@ impl Marks {
     }
 }
 
-/// Aggregation state over the whole key space of a direct layout: per
-/// state column, one entry per packed key, and the [`Marks`] of the keys
-/// touched since the last [`KeyedState::take`]. Everything starts as
-/// zeroed memory — zero reads as identity (see [`StateOp::identity`]) — so
-/// only touched pages become resident, and a take walks the marks: O(groups
-/// + key space / 64), never O(key space).
-#[derive(Debug)]
-struct KeyedState {
-    ops: Vec<AggOp>,
-    /// Per state column of `ops` (in [`StateOp::of`] order): its fold and
-    /// its entries, indexed by packed key.
-    cols: Vec<(StateOp, Vec<u64>)>,
-    marks: Marks,
-}
-
-impl KeyedState {
-    fn new(layout: &KeyLayout, ops: &[AggOp]) -> Self {
-        let keys = 1usize << layout.total_bits();
-        KeyedState {
-            ops: ops.to_vec(),
-            cols: ops.iter().flat_map(|&op| StateOp::of(op)).map(|&s| (s, vec![0; keys])).collect(),
-            marks: Marks::new(keys),
-        }
-    }
-
-    /// Folds a batch of rows, row `i` (`selection[i]` under a selection)
-    /// into the state of `keys[i]`, in row order; one value lane per
-    /// measure. The first state column's fold marks the keys.
-    fn fold_rows<'a>(
-        &mut self,
-        keys: &[u64],
-        selection: Option<&[u32]>,
-        measures: impl IntoIterator<Item = &'a [f64]>,
-    ) {
-        let (mut cols, marks) = (self.cols.iter_mut(), &mut self.marks);
-        let mut marked = false;
-        for (op, lane) in self.ops.iter().zip(measures) {
-            for (state_op, state) in cols.by_ref().take(StateOp::of(*op).len()) {
-                if marked {
-                    state_op.fold_rows(state, keys, selection, lane, |_| {});
-                } else {
-                    state_op.fold_rows(state, keys, selection, lane, |key| marks.set(key));
-                    marked = true;
-                }
-            }
-        }
-        if !marked {
-            keys.iter().for_each(|&key| marks.set(key as usize));
-        }
-    }
-
-    /// Folds `partial`'s groups into their keys' state.
-    fn merge(&mut self, partial: &Partial) {
-        partial.keys.iter().for_each(|&key| self.marks.set(key as usize));
-        let states = partial.accs.iter().flat_map(Accumulator::states);
-        for ((state_op, state), values) in self.cols.iter_mut().zip(states) {
-            state_op.merge(state, &partial.keys, values);
-        }
-    }
-
-    /// Hands out every touched key's state as a partial in ascending key
-    /// order, and resets those keys to identity.
-    fn take(&mut self) -> Partial {
-        let keys = self.marks.take();
-        let mut states = self.cols.iter_mut().map(|(state_op, col)| {
-            let id = state_op.identity();
-            keys.iter()
-                .map(|&key| f64::from_bits(std::mem::take(&mut col[key as usize]) ^ id))
-                .collect()
-        });
-        let accs = self.ops.iter().map(|&op| Accumulator::from_states(op, &mut states)).collect();
-        Partial { keys, accs }
-    }
-}
-
-/// Folds a scan's rows, chunk by chunk, into one partial per morsel: over
-/// a direct layout into per-key state, otherwise into a [`Partial`] through
-/// a hashed [`Grouper`]. A worker owns one for the whole scan;
-/// [`Aggregator::take`] hands out a morsel's partial and resets it.
+/// Folds a scan's rows, chunk by chunk, and partials into per-group state:
+/// one column of entries per state operator ([`StateOp`]), stored XORed
+/// with its identity, so zeroed memory reads as identity for every
+/// operator. Fold, merge and take run the same code over either layout;
+/// only where a key's entry sits differs ([`Positions`]). A worker owns
+/// one for the whole scan; [`Aggregator::take`] hands out a morsel's
+/// partial and resets it.
 #[derive(Debug)]
 pub struct Aggregator {
-    /// Scratch: the packed keys of the chunk being folded.
+    ops: Vec<AggOp>,
+    /// Per state column of `ops`, in [`StateOp::of`] order: its operator
+    /// and its entries.
+    cols: Vec<(StateOp, Vec<u64>)>,
+    positions: Positions,
+    /// Scratch: the packed keys of the batch being folded, then their
+    /// positions.
     packed: Vec<u64>,
-    fold: Fold,
 }
 
+/// Where an [`Aggregator`] keeps a key's state entry.
 #[derive(Debug)]
-enum Fold {
-    Keyed(KeyedState),
-    Hashed(Grouper, Partial),
+enum Positions {
+    /// At the packed key itself. The columns span the direct layout's key
+    /// space as zeroed memory, of which only touched pages become
+    /// resident; the [`Marks`] hold the keys touched since the last take,
+    /// so a take is O(groups + key space / 64), never O(key space).
+    Direct(Marks),
+    /// At the key's slot among `keys` (first-seen order), which the hashed
+    /// [`Grouper`] resolves. The columns grow with zeros as keys arrive.
+    Hashed(Grouper, Vec<u64>),
+}
+
+impl Positions {
+    /// Rewrites the packed keys of `batch`, in place, into their
+    /// positions, growing `cols` to cover every key — a no-op over a
+    /// direct layout.
+    fn locate(&mut self, batch: &mut [u64], cols: &mut [(StateOp, Vec<u64>)]) {
+        if let Positions::Hashed(grouper, keys) = self {
+            grouper.resolve(batch, keys);
+            cols.iter_mut().for_each(|(_, entries)| entries.resize(keys.len(), 0));
+        }
+    }
 }
 
 impl Aggregator {
     /// An empty aggregator for keys of `layout` and measures of `ops`.
     pub fn for_layout(layout: &KeyLayout, ops: &[AggOp]) -> Self {
-        let fold = match Grouping::of(layout) {
-            Grouping::Direct => Fold::Keyed(KeyedState::new(layout, ops)),
-            Grouping::Hashed => Fold::Hashed(Grouper::for_layout(layout), Partial::new(ops)),
+        let (positions, entries) = match Grouping::of(layout) {
+            Grouping::Direct => {
+                let keys = 1usize << layout.total_bits();
+                (Positions::Direct(Marks::new(keys)), keys)
+            }
+            Grouping::Hashed => (Positions::Hashed(Grouper::default(), Vec::new()), 0),
         };
-        Aggregator { packed: Vec::new(), fold }
+        let cols = ops.iter().flat_map(|&op| StateOp::of(op)).map(|&s| (s, vec![0; entries]));
+        Aggregator { ops: ops.to_vec(), cols: cols.collect(), positions, packed: Vec::new() }
     }
 
     /// Hands out the groups folded since the last take — in ascending key
     /// order over a direct layout, first-seen order over a hashed one — and
-    /// resets for the next morsel.
+    /// resets for the next morsel: a direct layout's touched entries go
+    /// back to identity, a hashed layout's columns are drained.
     pub fn take(&mut self) -> Partial {
-        match &mut self.fold {
-            Fold::Keyed(state) => state.take(),
-            Fold::Hashed(grouper, partial) => {
-                let out = partial.clone();
-                grouper.clear(out.keys());
-                partial.clear();
-                out
+        let (keys, states): (Vec<u64>, Vec<Vec<f64>>) = match &mut self.positions {
+            Positions::Direct(marks) => {
+                let keys = marks.take();
+                let states = (self.cols.iter_mut())
+                    .map(|(op, entries)| {
+                        op.values(
+                            keys.iter().map(|&key| std::mem::take(&mut entries[key as usize])),
+                        )
+                    })
+                    .collect();
+                (keys, states)
             }
-        }
+            Positions::Hashed(grouper, keys) => {
+                grouper.hashed.clear();
+                let states = self.cols.iter_mut().map(|(op, entries)| op.values(entries.drain(..)));
+                (std::mem::take(keys), states.collect())
+            }
+        };
+        let mut states = states.into_iter();
+        let accs = self.ops.iter().map(|&op| Accumulator::from_states(op, &mut states)).collect();
+        Partial { keys, accs }
     }
 
     /// Folds `partials`, in order, into one partial in **ascending key
     /// order** — the one merge of morsel partials (in morsel order) and
-    /// shard partials (in shard order). Over a direct layout they fold into
-    /// this aggregator's per-key state, which emits in key order; over a
-    /// hashed one they merge through its [`Grouper`] and the result is
-    /// sorted once. The aggregator must be empty (as a take leaves it) and
-    /// is left empty. The fold starts from identity, and `f(id, v) = v` for
-    /// every state `v` a fold from identity produces (a sum from `+0.0` is
-    /// never `−0.0`, `f64::min`/`max` from `±∞` never NaN), so a lone
-    /// partial already in key order is its own merge.
+    /// shard partials (in shard order). They fold into this aggregator's
+    /// state, which a direct layout emits in key order and a hashed one is
+    /// sorted into once. The aggregator must be empty (as a take leaves
+    /// it) and is left empty. The fold starts from identity, and
+    /// `f(id, v) = v` for every state `v` a fold from identity produces (a
+    /// sum from `+0.0` is never `−0.0`, `f64::min`/`max` from `±∞` never
+    /// NaN), so a lone partial already in key order is its own merge.
     pub fn merge(&mut self, partials: impl IntoIterator<Item = Partial>) -> Partial {
         let mut partials = partials.into_iter();
         let Some(first) = partials.next() else { return self.take() };
@@ -742,17 +590,31 @@ impl Aggregator {
         if rest.peek().is_none() && first.keys.is_sorted_by(|a, b| a < b) {
             return first;
         }
-        let partials = std::iter::once(first).chain(rest);
-        match &mut self.fold {
-            Fold::Keyed(state) => {
-                partials.for_each(|partial| state.merge(&partial));
-                state.take()
+        std::iter::once(first).chain(rest).for_each(|partial| self.merge_one(&partial));
+        let merged = self.take();
+        match self.positions {
+            Positions::Direct(_) => merged,
+            Positions::Hashed(..) => merged.gather(&merged.key_order()),
+        }
+    }
+
+    /// Folds `partial`'s groups into their keys' state.
+    fn merge_one(&mut self, partial: &Partial) {
+        let Aggregator { cols, positions, packed, .. } = self;
+        let at = match positions {
+            Positions::Direct(marks) => {
+                partial.keys.iter().for_each(|&key| marks.set(key as usize));
+                &partial.keys
             }
-            Fold::Hashed(grouper, out) => {
-                partials.for_each(|partial| out.merge(grouper, &partial));
-                let merged = self.take();
-                merged.gather(&merged.key_order())
+            Positions::Hashed(..) => {
+                packed.clone_from(&partial.keys);
+                positions.locate(packed, cols);
+                &*packed
             }
+        };
+        let states = partial.accs.iter().flat_map(Accumulator::states);
+        for ((op, entries), values) in cols.iter_mut().zip(states) {
+            op.merge(entries, at, values);
         }
     }
 }
@@ -762,11 +624,11 @@ impl Aggregator {
 /// prepared (see `DataChunk::key_lane` / `f64_lane`):
 ///
 /// 1. per group-by component, gather the roll-up of every row's code and
-///    pack it into the row's key;
-/// 2. per measure, match the operator once and fold every row's value into
-///    its key's state, in row order — directly by key over a direct layout
-///    (runs of equal keys in a register), through slots the hashed
-///    [`Grouper`] resolves otherwise.
+///    pack it into the row's key, then turn the keys into state positions
+///    (the key itself over a direct layout, its slot over a hashed one);
+/// 2. per state column, match the operator once and fold every row's value
+///    into its position's entry, in row order, runs of equal positions in a
+///    register.
 ///
 /// * `len` — rows in the chunk; every lane must have that length;
 /// * `selection` — chunk-local ids of the rows to fold (the predicate
@@ -782,12 +644,18 @@ pub fn accumulate_chunk<'a>(
     keys: impl IntoIterator<Item = (&'a [u32], &'a [u32])>,
     measures: impl IntoIterator<Item = &'a [f64]>,
 ) {
-    let Aggregator { packed, fold } = agg;
+    let Aggregator { ops, cols, positions, packed } = agg;
     pack_keys(packed, layout, len, selection, keys);
-    let measures = measures.into_iter().map(|lane| &lane[..len]);
-    match fold {
-        Fold::Keyed(state) => state.fold_rows(packed, selection, measures),
-        Fold::Hashed(grouper, out) => out.fold_slots(grouper, packed, selection, measures),
+    positions.locate(packed, cols);
+    let lanes = ops
+        .iter()
+        .zip(measures)
+        .flat_map(|(&op, lane)| StateOp::of(op).iter().map(move |_| &lane[..len]));
+    match positions {
+        Positions::Direct(marks) => {
+            fold_lanes(cols, packed, selection, lanes, |key| marks.set(key))
+        }
+        Positions::Hashed(..) => fold_lanes(cols, packed, selection, lanes, drop),
     }
 }
 
@@ -828,34 +696,11 @@ mod tests {
         ]
     }
 
-    /// [`accumulate_chunk`]'s packing pass followed by the slot fold, on
-    /// either side of the bound.
-    fn slot_kernel<'a>(
-        out: &mut Partial,
-        g: &mut Grouper,
-        layout: &KeyLayout,
-        len: usize,
-        selection: Option<&[u32]>,
-        keys: impl IntoIterator<Item = (&'a [u32], &'a [u32])>,
-        measures: impl IntoIterator<Item = &'a [f64]>,
-    ) {
-        let mut packed = Vec::new();
-        pack_keys(&mut packed, layout, len, selection, keys);
-        out.fold_slots(g, &packed, selection, measures.into_iter().map(|lane| &lane[..len]));
-    }
-
-    /// Folds rows `(codes[i], values[i])` of a one-component key into `out`
-    /// through `g`'s slots, the same value lane feeding every measure.
-    fn fold(out: &mut Partial, g: &mut Grouper, layout: &KeyLayout, codes: &[u32], values: &[f64]) {
+    /// Folds rows `(codes[i], values[i])` of a one-component key into
+    /// `agg`, the same value lane feeding every measure.
+    fn fold(agg: &mut Aggregator, layout: &KeyLayout, codes: &[u32], values: &[f64]) {
         let roll: Vec<u32> = (0..=codes.iter().copied().max().unwrap_or(0)).collect();
-        let measures = out.accs.iter().map(|_| values).collect::<Vec<_>>();
-        slot_kernel(out, g, layout, codes.len(), None, [(codes, &roll[..])], measures);
-    }
-
-    /// [`fold`] through an [`Aggregator`].
-    fn fold_keyed(agg: &mut Aggregator, layout: &KeyLayout, codes: &[u32], values: &[f64]) {
-        let roll: Vec<u32> = (0..=codes.iter().copied().max().unwrap_or(0)).collect();
-        let measures = OPS.map(|_| values);
+        let measures = agg.ops.iter().map(|_| values).collect::<Vec<_>>();
         accumulate_chunk(agg, layout, codes.len(), None, [(codes, &roll[..])], measures);
     }
 
@@ -869,12 +714,12 @@ mod tests {
 
     #[test]
     fn every_operator_accumulates_on_both_sides_of_the_bound() {
-        let ops = [AggOp::Sum, AggOp::Min, AggOp::Max, AggOp::Count, AggOp::Avg];
         for layout in layouts() {
-            let mut g = Grouper::for_layout(&layout);
-            let mut t = Partial::new(&ops);
-            fold(&mut t, &mut g, &layout, &[7, 7, 9], &[1.0, 2.0, 5.0]);
-            fold(&mut t, &mut g, &layout, &[9, 7], &[-4.0, 6.0]);
+            let mut agg = Aggregator::for_layout(&layout, &OPS);
+            fold(&mut agg, &layout, &[7, 7, 9], &[1.0, 2.0, 5.0]);
+            fold(&mut agg, &layout, &[9, 7], &[-4.0, 6.0]);
+            let t = agg.take();
+            let g = Grouper::over(&layout, t.keys());
             assert_eq!((g.lookup(7), g.lookup(9), g.lookup(8)), (Some(0), Some(1), None));
             assert_eq!(t.measure(4), vec![3.0, 0.5]);
             let (keys, cols) = t.finish();
@@ -887,76 +732,34 @@ mod tests {
     #[test]
     fn merge_folds_matches_and_appends_the_rest() {
         for layout in layouts() {
-            let (mut a, mut b) = (Partial::new(&[AggOp::Sum]), Partial::new(&[AggOp::Sum]));
-            let (mut ga, mut gb) = (Grouper::for_layout(&layout), Grouper::for_layout(&layout));
-            fold(&mut a, &mut ga, &layout, &[3, 1], &[1.0, 2.0]);
-            fold(&mut b, &mut gb, &layout, &[5, 1], &[4.0, 8.0]);
-            a.merge(&mut ga, &b);
-            assert_eq!(ga.lookup(5), Some(2), "the grouper follows the merge");
-            assert_eq!(a.key_order(), vec![1, 0, 2]);
-            assert_eq!(a.finish(), (vec![3, 1, 5], vec![vec![1.0, 10.0, 4.0]]));
-        }
-    }
+            let mut agg = Aggregator::for_layout(&layout, &[AggOp::Sum]);
+            fold(&mut agg, &layout, &[3, 1], &[1.0, 2.0]);
+            let a = agg.take();
+            fold(&mut agg, &layout, &[5, 1], &[4.0, 8.0]);
+            let b = agg.take();
+            let merged = agg.merge([a, b]);
+            assert_eq!(Grouper::over(&layout, merged.keys()).lookup(5), Some(2));
+            // The first-seen groups, in key order.
+            let (keys, sums, key_order) = ([3, 1, 5], [1.0, 10.0, 4.0], [1, 0, 2]);
+            let want =
+                (key_order.map(|s| keys[s]).to_vec(), vec![key_order.map(|s| sums[s]).to_vec()]);
+            assert_eq!(merged.finish(), want);
 
-    /// The per-key fold performs the slot fold's operations in the slot
-    /// fold's order, so its partial is the slot partial in key order, bit
-    /// for bit — on runs of equal keys, `−0.0`, NaN and `±∞` included.
-    #[test]
-    fn keyed_fold_is_the_slot_fold_in_key_order() {
-        let layout = &layouts()[0];
-        let codes = [9, 9, 9, 2, 2, 1 << 19, 9, 0, 0, 2, 1, 1];
-        let x = [-0.0, f64::NAN, 1.5, -0.0, -0.0, f64::INFINITY, 0.1, f64::NEG_INFINITY, 3.0];
-        let values: Vec<f64> = (0..codes.len()).map(|i| x[i % x.len()]).collect();
-        let mut agg = Aggregator::for_layout(layout, &OPS);
-        let (mut slots, mut g) = (Partial::new(&OPS), Grouper::for_layout(layout));
-        for rows in [0..5, 5..codes.len()] {
-            fold_keyed(&mut agg, layout, &codes[rows.clone()], &values[rows.clone()]);
-            fold(&mut slots, &mut g, layout, &codes[rows.clone()], &values[rows]);
-        }
-        let keyed = agg.take();
-        assert_eq!(keyed.keys(), [0, 1, 2, 9, 1 << 19]);
-        assert_eq!(bits(&keyed), bits(&slots.gather(&slots.key_order())));
-        assert!(agg.take().is_empty(), "a take resets every touched key");
-        fold_keyed(&mut agg, layout, &[2], &[5.0]);
-        let again = agg.take();
-        assert_eq!(again.finish(), (vec![2], [5.0, 5.0, 5.0, 1.0, 5.0].map(|v| vec![v]).to_vec()));
-    }
-
-    /// `Aggregator::merge` starts from identity where the slot merge starts
-    /// from partial 0 as it stands; `f(id, v) = v` for every state a fold
-    /// from identity produces makes the two agree bit for bit.
-    #[test]
-    fn merge_from_identity_equals_merge_from_the_first_partial() {
-        let x = [-0.0, f64::NAN, f64::INFINITY, -0.0, f64::NEG_INFINITY, 2.5, -0.0];
-        let chunks: [&[u32]; 3] = [&[4, 4, 1, 7], &[1, 4, 3], &[7, 7, 7]];
-        for layout in layouts() {
-            let mut partials = Vec::new();
-            let mut g = Grouper::for_layout(&layout);
-            for (i, codes) in chunks.iter().enumerate() {
-                let mut p = Partial::new(&OPS);
-                let vals: Vec<f64> = (0..codes.len()).map(|r| x[(r + i) % x.len()]).collect();
-                fold(&mut p, &mut g, &layout, codes, &vals);
-                g.clear(p.keys());
-                partials.push(p);
-            }
-            let mut slot_merged = partials[0].clone();
-            let mut index = Grouper::over(&layout, slot_merged.keys());
-            partials[1..].iter().for_each(|p| slot_merged.merge(&mut index, p));
-            let mut agg = Aggregator::for_layout(&layout, &OPS);
-            let merged = agg.merge(partials.clone());
-            assert_eq!(merged.keys(), [1, 3, 4, 7]);
-            assert_eq!(bits(&merged), bits(&slot_merged.gather(&slot_merged.key_order())));
-            let lone = agg.merge([partials[2].clone()]);
-            assert_eq!(bits(&lone), bits(&partials[2]), "a lone key-ordered partial is its merge");
+            let mut all = Aggregator::for_layout(&layout, &OPS);
+            fold(&mut all, &layout, &[7, 7, 7], &[f64::INFINITY, -0.0, f64::NEG_INFINITY]);
+            let lone = all.take();
+            assert_eq!(
+                bits(&all.merge([lone.clone()])),
+                bits(&lone),
+                "a lone key-ordered partial is its merge"
+            );
         }
     }
 
     #[test]
     fn avg_of_empty_group_is_nan() {
-        let mut acc = Accumulator::new(AggOp::Avg);
-        acc.grow_to(1);
-        let out = acc.finish();
-        assert!(out[0].is_nan());
+        let acc = Accumulator::Avg { sums: vec![0.0], counts: vec![0.0] };
+        assert!(acc.finish()[0].is_nan());
     }
 
     #[test]
@@ -978,23 +781,14 @@ mod tests {
         let keys = [(&fk_a[..], &roll_a[..]), (&fk_b[..], &roll_b[..])];
         let key = |a, b| layout.pack(&[olap_model::MemberId(a), olap_model::MemberId(b)]);
 
-        let mut g = Grouper::for_layout(&layout);
-        let mut out = Partial::new(&[AggOp::Sum, AggOp::Count]);
-        slot_kernel(&mut out, &mut g, &layout, 6, Some(&[1, 3, 4]), keys, [&m[..], &m[..]]);
+        let mut agg = Aggregator::for_layout(&layout, &[AggOp::Sum, AggOp::Count]);
+        accumulate_chunk(&mut agg, &layout, 6, Some(&[1, 3, 4]), keys, [&m[..], &m[..]]);
         assert_eq!(
-            out.finish(),
+            agg.take().finish(),
             (vec![key(0, 0), key(0, 1)], vec![vec![7.0, 4.0], vec![2.0, 1.0]])
         );
 
-        // No selection folds every row.
-        let mut g = Grouper::for_layout(&layout);
-        let mut all = Partial::new(&[AggOp::Sum]);
-        slot_kernel(&mut all, &mut g, &layout, 6, None, keys, [&m[..]]);
-        let (all_keys, cols) = all.finish();
-        assert_eq!(all_keys, vec![key(0, 0), key(1, 1), key(0, 1)]);
-        assert_eq!(cols[0], vec![8.0, 9.0, 4.0]);
-
-        // The per-key fold emits the same groups in key order.
+        // No selection folds every row; the groups come out in key order.
         let mut agg = Aggregator::for_layout(&layout, &[AggOp::Sum]);
         accumulate_chunk(&mut agg, &layout, 6, None, keys, [&m[..]]);
         let (keyed_keys, cols) = agg.take().finish();

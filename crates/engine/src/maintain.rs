@@ -62,7 +62,7 @@ use std::sync::Arc;
 use olap_model::{AggOp, CubeQuery, MemberId};
 use olap_storage::{Column, CubeBinding, Delta, MaterializedAggregate, StorageError, Table};
 
-use crate::aggregate::{Accumulator, Partial};
+use crate::aggregate::{Accumulator, Partial, StateOp};
 use crate::engine::{query_shape, Engine, ScanCtx};
 use crate::error::EngineError;
 use crate::key::KeyLayout;
@@ -289,17 +289,9 @@ fn merge(
         coords.iter_mut().for_each(|col| *col = order.iter().map(|&row| col[row]).collect());
         values.iter_mut().for_each(|col| *col = order.iter().map(|&row| col[row]).collect());
     }
-    let deltas: Vec<&[f64]> = delta
-        .accs()
-        .iter()
-        .map(|acc| match acc {
-            Accumulator::Sum(v)
-            | Accumulator::Count(v)
-            | Accumulator::Min(v)
-            | Accumulator::Max(v) => &v[..],
-            Accumulator::Avg { .. } => unreachable!("avg views take the rebuild path"),
-        })
-        .collect();
+    let state_ops: Vec<StateOp> = ops.iter().flat_map(|&op| StateOp::of(op)).copied().collect();
+    debug_assert_eq!(state_ops.len(), ops.len(), "avg views take the rebuild path");
+    let deltas: Vec<&[f64]> = delta.accs().iter().flat_map(Accumulator::states).collect();
 
     let cap = keys.len() + delta.len();
     let mut out_coords: Vec<Vec<MemberId>> =
@@ -320,24 +312,14 @@ fn merge(
         for (comp, out) in out_coords.iter_mut().enumerate() {
             out.push(if hit { coords[comp][at] } else { layout.unpack_component(key, comp) });
         }
-        for (m, out) in out_values.iter_mut().enumerate() {
-            let (identity, f) = distributive(ops[m]);
-            out.push(f(if hit { values[m][at] } else { identity }, deltas[m][d]));
+        for (m, (out, op)) in out_values.iter_mut().zip(&state_ops).enumerate() {
+            let state = if hit { values[m][at] } else { f64::from_bits(op.identity()) };
+            out.push(op.apply(state, deltas[m][d]));
         }
         at += usize::from(hit);
     }
     copy_rows(at..keys.len(), &mut out_coords, &mut out_values);
     successor(view, out_coords, out_values)
-}
-
-/// The identity and the fold of a distributive operator.
-fn distributive(op: AggOp) -> (f64, fn(f64, f64) -> f64) {
-    match op {
-        AggOp::Sum | AggOp::Count => (0.0, |a, x| a + x),
-        AggOp::Min => (f64::INFINITY, f64::min),
-        AggOp::Max => (f64::NEG_INFINITY, f64::max),
-        AggOp::Avg => unreachable!("avg views take the rebuild path"),
-    }
 }
 
 /// The maintained successor of `view` with these cells, keeping its name,

@@ -451,11 +451,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The per-key fold equals the slot fold it replaced, bit for bit, on
-    /// both sides of the direct-addressing bound: clustered runs of equal
-    /// keys, `−0.0`, NaN and `±∞` values, with and without a selection, at
-    /// morsel sizes 1, 2, 3, 7 and the default, on 1, 2 and 8 threads. Every
-    /// scan result, and every direct morsel partial, is in strictly
-    /// ascending key order.
+    /// both sides of the direct-addressing bound (20 and 21 bits) and on
+    /// hashed layouts of 22 and 40 bits, the latter with packed keys past
+    /// 2^32: clustered runs of equal keys, `−0.0`, NaN and `±∞` values,
+    /// with and without a selection, at morsel sizes 1, 2, 3, 7 and the
+    /// default, on 1, 2 and 8 threads. Every scan result, and every direct
+    /// morsel partial, is in strictly ascending key order.
     #[test]
     fn per_key_fold_equals_the_slot_fold_bit_for_bit(
         seed in any::<u64>(),
@@ -464,14 +465,19 @@ proptest! {
         selected in any::<bool>(),
     ) {
         let (at, above) = straddling_layouts(split);
+        // Component 0 widened by 2 bits (22 in all), component 1 by 20 (40).
+        let bits0 = Grouper::DIRECT_BITS - split;
+        let wide = [[bits0 + 2, split], [bits0, split + 20]]
+            .map(|[b0, b1]| KeyLayout::for_cardinalities(&[1 << b0, 1 << b1]));
+        assert_eq!(wide.each_ref().map(KeyLayout::total_bits), [22, 40]);
         let mut next = lcg(seed);
-        let domain = [1 << (Grouper::DIRECT_BITS - split), 1 << split];
+        let domain = [1 << bits0, 1 << split];
         let chunk = clustered(&mut next, rows, domain);
         let keep: Option<Vec<bool>> =
             selected.then(|| (0..rows).map(|_| !next().is_multiple_of(3)).collect());
         let pool = Arc::new(WorkerPool::new(7));
         let ascending = |keys: &[u64]| keys.is_sorted_by(|a, b| a < b);
-        for layout in [at, above] {
+        for layout in [at, above].into_iter().chain(wide) {
             let scan = Arc::new(ChunkScan { chunk: chunk.clone(), keep: keep.clone(), layout });
             for morsel in [1, 2, 3, 7, EngineConfig::default().morsel_rows] {
                 let want = slot_fold(&scan, morsel);
