@@ -9,8 +9,7 @@
 //! rows and — for engine scans — rows scanned, morsel count and the degree
 //! of parallelism the pool granted. Tracing is runtime-opt-in: the untraced
 //! paths never construct spans. Cross-query aggregates land in the
-//! [`query_metrics`](crate::obs::query_metrics) registry once per query,
-//! gated behind the `obs` feature.
+//! [`query_metrics`](crate::obs::query_metrics) registry once per query.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -614,25 +613,16 @@ pub struct BatchOutcome {
     pub shared_spans: Vec<TraceSpan>,
 }
 
-/// RAII bracket for the queries-in-flight gauge; compiles away without the
-/// `obs` feature.
+/// RAII bracket for the queries-in-flight gauge.
 struct InFlightGuard;
 
 impl InFlightGuard {
-    #[cfg(feature = "obs")]
     fn enter() -> Self {
         crate::obs::query_metrics().in_flight().add(1);
         InFlightGuard
     }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    fn enter() -> Self {
-        InFlightGuard
-    }
 }
 
-#[cfg(feature = "obs")]
 impl Drop for InFlightGuard {
     fn drop(&mut self) {
         crate::obs::query_metrics().in_flight().add(-1);
@@ -641,24 +631,14 @@ impl Drop for InFlightGuard {
 
 /// Records a finished successful query into the global registry — one call
 /// per query, never inside operator or scan loops.
-#[cfg(feature = "obs")]
 fn record_success(report: &ExecutionReport, wall: Duration) {
     crate::obs::query_metrics().observe_success(report, wall);
 }
 
-#[cfg(not(feature = "obs"))]
-#[inline(always)]
-fn record_success(_report: &ExecutionReport, _wall: Duration) {}
-
 /// Records a query whose every attempt failed.
-#[cfg(feature = "obs")]
 fn record_failure(attempts: u64, wall: Duration) {
     crate::obs::query_metrics().observe_failure(attempts, wall);
 }
-
-#[cfg(not(feature = "obs"))]
-#[inline(always)]
-fn record_failure(_attempts: u64, _wall: Duration) {}
 
 // Send/Sync audit: the serving layer (`assess-serve`) shares one runner and
 // engine across its worker threads and passes results between them, so these

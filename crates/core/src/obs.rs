@@ -18,10 +18,8 @@
 //! attempts, per-strategy successes, a fixed-bucket latency histogram and
 //! cumulative per-stage time. Counters are registered statically (the
 //! [`query_metrics`] global) and snapshot into a stable struct. Recording
-//! happens **once per query** — never inside scan loops — and is gated
-//! behind the crate's `obs` feature so the disabled build carries no
-//! observability cost (engine-side scan counters are gated the same way;
-//! see `olap_engine::metrics`).
+//! happens **once per query** — never inside scan loops (engine-side scan
+//! counters follow the same rule; see `olap_engine::metrics`).
 //!
 //! ## Exposition
 //!

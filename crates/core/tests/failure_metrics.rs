@@ -1,7 +1,6 @@
 //! A failed query is counted once in the process-wide registry whether or
 //! not the caller asked for a trace. This is the only test in the binary,
 //! so the registry deltas are exact.
-#![cfg(feature = "obs")]
 
 use assess_core::ast::AssessStatement;
 use assess_core::exec::AssessRunner;

@@ -18,9 +18,7 @@ use crate::key::KeyLayout;
 use crate::metrics::{self, EngineMetrics, ScanPath};
 use crate::pool::{run_morsels, MorselScan, MorselScratch, ScanRun, WorkerPool};
 use crate::predicate::{select_into, CompiledFilter};
-use crate::shard::{
-    at_shard, merge_shard_scans, Shard, ShardBudget, ShardPartial, ShardScan, ShardSet,
-};
+use crate::shard::{at_shard, merge_shard_scans, ShardBudget, ShardPartial, ShardScan, ShardSet};
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
@@ -537,22 +535,6 @@ impl Engine {
         self.shards.as_ref()
     }
 
-    /// The sub-engine executing one local shard: same configuration,
-    /// governor (budgets are global across the fan-out), fault injector,
-    /// worker pool and metrics registry — but the shard's own catalog and
-    /// no shard set (recursion-safe).
-    pub(crate) fn for_shard(&self, catalog: Arc<Catalog>) -> Engine {
-        Engine {
-            catalog,
-            config: self.config.clone(),
-            governor: self.governor.clone(),
-            faults: self.faults.clone(),
-            pool: self.pool.clone(),
-            metrics: self.metrics.clone(),
-            shards: None,
-        }
-    }
-
     /// Tightens the per-scan thread cap: the effective cap becomes the
     /// minimum of the current configuration and `n` (`0` is ignored).
     /// Used by the assess runtime to apply `ExecutionPolicy::max_threads`.
@@ -580,10 +562,6 @@ impl Engine {
         cap.min(env_thread_cap()).max(1)
     }
 
-    pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.pool.as_ref()
-    }
-
     pub fn catalog(&self) -> &Arc<Catalog> {
         &self.catalog
     }
@@ -594,10 +572,6 @@ impl Engine {
 
     pub fn governor(&self) -> Option<&Arc<ResourceGovernor>> {
         self.governor.as_ref()
-    }
-
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.faults.as_ref()
     }
 
     /// Fault-injection trigger point (no-op without an injector).
@@ -847,11 +821,11 @@ impl Engine {
 
     /// The coordinator side of a scatter-gather `get`: runs the planned
     /// scan/aggregate stage on every shard in ascending order, merging
-    /// the [`Partial`]s in shard order with [`Aggregator::merge`]. Local shards
-    /// execute through sub-engines sharing this engine's governor, pool
-    /// and metrics; remote shards receive the remaining budget and their
-    /// reported rows are charged here on receipt. The first shard failure aborts the whole
-    /// get — partial merges are discarded, never returned.
+    /// the [`Partial`]s in shard order with [`Aggregator::merge`]. Each
+    /// shard receives the remaining budget, its partial is checked against
+    /// the query's layout and measures, and its reported rows are charged
+    /// here on receipt. The first shard failure aborts the whole get —
+    /// partial merges are discarded, never returned.
     fn run_get_sharded(
         &self,
         q: &CubeQuery,
@@ -866,51 +840,33 @@ impl Engine {
         let mut views_agree = true;
         for (i, shard) in set.shards().iter().enumerate() {
             self.gov_check()?;
-            let (partial, scan, view) = match shard {
-                Shard::Local(catalog) => {
-                    let sub = self.for_shard(catalog.clone());
-                    let internal = sub.run_get(q)?;
-                    let scan = ShardScan {
-                        shard: i,
-                        rows_scanned: internal.stats.rows_scanned,
-                        parallelism: internal.stats.parallelism,
-                        morsels: internal.stats.morsels,
-                        groups: internal.table.len(),
-                    };
-                    (internal.table, scan, internal.stats.used_view)
-                }
-                Shard::Remote(t) => {
-                    let budget = self.shard_budget();
-                    let p: ShardPartial = t.partial(q, budget).map_err(|e| at_shard(set, i, e))?;
-                    // The partial arrived from outside this process: its
-                    // keys index the merge's per-key state below.
-                    if !p.partial.conforms(layout, ops) {
-                        let reason = "partial does not fit the query's key layout and measures";
-                        return Err(EngineError::ShardUnavailable {
-                            shard: set.label(i),
-                            reason: reason.into(),
-                        });
-                    }
-                    // Remote rows are charged on receipt; the shard node
-                    // enforced the forwarded budget during the scan.
-                    self.gov_charge_rows(p.rows_scanned)?;
-                    let scan = ShardScan {
-                        shard: i,
-                        rows_scanned: p.rows_scanned,
-                        parallelism: p.parallelism,
-                        morsels: p.morsels,
-                        groups: p.partial.len(),
-                    };
-                    (p.partial, scan, p.used_view)
-                }
-            };
+            let p: ShardPartial =
+                shard.partial(q, self.shard_budget()).map_err(|e| at_shard(set, i, e))?;
+            // The partial arrived through a transport: its keys index the
+            // merge's per-key state below.
+            if !p.partial.conforms(layout, ops) {
+                let reason = "partial does not fit the query's key layout and measures";
+                return Err(EngineError::ShardUnavailable {
+                    shard: set.label(i),
+                    reason: reason.into(),
+                });
+            }
+            // Rows are charged on receipt; the shard enforced the forwarded
+            // budget during its scan.
+            self.gov_charge_rows(p.rows_scanned)?;
+            per_shard.push(ShardScan {
+                shard: i,
+                rows_scanned: p.rows_scanned,
+                parallelism: p.parallelism,
+                morsels: p.morsels,
+                groups: p.partial.len(),
+            });
             if i == 0 {
-                used_view = view;
-            } else if used_view != view {
+                used_view = p.used_view;
+            } else if used_view != p.used_view {
                 views_agree = false;
             }
-            partials.push(partial);
-            per_shard.push(scan);
+            partials.push(p.partial);
         }
         let stats = ScanStats {
             used_view: if views_agree { used_view } else { None },
@@ -924,7 +880,7 @@ impl Engine {
         Ok(GetInternal::new(q, schema, layout, table, stats))
     }
 
-    /// The remaining budget to forward with a remote shard request.
+    /// The remaining budget to forward with a shard request.
     fn shard_budget(&self) -> ShardBudget {
         match &self.governor {
             Some(g) => ShardBudget {

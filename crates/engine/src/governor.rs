@@ -157,14 +157,6 @@ impl ResourceGovernor {
             || self.token.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Whether the wall-clock deadline has passed. Unlike [`check`] this
-    /// never errors, so the fallback ladder can ask "is retrying pointless?"
-    ///
-    /// [`check`]: ResourceGovernor::check
-    pub fn deadline_expired(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
     /// The cheap cooperative checkpoint: cancellation flag and deadline.
     /// Called at operator boundaries and periodically inside scan loops.
     pub fn check(&self) -> Result<(), EngineError> {

@@ -55,5 +55,5 @@ pub use maintain::MaintainOutcome;
 pub use metrics::{EngineMetrics, EngineMetricsSnapshot, ScanPath};
 pub use pool::{PoolStats, WorkerPool};
 pub use shard::{
-    merge_shard_scans, Shard, ShardBudget, ShardPartial, ShardScan, ShardSet, ShardTransport,
+    merge_shard_scans, ShardBudget, ShardPartial, ShardScan, ShardSet, ShardTransport,
 };

@@ -603,7 +603,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn appends_record_maintenance_metrics() {
         let (catalog, schema) = seed();
         seed_view(&catalog, &schema, "mv_type", "type");

@@ -8,10 +8,6 @@
 //! ascending morsel order), so every counter except [`parallel_scans`] is
 //! a pure function of the workload: identical at 1, 2 or 8 threads.
 //!
-//! Recording is gated behind the crate's `obs` feature (on by default).
-//! With the feature disabled every `record_*` call compiles to nothing, so
-//! the scan paths carry no observability cost at all.
-//!
 //! Every [`Engine`](crate::Engine) carries an `Arc<EngineMetrics>`; the
 //! default is the process-wide [`global`] registry (what a server exposes),
 //! while tests attach private instances so concurrent test threads cannot
@@ -131,7 +127,6 @@ impl EngineMetrics {
 
     /// Records one completed scan. Called once per engine `get` side —
     /// after the morsel merge — with the already-aggregated outcome.
-    #[cfg(feature = "obs")]
     pub fn record_scan(
         &self,
         path: ScanPath,
@@ -156,32 +151,13 @@ impl EngineMetrics {
         by_path.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Zero-cost stub: with the `obs` feature off the call vanishes.
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    pub fn record_scan(
-        &self,
-        _path: ScanPath,
-        _rows: u64,
-        _morsels: u64,
-        _parallelism: u64,
-        _grouping: Grouping,
-    ) {
-    }
-
     /// Records one committed append and its view-maintenance outcome:
     /// how many views were delta-merged versus rebuilt from scratch.
-    #[cfg(feature = "obs")]
     pub fn record_append(&self, merged: u64, rebuilt: u64) {
         self.appends.fetch_add(1, Ordering::Relaxed);
         self.mview_delta_merges.fetch_add(merged, Ordering::Relaxed);
         self.mview_rebuilds.fetch_add(rebuilt, Ordering::Relaxed);
     }
-
-    /// Zero-cost stub: with the `obs` feature off the call vanishes.
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    pub fn record_append(&self, _merged: u64, _rebuilt: u64) {}
 
     pub fn snapshot(&self) -> EngineMetricsSnapshot {
         EngineMetricsSnapshot {
@@ -212,7 +188,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(feature = "obs")]
     fn record_scan_routes_by_path() {
         let m = EngineMetrics::new();
         m.record_scan(ScanPath::Fact, 100, 4, 2, Grouping::Direct);
@@ -227,14 +202,6 @@ mod tests {
         assert_eq!(s.direct_group_scans, 2);
         let names: Vec<&str> = s.as_rows().into_iter().map(|(name, _)| name).collect();
         assert!(!names.contains(&"index_scans") && !names.contains(&"wide_scans"));
-    }
-
-    #[test]
-    #[cfg(not(feature = "obs"))]
-    fn record_scan_is_inert_without_the_feature() {
-        let m = EngineMetrics::new();
-        m.record_scan(ScanPath::Fact, 100, 4, 2, Grouping::Direct);
-        assert_eq!(m.snapshot(), EngineMetricsSnapshot::default());
     }
 
     #[test]

@@ -3,27 +3,22 @@
 //!
 //! A [`ShardSet`] attached to an [`Engine`] turns it into a coordinator:
 //! the engine plans a query once, fans the scan/aggregate stage out to
-//! every shard — an independent engine over its own columnar segments,
-//! indexes and materialized views — and merges the partial aggregates in
-//! **ascending shard order**. Together with the coordinate-sorted
-//! materialization the engine already performs, that fixed merge order
-//! makes sharded cubes byte-identical to unsharded ones at any shard
-//! count (for the integer-valued measures the bundled datasets guarantee;
-//! see `crate::maintain` for the exactness contract).
+//! every shard — an independent engine over its own columnar segments and
+//! materialized views — and merges the partial aggregates in **ascending
+//! shard order**. Together with the coordinate-sorted materialization the
+//! engine already performs, that fixed merge order makes sharded cubes
+//! byte-identical to unsharded ones at any shard count (for the
+//! integer-valued measures the bundled datasets guarantee; see
+//! `crate::maintain` for the exactness contract).
 //!
-//! Shards come in two flavors:
-//!
-//! * [`Shard::Local`] — another catalog in this process. The coordinator
-//!   runs it through a sub-engine sharing its governor, worker pool and
-//!   metrics registry, so resource budgets are global (min-wins across
-//!   the fan-out: every shard's scan pre-charges the one shared governor)
-//!   and trace/metrics totals add up.
-//! * [`Shard::Remote`] — a shard node reached through a
-//!   [`ShardTransport`] (the serve crate implements one over its
-//!   newline-delimited JSON protocol). The coordinator forwards its
-//!   *remaining* budget with each request and charges the rows the shard
-//!   reports back, so remote shards participate in the same min-wins
-//!   budget discipline one message late.
+//! Every shard is a [`ShardTransport`] (the serve crate implements one
+//! over its newline-delimited JSON protocol), and every shard gets one
+//! contract: the coordinator forwards its *remaining* [`ShardBudget`]
+//! with each request, checks the returned [`Partial`] against the query's
+//! key layout and measures, charges the rows the shard reports when the
+//! partial arrives, and tags transport errors with the shard they came
+//! from. Budgets are therefore min-wins across the fan-out, one message
+//! late.
 //!
 //! ## Failure semantics
 //!
@@ -39,7 +34,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use olap_model::CubeQuery;
-use olap_storage::{Catalog, Column, Delta, ShardScheme, StorageError, Table};
+use olap_storage::{Column, Delta, ShardScheme, StorageError, Table};
 
 use crate::aggregate::Partial;
 use crate::engine::Engine;
@@ -96,8 +91,8 @@ pub fn merge_shard_scans(left: &[ShardScan], right: &[ShardScan]) -> Vec<ShardSc
     merged
 }
 
-/// The remaining resource budget a coordinator forwards with a remote
-/// shard request, so the fan-out's budgets are min-wins end to end.
+/// The remaining resource budget a coordinator forwards with each shard
+/// request, so the fan-out's budgets are min-wins end to end.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardBudget {
     /// Rows the shard may still scan (`None` = unlimited).
@@ -106,9 +101,9 @@ pub struct ShardBudget {
     pub deadline_ms: Option<u64>,
 }
 
-/// How a coordinator talks to one remote shard node. The serve crate
-/// implements this over its newline-delimited JSON protocol; tests
-/// implement it in-process to exercise failure paths deterministically.
+/// How a coordinator talks to one shard. The serve crate implements this
+/// over its newline-delimited JSON protocol; tests implement it in-process
+/// over an [`Engine`] to drive the coordinator deterministically.
 ///
 /// Implementations must be failure-atomic per call: an error means the
 /// call had no effect the coordinator needs to unwind.
@@ -128,39 +123,23 @@ pub trait ShardTransport: Send + Sync {
     fn rows(&self, table: &str) -> Result<usize, EngineError>;
 }
 
-/// One shard of a [`ShardSet`].
-#[derive(Clone)]
-pub enum Shard {
-    /// An in-process catalog, executed by a sub-engine of the coordinator.
-    Local(Arc<Catalog>),
-    /// A remote shard node behind a transport.
-    Remote(Arc<dyn ShardTransport>),
-}
-
-impl std::fmt::Debug for Shard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Shard::Local(_) => write!(f, "Shard::Local"),
-            Shard::Remote(t) => write!(f, "Shard::Remote({})", t.label()),
-        }
-    }
-}
-
 /// The shard topology an engine coordinates over: the placement scheme
-/// plus one [`Shard`] per range, in merge order.
-#[derive(Debug)]
+/// plus one transport per range, in merge order.
 pub struct ShardSet {
     scheme: ShardScheme,
-    shards: Vec<Shard>,
+    shards: Vec<Arc<dyn ShardTransport>>,
     /// Cached per-table row totals across shards (cost estimation reads
-    /// them per attempt; remote counts would otherwise be one RPC each).
+    /// them per attempt; each count would otherwise be one call per shard).
     /// Invalidated by the sharded append path.
     rows_cache: Mutex<HashMap<String, usize>>,
 }
 
 impl ShardSet {
     /// Builds a shard set; `shards.len()` must equal the scheme's count.
-    pub fn new(scheme: ShardScheme, shards: Vec<Shard>) -> Result<Self, EngineError> {
+    pub fn new(
+        scheme: ShardScheme,
+        shards: Vec<Arc<dyn ShardTransport>>,
+    ) -> Result<Self, EngineError> {
         if shards.len() != scheme.shards() {
             return Err(EngineError::Unsupported(format!(
                 "shard scheme expects {} shards, got {}",
@@ -174,16 +153,11 @@ impl ShardSet {
         Ok(ShardSet { scheme, shards, rows_cache: Mutex::new(HashMap::new()) })
     }
 
-    /// A fully in-process shard set over the given catalogs.
-    pub fn local(scheme: ShardScheme, catalogs: Vec<Arc<Catalog>>) -> Result<Self, EngineError> {
-        ShardSet::new(scheme, catalogs.into_iter().map(Shard::Local).collect())
-    }
-
     pub fn scheme(&self) -> &ShardScheme {
         &self.scheme
     }
 
-    pub fn shards(&self) -> &[Shard] {
+    pub fn shards(&self) -> &[Arc<dyn ShardTransport>] {
         &self.shards
     }
 
@@ -195,13 +169,10 @@ impl ShardSet {
         self.shards.is_empty()
     }
 
-    /// A diagnostic label for shard `i` ("shard(i)"; remote shards append
-    /// their transport label).
+    /// A diagnostic label for shard `i`: "shard(i)@" plus its transport
+    /// label.
     pub fn label(&self, i: usize) -> String {
-        match self.shards.get(i) {
-            Some(Shard::Remote(t)) => format!("shard({i})@{}", t.label()),
-            _ => format!("shard({i})"),
-        }
+        format!("shard({i})@{}", self.shards[i].label())
     }
 
     /// Total rows of `table` across all shards (cached between appends).
@@ -211,10 +182,7 @@ impl ShardSet {
         }
         let mut total = 0usize;
         for (i, shard) in self.shards.iter().enumerate() {
-            total += match shard {
-                Shard::Local(catalog) => catalog.table(table)?.n_rows(),
-                Shard::Remote(t) => t.rows(table).map_err(|e| at_shard(self, i, e))?,
-            };
+            total += shard.rows(table).map_err(|e| at_shard(self, i, e))?;
         }
         self.rows_cache.lock().unwrap_or_else(|p| p.into_inner()).insert(table.to_string(), total);
         Ok(total)
@@ -241,11 +209,11 @@ pub(crate) fn at_shard(set: &ShardSet, i: usize, e: EngineError) -> EngineError 
 
 /// Appends `batch` to `cube` across a shard set: the batch is validated
 /// once on the coordinator, partitioned by the scheme's key column, and
-/// each sub-batch appended to its shard (local shards run the full
-/// incremental view-maintenance path; remote shards do the same on their
-/// node). The coordinator then records a delta-only commit so caches
-/// keyed on its catalog version can follow the change without a table
-/// swap — the coordinator's fact table stays empty by design.
+/// each sub-batch appended to its shard, which maintains its own views.
+/// The coordinator then records a delta-only commit so caches keyed on
+/// its catalog version can follow the change without a table swap — the
+/// coordinator's fact table stays empty by design, and it maintains no
+/// views (`views_merged` is 0).
 ///
 /// The fan-out is sequential in ascending shard order. A failure part-way
 /// leaves earlier shards appended and later ones not — callers that need
@@ -285,34 +253,17 @@ pub fn append_sharded(
     let staged = Table::new(fact, batch.to_vec())?;
     let start_row = set.total_rows(fact).unwrap_or(0);
 
-    let mut merged = 0usize;
-    let mut rebuilt = 0usize;
-    let mut dropped: Vec<String> = Vec::new();
     for (i, (shard, rows)) in set.shards().iter().zip(&routed).enumerate() {
         if rows.is_empty() {
             continue;
         }
         let sub_batch = staged.take_rows(rows).columns().to_vec();
-        match shard {
-            Shard::Local(catalog) => {
-                let sub = engine.for_shard(catalog.clone());
-                let out = crate::maintain::append(&sub, cube, &sub_batch)?;
-                merged += out.views_merged;
-                rebuilt += out.views_rebuilt;
-                dropped.extend(out.views_dropped);
-            }
-            Shard::Remote(t) => {
-                let appended = t.append(cube, &sub_batch).map_err(|e| at_shard(set, i, e))?;
-                if appended != rows.len() {
-                    return Err(EngineError::ShardUnavailable {
-                        shard: set.label(i),
-                        reason: format!(
-                            "shard acknowledged {appended} of {} appended rows",
-                            rows.len()
-                        ),
-                    });
-                }
-            }
+        let appended = shard.append(cube, &sub_batch).map_err(|e| at_shard(set, i, e))?;
+        if appended != rows.len() {
+            return Err(EngineError::ShardUnavailable {
+                shard: set.label(i),
+                reason: format!("shard acknowledged {appended} of {} appended rows", rows.len()),
+            });
         }
     }
 
@@ -321,11 +272,6 @@ pub fn append_sharded(
     let delta = Delta::describe(fact, start_row, batch);
     let delta = engine.catalog().commit_delta_only(delta);
     set.invalidate_rows(fact);
-    engine.metrics().record_append(merged as u64, rebuilt as u64);
-    Ok(MaintainOutcome {
-        delta,
-        views_merged: merged,
-        views_rebuilt: rebuilt,
-        views_dropped: dropped,
-    })
+    engine.metrics().record_append(0, 0);
+    Ok(MaintainOutcome { delta, views_merged: 0, views_rebuilt: 0, views_dropped: Vec::new() })
 }

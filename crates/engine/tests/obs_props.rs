@@ -9,13 +9,17 @@
 //! in the inner loop.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use assess_core::ast::AssessStatement;
 use assess_core::exec::AssessRunner;
 use assess_core::plan::Strategy;
 use assess_core::AssessError;
-use olap_engine::{Engine, EngineConfig, EngineMetrics, ResourceGovernor, ShardSet, WorkerPool};
-use olap_model::{AggOp, CubeSchema, HierarchyBuilder, MeasureDef};
+use olap_engine::{
+    Engine, EngineConfig, EngineError, EngineMetrics, ResourceGovernor, ShardBudget, ShardPartial,
+    ShardSet, ShardTransport, WorkerPool,
+};
+use olap_model::{AggOp, CubeQuery, CubeSchema, HierarchyBuilder, MeasureDef};
 use olap_storage::{binding::DimInfo, Catalog, Column, CubeBinding, ShardScheme, Table};
 use proptest::prelude::*;
 
@@ -171,10 +175,41 @@ fn instrumented(cat: &Arc<Catalog>, pool: &Arc<WorkerPool>, threads: usize) -> I
     Instrumented { runner: AssessRunner::new(engine), metrics, governor }
 }
 
+/// A shard node in-process: the coordinator reaches the shard's engine
+/// only through the [`ShardTransport`] contract, as it reaches a remote
+/// node.
+struct InProcessShard(Engine);
+
+impl ShardTransport for InProcessShard {
+    fn label(&self) -> String {
+        "in-process".to_string()
+    }
+
+    fn partial(&self, q: &CubeQuery, budget: ShardBudget) -> Result<ShardPartial, EngineError> {
+        let mut governor = ResourceGovernor::unlimited();
+        if let Some(max) = budget.max_rows {
+            governor = governor.with_max_rows_scanned(max);
+        }
+        if let Some(ms) = budget.deadline_ms {
+            governor = governor.with_timeout(Duration::from_millis(ms));
+        }
+        self.0.clone().with_governor(Arc::new(governor)).get_partial(q)
+    }
+
+    fn append(&self, cube: &str, batch: &[Column]) -> Result<usize, EngineError> {
+        Ok(self.0.append(cube, batch)?.appended())
+    }
+
+    fn rows(&self, table: &str) -> Result<usize, EngineError> {
+        Ok(self.0.catalog().table(table)?.n_rows())
+    }
+}
+
 /// The same instrumented runner, but scatter-gathering over `shards`
 /// in-process range shards of the SALES fact (cut by `mkey`, domain 6).
-/// Local shards share the coordinator's governor, pool and registry, so
-/// the four observers must still see one consistent total.
+/// The shard engines record into the coordinator's registry, and the
+/// coordinator charges its governor the rows each shard reports, so the
+/// four observers must still see one consistent total.
 fn instrumented_sharded(
     cat: &Arc<Catalog>,
     pool: &Arc<WorkerPool>,
@@ -183,20 +218,6 @@ fn instrumented_sharded(
 ) -> Instrumented {
     let fact = cat.table("sales").expect("sales fact");
     let binding = cat.binding("SALES").expect("SALES binding");
-    let scheme = ShardScheme::range("mkey", 6, shards);
-    let parts = scheme.partition(fact.as_ref()).expect("fact partitions");
-    let mut shard_cats = Vec::with_capacity(parts.len());
-    for part in parts {
-        let shard = Arc::new(Catalog::new());
-        shard.register_table(part);
-        shard.register_binding("SALES", binding.as_ref().clone());
-        shard_cats.push(shard);
-    }
-    let coordinator = Arc::new(Catalog::new());
-    coordinator.register_table(fact.take_rows(&[]));
-    coordinator.register_binding("SALES", binding.as_ref().clone());
-    let set = ShardSet::local(scheme, shard_cats).expect("shard set builds");
-
     let config = EngineConfig {
         morsel_rows: MORSEL,
         max_threads: threads,
@@ -204,6 +225,23 @@ fn instrumented_sharded(
         ..EngineConfig::default()
     };
     let metrics = Arc::new(EngineMetrics::new());
+    let scheme = ShardScheme::range("mkey", 6, shards);
+    let parts = scheme.partition(fact.as_ref()).expect("fact partitions");
+    let mut transports: Vec<Arc<dyn ShardTransport>> = Vec::with_capacity(parts.len());
+    for part in parts {
+        let shard = Arc::new(Catalog::new());
+        shard.register_table(part);
+        shard.register_binding("SALES", binding.as_ref().clone());
+        let engine = Engine::with_config(shard, config.clone())
+            .with_worker_pool(pool.clone())
+            .with_metrics(metrics.clone());
+        transports.push(Arc::new(InProcessShard(engine)));
+    }
+    let coordinator = Arc::new(Catalog::new());
+    coordinator.register_table(fact.take_rows(&[]));
+    coordinator.register_binding("SALES", binding.as_ref().clone());
+    let set = ShardSet::new(scheme, transports).expect("shard set builds");
+
     let governor = Arc::new(ResourceGovernor::unlimited());
     let engine = Engine::with_config(coordinator, config)
         .with_worker_pool(pool.clone())
@@ -263,21 +301,12 @@ proptest! {
                         scanned, ctx.governor.rows_scanned(),
                         "{}/{}@{}: trace vs governor", name, strategy, threads
                     );
-                    #[cfg(feature = "obs")]
-                    {
-                        let delta = ctx.metrics.snapshot().delta(&before);
-                        prop_assert_eq!(
-                            scanned, delta.rows_scanned,
-                            "{}/{}@{}: trace vs registry", name, strategy, threads
-                        );
-                        prop_assert!(delta.scans > 0, "{}: no scan recorded", name);
-                    }
-                    #[cfg(not(feature = "obs"))]
-                    {
-                        // With recording compiled out the registry must
-                        // stay exactly where it was.
-                        prop_assert_eq!(ctx.metrics.snapshot(), before);
-                    }
+                    let delta = ctx.metrics.snapshot().delta(&before);
+                    prop_assert_eq!(
+                        scanned, delta.rows_scanned,
+                        "{}/{}@{}: trace vs registry", name, strategy, threads
+                    );
+                    prop_assert!(delta.scans > 0, "{}: no scan recorded", name);
                 }
             }
         }
@@ -344,13 +373,10 @@ proptest! {
                         span_rows, ctx.governor.rows_scanned(),
                         "{}/{}: shard spans vs governor", name, strategy
                     );
-                    #[cfg(feature = "obs")]
                     prop_assert_eq!(
                         span_rows, ctx.metrics.snapshot().delta(&before).rows_scanned,
                         "{}/{}: shard spans vs registry", name, strategy
                     );
-                    #[cfg(not(feature = "obs"))]
-                    prop_assert_eq!(ctx.metrics.snapshot(), before);
 
                     // The report's shard stage is the merged view of the
                     // same fan-outs: same indices, same row total.
@@ -400,7 +426,6 @@ proptest! {
     /// threads (helper grants depend on pool load, so the parallel-scan
     /// tally is the one legitimate exception).
     #[test]
-    #[cfg(feature = "obs")]
     fn deterministic_counters_are_thread_count_invariant(
         seed in any::<u64>(),
         extra in 64usize..512,

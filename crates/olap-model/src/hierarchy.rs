@@ -50,11 +50,6 @@ impl Hierarchy {
         self.levels.iter().position(|l| l.name() == name)
     }
 
-    /// Finds the index of a level by name, erroring when absent.
-    pub fn require_level(&self, name: &str) -> Result<usize, ModelError> {
-        self.level_index(name).ok_or_else(|| ModelError::UnknownLevel(name.to_string()))
-    }
-
     /// Whether `coarse` is reachable from `fine` in the roll-up order,
     /// i.e. `levels[fine] ⪰ levels[coarse]`.
     pub fn rolls_up(&self, fine: usize, coarse: usize) -> bool {

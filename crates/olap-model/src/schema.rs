@@ -90,11 +90,6 @@ impl CubeSchema {
         &self.measures
     }
 
-    /// Index of a hierarchy by name.
-    pub fn hierarchy_index(&self, name: &str) -> Option<usize> {
-        self.hierarchies.iter().position(|h| h.name() == name)
-    }
-
     /// The hierarchy at `index`.
     pub fn hierarchy(&self, index: usize) -> Option<&Hierarchy> {
         self.hierarchies.get(index)

@@ -532,12 +532,6 @@ impl<T> FairQueue<T> {
         self.len() == 0
     }
 
-    /// Items currently queued for one tenant.
-    pub fn queued_for(&self, tenant: TenantId) -> usize {
-        let inner = lock(&self.inner);
-        inner.queues.get(tenant.0).map_or(0, VecDeque::len)
-    }
-
     /// Wakes every waiting consumer (shutdown).
     pub fn notify_all(&self) {
         self.cv.notify_all();

@@ -1,7 +1,7 @@
 //! Scatter-gather over the wire: the serve layer's [`ShardTransport`].
 //!
 //! A frontend `assess-serve` holds an [`Engine`](olap_engine::Engine) with
-//! a [`ShardSet`](olap_engine::ShardSet) whose remote shards are
+//! a [`ShardSet`](olap_engine::ShardSet) whose shards are
 //! [`RemoteShard`]s — each one a lazy connection to another `assess-serve`
 //! process started with `--shard-of` (a *shard node*: a plain server over
 //! that shard's catalog slice). The exchange rides the existing
@@ -27,8 +27,8 @@
 //! never a torn cube. The *next* call reconnects from scratch, which is
 //! the coordinator's retry path once the node returns. A node's own
 //! budget/cancellation errors are reconstructed as the matching
-//! [`EngineError`] so the coordinator's fallback ladder treats remote
-//! shards exactly like local ones.
+//! [`EngineError`] so the coordinator's fallback ladder reacts to them
+//! exactly as it would to its own.
 
 use std::sync::Mutex;
 use std::time::Duration;

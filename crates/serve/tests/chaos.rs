@@ -15,7 +15,7 @@ use std::sync::{Arc, Barrier, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use olap_engine::{Engine, Shard, ShardSet, ShardTransport};
+use olap_engine::{Engine, ShardSet, ShardTransport};
 use olap_storage::Catalog;
 use rand::{Rng, SeedableRng};
 use serde::Value;
@@ -519,12 +519,11 @@ fn ssb_dataset() -> &'static SsbDataset {
 /// A frontend engine whose two shards live behind the given addresses,
 /// with a short read timeout so hung nodes fail fast in tests.
 fn remote_frontend(deployment: &ShardedSsb, addrs: &[SocketAddr]) -> Engine {
-    let shards: Vec<Shard> = addrs
+    let shards: Vec<Arc<dyn ShardTransport>> = addrs
         .iter()
         .map(|a| {
-            let transport: Arc<dyn ShardTransport> =
-                Arc::new(RemoteShard::with_timeout(a.to_string(), Duration::from_secs(2)));
-            Shard::Remote(transport)
+            Arc::new(RemoteShard::with_timeout(a.to_string(), Duration::from_secs(2)))
+                as Arc<dyn ShardTransport>
         })
         .collect();
     let set = ShardSet::new(deployment.scheme.clone(), shards).expect("shard set builds");

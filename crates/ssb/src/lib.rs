@@ -37,4 +37,4 @@ pub mod shard;
 pub mod views;
 
 pub use generate::{SsbConfig, SsbCounts, SsbDataset};
-pub use shard::{shard_dataset, sharded_engine, ShardedSsb};
+pub use shard::{shard_dataset, ShardedSsb};

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use olap_engine::{Engine, EngineConfig, EngineError, ShardSet};
+use olap_engine::EngineError;
 use olap_storage::{Catalog, ShardScheme, Table};
 
 use crate::generate::{SsbDataset, EXTERNAL_CUBE, SSB_CUBE};
@@ -78,52 +78,10 @@ pub fn shard_dataset(ds: &SsbDataset, shards: usize) -> Result<ShardedSsb, Engin
     Ok(ShardedSsb { scheme, coordinator, shard_catalogs })
 }
 
-/// One-call helper: a coordinator [`Engine`] whose scans scatter-gather
-/// over `shards` in-process shards of `ds`.
-pub fn sharded_engine(
-    ds: &SsbDataset,
-    shards: usize,
-    config: EngineConfig,
-) -> Result<Engine, EngineError> {
-    let deployment = shard_dataset(ds, shards)?;
-    let set = ShardSet::local(deployment.scheme, deployment.shard_catalogs)?;
-    Ok(Engine::with_config(deployment.coordinator, config).with_shards(Arc::new(set)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generate::{generate, SsbConfig};
-    use olap_model::{CubeQuery, GroupBySet, Predicate};
-
-    #[test]
-    fn sharded_get_matches_unsharded() {
-        let ds = generate(SsbConfig::with_scale(0.002));
-        views::register_default_views(&ds.catalog, &ds.schema).unwrap();
-        let single = Engine::new(ds.catalog.clone());
-        let g = GroupBySet::from_level_names(&ds.schema, &["c_nation", "year"]).unwrap();
-        let q = CubeQuery::new(
-            SSB_CUBE,
-            g,
-            vec![Predicate::eq(&ds.schema, "c_region", "ASIA").unwrap()],
-            vec!["revenue".into(), "quantity".into()],
-        );
-        let base = single.get(&q).unwrap();
-        for n in [1usize, 2, 4] {
-            let sharded = sharded_engine(&ds, n, EngineConfig::default()).unwrap();
-            let out = sharded.get(&q).unwrap();
-            assert_eq!(
-                out.cube.render_table(usize::MAX),
-                base.cube.render_table(usize::MAX),
-                "{n} shards"
-            );
-            assert_eq!(out.per_shard.len(), n);
-            assert_eq!(
-                out.per_shard.iter().map(|s| s.rows_scanned).sum::<usize>(),
-                out.rows_scanned
-            );
-        }
-    }
 
     #[test]
     fn shard_slices_partition_the_fact_tables() {

@@ -126,11 +126,6 @@ impl CubeBinding {
         &self.fk_columns[hi]
     }
 
-    /// Fact measure column for schema measure `mi`.
-    pub fn measure_column(&self, mi: usize) -> &str {
-        &self.measure_columns[mi]
-    }
-
     /// Fact measure column by measure name.
     pub fn measure_column_by_name(&self, measure: &str) -> Option<&str> {
         self.schema.measure_index(measure).map(|mi| self.measure_columns[mi].as_str())

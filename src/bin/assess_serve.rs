@@ -20,8 +20,6 @@
 //!                        JSON; see the README "Multi-tenancy & overload"
 //!                        section for the format (default: anonymous only)
 //!   --max-frame BYTES    longest accepted request line (default 262144)
-//!   --shards N           partition the fact tables into N in-process
-//!                        shards and scatter-gather every scan (default 1)
 //!   --shard-of I/N       act as shard node I of an N-way partitioning:
 //!                        serve only that slice of the catalog (0-based)
 //!   --shard-node ADDR    act as scatter-gather frontend over a shard node
@@ -35,16 +33,17 @@
 //! The protocol is newline-delimited JSON; see the `Serving` section of the
 //! README for request and response shapes. `--self-check` is the CI smoke
 //! mode: it exercises check → run → traced cached run → stats → metrics →
-//! cancel → shared-scan batch → subscribe → append (live diff frame) →
-//! unsubscribe → auth → rate-limit overload → oversized frame → a 2-shard
-//! scatter-gather run (byte-identical CSV) end to end and exits non-zero
-//! if any response deviates.
+//! cancel → shared-scan batch → a 2-shard scatter-gather run (two
+//! `--shard-of` nodes plus a `--shard-node` frontend, byte-identical CSV)
+//! → subscribe → append (live diff frame) → unsubscribe → auth →
+//! rate-limit overload → oversized frame end to end and exits non-zero if
+//! any response deviates.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use assess_olap::engine::{Engine, Shard, ShardSet, ShardTransport};
+use assess_olap::engine::{Engine, EngineError, ShardSet, ShardTransport};
 use assess_olap::serde::Value;
 use assess_olap::serve::{serve, LineClient, RemoteShard, ServerConfig, TenantDirectory};
 use assess_olap::ssb::generate::SsbDataset;
@@ -55,7 +54,6 @@ fn main() -> ExitCode {
     let mut config = ServerConfig { addr: "127.0.0.1:7878".to_string(), ..ServerConfig::default() };
     let mut scale = 0.01;
     let mut self_check = false;
-    let mut shards = 1usize;
     let mut shard_of: Option<(usize, usize)> = None;
     let mut shard_nodes: Vec<String> = Vec::new();
     let mut i = 0;
@@ -165,13 +163,6 @@ fn main() -> ExitCode {
                 }
                 _ => return usage("--max-frame expects a positive byte count"),
             },
-            "--shards" => match value("--shards").and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => {
-                    shards = n;
-                    i += 2;
-                }
-                _ => return usage("--shards expects a positive integer"),
-            },
             "--shard-of" => match value("--shard-of").map(|v| parse_shard_of(&v)) {
                 Some(Some(pair)) => {
                     shard_of = Some(pair);
@@ -196,11 +187,8 @@ fn main() -> ExitCode {
         }
     }
 
-    let topologies = usize::from(shards > 1)
-        + usize::from(shard_of.is_some())
-        + usize::from(!shard_nodes.is_empty());
-    if topologies > 1 {
-        return usage("--shards, --shard-of and --shard-node are mutually exclusive");
+    if shard_of.is_some() && !shard_nodes.is_empty() {
+        return usage("--shard-of and --shard-node are mutually exclusive");
     }
 
     if self_check {
@@ -238,43 +226,16 @@ fn main() -> ExitCode {
             }
         }
     } else if !shard_nodes.is_empty() {
-        // Scatter-gather frontend: empty-fact coordinator catalog plus one
-        // remote transport per node, in ascending shard order.
-        match shard_dataset(&dataset, shard_nodes.len()) {
-            Ok(deployment) => {
+        match frontend_engine(&dataset, &shard_nodes) {
+            Ok(engine) => {
                 eprintln!(
                     "assess-serve: scatter-gather frontend over {} shard node(s)",
                     shard_nodes.len()
                 );
-                let transports: Vec<Shard> = shard_nodes
-                    .iter()
-                    .map(|addr| {
-                        Shard::Remote(
-                            Arc::new(RemoteShard::new(addr.clone())) as Arc<dyn ShardTransport>
-                        )
-                    })
-                    .collect();
-                match ShardSet::new(deployment.scheme, transports) {
-                    Ok(set) => Engine::new(deployment.coordinator).with_shards(Arc::new(set)),
-                    Err(e) => {
-                        eprintln!("assess-serve: cannot build the shard set: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("assess-serve: cannot partition the catalog: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else if shards > 1 {
-        match sharded_local_engine(&dataset, shards) {
-            Ok(engine) => {
-                eprintln!("assess-serve: scatter-gather over {shards} in-process shards");
                 engine
             }
             Err(e) => {
-                eprintln!("assess-serve: cannot partition the catalog: {e}");
+                eprintln!("assess-serve: cannot build the scatter-gather frontend: {e}");
                 return ExitCode::from(2);
             }
         }
@@ -325,7 +286,7 @@ fn usage(problem: &str) -> ExitCode {
         "usage: assess-serve [--addr HOST:PORT] [--scale S] [--workers N] \
          [--max-sessions N] [--max-queued N] [--cache N] [--idle-timeout SECS] \
          [--max-rows N] [--deadline-ms MS] [--scan-threads N] [--max-threads N] \
-         [--tenants FILE] [--max-frame BYTES] [--shards N] [--shard-of I/N] \
+         [--tenants FILE] [--max-frame BYTES] [--shard-of I/N] \
          [--shard-node ADDR]... [--self-check]"
     );
     ExitCode::from(2)
@@ -339,15 +300,18 @@ fn parse_shard_of(text: &str) -> Option<(usize, usize)> {
     (index < total).then_some((index, total))
 }
 
-/// A coordinator engine scatter-gathering over `shards` in-process shards
-/// of `dataset` (the `--shards` topology, and the self-check's comparison
-/// server).
-fn sharded_local_engine(
-    dataset: &SsbDataset,
-    shards: usize,
-) -> Result<Engine, assess_olap::engine::EngineError> {
-    let deployment = shard_dataset(dataset, shards)?;
-    let set = ShardSet::local(deployment.scheme, deployment.shard_catalogs)?;
+/// The `--shard-node` topology: a scatter-gather frontend over the shard
+/// nodes at `addrs`, in shard order. Its catalog is the coordinator
+/// catalog of an N-way partitioning of `dataset` (dimensions plus empty
+/// fact tables); every scan and append reaches a node through a
+/// [`RemoteShard`].
+fn frontend_engine(dataset: &SsbDataset, addrs: &[String]) -> Result<Engine, EngineError> {
+    let deployment = shard_dataset(dataset, addrs.len())?;
+    let shards = addrs
+        .iter()
+        .map(|addr| Arc::new(RemoteShard::new(addr.clone())) as Arc<dyn ShardTransport>)
+        .collect();
+    let set = ShardSet::new(deployment.scheme, shards)?;
     Ok(Engine::new(deployment.coordinator).with_shards(Arc::new(set)))
 }
 
@@ -394,13 +358,13 @@ fn error_code(v: &Value) -> &str {
 }
 
 /// The scripted session: check → run (cold) → traced run (cached) →
-/// stats → metrics → cancel → shared-scan batch → subscribe → append
+/// stats → metrics → cancel → shared-scan batch → a 2-shard
+/// scatter-gather frontend (two shard-node servers behind it) answering
+/// the same statement with a byte-identical CSV → subscribe → append
 /// with incremental view maintenance and a pushed diff frame →
 /// unsubscribe → auth (bad key, then good) → rate-limit overload with a
 /// `retry_after_ms` hint → oversized-frame rejection with the connection
-/// surviving → a 2-shard scatter-gather server answering the same
-/// statement with a byte-identical CSV. Returns the number of verified
-/// steps.
+/// surviving. Returns the number of verified steps.
 fn run_self_check(
     handle: &assess_olap::serve::ServerHandle,
     dataset: &SsbDataset,
@@ -516,13 +480,15 @@ fn run_self_check(
         &batch,
     )?;
 
-    // Scatter-gather: a second server partitioned into 2 in-process shards
-    // of the same catalog must answer the same statement with a
-    // byte-identical CSV. SSB measures are integer-valued, so the per-shard
-    // sums merge exactly in any association; the step runs before the
-    // append below so the comparison is against the layout the shards were
-    // cut from (re-partitioning after an append re-clusters the appended
-    // rows into range order, which only exact sums are insensitive to).
+    // Scatter-gather: two shard-node servers, each over one slice of a
+    // 2-way partitioning of the same catalog (the `--shard-of` topology),
+    // and a frontend over them built as `--shard-node` builds it, must
+    // answer the same statement with a byte-identical CSV. SSB measures
+    // are integer-valued, so the per-shard sums merge exactly in any
+    // association; the step runs before the append below so the comparison
+    // is against the layout the shards were cut from (re-partitioning
+    // after an append re-clusters the appended rows into range order,
+    // which only exact sums are insensitive to).
     let reference = client.run_csv(STATEMENT).map_err(|e| format!("reference csv run: {e}"))?;
     let reference_csv =
         reference.get("csv").and_then(Value::as_str).unwrap_or_default().to_string();
@@ -531,13 +497,23 @@ fn run_self_check(
         "reference csv run",
         &reference,
     )?;
-    let sharded_engine =
-        sharded_local_engine(dataset, 2).map_err(|e| format!("shard the catalog: {e}"))?;
-    let sharded = serve(sharded_engine, ServerConfig::default())
-        .map_err(|e| format!("boot sharded server: {e}"))?;
+    let deployment = shard_dataset(dataset, 2).map_err(|e| format!("shard the catalog: {e}"))?;
+    let mut servers = Vec::with_capacity(3);
     let step = (|| -> Result<(), String> {
+        let mut addrs = Vec::with_capacity(deployment.shard_catalogs.len());
+        for (i, catalog) in deployment.shard_catalogs.iter().enumerate() {
+            let node = serve(Engine::new(catalog.clone()), ServerConfig::default())
+                .map_err(|e| format!("boot shard node {i}: {e}"))?;
+            addrs.push(node.addr().to_string());
+            servers.push(node);
+        }
+        let engine = frontend_engine(dataset, &addrs).map_err(|e| format!("frontend: {e}"))?;
+        let frontend = serve(engine, ServerConfig::default())
+            .map_err(|e| format!("boot sharded frontend: {e}"))?;
+        let addr = frontend.addr();
+        servers.push(frontend);
         let mut shard_client =
-            LineClient::connect(sharded.addr()).map_err(|e| format!("connect sharded: {e}"))?;
+            LineClient::connect(addr).map_err(|e| format!("connect sharded: {e}"))?;
         let run = shard_client.run_csv(STATEMENT).map_err(|e| format!("sharded run: {e}"))?;
         let csv = run.get("csv").and_then(Value::as_str).unwrap_or_default();
         expect(
@@ -546,7 +522,10 @@ fn run_self_check(
             &run,
         )
     })();
-    sharded.shutdown();
+    // The frontend first, so no scan is in flight to a node that is gone.
+    for server in servers.into_iter().rev() {
+        server.shutdown();
+    }
     step?;
 
     // Incremental cubes: subscribe to the statement, append two fact rows

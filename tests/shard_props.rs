@@ -12,14 +12,24 @@
 //! A second property covers maintenance: appending a batch through the
 //! sharded engine (routed row-by-row to shard deltas) answers queries
 //! exactly like an unsharded engine that received the same batch.
+//!
+//! The coordinator reaches every shard through a [`ShardTransport`] — here
+//! an in-process one over a shard engine — so these proofs cover the one
+//! scatter-gather arm deployments run. Plain tests pin that arm's budget
+//! and accounting contract.
 
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use assess_olap::assess::exec::AssessRunner;
 use assess_olap::assess::plan::Strategy;
-use assess_olap::engine::{Engine, EngineConfig, ShardSet, WorkerPool};
+use assess_olap::engine::{
+    metrics, Engine, EngineConfig, EngineError, EngineMetrics, ResourceGovernor, ResourceKind,
+    ShardBudget, ShardPartial, ShardSet, ShardTransport, WorkerPool,
+};
+use assess_olap::model::{CubeQuery, GroupBySet};
 use assess_olap::ssb::generate::{generate, SsbDataset};
 use assess_olap::ssb::shard::{shard_dataset, ShardedSsb};
 use assess_olap::ssb::{views, SsbConfig};
@@ -73,13 +83,61 @@ fn unsharded_runner(threads: usize) -> AssessRunner {
     AssessRunner::new(engine)
 }
 
-fn sharded_runner(deployment: &ShardedSsb, threads: usize) -> AssessRunner {
-    let set = ShardSet::local(deployment.scheme.clone(), deployment.shard_catalogs.clone())
-        .expect("shard set builds");
-    let engine = Engine::with_config(deployment.coordinator.clone(), config(threads))
+/// A shard node in-process: the coordinator reaches the shard's engine
+/// only through the [`ShardTransport`] contract, as it reaches a remote
+/// node.
+struct InProcessShard(Engine);
+
+impl ShardTransport for InProcessShard {
+    fn label(&self) -> String {
+        "in-process".to_string()
+    }
+
+    fn partial(&self, q: &CubeQuery, budget: ShardBudget) -> Result<ShardPartial, EngineError> {
+        let mut governor = ResourceGovernor::unlimited();
+        if let Some(max) = budget.max_rows {
+            governor = governor.with_max_rows_scanned(max);
+        }
+        if let Some(ms) = budget.deadline_ms {
+            governor = governor.with_timeout(Duration::from_millis(ms));
+        }
+        self.0.clone().with_governor(Arc::new(governor)).get_partial(q)
+    }
+
+    fn append(&self, cube: &str, batch: &[Column]) -> Result<usize, EngineError> {
+        Ok(self.0.append(cube, batch)?.appended())
+    }
+
+    fn rows(&self, table: &str) -> Result<usize, EngineError> {
+        Ok(self.0.catalog().table(table)?.n_rows())
+    }
+}
+
+/// A coordinator over `deployment` whose shard engines run `config` on
+/// the suite's pool and record into `shard_metrics`.
+fn coordinator(
+    deployment: &ShardedSsb,
+    config: EngineConfig,
+    shard_metrics: &Arc<EngineMetrics>,
+) -> Engine {
+    let shards = deployment
+        .shard_catalogs
+        .iter()
+        .map(|catalog| {
+            let engine = Engine::with_config(catalog.clone(), config.clone())
+                .with_worker_pool(pool())
+                .with_metrics(shard_metrics.clone());
+            Arc::new(InProcessShard(engine)) as Arc<dyn ShardTransport>
+        })
+        .collect();
+    let set = ShardSet::new(deployment.scheme.clone(), shards).expect("shard set builds");
+    Engine::with_config(deployment.coordinator.clone(), config)
         .with_worker_pool(pool())
-        .with_shards(Arc::new(set));
-    AssessRunner::new(engine)
+        .with_shards(Arc::new(set))
+}
+
+fn sharded_runner(deployment: &ShardedSsb, threads: usize) -> AssessRunner {
+    AssessRunner::new(coordinator(deployment, config(threads), metrics::global()))
 }
 
 /// Renders one of the four benchmark-type templates with randomized
@@ -227,11 +285,7 @@ proptest! {
         let ds = generate(SsbConfig::with_scale(0.002));
         views::register_default_views(&ds.catalog, &ds.schema).unwrap();
         let deployment = shard_dataset(&ds, shards).unwrap();
-        let set = ShardSet::local(deployment.scheme.clone(), deployment.shard_catalogs.clone())
-            .unwrap();
-        let sharded = Engine::with_config(deployment.coordinator.clone(), config(2))
-            .with_worker_pool(pool())
-            .with_shards(Arc::new(set));
+        let sharded = coordinator(&deployment, config(2), metrics::global());
         let unsharded = Engine::new(ds.catalog.clone());
 
         let dkeys: Vec<i64> =
@@ -269,4 +323,71 @@ proptest! {
             }
         }
     }
+}
+
+/// A `get` every shard answers from its fact slice or a view; any shape
+/// does, the budget tests only need each shard to scan some rows.
+fn nation_year_query() -> CubeQuery {
+    let schema = &dataset().schema;
+    let group_by = GroupBySet::from_level_names(schema, &["c_nation", "year"]).unwrap();
+    CubeQuery::new("SSB", group_by, Vec::new(), vec!["revenue".into()])
+}
+
+/// The coordinator of the 2-shard deployment under `governor`.
+fn governed_coordinator(governor: &Arc<ResourceGovernor>) -> Engine {
+    coordinator(&deployments()[1], config(2), &Arc::new(EngineMetrics::new()))
+        .with_governor(governor.clone())
+}
+
+/// The remaining row budget travels with the request: a budget below the
+/// first shard's scan is refused by that shard, as the same budget would
+/// be refused by an unsharded engine.
+#[test]
+fn forwarded_budget_below_one_shard_scan_is_refused() {
+    let q = nation_year_query();
+    let unlimited = governed_coordinator(&Arc::new(ResourceGovernor::unlimited())).get(&q).unwrap();
+    let first = unlimited.per_shard[0].rows_scanned as u64;
+    assert!(first > 0, "shard 0 scanned nothing");
+
+    let governor = Arc::new(ResourceGovernor::unlimited().with_max_rows_scanned(first - 1));
+    let err = governed_coordinator(&governor).get(&q).unwrap_err();
+    assert!(
+        matches!(err, EngineError::BudgetExceeded { resource: ResourceKind::RowsScanned, .. }),
+        "{err:?}"
+    );
+}
+
+/// A budget equal to the fan-out's total scan succeeds, and the
+/// coordinator charges every shard's rows exactly once, on receipt.
+#[test]
+fn shard_rows_are_charged_once_on_receipt() {
+    let q = nation_year_query();
+    let unlimited = governed_coordinator(&Arc::new(ResourceGovernor::unlimited())).get(&q).unwrap();
+    let total = unlimited.rows_scanned as u64;
+
+    let governor = Arc::new(ResourceGovernor::unlimited().with_max_rows_scanned(total));
+    let report = governed_coordinator(&governor).get(&q).unwrap();
+    assert_eq!(report.rows_scanned as u64, total);
+    assert_eq!(governor.rows_scanned(), report.rows_scanned as u64);
+}
+
+/// A sharded append is one append in the coordinator's registry; view
+/// maintenance happens on the shards and is counted in theirs.
+#[test]
+fn sharded_append_is_counted_once_by_the_coordinator() {
+    let ds = generate(SsbConfig::with_scale(0.002));
+    let deployment = shard_dataset(&ds, 2).unwrap();
+    let own = Arc::new(EngineMetrics::new());
+    let shard_metrics = Arc::new(EngineMetrics::new());
+    let sharded = coordinator(&deployment, config(2), &shard_metrics).with_metrics(own.clone());
+
+    let dkeys = [0, ds.counts.dates as i64 - 1];
+    let outcome = sharded.append("SSB", &batch(&dkeys, &[7, 11], &ds)).unwrap();
+    assert_eq!(outcome.appended(), 2);
+    assert_eq!(outcome.views_merged, 0);
+    let s = own.snapshot();
+    assert_eq!((s.appends, s.mview_delta_merges), (1, 0));
+    let shards = shard_metrics.snapshot();
+    assert_eq!(shards.appends, 2, "one append per shard that received a row");
+    assert!(shards.mview_delta_merges > 0, "shards maintain their own views");
 }
