@@ -225,7 +225,9 @@ pub(crate) enum ScanSource {
     /// The given rows of a fact table: all of them for a query or a view
     /// rebuild, the appended tail for a view's delta merge.
     Fact(Arc<Table>, Range<usize>),
-    View(Arc<MaterializedAggregate>),
+    /// A view's cells, their keys unpacked by the layout of the view's
+    /// defining group-by.
+    View(Arc<MaterializedAggregate>, KeyLayout),
 }
 
 /// The one plan for "these rows of this source → groups": the source,
@@ -236,14 +238,14 @@ pub(crate) enum ScanSource {
 ///
 /// Per morsel, workers first decode every distinct id column into a flat
 /// `u32` lane of the scratch (`DataChunk::key_lane` unpacks bit-packed and
-/// RLE key columns; views copy coordinate components) and convert measures
-/// to `f64` lanes, then run the branch-free select + accumulate kernels
-/// over those lanes — the inner loops never branch on the physical
-/// encoding.
+/// RLE key columns; views unpack components of their stored keys) and
+/// convert measures to `f64` lanes, then run the branch-free select +
+/// accumulate kernels over those lanes — the inner loops never branch on
+/// the physical encoding.
 pub(crate) struct ScanCtx {
     source: ScanSource,
     /// Distinct id columns the kernels read (fact: fk column index; view:
-    /// coordinate component), each decoded into one scratch lane per morsel.
+    /// key component), each decoded into one scratch lane per morsel.
     /// Masks and keys refer to these by slot, so a column shared by a
     /// predicate and a group-by component decodes once.
     lane_cols: Vec<usize>,
@@ -395,7 +397,7 @@ impl MorselScan for ScanCtx {
     fn n_rows(&self) -> usize {
         match &self.source {
             ScanSource::Fact(_, rows) => rows.len(),
-            ScanSource::View(v) => v.len(),
+            ScanSource::View(v, _) => v.len(),
         }
     }
 
@@ -430,15 +432,11 @@ impl MorselScan for ScanCtx {
                     }
                 }
             }
-            ScanSource::View(v) => {
-                for (comp, buf) in self.lane_cols.iter().zip(lanes.iter_mut()) {
-                    buf.clear();
-                    buf.extend(v.coord_cols()[*comp][lo..hi].iter().map(|m| m.0));
+            ScanSource::View(v, layout) => {
+                for (&comp, buf) in self.lane_cols.iter().zip(lanes.iter_mut()) {
+                    layout.unpack_codes(&v.keys()[lo..hi], comp, buf);
                 }
-                let measures = self
-                    .measures
-                    .iter()
-                    .map(|idx| &v.measure_at(*idx).expect("validated view measure")[lo..hi]);
+                let measures = self.measures.iter().map(|idx| &v.values()[*idx][lo..hi]);
                 self.run_kernels(sel, lanes, agg, len, measures);
             }
         }
@@ -641,6 +639,42 @@ impl Engine {
         crate::maintain::append(self, cube, batch)
     }
 
+    /// Builds the materialized view `name` defined by `q`: the query runs as
+    /// a fact scan through the one morsel driver, and the view keeps the
+    /// scan's key-ordered keys and finalized values. Like maintenance, the
+    /// scan is neither charged to the governor nor fault-injected, and it
+    /// never reads another view.
+    ///
+    /// Refuses a predicated query (a view answers slices of itself, not
+    /// the reverse), a group-by whose packed key needs more than 64 bits
+    /// ([`EngineError::WideKey`]), and a sharded coordinator, whose fact
+    /// tables are empty shells: each shard builds its own views.
+    pub fn materialize_view(
+        &self,
+        name: impl Into<String>,
+        q: &CubeQuery,
+    ) -> Result<MaterializedAggregate, EngineError> {
+        if self.shards.is_some() {
+            return Err(EngineError::Unsupported(
+                "a sharded coordinator holds no fact rows; build views on its shards".into(),
+            ));
+        }
+        if !q.predicates.is_empty() {
+            return Err(EngineError::Unsupported(
+                "a view is defined by a predicate-free query".into(),
+            ));
+        }
+        let binding = self.catalog.binding(&q.cube)?;
+        let (ops, layout) = query_shape(binding.schema(), q)?;
+        if !layout.fits_u64() {
+            return Err(EngineError::WideKey { bits: layout.total_bits() });
+        }
+        let fact = self.catalog.table(binding.fact_table())?;
+        let ctx = ScanCtx::over_fact(&binding, &fact, 0..fact.n_rows(), q, &ops, &layout)?;
+        let (keys, values) = self.run_scan(ctx, false)?.table.finish();
+        Ok(MaterializedAggregate::new(name, q.clone(), keys, values)?)
+    }
+
     /// Executes a cube query (the `get` logical operator, Definition 2.6),
     /// producing a sorted, materialized derived cube: one packed-key morsel
     /// scan of a view or the fact table, materialized in key order, its
@@ -749,8 +783,6 @@ impl Engine {
         let binding = self.catalog.binding(&q.cube)?;
         let schema = binding.schema().clone();
         let (ops, _) = query_shape(&schema, q)?;
-        let pred_levels: Vec<(usize, usize)> =
-            q.predicates.iter().map(|p| (p.hierarchy, p.level)).collect();
         // When sharded the coordinator's fact table is empty by design; the
         // estimate counts rows across the shard set instead.
         let fact_rows = match &self.shards {
@@ -758,7 +790,7 @@ impl Engine {
             None => self.catalog.table(binding.fact_table())?.n_rows(),
         };
         let (rows, from_view) = if self.config.use_views && ops.iter().all(|op| *op == AggOp::Sum) {
-            match self.catalog.best_view(&q.cube, &q.group_by, &pred_levels, &q.measures) {
+            match self.catalog.best_view(q) {
                 Some(view) => (view.len(), true),
                 None => (fact_rows, false),
             }
@@ -806,11 +838,7 @@ impl Engine {
 
         // Try the materialized-view path first.
         if self.config.use_views && ops.iter().all(|op| *op == AggOp::Sum) {
-            let pred_levels: Vec<(usize, usize)> =
-                q.predicates.iter().map(|p| (p.hierarchy, p.level)).collect();
-            if let Some(view) =
-                self.catalog.best_view(&q.cube, &q.group_by, &pred_levels, &q.measures)
-            {
+            if let Some(view) = self.catalog.best_view(q) {
                 self.fault(FaultSite::ViewMatch)?;
                 return self.get_from_view(q, &schema, &layout, &ops, &view);
             }
@@ -914,23 +942,24 @@ impl Engine {
         view: &Arc<MaterializedAggregate>,
     ) -> Result<GetInternal, EngineError> {
         self.fault(FaultSite::DictLookup)?;
-        let filter = CompiledFilter::compile(schema, &q.predicates, view.group_by().slots())?;
-        // Per included hierarchy of the query: the view coordinate component
-        // and the roll-up map from the view's level to the query's level.
+        let view_by = &view.query().group_by;
+        let filter = CompiledFilter::compile(schema, &q.predicates, view_by.slots())?;
+        // Per included hierarchy of the query: the view key component and
+        // the roll-up map from the view's level to the query's level.
         let mut lane_cols: Vec<usize> = Vec::new();
         let mut keys: Vec<(usize, Vec<u32>)> = Vec::new();
         for (hi, li) in q.group_by.included_hierarchies() {
-            let view_level = view.group_by().slots()[hi].ok_or_else(|| {
+            let view_level = view_by.slots()[hi].ok_or_else(|| {
                 EngineError::Unsupported("view does not carry a required hierarchy".into())
             })?;
-            let comp = view.group_by().component_of(hi).expect("component exists");
+            let comp = view_by.component_of(hi).expect("component exists");
             let h = schema.hierarchy(hi).expect("hierarchy in range");
             let roll: Vec<u32> = h.composed_map(view_level, li)?.iter().map(|m| m.0).collect();
             keys.push((lane_slot(&mut lane_cols, comp), roll));
         }
         let mut masks: Vec<(usize, Arc<[bool]>)> = Vec::new();
         for m in filter.masks() {
-            let comp = view.group_by().component_of(m.hierarchy).ok_or_else(|| {
+            let comp = view_by.component_of(m.hierarchy).ok_or_else(|| {
                 EngineError::Unsupported("view does not carry a predicated hierarchy".into())
             })?;
             masks.push((lane_slot(&mut lane_cols, comp), m.mask.clone()));
@@ -939,14 +968,15 @@ impl Engine {
             q.measures
                 .iter()
                 .map(|m| {
-                    view.measure_names().iter().position(|v| v == m).ok_or_else(|| {
+                    view.query().measures.iter().position(|v| v == m).ok_or_else(|| {
                         EngineError::Unsupported(format!("view lacks measure `{m}`"))
                     })
                 })
                 .collect::<Result<_, _>>()?;
 
+        let view_layout = KeyLayout::for_group_by(schema, view_by);
         let ctx = ScanCtx {
-            source: ScanSource::View(view.clone()),
+            source: ScanSource::View(view.clone(), view_layout),
             lane_cols,
             masks,
             keys,

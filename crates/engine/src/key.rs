@@ -125,6 +125,15 @@ impl KeyLayout {
         MemberId(((key >> self.shifts[component]) & mask) as u32)
     }
 
+    /// Unpacks component `component` of every key in `keys` into `out`, as
+    /// raw member codes — the lane a view scan reads its stored keys into.
+    pub fn unpack_codes(&self, keys: &[u64], component: usize, out: &mut Vec<u32>) {
+        let (b, shift) = (self.bits[component], self.shifts[component]);
+        let mask = if b >= 64 { u64::MAX } else { (1u64 << b) - 1 };
+        out.clear();
+        out.extend(keys.iter().map(|&key| ((key >> shift) & mask) as u32));
+    }
+
     /// A key with component `component` cleared — used by pivot to group
     /// rows by "all coordinates but the sliced level" (`γ|G\l`).
     #[inline]

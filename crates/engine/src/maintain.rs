@@ -8,12 +8,12 @@
 //!
 //! ## View maintenance policy
 //!
-//! A view is the stored answer of its defining `get`: the predicate-free
-//! [`CubeQuery`] over its recorded [`source`](MaterializedAggregate::source)
-//! cube, grouped by its group-by set, of its measures. Maintenance plans
-//! that query with the planner every fact scan uses
-//! (`ScanCtx::over_fact`) against the grown, not-yet-committed table.
-//! For every view in the catalog:
+//! A view is the stored answer of its defining `get`
+//! ([`MaterializedAggregate::query`]: predicate-free, over its source
+//! cube), built by `Engine::materialize_view` as the scan's key-ordered
+//! keys and finalized values. Maintenance plans that query with the
+//! planner every fact scan uses (`ScanCtx::over_fact`) against the grown,
+//! not-yet-committed table. For every view in the catalog:
 //!
 //! * its source resolves to a binding over the appended fact table and the
 //!   query plans → the view is maintained: **merged** — the query runs over
@@ -23,11 +23,11 @@
 //!   table — otherwise;
 //! * its source resolves to a binding over a *different* fact table → the
 //!   view is untouched;
-//! * it has no defining query that plans (no source recorded, unknown
-//!   source cube, columns that no longer line up, or a group-by whose
-//!   packed key needs more than 64 bits, which `get` refuses too) → the
-//!   view is **dropped**: a view that cannot be re-derived must not keep
-//!   serving stale aggregates after its underlying data may have grown.
+//! * its defining query does not plan (unknown source cube, columns that
+//!   no longer line up, or a group-by whose packed key needs more than 64
+//!   bits, which `get` refuses too) → the view is **dropped**: a view that
+//!   cannot be re-derived must not keep serving stale aggregates after its
+//!   underlying data may have grown.
 //!
 //! Maintenance scans are neither charged to the engine's governor nor
 //! fault-injected: an append is not a tenant's query.
@@ -38,14 +38,14 @@
 //! (`Engine::run_scan`), morsels counted from the start of the scanned row
 //! range, so partial aggregates merge in morsel order and maintenance is
 //! byte-identical at every thread count. The scan's [`Partial`] comes out in
-//! ascending key order, as every scan's does. Maintained views are emitted
-//! in **key order** — coordinate order, the order `Engine::get`
-//! materializes — so a delta merge is one walk over the view and the
-//! delta's partial together, folding a key on both sides by the
-//! operator's distributive rule, and a merged view is
-//! bit-comparable to one rebuilt from scratch; merged sums equal rebuilt
-//! sums exactly whenever measure values are integer-valued (exact f64
-//! addition), which the bundled datasets guarantee.
+//! ascending key order, as every scan's does, and it is packed by the same
+//! layout as the view's keys. So a delta merge is one walk over the view's
+//! keys and the delta's together, folding a key on both sides by the
+//! operator's distributive rule — nothing is lifted, re-packed or sorted —
+//! and a merged view is bit-comparable to one rebuilt from scratch; merged
+//! sums equal rebuilt sums exactly whenever measure values are
+//! integer-valued (exact f64 addition), which the bundled datasets
+//! guarantee.
 //!
 //! ## Concurrency
 //!
@@ -56,16 +56,14 @@
 //! [`StorageError::ConcurrentMutation`] and the append is retried from the
 //! fresh table, a bounded number of times.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
-use olap_model::{AggOp, CubeQuery, MemberId};
+use olap_model::AggOp;
 use olap_storage::{Column, CubeBinding, Delta, MaterializedAggregate, StorageError, Table};
 
 use crate::aggregate::{Accumulator, Partial, StateOp};
 use crate::engine::{query_shape, Engine, ScanCtx};
 use crate::error::EngineError;
-use crate::key::KeyLayout;
 
 /// Attempts before a repeatedly lost commit race is surfaced to the caller.
 const MAX_COMMIT_ATTEMPTS: usize = 4;
@@ -175,18 +173,16 @@ fn maintain_views(
     let mut plan =
         MaintenancePlan { maintained: Vec::new(), dropped: Vec::new(), merged: 0, rebuilt: 0 };
     for view in engine.catalog().views() {
-        let vb = match view.source() {
-            Some(src) if src == cube => binding.clone(),
-            Some(src) => match engine.catalog().binding(src) {
+        let source = &view.query().cube;
+        let vb = if source == cube {
+            binding.clone()
+        } else {
+            match engine.catalog().binding(source) {
                 Ok(b) => b,
                 Err(_) => {
                     plan.dropped.push(view.name().to_string());
                     continue;
                 }
-            },
-            None => {
-                plan.dropped.push(view.name().to_string());
-                continue;
             }
         };
         if vb.fact_table() != table.name() {
@@ -219,12 +215,8 @@ fn maintain_one(
     table: &Arc<Table>,
     delta: &Delta,
 ) -> Result<Option<(MaterializedAggregate, bool)>, EngineError> {
-    let Some(source) = view.source() else {
-        return Ok(None);
-    };
-    let measures = view.measure_names().to_vec();
-    let q = CubeQuery::new(source, view.group_by().clone(), vec![], measures);
-    let Ok((ops, layout)) = query_shape(binding.schema(), &q) else {
+    let q = view.query();
+    let Ok((ops, layout)) = query_shape(binding.schema(), q) else {
         return Ok(None);
     };
     if !layout.fits_u64() {
@@ -239,115 +231,61 @@ fn maintain_one(
     } else {
         0..table.n_rows()
     };
-    let Ok(ctx) = ScanCtx::over_fact(binding, table, rows, &q, &ops, &layout) else {
+    let Ok(ctx) = ScanCtx::over_fact(binding, table, rows, q, &ops, &layout) else {
         return Ok(None);
     };
     let partial = engine.run_scan(ctx, false)?.table;
-    let maintained = if merged {
-        merge(view, &partial, &layout, &ops)?
-    } else {
-        let (coords, measures) = partial.emit(&layout);
-        successor(view, coords, measures)?
-    };
+    let (keys, values) = if merged { merge(view, &partial, &ops) } else { partial.finish() };
+    let maintained = MaterializedAggregate::new(view.name(), q.clone(), keys, values)?;
     Ok(Some((maintained, merged)))
 }
 
-/// Merges a delta partial aggregate into the existing view in one walk
-/// over key order: the delta's partial is in ascending key order (every
-/// scan's is), and so is the view — maintained views are emitted in it, and
-/// one registered out of it is sorted once here. Runs of view rows the
-/// delta misses are copied as they stand; a key on both sides folds to
-/// `f(view, delta)`, a new key to `f(identity, delta)` — for the
+/// Merges a delta partial aggregate into the view in one walk over key
+/// order: the delta's partial is in ascending key order (every scan's is)
+/// and so are the view's keys, packed by the same layout. Runs of view
+/// cells the delta misses are copied as they stand; a key on both sides
+/// folds to `f(view, delta)`, a new key to `f(identity, delta)` — for the
 /// distributive operators a finalized value *is* the state, so these are
 /// the values a merge of the two as partials yields.
 fn merge(
     view: &MaterializedAggregate,
     delta: &Partial,
-    layout: &KeyLayout,
     ops: &[AggOp],
-) -> Result<MaterializedAggregate, EngineError> {
-    let mut coords: Vec<Cow<'_, [MemberId]>> =
-        view.coord_cols().iter().map(|col| Cow::Borrowed(&col[..])).collect();
-    let mut values: Vec<Cow<'_, [f64]>> = (0..ops.len())
-        .map(|i| Cow::Borrowed(view.measure_at(i).expect("measure count checked at construction")))
-        .collect();
-    let mut keys: Vec<u64> = (0..view.len())
-        .map(|row| {
-            let mut key = 0u64;
-            for (comp, col) in coords.iter().enumerate() {
-                layout.pack_component(&mut key, comp, col[row]);
-            }
-            key
-        })
-        .collect();
-    if !keys.is_sorted() {
-        // Stable: rows with equal coordinates keep their order, and the
-        // delta folds into the first of them.
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_by_key(|&row| keys[row]);
-        keys = order.iter().map(|&row| keys[row]).collect();
-        coords.iter_mut().for_each(|col| *col = order.iter().map(|&row| col[row]).collect());
-        values.iter_mut().for_each(|col| *col = order.iter().map(|&row| col[row]).collect());
-    }
+) -> (Vec<u64>, Vec<Vec<f64>>) {
+    let (keys, values) = (view.keys(), view.values());
     let state_ops: Vec<StateOp> = ops.iter().flat_map(|&op| StateOp::of(op)).copied().collect();
     debug_assert_eq!(state_ops.len(), ops.len(), "avg views take the rebuild path");
     let deltas: Vec<&[f64]> = delta.accs().iter().flat_map(Accumulator::states).collect();
 
     let cap = keys.len() + delta.len();
-    let mut out_coords: Vec<Vec<MemberId>> =
-        coords.iter().map(|_| Vec::with_capacity(cap)).collect();
+    let mut out_keys: Vec<u64> = Vec::with_capacity(cap);
     let mut out_values: Vec<Vec<f64>> = values.iter().map(|_| Vec::with_capacity(cap)).collect();
-    let copy_rows = |rows: std::ops::Range<usize>,
-                     oc: &mut Vec<Vec<MemberId>>,
-                     ov: &mut Vec<Vec<f64>>| {
-        oc.iter_mut().zip(&coords).for_each(|(out, col)| out.extend_from_slice(&col[rows.clone()]));
-        ov.iter_mut().zip(&values).for_each(|(out, col)| out.extend_from_slice(&col[rows.clone()]));
+    let copy_cells = |cells: std::ops::Range<usize>, ok: &mut Vec<u64>, ov: &mut Vec<Vec<f64>>| {
+        ok.extend_from_slice(&keys[cells.clone()]);
+        ov.iter_mut().zip(values).for_each(|(out, col)| out.extend_from_slice(&col[cells.clone()]));
     };
     let mut at = 0;
     for (d, &key) in delta.keys().iter().enumerate() {
         let run_end = at + keys[at..].partition_point(|&k| k < key);
-        copy_rows(at..run_end, &mut out_coords, &mut out_values);
+        copy_cells(at..run_end, &mut out_keys, &mut out_values);
         at = run_end;
         let hit = keys.get(at) == Some(&key);
-        for (comp, out) in out_coords.iter_mut().enumerate() {
-            out.push(if hit { coords[comp][at] } else { layout.unpack_component(key, comp) });
-        }
+        out_keys.push(key);
         for (m, (out, op)) in out_values.iter_mut().zip(&state_ops).enumerate() {
             let state = if hit { values[m][at] } else { f64::from_bits(op.identity()) };
             out.push(op.apply(state, deltas[m][d]));
         }
         at += usize::from(hit);
     }
-    copy_rows(at..keys.len(), &mut out_coords, &mut out_values);
-    successor(view, out_coords, out_values)
-}
-
-/// The maintained successor of `view` with these cells, keeping its name,
-/// group-by set, measure names and provenance.
-fn successor(
-    view: &MaterializedAggregate,
-    coords: Vec<Vec<MemberId>>,
-    measures: Vec<Vec<f64>>,
-) -> Result<MaterializedAggregate, EngineError> {
-    let rebuilt = MaterializedAggregate::new(
-        view.name(),
-        view.group_by().clone(),
-        coords,
-        view.measure_names().to_vec(),
-        measures,
-    )
-    .map_err(EngineError::Storage)?;
-    Ok(match view.source() {
-        Some(src) => rebuilt.with_source(src),
-        None => rebuilt,
-    })
+    copy_cells(at..keys.len(), &mut out_keys, &mut out_values);
+    (out_keys, out_values)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use olap_model::{CubeQuery, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef, MemberId};
+    use olap_model::{CubeQuery, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef};
     use olap_storage::binding::DimInfo;
     use olap_storage::{Catalog, CubeBinding};
 
@@ -395,28 +333,18 @@ mod tests {
         vec![Column::i64("pkey", vec![2, 1, 1]), Column::f64("quantity", vec![7.0, 3.0, 9.0])]
     }
 
-    /// Builds a sum view over `levels` via the engine and registers it
-    /// with source provenance — the way production views are seeded.
-    fn seed_view(catalog: &Arc<Catalog>, schema: &Arc<CubeSchema>, name: &str, level: &str) {
-        let engine = Engine::with_config(
-            catalog.clone(),
-            EngineConfig { use_views: false, ..EngineConfig::default() },
-        );
+    /// Builds a view of `measure` at `level` through the engine and
+    /// registers it — the way production views are seeded.
+    fn seed_view(
+        catalog: &Arc<Catalog>,
+        schema: &Arc<CubeSchema>,
+        name: &str,
+        level: &str,
+        measure: &str,
+    ) {
         let group_by = GroupBySet::from_level_names(schema, &[level]).unwrap();
-        let out = engine
-            .get(&CubeQuery::new("SALES", group_by.clone(), vec![], vec!["quantity".into()]))
-            .unwrap();
-        let col = out.cube.numeric_column("quantity").unwrap().data.clone();
-        let view = MaterializedAggregate::new(
-            name,
-            group_by,
-            out.cube.coord_cols().to_vec(),
-            vec!["quantity".into()],
-            vec![col],
-        )
-        .unwrap()
-        .with_source("SALES");
-        catalog.register_view(view);
+        let q = CubeQuery::new("SALES", group_by, vec![], vec![measure.into()]);
+        catalog.register_view(Engine::new(catalog.clone()).materialize_view(name, &q).unwrap());
     }
 
     #[test]
@@ -443,8 +371,8 @@ mod tests {
         // count morsels from the range's start, not the table's.
         for morsel_rows in [EngineConfig::default().morsel_rows, 2, 3] {
             let (catalog, schema) = seed();
-            seed_view(&catalog, &schema, "mv_type", "type");
-            seed_view(&catalog, &schema, "mv_product", "product");
+            seed_view(&catalog, &schema, "mv_type", "type", "quantity");
+            seed_view(&catalog, &schema, "mv_product", "product", "quantity");
             let config = EngineConfig { morsel_rows, ..EngineConfig::default() };
             let engine = Engine::with_config(catalog.clone(), config);
             let out = engine.append("SALES", &batch()).unwrap();
@@ -456,19 +384,19 @@ mod tests {
             let (fresh, _) = seed();
             let fresh_engine = Engine::new(fresh.clone());
             fresh_engine.append("SALES", &batch()).unwrap();
-            seed_view(&fresh, &schema, "mv_type", "type");
-            seed_view(&fresh, &schema, "mv_product", "product");
+            seed_view(&fresh, &schema, "mv_type", "type", "quantity");
+            seed_view(&fresh, &schema, "mv_product", "product", "quantity");
 
             for name in ["mv_type", "mv_product"] {
                 let merged = catalog.views().into_iter().find(|v| v.name() == name).unwrap();
                 let rebuilt = fresh.views().into_iter().find(|v| v.name() == name).unwrap();
-                assert_eq!(merged.coord_cols(), rebuilt.coord_cols(), "{name} coordinates");
+                assert_eq!(merged.keys(), rebuilt.keys(), "{name} keys");
                 assert_eq!(
                     merged.measure("quantity").unwrap(),
                     rebuilt.measure("quantity").unwrap(),
                     "{name} values at morsel_rows = {morsel_rows}"
                 );
-                assert_eq!(merged.source(), Some("SALES"), "{name} keeps provenance");
+                assert_eq!(merged.query().cube, "SALES", "{name} keeps provenance");
             }
         }
     }
@@ -515,17 +443,11 @@ mod tests {
     fn wide_views_are_dropped_at_the_first_append() {
         let seed_rows = [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]];
         let (catalog, schema) = wide_catalog(&seed_rows);
-        // A 65-bit view has no packed-key plan, so it cannot be re-derived.
-        let view = MaterializedAggregate::new(
-            "mv_wide",
-            GroupBySet::top(&schema),
-            (1..=5).map(|m| vec![MemberId(m), MemberId(m + 5)]).collect(),
-            vec!["m".into()],
-            vec![vec![0.0, 1.0]],
-        )
-        .unwrap()
-        .with_source("WIDE");
-        catalog.register_view(view);
+        // A 65-bit view has no packed-key plan, so it cannot be re-derived
+        // (nor built: it is assembled by hand).
+        let q = CubeQuery::new("WIDE", GroupBySet::top(&schema), vec![], vec!["m".into()]);
+        let view = MaterializedAggregate::new("mv_wide", q, vec![0, 1], vec![vec![0.0, 1.0]]);
+        catalog.register_view(view.unwrap());
         let engine = Engine::new(catalog.clone());
         let out = engine.append("WIDE", &wide_rows(&[[1, 2, 3, 4, 5]], seed_rows.len())).unwrap();
         assert_eq!(out.views_dropped, vec!["mv_wide".to_string()]);
@@ -537,19 +459,7 @@ mod tests {
     #[test]
     fn avg_views_take_the_rebuild_path() {
         let (catalog, schema) = seed();
-        // Hand-built avg view at `type`: coordinate order doesn't matter,
-        // maintenance recomputes it entirely.
-        let group_by = GroupBySet::from_level_names(&schema, &["type"]).unwrap();
-        let view = MaterializedAggregate::new(
-            "mv_avg",
-            group_by,
-            vec![vec![MemberId(0), MemberId(1), MemberId(2)]],
-            vec!["mean_qty".into()],
-            vec![vec![3.0, 2.0, 4.0]],
-        )
-        .unwrap()
-        .with_source("SALES");
-        catalog.register_view(view);
+        seed_view(&catalog, &schema, "mv_avg", "type", "mean_qty");
         let engine = Engine::new(catalog.clone());
         let out = engine.append("SALES", &batch()).unwrap();
         assert_eq!((out.views_merged, out.views_rebuilt), (0, 1));
@@ -562,31 +472,12 @@ mod tests {
     fn unresolvable_views_are_dropped() {
         let (catalog, schema) = seed();
         let group_by = GroupBySet::from_level_names(&schema, &["type"]).unwrap();
-        let orphan = MaterializedAggregate::new(
-            "mv_orphan",
-            group_by.clone(),
-            vec![vec![MemberId(0)]],
-            vec!["quantity".into()],
-            vec![vec![6.0]],
-        )
-        .unwrap();
-        catalog.register_view(orphan.clone());
-        let stranger = orphan.with_source("NO_SUCH_CUBE");
-        catalog.register_view(
-            MaterializedAggregate::new(
-                "mv_stranger",
-                group_by,
-                vec![vec![MemberId(0)]],
-                vec!["quantity".into()],
-                vec![vec![6.0]],
-            )
-            .unwrap()
-            .with_source("NO_SUCH_CUBE"),
-        );
-        drop(stranger);
+        let q = CubeQuery::new("NO_SUCH_CUBE", group_by, vec![], vec!["quantity".into()]);
+        let stranger = MaterializedAggregate::new("mv_stranger", q, vec![0], vec![vec![6.0]]);
+        catalog.register_view(stranger.unwrap());
         let engine = Engine::new(catalog.clone());
         let out = engine.append("SALES", &batch()).unwrap();
-        assert_eq!(out.views_dropped, vec!["mv_orphan".to_string(), "mv_stranger".to_string()]);
+        assert_eq!(out.views_dropped, vec!["mv_stranger".to_string()]);
         assert!(catalog.views().is_empty());
     }
 
@@ -605,7 +496,7 @@ mod tests {
     #[test]
     fn appends_record_maintenance_metrics() {
         let (catalog, schema) = seed();
-        seed_view(&catalog, &schema, "mv_type", "type");
+        seed_view(&catalog, &schema, "mv_type", "type", "quantity");
         let metrics = Arc::new(crate::metrics::EngineMetrics::new());
         let engine = Engine::new(catalog).with_metrics(metrics.clone());
         engine.append("SALES", &batch()).unwrap();

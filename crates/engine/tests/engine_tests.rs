@@ -4,11 +4,12 @@ use std::sync::Arc;
 
 use olap_engine::{
     CancelToken, Engine, EngineConfig, EngineError, EngineMetrics, JoinKind, ResourceGovernor,
+    ShardBudget, ShardPartial, ShardSet, ShardTransport,
 };
 use olap_model::{
     AggOp, CubeQuery, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef, Predicate,
 };
-use olap_storage::{binding::DimInfo, Catalog, Column, CubeBinding, MaterializedAggregate, Table};
+use olap_storage::{binding::DimInfo, Catalog, Column, CubeBinding, ShardScheme, Table};
 
 /// Products: Apple(0)/Pear(1)/Lemon(2) = Fresh Fruit, Milk(3) = Dairy.
 /// Stores: S1(0)/S2(1) = Italy, S3(2) = France.
@@ -204,18 +205,8 @@ fn view_path_matches_fact_path() {
     let engine = Engine::new(catalog.clone());
     // Materialize the (product, country) aggregate from the fact path.
     let g_fine = GroupBySet::from_level_names(&schema, &["product", "country"]).unwrap();
-    let base = engine
-        .get(&CubeQuery::new("SALES", g_fine.clone(), vec![], vec!["quantity".into()]))
-        .unwrap();
-    let view = MaterializedAggregate::new(
-        "mv_product_country",
-        g_fine,
-        base.cube.coord_cols().to_vec(),
-        vec!["quantity".into()],
-        vec![base.cube.numeric_column("quantity").unwrap().data.clone()],
-    )
-    .unwrap();
-    catalog.register_view(view);
+    let def = CubeQuery::new("SALES", g_fine, vec![], vec!["quantity".into()]);
+    catalog.register_view(engine.materialize_view("mv_product_country", &def).unwrap());
 
     // A coarser query with a type-level predicate must now use the view.
     let g = GroupBySet::from_level_names(&schema, &["type", "country"]).unwrap();
@@ -526,18 +517,9 @@ fn estimate_get_predicts_access_path_and_size() {
     assert!(est.cells >= 1.0 && est.cells <= FACT.len() as f64);
 
     // With a matching view, the estimate switches to the view's size.
-    let base =
-        engine.get(&CubeQuery::new("SALES", g.clone(), vec![], vec!["quantity".into()])).unwrap();
-    catalog.register_view(
-        MaterializedAggregate::new(
-            "mv",
-            g,
-            base.cube.coord_cols().to_vec(),
-            vec!["quantity".into()],
-            vec![base.cube.numeric_column("quantity").unwrap().data.clone()],
-        )
-        .unwrap(),
-    );
+    let def = CubeQuery::new("SALES", g, vec![], vec!["quantity".into()]);
+    let base = engine.get(&def).unwrap();
+    catalog.register_view(engine.materialize_view("mv", &def).unwrap());
     let est = engine.estimate_get(&q).unwrap();
     assert!(est.from_view);
     assert_eq!(est.rows_scanned, base.cube.len());
@@ -668,18 +650,7 @@ fn views_answer_only_the_cube_they_aggregate() {
     let engine = Engine::new(catalog.clone());
     let g = GroupBySet::from_level_names(&schema, &["product", "country"]).unwrap();
     let query = |cube: &str| CubeQuery::new(cube, g.clone(), vec![], vec!["quantity".into()]);
-    let base = engine.get(&query("SALES")).unwrap();
-    catalog.register_view(
-        MaterializedAggregate::new(
-            "mv_sales",
-            g.clone(),
-            base.cube.coord_cols().to_vec(),
-            vec!["quantity".into()],
-            vec![base.cube.numeric_column("quantity").unwrap().data.clone()],
-        )
-        .unwrap()
-        .with_source("SALES"),
-    );
+    catalog.register_view(engine.materialize_view("mv_sales", &query("SALES")).unwrap());
     assert_eq!(engine.get(&query("SALES")).unwrap().used_view.as_deref(), Some("mv_sales"));
     assert!(engine.estimate_get(&query("SALES")).unwrap().from_view);
 
@@ -692,6 +663,80 @@ fn views_answer_only_the_cube_they_aggregate() {
     assert_eq!(rows_of(&out.cube, "quantity"), rows_of(&fact_scan.cube, "quantity"));
     assert_eq!(out.rows_scanned, 4);
     assert!(!engine.estimate_get(&query("RETURNS")).unwrap().from_view);
+}
+
+/// A view registered twice under one name is one view, so the append that
+/// maintains it leaves no stale copy behind for a query to pick.
+#[test]
+fn a_view_registered_twice_serves_appended_cells() {
+    let (catalog, schema) = build_catalog();
+    let engine = Engine::new(catalog.clone());
+    let g = GroupBySet::from_level_names(&schema, &["product", "month"]).unwrap();
+    let def = CubeQuery::new("SALES", g.clone(), vec![], vec!["quantity".into()]);
+    for _ in 0..2 {
+        catalog.register_view(engine.materialize_view("mv", &def).unwrap());
+    }
+    // Milk in m1: a ⟨product, month⟩ cell the view does not hold yet.
+    let batch = vec![
+        Column::i64("pkey", vec![3]),
+        Column::i64("skey", vec![0]),
+        Column::i64("mkey", vec![1]),
+        Column::f64("quantity", vec![6.0]),
+    ];
+    engine.append("SALES", &batch).unwrap();
+    let m1 = Predicate::eq(&schema, "month", "m1").unwrap();
+    let q = CubeQuery::new("SALES", g, vec![m1], vec!["quantity".into()]);
+    let via_view = engine.get(&q).unwrap();
+    assert_eq!(via_view.used_view.as_deref(), Some("mv"));
+    let fact_scan =
+        Engine::with_config(catalog, EngineConfig { use_views: false, ..EngineConfig::default() })
+            .get(&q)
+            .unwrap();
+    assert_eq!(fact_scan.cube.len(), 3);
+    assert_eq!(rows_of(&via_view.cube, "quantity"), rows_of(&fact_scan.cube, "quantity"));
+}
+
+/// A shard that is never called.
+struct Unreached;
+
+impl ShardTransport for Unreached {
+    fn label(&self) -> String {
+        "unreached".into()
+    }
+    fn partial(&self, _: &CubeQuery, _: ShardBudget) -> Result<ShardPartial, EngineError> {
+        unreachable!("the coordinator refuses first")
+    }
+    fn append(&self, _: &str, _: &[Column]) -> Result<usize, EngineError> {
+        unreachable!("the coordinator refuses first")
+    }
+    fn rows(&self, _: &str) -> Result<usize, EngineError> {
+        unreachable!("the coordinator refuses first")
+    }
+}
+
+/// A view is the answer of a predicate-free get whose keys fit a machine
+/// word, scanned from fact rows the engine holds: a predicated query, a
+/// group-by wider than 64 bits and a coordinator (whose fact tables are
+/// empty shells) are refused.
+#[test]
+fn materialize_view_refuses_what_no_view_can_store() {
+    let (engine, schema) = engine();
+    let g = GroupBySet::from_level_names(&schema, &["product"]).unwrap();
+    let italy = Predicate::eq(&schema, "country", "Italy").unwrap();
+    let sliced = CubeQuery::new("SALES", g.clone(), vec![italy], vec!["quantity".into()]);
+    assert!(matches!(engine.materialize_view("mv", &sliced), Err(EngineError::Unsupported(_))));
+
+    let (wide, q) = wide_catalog();
+    let err = Engine::new(wide).materialize_view("mv", &q).unwrap_err();
+    assert_eq!(err, EngineError::WideKey { bits: 65 });
+
+    let shards: Vec<Arc<dyn ShardTransport>> = vec![Arc::new(Unreached)];
+    let set = ShardSet::new(ShardScheme::range("pkey", 4, 1), shards).unwrap();
+    let coordinator = engine.with_shards(Arc::new(set));
+    let def = CubeQuery::new("SALES", g, vec![], vec!["quantity".into()]);
+    let err = coordinator.materialize_view("mv", &def).unwrap_err();
+    assert!(matches!(err, EngineError::Unsupported(_)));
+    assert!(coordinator.catalog().views().is_empty());
 }
 
 /// The fact table of cube `ITEMS` over rows `(item, store, quantity)`.

@@ -132,27 +132,10 @@ fn build_view(
     levels: &[&str],
     measures: &[&str],
 ) -> MaterializedAggregate {
-    let engine = Engine::with_config(
-        catalog.clone(),
-        EngineConfig { use_views: false, ..EngineConfig::default() },
-    );
     let group_by = GroupBySet::from_level_names(schema, levels).unwrap();
     let measures: Vec<String> = measures.iter().map(|m| m.to_string()).collect();
-    let out =
-        engine.get(&CubeQuery::new("SALES", group_by.clone(), vec![], measures.clone())).unwrap();
-    let measure_cols: Vec<Vec<f64>> = measures
-        .iter()
-        .map(|m| out.cube.numeric_column(m).expect("measure present").data.clone())
-        .collect();
-    MaterializedAggregate::new(
-        name,
-        group_by,
-        out.cube.coord_cols().to_vec(),
-        measures,
-        measure_cols,
-    )
-    .expect("view shape is consistent")
-    .with_source("SALES")
+    let q = CubeQuery::new("SALES", group_by, vec![], measures);
+    Engine::new(catalog.clone()).materialize_view(name, &q).expect("view builds")
 }
 
 fn register_views(catalog: &Arc<Catalog>, schema: &Arc<CubeSchema>) {
@@ -296,8 +279,8 @@ proptest! {
                     .expect("seeded view still registered");
                 let fresh = build_view(&cat, &schema, name, levels, measures);
                 prop_assert_eq!(
-                    stored.coord_cols(),
-                    fresh.coord_cols(),
+                    stored.keys(),
+                    fresh.keys(),
                     "{} coordinates drifted after append {}",
                     name, i
                 );
@@ -328,27 +311,11 @@ fn extremes_catalog(rows: &[Row]) -> (Arc<Catalog>, Arc<CubeSchema>) {
     sales_catalog(rows, measures, &["quantity"; 4])
 }
 
-/// `view` with its rows in reverse order — out of key order.
-fn reversed(view: MaterializedAggregate) -> MaterializedAggregate {
-    let flip = |col: &[f64]| col.iter().rev().copied().collect::<Vec<f64>>();
-    let coords = view.coord_cols().iter().map(|c| c.iter().rev().copied().collect()).collect();
-    let measures = (0..view.measure_names().len()).map(|i| flip(view.measure_at(i).unwrap()));
-    MaterializedAggregate::new(
-        view.name(),
-        view.group_by().clone(),
-        coords,
-        view.measure_names().to_vec(),
-        measures.collect(),
-    )
-    .unwrap()
-    .with_source("SALES")
-}
-
-/// A view delta-merge is one walk over the view and the delta in key
-/// order. Whether the delta hits the view's first key, its last key, only
-/// new keys or only existing ones, and whether the view was registered in
-/// key order or out of it, the merged Sum, Min, Max and Count view is the
-/// view a from-scratch rebuild of the grown table yields, bit for bit.
+/// A view delta-merge is one walk over the view's keys and the delta's in
+/// key order. Whether the delta hits the view's first key, its last key,
+/// only new keys or only existing ones, the merged Sum, Min, Max and Count
+/// view is the view a from-scratch rebuild of the grown table yields, bit
+/// for bit.
 #[test]
 fn view_merge_walk_equals_rebuild_at_every_edge() {
     // Base cells (product, month): (0, 1) first, (1, 2), (1, 4), (2, 3) last.
@@ -364,28 +331,24 @@ fn view_merge_walk_equals_rebuild_at_every_edge() {
     ];
     let levels = ["product", "month"];
     for (case, cells) in deltas {
-        for out_of_order in [false, true] {
-            let (cat, schema) = extremes_catalog(&base);
-            let view = build_view(&cat, &schema, "mv", &levels, EXTREMES);
-            cat.register_view(if out_of_order { reversed(view) } else { view });
-            let batch: Vec<Row> = (0..)
-                .zip(cells.iter())
-                .map(|(i, &(p, m))| (p, 1, m, f64::from(i) * 4.0 - 3.0, 10.0))
-                .collect();
-            let outcome =
-                Engine::new(cat.clone()).append("SALES", &fact_columns(&batch)).expect("commits");
-            assert_eq!((outcome.views_merged, outcome.views_rebuilt), (1, 0), "{case}");
+        let (cat, schema) = extremes_catalog(&base);
+        cat.register_view(build_view(&cat, &schema, "mv", &levels, EXTREMES));
+        let batch: Vec<Row> = (0..)
+            .zip(cells.iter())
+            .map(|(i, &(p, m))| (p, 1, m, f64::from(i) * 4.0 - 3.0, 10.0))
+            .collect();
+        let outcome =
+            Engine::new(cat.clone()).append("SALES", &fact_columns(&batch)).expect("commits");
+        assert_eq!((outcome.views_merged, outcome.views_rebuilt), (1, 0), "{case}");
 
-            let stored = cat.views().into_iter().find(|v| v.name() == "mv").expect("kept");
-            let fresh = build_view(&cat, &schema, "mv", &levels, EXTREMES);
-            let at = format!("{case}, registered out of order: {out_of_order}");
-            assert_eq!(stored.coord_cols(), fresh.coord_cols(), "{at}");
-            for m in EXTREMES {
-                let bits = |v: &MaterializedAggregate| {
-                    v.measure(m).expect("measure").iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-                };
-                assert_eq!(bits(&stored), bits(&fresh), "{m}: {at}");
-            }
+        let stored = cat.views().into_iter().find(|v| v.name() == "mv").expect("kept");
+        let fresh = build_view(&cat, &schema, "mv", &levels, EXTREMES);
+        assert_eq!(stored.keys(), fresh.keys(), "{case}");
+        for m in EXTREMES {
+            let bits = |v: &MaterializedAggregate| {
+                v.measure(m).expect("measure").iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&stored), bits(&fresh), "{m}: {case}");
         }
     }
 }

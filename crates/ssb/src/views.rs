@@ -9,12 +9,16 @@
 //! * `mv_part_cnation`   — ⟨part, c_nation⟩: Sibling intention (slices on
 //!   `c_region`, which `c_nation` rolls up into);
 //! * `mv_supplier_month` — ⟨supplier, month⟩: Past intention.
+//!
+//! Each view is its defining `get` over the SSB cube, built by the engine
+//! (`Engine::materialize_view`) as the scan's key-ordered keys and values;
+//! the query is also what `Engine::append` re-runs to maintain it.
 
 use std::sync::Arc;
 
-use olap_engine::{Engine, EngineConfig};
+use olap_engine::Engine;
 use olap_model::{CubeQuery, CubeSchema, GroupBySet};
-use olap_storage::{Catalog, MaterializedAggregate};
+use olap_storage::Catalog;
 
 use crate::generate::SSB_CUBE;
 
@@ -22,17 +26,11 @@ use crate::generate::SSB_CUBE;
 const VIEW_MEASURES: &[&str] = &["quantity", "revenue"];
 
 /// Builds and registers the three default views, returning their names.
-///
-/// Views are computed by the engine itself from the fact table (with the
-/// view path disabled, naturally).
 pub fn register_default_views(
     catalog: &Arc<Catalog>,
     schema: &Arc<CubeSchema>,
 ) -> Result<Vec<String>, olap_engine::EngineError> {
-    let engine = Engine::with_config(
-        catalog.clone(),
-        EngineConfig { use_views: false, ..EngineConfig::default() },
-    );
+    let engine = Engine::new(catalog.clone());
     let specs: &[(&str, &[&str])] = &[
         ("mv_customer_year", &["customer", "year"]),
         ("mv_part_cnation", &["part", "c_nation"]),
@@ -42,24 +40,8 @@ pub fn register_default_views(
     for (name, levels) in specs {
         let group_by = GroupBySet::from_level_names(schema, levels)?;
         let measures: Vec<String> = VIEW_MEASURES.iter().map(|m| m.to_string()).collect();
-        let out =
-            engine.get(&CubeQuery::new(SSB_CUBE, group_by.clone(), vec![], measures.clone()))?;
-        let measure_cols: Vec<Vec<f64>> = measures
-            .iter()
-            .map(|m| out.cube.numeric_column(m).expect("measure present").data.clone())
-            .collect();
-        let view = MaterializedAggregate::new(
-            *name,
-            group_by,
-            out.cube.coord_cols().to_vec(),
-            measures,
-            measure_cols,
-        )
-        .expect("view shape is consistent")
-        // Provenance enables incremental maintenance when the fact table
-        // grows (`Engine::append`); without it appends would drop the view.
-        .with_source(SSB_CUBE);
-        catalog.register_view(view);
+        let q = CubeQuery::new(SSB_CUBE, group_by, vec![], measures);
+        catalog.register_view(engine.materialize_view(*name, &q)?);
         names.push(name.to_string());
     }
     Ok(names)
@@ -69,6 +51,7 @@ pub fn register_default_views(
 mod tests {
     use super::*;
     use crate::generate::{generate, SsbConfig};
+    use olap_engine::EngineConfig;
     use olap_model::Predicate;
 
     #[test]

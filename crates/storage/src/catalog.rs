@@ -165,16 +165,17 @@ impl Catalog {
             .ok_or_else(|| StorageError::UnknownBinding(name.to_string()))
     }
 
-    /// Registers a materialized aggregate view.
+    /// Registers a materialized aggregate view, replacing a view of the
+    /// same name — views are named uniquely, as `commit_append` assumes
+    /// when it replaces maintained views by name.
     pub fn register_view(&self, view: MaterializedAggregate) -> Arc<MaterializedAggregate> {
         let view = Arc::new(view);
-        self.write_structural().views.push(view.clone());
+        let mut guard = self.write_structural();
+        match guard.views.iter_mut().find(|v| v.name() == view.name()) {
+            Some(slot) => *slot = view.clone(),
+            None => guard.views.push(view.clone()),
+        }
         view
-    }
-
-    /// Removes all materialized views (used by the view-matching ablation).
-    pub fn clear_views(&self) {
-        self.write_structural().views.clear();
     }
 
     /// All registered views (cloned handles; the lock is not held).
@@ -275,24 +276,10 @@ impl Catalog {
         Some(covering)
     }
 
-    /// Finds the smallest registered view answering a query on `cube` with
-    /// the given group-by, predicate levels and measures; `None` when the
-    /// fact table must be scanned. A view recorded as aggregating another
-    /// cube never matches; a view without a recorded source matches any.
-    pub fn best_view(
-        &self,
-        cube: &str,
-        group_by: &olap_model::GroupBySet,
-        predicate_levels: &[(usize, usize)],
-        measures: &[String],
-    ) -> Option<Arc<MaterializedAggregate>> {
-        self.read()
-            .views
-            .iter()
-            .filter(|v| v.source().is_none_or(|source| source == cube))
-            .filter(|v| v.matches(group_by, predicate_levels, measures))
-            .min_by_key(|v| v.len())
-            .cloned()
+    /// Finds the smallest registered view that [answers](MaterializedAggregate::answers)
+    /// `q`; `None` when the fact table must be scanned.
+    pub fn best_view(&self, q: &olap_model::CubeQuery) -> Option<Arc<MaterializedAggregate>> {
+        self.read().views.iter().filter(|v| v.answers(q)).min_by_key(|v| v.len()).cloned()
     }
 
     /// Names of all registered tables (sorted, for stable diagnostics).
@@ -348,7 +335,7 @@ pub struct TableStorageStats {
 mod tests {
     use super::*;
     use crate::column::Column;
-    use olap_model::{GroupBySet, MemberId};
+    use olap_model::{CubeQuery, GroupBySet};
 
     #[test]
     fn table_registration_and_lookup() {
@@ -381,28 +368,37 @@ mod tests {
         assert!(t.columns[0].bytes * 10 < t.columns[0].plain_bytes, "5/64 bits per row");
     }
 
+    /// A sum view of measure `m` over cube `c` at `slots`, with `rows` cells.
+    fn view(name: &str, rows: u64, slots: Vec<Option<usize>>) -> MaterializedAggregate {
+        let q = CubeQuery::new("c", GroupBySet::from_slots(slots), vec![], vec!["m".into()]);
+        MaterializedAggregate::new(name, q, (0..rows).collect(), vec![vec![1.0; rows as usize]])
+            .unwrap()
+    }
+
     #[test]
     fn best_view_picks_smallest_match() {
         let cat = Catalog::new();
-        let g_fine = GroupBySet::from_slots(vec![Some(0)]);
-        let g_query = GroupBySet::from_slots(vec![Some(1)]);
-        let mk = |name: &str, rows: usize, slots: Vec<Option<usize>>| {
-            MaterializedAggregate::new(
-                name,
-                GroupBySet::from_slots(slots),
-                vec![vec![MemberId(0); rows]],
-                vec!["m".into()],
-                vec![vec![1.0; rows]],
-            )
-            .unwrap()
+        let query = |cube: &str, slots: Vec<Option<usize>>, m: &str| {
+            CubeQuery::new(cube, GroupBySet::from_slots(slots), vec![], vec![m.to_string()])
         };
-        cat.register_view(mk("big", 100, vec![Some(0)]));
-        cat.register_view(mk("small", 10, vec![Some(0)]));
-        let best = cat.best_view("c", &g_query, &[], &["m".to_string()]).unwrap();
+        cat.register_view(view("big", 100, vec![Some(0)]));
+        cat.register_view(view("small", 10, vec![Some(0)]));
+        let best = cat.best_view(&query("c", vec![Some(1)], "m")).unwrap();
         assert_eq!(best.name(), "small");
-        assert!(cat.best_view("c", &g_fine, &[], &["other".to_string()]).is_none());
-        cat.clear_views();
-        assert!(cat.best_view("c", &g_query, &[], &["m".to_string()]).is_none());
+        assert!(cat.best_view(&query("c", vec![Some(0)], "other")).is_none());
+        assert!(cat.best_view(&query("d", vec![Some(1)], "m")).is_none());
+    }
+
+    /// Registering a view under a taken name replaces it, so a query and
+    /// an append both see the one view of that name.
+    #[test]
+    fn register_view_replaces_a_same_named_view() {
+        let cat = Catalog::new();
+        cat.register_view(view("mv", 100, vec![Some(0)]));
+        cat.register_view(view("mv", 10, vec![Some(0)]));
+        let views = cat.views();
+        assert_eq!(views.len(), 1);
+        assert_eq!(views[0].len(), 10);
     }
 
     #[test]
@@ -418,7 +414,7 @@ mod tests {
         cat.table("t").unwrap();
         cat.table_names();
         assert_eq!(cat.version(), v1);
-        cat.clear_views();
+        cat.register_view(view("mv", 1, vec![Some(0)]));
         assert!(cat.version() > v1);
     }
 
@@ -468,7 +464,7 @@ mod tests {
         let delta = Delta::describe("t", base.n_rows(), &batch);
         cat.commit_append(&base, Arc::new(appended), vec![], &[], delta).unwrap();
         assert!(cat.deltas_since(v0).is_some());
-        cat.clear_views(); // structural
+        cat.register_view(view("mv", 1, vec![Some(0)])); // structural
         assert!(cat.deltas_since(v0).is_none(), "structural horizon moved past v0");
         assert_eq!(cat.deltas_since(cat.version()).unwrap().len(), 0);
         // Odd and future versions are never explainable.
@@ -481,14 +477,13 @@ mod tests {
         let cat = Catalog::new();
         let base = cat.register_table(Table::new("t", vec![Column::i64("k", vec![0, 0])]).unwrap());
         let mk = |name: &str, total: f64| {
-            MaterializedAggregate::new(
-                name,
+            let q = CubeQuery::new(
+                "c",
                 GroupBySet::from_slots(vec![Some(0)]),
-                vec![vec![MemberId(0)]],
+                vec![],
                 vec!["m".into()],
-                vec![vec![total]],
-            )
-            .unwrap()
+            );
+            MaterializedAggregate::new(name, q, vec![0], vec![vec![total]]).unwrap()
         };
         cat.register_view(mk("kept", 1.0));
         cat.register_view(mk("doomed", 2.0));

@@ -1,249 +1,215 @@
 //! Materialized aggregate views and roll-up view matching.
 //!
 //! The paper's experimental setup creates materialized views "to improve
-//! performances". A [`MaterializedAggregate`] stores a pre-aggregated cube
-//! at some group-by set; the matching rule decides when a cube query can be
-//! answered from the view by further roll-up instead of scanning the fact
-//! table.
+//! performances". A [`MaterializedAggregate`] is the stored answer of its
+//! defining `get`: a predicate-free [`CubeQuery`] over its source cube,
+//! kept as the engine produces every scan result — the packed group-by keys
+//! in ascending order, one finalized value column per measure. For the
+//! distributive operators a finalized value is its own partial state, so
+//! an append folds into the view key by key. The matching rule decides
+//! when a cube query can be answered from the view by further roll-up
+//! instead of scanning the fact table; it is decided on the defining query.
+//!
+//! The keys are packed by the engine's key layout of the query's group-by
+//! set; this crate only checks that they ascend.
 
-use olap_model::{GroupBySet, MemberId};
+use olap_model::CubeQuery;
 
 use crate::error::StorageError;
 
-/// A pre-aggregated view: coordinates at `group_by`, one summed column per
-/// measure. Only distributive (sum) measures are materialized, so rolling
-/// the view further up is always sound.
+/// A pre-aggregated view: the keys and finalized measure values of its
+/// defining query's cells, in ascending key order.
 #[derive(Debug, Clone)]
 pub struct MaterializedAggregate {
     name: String,
-    group_by: GroupBySet,
-    coord_cols: Vec<Vec<MemberId>>,
-    measure_names: Vec<String>,
-    measure_cols: Vec<Vec<f64>>,
-    /// The cube this view aggregates, when known. Incremental maintenance
-    /// needs provenance to re-derive a view from an append delta; views
-    /// without it can only be dropped when their fact table grows.
-    source: Option<String>,
+    query: CubeQuery,
+    keys: Vec<u64>,
+    values: Vec<Vec<f64>>,
 }
 
 impl MaterializedAggregate {
-    /// Assembles a view, verifying shapes line up.
+    /// Assembles a view from its defining `query` (predicate-free) and the
+    /// query's cells: `keys` strictly ascending, one column of `values` per
+    /// measure of the query, each as long as `keys`.
     pub fn new(
         name: impl Into<String>,
-        group_by: GroupBySet,
-        coord_cols: Vec<Vec<MemberId>>,
-        measure_names: Vec<String>,
-        measure_cols: Vec<Vec<f64>>,
+        query: CubeQuery,
+        keys: Vec<u64>,
+        values: Vec<Vec<f64>>,
     ) -> Result<Self, StorageError> {
         let name = name.into();
-        if coord_cols.len() != group_by.arity() {
+        if !query.predicates.is_empty() {
             return Err(StorageError::InvalidBinding(format!(
-                "view `{name}` has {} coordinate columns for a group-by of arity {}",
-                coord_cols.len(),
-                group_by.arity()
+                "view `{name}` is defined by a predicated query"
             )));
         }
-        if measure_names.len() != measure_cols.len() {
+        if !keys.is_sorted_by(|a, b| a < b) {
+            return Err(StorageError::InvalidBinding(format!(
+                "view `{name}` has keys out of ascending order or repeated"
+            )));
+        }
+        if values.len() != query.measures.len() {
             return Err(StorageError::InvalidBinding(format!(
                 "view `{name}` names {} measures but stores {}",
-                measure_names.len(),
-                measure_cols.len()
+                query.measures.len(),
+                values.len()
             )));
         }
-        let n = coord_cols
-            .first()
-            .map(Vec::len)
-            .unwrap_or_else(|| measure_cols.first().map(Vec::len).unwrap_or(0));
-        for c in &coord_cols {
-            if c.len() != n {
+        for (measure, col) in query.measures.iter().zip(&values) {
+            if col.len() != keys.len() {
                 return Err(StorageError::RaggedColumns {
                     table: name,
-                    expected: n,
-                    got: c.len(),
-                    column: "<coordinate>".into(),
+                    expected: keys.len(),
+                    got: col.len(),
+                    column: measure.clone(),
                 });
             }
         }
-        for (mname, c) in measure_names.iter().zip(&measure_cols) {
-            if c.len() != n {
-                return Err(StorageError::RaggedColumns {
-                    table: name,
-                    expected: n,
-                    got: c.len(),
-                    column: mname.clone(),
-                });
-            }
-        }
-        Ok(MaterializedAggregate {
-            name,
-            group_by,
-            coord_cols,
-            measure_names,
-            measure_cols,
-            source: None,
-        })
-    }
-
-    /// Records the cube this view was aggregated from, enabling
-    /// incremental maintenance when that cube's fact table is appended to.
-    pub fn with_source(mut self, cube: impl Into<String>) -> Self {
-        self.source = Some(cube.into());
-        self
-    }
-
-    /// The source cube recorded at build time, if any.
-    pub fn source(&self) -> Option<&str> {
-        self.source.as_deref()
+        Ok(MaterializedAggregate { name, query, keys, values })
     }
 
     pub fn name(&self) -> &str {
         &self.name
     }
 
-    pub fn group_by(&self) -> &GroupBySet {
-        &self.group_by
+    /// The defining query: `query.cube` is the view's source.
+    pub fn query(&self) -> &CubeQuery {
+        &self.query
+    }
+
+    /// The packed keys of the view's cells, strictly ascending.
+    pub fn keys(&self) -> &[u64] {
+        &self.keys
     }
 
     pub fn len(&self) -> usize {
-        self.coord_cols
-            .first()
-            .map(Vec::len)
-            .unwrap_or_else(|| self.measure_cols.first().map(Vec::len).unwrap_or(0))
+        self.keys.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.keys.is_empty()
     }
 
-    pub fn coord_cols(&self) -> &[Vec<MemberId>] {
-        &self.coord_cols
-    }
-
-    pub fn measure_names(&self) -> &[String] {
-        &self.measure_names
-    }
-
-    /// The summed values of a measure, if materialized.
+    /// The finalized values of a measure, if materialized.
     pub fn measure(&self, name: &str) -> Option<&[f64]> {
-        self.measure_names.iter().position(|m| m == name).map(|i| self.measure_cols[i].as_slice())
+        self.query.measures.iter().position(|m| m == name).map(|i| self.values[i].as_slice())
     }
 
-    /// The summed values of the measure at `idx` (in `measure_names` order) —
-    /// index-based access for scan contexts that resolve names once up front.
-    pub fn measure_at(&self, idx: usize) -> Option<&[f64]> {
-        self.measure_cols.get(idx).map(Vec::as_slice)
+    /// The finalized values of every measure, in the query's measure order.
+    pub fn values(&self) -> &[Vec<f64>] {
+        &self.values
     }
 
-    /// View matching: can a query with group-by `g`, predicates on the given
-    /// `(hierarchy, level)` pairs, and the given measures be answered from
-    /// this view?
+    /// View matching: can `q` be answered from this view?
     ///
     /// Requirements:
-    /// 1. the view is at least as fine as the query (`view ⪰_H g`), so every
+    /// 1. `q` runs over the view's source cube;
+    /// 2. the view is at least as fine as the query (`view ⪰_H g`), so every
     ///    view coordinate rolls up to exactly one query coordinate;
-    /// 2. every predicate level is reachable from the view's level on that
+    /// 3. every predicate level is reachable from the view's level on that
     ///    hierarchy (the view retains the hierarchy at a level at least as
     ///    fine as the predicate's, so the predicate can still be evaluated);
-    /// 3. every requested measure is materialized.
-    pub fn matches(
-        &self,
-        g: &GroupBySet,
-        predicate_levels: &[(usize, usize)],
-        measures: &[String],
-    ) -> bool {
-        if !self.group_by.rolls_up_to(g) {
-            return false;
-        }
-        for &(hi, li) in predicate_levels {
-            match self.group_by.slots().get(hi).copied().flatten() {
-                Some(view_level) if view_level <= li => {}
-                _ => return false,
-            }
-        }
-        measures.iter().all(|m| self.measure_names.iter().any(|v| v == m))
+    /// 4. every requested measure is materialized.
+    pub fn answers(&self, q: &CubeQuery) -> bool {
+        let view = &self.query;
+        q.cube == view.cube
+            && view.group_by.rolls_up_to(&q.group_by)
+            && q.predicates.iter().all(|p| {
+                matches!(view.group_by.slots().get(p.hierarchy), Some(Some(l)) if *l <= p.level)
+            })
+            && q.measures.iter().all(|m| view.measures.contains(m))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use olap_model::{GroupBySet, MemberId, Predicate, PredicateOp};
 
     fn gb(slots: Vec<Option<usize>>) -> GroupBySet {
         GroupBySet::from_slots(slots)
     }
 
+    fn query(slots: Vec<Option<usize>>, measure: &str) -> CubeQuery {
+        CubeQuery::new("SALES", gb(slots), vec![], vec![measure.to_string()])
+    }
+
+    /// A predicate on level `level` of hierarchy `hierarchy`.
+    fn on(hierarchy: usize, level: usize) -> Predicate {
+        Predicate { hierarchy, level, op: PredicateOp::Eq(MemberId(0)) }
+    }
+
     fn view() -> MaterializedAggregate {
         // View at ⟨month (level 1 of h0), product (level 0 of h1)⟩.
-        MaterializedAggregate::new(
-            "mv_month_product",
-            gb(vec![Some(1), Some(0)]),
-            vec![vec![MemberId(0), MemberId(0)], vec![MemberId(0), MemberId(1)]],
-            vec!["quantity".into()],
-            vec![vec![10.0, 20.0]],
-        )
-        .unwrap()
+        let q = query(vec![Some(1), Some(0)], "quantity");
+        MaterializedAggregate::new("mv_month_product", q, vec![0, 1], vec![vec![10.0, 20.0]])
+            .unwrap()
     }
 
     #[test]
     fn matches_coarser_query() {
         let v = view();
         // Query at ⟨year (level 2), category (level 2)⟩ with no predicates.
-        assert!(v.matches(&gb(vec![Some(2), Some(2)]), &[], &["quantity".to_string()]));
+        assert!(v.answers(&query(vec![Some(2), Some(2)], "quantity")));
         // Same group-by works too.
-        assert!(v.matches(&gb(vec![Some(1), Some(0)]), &[], &["quantity".to_string()]));
+        assert!(v.answers(&query(vec![Some(1), Some(0)], "quantity")));
+        // Another cube's query does not.
+        let other =
+            CubeQuery { cube: "RETURNS".into(), ..query(vec![Some(2), Some(2)], "quantity") };
+        assert!(!v.answers(&other));
     }
 
     #[test]
     fn rejects_finer_query() {
         let v = view();
         // Query wants date (level 0) but view only has month (level 1).
-        assert!(!v.matches(&gb(vec![Some(0), Some(0)]), &[], &["quantity".to_string()]));
+        assert!(!v.answers(&query(vec![Some(0), Some(0)], "quantity")));
     }
 
     #[test]
     fn predicate_level_must_be_reachable() {
         let v = view();
-        let g = gb(vec![Some(2), None]);
+        let sliced = |p: Predicate| CubeQuery {
+            predicates: vec![p],
+            ..query(vec![Some(2), None], "quantity")
+        };
         // Predicate on (h0, level 1) — view has h0 at level 1: ok.
-        assert!(v.matches(&g, &[(0, 1)], &["quantity".to_string()]));
+        assert!(v.answers(&sliced(on(0, 1))));
         // Predicate on (h0, level 0) — finer than the view: not answerable.
-        assert!(!v.matches(&g, &[(0, 0)], &["quantity".to_string()]));
+        assert!(!v.answers(&sliced(on(0, 0))));
         // Predicate on a hierarchy the view aggregated away entirely.
         let v2 = MaterializedAggregate::new(
             "mv_h0_only",
-            gb(vec![Some(1), None]),
-            vec![vec![MemberId(0)]],
-            vec!["quantity".into()],
+            query(vec![Some(1), None], "quantity"),
+            vec![0],
             vec![vec![10.0]],
         )
         .unwrap();
-        assert!(!v2.matches(&gb(vec![Some(2), None]), &[(1, 1)], &["quantity".to_string()]));
+        assert!(!v2.answers(&sliced(on(1, 1))));
     }
 
     #[test]
     fn missing_measure_rejected() {
         let v = view();
-        assert!(!v.matches(&gb(vec![Some(2), Some(2)]), &[], &["storeSales".to_string()]));
+        assert!(!v.answers(&query(vec![Some(2), Some(2)], "storeSales")));
     }
 
     #[test]
     fn shape_validation() {
-        assert!(MaterializedAggregate::new(
-            "bad",
-            gb(vec![Some(0)]),
-            vec![],
-            vec!["m".into()],
-            vec![vec![1.0]],
-        )
-        .is_err());
-        assert!(MaterializedAggregate::new(
-            "bad",
-            gb(vec![Some(0)]),
-            vec![vec![MemberId(0)]],
-            vec!["m".into()],
-            vec![vec![1.0, 2.0]],
-        )
-        .is_err());
+        let q = || query(vec![Some(0)], "m");
+        let new = |keys: Vec<u64>, values: Vec<Vec<f64>>| {
+            MaterializedAggregate::new("bad", q(), keys, values)
+        };
+        assert!(new(vec![0, 1], vec![vec![1.0, 2.0]]).is_ok());
+        // Keys out of order, or repeated.
+        assert!(new(vec![1, 0], vec![vec![1.0, 2.0]]).is_err());
+        assert!(new(vec![1, 1], vec![vec![1.0, 2.0]]).is_err());
+        // A value column of the wrong length, or a missing one.
+        assert!(new(vec![0], vec![vec![1.0, 2.0]]).is_err());
+        assert!(new(vec![0], vec![]).is_err());
+        // A predicated defining query.
+        let predicated = CubeQuery { predicates: vec![on(0, 0)], ..q() };
+        assert!(MaterializedAggregate::new("bad", predicated, vec![0], vec![vec![1.0]]).is_err());
     }
 
     #[test]
@@ -252,5 +218,7 @@ mod tests {
         assert_eq!(v.measure("quantity"), Some(&[10.0, 20.0][..]));
         assert_eq!(v.measure("nope"), None);
         assert_eq!(v.len(), 2);
+        assert_eq!(v.keys(), &[0, 1]);
+        assert_eq!(v.query().cube, "SALES");
     }
 }

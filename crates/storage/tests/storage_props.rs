@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use olap_model::{GroupBySet, MemberId};
+use olap_model::{CubeQuery, GroupBySet, MemberId, Predicate, PredicateOp};
 use olap_storage::{persist, Column, MaterializedAggregate, Table};
 use proptest::prelude::*;
 
@@ -97,17 +97,20 @@ proptest! {
     ) {
         let view_g = GroupBySet::from_slots(view_slots);
         let query_g = GroupBySet::from_slots(query_slots);
-        let rows = view_g.arity().max(1);
+        let rows = view_g.arity().max(1) as u64;
         let view = MaterializedAggregate::new(
             "v",
-            view_g.clone(),
-            (0..view_g.arity()).map(|_| vec![MemberId(0); rows]).collect(),
-            vec!["m".into()],
-            vec![vec![0.0; rows]],
+            CubeQuery::new("c", view_g.clone(), vec![], vec!["m".into()]),
+            (0..rows).collect(),
+            vec![vec![0.0; rows as usize]],
         )
         .unwrap();
         let preds: Vec<(usize, usize)> = pred.into_iter().collect();
-        if view.matches(&query_g, &preds, &["m".to_string()]) {
+        let predicates = preds
+            .iter()
+            .map(|&(hierarchy, level)| Predicate { hierarchy, level, op: PredicateOp::Eq(MemberId(0)) })
+            .collect();
+        if view.answers(&CubeQuery::new("c", query_g.clone(), predicates, vec!["m".into()])) {
             prop_assert!(view_g.rolls_up_to(&query_g));
             for (hi, li) in &preds {
                 let carried = view_g.slots()[*hi];
