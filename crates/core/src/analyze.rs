@@ -440,7 +440,7 @@ impl<'a> Binder<'a> {
         }
         for (h, l, idxs) in groups {
             let (Some(&first), true) = (idxs.first(), idxs.len() >= 2) else { continue };
-            let mut surviving = preds.get(first).map(Predicate::members).unwrap_or_default();
+            let mut surviving = preds.get(first).map(|p| p.members().to_vec()).unwrap_or_default();
             for &i in idxs.iter().skip(1) {
                 let members = preds.get(i).map(Predicate::members).unwrap_or_default();
                 surviving.retain(|m| members.contains(m));

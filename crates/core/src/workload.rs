@@ -1,5 +1,5 @@
 //! Workload-level static plan analysis: canonical subplan fingerprints and
-//! the sharing / subsumption / cost-dominance lints behind
+//! the sharing / containment / cost-dominance lints behind
 //! `assess-check --workload` and the serve `batch` op.
 //!
 //! A single statement is analyzed by [`crate::analyze::Analyzer`]; real
@@ -13,8 +13,10 @@
 //!   64-bit structural [`Fingerprint`] per subplan node.
 //! * [`WorkloadAnalyzer`] takes N parsed statements and emits a
 //!   [`SharingReport`]: fingerprint-equal subplans across statements
-//!   (`W107`), statically subsumed get targets per the cube-algebra
-//!   containment order (`W108`), and cost-dominant statements (`W109`).
+//!   (`W107`), get targets that are a slice of another statement's target
+//!   (`W108`: the wider target is `Usable` for the narrower one under the
+//!   cube algebra's containment relation, [`CubeQuery::relate`], with no
+//!   roll-up and equal measures), and cost-dominant statements (`W109`).
 //! * [`standalone_gets`] lists the scans a physical plan runs as plain
 //!   engine `get`s — the unit the serve `batch` op deduplicates so a
 //!   fingerprint-equal scan executes once and fans out to every consumer.
@@ -38,7 +40,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use olap_model::{CubeQuery, Predicate, PredicateOp};
+use olap_model::{CubeQuery, Predicate, PredicateOp, Relation};
 use serde::Value;
 
 use crate::ast::{AssessStatement, StatementSpans};
@@ -569,7 +571,7 @@ impl SharingReport {
     }
 }
 
-/// Cross-statement static analyzer: duplicate subplans, subsumed targets,
+/// Cross-statement static analyzer: duplicate subplans, contained targets,
 /// cost dominance. Mirrors [`crate::analyze::Analyzer`]'s shape — schema
 /// provider plus an optional engine for the cost-model lints.
 pub struct WorkloadAnalyzer<'a> {
@@ -708,7 +710,7 @@ impl<'a> WorkloadAnalyzer<'a> {
             sink.push(diag);
         }
 
-        // ---- static subsumption of get targets (W108) -------------------
+        // ---- containment of get targets (W108) --------------------------
         for (i, ri) in resolved.iter().enumerate() {
             let Some((a, _)) = ri else { continue };
             for (j, rj) in resolved.iter().enumerate() {
@@ -716,12 +718,13 @@ impl<'a> WorkloadAnalyzer<'a> {
                     continue;
                 }
                 let Some((b, _)) = rj else { continue };
-                let (fa, fb) =
-                    (fingerprint_query(&a.target_query), fingerprint_query(&b.target_query));
-                if fa == fb {
-                    continue; // identical targets are W107's business
-                }
-                if subsumes(&b.target_query, &a.target_query) {
+                // A slice of #j's cells; `Equal` targets are W107's business.
+                let (wide, narrow) = (&b.target_query, &a.target_query);
+                let slice = matches!(
+                    wide.relate(narrow, &b.schema),
+                    Relation::Usable { rollup: false, .. }
+                );
+                if slice && wide.measures == narrow.measures {
                     sink.push(
                         Diagnostic::new(
                             DiagCode::W108,
@@ -741,7 +744,7 @@ impl<'a> WorkloadAnalyzer<'a> {
                             j + 1
                         )),
                     );
-                    break; // one subsumption report per statement
+                    break; // one containment report per statement
                 }
             }
         }
@@ -789,26 +792,4 @@ fn statement_span(statements: &[WorkloadStatement], i: usize) -> Span {
         .get(i)
         .map(|ws| ws.spans.as_ref().map(|s| s.span.offset(ws.offset)).unwrap_or_else(Span::dummy))
         .unwrap_or_else(Span::dummy)
-}
-
-/// Static containment per the cube algebra: `narrow ⊑ wide` — the wide
-/// query's result contains every cell of the narrow one's, so the narrow
-/// cube is derivable from the wide result by selection. Requires the same
-/// cube, the same measures, the same group-by set, and every wide
-/// predicate to be implied by a narrow predicate on the same level
-/// (narrow members ⊆ wide members); the narrow query may add predicates.
-pub fn subsumes(wide: &CubeQuery, narrow: &CubeQuery) -> bool {
-    if wide.cube != narrow.cube
-        || wide.group_by != narrow.group_by
-        || wide.measures != narrow.measures
-    {
-        return false;
-    }
-    wide.predicates.iter().all(|wp| {
-        narrow.predicates.iter().any(|np| {
-            np.hierarchy == wp.hierarchy
-                && np.level == wp.level
-                && np.members().iter().all(|m| wp.members().contains(m))
-        })
-    })
 }

@@ -13,15 +13,15 @@ use olap_engine::Engine;
 use ssb_data::{generate::generate, views, SsbConfig};
 
 /// Four statements with deliberate workload-level smells: #2 repeats #1's
-/// target get (W107), #3's further-sliced probe of the same cube is
-/// answerable from #1's wider result (W108), and #4's wide customer × year
+/// target get (W107), #3's two-year probe contains the targets of #1 and #2,
+/// so each is a slice of #3's result (W108), and #4's wide customer × year
 /// sweep dwarfs the three year probes in estimated cost (W109).
 const WORKLOAD: &str = "\
 with SSB for year = '1997' by year assess revenue against 1000000 \
 using ratio(revenue, 1000000) labels {[0, 1): low, [1, inf]: high};
 with SSB for year = '1997' by year assess revenue against 2000000 \
 using ratio(revenue, 2000000) labels {[0, 1): low, [1, inf]: high};
-with SSB for year = '1997', c_region = 'ASIA' by year assess revenue against 1500000 \
+with SSB for year in ('1996', '1997') by year assess revenue against 1500000 \
 using ratio(revenue, 1500000) labels {[0, 1): low, [1, inf]: high};
 with SSB by customer, year assess revenue against 45000000 \
 using ratio(revenue, 45000000) \
@@ -43,11 +43,8 @@ fn golden(name: &str, actual: &str) {
     );
 }
 
-#[test]
-fn workload_lints_and_matrix_render_stably() {
-    let dataset = generate(SsbConfig::with_scale(0.01));
-    views::register_default_views(&dataset.catalog, &dataset.schema).unwrap();
-    let statements: Vec<WorkloadStatement> = stmt::split_statements(WORKLOAD)
+fn parse_workload(text: &str) -> Vec<WorkloadStatement> {
+    stmt::split_statements(text)
         .into_iter()
         .map(|(offset, text)| {
             let spanned = assess_sql::parse_spanned(&text).expect("workload statement parses");
@@ -58,7 +55,14 @@ fn workload_lints_and_matrix_render_stably() {
                 offset,
             }
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn workload_lints_and_matrix_render_stably() {
+    let dataset = generate(SsbConfig::with_scale(0.01));
+    views::register_default_views(&dataset.catalog, &dataset.schema).unwrap();
+    let statements = parse_workload(WORKLOAD);
     let engine = Engine::new(dataset.catalog.clone());
     let report =
         WorkloadAnalyzer::new(dataset.catalog.as_ref()).with_engine(&engine).analyze(&statements);
@@ -84,4 +88,29 @@ fn workload_lints_and_matrix_render_stably() {
         report.render_matrix()
     );
     golden("workload.txt", &rendered);
+}
+
+/// W108 needs every predicate the narrow target adds to be evaluable on the
+/// wide target's cells. `for year = '1997' by year` sums every region, so
+/// its cells do not hold one region's revenue; grouping by `c_region` too
+/// makes the region slice a slice of its cells.
+#[test]
+fn w108_needs_the_added_predicate_on_a_grouped_level() {
+    let dataset = generate(SsbConfig::with_scale(0.01));
+    let w108 = |text: &str| {
+        let report = WorkloadAnalyzer::new(dataset.catalog.as_ref()).analyze(&parse_workload(text));
+        report.diagnostics.iter().filter(|d| d.code == DiagCode::W108).count()
+    };
+    let statement = |slice: &str, by: &str| {
+        format!(
+            "with SSB for {slice} by {by} assess revenue against 1000000 \
+             using ratio(revenue, 1000000) labels {{[0, 1): low, [1, inf]: high}};"
+        )
+    };
+    let asia = "year = '1997', c_region = 'ASIA'";
+    let by_year = [statement("year = '1997'", "year"), statement(asia, "year")].concat();
+    assert_eq!(w108(&by_year), 0, "a year total is no region's total");
+    let by_region =
+        [statement("year = '1997'", "year, c_region"), statement(asia, "year, c_region")].concat();
+    assert_eq!(w108(&by_region), 1, "the region slice of a by-region result");
 }

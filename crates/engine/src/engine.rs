@@ -521,7 +521,7 @@ impl Engine {
 
     /// Attaches a shard topology: this engine becomes a scatter-gather
     /// coordinator. Its own catalog keeps the dimension tables, bindings
-    /// (over empty-but-typed fact tables) and delta history; scans and
+    /// (over empty-but-typed fact tables) and version; scans and
     /// appends fan out to the shards. See [`crate::shard`].
     pub fn with_shards(mut self, shards: Arc<ShardSet>) -> Self {
         self.shards = Some(shards);

@@ -1,10 +1,10 @@
 //! Incremental maintenance: the append path of the engine.
 //!
 //! [`append`] grows a cube's fact table by a batch of rows and keeps every
-//! dependent materialized view consistent, committing the new table, the
-//! maintained views and a [`Delta`] descriptor under **one** catalog
-//! version bump. Downstream caches can therefore follow the catalog's
-//! delta chain instead of invalidating wholesale.
+//! dependent materialized view consistent: the new table and the views
+//! commit under **one** catalog version bump, and the returned [`Delta`] is
+//! stamped with it, so a cache can patch what the delta cannot change
+//! instead of invalidating wholesale.
 //!
 //! ## View maintenance policy
 //!

@@ -1,7 +1,5 @@
 //! Group-by sets and their `⪰_H` partial order (Definition 2.3).
 
-use std::cmp::Ordering;
-
 use crate::error::ModelError;
 use crate::schema::CubeSchema;
 
@@ -90,18 +88,6 @@ impl GroupBySet {
         })
     }
 
-    /// Partial-order comparison in `⪰_H` (`Greater` = strictly finer).
-    pub fn partial_cmp_rollup(&self, other: &GroupBySet) -> Option<Ordering> {
-        let up = self.rolls_up_to(other);
-        let down = other.rolls_up_to(self);
-        match (up, down) {
-            (true, true) => Some(Ordering::Equal),
-            (true, false) => Some(Ordering::Greater),
-            (false, true) => Some(Ordering::Less),
-            (false, false) => None,
-        }
-    }
-
     /// Renders the group-by set as level names for diagnostics/SQL.
     pub fn level_names<'a>(&self, schema: &'a CubeSchema) -> Vec<&'a str> {
         self.included_hierarchies()
@@ -150,7 +136,7 @@ mod tests {
         assert!(g1.rolls_up_to(&g2));
         assert!(g0.rolls_up_to(&g2));
         assert!(!g2.rolls_up_to(&g1));
-        assert_eq!(g0.partial_cmp_rollup(&g2), Some(Ordering::Greater));
+        assert!(!g2.rolls_up_to(&g0), "G0 is strictly finer than G2");
     }
 
     #[test]
@@ -158,7 +144,8 @@ mod tests {
         let s = schema();
         let a = GroupBySet::from_level_names(&s, &["date"]).unwrap();
         let b = GroupBySet::from_level_names(&s, &["product"]).unwrap();
-        assert_eq!(a.partial_cmp_rollup(&b), None);
+        assert!(!a.rolls_up_to(&b));
+        assert!(!b.rolls_up_to(&a));
     }
 
     #[test]

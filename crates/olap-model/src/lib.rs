@@ -17,7 +17,10 @@
 //! * a [`Coordinate`] is a tuple of members, one per level of a group-by set,
 //!   and rolls up along the part-of orders (Definition 2.3);
 //! * a [`DerivedCube`] is the (sparse, partial) function from coordinates to
-//!   measure tuples produced by a [`CubeQuery`] (Definitions 2.4–2.6).
+//!   measure tuples produced by a [`CubeQuery`] (Definitions 2.4–2.6);
+//! * [`CubeQuery::relate`] is the cube algebra's containment relation
+//!   between two queries ([`Relation`]): the one test behind view matching,
+//!   the workload's containment lint and result-cache survival.
 //!
 //! Members are **dictionary encoded**: every level keeps a dictionary mapping
 //! member names to dense [`MemberId`]s, and part-of orders are stored as dense
@@ -40,5 +43,5 @@ pub use error::ModelError;
 pub use groupby::GroupBySet;
 pub use hierarchy::{Hierarchy, HierarchyBuilder};
 pub use level::{Level, MemberId};
-pub use query::{CubeQuery, Predicate, PredicateOp};
+pub use query::{CubeQuery, Predicate, PredicateOp, Relation};
 pub use schema::{AggOp, CubeSchema, MeasureDef};

@@ -58,10 +58,10 @@ impl Predicate {
     }
 
     /// The member set selected by the predicate, in specification order.
-    pub fn members(&self) -> Vec<MemberId> {
+    pub fn members(&self) -> &[MemberId] {
         match &self.op {
-            PredicateOp::Eq(m) => vec![*m],
-            PredicateOp::In(ms) => ms.clone(),
+            PredicateOp::Eq(m) => std::slice::from_ref(m),
+            PredicateOp::In(ms) => ms,
         }
     }
 
@@ -134,10 +134,103 @@ impl CubeQuery {
         Ok(())
     }
 
-    /// The predicate (index) on a given hierarchy+level, if any.
-    pub fn predicate_on(&self, hierarchy: usize, level: usize) -> Option<&Predicate> {
-        self.predicates.iter().find(|p| p.hierarchy == hierarchy && p.level == level)
+    /// The containment relation of the cube algebra, read as "can `self`
+    /// answer `other`". The outcomes are decided in this order:
+    ///
+    /// * [`Relation::Disjoint`]: both queries restrict one hierarchy, and
+    ///   the finer predicate's members, rolled up to the coarser predicate's
+    ///   level, share none with it — no fact satisfies both selections;
+    /// * [`Relation::Usable`]: same cube, `self`'s group-by rolls up to
+    ///   `other`'s, `self`'s measures include `other`'s, every `self`
+    ///   predicate is implied by an `other` predicate on its hierarchy at
+    ///   the same or a finer level, and every `other` predicate not among
+    ///   `self`'s (the residual) is on a hierarchy `self` groups at that
+    ///   level or finer, so it can be evaluated on `self`'s cells;
+    /// * [`Relation::Equal`]: usable with no roll-up, no residual and
+    ///   equal measures — the two answers are identical;
+    /// * [`Relation::Overlaps`]: everything else, including queries on
+    ///   different cubes and any roll-up that errors.
+    ///
+    /// Allocates nothing; with no `self` predicates it reads no member.
+    pub fn relate(&self, other: &CubeQuery, schema: &CubeSchema) -> Relation {
+        if self.cube != other.cube {
+            return Relation::Overlaps;
+        }
+        let mut implied = true;
+        for p in &self.predicates {
+            let mut implied_here = false;
+            for q in other.predicates.iter().filter(|q| q.hierarchy == p.hierarchy) {
+                let (fine, coarse) = if q.level <= p.level { (q, p) } else { (p, q) };
+                let Some(hits) = rolled_hits(schema, fine, coarse) else {
+                    return Relation::Overlaps;
+                };
+                if hits == 0 {
+                    return Relation::Disjoint;
+                }
+                implied_here |= q.level <= p.level && hits == q.members().len();
+            }
+            implied &= implied_here;
+        }
+        if !implied
+            || !self.group_by.rolls_up_to(&other.group_by)
+            || !other.measures.iter().all(|m| self.measures.contains(m))
+        {
+            return Relation::Overlaps;
+        }
+        let mut residual = false;
+        for q in &other.predicates {
+            if self.predicates.iter().any(|p| p.same_selection(q)) {
+                continue;
+            }
+            match self.group_by.slots().get(q.hierarchy) {
+                Some(Some(level)) if *level <= q.level => residual = true,
+                _ => return Relation::Overlaps,
+            }
+        }
+        let rollup = self.group_by != other.group_by;
+        if !rollup && !residual && self.measures == other.measures {
+            Relation::Equal
+        } else {
+            Relation::Usable { rollup, residual }
+        }
     }
+}
+
+/// How one cube query stands to another; see [`CubeQuery::relate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Relation {
+    /// The two queries have the same answer.
+    Equal,
+    /// `self`'s answer yields `other`'s: roll its cells up to `other`'s
+    /// group-by (`rollup`) after filtering them by the predicates `other`
+    /// adds (`residual`).
+    Usable { rollup: bool, residual: bool },
+    /// Neither usable nor provably disjoint.
+    Overlaps,
+    /// No fact satisfies both selections.
+    Disjoint,
+}
+
+impl Predicate {
+    /// The same level and the same member set, in any order.
+    fn same_selection(&self, other: &Predicate) -> bool {
+        let (a, b) = (self.members(), other.members());
+        self.hierarchy == other.hierarchy
+            && self.level == other.level
+            && a.iter().all(|m| b.contains(m))
+            && b.iter().all(|m| a.contains(m))
+    }
+}
+
+/// How many of `fine`'s members, rolled up to `coarse`'s level (on the same
+/// hierarchy, at the same or a coarser level), `coarse` selects; `None`
+/// when a member does not roll up.
+fn rolled_hits(schema: &CubeSchema, fine: &Predicate, coarse: &Predicate) -> Option<usize> {
+    let h = schema.hierarchy(fine.hierarchy)?;
+    fine.members().iter().try_fold(0, |hits, &m| {
+        let rolled = h.roll_member(fine.level, coarse.level, m).ok()?;
+        Some(hits + usize::from(coarse.matches(rolled)))
+    })
 }
 
 #[cfg(test)]
@@ -175,7 +268,7 @@ mod tests {
     fn in_predicate_preserves_order() {
         let s = schema();
         let p = Predicate::is_in(&s, "country", &["France", "Italy"]).unwrap();
-        assert_eq!(p.members(), vec![MemberId(1), MemberId(0)]);
+        assert_eq!(p.members(), [MemberId(1), MemberId(0)]);
         assert_eq!(p.render(&s), "country in ('France', 'Italy')");
     }
 
@@ -201,13 +294,115 @@ mod tests {
         assert!(matches!(bad.validate(&s), Err(ModelError::UnknownMeasure(_))));
     }
 
+    /// `date ⪰ month ⪰ year` over three days, and `store ⪰ country`.
+    fn dated() -> CubeSchema {
+        let mut date = HierarchyBuilder::new("Date", ["date", "month", "year"]);
+        date.add_member_chain(&["1997-04-15", "1997-04", "1997"]).unwrap();
+        date.add_member_chain(&["1997-05-01", "1997-05", "1997"]).unwrap();
+        date.add_member_chain(&["1998-01-02", "1998-01", "1998"]).unwrap();
+        let mut store = HierarchyBuilder::new("Store", ["store", "country"]);
+        store.add_member_chain(&["SmartMart", "Italy"]).unwrap();
+        store.add_member_chain(&["HyperChoice", "France"]).unwrap();
+        CubeSchema::new(
+            "SALES",
+            vec![date.build().unwrap(), store.build().unwrap()],
+            vec![MeasureDef::new("quantity", AggOp::Sum), MeasureDef::new("price", AggOp::Max)],
+        )
+    }
+
+    /// `for <predicates> by <levels> measure <measures>` over `SALES`.
+    fn q(s: &CubeSchema, by: &[&str], predicates: Vec<Predicate>, measures: &[&str]) -> CubeQuery {
+        let g = GroupBySet::from_level_names(s, by).unwrap();
+        CubeQuery::new("SALES", g, predicates, measures.iter().map(|m| m.to_string()).collect())
+    }
+
     #[test]
-    fn predicate_on_finds_by_position() {
-        let s = schema();
-        let g = GroupBySet::from_level_names(&s, &["product"]).unwrap();
-        let p = Predicate::eq(&s, "country", "Italy").unwrap();
-        let q = CubeQuery::new("SALES", g, vec![p], vec!["quantity".into()]);
-        assert!(q.predicate_on(1, 1).is_some());
-        assert!(q.predicate_on(0, 0).is_none());
+    fn relate_equal_and_pure_rollup() {
+        let s = dated();
+        let years = |order: [&str; 2]| Predicate::is_in(&s, "year", &order).unwrap();
+        let a = q(&s, &["year"], vec![years(["1997", "1998"])], &["quantity"]);
+        let b = q(&s, &["year"], vec![years(["1998", "1997"])], &["quantity"]);
+        assert_eq!(a.relate(&b, &s), Relation::Equal, "`in` matching has set semantics");
+        // A finer group-by answers a coarser one; never the other way round.
+        let fine = q(&s, &["date", "store"], vec![], &["quantity"]);
+        let coarse = q(&s, &["year"], vec![], &["quantity"]);
+        let pure = Relation::Usable { rollup: true, residual: false };
+        assert_eq!(fine.relate(&coarse, &s), pure);
+        assert_eq!(coarse.relate(&fine, &s), Relation::Overlaps);
+        // Incomparable group-bys answer neither way.
+        let by_date = q(&s, &["date"], vec![], &["quantity"]);
+        let by_store = q(&s, &["store"], vec![], &["quantity"]);
+        assert_eq!(by_date.relate(&by_store, &s), Relation::Overlaps);
+        assert_eq!(by_store.relate(&by_date, &s), Relation::Overlaps);
+    }
+
+    #[test]
+    fn relate_measures_and_cubes() {
+        let s = dated();
+        let both = q(&s, &["year"], vec![], &["quantity", "price"]);
+        let one = q(&s, &["year"], vec![], &["quantity"]);
+        let extra = Relation::Usable { rollup: false, residual: false };
+        assert_eq!(both.relate(&one, &s), extra, "extra measures are not equal answers");
+        assert_eq!(one.relate(&both, &s), Relation::Overlaps, "a missing measure");
+        let returns = CubeQuery { cube: "RETURNS".into(), ..one.clone() };
+        assert_eq!(one.relate(&returns, &s), Relation::Overlaps);
+    }
+
+    #[test]
+    fn relate_residual_predicates_need_a_carried_level() {
+        let s = dated();
+        let month = Predicate::eq(&s, "month", "1997-04").unwrap();
+        // The residual `month = '1997-04'` is evaluable on daily cells…
+        let daily = q(&s, &["date", "store"], vec![], &["quantity"]);
+        let sliced = q(&s, &["year"], vec![month.clone()], &["quantity"]);
+        let both = Relation::Usable { rollup: true, residual: true };
+        assert_eq!(daily.relate(&sliced, &s), both);
+        // …but not on yearly cells, nor where the hierarchy is aggregated away.
+        let yearly = q(&s, &["year", "store"], vec![], &["quantity"]);
+        assert_eq!(yearly.relate(&sliced, &s), Relation::Overlaps);
+        let stores = q(&s, &["store"], vec![], &["quantity"]);
+        let by_store = q(&s, &["store"], vec![month], &["quantity"]);
+        assert_eq!(stores.relate(&by_store, &s), Relation::Overlaps);
+    }
+
+    #[test]
+    fn relate_predicate_implication() {
+        let s = dated();
+        let y97 = Predicate::eq(&s, "year", "1997").unwrap();
+        let y9798 = Predicate::is_in(&s, "year", &["1997", "1998"]).unwrap();
+        let wide = q(&s, &["year"], vec![y9798.clone()], &["quantity"]);
+        let narrow = q(&s, &["year"], vec![y97.clone()], &["quantity"]);
+        let slice = Relation::Usable { rollup: false, residual: true };
+        assert_eq!(wide.relate(&narrow, &s), slice);
+        assert_eq!(narrow.relate(&wide, &s), Relation::Overlaps, "1998 is outside the slice");
+        // A finer predicate implies the coarser one its members roll up into.
+        let monthly = q(&s, &["month"], vec![y97.clone()], &["quantity"]);
+        let april = Predicate::eq(&s, "month", "1997-04").unwrap();
+        assert_eq!(monthly.relate(&q(&s, &["month"], vec![april], &["quantity"]), &s), slice);
+        // A predicate on a hierarchy the wider query neither restricts nor
+        // groups by cannot be evaluated on its cells: `for year = '1997' by
+        // year` sums every store, so it does not answer one country's year.
+        let italy = Predicate::eq(&s, "country", "Italy").unwrap();
+        let italian = q(&s, &["year"], vec![y97, italy], &["quantity"]);
+        assert_eq!(narrow.relate(&italian, &s), Relation::Overlaps);
+    }
+
+    #[test]
+    fn relate_disjoint_selections() {
+        let s = dated();
+        let y97 = Predicate::eq(&s, "year", "1997").unwrap();
+        let jan98 = Predicate::eq(&s, "month", "1998-01").unwrap();
+        let a = q(&s, &["month"], vec![y97], &["quantity"]);
+        let b = q(&s, &["year"], vec![jan98], &["quantity"]);
+        assert_eq!(a.relate(&b, &s), Relation::Disjoint);
+        assert_eq!(b.relate(&a, &s), Relation::Disjoint);
+        let country = |c: &str| Predicate::eq(&s, "country", c).unwrap();
+        let italy = q(&s, &["year"], vec![country("Italy")], &["quantity"]);
+        let france = q(&s, &["date"], vec![country("France")], &["price"]);
+        assert_eq!(italy.relate(&france, &s), Relation::Disjoint, "whatever else differs");
+        // A member outside its level's domain cannot be rolled up.
+        let ghost = Predicate { hierarchy: 0, level: 0, op: PredicateOp::Eq(MemberId(99)) };
+        let haunted = q(&s, &["year"], vec![ghost], &["quantity"]);
+        assert_eq!(a.relate(&haunted, &s), Relation::Overlaps);
     }
 }

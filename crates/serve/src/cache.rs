@@ -14,15 +14,14 @@
 //! run. [`ResultCache::invalidate_all`] additionally supports explicit
 //! wholesale invalidation (the protocol's `invalidate_cache` op).
 //!
-//! Appends are gentler than the version check alone would be: an entry
-//! inserted with an [`EntryScope`] (the fact table it scanned plus its
-//! predicates' level-0 member masks) can be **patched** forward across an
-//! append [`Delta`] that provably cannot change its result — the delta
-//! touched a different table, or every appended row falls outside one of
-//! the entry's predicate masks. [`ResultCache::apply_delta`] re-stamps
-//! such entries to the post-append version and evicts only the entries
-//! the delta may actually affect, replacing evict-everything
-//! invalidation.
+//! Appends are gentler than the version check alone would be:
+//! [`ResultCache::apply_delta`] carries the cache across one committed
+//! append, **patching** forward (re-stamping to the post-append version)
+//! every entry whose stored value the append provably cannot change and
+//! evicting only the rest. The cache does not decide which values those
+//! are: the caller passes the test. The server's test asks whether every
+//! query the statement ran reads another fact table or is `Disjoint` from
+//! the appended rows' selection (`CubeQuery::relate`).
 //!
 //! The cache is generic over the stored value so the LRU/counter protocol
 //! is testable without building real assessed cubes; the server stores
@@ -34,35 +33,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use assess_core::ExecutionPolicy;
 use assess_core::Strategy;
-use olap_storage::Delta;
-
-/// What part of the data a cached result depends on: the fact table it
-/// scanned and, per predicated foreign-key column, the mask of level-0
-/// members the predicates allow. An append delta that misses every
-/// restriction cannot change the result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EntryScope {
-    /// The fact table the execution scanned.
-    pub table: String,
-    /// `(fk column, allowed-member mask)` per predicate, empty when the
-    /// statement filters nothing (every append to `table` then overlaps).
-    pub restrictions: Vec<(String, Vec<bool>)>,
-}
-
-impl EntryScope {
-    /// An unfiltered scan of `table`.
-    pub fn whole_table(table: impl Into<String>) -> Self {
-        EntryScope { table: table.into(), restrictions: Vec::new() }
-    }
-
-    /// Whether a result with this scope is provably unchanged by `delta`:
-    /// a different table, or at least one restriction that excludes every
-    /// appended row. (Unknown columns count as overlapping — conservative.)
-    pub fn survives(&self, delta: &Delta) -> bool {
-        self.table != delta.table()
-            || self.restrictions.iter().any(|(col, mask)| !delta.overlaps_mask(col, mask))
-    }
-}
 
 /// Joins the normalized statement and the policy fingerprint into one
 /// cache key. `\u{1}` cannot appear in either part (normalization collapses
@@ -106,8 +76,6 @@ struct Entry<T> {
     version: u64,
     /// LRU clock reading of the last hit (or the insert).
     last_used: u64,
-    /// Data dependence of the value; `None` = unknown, evict on any delta.
-    scope: Option<EntryScope>,
 }
 
 struct Inner<T> {
@@ -178,22 +146,11 @@ impl<T> ResultCache<T> {
         }
     }
 
-    /// Inserts a value computed under `catalog_version`, with no recorded
-    /// data dependence: any later append evicts it. Refused (silently)
+    /// Inserts a value computed under `catalog_version`. Refused (silently)
     /// when the version is odd — a catalog mutation was in flight while the
     /// result was computed, so the result may mix old and new contents.
     /// At capacity, the least-recently-used entry is evicted.
     pub fn insert(&self, key: String, value: T, catalog_version: u64) {
-        self.insert_entry(key, value, catalog_version, None);
-    }
-
-    /// Like [`Self::insert`], but records what the value depends on so a
-    /// later [`Self::apply_delta`] can patch it across unrelated appends.
-    pub fn insert_scoped(&self, key: String, value: T, catalog_version: u64, scope: EntryScope) {
-        self.insert_entry(key, value, catalog_version, Some(scope));
-    }
-
-    fn insert_entry(&self, key: String, value: T, catalog_version: u64, scope: Option<EntryScope>) {
         if self.capacity == 0 || !catalog_version.is_multiple_of(2) {
             return;
         }
@@ -212,18 +169,18 @@ impl<T> ResultCache<T> {
         }
         inner.entries.insert(
             key,
-            Entry { value: Arc::new(value), version: catalog_version, last_used: tick, scope },
+            Entry { value: Arc::new(value), version: catalog_version, last_used: tick },
         );
     }
 
-    /// Carries the cache across one committed append: entries computed
-    /// under the immediately preceding catalog version whose scope proves
-    /// the delta cannot affect them are re-stamped to the delta's version
-    /// (counted as patches); affected or unscoped ones are evicted
-    /// (counted as invalidations). Entries at other versions are left for
-    /// the lookup path's staleness check. Returns `(patched, evicted)`.
-    pub fn apply_delta(&self, delta: &Delta) -> (usize, usize) {
-        let predecessor = delta.version().wrapping_sub(2);
+    /// Carries the cache across one committed append that settled at
+    /// `version`: entries computed under the immediately preceding version
+    /// whose value `survives` are re-stamped to `version` (counted as
+    /// patches); the others are evicted (counted as invalidations). Entries
+    /// at other versions are left for the lookup path's staleness check.
+    /// Returns `(patched, evicted)`.
+    pub fn apply_delta(&self, version: u64, survives: impl Fn(&T) -> bool) -> (usize, usize) {
+        let predecessor = version.wrapping_sub(2);
         let mut patched = 0usize;
         let mut evicted = 0usize;
         let mut inner = self.lock();
@@ -231,16 +188,13 @@ impl<T> ResultCache<T> {
             if entry.version != predecessor {
                 return true;
             }
-            match &entry.scope {
-                Some(scope) if scope.survives(delta) => {
-                    entry.version = delta.version();
-                    patched += 1;
-                    true
-                }
-                _ => {
-                    evicted += 1;
-                    false
-                }
+            if survives(&entry.value) {
+                entry.version = version;
+                patched += 1;
+                true
+            } else {
+                evicted += 1;
+                false
             }
         });
         drop(inner);
@@ -351,76 +305,100 @@ mod tests {
         assert!(cache.lookup("a", 0).is_none());
     }
 
-    fn delta_on(table: &str, col: &str, values: Vec<i64>, version: u64) -> Delta {
-        Delta::describe(table, 100, &[olap_storage::Column::i64(col, values)]).stamped(version)
-    }
-
     #[test]
     fn apply_delta_patches_disjoint_entries_and_evicts_overlapping() {
-        let cache: ResultCache<u32> = ResultCache::new(8);
-        // Scoped to rows where ckey ∈ {0, 1}.
-        let scoped = EntryScope {
-            table: "lineorder".into(),
-            restrictions: vec![("ckey".into(), vec![true, true, false, false])],
+        // Each value is the set of customers its result read.
+        let cache: ResultCache<Vec<i64>> = ResultCache::new(8);
+        cache.insert("disjoint".into(), vec![0, 1], 2);
+        cache.insert("overlap".into(), vec![2, 3], 2);
+        cache.insert("other_table".into(), vec![], 2);
+        cache.insert("unscoped".into(), vec![0, 1, 2, 3], 2);
+        let misses = |touched: &'static [i64]| {
+            move |read: &Vec<i64>| !read.iter().any(|c| touched.contains(c))
         };
-        cache.insert_scoped("disjoint".into(), 1, 2, scoped);
-        // Scoped to rows where ckey ∈ {2, 3} — the append lands in range.
-        cache.insert_scoped(
-            "overlap".into(),
-            2,
-            2,
-            EntryScope {
-                table: "lineorder".into(),
-                restrictions: vec![("ckey".into(), vec![false, false, true, true])],
-            },
-        );
-        cache.insert_scoped("other_table".into(), 3, 2, EntryScope::whole_table("expected"));
-        cache.insert("unscoped".into(), 4, 2);
 
-        // Append touches only ckey 3: the scoped-disjoint entry survives.
-        let miss = delta_on("lineorder", "ckey", vec![3, 3], 4);
-        let (patched, evicted) = cache.apply_delta(&miss);
+        // Append touches only customer 3: the disjoint entry survives.
+        let (patched, evicted) = cache.apply_delta(4, misses(&[3]));
         assert_eq!((patched, evicted), (2, 2), "disjoint + other-table patch; rest evict");
-        assert_eq!(cache.lookup("disjoint", 4).as_deref(), Some(&1));
-        assert_eq!(cache.lookup("other_table", 4).as_deref(), Some(&3));
+        assert_eq!(cache.lookup("disjoint", 4).as_deref(), Some(&vec![0, 1]));
+        assert_eq!(cache.lookup("other_table", 4).as_deref(), Some(&vec![]));
         assert!(cache.lookup("overlap", 4).is_none());
         assert!(cache.lookup("unscoped", 4).is_none());
         assert_eq!(cache.stats().patches, 2);
 
-        // A second append hitting ckey 1 evicts the patched entry.
-        let hit = delta_on("lineorder", "ckey", vec![1], 6);
-        let (patched, evicted) = cache.apply_delta(&hit);
+        // A second append hitting customer 1 evicts the patched entry.
+        let (patched, evicted) = cache.apply_delta(6, misses(&[1]));
         assert_eq!((patched, evicted), (1, 1));
         assert!(cache.lookup("disjoint", 6).is_none());
-        assert_eq!(cache.lookup("other_table", 6).as_deref(), Some(&3));
+        assert_eq!(cache.lookup("other_table", 6).as_deref(), Some(&vec![]));
     }
 
     #[test]
     fn apply_delta_ignores_entries_at_other_versions() {
         let cache: ResultCache<u32> = ResultCache::new(8);
-        cache.insert_scoped("old".into(), 1, 2, EntryScope::whole_table("expected"));
+        cache.insert("old".into(), 1, 2);
         // Delta for the 6→8 transition: the version-2 entry is neither
         // patched nor evicted here — the lookup path handles its staleness.
-        let (patched, evicted) = cache.apply_delta(&delta_on("lineorder", "ckey", vec![0], 8));
+        let (patched, evicted) = cache.apply_delta(8, |_| false);
         assert_eq!((patched, evicted), (0, 0));
         assert!(cache.lookup("old", 2).is_some());
     }
 
     #[test]
-    fn whole_table_scope_survives_only_foreign_appends() {
-        let scope = EntryScope::whole_table("lineorder");
-        assert!(!scope.survives(&delta_on("lineorder", "ckey", vec![9], 2)));
-        assert!(scope.survives(&delta_on("expected", "ckey", vec![9], 2)));
-    }
-
-    #[test]
     fn unknown_restriction_columns_overlap_conservatively() {
-        let scope = EntryScope {
-            table: "lineorder".into(),
-            restrictions: vec![("ghost".into(), vec![false, false])],
+        use olap_model::{
+            AggOp, CubeQuery, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef, MemberId,
+            Predicate, PredicateOp, Relation,
         };
-        // The delta says nothing about `ghost`, so overlap is assumed.
-        assert!(!scope.survives(&delta_on("lineorder", "ckey", vec![0], 2)));
+        use olap_storage::binding::DimInfo;
+        use olap_storage::{Column, CubeBinding, Delta, Table};
+
+        // Cube `LO` over `lineorder` with customers c0–c3 and dates d0–d1.
+        let hierarchy = |name: &str, members: usize| {
+            let mut b = HierarchyBuilder::new(name, [name.to_string(), format!("{name}_up")]);
+            for m in 0..members {
+                b.add_member_chain(&[format!("{name}{m}"), "ALL".to_string()]).unwrap();
+            }
+            b.build().unwrap()
+        };
+        let schema = CubeSchema::new(
+            "LO",
+            vec![hierarchy("customer", 4), hierarchy("date", 2)],
+            vec![MeasureDef::new("revenue", AggOp::Sum)],
+        );
+        let keys = ["ckey", "dkey"];
+        let mut columns: Vec<Column> = keys.iter().map(|k| Column::i64(*k, vec![0])).collect();
+        columns.push(Column::f64("revenue", vec![1.0]));
+        let fact = Table::new("lineorder", columns).unwrap();
+        let dims = keys
+            .iter()
+            .map(|k| DimInfo {
+                table: k.to_string(),
+                pk: k.to_string(),
+                level_columns: vec![k.to_string(), "up".into()],
+            })
+            .collect();
+        let fks = keys.iter().map(|k| k.to_string()).collect();
+        let binding =
+            CubeBinding::new(Arc::new(schema), &fact, fks, vec!["revenue".into()], dims).unwrap();
+        let sliced = |hierarchy: usize, members: &[u32]| {
+            let op = PredicateOp::In(members.iter().map(|&m| MemberId(m)).collect());
+            let g = GroupBySet::all(binding.schema());
+            CubeQuery::new("LO", g, vec![Predicate { hierarchy, level: 0, op }], vec![])
+        };
+
+        let cache: ResultCache<CubeQuery> = ResultCache::new(4);
+        cache.insert("other_customers".into(), sliced(0, &[0, 1]), 2);
+        cache.insert("one_date".into(), sliced(1, &[0]), 2);
+        // The batch carries customer 3 but no date key: nothing is known
+        // about its dates, so the date slice must be assumed to overlap.
+        let delta = Delta::describe("lineorder", 1, &[Column::i64("ckey", vec![3])]);
+        let selection = delta.selection("LO", &binding);
+        let (patched, evicted) =
+            cache.apply_delta(4, |q| q.relate(&selection, binding.schema()) == Relation::Disjoint);
+        assert_eq!((patched, evicted), (1, 1));
+        assert!(cache.lookup("other_customers", 4).is_some());
+        assert!(cache.lookup("one_date", 4).is_none());
     }
 
     #[test]

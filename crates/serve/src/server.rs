@@ -38,15 +38,15 @@ use std::time::{Duration, Instant};
 use assess_core::diag::{Diagnostic, Span};
 use assess_core::exec::AssessRunner;
 use assess_core::obs::{self, TraceSpan, TraceTree};
-use assess_core::semantics::{ResolvedAssess, ResolvedBenchmark};
+use assess_core::semantics::ResolvedBenchmark;
 use assess_core::{explain, stmt, AssessError, AssessedCube, ExecutionPolicy, Strategy};
-use olap_engine::predicate::CompiledFilter;
 use olap_engine::{CancelToken, Engine, WorkerPool};
+use olap_model::{CubeQuery, Relation};
 use olap_storage::Column;
 use serde::Value;
 
 use crate::admission::{self, Admission, FairQueue, Permit, ShedLevel};
-use crate::cache::{cache_key, policy_fingerprint, CacheStats, EntryScope, ResultCache};
+use crate::cache::{cache_key, policy_fingerprint, CacheStats, ResultCache};
 use crate::protocol::{self, n, s, BatchOptions, Op, PartialOptions, RunOptions};
 use crate::session::{HistoryEntry, Session, SessionRegistry};
 use crate::shard;
@@ -126,6 +126,10 @@ pub struct CachedResult {
     pub attempts: usize,
     /// Wall-clock of the original (cold) execution.
     pub elapsed_ms: u64,
+    /// The statement's target query and, unless its benchmark is a
+    /// constant, its benchmark query: what the result read, for deciding
+    /// whether an append leaves it exact.
+    pub queries: Vec<CubeQuery>,
 }
 
 type SharedWriter = Arc<Mutex<TcpStream>>;
@@ -846,6 +850,15 @@ fn run_statement(
 
     let (cube, report, trace) =
         statement::execute(shared, &runner, &prepared, opts.strategy, want_trace)?;
+    let resolved = &prepared.resolved;
+    let mut queries = vec![resolved.target_query.clone()];
+    match &resolved.benchmark {
+        ResolvedBenchmark::Constant { .. } => {}
+        ResolvedBenchmark::External { query, .. }
+        | ResolvedBenchmark::Sibling { query, .. }
+        | ResolvedBenchmark::Past { query, .. }
+        | ResolvedBenchmark::Ancestor { query, .. } => queries.push(query.clone()),
+    }
     let result = CachedResult {
         cube,
         strategy: report.strategy,
@@ -853,18 +866,14 @@ fn run_statement(
         rows_scanned: report.rows_scanned,
         attempts: report.attempts.len(),
         elapsed_ms: ms(t0.elapsed()),
+        queries,
     };
     let (response, cells) = (respond(&result, false, trace), result.cube.len());
     // Only cache results the catalog provably did not shift under: same
     // even version before and after the run. Under shedding, skip the
-    // insert entirely. When the statement's predicate scope is derivable,
-    // the entry is inserted *scoped* so later append deltas that provably
-    // miss it patch the entry forward instead of evicting it.
+    // insert entirely.
     if opts.cache && shed == ShedLevel::Full && catalog.version() == version_before {
-        match entry_scope(shared, &prepared.resolved) {
-            Some(scope) => shared.cache.insert_scoped(key, result, version_before, scope),
-            None => shared.cache.insert(key, result, version_before),
-        }
+        shared.cache.insert(key, result, version_before);
     }
     Ok((response, "ok", cells))
 }
@@ -1079,9 +1088,9 @@ fn parse_append_rows(table: &olap_storage::Table, rows: &Value) -> Result<Vec<Co
 
 /// Executes an `append` job: type the batch, commit it through the
 /// engine's incremental-maintenance path (under the append lock, so
-/// maintenance is exactly-once and frames push in commit order), patch or
-/// evict affected cache entries by delta scope, then re-evaluate every
-/// live subscription and push its diff frame.
+/// maintenance is exactly-once and frames push in commit order), patch the
+/// cache entries the appended rows cannot change and evict the rest, then
+/// re-evaluate every live subscription and push its diff frame.
 fn execute_append(shared: &Shared, job: &Job, cube: &str, rows: &Value) -> Value {
     let id = Some(job.request_id);
     let t0 = Instant::now();
@@ -1104,7 +1113,19 @@ fn execute_append(shared: &Shared, job: &Job, cube: &str, rows: &Value) -> Value
         Ok(outcome) => outcome,
         Err(e) => return protocol::error_response(id, "append_failed", &e.to_string()),
     };
-    let (patched, evicted) = shared.cache.apply_delta(&outcome.delta);
+    // A cached result stays exact when every query it ran reads another
+    // fact table or selects none of the appended rows.
+    let delta = &outcome.delta;
+    let selection = delta.selection(cube, &binding);
+    let (patched, evicted) = shared.cache.apply_delta(delta.version(), |cached| {
+        cached.queries.iter().all(|q| {
+            if q.cube == cube {
+                q.relate(&selection, binding.schema()) == Relation::Disjoint
+            } else {
+                catalog.binding(&q.cube).is_ok_and(|b| b.fact_table() != delta.table())
+            }
+        })
+    });
     let (notified, lagged) = notify_subscriptions(shared, outcome.version());
     drop(guard);
 
@@ -1224,76 +1245,6 @@ fn execute_subscribe(shared: &Shared, job: &Job, statement: &str) -> Value {
             ("elapsed_ms", n(elapsed_ms)),
         ],
     )
-}
-
-/// Derives the predicate scope of a statement for a scoped cache insert:
-/// the fact table every constituent query scans plus, per foreign-key
-/// column restricted in *every* query, the union of the allowed level-0
-/// member masks. An append delta outside that union provably misses every
-/// scan, so the cached entry can be patched forward instead of evicted.
-/// Returns `None` (→ unscoped insert, evicted on any delta) when the
-/// statement's queries span different fact tables or scope derivation
-/// fails.
-fn entry_scope(shared: &Shared, resolved: &ResolvedAssess) -> Option<EntryScope> {
-    let mut queries = vec![&resolved.target_query];
-    match &resolved.benchmark {
-        ResolvedBenchmark::Constant { .. } => {}
-        ResolvedBenchmark::External { query, .. }
-        | ResolvedBenchmark::Sibling { query, .. }
-        | ResolvedBenchmark::Past { query, .. }
-        | ResolvedBenchmark::Ancestor { query, .. } => queries.push(query),
-    }
-    let catalog = shared.engine.catalog();
-    let mut fact: Option<String> = None;
-    // Per-hierarchy restriction masks, one slot per query that masks it.
-    let mut per_query_masks: Vec<BTreeMap<usize, Vec<bool>>> = Vec::new();
-    let mut fk_names: BTreeMap<usize, String> = BTreeMap::new();
-    for query in &queries {
-        let binding = catalog.binding(&query.cube).ok()?;
-        match &fact {
-            None => fact = Some(binding.fact_table().to_string()),
-            Some(table) if table == binding.fact_table() => {}
-            _ => return None, // cross-table statements stay unscoped
-        }
-        let schema = binding.schema();
-        let carriers = vec![Some(0); schema.hierarchies().len()];
-        let filter = CompiledFilter::compile(schema, &query.predicates, &carriers).ok()?;
-        let mut masks = BTreeMap::new();
-        for m in filter.masks() {
-            fk_names.insert(m.hierarchy, binding.fk_column(m.hierarchy).to_string());
-            masks.insert(m.hierarchy, m.mask.to_vec());
-        }
-        per_query_masks.push(masks);
-    }
-    let table = fact?;
-    // A column restricts the entry only when every query restricts it;
-    // the entry's mask is the union (element-wise OR) across queries.
-    let mut restrictions = Vec::new();
-    if let Some((first, rest)) = per_query_masks.split_first() {
-        for (hierarchy, mask) in first {
-            let mut union = mask.clone();
-            let mut everywhere = true;
-            for other in rest {
-                match other.get(hierarchy) {
-                    Some(theirs) if theirs.len() == union.len() => {
-                        for (slot, allowed) in union.iter_mut().zip(theirs) {
-                            *slot = *slot || *allowed;
-                        }
-                    }
-                    _ => {
-                        everywhere = false;
-                        break;
-                    }
-                }
-            }
-            if everywhere {
-                if let Some(column) = fk_names.get(hierarchy) {
-                    restrictions.push((column.clone(), union));
-                }
-            }
-        }
-    }
-    Some(EntryScope { table, restrictions })
 }
 
 // --------------------------------------------------------------- responses

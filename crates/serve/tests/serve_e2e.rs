@@ -1413,6 +1413,43 @@ fn scoped_cache_entries_survive_disjoint_appends() {
     handle.shutdown();
 }
 
+/// A statement whose target and benchmark read two fact tables survives an
+/// append disjoint from it: the external benchmark reads `expected`, not
+/// `lineorder`, and the target's ASIA slice selects none of the appended
+/// EUROPE customers, so the entry is patched forward and the rerun is warm.
+#[test]
+fn cross_table_cache_entries_survive_disjoint_appends() {
+    const ASIA_VS_EXPECTED: &str = "with SSB for c_region = 'ASIA' by customer, year \
+         assess revenue against SSB_EXPECTED.expected_revenue \
+         using ratio(revenue, benchmark.expected_revenue) \
+         labels {[0, 0.5): low, [0.5, 1.5]: par, (1.5, inf]: high}";
+    let (handle, catalog) = boot_fresh(ServerConfig::default(), None);
+    let mut client = connect(&handle);
+
+    let cold = client.run_csv(ASIA_VS_EXPECTED).unwrap();
+    assert_ok(&cold);
+    assert_eq!(cold.get("cached").and_then(Value::as_bool), Some(false));
+
+    let customer = catalog.table("customer").expect("customer dimension");
+    let region = customer.column("c_region").expect("region column");
+    let europe: Vec<i64> = (0..customer.n_rows())
+        .filter(|&row| region.string_at(row) == Some("EUROPE"))
+        .take(3)
+        .map(|row| row as i64)
+        .collect();
+    assert!(!europe.is_empty(), "no EUROPE customer at this scale");
+
+    let appended = client.append("SSB", wire_batch(&catalog, &europe)).unwrap();
+    assert_ok(&appended);
+    assert_eq!(appended.get("cache_patched").and_then(Value::as_f64), Some(1.0));
+    assert_eq!(appended.get("cache_evicted").and_then(Value::as_f64), Some(0.0));
+    let warm = client.run_csv(ASIA_VS_EXPECTED).unwrap();
+    assert_eq!(warm.get("cached").and_then(Value::as_bool), Some(true));
+    assert_eq!(warm.get("csv"), cold.get("csv"));
+
+    handle.shutdown();
+}
+
 /// Satellite acceptance: appends interleave with concurrent `run` traffic
 /// without torn reads — every interleaved request succeeds, the fact
 /// table grows by exactly the rows sent (exactly-once commitment), and

@@ -1,8 +1,10 @@
 //! A thread-safe catalog of tables, cube bindings and views.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+use olap_model::{CubeQuery, Relation};
 
 use crate::binding::CubeBinding;
 use crate::delta::Delta;
@@ -10,23 +12,11 @@ use crate::error::StorageError;
 use crate::mview::MaterializedAggregate;
 use crate::table::Table;
 
-/// How many append deltas the catalog remembers. A reader more than this
-/// many appends behind cannot be told *what* changed and must fall back to
-/// full invalidation.
-const DELTA_HISTORY: usize = 64;
-
 #[derive(Default)]
 struct CatalogInner {
     tables: HashMap<String, Arc<Table>>,
     bindings: HashMap<String, Arc<CubeBinding>>,
     views: Vec<Arc<MaterializedAggregate>>,
-    /// Recent append deltas in commit order, each stamped with the settled
-    /// version its commit produced.
-    deltas: VecDeque<Arc<Delta>>,
-    /// Settled version of the last *structural* mutation (registration,
-    /// removal — anything that is not a delta-carrying append). Results
-    /// computed before this version cannot be explained by deltas alone.
-    last_structural: u64,
 }
 
 /// Write guard that completes the seqlock protocol: the second version bump
@@ -109,16 +99,6 @@ impl Catalog {
         VersionedWriteGuard { guard, version: &self.version, settled }
     }
 
-    /// Write access for *structural* mutations — anything other than a
-    /// delta-carrying append. Marks the settled version as the structural
-    /// horizon, so delta chains cannot explain across it.
-    fn write_structural(&self) -> VersionedWriteGuard<'_> {
-        let mut guard = self.write();
-        let settled = guard.settled;
-        guard.last_structural = settled;
-        guard
-    }
-
     /// The current mutation-counter value. Two equal **even** readings
     /// bracketing a computation guarantee the catalog's semantic contents
     /// did not change while it ran; any registration (table, binding,
@@ -132,7 +112,7 @@ impl Catalog {
     /// Registers (or replaces) a table.
     pub fn register_table(&self, table: Table) -> Arc<Table> {
         let table = Arc::new(table);
-        self.write_structural().tables.insert(table.name().to_string(), table.clone());
+        self.write().tables.insert(table.name().to_string(), table.clone());
         table
     }
 
@@ -152,7 +132,7 @@ impl Catalog {
         binding: CubeBinding,
     ) -> Arc<CubeBinding> {
         let binding = Arc::new(binding);
-        self.write_structural().bindings.insert(name.into(), binding.clone());
+        self.write().bindings.insert(name.into(), binding.clone());
         binding
     }
 
@@ -170,7 +150,7 @@ impl Catalog {
     /// when it replaces maintained views by name.
     pub fn register_view(&self, view: MaterializedAggregate) -> Arc<MaterializedAggregate> {
         let view = Arc::new(view);
-        let mut guard = self.write_structural();
+        let mut guard = self.write();
         match guard.views.iter_mut().find(|v| v.name() == view.name()) {
             Some(slot) => *slot = view.clone(),
             None => guard.views.push(view.clone()),
@@ -187,12 +167,9 @@ impl Catalog {
     /// the commit was prepared against the *current* snapshot `base`),
     /// replaces each maintained view by name (new names are added),
     /// drops the views named in `drop_views` (those that could not be
-    /// maintained), and records `delta` stamped with the commit's settled
-    /// version.
-    ///
-    /// This is the one mutation that is **not** structural: the delta it
-    /// records explains the version step completely, so delta-aware caches
-    /// can patch instead of invalidate.
+    /// maintained), and returns `delta` stamped with the commit's settled
+    /// version. The delta explains that version step completely, so a
+    /// delta-aware cache can patch its entries instead of invalidating them.
     ///
     /// When another writer swapped the table since `base` was read, the
     /// commit fails with [`StorageError::ConcurrentMutation`] *without*
@@ -214,7 +191,7 @@ impl Catalog {
         }
         let mut guard = self.versioned(plain);
         let settled = guard.settled;
-        guard.tables.insert(name.clone(), table);
+        guard.tables.insert(name, table);
         for view in views {
             let view = Arc::new(view);
             match guard.views.iter_mut().find(|v| v.name() == view.name()) {
@@ -225,61 +202,32 @@ impl Catalog {
         if !drop_views.is_empty() {
             guard.views.retain(|v| !drop_views.iter().any(|d| d == v.name()));
         }
-        let delta = Arc::new(delta.stamped(settled));
-        guard.deltas.push_back(delta.clone());
-        while guard.deltas.len() > DELTA_HISTORY {
-            guard.deltas.pop_front();
-        }
-        Ok(delta)
+        Ok(Arc::new(delta.stamped(settled)))
     }
 
-    /// Records an append delta *without* swapping any table — the
+    /// Steps the version for an append *without* swapping any table — the
     /// coordinator side of a sharded append, where the fact rows landed in
     /// the shards' own catalogs but delta-aware caches watching the
     /// coordinator's version still need the step explained. Returns the
-    /// delta stamped with the commit's settled version.
+    /// delta stamped with the step's settled version.
     pub fn commit_delta_only(&self, delta: Delta) -> Arc<Delta> {
-        let mut guard = self.write();
-        let settled = guard.settled;
-        let delta = Arc::new(delta.stamped(settled));
-        guard.deltas.push_back(delta.clone());
-        while guard.deltas.len() > DELTA_HISTORY {
-            guard.deltas.pop_front();
-        }
-        delta
+        Arc::new(delta.stamped(self.write().settled))
     }
 
-    /// The deltas explaining every mutation since the settled `version`
-    /// reading, oldest first — `Some(vec![])` when nothing changed.
-    ///
-    /// Returns `None` when the interval cannot be explained by appends
-    /// alone: `version` is odd (read during a mutation), from the future,
-    /// older than the last structural mutation, or beyond the retained
-    /// delta history. Callers must then treat everything as changed.
-    pub fn deltas_since(&self, version: u64) -> Option<Vec<Arc<Delta>>> {
-        if !version.is_multiple_of(2) {
-            return None;
-        }
+    /// Finds the smallest registered view whose defining query is `Equal`
+    /// to or `Usable` for `q` ([`CubeQuery::relate`] under `q`'s cube
+    /// schema); `None` when the fact table must be scanned.
+    pub fn best_view(&self, q: &CubeQuery) -> Option<Arc<MaterializedAggregate>> {
         let inner = self.read();
-        // Stable while the read lock is held: writers block on the lock.
-        let current = self.version.load(Ordering::Acquire);
-        if version > current || version < inner.last_structural {
-            return None;
-        }
-        let covering: Vec<Arc<Delta>> =
-            inner.deltas.iter().filter(|d| d.version() > version).cloned().collect();
-        // Every mutation advances the version by 2; any shortfall means a
-        // delta already aged out of the history window.
-        if covering.len() as u64 != (current - version) / 2 {
-            return None;
-        }
-        Some(covering)
-    }
-
-    /// Finds the smallest registered view that [answers](MaterializedAggregate::answers)
-    /// `q`; `None` when the fact table must be scanned.
-    pub fn best_view(&self, q: &olap_model::CubeQuery) -> Option<Arc<MaterializedAggregate>> {
-        self.read().views.iter().filter(|v| v.answers(q)).min_by_key(|v| v.len()).cloned()
+        let schema = inner.bindings.get(&q.cube)?.schema();
+        inner
+            .views
+            .iter()
+            .filter(|v| {
+                matches!(v.query().relate(q, schema), Relation::Equal | Relation::Usable { .. })
+            })
+            .min_by_key(|v| v.len())
+            .cloned()
     }
 
     /// Names of all registered tables (sorted, for stable diagnostics).
@@ -334,8 +282,9 @@ pub struct TableStorageStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binding::DimInfo;
     use crate::column::Column;
-    use olap_model::{CubeQuery, GroupBySet};
+    use olap_model::{AggOp, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef};
 
     #[test]
     fn table_registration_and_lookup() {
@@ -375,9 +324,34 @@ mod tests {
             .unwrap()
     }
 
+    /// Binds cube `c` — one hierarchy `l0 ⪰ l1`, measure `m` — over a
+    /// one-row fact table.
+    fn bind_c(cat: &Catalog) {
+        let mut h = HierarchyBuilder::new("h", ["l0", "l1"]);
+        h.add_member_chain(&["a", "b"]).unwrap();
+        let schema =
+            CubeSchema::new("c", vec![h.build().unwrap()], vec![MeasureDef::new("m", AggOp::Sum)]);
+        let fact =
+            Table::new("f", vec![Column::i64("k", vec![0]), Column::f64("m", vec![1.0])]).unwrap();
+        let dim = DimInfo {
+            table: "h".into(),
+            pk: "k".into(),
+            level_columns: vec!["k".into(), "l1".into()],
+        };
+        let binding = CubeBinding::new(
+            Arc::new(schema),
+            &fact,
+            vec!["k".into()],
+            vec!["m".into()],
+            vec![dim],
+        );
+        cat.register_binding("c", binding.unwrap());
+    }
+
     #[test]
     fn best_view_picks_smallest_match() {
         let cat = Catalog::new();
+        bind_c(&cat);
         let query = |cube: &str, slots: Vec<Option<usize>>, m: &str| {
             CubeQuery::new(cube, GroupBySet::from_slots(slots), vec![], vec![m.to_string()])
         };
@@ -431,11 +405,6 @@ mod tests {
         assert_eq!(v1, v0 + 2, "one commit, one settled step");
         assert_eq!(committed.version(), v1);
         assert_eq!(cat.table("t").unwrap().n_rows(), 3);
-        // The interval v0..v1 is fully explained by the one delta.
-        let since = cat.deltas_since(v0).unwrap();
-        assert_eq!(since.len(), 1);
-        assert!(Arc::ptr_eq(&since[0], &committed));
-        assert_eq!(cat.deltas_since(v1).unwrap().len(), 0);
     }
 
     #[test]
@@ -452,24 +421,6 @@ mod tests {
         assert!(matches!(err, StorageError::ConcurrentMutation(_)));
         assert_eq!(cat.version(), v, "a failed commit does not bump the version");
         assert_eq!(cat.table("t").unwrap().n_rows(), 2, "the racing write survives");
-    }
-
-    #[test]
-    fn structural_mutations_break_the_delta_chain() {
-        let cat = Catalog::new();
-        let base = cat.register_table(Table::new("t", vec![Column::i64("k", vec![0])]).unwrap());
-        let v0 = cat.version();
-        let batch = vec![Column::i64("k", vec![1])];
-        let appended = base.append_batch(&batch).unwrap();
-        let delta = Delta::describe("t", base.n_rows(), &batch);
-        cat.commit_append(&base, Arc::new(appended), vec![], &[], delta).unwrap();
-        assert!(cat.deltas_since(v0).is_some());
-        cat.register_view(view("mv", 1, vec![Some(0)])); // structural
-        assert!(cat.deltas_since(v0).is_none(), "structural horizon moved past v0");
-        assert_eq!(cat.deltas_since(cat.version()).unwrap().len(), 0);
-        // Odd and future versions are never explainable.
-        assert!(cat.deltas_since(cat.version() - 1).is_none());
-        assert!(cat.deltas_since(cat.version() + 2).is_none());
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! kept as the engine produces every scan result — the packed group-by keys
 //! in ascending order, one finalized value column per measure. For the
 //! distributive operators a finalized value is its own partial state, so
-//! an append folds into the view key by key. The matching rule decides
-//! when a cube query can be answered from the view by further roll-up
-//! instead of scanning the fact table; it is decided on the defining query.
+//! an append folds into the view key by key. Whether a cube query can be
+//! answered from the view by further roll-up instead of scanning the fact
+//! table is decided on the defining query by the cube algebra's one
+//! containment relation, [`CubeQuery::relate`]: the view answers a query it
+//! is `Equal` to or `Usable` for (see `Catalog::best_view`).
 //!
 //! The keys are packed by the engine's key layout of the query's group-by
 //! set; this crate only checks that they ascend.
@@ -99,32 +101,35 @@ impl MaterializedAggregate {
     pub fn values(&self) -> &[Vec<f64>] {
         &self.values
     }
-
-    /// View matching: can `q` be answered from this view?
-    ///
-    /// Requirements:
-    /// 1. `q` runs over the view's source cube;
-    /// 2. the view is at least as fine as the query (`view ⪰_H g`), so every
-    ///    view coordinate rolls up to exactly one query coordinate;
-    /// 3. every predicate level is reachable from the view's level on that
-    ///    hierarchy (the view retains the hierarchy at a level at least as
-    ///    fine as the predicate's, so the predicate can still be evaluated);
-    /// 4. every requested measure is materialized.
-    pub fn answers(&self, q: &CubeQuery) -> bool {
-        let view = &self.query;
-        q.cube == view.cube
-            && view.group_by.rolls_up_to(&q.group_by)
-            && q.predicates.iter().all(|p| {
-                matches!(view.group_by.slots().get(p.hierarchy), Some(Some(l)) if *l <= p.level)
-            })
-            && q.measures.iter().all(|m| view.measures.contains(m))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use olap_model::{GroupBySet, MemberId, Predicate, PredicateOp};
+    use olap_model::{
+        AggOp, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef, MemberId, Predicate,
+        PredicateOp, Relation,
+    };
+
+    /// View matching as `Catalog::best_view` decides it: the defining query
+    /// is `Equal` to or `Usable` for `q`.
+    trait Answers {
+        fn answers(&self, q: &CubeQuery) -> bool;
+    }
+
+    impl Answers for MaterializedAggregate {
+        fn answers(&self, q: &CubeQuery) -> bool {
+            // `SALES`: two hierarchies of three levels, one member each.
+            let h = |name: &str| {
+                let mut b = HierarchyBuilder::new(name, [0, 1, 2].map(|l| format!("{name}{l}")));
+                b.add_member_chain(&["a", "b", "c"]).unwrap();
+                b.build().unwrap()
+            };
+            let measures = ["quantity", "storeSales"].map(|m| MeasureDef::new(m, AggOp::Sum));
+            let schema = CubeSchema::new("SALES", vec![h("h0"), h("h1")], measures.to_vec());
+            matches!(self.query().relate(q, &schema), Relation::Equal | Relation::Usable { .. })
+        }
+    }
 
     fn gb(slots: Vec<Option<usize>>) -> GroupBySet {
         GroupBySet::from_slots(slots)
