@@ -10,7 +10,10 @@
 //! itself and groups come out in ascending key order; over a wider layout
 //! a hashed [`Grouper`] resolves keys to first-seen slots, and the merge
 //! puts the groups in key order once, at its end. So every scan result is
-//! in ascending key order — coordinate order.
+//! in ascending key order — coordinate order. Cells that already are
+//! groups — a view read at its own group-by — are not folded:
+//! `Aggregator::read` hands them to the next take, and the merge
+//! concatenates partials whose keys ascend across the sequence.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -70,6 +73,19 @@ impl Accumulator {
             | Accumulator::Max(v)
             | Accumulator::Count(v) => [Some(&v[..]), None],
             Accumulator::Avg { sums, counts } => [Some(&sums[..]), Some(&counts[..])],
+        }
+        .into_iter()
+        .flatten()
+    }
+
+    /// The state columns, mutably, in [`StateOp::of`] order.
+    fn states_mut(&mut self) -> impl Iterator<Item = &mut Vec<f64>> {
+        match self {
+            Accumulator::Sum(v)
+            | Accumulator::Min(v)
+            | Accumulator::Max(v)
+            | Accumulator::Count(v) => [Some(v), None],
+            Accumulator::Avg { sums, counts } => [Some(sums), Some(counts)],
         }
         .into_iter()
         .flatten()
@@ -185,13 +201,22 @@ impl Partial {
     }
 
     /// Finalizes and emits every group, in stored order: coordinate
-    /// columns (keys unpacked by `layout`) and measure columns.
+    /// columns and measure columns. Each coordinate column is one pass over
+    /// the keys (`KeyLayout::codes`), not one unpack per key.
     pub fn emit(self, layout: &KeyLayout) -> (Vec<Vec<MemberId>>, Vec<Vec<f64>>) {
         let (keys, cols) = self.finish();
-        let coords = (0..layout.arity())
-            .map(|c| keys.iter().map(|&key| layout.unpack_component(key, c)).collect())
-            .collect();
-        (coords, cols)
+        let coords = (0..layout.arity()).map(|c| layout.codes(&keys, c).map(MemberId).collect());
+        (coords.collect(), cols)
+    }
+
+    /// Appends `other`'s groups after this partial's; both hold the same
+    /// operators.
+    fn append(&mut self, other: &Partial) {
+        self.keys.extend_from_slice(&other.keys);
+        let states = other.accs.iter().flat_map(Accumulator::states);
+        for (col, more) in self.accs.iter_mut().flat_map(Accumulator::states_mut).zip(states) {
+            col.extend_from_slice(more);
+        }
     }
 
     /// The slots in ascending key order — with [`KeyLayout`]'s packing,
@@ -505,6 +530,9 @@ pub struct Aggregator {
     /// Scratch: the packed keys of the batch being folded, then their
     /// positions.
     packed: Vec<u64>,
+    /// Groups read since the last take (`Aggregator::read`), handed out
+    /// by the next take in place of folded ones.
+    read: Option<Partial>,
 }
 
 /// Where an [`Aggregator`] keeps a key's state entry.
@@ -543,14 +571,43 @@ impl Aggregator {
             Grouping::Hashed => (Positions::Hashed(Grouper::default(), Vec::new()), 0),
         };
         let cols = ops.iter().flat_map(|&op| StateOp::of(op)).map(|&s| (s, vec![0; entries]));
-        Aggregator { ops: ops.to_vec(), cols: cols.collect(), positions, packed: Vec::new() }
+        let ops = ops.to_vec();
+        Aggregator { ops, cols: cols.collect(), positions, packed: Vec::new(), read: None }
+    }
+
+    /// Reads cells that already are groups of this aggregator's layout —
+    /// distinct keys in ascending order, one finalized sum per measure, as a
+    /// view stores its defining get's answer — and hands them out at the
+    /// next take: the rows in `selection` (local ids, ascending), or all of
+    /// them. A sum folded from identity is its own state, so the cells are
+    /// copied, not folded. Views answer sum gets only; the aggregator must
+    /// hold no folded group.
+    pub(crate) fn read<'a>(
+        &mut self,
+        keys: &[u64],
+        selection: Option<&[u32]>,
+        sums: impl Iterator<Item = &'a [f64]>,
+    ) {
+        debug_assert!(self.ops.iter().all(|&op| op == AggOp::Sum));
+        fn pick<T: Copy>(col: &[T], selection: Option<&[u32]>) -> Vec<T> {
+            match selection {
+                Some(sel) => sel.iter().map(|&row| col[row as usize]).collect(),
+                None => col.to_vec(),
+            }
+        }
+        let accs = sums.map(|col| Accumulator::Sum(pick(col, selection))).collect();
+        self.read = Some(Partial { keys: pick(keys, selection), accs });
     }
 
     /// Hands out the groups folded since the last take — in ascending key
     /// order over a direct layout, first-seen order over a hashed one — and
     /// resets for the next morsel: a direct layout's touched entries go
-    /// back to identity, a hashed layout's columns are drained.
+    /// back to identity, a hashed layout's columns are drained. Groups read
+    /// since the last take are handed out as they were read.
     pub fn take(&mut self) -> Partial {
+        if let Some(read) = self.read.take() {
+            return read;
+        }
         let (keys, states): (Vec<u64>, Vec<Vec<f64>>) = match &mut self.positions {
             Positions::Direct(marks) => {
                 let keys = marks.take();
@@ -574,23 +631,30 @@ impl Aggregator {
         Partial { keys, accs }
     }
 
-    /// Folds `partials`, in order, into one partial in **ascending key
+    /// Merges `partials`, in order, into one partial in **ascending key
     /// order** — the one merge of morsel partials (in morsel order) and
-    /// shard partials (in shard order). They fold into this aggregator's
-    /// state, which a direct layout emits in key order and a hashed one is
-    /// sorted into once. The aggregator must be empty (as a take leaves
-    /// it) and is left empty. The fold starts from identity, and
-    /// `f(id, v) = v` for every state `v` a fold from identity produces (a
-    /// sum from `+0.0` is never `−0.0`, `f64::min`/`max` from `±∞` never
-    /// NaN), so a lone partial already in key order is its own merge.
+    /// shard partials (in shard order). Partials whose keys ascend across
+    /// the whole sequence — each in key order, its last key below the next
+    /// non-empty partial's first, as a view read's morsels are — already
+    /// are that partial: they are concatenated. Otherwise they fold into
+    /// this aggregator's state, which a direct layout emits in key order
+    /// and a hashed one is sorted into once. The aggregator must be empty
+    /// (as a take leaves it) and is left empty. The fold starts from
+    /// identity, and `f(id, v) = v` for every state `v` a fold from
+    /// identity produces (a sum from `+0.0` is never `−0.0`,
+    /// `f64::min`/`max` from `±∞` never NaN), so the concatenation is
+    /// bit-equal to the fold.
     pub fn merge(&mut self, partials: impl IntoIterator<Item = Partial>) -> Partial {
-        let mut partials = partials.into_iter();
-        let Some(first) = partials.next() else { return self.take() };
-        let mut rest = partials.peekable();
-        if rest.peek().is_none() && first.keys.is_sorted_by(|a, b| a < b) {
-            return first;
+        let partials: Vec<Partial> = partials.into_iter().filter(|p| !p.is_empty()).collect();
+        let ascending = partials.windows(2).all(|w| w[0].keys.last() < w[1].keys.first())
+            && partials.iter().all(|p| p.keys.is_sorted_by(|a, b| a < b));
+        if ascending {
+            let mut parts = partials.into_iter();
+            let Some(mut merged) = parts.next() else { return self.take() };
+            parts.for_each(|p| merged.append(&p));
+            return merged;
         }
-        std::iter::once(first).chain(rest).for_each(|partial| self.merge_one(&partial));
+        partials.iter().for_each(|partial| self.merge_one(partial));
         let merged = self.take();
         match self.positions {
             Positions::Direct(_) => merged,
@@ -644,7 +708,7 @@ pub fn accumulate_chunk<'a>(
     keys: impl IntoIterator<Item = (&'a [u32], &'a [u32])>,
     measures: impl IntoIterator<Item = &'a [f64]>,
 ) {
-    let Aggregator { ops, cols, positions, packed } = agg;
+    let Aggregator { ops, cols, positions, packed, .. } = agg;
     pack_keys(packed, layout, len, selection, keys);
     positions.locate(packed, cols);
     let lanes = ops
@@ -753,6 +817,48 @@ mod tests {
                 bits(&lone),
                 "a lone key-ordered partial is its merge"
             );
+        }
+    }
+
+    /// The partial of rows `(codes[i], values[i])` folded into `agg`.
+    fn part(agg: &mut Aggregator, layout: &KeyLayout, codes: &[u32], values: &[f64]) -> Partial {
+        fold(agg, layout, codes, values);
+        agg.take()
+    }
+
+    #[test]
+    fn ascending_partials_concatenate_bit_equal_to_the_fold() {
+        for layout in layouts() {
+            let mut agg = Aggregator::for_layout(&layout, &OPS);
+            let a = part(&mut agg, &layout, &[1, 1, 4], &[f64::INFINITY, -0.0, 2.5]);
+            let empty = part(&mut agg, &layout, &[], &[]);
+            let b = part(&mut agg, &layout, &[6, 9, 9], &[f64::NEG_INFINITY, -3.0, 7.0]);
+            let c = part(&mut agg, &layout, &[12], &[-0.0]);
+            let concatenated = agg.merge([a.clone(), empty, b.clone(), c.clone()]);
+            let (keys, states) = bits(&concatenated);
+            assert_eq!(keys, [1, 4, 6, 9, 12]);
+            let parts = [bits(&a), bits(&b), bits(&c)];
+            for (j, column) in states.iter().enumerate() {
+                let copied: Vec<u64> = parts.iter().flat_map(|p| p.1[j].clone()).collect();
+                assert_eq!(column, &copied, "state column {j} is copied, not folded");
+            }
+            // Out of order, the same partials fold, into the same bits.
+            assert_eq!(bits(&agg.merge([c, b, a])), (keys, states));
+        }
+    }
+
+    #[test]
+    fn overlapping_and_interleaved_partials_fold() {
+        for layout in layouts() {
+            let mut agg = Aggregator::for_layout(&layout, &[AggOp::Sum]);
+            let a = part(&mut agg, &layout, &[1, 3], &[1.0, 2.0]);
+            let b = part(&mut agg, &layout, &[3, 5], &[4.0, 8.0]);
+            let shared = agg.merge([a, b]).finish();
+            assert_eq!(shared, (vec![1, 3, 5], vec![vec![1.0, 6.0, 8.0]]));
+            let a = part(&mut agg, &layout, &[1, 5], &[1.0, 2.0]);
+            let b = part(&mut agg, &layout, &[3, 7], &[4.0, 8.0]);
+            let interleaved = agg.merge([a, b]).finish();
+            assert_eq!(interleaved, (vec![1, 3, 5, 7], vec![vec![1.0, 4.0, 2.0, 8.0]]));
         }
     }
 

@@ -225,9 +225,12 @@ pub(crate) enum ScanSource {
     /// The given rows of a fact table: all of them for a query or a view
     /// rebuild, the appended tail for a view's delta merge.
     Fact(Arc<Table>, Range<usize>),
-    /// A view's cells, their keys unpacked by the layout of the view's
-    /// defining group-by.
-    View(Arc<MaterializedAggregate>, KeyLayout),
+    /// A view's cells, their keys unpacked by `layout`, the layout of the
+    /// view's defining group-by. When `read`, the get groups as the view
+    /// does: every view row is at most one of its cells, so each morsel's
+    /// partial is the view's rows that pass the masks, keys and sums copied
+    /// (`Aggregator::read`), not folded.
+    View { view: Arc<MaterializedAggregate>, layout: KeyLayout, read: bool },
 }
 
 /// The one plan for "these rows of this source → groups": the source,
@@ -370,9 +373,25 @@ impl ScanCtx {
         )
     }
 
+    /// The predicate kernel over one morsel's decoded lanes: with
+    /// predicates, `sel` becomes the morsel-local ids of the rows that pass
+    /// every mask; without, every row is selected (`None`).
+    fn select<'s>(
+        &self,
+        sel: &'s mut Vec<u32>,
+        lanes: &[Vec<u32>],
+        len: usize,
+    ) -> Option<&'s [u32]> {
+        if self.masks.is_empty() {
+            return None;
+        }
+        let masks = self.masks.iter().map(|(slot, m)| (lanes[*slot].as_slice(), &**m));
+        select_into(sel, len, masks);
+        Some(sel.as_slice())
+    }
+
     /// Runs the select + accumulate kernels over one morsel's decoded lanes:
-    /// with predicates, `sel` becomes the morsel-local ids of the rows that
-    /// pass every mask and only those rows fold.
+    /// only the selected rows fold.
     fn run_kernels<'a>(
         &'a self,
         sel: &mut Vec<u32>,
@@ -381,13 +400,7 @@ impl ScanCtx {
         len: usize,
         measures: impl IntoIterator<Item = &'a [f64]>,
     ) {
-        let selection = if self.masks.is_empty() {
-            None
-        } else {
-            let masks = self.masks.iter().map(|(slot, m)| (lanes[*slot].as_slice(), &**m));
-            select_into(sel, len, masks);
-            Some(sel.as_slice())
-        };
+        let selection = self.select(sel, lanes, len);
         let keys = self.keys.iter().map(|(slot, roll)| (lanes[*slot].as_slice(), roll.as_slice()));
         accumulate_chunk(agg, &self.layout, len, selection, keys, measures);
     }
@@ -397,7 +410,7 @@ impl MorselScan for ScanCtx {
     fn n_rows(&self) -> usize {
         match &self.source {
             ScanSource::Fact(_, rows) => rows.len(),
-            ScanSource::View(v, _) => v.len(),
+            ScanSource::View { view, .. } => view.len(),
         }
     }
 
@@ -432,12 +445,17 @@ impl MorselScan for ScanCtx {
                     }
                 }
             }
-            ScanSource::View(v, layout) => {
+            ScanSource::View { view, layout, read } => {
+                let keys = &view.keys()[lo..hi];
                 for (&comp, buf) in self.lane_cols.iter().zip(lanes.iter_mut()) {
-                    layout.unpack_codes(&v.keys()[lo..hi], comp, buf);
+                    layout.unpack_codes(keys, comp, buf);
                 }
-                let measures = self.measures.iter().map(|idx| &v.values()[*idx][lo..hi]);
-                self.run_kernels(sel, lanes, agg, len, measures);
+                let measures = self.measures.iter().map(|idx| &view.values()[*idx][lo..hi]);
+                if *read {
+                    agg.read(keys, self.select(sel, lanes, len), measures);
+                } else {
+                    self.run_kernels(sel, lanes, agg, len, measures);
+                }
             }
         }
         Ok(())
@@ -933,6 +951,11 @@ impl Engine {
         })
     }
 
+    /// Plans `q` over `view`. A view with the get's own group-by is read:
+    /// its rows are the get's cells, so no key component is unpacked or
+    /// rolled up and no row folds — only the predicated components decode,
+    /// to select rows. Any other view rolls up: every key component the get
+    /// groups by unpacks into a lane and folds through its roll-up map.
     fn get_from_view(
         &self,
         q: &CubeQuery,
@@ -943,12 +966,13 @@ impl Engine {
     ) -> Result<GetInternal, EngineError> {
         self.fault(FaultSite::DictLookup)?;
         let view_by = &view.query().group_by;
+        let read = view_by == &q.group_by;
         let filter = CompiledFilter::compile(schema, &q.predicates, view_by.slots())?;
         // Per included hierarchy of the query: the view key component and
         // the roll-up map from the view's level to the query's level.
         let mut lane_cols: Vec<usize> = Vec::new();
         let mut keys: Vec<(usize, Vec<u32>)> = Vec::new();
-        for (hi, li) in q.group_by.included_hierarchies() {
+        for (hi, li) in q.group_by.included_hierarchies().filter(|_| !read) {
             let view_level = view_by.slots()[hi].ok_or_else(|| {
                 EngineError::Unsupported("view does not carry a required hierarchy".into())
             })?;
@@ -976,7 +1000,7 @@ impl Engine {
 
         let view_layout = KeyLayout::for_group_by(schema, view_by);
         let ctx = ScanCtx {
-            source: ScanSource::View(view.clone(), view_layout),
+            source: ScanSource::View { view: view.clone(), layout: view_layout, read },
             lane_cols,
             masks,
             keys,

@@ -57,7 +57,8 @@ impl Hierarchy {
     }
 
     /// Rolls a member of level `from` up to level `to` along the part-of
-    /// chain (`rup` in the paper). `from == to` is the identity.
+    /// chain (`rup` in the paper). `from == to` is the identity. A member
+    /// outside level `from`'s domain errors, whatever the step count.
     pub fn roll_member(
         &self,
         from: usize,
@@ -77,6 +78,14 @@ impl Hierarchy {
                     .map(|l| l.name().to_string())
                     .unwrap_or_else(|| format!("level {to}")),
             });
+        }
+        if member.index() >= self.levels[from].cardinality() {
+            return Err(ModelError::Invariant(format!(
+                "member {} out of range for level `{}` of hierarchy `{}`",
+                member,
+                self.levels[from].name(),
+                self.name
+            )));
         }
         let mut m = member;
         for step in from..to {
@@ -272,6 +281,15 @@ mod tests {
         let h = date_hierarchy();
         let date = h.level(0).unwrap().member_id("1997-05-01").unwrap();
         assert_eq!(h.roll_member(0, 0, date).unwrap(), date);
+    }
+
+    #[test]
+    fn identity_roll_checks_the_domain() {
+        let mut b = HierarchyBuilder::new("Store", ["store"]);
+        b.add_member_chain(&["SmartMart"]).unwrap();
+        let h = b.build().unwrap();
+        assert!(matches!(h.roll_member(0, 0, MemberId(99)), Err(ModelError::Invariant(_))));
+        assert_eq!(h.roll_member(0, 0, MemberId(0)).unwrap(), MemberId(0));
     }
 
     #[test]

@@ -405,4 +405,17 @@ mod tests {
         let haunted = q(&s, &["year"], vec![ghost], &["quantity"]);
         assert_eq!(a.relate(&haunted, &s), Relation::Overlaps);
     }
+
+    #[test]
+    fn relate_treats_an_out_of_domain_member_alike_at_every_level() {
+        let s = dated();
+        let ghost = Predicate { hierarchy: 0, level: 0, op: PredicateOp::Eq(MemberId(99)) };
+        let haunted = q(&s, &["date"], vec![ghost], &["quantity"]);
+        let day = Predicate::eq(&s, "date", "1997-04-15").unwrap();
+        let month = Predicate::eq(&s, "month", "1997-04").unwrap();
+        let at_own_level = q(&s, &["date"], vec![day], &["quantity"]).relate(&haunted, &s);
+        let at_coarser = q(&s, &["date"], vec![month], &["quantity"]).relate(&haunted, &s);
+        assert_eq!(at_own_level, at_coarser);
+        assert_eq!(at_own_level, Relation::Overlaps, "the member does not roll up");
+    }
 }
