@@ -12,8 +12,7 @@
 //! puts the groups in key order once, at its end. So every scan result is
 //! in ascending key order — coordinate order. Cells that already are
 //! groups — a view read at its own group-by — are not folded:
-//! `Aggregator::read` hands them to the next take, and the merge
-//! concatenates partials whose keys ascend across the sequence.
+//! `Aggregator::read` hands them to the next take.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -73,19 +72,6 @@ impl Accumulator {
             | Accumulator::Max(v)
             | Accumulator::Count(v) => [Some(&v[..]), None],
             Accumulator::Avg { sums, counts } => [Some(&sums[..]), Some(&counts[..])],
-        }
-        .into_iter()
-        .flatten()
-    }
-
-    /// The state columns, mutably, in [`StateOp::of`] order.
-    fn states_mut(&mut self) -> impl Iterator<Item = &mut Vec<f64>> {
-        match self {
-            Accumulator::Sum(v)
-            | Accumulator::Min(v)
-            | Accumulator::Max(v)
-            | Accumulator::Count(v) => [Some(v), None],
-            Accumulator::Avg { sums, counts } => [Some(sums), Some(counts)],
         }
         .into_iter()
         .flatten()
@@ -207,16 +193,6 @@ impl Partial {
         let (keys, cols) = self.finish();
         let coords = (0..layout.arity()).map(|c| layout.codes(&keys, c).map(MemberId).collect());
         (coords.collect(), cols)
-    }
-
-    /// Appends `other`'s groups after this partial's; both hold the same
-    /// operators.
-    fn append(&mut self, other: &Partial) {
-        self.keys.extend_from_slice(&other.keys);
-        let states = other.accs.iter().flat_map(Accumulator::states);
-        for (col, more) in self.accs.iter_mut().flat_map(Accumulator::states_mut).zip(states) {
-            col.extend_from_slice(more);
-        }
     }
 
     /// The slots in ascending key order — with [`KeyLayout`]'s packing,
@@ -631,30 +607,24 @@ impl Aggregator {
         Partial { keys, accs }
     }
 
-    /// Merges `partials`, in order, into one partial in **ascending key
+    /// Folds `partials`, in order, into one partial in **ascending key
     /// order** — the one merge of morsel partials (in morsel order) and
-    /// shard partials (in shard order). Partials whose keys ascend across
-    /// the whole sequence — each in key order, its last key below the next
-    /// non-empty partial's first, as a view read's morsels are — already
-    /// are that partial: they are concatenated. Otherwise they fold into
-    /// this aggregator's state, which a direct layout emits in key order
-    /// and a hashed one is sorted into once. The aggregator must be empty
-    /// (as a take leaves it) and is left empty. The fold starts from
-    /// identity, and `f(id, v) = v` for every state `v` a fold from
-    /// identity produces (a sum from `+0.0` is never `−0.0`,
-    /// `f64::min`/`max` from `±∞` never NaN), so the concatenation is
-    /// bit-equal to the fold.
+    /// shard partials (in shard order). They fold into this aggregator's
+    /// state, which a direct layout emits in key order and a hashed one is
+    /// sorted into once. The aggregator must be empty (as a take leaves
+    /// it) and is left empty. The fold starts from identity, and
+    /// `f(id, v) = v` for every state `v` a fold from identity produces (a
+    /// sum from `+0.0` is never `−0.0`, `f64::min`/`max` from `±∞` never
+    /// NaN), so a lone partial already in key order — a single-morsel scan
+    /// or view read, a one-shard coordinator — is its own merge.
     pub fn merge(&mut self, partials: impl IntoIterator<Item = Partial>) -> Partial {
-        let partials: Vec<Partial> = partials.into_iter().filter(|p| !p.is_empty()).collect();
-        let ascending = partials.windows(2).all(|w| w[0].keys.last() < w[1].keys.first())
-            && partials.iter().all(|p| p.keys.is_sorted_by(|a, b| a < b));
-        if ascending {
-            let mut parts = partials.into_iter();
-            let Some(mut merged) = parts.next() else { return self.take() };
-            parts.for_each(|p| merged.append(&p));
-            return merged;
+        let mut partials = partials.into_iter();
+        let Some(first) = partials.next() else { return self.take() };
+        let mut rest = partials.peekable();
+        if rest.peek().is_none() && first.keys.is_sorted_by(|a, b| a < b) {
+            return first;
         }
-        partials.iter().for_each(|partial| self.merge_one(partial));
+        std::iter::once(first).chain(rest).for_each(|partial| self.merge_one(&partial));
         let merged = self.take();
         match self.positions {
             Positions::Direct(_) => merged,
@@ -824,27 +794,6 @@ mod tests {
     fn part(agg: &mut Aggregator, layout: &KeyLayout, codes: &[u32], values: &[f64]) -> Partial {
         fold(agg, layout, codes, values);
         agg.take()
-    }
-
-    #[test]
-    fn ascending_partials_concatenate_bit_equal_to_the_fold() {
-        for layout in layouts() {
-            let mut agg = Aggregator::for_layout(&layout, &OPS);
-            let a = part(&mut agg, &layout, &[1, 1, 4], &[f64::INFINITY, -0.0, 2.5]);
-            let empty = part(&mut agg, &layout, &[], &[]);
-            let b = part(&mut agg, &layout, &[6, 9, 9], &[f64::NEG_INFINITY, -3.0, 7.0]);
-            let c = part(&mut agg, &layout, &[12], &[-0.0]);
-            let concatenated = agg.merge([a.clone(), empty, b.clone(), c.clone()]);
-            let (keys, states) = bits(&concatenated);
-            assert_eq!(keys, [1, 4, 6, 9, 12]);
-            let parts = [bits(&a), bits(&b), bits(&c)];
-            for (j, column) in states.iter().enumerate() {
-                let copied: Vec<u64> = parts.iter().flat_map(|p| p.1[j].clone()).collect();
-                assert_eq!(column, &copied, "state column {j} is copied, not folded");
-            }
-            // Out of order, the same partials fold, into the same bits.
-            assert_eq!(bits(&agg.merge([c, b, a])), (keys, states));
-        }
     }
 
     #[test]

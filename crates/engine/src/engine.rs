@@ -448,7 +448,8 @@ impl MorselScan for ScanCtx {
             ScanSource::View { view, layout, read } => {
                 let keys = &view.keys()[lo..hi];
                 for (&comp, buf) in self.lane_cols.iter().zip(lanes.iter_mut()) {
-                    layout.unpack_codes(keys, comp, buf);
+                    buf.clear();
+                    buf.extend(layout.codes(keys, comp));
                 }
                 let measures = self.measures.iter().map(|idx| &view.values()[*idx][lo..hi]);
                 if *read {

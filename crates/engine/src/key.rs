@@ -126,22 +126,12 @@ impl KeyLayout {
     }
 
     /// Component `component` of every key in `keys`, as raw member codes, in
-    /// one pass with the shift and mask hoisted out of the loop.
-    pub(crate) fn codes<'a>(
-        &self,
-        keys: &'a [u64],
-        component: usize,
-    ) -> impl Iterator<Item = u32> + 'a {
+    /// one pass with the shift and mask hoisted out of the loop — the lane a
+    /// view scan reads its stored keys into, and a coordinate column.
+    pub fn codes<'a>(&self, keys: &'a [u64], component: usize) -> impl Iterator<Item = u32> + 'a {
         let (b, shift) = (self.bits[component], self.shifts[component]);
         let mask = if b >= 64 { u64::MAX } else { (1u64 << b) - 1 };
         keys.iter().map(move |&key| ((key >> shift) & mask) as u32)
-    }
-
-    /// Unpacks component `component` of every key in `keys` into `out`, as
-    /// raw member codes — the lane a view scan reads its stored keys into.
-    pub fn unpack_codes(&self, keys: &[u64], component: usize, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(self.codes(keys, component));
     }
 
     /// A key with component `component` cleared — used by pivot to group
