@@ -6,9 +6,10 @@
 //! [`attach`](olap_engine::attach()) operator — the same probe the fused
 //! plans run — so what the Naive Plan still pays for, and what the
 //! NP-vs-JOP/POP experiments measure, is *where* it runs: both inputs are
-//! materialized into coordinate and value columns first (two `get` round
-//! trips), their coordinates re-packed into keys, and the target's columns
-//! gathered a second time for the joined cube.
+//! materialized into key and value columns first (two `get` round trips),
+//! the benchmark's keys are gathered at its valued cells, and the target's
+//! columns are gathered a second time for the joined cube. The keys
+//! themselves are probed as `get` packed them.
 //!
 //! The other stages are column kernels over [`NumericColumn`]'s `data` and
 //! `validity`: a cell-wise (`⊟`) transform reads its inputs in place — a
@@ -17,7 +18,7 @@
 //! validity as they are. Holistic (`⊡`) functions still take whole nullable
 //! columns.
 
-use olap_engine::{pack_cells, AttachSpec, ResourceGovernor, Side};
+use olap_engine::{AttachSpec, ResourceGovernor, Side};
 use olap_model::{CubeColumn, DerivedCube, NumericColumn};
 use olap_timeseries::{Forecaster, Predictor};
 
@@ -74,8 +75,8 @@ fn input<'a>(cube: &'a DerivedCube, input: &ColRef) -> Result<Input<'a>, AssessE
             }
             let rollmap = h.composed_map(group_level, li)?;
             let component = cube.group_by().component_of(hi).expect("included hierarchy");
-            let col = &cube.coord_cols()[component];
-            let values = col.iter().map(|m| lvl.property_of(name, rollmap[m.index()])).collect();
+            let members = cube.layout().codes(cube.keys(), component);
+            let values = members.map(|m| lvl.property_of(name, rollmap[m as usize])).collect();
             Ok(Input::Property(NumericColumn::nullable(name.clone(), values)))
         }
     }
@@ -115,11 +116,10 @@ pub fn attach(
     let bench = bench.unwrap_or(target);
     let values = bench.require_numeric(spec.measure)?;
     let valued: Vec<usize> = (0..bench.len()).filter(|&r| values.validity[r]).collect();
-    let (t_layout, t_keys) = pack_cells(target, 0..target.len())?;
-    let (b_layout, b_keys) = pack_cells(bench, valued.iter().copied())?;
+    let b_keys: Vec<u64> = valued.iter().map(|&r| bench.keys()[r]).collect();
     let found = olap_engine::attach(
-        Side { group_by: target.group_by(), layout: &t_layout, keys: &t_keys },
-        Side { group_by: bench.group_by(), layout: &b_layout, keys: &b_keys },
+        Side { group_by: target.group_by(), layout: target.layout(), keys: target.keys() },
+        Side { group_by: bench.group_by(), layout: bench.layout(), keys: &b_keys },
         spec,
         governor,
     )?;
@@ -378,6 +378,25 @@ mod tests {
         .unwrap();
         let b = ["b".to_string()];
         assert!(attach(&left, Some(&right), &natural(Keep::Matched, &b), None).is_err());
+    }
+
+    #[test]
+    fn out_of_domain_member_never_pairs_with_a_neighbour() {
+        // (product, country) packs as 2 + 1 bits: unmasked, (Apple, #3)
+        // would be the key of (Pear, France).
+        let s = schema();
+        let france = cube(&s, 1, &[(1, 110.0)]);
+        let g = france.group_by().clone();
+        let quantity = CubeColumn::Numeric(NumericColumn::dense("quantity", vec![1.0]));
+        let apple = vec![vec![MemberId(0)], vec![MemberId(3)]];
+        let b = ["b".to_string()];
+        match DerivedCube::from_parts(s.clone(), g, apple, vec![quantity]) {
+            Err(e) => assert!(matches!(e, olap_model::ModelError::UnknownMember { .. })),
+            Ok(target) => {
+                let joined = attach(&target, Some(&france), &natural(Keep::Matched, &b), None);
+                assert_eq!(joined.unwrap().len(), 0, "paired with another cell");
+            }
+        }
     }
 
     #[test]

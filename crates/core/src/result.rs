@@ -7,7 +7,7 @@
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use olap_model::{DerivedCube, LabelColumn, MemberId, NumericColumn};
+use olap_model::{DerivedCube, LabelColumn, NumericColumn};
 use serde::Serialize;
 
 use crate::functions::DELTA_COLUMN;
@@ -115,14 +115,16 @@ impl AssessedCube {
 
     /// The cells of `next`, a later evaluation of the same statement, that
     /// differ from this one's, found without decoding a cell: two rows are
-    /// the same cell when their member ids are (names are interned per
-    /// level, so equal ids are equal names), and differ when a numeric
-    /// column differs as `Option<f64>` (NaN never equals, −0.0 equals 0.0)
-    /// or the label does as a string. Both sides are walked in coordinate
-    /// order — their row order unless a side is not already sorted — and
-    /// merged. `None` when the group-by sets differ.
+    /// the same cell when their packed keys are (under one layout equal
+    /// keys are equal member ids, and names are interned per level, so
+    /// equal ids are equal names), and differ when a numeric column differs
+    /// as `Option<f64>` (NaN never equals, −0.0 equals 0.0) or the label
+    /// does as a string. Both sides are walked in key order — their row
+    /// order unless a side is not already sorted — and merged. `None` when
+    /// the group-by sets or the key layouts differ.
     pub fn diff(&self, next: &AssessedCube) -> Option<CellDiff> {
-        if self.cube.group_by() != next.cube.group_by() {
+        if self.cube.group_by() != next.cube.group_by() || self.cube.layout() != next.cube.layout()
+        {
             return None;
         }
         let mut labels = Vec::new();
@@ -136,7 +138,7 @@ impl AssessedCube {
         let (mut i, mut j) = (0, 0);
         while i < prev.order.len() && j < next.order.len() {
             let (a, b) = (prev.order[i], next.order[j]);
-            match compare_coordinates(prev.coords, a, next.coords, b) {
+            match prev.keys[a].cmp(&next.keys[b]) {
                 Ordering::Less => {
                     diff.removed.push(a);
                     i += 1;
@@ -254,14 +256,14 @@ impl AssessedCube {
 
 /// One evaluation as [`AssessedCube::diff`] reads it.
 struct DiffSide<'a> {
-    coords: &'a [Vec<MemberId>],
+    keys: &'a [u64],
     /// The value, benchmark and comparison columns.
     numeric: [Option<&'a NumericColumn>; 3],
     /// The label codes; empty when the cube has no label column.
     codes: &'a [Option<u32>],
     /// Code → index into the label list both sides share.
     label_ids: Vec<u32>,
-    /// The rows in coordinate order.
+    /// The rows in key order.
     order: Vec<usize>,
 }
 
@@ -269,11 +271,10 @@ impl<'a> DiffSide<'a> {
     /// Reads `assessed`, adding the labels of its table that `labels` lacks.
     fn new(assessed: &'a AssessedCube, labels: &mut Vec<&'a str>) -> Self {
         let cube = &assessed.cube;
-        let coords = cube.coord_cols();
-        let by_coordinate = |a: &usize, b: &usize| compare_coordinates(coords, *a, coords, *b);
+        let keys = cube.keys();
         let mut order: Vec<usize> = (0..cube.len()).collect();
-        if !order.is_sorted_by(|a, b| by_coordinate(a, b).is_le()) {
-            order.sort_unstable_by(by_coordinate);
+        if !keys.is_sorted() {
+            order.sort_unstable_by_key(|&row| keys[row]);
         }
         let numeric = [assessed.measure.as_str(), &assessed.benchmark_column, DELTA_COLUMN];
         let labeled = cube.label_column("label");
@@ -286,7 +287,7 @@ impl<'a> DiffSide<'a> {
             }) as u32
         });
         DiffSide {
-            coords,
+            keys,
             numeric: numeric.map(|name| cube.numeric_column(name)),
             codes: labeled.map_or(&[][..], LabelColumn::codes),
             label_ids: label_ids.collect(),
@@ -298,18 +299,6 @@ impl<'a> DiffSide<'a> {
     fn label(&self, row: usize) -> Option<u32> {
         self.codes.get(row).copied().flatten().map(|code| self.label_ids[code as usize])
     }
-}
-
-/// Orders row `a` of the coordinate columns `left` against row `b` of
-/// `right`, lexicographically on member ids.
-fn compare_coordinates(
-    left: &[Vec<MemberId>],
-    a: usize,
-    right: &[Vec<MemberId>],
-    b: usize,
-) -> Ordering {
-    let mut members = left.iter().zip(right).map(|(l, r)| l[a].cmp(&r[b]));
-    members.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
 }
 
 impl AssessedCube {
@@ -342,8 +331,9 @@ impl AssessedCube {
         let levels: Vec<_> = cube
             .group_by()
             .included_hierarchies()
-            .map(|(h, l)| cube.schema().hierarchy(h).and_then(|h| h.level(l)))
+            .filter_map(|(h, l)| cube.schema().hierarchy(h)?.level(l))
             .collect();
+        let layout = cube.layout();
         let numeric = [self.measure.as_str(), &self.benchmark_column, DELTA_COLUMN]
             .map(|name| cube.numeric_column(name));
         let labels = cube.label_column("label").map(|col| {
@@ -358,21 +348,11 @@ impl AssessedCube {
                 .collect();
             (table, col.codes())
         });
-        for row in 0..self.len() {
-            // A coordinate with a member outside its level's domain is
-            // written without member names, as `cell` decodes it.
-            let start = out.len();
-            for (level, col) in levels.iter().zip(cube.coord_cols()) {
-                match level.and_then(|l| l.member_name(col[row])) {
-                    Some(name) => {
-                        field(&mut out, name);
-                        out.push(',');
-                    }
-                    None => {
-                        out.truncate(start);
-                        break;
-                    }
-                }
+        for (row, &key) in cube.keys().iter().enumerate() {
+            // Every member is in its level's domain: the cube refuses others.
+            for (c, level) in levels.iter().enumerate() {
+                field(&mut out, level.member_name(layout.unpack_component(key, c)).unwrap_or(""));
+                out.push(',');
             }
             for col in numeric {
                 if let Some(x) = col.and_then(|c| c.get(row)) {
@@ -406,18 +386,22 @@ mod tests {
     };
     use std::sync::Arc;
 
-    /// Three cities, one with a comma and one with quotes in its name, and a
-    /// fourth cell whose member is outside the level's domain.
-    fn assessed(table: &[&str], codes: Vec<Option<u32>>) -> AssessedCube {
+    /// Four cities, one with a comma and one with quotes in its name.
+    fn schema() -> Arc<CubeSchema> {
         let mut city = HierarchyBuilder::new("City", ["city"]);
-        for name in ["Bolzano, BZ", "say \"hi\"", "Plain"] {
+        for name in ["Bolzano, BZ", "say \"hi\"", "Plain", "Trento"] {
             city.add_member_chain(&[name]).unwrap();
         }
-        let schema = Arc::new(CubeSchema::new(
+        Arc::new(CubeSchema::new(
             "SALES",
             vec![city.build().unwrap()],
             vec![MeasureDef::new("quantity", AggOp::Sum)],
-        ));
+        ))
+    }
+
+    /// One cell per city.
+    fn assessed(table: &[&str], codes: Vec<Option<u32>>) -> AssessedCube {
+        let schema = schema();
         let g = GroupBySet::from_level_names(&schema, &["city"]).unwrap();
         let numeric = |name: &str, values: Vec<Option<f64>>| {
             CubeColumn::Numeric(NumericColumn::nullable(name, values))
@@ -425,7 +409,7 @@ mod tests {
         let cube = DerivedCube::from_parts(
             schema,
             g,
-            vec![vec![MemberId(0), MemberId(1), MemberId(2), MemberId(7)]],
+            vec![(0..4).map(MemberId).collect()],
             vec![
                 numeric("quantity", vec![Some(1.0), None, Some(0.5), Some(3.0)]),
                 numeric("benchmark.quantity", vec![Some(2.0); 4]),
@@ -446,7 +430,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_quotes_names_and_labels_and_skips_unknown_members() {
+    fn csv_quotes_names_and_labels_and_refuses_unknown_members() {
         let cube = assessed(&["ok, fine", "bad"], vec![Some(0), None, Some(1), Some(1)]);
         assert_eq!(
             cube.to_csv(),
@@ -454,8 +438,13 @@ mod tests {
              \"Bolzano, BZ\",1,2,-1,\"ok, fine\"\n\
              \"say \"\"hi\"\"\",,2,,\n\
              Plain,0.5,2,-1.5,bad\n\
-             3,2,1,bad\n"
+             Trento,3,2,1,bad\n"
         );
+        // A member outside the level's domain never reaches a result.
+        let schema = schema();
+        let g = GroupBySet::from_level_names(&schema, &["city"]).unwrap();
+        let unknown = DerivedCube::from_parts(schema, g, vec![vec![MemberId(7)]], Vec::new());
+        assert!(unknown.is_err());
     }
 
     #[test]

@@ -17,9 +17,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use olap_model::{AggOp, MemberId};
-
-use crate::key::KeyLayout;
+use olap_model::{AggOp, KeyLayout};
 
 /// A per-measure aggregation accumulator over dense group slots.
 #[derive(Debug, Clone)]
@@ -184,15 +182,6 @@ impl Partial {
             keys: slots.iter().map(|&s| self.keys[s as usize]).collect(),
             accs: self.accs.iter().map(|acc| acc.gather(slots)).collect(),
         }
-    }
-
-    /// Finalizes and emits every group, in stored order: coordinate
-    /// columns and measure columns. Each coordinate column is one pass over
-    /// the keys (`KeyLayout::codes`), not one unpack per key.
-    pub fn emit(self, layout: &KeyLayout) -> (Vec<Vec<MemberId>>, Vec<Vec<f64>>) {
-        let (keys, cols) = self.finish();
-        let coords = (0..layout.arity()).map(|c| layout.codes(&keys, c).map(MemberId).collect());
-        (coords.collect(), cols)
     }
 
     /// The slots in ascending key order — with [`KeyLayout`]'s packing,

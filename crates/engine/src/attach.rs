@@ -8,17 +8,17 @@
 //! component of its coordinate, find the benchmark cell there, attach its
 //! measure* — one output column per rewrite. [`attach`] is that operator,
 //! stated once over packed keys; the fused engine operators run it on two
-//! partial aggregates, the client runs it on two materialized cubes after
-//! re-packing their coordinates ([`pack_cells`]), and either side only
-//! gathers values through the row numbers it returns.
+//! partial aggregates, the client runs it on the key columns of two
+//! materialized cubes (`DerivedCube::keys`, packed by the layout `get`
+//! used), and either side only gathers values through the row numbers it
+//! returns.
 
-use olap_model::{DerivedCube, GroupBySet, MemberId};
+use olap_model::{GroupBySet, KeyLayout, MemberId};
 
 use crate::aggregate::Grouper;
 use crate::engine::JoinKind;
 use crate::error::EngineError;
 use crate::governor::{ResourceGovernor, CHECK_INTERVAL};
-use crate::key::KeyLayout;
 
 /// How one output column rewrites the probed component of a target cell's
 /// coordinate before the benchmark cell is looked up.
@@ -220,24 +220,4 @@ pub fn attach(
         }
     }
     Ok(Attached { kept, matched })
-}
-
-/// Packs the coordinates of `rows` of a materialized cube with the layout
-/// `get` used for its group-by set — how the client re-enters [`attach`].
-/// Group-by sets wider than a machine word have no packed form.
-pub fn pack_cells(
-    cube: &DerivedCube,
-    rows: impl ExactSizeIterator<Item = usize> + Clone,
-) -> Result<(KeyLayout, Vec<u64>), EngineError> {
-    let layout = KeyLayout::for_group_by(cube.schema(), cube.group_by());
-    if !layout.fits_u64() {
-        return Err(EngineError::WideKey { bits: layout.total_bits() });
-    }
-    let mut keys = vec![0u64; rows.len()];
-    for (c, col) in cube.coord_cols().iter().enumerate() {
-        for (key, row) in keys.iter_mut().zip(rows.clone()) {
-            layout.pack_component(key, c, col[row]);
-        }
-    }
-    Ok((layout, keys))
 }

@@ -5,7 +5,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use olap_model::{
-    AggOp, CubeColumn, CubeQuery, CubeSchema, DerivedCube, GroupBySet, MemberId, NumericColumn,
+    AggOp, CubeColumn, CubeQuery, CubeSchema, DerivedCube, GroupBySet, KeyLayout, MemberId,
+    NumericColumn,
 };
 use olap_storage::{Catalog, CubeBinding, DataChunk, MaterializedAggregate, Table};
 
@@ -14,7 +15,6 @@ use crate::attach::{attach, AttachSpec, Keep, Rewrite, Side};
 use crate::error::EngineError;
 use crate::fault::{FaultInjector, FaultSite};
 use crate::governor::{ResourceGovernor, CHECK_INTERVAL};
-use crate::key::KeyLayout;
 use crate::metrics::{self, EngineMetrics, ScanPath};
 use crate::pool::{run_morsels, MorselScan, MorselScratch, ScanRun, WorkerPool};
 use crate::predicate::{select_into, CompiledFilter};
@@ -201,12 +201,12 @@ impl GetInternal {
             Some(slots) => self.table.gather(slots),
             None => self.table,
         };
-        let (coord_cols, cols) = table.emit(&self.layout);
+        let (keys, cols) = table.finish();
         let dense =
             self.measures.into_iter().zip(cols).map(|(n, col)| NumericColumn::dense(n, col));
         let nullable = extra.into_iter().map(|(n, col)| NumericColumn::nullable(n, col));
         let columns = dense.chain(nullable).map(CubeColumn::Numeric).collect();
-        let cube = DerivedCube::from_parts(self.schema, self.group_by, coord_cols, columns)?;
+        let cube = DerivedCube::from_keys(self.schema, self.group_by, keys, columns)?;
         Ok(GetOutcome {
             cube,
             used_view: stats.used_view,

@@ -14,8 +14,9 @@
 //!   words, shared predicate bitmaps, single fact scans), before any cube
 //!   is materialized;
 //! * operations **left to the client** (the assess runtime) work on
-//!   materialized [`olap_model::DerivedCube`]s, which they must re-pack and
-//!   re-gather — the analogue of the paper's Python/Pandas post-processing.
+//!   materialized [`olap_model::DerivedCube`]s — the same packed keys, but
+//!   every value column copied out of the engine and gathered again — the
+//!   analogue of the paper's Python/Pandas post-processing.
 //!
 //! The engine entry points mirror the paper's plans:
 //!
@@ -37,7 +38,6 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod governor;
-pub mod key;
 pub mod maintain;
 pub mod metrics;
 pub mod pool;
@@ -45,14 +45,14 @@ pub mod predicate;
 pub mod shard;
 
 pub use aggregate::Grouping;
-pub use attach::{attach, pack_cells, AttachSpec, Attached, Keep, Rewrite, Side};
+pub use attach::{attach, AttachSpec, Attached, Keep, Rewrite, Side};
 pub use engine::{Engine, EngineConfig, GetEstimate, GetOutcome, JoinKind};
 pub use error::EngineError;
 pub use fault::{FaultInjector, FaultSite};
 pub use governor::{CancelToken, ResourceGovernor, ResourceKind};
-pub use key::KeyLayout;
 pub use maintain::MaintainOutcome;
 pub use metrics::{EngineMetrics, EngineMetricsSnapshot, ScanPath};
+pub use olap_model::KeyLayout;
 pub use pool::{PoolStats, WorkerPool};
 pub use shard::{
     merge_shard_scans, ShardBudget, ShardPartial, ShardScan, ShardSet, ShardTransport,

@@ -46,13 +46,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-use olap_model::AggOp;
+use olap_model::{AggOp, KeyLayout};
 
 use crate::aggregate::{Aggregator, Partial};
 use crate::error::EngineError;
 use crate::fault::{FaultInjector, FaultSite};
 use crate::governor::ResourceGovernor;
-use crate::key::KeyLayout;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 

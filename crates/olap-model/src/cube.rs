@@ -1,20 +1,23 @@
 //! Derived cubes: sparse, columnar results of cube queries.
 //!
 //! A [`DerivedCube`] realizes the paper's partial function from coordinates
-//! to measure tuples (Definitions 2.4/2.6). Storage is columnar: one
-//! [`MemberId`] column per hierarchy included in the group-by set, plus a set
-//! of value columns. Value columns are either numeric (measures, derived
-//! measures produced by `⊟`/`⊡` transforms) or label columns (produced by the
-//! labeling step, as codes into a label table). Numeric columns carry a
-//! validity bitmap so that the `assess*` variant can represent cells
-//! "completed with null values" (Section 4.2, left-outer join).
+//! to measure tuples (Definitions 2.4/2.6). Storage is columnar: one column
+//! of coordinates, each packed into a `u64` by the group-by set's
+//! [`KeyLayout`] — the form a `get` computes cells in, so it hands its keys
+//! over as they are, ascending — plus a set of value columns. Value columns
+//! are either numeric (measures, derived measures produced by `⊟`/`⊡`
+//! transforms) or label columns (produced by the labeling step, as codes
+//! into a label table). Numeric columns carry a validity bitmap so that the
+//! `assess*` variant can represent cells "completed with null values"
+//! (Section 4.2, left-outer join).
 
 use std::sync::Arc;
 
 use crate::coordinate::Coordinate;
 use crate::error::ModelError;
 use crate::groupby::GroupBySet;
-use crate::level::MemberId;
+use crate::key::KeyLayout;
+use crate::level::{Level, MemberId};
 use crate::schema::CubeSchema;
 
 /// A numeric value column with per-row validity (nullable `f64`).
@@ -185,89 +188,125 @@ impl CubeColumn {
     }
 }
 
-/// A borrowed view of one cell of a derived cube.
-#[derive(Debug, Clone, Copy)]
-pub struct CellRef<'a> {
-    pub cube: &'a DerivedCube,
-    pub row: usize,
-}
-
-impl<'a> CellRef<'a> {
-    /// The coordinate of this cell.
-    pub fn coordinate(&self) -> Coordinate {
-        self.cube.coordinate(self.row)
-    }
-
-    /// A numeric value of this cell by column name.
-    pub fn numeric(&self, column: &str) -> Option<f64> {
-        self.cube.numeric_column(column).and_then(|c| c.get(self.row))
-    }
-
-    /// A label value of this cell by column name.
-    pub fn label(&self, column: &str) -> Option<&'a str> {
-        self.cube.label_column(column).and_then(|c| c.get(self.row))
-    }
-}
-
 /// A sparse derived cube (Definition 2.6) over a shared [`CubeSchema`].
 #[derive(Debug, Clone)]
 pub struct DerivedCube {
     schema: Arc<CubeSchema>,
     group_by: GroupBySet,
-    /// One member-id column per included hierarchy (group-by order).
-    coord_cols: Vec<Vec<MemberId>>,
+    /// `KeyLayout::for_group_by(schema, group_by)`: the layout every `get`
+    /// and view of this group-by set packs its cells with.
+    layout: KeyLayout,
+    /// One packed coordinate per cell.
+    keys: Vec<u64>,
     columns: Vec<CubeColumn>,
 }
 
-impl DerivedCube {
-    /// Creates an empty cube with the given coordinate layout.
-    pub fn new(schema: Arc<CubeSchema>, group_by: GroupBySet) -> Self {
-        let coord_cols = (0..group_by.arity()).map(|_| Vec::new()).collect();
-        DerivedCube { schema, group_by, coord_cols, columns: Vec::new() }
+/// The level of every component of `group_by`'s coordinates, and the
+/// layout they pack with; a layout wider than a machine word is refused.
+fn components<'s>(
+    schema: &'s CubeSchema,
+    group_by: &GroupBySet,
+) -> Result<(Vec<&'s Level>, KeyLayout), ModelError> {
+    let levels = group_by
+        .included_hierarchies()
+        .map(|(hi, li)| {
+            schema
+                .hierarchy(hi)
+                .and_then(|h| h.level(li))
+                .ok_or_else(|| ModelError::Invariant("group-by set out of schema range".into()))
+        })
+        .collect::<Result<_, _>>()?;
+    let layout = KeyLayout::for_group_by(schema, group_by);
+    if !layout.fits_u64() {
+        return Err(ModelError::Invariant(format!(
+            "a coordinate of this group-by set needs {} key bits, more than 64",
+            layout.total_bits()
+        )));
     }
+    Ok((levels, layout))
+}
 
-    /// Creates a cube from parallel coordinate columns and value columns.
-    pub fn from_parts(
+/// Refuses `member`, the largest of a component, when it lies outside the
+/// domain of the component's `level`.
+fn in_domain(level: &Level, member: Option<u32>) -> Result<(), ModelError> {
+    match member {
+        Some(m) if m as usize >= level.cardinality() => Err(ModelError::UnknownMember {
+            level: level.name().to_string(),
+            member: MemberId(m).to_string(),
+        }),
+        _ => Ok(()),
+    }
+}
+
+impl DerivedCube {
+    /// Creates a cube from one packed coordinate per cell — packed with the
+    /// group-by set's [`KeyLayout`] — and value columns as long as `keys`.
+    /// A group-by set wider than 64 key bits and a key outside the layout
+    /// or with a member outside its level's domain are refused: keys may
+    /// come from a remote shard's partial, and every consumer decodes a
+    /// member by indexing its level.
+    pub fn from_keys(
         schema: Arc<CubeSchema>,
         group_by: GroupBySet,
-        coord_cols: Vec<Vec<MemberId>>,
+        keys: Vec<u64>,
         columns: Vec<CubeColumn>,
     ) -> Result<Self, ModelError> {
-        if coord_cols.len() != group_by.arity() {
-            return Err(ModelError::CoordinateArity {
-                expected: group_by.arity(),
-                got: coord_cols.len(),
-            });
+        let (levels, layout) = components(&schema, &group_by)?;
+        if let Some(&key) = keys.iter().max().filter(|&&key| !layout.contains(key)) {
+            return Err(ModelError::Invariant(format!("key {key:#x} is outside its layout")));
         }
-        let n = coord_cols
-            .first()
-            .map(|c| c.len())
-            .unwrap_or_else(|| columns.first().map(|c| c.len()).unwrap_or(0));
-        for c in &coord_cols {
-            if c.len() != n {
-                return Err(ModelError::RaggedColumns {
-                    expected: n,
-                    got: c.len(),
-                    column: "<coordinate>".into(),
-                });
-            }
+        for (c, level) in levels.into_iter().enumerate() {
+            in_domain(level, layout.codes(&keys, c).max())?;
         }
+        let mut seen = std::collections::HashSet::new();
         for c in &columns {
-            if c.len() != n {
+            if c.len() != keys.len() {
                 return Err(ModelError::RaggedColumns {
-                    expected: n,
+                    expected: keys.len(),
                     got: c.len(),
                     column: c.name().to_string(),
                 });
             }
-        }
-        let mut seen = std::collections::HashSet::new();
-        for c in &columns {
-            if !seen.insert(c.name().to_string()) {
+            if !seen.insert(c.name()) {
                 return Err(ModelError::DuplicateColumn(c.name().to_string()));
             }
         }
-        Ok(DerivedCube { schema, group_by, coord_cols, columns })
+        Ok(DerivedCube { schema, group_by, layout, keys, columns })
+    }
+
+    /// Creates a cube from parallel coordinate columns — one per included
+    /// hierarchy, packed here — and value columns. A member outside its
+    /// level's domain is refused: its bits would spill into the
+    /// neighbouring component.
+    pub fn from_parts(
+        schema: Arc<CubeSchema>,
+        group_by: GroupBySet,
+        coords: Vec<Vec<MemberId>>,
+        columns: Vec<CubeColumn>,
+    ) -> Result<Self, ModelError> {
+        if coords.len() != group_by.arity() {
+            return Err(ModelError::CoordinateArity {
+                expected: group_by.arity(),
+                got: coords.len(),
+            });
+        }
+        let n = coords.first().map_or_else(|| columns.first().map_or(0, CubeColumn::len), Vec::len);
+        let (levels, layout) = components(&schema, &group_by)?;
+        let mut keys = vec![0; n];
+        for ((c, col), level) in coords.iter().enumerate().zip(levels) {
+            if col.len() != n {
+                return Err(ModelError::RaggedColumns {
+                    expected: n,
+                    got: col.len(),
+                    column: "<coordinate>".into(),
+                });
+            }
+            in_domain(level, col.iter().max().map(|m| m.0))?;
+            for (key, &member) in keys.iter_mut().zip(col) {
+                layout.pack_component(key, c, member);
+            }
+        }
+        DerivedCube::from_keys(schema, group_by, keys, columns)
     }
 
     pub fn schema(&self) -> &Arc<CubeSchema> {
@@ -278,21 +317,31 @@ impl DerivedCube {
         &self.group_by
     }
 
+    /// The layout the coordinates are packed with.
+    pub fn layout(&self) -> &KeyLayout {
+        &self.layout
+    }
+
+    /// One packed coordinate per cell, in row order — ascending, and so in
+    /// coordinate order, for a cube a `get` produced.
+    pub fn keys(&self) -> &[u64] {
+        &self.keys
+    }
+
     /// `|C|`: the number of coordinates (cells) of the cube.
     pub fn len(&self) -> usize {
-        self.coord_cols
-            .first()
-            .map(|c| c.len())
-            .unwrap_or_else(|| self.columns.first().map(|c| c.len()).unwrap_or(0))
+        self.keys.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.keys.is_empty()
     }
 
-    /// The coordinate columns (one per included hierarchy, group-by order).
-    pub fn coord_cols(&self) -> &[Vec<MemberId>] {
-        &self.coord_cols
+    /// The coordinates decoded into one member-id column per included
+    /// hierarchy (group-by order).
+    pub fn coord_cols(&self) -> Vec<Vec<MemberId>> {
+        let decode = |c| self.layout.codes(&self.keys, c).map(MemberId).collect();
+        (0..self.layout.arity()).map(decode).collect()
     }
 
     /// All value columns.
@@ -302,12 +351,7 @@ impl DerivedCube {
 
     /// The coordinate of row `row`.
     pub fn coordinate(&self, row: usize) -> Coordinate {
-        Coordinate::new(self.coord_cols.iter().map(|c| c[row]).collect())
-    }
-
-    /// Iterates over the cells.
-    pub fn cells(&self) -> impl Iterator<Item = CellRef<'_>> {
-        (0..self.len()).map(move |row| CellRef { cube: self, row })
+        Coordinate::new(self.layout.unpack(self.keys[row]))
     }
 
     /// Looks up a value column by name.
@@ -353,13 +397,15 @@ impl DerivedCube {
     }
 
     /// Sorts rows by coordinate (lexicographically on member ids) for
-    /// deterministic output; reorders every column consistently.
+    /// deterministic output; reorders every column consistently. Compares
+    /// decoded coordinates, not keys: it is the reference key order is
+    /// checked against.
     pub fn sort_by_coordinates(&mut self) {
         let mut perm: Vec<u32> = (0..self.len() as u32).collect();
-        let coord_cols = &self.coord_cols;
+        let coord_cols = self.coord_cols();
         perm.sort_by(|&a, &b| {
             let (a, b) = (a as usize, b as usize);
-            for col in coord_cols {
+            for col in &coord_cols {
                 match col[a].cmp(&col[b]) {
                     std::cmp::Ordering::Equal => continue,
                     other => return other,
@@ -370,10 +416,9 @@ impl DerivedCube {
         *self = self.take_rows(&perm);
     }
 
-    /// The cells at `rows`, in that order: coordinates, numeric data and
-    /// validity, and label codes are gathered as they are.
+    /// The cells at `rows`, in that order: keys, numeric data and validity,
+    /// and label codes are gathered as they are.
     pub fn take_rows(&self, rows: &[u32]) -> DerivedCube {
-        let gather = |col: &Vec<MemberId>| rows.iter().map(|&r| col[r as usize]).collect();
         let columns = self
             .columns
             .iter()
@@ -389,63 +434,10 @@ impl DerivedCube {
         DerivedCube {
             schema: self.schema.clone(),
             group_by: self.group_by.clone(),
-            coord_cols: self.coord_cols.iter().map(gather).collect(),
+            layout: self.layout.clone(),
+            keys: rows.iter().map(|&r| self.keys[r as usize]).collect(),
             columns,
         }
-    }
-
-    /// Renders the cube as a plain-text table for examples and debugging.
-    pub fn render_table(&self, max_rows: usize) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let level_names = self.group_by.level_names(&self.schema);
-        let mut header: Vec<String> = level_names.iter().map(|s| s.to_string()).collect();
-        header.extend(self.columns.iter().map(|c| c.name().to_string()));
-        let mut rows: Vec<Vec<String>> = Vec::new();
-        for row in 0..self.len().min(max_rows) {
-            let coord = self.coordinate(row);
-            let mut cells: Vec<String> = match coord.names(&self.schema, &self.group_by) {
-                Ok(names) => names.into_iter().map(|s| s.to_string()).collect(),
-                Err(_) => coord.members().iter().map(|m| m.to_string()).collect(),
-            };
-            for c in &self.columns {
-                let rendered = match c {
-                    CubeColumn::Numeric(nc) => match nc.get(row) {
-                        Some(v) => format!("{v:.4}"),
-                        None => "null".to_string(),
-                    },
-                    CubeColumn::Label(lc) => lc.get(row).unwrap_or("null").to_string(),
-                };
-                cells.push(rendered);
-            }
-            rows.push(cells);
-        }
-        let mut widths: Vec<usize> = header.iter().map(String::len).collect();
-        for row in &rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        let render_row = |cells: &[String], out: &mut String| {
-            for (i, cell) in cells.iter().enumerate() {
-                let _ = write!(out, "| {:<width$} ", cell, width = widths[i]);
-            }
-            out.push_str("|\n");
-        };
-        render_row(&header, &mut out);
-        for (i, w) in widths.iter().enumerate() {
-            let _ = write!(&mut out, "|{:-<width$}", "", width = w + 2);
-            if i + 1 == widths.len() {
-                out.push_str("|\n");
-            }
-        }
-        for row in &rows {
-            render_row(row, &mut out);
-        }
-        if self.len() > max_rows {
-            let _ = writeln!(&mut out, "… {} more rows", self.len() - max_rows);
-        }
-        out
     }
 }
 
@@ -463,9 +455,13 @@ mod tests {
         let mut store = HierarchyBuilder::new("Store", ["country"]);
         store.add_member_chain(&["Italy"]).unwrap();
         store.add_member_chain(&["France"]).unwrap();
+        let mut time = HierarchyBuilder::new("Time", ["year"]);
+        for year in ["1994", "1995", "1996", "1997", "1998"] {
+            time.add_member_chain(&[year]).unwrap();
+        }
         Arc::new(CubeSchema::new(
             "SALES",
-            vec![product.build().unwrap(), store.build().unwrap()],
+            vec![product.build().unwrap(), store.build().unwrap(), time.build().unwrap()],
             vec![MeasureDef::new("quantity", AggOp::Sum)],
         ))
     }
@@ -494,16 +490,6 @@ mod tests {
             vec![CubeColumn::Numeric(NumericColumn::dense("quantity", vec![1.0]))],
         );
         assert!(matches!(bad, Err(ModelError::RaggedColumns { .. })));
-    }
-
-    #[test]
-    fn cells_expose_coordinates_and_measures() {
-        let s = schema();
-        let cube = figure_1_target(&s);
-        assert_eq!(cube.len(), 3);
-        let cell = cube.cells().next().unwrap();
-        assert_eq!(cell.numeric("quantity"), Some(100.0));
-        assert_eq!(cell.coordinate().names(&s, cube.group_by()).unwrap(), vec!["Apple", "Italy"]);
     }
 
     #[test]
@@ -574,12 +560,80 @@ mod tests {
     }
 
     #[test]
-    fn render_table_is_well_formed() {
+    fn from_parts_refuses_members_outside_their_domain() {
         let s = schema();
+        let g = GroupBySet::from_level_names(&s, &["product", "country"]).unwrap();
+        // product: 3 members, 2 bits; country: 2 members, 1 bit. Packed
+        // unmasked, (Apple, #2) would be the key of (Pear, Italy).
+        let bleeding = DerivedCube::from_parts(
+            s.clone(),
+            g.clone(),
+            vec![vec![MemberId(0)], vec![MemberId(2)]],
+            Vec::new(),
+        );
+        assert!(matches!(bleeding, Err(ModelError::UnknownMember { .. })));
+        // Product #3, and a bit above the layout's three.
+        let key = DerivedCube::from_keys(s.clone(), g.clone(), vec![0b110], Vec::new());
+        assert!(matches!(key, Err(ModelError::UnknownMember { .. })));
+        let outside = DerivedCube::from_keys(s, g, vec![0b1000], Vec::new());
+        assert!(matches!(outside, Err(ModelError::Invariant(_))));
+        // 65 two-member hierarchies need 65 key bits.
+        let flags: Vec<_> = (0..65)
+            .map(|i| {
+                let mut h = HierarchyBuilder::new(format!("H{i}"), [format!("l{i}")]);
+                h.add_member_chain(&["no"]).unwrap();
+                h.add_member_chain(&["yes"]).unwrap();
+                h.build().unwrap()
+            })
+            .collect();
+        let wide = Arc::new(CubeSchema::new("FLAGS", flags, Vec::new()));
+        let top = GroupBySet::top(&wide);
+        let refused = DerivedCube::from_parts(wide, top, vec![Vec::new(); 65], Vec::new());
+        assert!(matches!(refused, Err(ModelError::Invariant(_))));
+    }
+
+    #[test]
+    fn key_column_round_trips_coordinates_in_order() {
+        let s = schema();
+        // Every coordinate of (product, country, year), in a scrambled order.
+        let mut coords: Vec<[u32; 3]> = Vec::new();
+        for p in 0..3 {
+            for c in 0..2 {
+                for y in 0..5 {
+                    coords.push([p, c, y]);
+                }
+            }
+        }
+        coords.sort_by_key(|[p, c, y]| (y * 7 + p * 3 + c) % 11);
+        let n = coords.len();
+        for levels in [&[][..], &["year"], &["product", "country", "year"]] {
+            let g = GroupBySet::from_level_names(&s, levels).unwrap();
+            // The group-by's components are the last `arity` of each triple.
+            let members = |c: usize| coords.iter().map(|t| MemberId(t[c])).collect();
+            let cols: Vec<Vec<MemberId>> = (3 - levels.len()..3).map(members).collect();
+            let q = NumericColumn::dense("q", (0..n).map(|i| i as f64).collect());
+            let cube =
+                DerivedCube::from_parts(s.clone(), g, cols.clone(), vec![CubeColumn::Numeric(q)])
+                    .unwrap();
+            assert_eq!(cube.len(), n);
+            assert_eq!(cube.coord_cols(), cols);
+            let coordinate = |r: usize| Coordinate::new(cols.iter().map(|c| c[r]).collect());
+            for a in 0..n {
+                assert_eq!(cube.coordinate(a), coordinate(a));
+                for b in 0..n {
+                    assert_eq!(cube.keys()[a] < cube.keys()[b], coordinate(a) < coordinate(b));
+                }
+            }
+            let picked = [n - 1, 0, n - 1, n / 2].map(|r| r as u32);
+            let taken = cube.take_rows(&picked);
+            for (r, &p) in picked.iter().enumerate() {
+                assert_eq!(taken.coordinate(r), coordinate(p as usize));
+            }
+            assert_eq!(taken.numeric_column("q").unwrap().data, picked.map(f64::from));
+        }
+        // Figure 1's first cell decodes back to its member names.
         let cube = figure_1_target(&s);
-        let table = cube.render_table(2);
-        assert!(table.contains("product"));
-        assert!(table.contains("Apple"));
-        assert!(table.contains("… 1 more rows"));
+        let names = cube.coordinate(0).names(&s, cube.group_by()).unwrap();
+        assert_eq!(names, vec!["Apple", "Italy"]);
     }
 }

@@ -1,20 +1,23 @@
-//! Packed group-by keys.
+//! Packed group-by keys: a cell's coordinate as one `u64`.
 //!
-//! Aggregation resolves one key per qualifying fact row, so key construction
-//! dominates the inner loop. When the combined bit width of all group-by
-//! components fits a machine word the engine packs the member ids into a
-//! single `u64`; otherwise the query has no plan and is refused with
-//! `EngineError::WideKey`. The layout also unpacks keys back into member
-//! ids when materializing result coordinates.
+//! A [`KeyLayout`] gives every component of a group-by set's coordinate a
+//! bit field sized by its level's domain, so one coordinate packs into one
+//! machine word. Scans pack one key per qualifying fact row, views store
+//! their cells as keys, and a [`DerivedCube`](crate::DerivedCube) keeps its
+//! coordinates as its ascending key column. A group-by set whose fields do
+//! not fit 64 bits has no packed form: the engine refuses such a query and
+//! a cube refuses such a group-by set.
 //!
 //! Component 0 occupies the **most-significant** bits, so ascending `u64`
 //! key order is lexicographic coordinate order: sorting packed keys sorts
 //! cells into the canonical order cubes and views are materialized in.
 
-use olap_model::{CubeSchema, GroupBySet, MemberId};
+use crate::groupby::GroupBySet;
+use crate::level::MemberId;
+use crate::schema::CubeSchema;
 
 /// Bit layout of a packed group-by key.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyLayout {
     bits: Vec<u32>,
     shifts: Vec<u32>,

@@ -17,7 +17,9 @@
 //! * a [`Coordinate`] is a tuple of members, one per level of a group-by set,
 //!   and rolls up along the part-of orders (Definition 2.3);
 //! * a [`DerivedCube`] is the (sparse, partial) function from coordinates to
-//!   measure tuples produced by a [`CubeQuery`] (Definitions 2.4–2.6);
+//!   measure tuples produced by a [`CubeQuery`] (Definitions 2.4–2.6); it
+//!   stores each coordinate packed into one `u64` by its group-by set's
+//!   [`KeyLayout`], in ascending key order when it comes from a `get`;
 //! * [`CubeQuery::relate`] is the cube algebra's containment relation
 //!   between two queries ([`Relation`]): the one test behind view matching,
 //!   the workload's containment lint and result-cache survival.
@@ -33,15 +35,17 @@ pub mod cube;
 pub mod error;
 pub mod groupby;
 pub mod hierarchy;
+pub mod key;
 pub mod level;
 pub mod query;
 pub mod schema;
 
 pub use coordinate::Coordinate;
-pub use cube::{CellRef, CubeColumn, DerivedCube, LabelColumn, NumericColumn};
+pub use cube::{CubeColumn, DerivedCube, LabelColumn, NumericColumn};
 pub use error::ModelError;
 pub use groupby::GroupBySet;
 pub use hierarchy::{Hierarchy, HierarchyBuilder};
+pub use key::KeyLayout;
 pub use level::{Level, MemberId};
 pub use query::{CubeQuery, Predicate, PredicateOp, Relation};
 pub use schema::{AggOp, CubeSchema, MeasureDef};
