@@ -471,9 +471,9 @@ impl AssessRunner {
             .map(|(cube, report, _)| (cube, report))
     }
 
-    /// Executes a group of statements as one *batch* with shared-scan
-    /// scheduling (the multi-query-optimization path behind the serve
-    /// `batch` op).
+    /// Executes a group of resolved statements as one *batch* with
+    /// shared-scan scheduling (the multi-query-optimization path behind the
+    /// serve `batch` op, which hands over the resolutions its binding made).
     ///
     /// Every statement is planned exactly as [`run_auto`](Self::run_auto)
     /// would plan it first (cost-chosen strategy; a single attempt, no
@@ -486,25 +486,20 @@ impl AssessRunner {
     /// counters record a single scan. Gets fused into engine-side
     /// join/pivot calls never share: the fused call scans both sides at
     /// once and has no standalone result to store.
-    pub fn run_batch(&self, statements: &[AssessStatement], tracing: bool) -> BatchOutcome {
+    pub fn run_batch(&self, statements: &[ResolvedAssess], tracing: bool) -> BatchOutcome {
         let _in_flight = InFlightGuard::enter();
         let engine = self.governed_engine(self.policy.deadline_at());
 
         // Plan every statement first: sharing decisions need all plans.
-        let planned: Vec<Result<(ResolvedAssess, PhysicalPlan), AssessError>> = statements
+        let planned: Vec<Result<PhysicalPlan, AssessError>> = statements
             .iter()
-            .map(|statement| {
-                let resolved = self.resolve(statement)?;
-                let strategy = crate::cost::choose(&resolved, &self.engine)?;
-                let physical = plan::plan(&resolved, strategy)?;
-                Ok((resolved, physical))
-            })
+            .map(|resolved| plan::plan(resolved, crate::cost::choose(resolved, &self.engine)?))
             .collect();
 
         // Count how many plans want each standalone get (insertion order,
         // so shared-scan reports are deterministic across runs).
         let mut wanted: Vec<(u64, CubeQuery, usize)> = Vec::new();
-        for (_, physical) in planned.iter().filter_map(|r| r.as_ref().ok()) {
+        for physical in planned.iter().filter_map(|r| r.as_ref().ok()) {
             let fuse = physical.strategy != Strategy::Naive;
             for query in crate::workload::standalone_gets(&physical.root, fuse) {
                 let fp = crate::workload::fingerprint_query(query).0;
@@ -554,12 +549,13 @@ impl AssessRunner {
         }
 
         // Execute every plan, feeding consumers from the shared store.
-        let items = planned
-            .into_iter()
-            .map(|planned| {
+        let items = statements
+            .iter()
+            .zip(planned)
+            .map(|(resolved, planned)| {
                 let wall = Instant::now();
-                let (resolved, physical) = planned?;
-                match execute_plan_on(&engine, &resolved, &physical, tracing, Some(&shared)) {
+                let physical = planned?;
+                match execute_plan_on(&engine, resolved, &physical, tracing, Some(&shared)) {
                     Ok((cube, mut report, tree)) => {
                         report.attempts.push(AttemptRecord {
                             strategy: physical.strategy,

@@ -178,7 +178,9 @@ fn batch_matches_serial_execution_at_every_thread_count() {
     for threads in [1usize, 2, 8] {
         let runner = AssessRunner::new(Engine::new(catalog.clone()))
             .with_policy(ExecutionPolicy::default().with_max_threads(threads));
-        let outcome = runner.run_batch(&statements, false);
+        let resolved: Vec<_> =
+            statements.iter().map(|s| runner.resolve(s).expect("statement resolves")).collect();
+        let outcome = runner.run_batch(&resolved, false);
         assert_eq!(outcome.items.len(), statements.len());
         let shared: Vec<_> = outcome.shared.iter().filter(|s| s.consumers >= 2).collect();
         assert_eq!(shared.len(), 1, "one shared group expected at {threads} threads");
@@ -224,7 +226,9 @@ fn analyzer_report_agrees_with_batch_sharing() {
 
     let statements: Vec<_> = texts.iter().map(|t| assess_sql::parse(t).expect("parses")).collect();
     let runner = AssessRunner::new(Engine::new(catalog));
-    let outcome = runner.run_batch(&statements, false);
+    let resolved: Vec<_> =
+        statements.iter().map(|s| runner.resolve(s).expect("statement resolves")).collect();
+    let outcome = runner.run_batch(&resolved, false);
     let executed: Vec<_> = outcome.shared.iter().map(|s| s.fingerprint).collect();
     assert!(
         get_groups.iter().any(|g| executed.contains(&g.fingerprint)),

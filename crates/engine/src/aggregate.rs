@@ -1,9 +1,12 @@
-//! Partial aggregates: per-measure state columns, the [`Partial`] every
-//! scan, merge and exchange path shares, the [`Aggregator`] a scan worker
-//! folds rows and merges partials with.
+//! Partial aggregates: the [`Partial`] every scan, merge and exchange path
+//! shares, the [`Aggregator`] a scan worker folds rows and merges partials
+//! with, and [`StateOp`], the one table of what state each operator keeps.
 //!
-//! A [`Partial`] is plain data — group keys plus one state column per
-//! measure — and carries no index. An [`Aggregator`] folds rows and
+//! A [`Partial`] is plain data — group keys, the measures' operators and
+//! one state column per [`StateOp`] of each operator, in [`StateOp::of`]
+//! order — and carries no index. Every reader takes the columns as they
+//! stand; finalizing is one function (a distributive operator's state is
+//! its value, Avg's is a sum and a count). An [`Aggregator`] folds rows and
 //! partials through one kernel, one [`StateOp`] per state column; only how
 //! a key finds its state entry depends on the layout. Over a layout of at
 //! most [`Grouper::DIRECT_BITS`] bits the entry is at the packed key
@@ -19,131 +22,49 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use olap_model::{AggOp, KeyLayout};
 
-/// A per-measure aggregation accumulator over dense group slots.
-#[derive(Debug, Clone)]
-pub enum Accumulator {
-    Sum(Vec<f64>),
-    Min(Vec<f64>),
-    Max(Vec<f64>),
-    Count(Vec<f64>),
-    Avg { sums: Vec<f64>, counts: Vec<f64> },
-}
-
-impl Accumulator {
-    pub fn new(op: AggOp) -> Self {
-        match op {
-            AggOp::Sum => Accumulator::Sum(Vec::new()),
-            AggOp::Min => Accumulator::Min(Vec::new()),
-            AggOp::Max => Accumulator::Max(Vec::new()),
-            AggOp::Count => Accumulator::Count(Vec::new()),
-            AggOp::Avg => Accumulator::Avg { sums: Vec::new(), counts: Vec::new() },
-        }
-    }
-
-    /// The operator this accumulator folds with.
-    pub fn op(&self) -> AggOp {
-        match self {
-            Accumulator::Sum(_) => AggOp::Sum,
-            Accumulator::Min(_) => AggOp::Min,
-            Accumulator::Max(_) => AggOp::Max,
-            Accumulator::Count(_) => AggOp::Count,
-            Accumulator::Avg { .. } => AggOp::Avg,
-        }
-    }
-
-    /// Group slots held (`None` when an Avg's two columns disagree).
-    fn len(&self) -> Option<usize> {
-        match self {
-            Accumulator::Sum(v)
-            | Accumulator::Min(v)
-            | Accumulator::Max(v)
-            | Accumulator::Count(v) => Some(v.len()),
-            Accumulator::Avg { sums, counts } => (sums.len() == counts.len()).then_some(sums.len()),
-        }
-    }
-
-    /// The state columns, in [`StateOp::of`] order.
-    pub(crate) fn states(&self) -> impl Iterator<Item = &[f64]> {
-        match self {
-            Accumulator::Sum(v)
-            | Accumulator::Min(v)
-            | Accumulator::Max(v)
-            | Accumulator::Count(v) => [Some(&v[..]), None],
-            Accumulator::Avg { sums, counts } => [Some(&sums[..]), Some(&counts[..])],
-        }
-        .into_iter()
-        .flatten()
-    }
-
-    /// The accumulator of `op` over state columns drawn from `states`, in
-    /// [`StateOp::of`] order.
-    fn from_states(op: AggOp, states: &mut impl Iterator<Item = Vec<f64>>) -> Self {
-        let mut next = || states.next().expect("one state column per state operator");
-        match op {
-            AggOp::Sum => Accumulator::Sum(next()),
-            AggOp::Min => Accumulator::Min(next()),
-            AggOp::Max => Accumulator::Max(next()),
-            AggOp::Count => Accumulator::Count(next()),
-            AggOp::Avg => Accumulator::Avg { sums: next(), counts: next() },
-        }
-    }
-
-    /// The groups in `slots`, in that order.
-    fn gather(&self, slots: &[u32]) -> Self {
-        let pick = |v: &[f64]| -> Vec<f64> { slots.iter().map(|&s| v[s as usize]).collect() };
-        let mut states = self.states().map(pick).collect::<Vec<_>>().into_iter();
-        Accumulator::from_states(self.op(), &mut states)
-    }
-
-    /// Finalizes into per-group values.
-    pub fn finish(self) -> Vec<f64> {
-        match self {
-            Accumulator::Sum(v)
-            | Accumulator::Min(v)
-            | Accumulator::Max(v)
-            | Accumulator::Count(v) => v,
-            Accumulator::Avg { sums, counts } => sums
-                .into_iter()
-                .zip(counts)
-                .map(|(s, c)| if c > 0.0 { s / c } else { f64::NAN })
-                .collect(),
-        }
-    }
-}
-
 /// A partial aggregate over packed `u64` keys: the group keys and, parallel
-/// to them, the **pre-finalize** state of every measure (Avg stays a
-/// sum+count pair). One type serves morsel partials, shard partials (it is
-/// their wire form), delta partials and the merged result;
-/// [`Aggregator::merge`] is their one merge. A scan's partials are in
-/// ascending key order, except a hashed layout's morsel partials, which
-/// are in first-seen order.
+/// to them, the **pre-finalize** state columns of its measures' operators,
+/// in [`StateOp::of`] order (Avg stays a sum column and a count column).
+/// One type serves morsel partials, shard partials (it is their wire form),
+/// delta partials and the merged result; [`Aggregator::merge`] is their one
+/// merge. A scan's partials are in ascending key order, except a hashed
+/// layout's morsel partials, which are in first-seen order.
 #[derive(Debug, Clone)]
 pub struct Partial {
     keys: Vec<u64>,
-    accs: Vec<Accumulator>,
+    ops: Vec<AggOp>,
+    states: Vec<Vec<f64>>,
 }
 
 impl Partial {
     pub fn new(ops: &[AggOp]) -> Self {
-        Partial { keys: Vec::new(), accs: ops.iter().map(|op| Accumulator::new(*op)).collect() }
+        let states = StateOp::columns(ops).map(|_| Vec::new()).collect();
+        Partial { keys: Vec::new(), ops: ops.to_vec(), states }
     }
 
     /// Reassembles a partial from its parts (possibly deserialized from a
-    /// remote shard); every state column must be as long as `keys`.
-    pub fn from_parts(keys: Vec<u64>, accs: Vec<Accumulator>) -> Result<Self, String> {
-        if accs.iter().any(|acc| acc.len() != Some(keys.len())) {
-            return Err("accumulator length does not match the key count".to_string());
+    /// remote shard): one state column per [`StateOp`] of `ops`, each as
+    /// long as `keys`.
+    pub fn from_parts(
+        keys: Vec<u64>,
+        ops: Vec<AggOp>,
+        states: Vec<Vec<f64>>,
+    ) -> Result<Self, String> {
+        let want = StateOp::columns(&ops).count();
+        if states.len() != want {
+            return Err(format!("{} state columns where the operators need {want}", states.len()));
         }
-        Ok(Partial { keys, accs })
+        if states.iter().any(|col| col.len() != keys.len()) {
+            return Err("state column length does not match the key count".to_string());
+        }
+        Ok(Partial { keys, ops, states })
     }
 
     /// Whether this partial could have come from a scan with `layout` and
-    /// `ops`: every key inside the key space, one state column per
-    /// operator. Checked on partials received from outside the process.
+    /// `ops`: every key inside the key space, the same operators. Checked
+    /// on partials received from outside the process.
     pub fn conforms(&self, layout: &KeyLayout, ops: &[AggOp]) -> bool {
-        self.accs.iter().map(Accumulator::op).eq(ops.iter().copied())
-            && self.keys.iter().all(|&key| layout.contains(key))
+        self.ops == ops && self.keys.iter().all(|&key| layout.contains(key))
     }
 
     /// Number of groups.
@@ -160,27 +81,38 @@ impl Partial {
         &self.keys
     }
 
-    /// The per-measure state columns, parallel to [`Partial::keys`].
-    pub fn accs(&self) -> &[Accumulator] {
-        &self.accs
+    /// The measures' operators.
+    pub fn ops(&self) -> &[AggOp] {
+        &self.ops
+    }
+
+    /// The state columns, in [`StateOp::of`] order over [`Partial::ops`],
+    /// parallel to [`Partial::keys`].
+    pub fn states(&self) -> &[Vec<f64>] {
+        &self.states
     }
 
     /// The finalized column of measure `measure_idx` (a copy: fused
     /// operators probe one side's values before materializing the other).
     pub fn measure(&self, measure_idx: usize) -> Vec<f64> {
-        self.accs[measure_idx].clone().finish()
+        let width = |op: &AggOp| StateOp::of(*op).len();
+        let at: usize = self.ops[..measure_idx].iter().map(width).sum();
+        let op = self.ops[measure_idx];
+        finalize(op, self.states[at..at + width(&op)].iter().cloned())
     }
 
     /// Finalizes into `(keys, measure columns)`, in stored order.
     pub fn finish(self) -> (Vec<u64>, Vec<Vec<f64>>) {
-        (self.keys, self.accs.into_iter().map(Accumulator::finish).collect())
+        let mut states = self.states.into_iter();
+        (self.keys, self.ops.iter().map(|&op| finalize(op, &mut states)).collect())
     }
 
     /// The groups in `slots`, in that order.
     pub(crate) fn gather(&self, slots: &[u32]) -> Partial {
         Partial {
-            keys: slots.iter().map(|&s| self.keys[s as usize]).collect(),
-            accs: self.accs.iter().map(|acc| acc.gather(slots)).collect(),
+            keys: gather(&self.keys, slots),
+            ops: self.ops.clone(),
+            states: self.states.iter().map(|col| gather(col, slots)).collect(),
         }
     }
 
@@ -191,6 +123,24 @@ impl Partial {
         order.sort_unstable();
         order.into_iter().map(|(_, slot)| slot).collect()
     }
+}
+
+/// The entries of `col` at `rows`, in that order.
+fn gather<T: Copy>(col: &[T], rows: &[u32]) -> Vec<T> {
+    rows.iter().map(|&row| col[row as usize]).collect()
+}
+
+/// The values of a measure of `op` from its state columns, drawn from
+/// `states` in [`StateOp::of`] order: a distributive operator's one state
+/// column is its value, Avg's sum and count are sum ÷ count — NaN over no
+/// row.
+fn finalize(op: AggOp, mut states: impl Iterator<Item = Vec<f64>>) -> Vec<f64> {
+    let mut next = || states.next().expect("one state column per state operator");
+    let value = next();
+    if op.is_distributive() {
+        return value;
+    }
+    value.into_iter().zip(next()).map(|(sum, n)| if n > 0.0 { sum / n } else { f64::NAN }).collect()
 }
 
 /// How a scan groups packed keys (reported on scan spans).
@@ -310,7 +260,8 @@ pub(crate) enum StateOp {
 }
 
 impl StateOp {
-    /// The state columns of `op`, in its [`Accumulator`]'s order.
+    /// The state columns of `op`: one for a distributive operator, sum
+    /// then count for Avg.
     pub(crate) fn of(op: AggOp) -> &'static [StateOp] {
         match op {
             AggOp::Sum => &[StateOp::Sum],
@@ -319,6 +270,11 @@ impl StateOp {
             AggOp::Max => &[StateOp::Max],
             AggOp::Avg => &[StateOp::Sum, StateOp::Count],
         }
+    }
+
+    /// The state columns of `ops`, in order.
+    pub(crate) fn columns(ops: &[AggOp]) -> impl Iterator<Item = StateOp> + '_ {
+        ops.iter().flat_map(|&op| StateOp::of(op)).copied()
     }
 
     /// The bits of the identity. State is stored XORed with them, so zeroed
@@ -535,9 +491,8 @@ impl Aggregator {
             }
             Grouping::Hashed => (Positions::Hashed(Grouper::default(), Vec::new()), 0),
         };
-        let cols = ops.iter().flat_map(|&op| StateOp::of(op)).map(|&s| (s, vec![0; entries]));
-        let ops = ops.to_vec();
-        Aggregator { ops, cols: cols.collect(), positions, packed: Vec::new(), read: None }
+        let cols = StateOp::columns(ops).map(|s| (s, vec![0; entries])).collect();
+        Aggregator { ops: ops.to_vec(), cols, positions, packed: Vec::new(), read: None }
     }
 
     /// Reads cells that already are groups of this aggregator's layout —
@@ -555,13 +510,10 @@ impl Aggregator {
     ) {
         debug_assert!(self.ops.iter().all(|&op| op == AggOp::Sum));
         fn pick<T: Copy>(col: &[T], selection: Option<&[u32]>) -> Vec<T> {
-            match selection {
-                Some(sel) => sel.iter().map(|&row| col[row as usize]).collect(),
-                None => col.to_vec(),
-            }
+            selection.map_or_else(|| col.to_vec(), |sel| gather(col, sel))
         }
-        let accs = sums.map(|col| Accumulator::Sum(pick(col, selection))).collect();
-        self.read = Some(Partial { keys: pick(keys, selection), accs });
+        let states = sums.map(|col| pick(col, selection)).collect();
+        self.read = Some(Partial { keys: pick(keys, selection), ops: self.ops.clone(), states });
     }
 
     /// Hands out the groups folded since the last take — in ascending key
@@ -591,9 +543,7 @@ impl Aggregator {
                 (std::mem::take(keys), states.collect())
             }
         };
-        let mut states = states.into_iter();
-        let accs = self.ops.iter().map(|&op| Accumulator::from_states(op, &mut states)).collect();
-        Partial { keys, accs }
+        Partial { keys, ops: self.ops.clone(), states }
     }
 
     /// Folds `partials`, in order, into one partial in **ascending key
@@ -635,8 +585,7 @@ impl Aggregator {
                 &*packed
             }
         };
-        let states = partial.accs.iter().flat_map(Accumulator::states);
-        for ((op, entries), values) in cols.iter_mut().zip(states) {
+        for ((op, entries), values) in cols.iter_mut().zip(&partial.states) {
             op.merge(entries, at, values);
         }
     }
@@ -658,7 +607,7 @@ impl Aggregator {
 ///   kernel's output), or `None` to fold every row;
 /// * `keys` — per group-by component: the code lane and the roll-up map
 ///   from the carried level to the queried level (as raw `u32` codes);
-/// * `measures` — one value lane per measure, in accumulator order.
+/// * `measures` — one value lane per measure, in the aggregator's `ops` order.
 pub fn accumulate_chunk<'a>(
     agg: &mut Aggregator,
     layout: &KeyLayout,
@@ -731,8 +680,8 @@ mod tests {
 
     /// Keys plus every state value as raw bits.
     fn bits(p: &Partial) -> (Vec<u64>, Vec<Vec<u64>>) {
-        let states = p.accs.iter().flat_map(Accumulator::states);
-        (p.keys.clone(), states.map(|s| s.iter().map(|x| x.to_bits()).collect()).collect())
+        let states = p.states.iter().map(|s| s.iter().map(|x| x.to_bits()).collect());
+        (p.keys.clone(), states.collect())
     }
 
     #[test]
@@ -802,16 +751,19 @@ mod tests {
 
     #[test]
     fn avg_of_empty_group_is_nan() {
-        let acc = Accumulator::Avg { sums: vec![0.0], counts: vec![0.0] };
-        assert!(acc.finish()[0].is_nan());
+        let avg = Partial::from_parts(vec![0], vec![AggOp::Avg], vec![vec![0.0], vec![0.0]]);
+        assert!(avg.unwrap().finish().1[0][0].is_nan());
     }
 
     #[test]
     fn from_parts_checks_column_lengths() {
-        assert!(Partial::from_parts(vec![1, 2], vec![Accumulator::Sum(vec![1.0, 2.0])]).is_ok());
-        assert!(Partial::from_parts(vec![1, 2], vec![Accumulator::Sum(vec![1.0])]).is_err());
-        let ragged = Accumulator::Avg { sums: vec![1.0, 2.0], counts: vec![1.0] };
-        assert!(Partial::from_parts(vec![1, 2], vec![ragged]).is_err());
+        let sum = |states: Vec<Vec<f64>>| Partial::from_parts(vec![1, 2], vec![AggOp::Sum], states);
+        assert!(sum(vec![vec![1.0, 2.0]]).is_ok());
+        assert!(sum(vec![vec![1.0]]).is_err());
+        assert!(sum(vec![vec![1.0, 2.0], vec![1.0, 2.0]]).is_err(), "one column too many");
+        let avg = |states| Partial::from_parts(vec![1, 2], vec![AggOp::Avg], states);
+        assert!(avg(vec![vec![1.0, 2.0], vec![1.0]]).is_err(), "ragged");
+        assert!(avg(vec![vec![1.0, 2.0]]).is_err(), "Avg needs its count column");
     }
 
     #[test]

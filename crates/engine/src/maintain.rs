@@ -58,10 +58,9 @@
 
 use std::sync::Arc;
 
-use olap_model::AggOp;
 use olap_storage::{Column, CubeBinding, Delta, MaterializedAggregate, StorageError, Table};
 
-use crate::aggregate::{Accumulator, Partial, StateOp};
+use crate::aggregate::{Partial, StateOp};
 use crate::engine::{query_shape, Engine, ScanCtx};
 use crate::error::EngineError;
 
@@ -224,8 +223,7 @@ fn maintain_one(
     }
     // Mergeable: every operator distributive (a finalized value *is* the
     // state).
-    let merged =
-        ops.iter().all(|op| matches!(op, AggOp::Sum | AggOp::Count | AggOp::Min | AggOp::Max));
+    let merged = ops.iter().all(|op| op.is_distributive());
     let rows = if merged {
         delta.start_row()..delta.start_row() + delta.rows()
     } else {
@@ -235,7 +233,7 @@ fn maintain_one(
         return Ok(None);
     };
     let partial = engine.run_scan(ctx, false)?.table;
-    let (keys, values) = if merged { merge(view, &partial, &ops) } else { partial.finish() };
+    let (keys, values) = if merged { merge(view, &partial) } else { partial.finish() };
     let maintained = MaterializedAggregate::new(view.name(), q.clone(), keys, values)?;
     Ok(Some((maintained, merged)))
 }
@@ -247,15 +245,10 @@ fn maintain_one(
 /// folds to `f(view, delta)`, a new key to `f(identity, delta)` — for the
 /// distributive operators a finalized value *is* the state, so these are
 /// the values a merge of the two as partials yields.
-fn merge(
-    view: &MaterializedAggregate,
-    delta: &Partial,
-    ops: &[AggOp],
-) -> (Vec<u64>, Vec<Vec<f64>>) {
+fn merge(view: &MaterializedAggregate, delta: &Partial) -> (Vec<u64>, Vec<Vec<f64>>) {
     let (keys, values) = (view.keys(), view.values());
-    let state_ops: Vec<StateOp> = ops.iter().flat_map(|&op| StateOp::of(op)).copied().collect();
-    debug_assert_eq!(state_ops.len(), ops.len(), "avg views take the rebuild path");
-    let deltas: Vec<&[f64]> = delta.accs().iter().flat_map(Accumulator::states).collect();
+    let state_ops: Vec<StateOp> = StateOp::columns(delta.ops()).collect();
+    let deltas = delta.states();
 
     let cap = keys.len() + delta.len();
     let mut out_keys: Vec<u64> = Vec::with_capacity(cap);
@@ -285,7 +278,7 @@ fn merge(
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use olap_model::{CubeQuery, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef};
+    use olap_model::{AggOp, CubeQuery, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef};
     use olap_storage::binding::DimInfo;
     use olap_storage::{Catalog, CubeBinding};
 

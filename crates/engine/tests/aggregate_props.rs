@@ -8,9 +8,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use olap_engine::aggregate::{
-    accumulate_chunk, Accumulator, Aggregator, Grouper, Grouping, Partial,
-};
+use olap_engine::aggregate::{accumulate_chunk, Aggregator, Grouper, Grouping, Partial};
 use olap_engine::pool::{run_morsels, MorselScan, MorselScratch};
 use olap_engine::{Engine, EngineConfig, EngineError, KeyLayout, WorkerPool};
 use olap_model::{
@@ -199,19 +197,8 @@ fn canonical_bits(x: f64) -> u64 {
 /// Keys plus every raw state column (Avg as its sum and its count) as
 /// [`canonical_bits`], in stored order.
 fn state_bits(p: &Partial) -> (Vec<u64>, Vec<Vec<u64>>) {
-    let col = |v: &[f64]| v.iter().copied().map(canonical_bits).collect::<Vec<u64>>();
-    let states = p
-        .accs()
-        .iter()
-        .flat_map(|acc| match acc {
-            Accumulator::Sum(v)
-            | Accumulator::Min(v)
-            | Accumulator::Max(v)
-            | Accumulator::Count(v) => vec![col(v)],
-            Accumulator::Avg { sums, counts } => vec![col(sums), col(counts)],
-        })
-        .collect();
-    (p.keys().to_vec(), states)
+    let col = |v: &Vec<f64>| v.iter().copied().map(canonical_bits).collect::<Vec<u64>>();
+    (p.keys().to_vec(), p.states().iter().map(col).collect())
 }
 
 /// The slot fold the per-key fold replaced, as a model: each morsel folds

@@ -879,8 +879,8 @@ fn run_statement(
 }
 
 /// Executes a `batch` job: every statement is prepared on its own, the
-/// clean ones run through [`AssessRunner::run_batch`] with shared-scan
-/// scheduling. The response is `ok` at the batch level; per-statement
+/// clean ones' resolutions run through [`AssessRunner::run_batch`] with
+/// shared-scan scheduling. The response is `ok` at the batch level; per-statement
 /// refusals travel inside the `results` array. Batches bypass the result
 /// cache in both directions — the point of a batch is the shared scan, and
 /// mixed hit/miss groups would break its exactly-once accounting.
@@ -897,7 +897,7 @@ fn execute_batch(shared: &Shared, job: &Job, opts: &BatchOptions) -> Value {
         .iter()
         .map(|text| {
             let prepared = statement::prepare(shared, text)?;
-            statements.push(prepared.resolved.statement);
+            statements.push(prepared.resolved);
             Ok((prepared.warnings, prepared.span))
         })
         .collect();

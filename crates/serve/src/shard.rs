@@ -9,12 +9,13 @@
 //!
 //! * `partial` — the coordinator sends the planned [`CubeQuery`] (encoded
 //!   by [`encode_query`]) plus its remaining budget; the node runs the
-//!   scan/aggregate stage and answers with the **pre-finalize** accumulator
-//!   state (Avg stays a sum+count pair), so the coordinator's merge is
+//!   scan/aggregate stage and answers with its [`Partial`]: the keys, the
+//!   measures' operators and the **pre-finalize** state columns (Avg stays
+//!   a sum column and a count column), so the coordinator's merge is
 //!   exact. Packed group keys are `u64` and may exceed 2^53, so they travel
-//!   as decimal strings; accumulator values are `f64` and travel as plain
-//!   JSON numbers (the writer emits shortest-round-trip decimals, so the
-//!   bits survive).
+//!   as decimal strings; state values are `f64` and travel as plain JSON
+//!   numbers (the writer emits shortest-round-trip decimals, so the bits
+//!   survive).
 //! * `append` — sharded ingest reuses the ordinary `append` operation.
 //! * `rows` — a quick row-count probe for the coordinator's cost model.
 //!
@@ -33,9 +34,9 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use olap_engine::aggregate::{Accumulator, Partial};
+use olap_engine::aggregate::Partial;
 use olap_engine::{EngineError, ResourceKind, ShardBudget, ShardPartial, ShardTransport};
-use olap_model::{CubeQuery, GroupBySet, MemberId, Predicate, PredicateOp};
+use olap_model::{AggOp, CubeQuery, GroupBySet, MemberId, Predicate, PredicateOp};
 use olap_storage::Column;
 use serde::Value;
 
@@ -156,51 +157,20 @@ fn numbers(values: &[f64]) -> Value {
     Value::Array(values.iter().copied().map(Value::Number).collect())
 }
 
-fn acc_json(acc: &Accumulator) -> Value {
-    match acc {
-        Accumulator::Sum(v) => obj(vec![("op", s("sum")), ("values", numbers(v))]),
-        Accumulator::Min(v) => obj(vec![("op", s("min")), ("values", numbers(v))]),
-        Accumulator::Max(v) => obj(vec![("op", s("max")), ("values", numbers(v))]),
-        Accumulator::Count(v) => obj(vec![("op", s("count")), ("values", numbers(v))]),
-        Accumulator::Avg { sums, counts } => {
-            obj(vec![("op", s("avg")), ("sums", numbers(sums)), ("counts", numbers(counts))])
-        }
-    }
-}
-
-fn f64_array(value: &Value, key: &str) -> Result<Vec<f64>, String> {
-    match value.get(key) {
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|x| x.as_f64().ok_or_else(|| format!("`{key}` must hold numbers")))
-            .collect(),
-        _ => Err(format!("accumulator needs a `{key}` array")),
-    }
-}
-
-fn acc_from_json(value: &Value) -> Result<Accumulator, String> {
-    match get_str(value, "op") {
-        Some("sum") => Ok(Accumulator::Sum(f64_array(value, "values")?)),
-        Some("min") => Ok(Accumulator::Min(f64_array(value, "values")?)),
-        Some("max") => Ok(Accumulator::Max(f64_array(value, "values")?)),
-        Some("count") => Ok(Accumulator::Count(f64_array(value, "values")?)),
-        Some("avg") => Ok(Accumulator::Avg {
-            sums: f64_array(value, "sums")?,
-            counts: f64_array(value, "counts")?,
-        }),
-        other => Err(format!("unknown accumulator op {other:?}")),
-    }
-}
-
 /// Response fields of a successful `partial`, for
-/// [`ok_response`](crate::protocol::ok_response). Keys travel as decimal
-/// strings — packed `u64` keys can exceed the 2^53 JSON numbers carry.
+/// [`ok_response`](crate::protocol::ok_response): the keys, the measures'
+/// operators and the state columns as the [`Partial`] holds them. Keys
+/// travel as decimal strings — packed `u64` keys can exceed the 2^53 JSON
+/// numbers carry.
 pub fn partial_fields(partial: &ShardPartial) -> Vec<(&'static str, Value)> {
-    let keys: Vec<Value> = partial.partial.keys().iter().map(|k| s(k.to_string())).collect();
-    let accs: Vec<Value> = partial.partial.accs().iter().map(acc_json).collect();
+    let p = &partial.partial;
+    let keys = p.keys().iter().map(|k| s(k.to_string())).collect();
+    let ops = p.ops().iter().map(serde::Serialize::to_value).collect();
+    let states = p.states().iter().map(|col| numbers(col)).collect();
     let mut fields = vec![
         ("keys", Value::Array(keys)),
-        ("accs", Value::Array(accs)),
+        ("ops", Value::Array(ops)),
+        ("states", Value::Array(states)),
         ("rows_scanned", n(partial.rows_scanned as u64)),
         ("parallelism", n(partial.parallelism as u64)),
         ("morsels", n(partial.morsels as u64)),
@@ -211,26 +181,33 @@ pub fn partial_fields(partial: &ShardPartial) -> Vec<(&'static str, Value)> {
     fields
 }
 
+/// The array field `key` of a `partial` response.
+fn array<'a>(value: &'a Value, key: &str) -> Result<&'a [Value], String> {
+    value
+        .get(key)
+        .and_then(Value::as_array)
+        .map(Vec::as_slice)
+        .ok_or_else(|| format!("partial response needs a `{key}` array"))
+}
+
 /// Decodes a `partial` response back into the coordinator's
-/// [`ShardPartial`].
+/// [`ShardPartial`]; [`Partial::from_parts`] checks the state columns
+/// against the operators and the keys.
 pub fn decode_partial(value: &Value) -> Result<ShardPartial, String> {
-    let keys: Vec<u64> = match value.get("keys") {
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|k| {
-                k.as_str()
-                    .and_then(|text| text.parse::<u64>().ok())
-                    .ok_or("`keys` must hold decimal strings")
-            })
-            .collect::<Result<_, _>>()?,
-        _ => return Err("partial response needs a `keys` array".to_string()),
-    };
-    let accs: Vec<Accumulator> = match value.get("accs") {
-        Some(Value::Array(items)) => items.iter().map(acc_from_json).collect::<Result<_, _>>()?,
-        _ => return Err("partial response needs an `accs` array".to_string()),
-    };
+    let keys: Vec<u64> = (array(value, "keys")?.iter())
+        .map(|k| k.as_str().and_then(|text| text.parse().ok()))
+        .collect::<Option<_>>()
+        .ok_or("`keys` must hold decimal strings")?;
+    let ops: Vec<AggOp> = array(value, "ops")?
+        .iter()
+        .map(serde::Deserialize::from_value)
+        .collect::<Result<_, _>>()?;
+    let states: Vec<Vec<f64>> = (array(value, "states")?.iter())
+        .map(|col| col.as_array()?.iter().map(Value::as_f64).collect())
+        .collect::<Option<_>>()
+        .ok_or("`states` must hold arrays of numbers")?;
     Ok(ShardPartial {
-        partial: Partial::from_parts(keys, accs)?,
+        partial: Partial::from_parts(keys, ops, states)?,
         used_view: get_str(value, "used_view").map(str::to_string),
         rows_scanned: get_u64(value, "rows_scanned").unwrap_or(0) as usize,
         parallelism: get_u64(value, "parallelism").unwrap_or(1).max(1) as usize,
@@ -449,14 +426,20 @@ mod tests {
 
     #[test]
     fn partials_round_trip_exactly() {
-        // A key beyond 2^53 and f64 values that need full precision: the
-        // codec must not lose a bit of either.
-        let accs = vec![
-            Accumulator::Sum(vec![0.1 + 0.2, -1.0e300, 42.0]),
-            Accumulator::Avg { sums: vec![1.0 / 3.0, 7.5, 0.0], counts: vec![3.0, 2.0, 0.0] },
+        // A key beyond 2^53 and, for every operator, f64 states that need
+        // full precision: the codec must not lose a bit of either.
+        let ops = vec![AggOp::Sum, AggOp::Min, AggOp::Max, AggOp::Count, AggOp::Avg];
+        let states = vec![
+            vec![0.1 + 0.2, -1.0e300, 42.0],
+            vec![5e-324, -2.5, 1.0e-300],
+            vec![f64::MAX, 1.0 / 7.0, -0.5],
+            vec![3.0, 1.0, 9.0e15],
+            vec![1.0 / 3.0, 7.5, 0.0],
+            vec![3.0, 2.0, 0.0],
         ];
+        let keys = vec![u64::MAX - 1, 0, 1 << 60];
         let partial = ShardPartial {
-            partial: Partial::from_parts(vec![u64::MAX - 1, 0, 1 << 60], accs).unwrap(),
+            partial: Partial::from_parts(keys, ops, states).unwrap(),
             used_view: Some("mv_customer_year".into()),
             rows_scanned: 1234,
             parallelism: 4,
@@ -466,33 +449,43 @@ mod tests {
         let line = serde_json::to_string(&response).unwrap();
         let back = decode_partial(&serde_json::from_str(&line).unwrap()).unwrap();
         assert_eq!(back.partial.keys(), partial.partial.keys());
+        assert_eq!(back.partial.ops(), partial.partial.ops());
+        let bits = |p: &Partial| -> Vec<Vec<u64>> {
+            p.states().iter().map(|col| col.iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        assert_eq!(bits(&back.partial), bits(&partial.partial));
         assert_eq!(back.used_view, partial.used_view);
         assert_eq!(back.rows_scanned, 1234);
         assert_eq!(back.parallelism, 4);
         assert_eq!(back.morsels, 9);
-        match (&back.partial.accs()[0], &partial.partial.accs()[0]) {
-            (Accumulator::Sum(a), Accumulator::Sum(b)) => {
-                assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
-            }
-            other => panic!("wrong accumulator shape: {other:?}"),
-        }
-        match &back.partial.accs()[1] {
-            Accumulator::Avg { sums, counts } => {
-                assert_eq!(sums[0].to_bits(), (1.0f64 / 3.0).to_bits());
-                assert_eq!(counts, &vec![3.0, 2.0, 0.0]);
-            }
-            other => panic!("wrong accumulator shape: {other:?}"),
-        }
+    }
+
+    /// A `partial` response over keys `1` and `2` with `ops` and `states`.
+    fn partial_response(ops: &[&str], states: &[&[f64]]) -> Value {
+        let ops = ops.iter().map(|&op| s(op)).collect();
+        let states = states.iter().map(|&col| numbers(col)).collect();
+        let keys = Value::Array(vec![s("1"), s("2")]);
+        ok_response(
+            Some(1),
+            vec![("keys", keys), ("ops", Value::Array(ops)), ("states", Value::Array(states))],
+        )
     }
 
     #[test]
     fn length_mismatches_are_rejected() {
-        let sums = obj(vec![("op", s("sum")), ("values", numbers(&[1.0]))]);
-        let response = ok_response(
-            Some(1),
-            vec![("keys", Value::Array(vec![s("1"), s("2")])), ("accs", Value::Array(vec![sums]))],
-        );
-        assert!(decode_partial(&response).is_err());
+        assert!(decode_partial(&partial_response(&["Sum"], &[&[1.0, 2.0]])).is_ok());
+        assert!(decode_partial(&partial_response(&["Sum"], &[&[1.0]])).is_err());
+        let ragged = partial_response(&["Avg"], &[&[1.0, 2.0], &[1.0]]);
+        assert!(decode_partial(&ragged).is_err(), "a count column shorter than the keys");
+    }
+
+    #[test]
+    fn state_columns_must_match_the_operators() {
+        let no_count = partial_response(&["Sum", "Avg"], &[&[1.0, 2.0], &[3.0, 4.0]]);
+        assert!(decode_partial(&no_count).is_err(), "Avg sent without its count column");
+        let extra = partial_response(&["Min"], &[&[1.0, 2.0], &[3.0, 4.0]]);
+        assert!(decode_partial(&extra).is_err(), "a state column no operator owns");
+        assert!(decode_partial(&partial_response(&["Median"], &[&[1.0, 2.0]])).is_err());
     }
 
     #[test]

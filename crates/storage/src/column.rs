@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use crate::dictionary::Dictionary;
-use crate::encode::{CodeStore, KeyColumn, Validity};
+use crate::encode::{CodeStore, KeyColumn};
 
 /// The physical data of one column.
 ///
@@ -260,17 +260,7 @@ impl Column {
                     parts.iter().map(|c| c.as_key().expect("key piece")).collect();
                 let codes: Vec<u32> = keys.iter().flat_map(|k| k.codes.to_vec()).collect();
                 let domain = keys.iter().map(|k| k.domain).max().unwrap_or(1);
-                let mut key = KeyColumn::new(&codes, domain);
-                if keys.iter().any(|k| k.validity.is_some()) {
-                    let valid: Vec<bool> = keys
-                        .iter()
-                        .flat_map(|k| {
-                            (0..k.len()).map(|r| k.validity.as_ref().is_none_or(|v| v.is_valid(r)))
-                        })
-                        .collect();
-                    key = key.with_validity(Validity::from_bools(&valid));
-                }
-                ColumnData::Key(key)
+                ColumnData::Key(KeyColumn::new(&codes, domain))
             }
         };
         Column { name: last.name.clone(), data }

@@ -22,10 +22,6 @@
 //! the code sequence, and every consumer above the chunk layer sees decoded
 //! flat `u32` lanes (see `DataChunk::key_lane`), so scan kernels never
 //! branch on the encoding.
-//!
-//! A [`Validity`] bitmask records per-row nullness for producers that have
-//! missing values. Key columns carry `Option<Validity>` with `None`
-//! meaning "all rows valid" — the common case costs zero bytes.
 
 /// The number of bits needed to store any code of a domain with
 /// `domain` members (codes `0 .. domain`). At least 1.
@@ -364,79 +360,16 @@ fn pack(codes: &[u32], width: u32) -> Vec<u8> {
     bytes
 }
 
-/// A per-row validity (non-null) bitmask: bit `i` of word `i / 64` is set
-/// when row `i` holds a real value. Producers without nulls omit the mask
-/// entirely (`Option<Validity>::None` = all valid, zero bytes).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Validity {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl Validity {
-    pub fn from_bools(valid: &[bool]) -> Validity {
-        let mut words = vec![0u64; valid.len().div_ceil(64)];
-        for (i, &v) in valid.iter().enumerate() {
-            words[i >> 6] |= (v as u64) << (i & 63);
-        }
-        Validity { words, len: valid.len() }
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    #[inline]
-    pub fn is_valid(&self, row: usize) -> bool {
-        debug_assert!(row < self.len);
-        self.words[row >> 6] >> (row & 63) & 1 == 1
-    }
-
-    pub fn push(&mut self, valid: bool) {
-        if self.len & 63 == 0 {
-            self.words.push(0);
-        }
-        let last = self.words.len() - 1;
-        self.words[last] |= (valid as u64) << (self.len & 63);
-        self.len += 1;
-    }
-
-    pub fn count_valid(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    pub fn byte_size(&self) -> usize {
-        self.words.len() * 8
-    }
-
-    /// The raw mask words (little-endian bit order), for persistence.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Rebuilds a mask from persisted words.
-    pub fn from_words(words: Vec<u64>, len: usize) -> Option<Validity> {
-        if words.len() != len.div_ceil(64) {
-            return None;
-        }
-        Some(Validity { words, len })
-    }
-}
-
-/// An encoded key column: codes drawn from `0 .. domain`, stored packed,
-/// with an optional validity mask. This is the physical shape of fact
-/// foreign-key columns ("dims as narrow codes") after `Table::encode_keys`.
+/// An encoded key column: codes drawn from `0 .. domain`, stored packed.
+/// This is the physical shape of fact foreign-key columns ("dims as narrow
+/// codes") after `Table::encode_keys`. Every row holds a member: a key
+/// column has no nulls.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KeyColumn {
     pub codes: CodeStore,
     /// Domain cardinality: every code is `< domain`. Grows on appends of
     /// new members.
     pub domain: u32,
-    pub validity: Option<Validity>,
 }
 
 impl KeyColumn {
@@ -445,13 +378,7 @@ impl KeyColumn {
     /// a floor, not a hard bound).
     pub fn new(codes: &[u32], domain: u32) -> KeyColumn {
         let domain = domain.max(codes.iter().copied().max().map_or(1, |m| m + 1)).max(1);
-        KeyColumn { codes: CodeStore::from_codes(codes, domain), domain, validity: None }
-    }
-
-    pub fn with_validity(mut self, validity: Validity) -> KeyColumn {
-        debug_assert_eq!(validity.len(), self.codes.len());
-        self.validity = Some(validity);
-        self
+        KeyColumn { codes: CodeStore::from_codes(codes, domain), domain }
     }
 
     pub fn len(&self) -> usize {
@@ -462,30 +389,20 @@ impl KeyColumn {
         self.codes.is_empty()
     }
 
-    /// The code at `row` (the stored code even for invalid rows; producers
-    /// write 0 for nulls).
+    /// The code at `row`.
     #[inline]
     pub fn get(&self, row: usize) -> u32 {
         self.codes.get(row)
     }
 
     /// Appends one code, growing the domain (and packing width) as needed.
-    pub fn push(&mut self, code: u32, valid: bool) {
+    pub fn push(&mut self, code: u32) {
         self.codes.push(code);
         self.domain = self.domain.max(code.saturating_add(1));
-        if let Some(v) = &mut self.validity {
-            v.push(valid);
-        } else if !valid {
-            // First null ever seen: materialize an all-valid mask for the
-            // existing rows, then record the new one.
-            let mut mask = Validity::from_bools(&vec![true; self.codes.len() - 1]);
-            mask.push(false);
-            self.validity = Some(mask);
-        }
     }
 
     pub fn byte_size(&self) -> usize {
-        self.codes.byte_size() + self.validity.as_ref().map_or(0, Validity::byte_size)
+        self.codes.byte_size()
     }
 }
 
@@ -602,36 +519,14 @@ mod tests {
     }
 
     #[test]
-    fn validity_masks_round_trip() {
-        let bools: Vec<bool> = (0..130).map(|i| i % 3 != 0).collect();
-        let mut v = Validity::from_bools(&bools);
-        assert_eq!(v.len(), 130);
-        for (i, &b) in bools.iter().enumerate() {
-            assert_eq!(v.is_valid(i), b);
-        }
-        assert_eq!(v.count_valid(), bools.iter().filter(|&&b| b).count());
-        v.push(true);
-        v.push(false);
-        assert!(v.is_valid(130));
-        assert!(!v.is_valid(131));
-        let rebuilt = Validity::from_words(v.words().to_vec(), v.len()).unwrap();
-        assert_eq!(rebuilt, v);
-        assert!(Validity::from_words(vec![0], 500).is_none(), "word count must match len");
-    }
-
-    #[test]
     fn key_columns_track_domain_growth() {
         let mut k = KeyColumn::new(&[0, 1, 2, 1], 3);
         assert_eq!(k.domain, 3);
-        assert!(k.validity.is_none());
-        k.push(6, true);
+        k.push(6);
         assert_eq!(k.domain, 7);
         assert_eq!(k.get(4), 6);
-        // First null materializes the mask lazily.
-        k.push(0, false);
-        let mask = k.validity.as_ref().unwrap();
-        assert_eq!(mask.count_valid(), 5);
-        assert!(!mask.is_valid(5));
+        k.push(0);
+        assert_eq!((k.len(), k.domain, k.get(5)), (6, 7, 0));
         assert!(k.byte_size() > 0);
     }
 }

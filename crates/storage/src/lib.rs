@@ -35,7 +35,7 @@ pub use chunk::DataChunk;
 pub use column::{Column, ColumnData};
 pub use delta::Delta;
 pub use dictionary::Dictionary;
-pub use encode::{CodeStore, KeyColumn, Validity};
+pub use encode::{CodeStore, KeyColumn};
 pub use error::StorageError;
 pub use mview::MaterializedAggregate;
 pub use shard::ShardScheme;

@@ -12,7 +12,9 @@
 //! Strings are `u32`-length-prefixed UTF-8; numeric payloads are row counts
 //! followed by little-endian values; dictionary payloads are the code vector
 //! followed by the dictionary strings; encoded-key payloads are the domain,
-//! a validity flag, the plain code vector, and the mask words when present.
+//! a flag byte, and the plain code vector. The flag byte is always 0: it
+//! once announced a null mask, and key columns hold no nulls, so a file
+//! with the flag set is refused as corrupt.
 //!
 //! Code sequences (dictionary and key columns) are stored *unpacked* on
 //! disk: bit-packing vs run-length is an in-memory layout choice re-derived
@@ -23,7 +25,7 @@ use std::sync::Arc;
 
 use crate::column::{Column, ColumnData};
 use crate::dictionary::Dictionary;
-use crate::encode::{CodeStore, KeyColumn, Validity};
+use crate::encode::{CodeStore, KeyColumn};
 use crate::error::StorageError;
 use crate::table::Table;
 
@@ -130,14 +132,9 @@ pub fn write_table(table: &Table) -> Vec<u8> {
                 buf.push(TAG_KEY);
                 buf.extend_from_slice(&(k.len() as u64).to_le_bytes());
                 buf.extend_from_slice(&k.domain.to_le_bytes());
-                buf.push(k.validity.is_some() as u8);
+                buf.push(0);
                 for c in k.codes.to_vec() {
                     buf.extend_from_slice(&c.to_le_bytes());
-                }
-                if let Some(v) = &k.validity {
-                    for w in v.words() {
-                        buf.extend_from_slice(&w.to_le_bytes());
-                    }
                 }
             }
         }
@@ -201,10 +198,10 @@ pub fn read_table(buf: impl AsRef<[u8]>) -> Result<Table, StorageError> {
             TAG_KEY => {
                 let n = read_len(&mut r)?;
                 let domain = r.get_u32_le("key domain")?;
-                let has_validity = r.get_u8("validity flag")?;
-                if has_validity > 1 {
+                let flag = r.get_u8("key flag")?;
+                if flag != 0 {
                     return Err(StorageError::Corrupt(format!(
-                        "bad validity flag {has_validity} in column `{col_name}`"
+                        "key column `{col_name}` flags a null mask ({flag})"
                     )));
                 }
                 ensure(&r, n * 4)?;
@@ -217,21 +214,7 @@ pub fn read_table(buf: impl AsRef<[u8]>) -> Result<Table, StorageError> {
                         "key code {bad} out of domain {domain} in column `{col_name}`"
                     )));
                 }
-                let mut key = KeyColumn::new(&codes, domain);
-                if has_validity == 1 {
-                    let words = n.div_ceil(64);
-                    ensure(&r, words * 8)?;
-                    let mut mask = Vec::with_capacity(words);
-                    for _ in 0..words {
-                        mask.push(r.get_u64_le("validity payload")?);
-                    }
-                    key = key.with_validity(Validity::from_words(mask, n).ok_or_else(|| {
-                        StorageError::Corrupt(format!(
-                            "validity mask length mismatch in column `{col_name}`"
-                        ))
-                    })?);
-                }
-                ColumnData::Key(key)
+                ColumnData::Key(KeyColumn::new(&codes, domain))
             }
             other => return Err(StorageError::Corrupt(format!("unknown column tag {other}"))),
         };
@@ -314,7 +297,6 @@ mod tests {
 
     #[test]
     fn encoded_key_columns_round_trip() {
-        use crate::encode::Validity;
         let clustered: Vec<i64> = (0..6).flat_map(|v| std::iter::repeat_n(v, 50)).collect();
         let t = Table::new(
             "fact",
@@ -334,21 +316,6 @@ mod tests {
         assert_eq!(dkey.codes.encoding_name(), "rle", "clustered column re-chooses RLE");
         let plain = back.decode_keys();
         assert_eq!(plain.column("dkey").unwrap().as_i64().unwrap(), &clustered[..]);
-
-        // With a validity mask attached.
-        let valid: Vec<bool> = (0..300).map(|i| i % 7 != 0).collect();
-        let mut col =
-            Column::i64("ckey", (0..300).map(|i| i % 25).collect()).encode_key(25).unwrap();
-        if let ColumnData::Key(k) = &mut col.data {
-            k.validity = Some(Validity::from_bools(&valid));
-        }
-        let t = Table::new("fact", vec![col]).unwrap();
-        let back = round_trip(&t);
-        let mask = back.column("ckey").unwrap();
-        let mask = mask.as_key().unwrap().validity.as_ref().unwrap();
-        for (i, &b) in valid.iter().enumerate() {
-            assert_eq!(mask.is_valid(i), b);
-        }
     }
 
     #[test]
@@ -362,6 +329,21 @@ mod tests {
         assert_eq!(&buf[pos..pos + 4], &3u32.to_le_bytes(), "domain field moved");
         buf[pos..pos + 4].copy_from_slice(&1u32.to_le_bytes());
         assert!(read_table(&buf).is_err());
+    }
+
+    #[test]
+    fn null_mask_flag_rejected() {
+        let t = Table::new("fact", vec![Column::i64("k", vec![0, 1, 2]).encode_key(3).unwrap()])
+            .unwrap();
+        let mut buf = write_table(&t);
+        // The flag byte follows the domain field (see above).
+        let pos = 8 + 8 + 4 + 5 + 1 + 8 + 4;
+        assert_eq!(buf[pos], 0, "flag byte moved");
+        buf[pos] = 1;
+        match read_table(&buf) {
+            Err(StorageError::Corrupt(message)) => assert!(message.contains("null mask")),
+            other => panic!("a set null-mask flag must be refused, got {other:?}"),
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use crate::chunk::DataChunk;
 use crate::column::{Column, ColumnData};
-use crate::encode::{CodeStore, KeyColumn, Validity};
+use crate::encode::{CodeStore, KeyColumn};
 use crate::error::StorageError;
 
 /// Physical storage statistics of one column; see [`Table::column_stats`].
@@ -338,13 +338,7 @@ impl Table {
                     }
                     ColumnData::Key(k) => {
                         let subset: Vec<u32> = rows.iter().map(|&r| k.get(r as usize)).collect();
-                        let mut taken = KeyColumn::new(&subset, k.domain);
-                        if let Some(v) = &k.validity {
-                            let mask: Vec<bool> =
-                                rows.iter().map(|&r| v.is_valid(r as usize)).collect();
-                            taken = taken.with_validity(Validity::from_bools(&mask));
-                        }
-                        ColumnData::Key(taken)
+                        ColumnData::Key(KeyColumn::new(&subset, k.domain))
                     }
                 };
                 Column { name: c.name.clone(), data }
@@ -394,11 +388,9 @@ fn empty_like(data: &ColumnData) -> ColumnData {
             codes: CodeStore::empty((dict.len() as u32).max(1)),
             dict: dict.clone(),
         },
-        ColumnData::Key(k) => ColumnData::Key(KeyColumn {
-            codes: CodeStore::empty(k.domain),
-            domain: k.domain,
-            validity: None,
-        }),
+        ColumnData::Key(k) => {
+            ColumnData::Key(KeyColumn { codes: CodeStore::empty(k.domain), domain: k.domain })
+        }
     }
 }
 
@@ -448,7 +440,7 @@ fn extend_data(
                         incoming.name
                     ))
                 })?;
-                k.push(code, true);
+                k.push(code);
             }
             ColumnData::Key(k)
         }
