@@ -167,7 +167,7 @@ fn cost_lints(
     let feasible = Strategy::all().into_iter().filter(|s| s.feasible_for(&resolved.benchmark));
     if feasible.eq([Strategy::Naive]) {
         let Ok(costs) = cost::estimate_all(resolved, engine) else { return };
-        if let Some(np) = costs.iter().find(|c| c.strategy == "NP") {
+        if let Some((_, np)) = costs.iter().find(|(_, c)| c.strategy == Strategy::Naive) {
             if np.rows_scanned > W105_ROW_THRESHOLD {
                 sink.push(
                     Diagnostic::new(
@@ -194,7 +194,7 @@ fn cost_lints(
         let k = past.len() as u32;
         if k > W106_PAST_LIMIT {
             let Ok(costs) = cost::estimate_all(resolved, engine) else { return };
-            let note = costs.iter().find(|c| c.strategy == "POP").map(|pop| {
+            let note = costs.iter().find(|(_, c)| c.strategy == Strategy::PivotOptimized).map(|(_, pop)| {
                 format!(
                     "the cost model estimates {:.0} units of client pivot work for the pivot-optimized plan",
                     pop.client_work

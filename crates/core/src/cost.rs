@@ -15,11 +15,9 @@
 //! constants below are hand-set and unfitted until ROADMAP item 7; they
 //! only need to be right within a factor of a few for the ranking to hold.
 
-use serde::Serialize;
-
 use crate::error::AssessError;
 use crate::logical::LogicalOp;
-use crate::plan::{self, Strategy};
+use crate::plan::{self, PhysicalPlan, Strategy};
 use crate::semantics::ResolvedAssess;
 
 /// Transferring + materializing one result cell on the client, relative to
@@ -32,9 +30,9 @@ const MEMORY_JOIN_FACTOR: f64 = 8.0;
 const ENGINE_JOIN_FACTOR: f64 = 1.5;
 
 /// The estimated cost of executing one strategy.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PlanCost {
-    pub strategy: String,
+    pub strategy: Strategy,
     /// Rows scanned across all engine calls.
     pub rows_scanned: f64,
     /// Client-side transfer + join work, in row-scan units.
@@ -45,22 +43,31 @@ pub struct PlanCost {
     pub total: f64,
 }
 
-/// Estimates the cost of every feasible strategy for a resolved statement,
-/// cheapest first.
+/// Plans every feasible strategy for a resolved statement and estimates
+/// each plan's cost, cheapest first (ties keep the paper's NP, JOP, POP
+/// order); never empty. This ranking is the one strategy order: [`choose`]
+/// takes its head, and the runner tries the plans in this order when an
+/// attempt fails.
 pub fn estimate_all(
     resolved: &ResolvedAssess,
     engine: &olap_engine::Engine,
-) -> Result<Vec<PlanCost>, AssessError> {
-    let mut costs = Vec::new();
+) -> Result<Vec<(PhysicalPlan, PlanCost)>, AssessError> {
+    let mut ranked = Vec::new();
     for strategy in Strategy::all() {
         if !strategy.feasible_for(&resolved.benchmark) {
             continue;
         }
         let physical = plan::plan(resolved, strategy)?;
-        costs.push(estimate_plan(&physical.root, strategy, engine)?);
+        let cost = estimate_plan(&physical, engine)?;
+        ranked.push((physical, cost));
     }
-    costs.sort_by(|a, b| a.total.partial_cmp(&b.total).unwrap_or(std::cmp::Ordering::Equal));
-    Ok(costs)
+    if ranked.is_empty() {
+        return Err(AssessError::Statement("no feasible strategy for this statement".into()));
+    }
+    ranked.sort_by(|(_, a), (_, b)| {
+        a.total.partial_cmp(&b.total).unwrap_or(std::cmp::Ordering::Equal)
+    });
+    Ok(ranked)
 }
 
 /// Picks the cheapest feasible strategy.
@@ -68,29 +75,20 @@ pub fn choose(
     resolved: &ResolvedAssess,
     engine: &olap_engine::Engine,
 ) -> Result<Strategy, AssessError> {
-    let costs = estimate_all(resolved, engine)?;
-    let best = costs
-        .first()
-        .ok_or_else(|| AssessError::Statement("no feasible strategy for this statement".into()))?;
-    Ok(match best.strategy.as_str() {
-        "NP" => Strategy::Naive,
-        "JOP" => Strategy::JoinOptimized,
-        _ => Strategy::PivotOptimized,
-    })
+    Ok(estimate_all(resolved, engine)?[0].0.strategy)
 }
 
 fn estimate_plan(
-    root: &LogicalOp,
-    strategy: Strategy,
+    physical: &PhysicalPlan,
     engine: &olap_engine::Engine,
 ) -> Result<PlanCost, AssessError> {
-    let fuse = strategy != Strategy::Naive;
+    let fuse = physical.strategy != Strategy::Naive;
     let mut rows_scanned = 0.0;
     let mut client_work = 0.0;
     let mut engine_work = 0.0;
-    walk(root, fuse, engine, &mut rows_scanned, &mut client_work, &mut engine_work)?;
+    walk(&physical.root, fuse, engine, &mut rows_scanned, &mut client_work, &mut engine_work)?;
     Ok(PlanCost {
-        strategy: strategy.acronym().to_string(),
+        strategy: physical.strategy,
         rows_scanned,
         client_work,
         engine_work,
@@ -177,14 +175,14 @@ mod tests {
     #[test]
     fn plan_cost_orders_by_total() {
         let a = PlanCost {
-            strategy: "NP".into(),
+            strategy: Strategy::Naive,
             rows_scanned: 10.0,
             client_work: 5.0,
             engine_work: 0.0,
             total: 15.0,
         };
         let b = PlanCost {
-            strategy: "POP".into(),
+            strategy: Strategy::PivotOptimized,
             rows_scanned: 5.0,
             client_work: 0.0,
             engine_work: 2.0,
@@ -192,6 +190,6 @@ mod tests {
         };
         let mut v = [a, b];
         v.sort_by(|x, y| x.total.partial_cmp(&y.total).unwrap());
-        assert_eq!(v[0].strategy, "POP");
+        assert_eq!(v[0].strategy, Strategy::PivotOptimized);
     }
 }

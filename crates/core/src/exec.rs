@@ -1,7 +1,7 @@
 //! Plan execution with the per-stage timing breakdown of Figure 4, plus
 //! the resilience machinery: every execution runs under the runner's
-//! [`ExecutionPolicy`], and [`AssessRunner::run_auto`] degrades through a
-//! strategy-fallback ladder (POP → JOP → NP) when an attempt fails.
+//! [`ExecutionPolicy`], and [`AssessRunner::run_auto`] falls back along the
+//! cost model's ranking (cheapest plan first) when an attempt fails.
 //!
 //! Every entry point is an adapter over [`AssessRunner::run_with`]; the
 //! traced ones (`run_traced`, `run_auto_traced`) additionally build a per-query
@@ -156,6 +156,10 @@ pub struct ExecutionReport {
     pub attempts: Vec<AttemptRecord>,
 }
 
+/// One statement's run: the assessed cube, its report and, when traced,
+/// its trace tree.
+pub type RunOutcome = (AssessedCube, ExecutionReport, Option<TraceTree>);
+
 /// Executes assess statements against an [`Engine`].
 pub struct AssessRunner {
     engine: Engine,
@@ -192,16 +196,12 @@ impl ExecState<'_> {
     }
 }
 
-/// The degradation ladder of Section 5.2, most- to least-pushed-down.
-/// `run_auto` walks it downward from the cost-chosen strategy.
-const LADDER: [Strategy; 3] = [Strategy::PivotOptimized, Strategy::JoinOptimized, Strategy::Naive];
-
 impl AssessRunner {
     pub fn new(engine: Engine) -> Self {
         AssessRunner { engine, policy: ExecutionPolicy::default() }
     }
 
-    /// Replaces the runner's execution policy (resource limits, fallback).
+    /// Replaces the runner's execution policy (resource limits, cancellation).
     pub fn with_policy(mut self, policy: ExecutionPolicy) -> Self {
         self.policy = policy;
         self
@@ -293,9 +293,9 @@ impl AssessRunner {
     /// Resolves a statement and executes it under the strategy the
     /// cost-based chooser picks (the "just run it" entry point).
     ///
-    /// If the chosen attempt fails and the policy allows fallback, the
-    /// runner retries each cheaper feasible strategy down the POP → JOP →
-    /// NP ladder. All attempts share one absolute deadline; the ladder
+    /// If an attempt fails, the runner tries the next plan of the cost
+    /// model's ranking ([`crate::cost::estimate_all`]), cheapest first, until
+    /// one succeeds. All attempts share one absolute deadline; the ladder
     /// stops early on cancellation or deadline expiry (retrying cannot
     /// help there). The successful report carries the whole attempt chain.
     pub fn run_auto(
@@ -320,29 +320,24 @@ impl AssessRunner {
 
     /// The one road from a bound statement to an assessed cube; every other
     /// entry point is an adapter over it. `pinned` fixes the strategy (a
-    /// one-rung ladder, no fallback); `None` lets the cost model choose and
-    /// the policy decide about fallback. With `tracing` the tree leads with
-    /// the `resolve` span (strategy choice on the bound statement). Every
-    /// ladder that runs is recorded in the query metrics exactly once,
-    /// whichever way it ends and whether or not it was traced.
+    /// one-plan ladder); `None` walks the cost model's ranking. With
+    /// `tracing` the tree leads with the `resolve` span (planning and
+    /// ranking the bound statement). Every ladder that runs is recorded in
+    /// the query metrics exactly once, whichever way it ends and whether or
+    /// not it was traced; so is a pinned strategy that cannot be planned.
     pub fn run_with(
         &self,
         resolved: &ResolvedAssess,
         pinned: Option<Strategy>,
         tracing: bool,
-    ) -> Result<(AssessedCube, ExecutionReport, Option<TraceTree>), AssessError> {
+    ) -> Result<RunOutcome, AssessError> {
         let wall = Instant::now();
-        let first = match pinned {
-            Some(strategy) => strategy,
-            None => crate::cost::choose(resolved, &self.engine)?,
+        let plans = match pinned {
+            Some(strategy) => vec![plan::plan(resolved, strategy)
+                .inspect_err(|_| record_failure(1, wall.elapsed()))?],
+            None => self.rank(resolved)?,
         };
-        let resolve_span = tracing.then(|| TraceSpan::new("resolve", wall.elapsed()));
-        let fallback = pinned.is_none() && self.policy.fallback;
-        let (cube, report, mut tree) = self.ladder(resolved, first, fallback, tracing, wall)?;
-        if let (Some(tree), Some(span)) = (&mut tree, resolve_span) {
-            tree.spans.insert(0, span);
-        }
-        Ok((cube, report, tree))
+        self.ladder(resolved, &plans, None, tracing, wall.elapsed())
     }
 
     /// Plans and executes a resolved statement under a strategy (a single
@@ -352,44 +347,54 @@ impl AssessRunner {
         resolved: &ResolvedAssess,
         strategy: Strategy,
     ) -> Result<(AssessedCube, ExecutionReport), AssessError> {
-        self.ladder(resolved, strategy, false, false, Instant::now())
-            .map(|(cube, report, _)| (cube, report))
+        self.run_with(resolved, Some(strategy), false).map(|(cube, report, _)| (cube, report))
     }
 
-    /// Walks the degradation ladder from `first` (see
-    /// [`run_auto`](Self::run_auto)); without `fallback` it has one rung.
-    /// `wall` is when the caller started the clock. The outcome is recorded
-    /// in the query metrics on both exits.
+    /// The plans an unpinned run tries, in the cost model's order.
+    fn rank(&self, resolved: &ResolvedAssess) -> Result<Vec<PhysicalPlan>, AssessError> {
+        let ranked = crate::cost::estimate_all(resolved, &self.engine)?;
+        Ok(ranked.into_iter().map(|(physical, _)| physical).collect())
+    }
+
+    /// Tries `plans` in order until one succeeds (see
+    /// [`run_auto`](Self::run_auto)). Each attempt runs on an engine with a
+    /// fresh governor sharing the ladder's absolute deadline; `get`s found
+    /// in `shared` absorb a batch's stored scan. `ranking` is the time spent
+    /// planning before the ladder: it is the trace's `resolve` span and part
+    /// of the wall time recorded in the query metrics on both exits.
     fn ladder(
         &self,
         resolved: &ResolvedAssess,
-        first: Strategy,
-        fallback: bool,
+        plans: &[PhysicalPlan],
+        shared: Option<&HashMap<u64, GetOutcome>>,
         tracing: bool,
-        wall: Instant,
-    ) -> Result<(AssessedCube, ExecutionReport, Option<TraceTree>), AssessError> {
+        ranking: Duration,
+    ) -> Result<RunOutcome, AssessError> {
         let _in_flight = InFlightGuard::enter();
+        let start = Instant::now();
         let deadline_at = self.policy.deadline_at();
-        let mut order = vec![first];
-        if fallback {
-            let from = LADDER.iter().position(|&s| s == first).map_or(0, |i| i + 1);
-            order.extend(
-                LADDER[from..].iter().copied().filter(|s| s.feasible_for(&resolved.benchmark)),
-            );
-        }
         let mut attempts: Vec<AttemptRecord> = Vec::new();
-        let mut failed_spans: Vec<TraceSpan> = Vec::new();
+        let mut spans: Vec<TraceSpan> = Vec::new();
+        if tracing {
+            spans.push(TraceSpan::new("resolve", ranking));
+        }
         let mut last_err: Option<AssessError> = None;
-        for strategy in order {
-            let t = Instant::now();
-            match self.attempt(resolved, strategy, deadline_at, tracing) {
+        for physical in plans {
+            let (strategy, t) = (physical.strategy, Instant::now());
+            let engine = self.governed_engine(deadline_at);
+            match execute_plan_on(&engine, resolved, physical, tracing, shared) {
                 Ok((cube, mut report, tree)) => {
                     attempts.push(AttemptRecord { strategy, elapsed: t.elapsed(), error: None });
                     report.attempts = attempts;
-                    record_success(&report, wall.elapsed());
+                    record_success(&report, ranking + start.elapsed());
                     let tree = tree.map(|mut tr| {
-                        failed_spans.append(&mut tr.spans);
-                        tr.spans = failed_spans;
+                        // Planning happened up front; the span names the
+                        // plan this attempt ran.
+                        spans.push(
+                            TraceSpan::new("plan", Duration::ZERO).with_detail(strategy.acronym()),
+                        );
+                        spans.append(&mut tr.spans);
+                        tr.spans = spans;
                         tr
                     });
                     return Ok((cube, report, tree));
@@ -398,7 +403,7 @@ impl AssessRunner {
                     let fatal = matches!(err, AssessError::Cancelled)
                         || deadline_at.is_some_and(|at| Instant::now() >= at);
                     if tracing {
-                        failed_spans.push(
+                        spans.push(
                             TraceSpan::new(format!("attempt({})", strategy.acronym()), t.elapsed())
                                 .with_detail(err.to_string()),
                         );
@@ -415,31 +420,8 @@ impl AssessRunner {
                 }
             }
         }
-        record_failure(attempts.len() as u64, wall.elapsed());
-        Err(last_err.expect("ladder ran at least one attempt"))
-    }
-
-    /// One governed attempt: plans, compiles the policy into a fresh
-    /// per-attempt governor sharing the ladder's absolute deadline, and
-    /// executes on an engine clone carrying that governor.
-    fn attempt(
-        &self,
-        resolved: &ResolvedAssess,
-        strategy: Strategy,
-        deadline_at: Option<Instant>,
-        tracing: bool,
-    ) -> Result<(AssessedCube, ExecutionReport, Option<TraceTree>), AssessError> {
-        let t = Instant::now();
-        let physical = plan::plan(resolved, strategy)?;
-        let plan_span =
-            tracing.then(|| TraceSpan::new("plan", t.elapsed()).with_detail(strategy.acronym()));
-        let engine = self.governed_engine(deadline_at);
-        let (cube, report, mut tree) =
-            execute_plan_on(&engine, resolved, &physical, tracing, None)?;
-        if let (Some(tree), Some(span)) = (&mut tree, plan_span) {
-            tree.spans.insert(0, span);
-        }
-        Ok((cube, report, tree))
+        record_failure(attempts.len() as u64, ranking + start.elapsed());
+        Err(last_err.expect("a ladder has at least one plan"))
     }
 
     /// The engine one execution runs on: the runner's own when the policy
@@ -475,31 +457,32 @@ impl AssessRunner {
     /// shared-scan scheduling (the multi-query-optimization path behind the
     /// serve `batch` op, which hands over the resolutions its binding made).
     ///
-    /// Every statement is planned exactly as [`run_auto`](Self::run_auto)
-    /// would plan it first (cost-chosen strategy; a single attempt, no
-    /// fallback ladder), then the standalone `get`s of all plans are
-    /// fingerprinted with [`crate::workload::fingerprint_query`]. A
-    /// fingerprint two or more plans request is executed **once** up front
+    /// Every statement is ranked exactly as [`run_auto`](Self::run_auto)
+    /// ranks it, then the standalone `get`s of each statement's cheapest
+    /// plan are fingerprinted with [`crate::workload::fingerprint_query`].
+    /// A fingerprint two or more plans request is executed **once** up front
     /// and the consuming plans absorb the stored result — including its
     /// scan metadata — so every per-statement cube and report is
     /// byte-identical to a serial execution while the engine's scan
     /// counters record a single scan. Gets fused into engine-side
     /// join/pivot calls never share: the fused call scans both sides at
-    /// once and has no standalone result to store.
+    /// once and has no standalone result to store. Each statement then runs
+    /// through the same ladder as `run_auto`, with its own per-attempt
+    /// budgets and deadline.
     pub fn run_batch(&self, statements: &[ResolvedAssess], tracing: bool) -> BatchOutcome {
-        let _in_flight = InFlightGuard::enter();
-        let engine = self.governed_engine(self.policy.deadline_at());
-
-        // Plan every statement first: sharing decisions need all plans.
-        let planned: Vec<Result<PhysicalPlan, AssessError>> = statements
+        // Rank every statement first: sharing decisions need all plans.
+        let ranked: Vec<(Result<Vec<PhysicalPlan>, AssessError>, Duration)> = statements
             .iter()
-            .map(|resolved| plan::plan(resolved, crate::cost::choose(resolved, &self.engine)?))
+            .map(|resolved| {
+                let t = Instant::now();
+                (self.rank(resolved), t.elapsed())
+            })
             .collect();
 
         // Count how many plans want each standalone get (insertion order,
         // so shared-scan reports are deterministic across runs).
         let mut wanted: Vec<(u64, CubeQuery, usize)> = Vec::new();
-        for physical in planned.iter().filter_map(|r| r.as_ref().ok()) {
+        for physical in ranked.iter().filter_map(|(r, _)| r.as_ref().ok()?.first()) {
             let fuse = physical.strategy != Strategy::Naive;
             for query in crate::workload::standalone_gets(&physical.root, fuse) {
                 let fp = crate::workload::fingerprint_query(query).0;
@@ -510,7 +493,9 @@ impl AssessRunner {
             }
         }
 
-        // Pre-execute every scan with at least two consumers.
+        // Pre-execute every scan with at least two consumers, each under
+        // the per-attempt limits one of its consumers would have.
+        let deadline_at = self.policy.deadline_at();
         let mut shared: HashMap<u64, GetOutcome> = HashMap::new();
         let mut reports: Vec<SharedScanReport> = Vec::new();
         let mut shared_spans: Vec<TraceSpan> = Vec::new();
@@ -521,7 +506,7 @@ impl AssessRunner {
             let t = Instant::now();
             // A failing shared scan is not fatal here: consumers simply
             // scan for themselves and surface the error per statement.
-            let Ok(outcome) = engine.get(query) else { continue };
+            let Ok(outcome) = self.governed_engine(deadline_at).get(query) else { continue };
             if tracing {
                 shared_spans.push(
                     TraceSpan::new("shared_scan", t.elapsed())
@@ -548,41 +533,17 @@ impl AssessRunner {
             shared.insert(*fp, outcome);
         }
 
-        // Execute every plan, feeding consumers from the shared store.
+        // Run every statement down its ladder, feeding consumers from the
+        // shared store.
         let items = statements
             .iter()
-            .zip(planned)
-            .map(|(resolved, planned)| {
-                let wall = Instant::now();
-                let physical = planned?;
-                match execute_plan_on(&engine, resolved, &physical, tracing, Some(&shared)) {
-                    Ok((cube, mut report, tree)) => {
-                        report.attempts.push(AttemptRecord {
-                            strategy: physical.strategy,
-                            elapsed: wall.elapsed(),
-                            error: None,
-                        });
-                        record_success(&report, wall.elapsed());
-                        Ok(BatchItem { cube, report, trace: tree })
-                    }
-                    Err(err) => {
-                        record_failure(1, wall.elapsed());
-                        Err(err)
-                    }
-                }
+            .zip(ranked)
+            .map(|(resolved, (plans, ranking))| {
+                self.ladder(resolved, &plans?, Some(&shared), tracing, ranking)
             })
             .collect();
         BatchOutcome { items, shared: reports, shared_spans }
     }
-}
-
-/// One statement's result inside a [`BatchOutcome`].
-#[derive(Debug)]
-pub struct BatchItem {
-    pub cube: AssessedCube,
-    pub report: ExecutionReport,
-    /// Per-operator trace (present when the batch ran traced).
-    pub trace: Option<TraceTree>,
 }
 
 /// One shared scan of a batch, for the response's sharing summary.
@@ -601,8 +562,10 @@ pub struct SharedScanReport {
 /// Everything [`AssessRunner::run_batch`] reports.
 #[derive(Debug)]
 pub struct BatchOutcome {
-    /// Per-statement results, in submission order.
-    pub items: Vec<Result<BatchItem, AssessError>>,
+    /// Per-statement results, in submission order, as
+    /// [`AssessRunner::run_with`] returns them (the trace is present when
+    /// the batch ran traced).
+    pub items: Vec<Result<RunOutcome, AssessError>>,
     /// The scans that executed once and fanned out.
     pub shared: Vec<SharedScanReport>,
     /// `shared_scan` spans (one per shared scan) when the batch ran traced.
@@ -664,7 +627,7 @@ fn execute_plan_on(
     physical: &PhysicalPlan,
     tracing: bool,
     shared: Option<&HashMap<u64, GetOutcome>>,
-) -> Result<(AssessedCube, ExecutionReport, Option<TraceTree>), AssessError> {
+) -> Result<RunOutcome, AssessError> {
     let mut state = ExecState {
         engine,
         governor: engine.governor().cloned(),

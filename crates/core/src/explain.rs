@@ -32,18 +32,21 @@ pub fn explain(runner: &AssessRunner, resolved: &ResolvedAssess) -> Result<Strin
         }
     );
 
-    let costs = cost::estimate_all(resolved, runner.engine())?;
+    let ranked = cost::estimate_all(resolved, runner.engine())?;
     let _ = writeln!(out, "strategies (cheapest first, cost in row-scan units):");
-    for c in &costs {
+    for (_, c) in &ranked {
         let _ = writeln!(
             out,
             "  {:<4} total {:>12.0}  (scan {:>12.0}, engine {:>10.0}, client {:>10.0})",
-            c.strategy, c.total, c.rows_scanned, c.engine_work, c.client_work
+            c.strategy.acronym(),
+            c.total,
+            c.rows_scanned,
+            c.engine_work,
+            c.client_work
         );
     }
-    let chosen = cost::choose(resolved, runner.engine())?;
-    let physical = plan::plan(resolved, chosen)?;
-    let _ = writeln!(out, "\nchosen plan ({chosen}):\n{}", physical.root);
+    let (physical, _) = &ranked[0];
+    let _ = writeln!(out, "\nchosen plan ({}):\n{}", physical.strategy, physical.root);
 
     // Canonical subplan fingerprints: stable within a release, so two
     // statements printing the same fingerprint will share that subplan in

@@ -43,7 +43,7 @@
 //!   join/pivot/transform used by plans that do not push an operator to the
 //!   engine;
 //! * [`exec`] — plan execution with the per-stage timing breakdown of the
-//!   paper's Figure 4, plus the strategy-fallback ladder of
+//!   paper's Figure 4, plus the cost-ordered fallback ladder of
 //!   [`exec::AssessRunner::run_auto`];
 //! * [`obs`] — the observability spine: the per-query span tracer behind
 //!   `explain analyze`, the cross-query metrics registry and the
@@ -93,8 +93,8 @@ pub use ast::{
 pub use diag::{DiagCode, Diagnostic, Severity, Sink, Span};
 pub use error::AssessError;
 pub use exec::{
-    AssessRunner, AttemptRecord, BatchItem, BatchOutcome, ExecutionReport, ParStat,
-    SharedScanReport, StageParallelism, StageTimings,
+    AssessRunner, AttemptRecord, BatchOutcome, ExecutionReport, ParStat, SharedScanReport,
+    StageParallelism, StageTimings,
 };
 pub use obs::{
     query_metrics, Exposition, Histogram, HistogramSnapshot, QueryMetrics, QueryMetricsSnapshot,

@@ -1,9 +1,10 @@
-//! Execution policies: resource limits and fallback behavior.
+//! Execution policies: resource limits and cancellation.
 //!
 //! An [`ExecutionPolicy`] states what an assess execution is allowed to
 //! consume — wall-clock time, fact/view rows scanned, output cells
-//! materialized — and whether [`AssessRunner::run_auto`] may fall back to a
-//! cheaper strategy when an attempt fails. The policy is declarative; at
+//! materialized. Which strategies an execution tries is not a policy
+//! matter: [`AssessRunner::run_auto`] walks the cost model's ranking, and
+//! pinning a strategy is the one-plan form. The policy is declarative; at
 //! run time it is compiled into an engine-level
 //! [`ResourceGovernor`](olap_engine::ResourceGovernor) whose deadline is
 //! **absolute**: every attempt of one fallback ladder shares the same
@@ -16,10 +17,10 @@ use std::time::{Duration, Instant};
 
 use olap_engine::{CancelToken, ResourceGovernor};
 
-/// Resource limits and fallback behavior for one runner.
+/// Resource limits and cancellation for one runner.
 ///
-/// The default policy is fully permissive: no limits, fallback enabled.
-#[derive(Debug, Clone)]
+/// The default policy is fully permissive: no limits.
+#[derive(Debug, Clone, Default)]
 pub struct ExecutionPolicy {
     /// Wall-clock budget per statement (covering **all** fallback
     /// attempts together).
@@ -28,9 +29,6 @@ pub struct ExecutionPolicy {
     pub max_rows_scanned: Option<u64>,
     /// Result cells one attempt may materialize.
     pub max_output_cells: Option<u64>,
-    /// Whether `run_auto` retries cheaper strategies after a failed
-    /// attempt (POP → JOP → NP).
-    pub fallback: bool,
     /// Statement-scoped cancellation handle shared by every attempt of one
     /// fallback ladder. A serving layer holds a clone and cancels it when
     /// the client asks (or disconnects); `None` means only the policy's own
@@ -41,19 +39,6 @@ pub struct ExecutionPolicy {
     /// configuration — it can lower the degree of parallelism, never raise
     /// it above a serving ceiling.
     pub max_threads: Option<usize>,
-}
-
-impl Default for ExecutionPolicy {
-    fn default() -> Self {
-        ExecutionPolicy {
-            deadline: None,
-            max_rows_scanned: None,
-            max_output_cells: None,
-            fallback: true,
-            cancel_token: None,
-            max_threads: None,
-        }
-    }
 }
 
 impl ExecutionPolicy {
@@ -76,13 +61,6 @@ impl ExecutionPolicy {
     /// Caps output cells materialized per attempt.
     pub fn with_max_output_cells(mut self, max: u64) -> Self {
         self.max_output_cells = Some(max);
-        self
-    }
-
-    /// Disables the strategy-fallback ladder: the cost-chosen strategy
-    /// either succeeds or its error is returned as-is.
-    pub fn without_fallback(mut self) -> Self {
-        self.fallback = false;
         self
     }
 
@@ -151,7 +129,6 @@ mod tests {
     fn default_policy_is_permissive() {
         let p = ExecutionPolicy::default();
         assert!(p.is_unlimited());
-        assert!(p.fallback);
     }
 
     #[test]
@@ -159,10 +136,8 @@ mod tests {
         let p = ExecutionPolicy::new()
             .with_deadline(Duration::from_millis(250))
             .with_max_rows_scanned(1_000_000)
-            .with_max_output_cells(10_000)
-            .without_fallback();
+            .with_max_output_cells(10_000);
         assert!(!p.is_unlimited());
-        assert!(!p.fallback);
         let g = p.governor(p.deadline_at());
         g.check().expect("250ms deadline has not passed yet");
         g.charge_rows_scanned(1_000_000).unwrap();

@@ -609,7 +609,7 @@ impl<'a> WorkloadAnalyzer<'a> {
                     let cost = self.engine.and_then(|e| {
                         cost::estimate_all(&r, e)
                             .ok()
-                            .and_then(|costs| costs.first().map(|c| c.total))
+                            .and_then(|ranked| ranked.first().map(|(_, c)| c.total))
                     });
                     entries.push(WorkloadEntry {
                         index: i,

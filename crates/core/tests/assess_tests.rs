@@ -613,8 +613,8 @@ fn cost_based_chooser_picks_the_papers_winners() {
     let costs = assess_core::cost::estimate_all(&resolved, engine).unwrap();
     assert_eq!(costs.len(), 3);
     // POP scans half the rows of NP/JOP.
-    let np = costs.iter().find(|c| c.strategy == "NP").unwrap();
-    let pop = costs.iter().find(|c| c.strategy == "POP").unwrap();
+    let (_, np) = costs.iter().find(|(_, c)| c.strategy == Strategy::Naive).unwrap();
+    let (_, pop) = costs.iter().find(|(_, c)| c.strategy == Strategy::PivotOptimized).unwrap();
     assert!(pop.rows_scanned < np.rows_scanned);
     assert!(np.client_work > pop.client_work);
 

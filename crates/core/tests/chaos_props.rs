@@ -7,6 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use assess_core::ast::AssessStatement;
+use assess_core::cost::estimate_all;
 use assess_core::exec::AssessRunner;
 use assess_core::plan::Strategy;
 use assess_core::{AssessError, ExecutionPolicy};
@@ -257,16 +258,74 @@ fn targeted_fault_falls_back_with_identical_result() {
     assert_ne!(report.strategy, Strategy::PivotOptimized);
 }
 
-/// With fallback disabled the injected fault surfaces directly.
+/// A pinned strategy is a one-plan ladder: the injected fault surfaces
+/// directly instead of falling back.
 #[test]
-fn no_fallback_policy_surfaces_the_fault() {
+fn pinned_strategy_surfaces_the_fault() {
     let cat = catalog();
     let stmt = intentions().remove(2).1;
     let injector = Arc::new(FaultInjector::targeted().fail_nth(FaultSite::Scan, 0));
-    let runner =
-        runner_with(&cat, Some(injector)).with_policy(ExecutionPolicy::new().without_fallback());
-    let err = runner.run_auto(&stmt).unwrap_err();
+    let runner = runner_with(&cat, Some(injector));
+    let err = runner.run(&stmt, Strategy::PivotOptimized).unwrap_err();
     assert!(is_clean_fault(&err), "expected the injected fault, got {err:?}");
+}
+
+/// A `batch` statement walks the same ladder as `run_auto`: a fault on its
+/// first plan's scan falls back to the fault-free cells.
+#[test]
+fn batch_statement_falls_back_like_run_auto() {
+    let cat = catalog();
+    let stmt = intentions().remove(2).1;
+    let (baseline, _) = runner_with(&cat, None).run_auto(&stmt).unwrap();
+    let injector = Arc::new(FaultInjector::targeted().fail_nth(FaultSite::Scan, 0));
+    let runner = runner_with(&cat, Some(injector.clone()));
+    let resolved = runner.resolve(&stmt).unwrap();
+    let mut outcome = runner.run_batch(&[resolved], false);
+    let (cube, report, _) = outcome.items.remove(0).expect("the batch ladder must recover");
+    assert_eq!(cube.cells(), baseline.cells());
+    assert!(injector.trip_count() >= 1, "the fault must actually have fired");
+    assert!(report.attempts.len() >= 2, "fallback must be recorded");
+}
+
+/// Fallback follows the cost ranking on both roads: under a first-scan
+/// fault, the strategies a `run_auto` or a one-statement `batch` tried are
+/// a prefix of `estimate_all`'s order, and every intention with a second
+/// feasible plan recovers.
+#[test]
+fn fallback_follows_the_cost_ranking() {
+    let cat = catalog();
+    let faulty = || {
+        let injector = Arc::new(FaultInjector::targeted().fail_nth(FaultSite::Scan, 0));
+        runner_with(&cat, Some(injector))
+    };
+    for (name, stmt) in intentions() {
+        let clean = runner_with(&cat, None);
+        let resolved = clean.resolve(&stmt).unwrap();
+        let ranked: Vec<Strategy> = estimate_all(&resolved, clean.engine())
+            .unwrap()
+            .iter()
+            .map(|(physical, _)| physical.strategy)
+            .collect();
+        let auto = faulty().run_auto(&stmt).map(|(_, report)| report);
+        let batch = faulty().run_batch(&[resolved], false).items.remove(0).map(|(_, r, _)| r);
+        for (road, outcome) in [("run_auto", auto), ("batch", batch)] {
+            match outcome {
+                Ok(report) => {
+                    let tried: Vec<Strategy> = report.attempts.iter().map(|a| a.strategy).collect();
+                    assert!(tried.len() >= 2, "{name} {road}: the first plan must have failed");
+                    assert_eq!(tried, ranked[..tried.len()], "{name} {road}: out of cost order");
+                }
+                Err(err) => {
+                    assert_eq!(
+                        ranked.len(),
+                        1,
+                        "{name} {road}: {ranked:?} had a plan left: {err:?}"
+                    );
+                    assert!(is_clean_fault(&err), "{name} {road}: not the injected fault: {err:?}");
+                }
+            }
+        }
+    }
 }
 
 /// Row budgets are enforced per attempt: a budget too small for any

@@ -186,17 +186,50 @@ fn batch_matches_serial_execution_at_every_thread_count() {
         assert_eq!(shared.len(), 1, "one shared group expected at {threads} threads");
         assert_eq!(shared[0].consumers, 3, "three constant statements share the get");
         for (i, item) in outcome.items.iter().enumerate() {
-            let item = item.as_ref().expect("batch item succeeds");
+            let (cube, report, _) = item.as_ref().expect("batch item succeeds");
             assert_eq!(
-                item.cube.to_csv(),
+                cube.to_csv(),
                 serial[i].0,
                 "statement {i} diverged from serial at {threads} threads"
             );
             assert_eq!(
-                item.report.rows_scanned, serial[i].1,
+                report.rows_scanned, serial[i].1,
                 "statement {i} row accounting diverged at {threads} threads"
             );
         }
+    }
+}
+
+/// Row budgets are per statement in a batch, as in serial runs: two
+/// statements with distinct gets, each within `max_rows_scanned` but over
+/// it together, both succeed with their `run_auto` cubes.
+#[test]
+fn batch_budgets_are_per_statement() {
+    let catalog = common::catalog();
+    let statements: Vec<_> = [
+        "with SALES by country assess quantity against 200 \
+         using ratio(quantity, 200) labels {[0, 1): low, [1, inf]: high}",
+        "with SALES by product assess quantity against 200 \
+         using ratio(quantity, 200) labels {[0, 1): low, [1, inf]: high}",
+    ]
+    .iter()
+    .map(|text| assess_sql::parse(text).expect("statement parses"))
+    .collect();
+    let free = AssessRunner::new(Engine::new(catalog.clone()));
+    let serial: Vec<_> = statements.iter().map(|s| free.run_auto(s).expect("runs")).collect();
+    let budget = serial.iter().map(|(_, r)| r.rows_scanned).max().unwrap_or(0);
+    let total: usize = serial.iter().map(|(_, r)| r.rows_scanned).sum();
+    assert!(total > budget, "the two statements together must exceed the budget");
+
+    let runner = AssessRunner::new(Engine::new(catalog))
+        .with_policy(ExecutionPolicy::default().with_max_rows_scanned(budget as u64));
+    let resolved: Vec<_> =
+        statements.iter().map(|s| runner.resolve(s).expect("statement resolves")).collect();
+    let outcome = runner.run_batch(&resolved, false);
+    assert!(outcome.shared.is_empty(), "the two gets are distinct");
+    for (i, (item, (cube, _))) in outcome.items.iter().zip(&serial).enumerate() {
+        let (batched, _, _) = item.as_ref().expect("each statement is within its own budget");
+        assert_eq!(batched.to_csv(), cube.to_csv(), "statement {i} diverged from run_auto");
     }
 }
 

@@ -5,13 +5,12 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use olap_model::{
-    AggOp, CubeColumn, CubeQuery, CubeSchema, DerivedCube, GroupBySet, KeyLayout, MemberId,
-    NumericColumn,
+    AggOp, CubeColumn, CubeQuery, CubeSchema, DerivedCube, GroupBySet, KeyLayout, NumericColumn,
 };
 use olap_storage::{Catalog, CubeBinding, DataChunk, MaterializedAggregate, Table};
 
 use crate::aggregate::{accumulate_chunk, Aggregator, Grouping, Partial};
-use crate::attach::{attach, AttachSpec, Keep, Rewrite, Side};
+use crate::attach::{attach, AttachSpec, Side};
 use crate::error::EngineError;
 use crate::fault::{FaultInjector, FaultSite};
 use crate::governor::{ResourceGovernor, CHECK_INTERVAL};
@@ -735,64 +734,6 @@ impl Engine {
         let outcome = target.into_outcome(Some(&found.kept), extra, right)?;
         self.gov_charge_cells(outcome.cube.len())?;
         Ok(outcome)
-    }
-
-    /// [`Engine::get_attach`] as a natural join `C ⋈ B` (Definition 3.1:
-    /// cells pair by coordinate equality): the benchmark query's first
-    /// measure lands in the column `right_renames` names.
-    pub fn get_join(
-        &self,
-        left_q: &CubeQuery,
-        right_q: &CubeQuery,
-        kind: JoinKind,
-        right_renames: &[String],
-    ) -> Result<GetOutcome, EngineError> {
-        let measure = right_q.measures.first().map_or("", String::as_str);
-        let rewrites = vec![Rewrite::Same];
-        let spec =
-            AttachSpec { on: None, rewrites, keep: kind.into(), measure, names: right_renames };
-        self.get_attach(left_q, Some(right_q), &spec)
-    }
-
-    /// [`Engine::get_attach`] as the partial join `C ⋈_{G\l} B` (Section
-    /// 4.2): the benchmark holds slices of `slice_hierarchy`'s level, and
-    /// every member of `slice_members` contributes the column of
-    /// `column_names` holding that slice's `measure`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_join_sliced(
-        &self,
-        left_q: &CubeQuery,
-        right_q: &CubeQuery,
-        slice_hierarchy: usize,
-        slice_members: &[MemberId],
-        measure: &str,
-        column_names: &[String],
-        kind: JoinKind,
-    ) -> Result<GetOutcome, EngineError> {
-        let rewrites = Rewrite::members(slice_members);
-        let (on, keep) = (Some(slice_hierarchy), kind.into());
-        let spec = AttachSpec { on, rewrites, keep, measure, names: column_names };
-        self.get_attach(left_q, Some(right_q), &spec)
-    }
-
-    /// [`Engine::get_attach`] as `get + pivot` (Listing 5): `q_all` selects
-    /// the `reference` slice of `pivot_hierarchy` and every slice in
-    /// `neighbors`; the result keeps the reference slice, with one column
-    /// of `neighbor_names` per neighbor holding its `measure` (null where
-    /// the neighbor cell does not exist — cube sparsity).
-    pub fn get_pivot(
-        &self,
-        q_all: &CubeQuery,
-        pivot_hierarchy: usize,
-        reference: MemberId,
-        neighbors: &[MemberId],
-        measure: &str,
-        neighbor_names: &[String],
-    ) -> Result<GetOutcome, EngineError> {
-        let rewrites = Rewrite::members(neighbors);
-        let (on, keep) = (Some(pivot_hierarchy), Keep::Slice(reference));
-        let spec = AttachSpec { on, rewrites, keep, measure, names: neighbor_names };
-        self.get_attach(q_all, None, &spec)
     }
 
     /// Estimates the cost of a `get` without running it: the rows the chosen

@@ -3,8 +3,8 @@
 use std::sync::Arc;
 
 use olap_engine::{
-    CancelToken, Engine, EngineConfig, EngineError, EngineMetrics, JoinKind, ResourceGovernor,
-    ShardBudget, ShardPartial, ShardSet, ShardTransport,
+    AttachSpec, CancelToken, Engine, EngineConfig, EngineError, EngineMetrics, JoinKind, Keep,
+    ResourceGovernor, Rewrite, ShardBudget, ShardPartial, ShardSet, ShardTransport,
 };
 use olap_model::{
     AggOp, CubeQuery, CubeSchema, GroupBySet, HierarchyBuilder, MeasureDef, Predicate,
@@ -260,14 +260,16 @@ fn fused_join_computes_sibling_benchmark() {
     // benchmark sliced on country = France.
     let france = schema.hierarchy(1).unwrap().level(1).unwrap().member_id("France").unwrap();
     let out = engine
-        .get_join_sliced(
+        .get_attach(
             &left,
-            &right,
-            1,
-            &[france],
-            "quantity",
-            &["benchmark.quantity".to_string()],
-            JoinKind::Inner,
+            Some(&right),
+            &AttachSpec {
+                on: Some(1),
+                rewrites: Rewrite::members(&[france]),
+                keep: JoinKind::Inner.into(),
+                measure: "quantity",
+                names: &["benchmark.quantity".to_string()],
+            },
         )
         .unwrap();
     assert_eq!(rows_of(&out.cube, "quantity").len(), 3);
@@ -303,25 +305,29 @@ fn left_outer_join_completes_with_nulls() {
     );
     let france = schema.hierarchy(1).unwrap().level(1).unwrap().member_id("France").unwrap();
     let inner = engine
-        .get_join_sliced(
+        .get_attach(
             &left,
-            &right,
-            1,
-            &[france],
-            "quantity",
-            &["b".to_string()],
-            JoinKind::Inner,
+            Some(&right),
+            &AttachSpec {
+                on: Some(1),
+                rewrites: Rewrite::members(&[france]),
+                keep: JoinKind::Inner.into(),
+                measure: "quantity",
+                names: &["b".to_string()],
+            },
         )
         .unwrap();
     let outer = engine
-        .get_join_sliced(
+        .get_attach(
             &left,
-            &right,
-            1,
-            &[france],
-            "quantity",
-            &["b".to_string()],
-            JoinKind::LeftOuter,
+            Some(&right),
+            &AttachSpec {
+                on: Some(1),
+                rewrites: Rewrite::members(&[france]),
+                keep: JoinKind::LeftOuter.into(),
+                measure: "quantity",
+                names: &["b".to_string()],
+            },
         )
         .unwrap();
     assert_eq!(inner.cube.len(), 3);
@@ -352,9 +358,17 @@ fn natural_join_pairs_by_coordinate_equality() {
         ],
         vec!["maxq".into()],
     );
-    let inner = engine.get_join(&left, &right, JoinKind::Inner, &["b".to_string()]).unwrap();
+    let names = ["b".to_string()];
+    let natural = |kind: JoinKind| AttachSpec {
+        on: None,
+        rewrites: vec![Rewrite::Same],
+        keep: kind.into(),
+        measure: "maxq",
+        names: &names,
+    };
+    let inner = engine.get_attach(&left, Some(&right), &natural(JoinKind::Inner)).unwrap();
     assert_eq!(inner.cube.len(), 3); // Milk drops
-    let outer = engine.get_join(&left, &right, JoinKind::LeftOuter, &["b".to_string()]).unwrap();
+    let outer = engine.get_attach(&left, Some(&right), &natural(JoinKind::LeftOuter)).unwrap();
     assert_eq!(outer.cube.len(), 4);
     let milk = rows_of(&outer.cube, "b").into_iter().find(|(n, _)| n[0] == "Milk").unwrap();
     assert_eq!(milk.1, None);
@@ -387,14 +401,16 @@ fn sliced_join_attaches_one_column_per_past_slice() {
     let month = schema.hierarchy(2).unwrap().level(0).unwrap();
     let ids: Vec<_> = ["m0", "m1", "m2"].iter().map(|m| month.member_id(m).unwrap()).collect();
     let out = engine
-        .get_join_sliced(
+        .get_attach(
             &left,
-            &right,
-            2,
-            &ids,
-            "quantity",
-            &["past0".to_string(), "past1".to_string(), "past2".to_string()],
-            JoinKind::Inner,
+            Some(&right),
+            &AttachSpec {
+                on: Some(2),
+                rewrites: Rewrite::members(&ids),
+                keep: JoinKind::Inner.into(),
+                measure: "quantity",
+                names: &["past0".to_string(), "past1".to_string(), "past2".to_string()],
+            },
         )
         .unwrap();
     // Italy: m0 = 42, m1 = 12, m2 missing, m3 (target) = 11. Two fact scans.
@@ -422,9 +438,14 @@ fn fused_pivot_equals_fused_join_on_sibling() {
     let country = schema.hierarchy(1).unwrap().level(1).unwrap();
     let italy = country.member_id("Italy").unwrap();
     let france = country.member_id("France").unwrap();
-    let out = engine
-        .get_pivot(&q_all, 1, italy, &[france], "quantity", &["benchmark.quantity".to_string()])
-        .unwrap();
+    let spec = AttachSpec {
+        on: Some(1),
+        rewrites: Rewrite::members(&[france]),
+        keep: Keep::Slice(italy),
+        measure: "quantity",
+        names: &["benchmark.quantity".to_string()],
+    };
+    let out = engine.get_attach(&q_all, None, &spec).unwrap();
     assert_eq!(
         rows_of(&out.cube, "benchmark.quantity"),
         vec![
@@ -453,16 +474,14 @@ fn pivot_with_missing_neighbor_slices_yields_nulls() {
     let month = schema.hierarchy(2).unwrap().level(0).unwrap();
     let ids: Vec<_> =
         ["m0", "m1", "m2", "m3"].iter().map(|m| month.member_id(m).unwrap()).collect();
-    let out = engine
-        .get_pivot(
-            &q_all,
-            2,
-            ids[3],
-            &ids[0..3],
-            "quantity",
-            &["past0".to_string(), "past1".to_string(), "past2".to_string()],
-        )
-        .unwrap();
+    let spec = AttachSpec {
+        on: Some(2),
+        rewrites: Rewrite::members(&ids[0..3]),
+        keep: Keep::Slice(ids[3]),
+        measure: "quantity",
+        names: &["past0".to_string(), "past1".to_string(), "past2".to_string()],
+    };
+    let out = engine.get_attach(&q_all, None, &spec).unwrap();
     // Italy totals: m0 = 42, m1 = 12, m2 absent, m3 (reference) = 11.
     assert_eq!(out.cube.len(), 1);
     assert_eq!(rows_of(&out.cube, "quantity")[0].1, Some(11.0));
@@ -478,14 +497,22 @@ fn pivot_rejects_bad_configurations() {
     let q = CubeQuery::new("SALES", g, vec![], vec!["quantity".into()]);
     let country = schema.hierarchy(1).unwrap().level(1).unwrap();
     let italy = country.member_id("Italy").unwrap();
+    let b = ["b".to_string()];
+    let pivot = |neighbors: &[_], measure, names| AttachSpec {
+        on: Some(1),
+        rewrites: Rewrite::members(neighbors),
+        keep: Keep::Slice(italy),
+        measure,
+        names,
+    };
     // Pivot hierarchy not in group-by.
-    assert!(engine.get_pivot(&q, 1, italy, &[italy], "quantity", &["b".to_string()]).is_err());
+    assert!(engine.get_attach(&q, None, &pivot(&[italy], "quantity", &b)).is_err());
     // Empty neighbor list.
     let g2 = GroupBySet::from_level_names(&schema, &["product", "country"]).unwrap();
     let q2 = CubeQuery::new("SALES", g2, vec![], vec!["quantity".into()]);
-    assert!(engine.get_pivot(&q2, 1, italy, &[], "quantity", &[]).is_err());
+    assert!(engine.get_attach(&q2, None, &pivot(&[], "quantity", &[])).is_err());
     // Unknown measure.
-    assert!(engine.get_pivot(&q2, 1, italy, &[italy], "ghost", &["b".to_string()]).is_err());
+    assert!(engine.get_attach(&q2, None, &pivot(&[italy], "ghost", &b)).is_err());
 }
 
 #[test]
@@ -573,7 +600,14 @@ fn wide_group_by_keys_are_refused_before_any_row_is_charged() {
     assert_eq!(engine.get(&q).err(), wide);
     assert_eq!(engine.get_partial(&q).err(), wide);
     let (m1, m6) = (olap_model::MemberId(1), olap_model::MemberId(6));
-    assert_eq!(engine.get_pivot(&q, 0, m1, &[m6], "m", &["b".into()]).err(), wide);
+    let spec = AttachSpec {
+        on: Some(0),
+        rewrites: Rewrite::members(&[m6]),
+        keep: Keep::Slice(m1),
+        measure: "m",
+        names: &["b".into()],
+    };
+    assert_eq!(engine.get_attach(&q, None, &spec).err(), wide);
     assert_eq!(governor.rows_scanned(), 0);
     assert_eq!(metrics.snapshot().scans, 0);
 }

@@ -543,8 +543,8 @@ impl<T> FairQueue<T> {
 // ---------------------------------------------------------------------------
 
 /// The min-wins clamp of two policies: wherever both set a limit the
-/// tighter one wins, fallback only if both allow it. Cancel tokens are not
-/// merged — attach one with [`derive_policy`].
+/// tighter one wins. Cancel tokens are not merged — attach one with
+/// [`derive_policy`].
 pub fn clamp_policies(a: &ExecutionPolicy, b: &ExecutionPolicy) -> ExecutionPolicy {
     fn min_opt<T: Ord + Copy>(a: Option<T>, b: Option<T>) -> Option<T> {
         match (a, b) {
@@ -557,15 +557,13 @@ pub fn clamp_policies(a: &ExecutionPolicy, b: &ExecutionPolicy) -> ExecutionPoli
         max_rows_scanned: min_opt(a.max_rows_scanned, b.max_rows_scanned),
         max_output_cells: min_opt(a.max_output_cells, b.max_output_cells),
         max_threads: min_opt(a.max_threads, b.max_threads),
-        fallback: a.fallback && b.fallback,
         cancel_token: None,
     }
 }
 
 /// The effective policy of one run: the session's preferences clamped by
 /// the tenant's ceiling and the server's ceiling (the minimum wins wherever
-/// any of them sets a limit), the fallback preference gated by all three,
-/// and the run's cancel token attached.
+/// any of them sets a limit), with the run's cancel token attached.
 pub fn derive_policy(
     server_ceiling: &ExecutionPolicy,
     tenant_ceiling: &ExecutionPolicy,
@@ -795,22 +793,7 @@ mod tests {
         assert_eq!(effective.max_rows_scanned, Some(1_000), "server tighter");
         assert_eq!(effective.max_output_cells, Some(10), "only the session set it");
         assert_eq!(effective.max_threads, Some(2), "only the tenant set it");
-        assert!(effective.fallback);
         token.cancel();
         assert!(effective.cancel_token.as_ref().unwrap().is_cancelled(), "token is attached");
-    }
-
-    #[test]
-    fn derive_policy_gates_fallback() {
-        let no_fallback = ExecutionPolicy::new().without_fallback();
-        let default = ExecutionPolicy::default();
-        for (a, b, c) in [
-            (&no_fallback, &default, &default),
-            (&default, &no_fallback, &default),
-            (&default, &default, &no_fallback),
-        ] {
-            assert!(!derive_policy(a, b, c, CancelToken::new()).fallback);
-        }
-        assert!(derive_policy(&default, &default, &default, CancelToken::new()).fallback);
     }
 }

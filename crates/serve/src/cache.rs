@@ -48,11 +48,10 @@ pub fn cache_key(normalized_statement: &str, fingerprint: &str) -> String {
 pub fn policy_fingerprint(policy: &ExecutionPolicy, strategy: Option<Strategy>) -> String {
     let opt = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |x| x.to_string());
     format!(
-        "d={};r={};c={};fb={};s={}",
+        "d={};r={};c={};s={}",
         policy.deadline.map_or_else(|| "-".to_string(), |d| d.as_millis().to_string()),
         opt(policy.max_rows_scanned),
         opt(policy.max_output_cells),
-        u8::from(policy.fallback),
         strategy.map_or("auto", |s| s.acronym()),
     )
 }

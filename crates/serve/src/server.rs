@@ -604,7 +604,6 @@ fn handle_line(shared: &Arc<Shared>, session: &Arc<Session>, writer: &SharedWrit
                 max_rows_scanned,
                 max_output_cells,
                 max_threads: max_threads.map(|t| (t as usize).max(1)),
-                fallback: true,
                 cancel_token: None,
             };
             session.set_policy(policy.clone());
@@ -917,24 +916,24 @@ fn execute_batch(shared: &Shared, job: &Job, opts: &BatchOptions) -> Value {
                 items
                     .next()
                     .unwrap_or_else(|| Err(AssessError::Statement("missing batch result".into())))
-                    .map(|item| (item, warnings))
+                    .map(|run| (run, warnings))
                     .map_err(|e| Refusal::of(&shared.runs, &e, span))
             });
-            let (item, warnings) = match executed {
+            let ((cube, report, trace), warnings) = match executed {
                 Ok(done) => done,
                 Err(refusal) => return refusal.result_object(text),
             };
             shared.runs.executed.fetch_add(1, Ordering::Relaxed);
             ok_count += 1;
-            total_cells += item.cube.len();
+            total_cells += cube.len();
             let mut fields = vec![
                 ("ok", Value::Bool(true)),
-                ("strategy", s(item.report.strategy.acronym())),
-                ("cells", n(item.cube.len() as u64)),
-                ("rows_scanned", n(item.report.rows_scanned as u64)),
+                ("strategy", s(report.strategy.acronym())),
+                ("cells", n(cube.len() as u64)),
+                ("rows_scanned", n(report.rows_scanned as u64)),
             ];
-            fields.extend(statement::cube_fields(&item.cube, opts.format, limit));
-            if let Some(tree) = item.trace {
+            fields.extend(statement::cube_fields(&cube, opts.format, limit));
+            if let Some(tree) = trace {
                 fields.push(("trace", tree.to_json()));
             }
             if !warnings.is_empty() {
@@ -1332,7 +1331,6 @@ fn policy_json(policy: &ExecutionPolicy) -> Value {
         ("max_rows_scanned", opt(policy.max_rows_scanned)),
         ("max_output_cells", opt(policy.max_output_cells)),
         ("max_threads", opt(policy.max_threads.map(|t| t as u64))),
-        ("fallback", Value::Bool(policy.fallback)),
     ])
 }
 

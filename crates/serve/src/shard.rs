@@ -427,17 +427,18 @@ mod tests {
     #[test]
     fn partials_round_trip_exactly() {
         // A key beyond 2^53 and, for every operator, f64 states that need
-        // full precision: the codec must not lose a bit of either.
+        // full precision — a Min and Max of -0.0 among them: the codec must
+        // not lose a bit of either.
         let ops = vec![AggOp::Sum, AggOp::Min, AggOp::Max, AggOp::Count, AggOp::Avg];
         let states = vec![
-            vec![0.1 + 0.2, -1.0e300, 42.0],
-            vec![5e-324, -2.5, 1.0e-300],
-            vec![f64::MAX, 1.0 / 7.0, -0.5],
-            vec![3.0, 1.0, 9.0e15],
-            vec![1.0 / 3.0, 7.5, 0.0],
-            vec![3.0, 2.0, 0.0],
+            vec![0.1 + 0.2, -1.0e300, 42.0, 1.5],
+            vec![5e-324, -2.5, 1.0e-300, -0.0],
+            vec![f64::MAX, 1.0 / 7.0, -0.5, -0.0],
+            vec![3.0, 1.0, 9.0e15, 2.0],
+            vec![1.0 / 3.0, 7.5, 0.0, 0.25],
+            vec![3.0, 2.0, 0.0, 1.0],
         ];
-        let keys = vec![u64::MAX - 1, 0, 1 << 60];
+        let keys = vec![u64::MAX - 1, 0, 1 << 60, 7];
         let partial = ShardPartial {
             partial: Partial::from_parts(keys, ops, states).unwrap(),
             used_view: Some("mv_customer_year".into()),

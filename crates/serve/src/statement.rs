@@ -14,8 +14,9 @@
 //!    `partial`, [`evaluate`]);
 //! 4. [`execute`] — the runner's ladder over the prepared resolution;
 //!    failures become a [`Refusal`] through the one error → wire-code table
-//!    (`run`, [`evaluate`]; `batch` executes through `run_batch` and
-//!    classifies per statement with [`Refusal::of`]);
+//!    (`run`, [`evaluate`]; `batch` executes through `run_batch`, which
+//!    walks the same ladder per statement, and classifies per statement
+//!    with [`Refusal::of`]);
 //! 5. [`cube_fields`] / [`Refusal::response`] / [`Refusal::result_object`] —
 //!    the wire encodings of either outcome.
 //!

@@ -122,9 +122,9 @@ fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         // JSON has no Inf/NaN; serde_json renders them as null.
         out.push_str("null");
-    } else if n == n.trunc() && n.abs() < 1e15 {
-        out.push_str(&format!("{}", n as i64));
     } else {
+        // `Display` never uses an exponent, prints integral values without a
+        // fraction (`3`, not `3.0`) and keeps the sign of zero (`-0`).
         out.push_str(&format!("{n}"));
     }
 }

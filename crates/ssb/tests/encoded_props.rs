@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use olap_engine::{Engine, EngineConfig, JoinKind, WorkerPool};
+use olap_engine::{AttachSpec, Engine, EngineConfig, JoinKind, Keep, Rewrite, WorkerPool};
 use olap_model::{
     AggOp, CubeColumn, CubeQuery, CubeSchema, DerivedCube, GroupBySet, HierarchyBuilder,
     MeasureDef, MemberId, Predicate,
@@ -134,13 +134,27 @@ fn encoded_and_plain_catalogs_answer_identically_at_every_thread_count() {
         }
 
         let renames = vec!["expected_revenue".to_string()];
-        let jop_p = ep.get_join(&np, &bench, JoinKind::LeftOuter, &renames).unwrap().cube;
-        let jop_e = ee.get_join(&np, &bench, JoinKind::LeftOuter, &renames).unwrap().cube;
+        let jop = AttachSpec {
+            on: None,
+            rewrites: vec![Rewrite::Same],
+            keep: JoinKind::LeftOuter.into(),
+            measure: "expected_revenue",
+            names: &renames,
+        };
+        let jop_p = ep.get_attach(&np, Some(&bench), &jop).unwrap().cube;
+        let jop_e = ee.get_attach(&np, Some(&bench), &jop).unwrap().cube;
         assert_identical(&jop_p, &jop_e, &format!("JOP @ {threads} threads"));
 
         let names = vec!["revenue_1994".to_string()];
-        let pop_p = ep.get_pivot(&pop_q, 3, y95, &[y94], "revenue", &names).unwrap().cube;
-        let pop_e = ee.get_pivot(&pop_q, 3, y95, &[y94], "revenue", &names).unwrap().cube;
+        let pop = AttachSpec {
+            on: Some(3),
+            rewrites: Rewrite::members(&[y94]),
+            keep: Keep::Slice(y95),
+            measure: "revenue",
+            names: &names,
+        };
+        let pop_p = ep.get_attach(&pop_q, None, &pop).unwrap().cube;
+        let pop_e = ee.get_attach(&pop_q, None, &pop).unwrap().cube;
         assert_identical(&pop_p, &pop_e, &format!("POP @ {threads} threads"));
     }
 }
