@@ -402,6 +402,10 @@ enum FrameEvent {
 struct FrameReader<R> {
     reader: R,
     buf: Vec<u8>,
+    /// `buf[..start]` has been handed out already.
+    start: usize,
+    /// `buf[start..scanned]` holds no newline: each byte is searched once.
+    scanned: usize,
     max: usize,
     /// Set after `TooLarge`: swallow bytes until the next newline.
     discarding: bool,
@@ -409,33 +413,47 @@ struct FrameReader<R> {
 
 impl<R: Read> FrameReader<R> {
     fn new(reader: R, max: usize) -> Self {
-        FrameReader { reader, buf: Vec::new(), max: max.max(1), discarding: false }
+        FrameReader {
+            reader,
+            buf: Vec::new(),
+            start: 0,
+            scanned: 0,
+            max: max.max(1),
+            discarding: false,
+        }
     }
 
+    /// Hands out the frame ending at the newline at `end`, CR stripped.
     fn take_line(&mut self, end: usize) -> Option<String> {
-        let mut line: Vec<u8> = self.buf.drain(..=end).collect();
-        line.pop(); // the newline
-        if line.last() == Some(&b'\r') {
-            line.pop();
-        }
-        String::from_utf8(line).ok()
+        let line = &self.buf[self.start..end];
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let text = std::str::from_utf8(line).ok().map(str::to_owned);
+        self.consume(end);
+        text
+    }
+
+    /// Drops everything up to and including the newline at `end`.
+    fn consume(&mut self, end: usize) {
+        self.start = end + 1;
+        self.scanned = self.start;
     }
 
     fn next_event(&mut self) -> FrameEvent {
         loop {
             // Drain complete frames already buffered.
-            while let Some(end) = self.buf.iter().position(|&b| b == b'\n') {
+            while let Some(at) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let end = self.scanned + at;
                 if self.discarding {
                     // Tail of an already-reported oversized frame.
-                    self.buf.drain(..=end);
+                    self.consume(end);
                     self.discarding = false;
                     continue;
                 }
-                if end > self.max {
+                if end - self.start > self.max {
                     // The whole oversized frame arrived in one gulp, so
                     // the mid-read size check below never saw it; the cap
                     // must not depend on how TCP chunked the bytes.
-                    self.buf.drain(..=end);
+                    self.consume(end);
                     return FrameEvent::TooLarge;
                 }
                 return match self.take_line(end) {
@@ -443,10 +461,16 @@ impl<R: Read> FrameReader<R> {
                     None => FrameEvent::NotUtf8,
                 };
             }
-            if self.discarding {
+            // Keep only the unterminated frame, which holds no newline.
+            let oversized = !self.discarding && self.buf.len() - self.start > self.max;
+            if self.discarding || oversized {
                 self.buf.clear(); // no newline yet: keep memory bounded
-            } else if self.buf.len() > self.max {
-                self.buf.clear();
+            } else {
+                self.buf.drain(..self.start);
+            }
+            self.start = 0;
+            self.scanned = self.buf.len();
+            if oversized {
                 self.discarding = true;
                 return FrameEvent::TooLarge;
             }
@@ -457,6 +481,7 @@ impl<R: Read> FrameReader<R> {
                         return FrameEvent::Eof(None);
                     }
                     let tail = std::mem::take(&mut self.buf);
+                    self.scanned = 0;
                     return FrameEvent::Eof(String::from_utf8(tail).ok());
                 }
                 Ok(read) => self.buf.extend_from_slice(&chunk[..read]),
@@ -1791,5 +1816,33 @@ mod tests {
         let seen = events(64, vec![b"a\nb".to_vec()]);
         assert!(matches!(&seen[0], FrameEvent::Line(l) if l == "a"), "{seen:?}");
         assert!(matches!(&seen[1], FrameEvent::Eof(Some(t)) if t == "b"), "{seen:?}");
+    }
+
+    /// How the transport slices the bytes changes nothing: the same frames
+    /// read one byte at a time yield the same events as in one read.
+    #[test]
+    fn one_byte_reads_yield_the_same_events() {
+        let mut bytes = b"a\r\n\nping\n".to_vec();
+        bytes.extend_from_slice(&[b'x'; 100]);
+        bytes.extend_from_slice(b"\n\xff\xfe\nok\n");
+        bytes.extend_from_slice(&[b'y'; 64]);
+        bytes.extend_from_slice(b"\n{\"id\":1}\ntail");
+        let whole = events(64, vec![bytes.clone()]);
+        assert_eq!(
+            whole,
+            vec![
+                FrameEvent::Line("a".into()),
+                FrameEvent::Line(String::new()),
+                FrameEvent::Line("ping".into()),
+                FrameEvent::TooLarge,
+                FrameEvent::NotUtf8,
+                FrameEvent::Line("ok".into()),
+                FrameEvent::Line("y".repeat(64)),
+                FrameEvent::Line(r#"{"id":1}"#.into()),
+                FrameEvent::Eof(Some("tail".into())),
+            ]
+        );
+        let bytewise = events(64, bytes.iter().map(|&b| vec![b]).collect());
+        assert_eq!(bytewise, whole);
     }
 }

@@ -1,9 +1,10 @@
 //! Protocol robustness properties: random interleavings of valid
-//! requests, malformed JSON, non-UTF-8 bytes, oversized frames and
-//! cancels are thrown at one long-lived server. The invariants under
-//! test: the server never panics, every id-bearing request gets exactly
-//! one id-matched response, every garbage frame gets a structured
-//! id-less refusal, and the connection stays usable throughout.
+//! requests, malformed JSON, non-UTF-8 bytes, oversized frames, deeply
+//! nested documents and cancels are thrown at one long-lived server. The
+//! invariants under test: the server never panics, every id-bearing
+//! request gets exactly one id-matched response, every garbage frame gets
+//! a structured id-less refusal, and the connection stays usable
+//! throughout.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -65,6 +66,10 @@ enum FrameKind {
     NotUtf8(Vec<u8>),
     /// A single line longer than the server's `max_frame_bytes`.
     Oversized(usize),
+    /// A ping whose `x` field nests this many arrays deep. Within the
+    /// parser's nesting cap it is answered by id; past it the frame is
+    /// refused id-less (`bad_request`) and the session keeps serving.
+    Nested(usize),
 }
 
 /// A frame ready to send: raw bytes plus the id a response must echo
@@ -83,6 +88,7 @@ fn frame_kind() -> impl Strategy<Value = FrameKind> {
         proptest::collection::vec(33u8..127, 1..40).prop_map(FrameKind::Garbage),
         proptest::collection::vec(0x80u8..0xFF, 1..20).prop_map(FrameKind::NotUtf8),
         (1100usize..3000).prop_map(FrameKind::Oversized),
+        prop_oneof![100usize..=130, 130usize..480].prop_map(FrameKind::Nested),
     ]
 }
 
@@ -163,6 +169,18 @@ fn render(script: &[FrameKind]) -> Vec<Frame> {
                 let mut bytes = vec![b'x'; *len];
                 bytes.push(b'\n');
                 Frame { bytes, expect_id: None }
+            }
+            FrameKind::Nested(depth) => {
+                next_id += 1;
+                let (open, close) = ("[".repeat(*depth), "]".repeat(*depth));
+                let body =
+                    format!("{{\"id\": {next_id}, \"op\": \"ping\", \"x\": {open}{close}}}\n");
+                // The request object is one more level around the arrays.
+                if *depth < serde_json::MAX_DEPTH {
+                    with_id(&mut id_bearing, body, next_id)
+                } else {
+                    Frame { bytes: body.into_bytes(), expect_id: None }
+                }
             }
         };
         frames.push(frame);

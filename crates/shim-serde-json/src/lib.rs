@@ -5,7 +5,7 @@
 //! [`Value`] ([`from_str`]). The grammar is full JSON; numbers are kept as
 //! `f64` like `serde_json`'s default arbitrary-precision-off mode.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 pub use serde::Value;
 use serde::{Deserialize, Serialize};
@@ -41,28 +41,42 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Serializes a value as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
+    write_value(&value.as_value(), &mut out, None, 0);
     Ok(out)
 }
 
 /// Serializes a value as two-space-indented JSON.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
+    write_value(&value.as_value(), &mut out, Some(2), 0);
     Ok(out)
 }
 
-/// Parses JSON text into any [`Deserialize`] type (in practice: [`Value`]).
+/// Parses JSON text into any [`Deserialize`] type; a [`Value`] is handed
+/// the parsed tree itself.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T> {
-    let mut parser = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut parser = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
     parser.skip_ws();
     let value = parser.parse_value()?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
         return Err(Error::new(format!("trailing characters at offset {}", parser.pos)));
     }
-    T::from_value(&value).map_err(Error::new)
+    T::from_owned(value).map_err(Error::new)
 }
+
+/// The deepest nesting of arrays and objects a document may have
+/// (`serde_json`'s default). The parser recurses once per level, so the cap
+/// is what keeps a hostile frame from overflowing a reader thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Integral values below this magnitude are exact in an `f64` and are
+/// written, and read, as plain integers.
+const EXACT_INTEGER: f64 = 9_007_199_254_740_992.0; // 2^53
+
+/// Digit strings this short are below 10^15 < 2^53, so the parser folds
+/// them into an exact `f64` without `str::parse`.
+const FAST_DIGITS: usize = 15;
 
 fn write_value(value: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
     match value {
@@ -118,36 +132,59 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+/// Writes `n` as its `Display` form straight into `out`. `Display` never
+/// uses an exponent, prints integral values without a fraction (`3`, not
+/// `3.0`) and keeps the sign of zero (`-0`); an exact integer other than
+/// `-0` prints the same digits as integer formatting, which is cheaper.
 fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         // JSON has no Inf/NaN; serde_json renders them as null.
         out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < EXACT_INTEGER && !(n == 0.0 && n.is_sign_negative()) {
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{}", n as i64);
     } else {
-        // `Display` never uses an exponent, prints integral values without a
-        // fraction (`3`, not `3.0`) and keeps the sign of zero (`-0`).
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
+/// Writes `s` quoted, copying each run of bytes that needs no escape in one
+/// piece. Only `"`, `\` and control characters are escaped; every byte
+/// that is one of them is ASCII, so the runs split on char boundaries.
 fn write_escaped(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`, at most [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -180,8 +217,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             other => Err(Error::new(format!(
                 "unexpected {:?} at offset {}",
@@ -202,11 +239,22 @@ impl<'a> Parser<'a> {
 
     fn parse_number(&mut self) -> Result<Value> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
+        let digits = self.pos;
+        let mut integer = 0u64;
+        while let Some(b) = self.peek().filter(u8::is_ascii_digit) {
+            integer = integer.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
             self.pos += 1;
+        }
+        let whole = (1..=FAST_DIGITS).contains(&(self.pos - digits))
+            && !matches!(self.peek(), Some(b'.' | b'e' | b'E'));
+        if whole {
+            // Below 10^15 the conversion is exact, and negating keeps `-0`.
+            let n = integer as f64;
+            return Ok(Value::Number(if negative { -n } else { n }));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -223,17 +271,37 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("invalid number bytes"))?;
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Value::Number)
             .map_err(|_| Error::new(format!("invalid number `{text}` at offset {start}")))
+    }
+
+    /// The four hex digits at `at`, as a code unit.
+    fn hex4(&self, at: usize) -> Result<u32> {
+        let digits =
+            self.bytes.get(at..at + 4).ok_or_else(|| Error::new("truncated \\u escape"))?;
+        digits.iter().try_fold(0u32, |code, &b| {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| Error::new(format!("invalid \\u escape at offset {at}")))?;
+            Ok(code << 4 | digit)
+        })
+    }
+
+    /// The low surrogate escaped at `at`, if one is there.
+    fn low_surrogate(&self, at: usize) -> Option<u32> {
+        if self.bytes.get(at..at + 2) != Some(b"\\u") {
+            return None;
+        }
+        self.hex4(at + 2).ok().filter(|code| (0xDC00..=0xDFFF).contains(code))
     }
 
     fn parse_string(&mut self) -> Result<String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // A run ends at an ASCII byte or the end, so it is whole UTF-8.
             let start = self.pos;
             while let Some(&b) = self.bytes.get(self.pos) {
                 if b == b'"' || b == b'\\' {
@@ -241,10 +309,7 @@ impl<'a> Parser<'a> {
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error::new("invalid UTF-8 in string"))?,
-            );
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -262,20 +327,23 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::new("invalid \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::new("invalid \\u escape"))?;
-                            // Surrogate pairs are rare in this workspace's
-                            // data; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                            // RFC 8259 §7: a character outside the BMP is
+                            // escaped as a surrogate pair; a lone surrogate
+                            // names no character and reads as U+FFFD.
+                            let code = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            let c = match code {
+                                0xD800..=0xDBFF => {
+                                    self.low_surrogate(self.pos + 1).and_then(|low| {
+                                        self.pos += 6;
+                                        char::from_u32(
+                                            0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00),
+                                        )
+                                    })
+                                }
+                                _ => char::from_u32(code),
+                            };
+                            out.push(c.unwrap_or('\u{FFFD}'));
                         }
                         other => {
                             return Err(Error::new(format!(
@@ -290,6 +358,21 @@ impl<'a> Parser<'a> {
                 _ => return Err(Error::new("unterminated string")),
             }
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value> {
@@ -380,5 +463,55 @@ mod tests {
     fn integers_render_without_decimal_point() {
         assert_eq!(to_string(&Value::Number(56.0)).unwrap(), "56");
         assert_eq!(to_string(&Value::Number(0.5)).unwrap(), "0.5");
+        assert_eq!(to_string(&Value::Number(-0.0)).unwrap(), "-0");
+        assert_eq!(
+            to_string(&Value::Number(-9_007_199_254_740_991.0)).unwrap(),
+            "-9007199254740991"
+        );
+        assert_eq!(to_string(&Value::Number(1e300)).unwrap(), format!("{}", 1e300));
+        let zero: Value = from_str("-0").unwrap();
+        assert!(zero.as_f64().is_some_and(|z| z == 0.0 && z.is_sign_negative()));
+    }
+
+    /// RFC 8259 §7: a character outside the Basic Multilingual Plane is
+    /// escaped as a UTF-16 surrogate pair, which is how Python's default
+    /// `json.dumps` sends it.
+    #[test]
+    fn unicode_escapes_decode_surrogate_pairs() {
+        let parse = |text: &str| from_str::<Value>(text).map(|v| v.as_str().map(str::to_string));
+        assert_eq!(parse(r#""\ud83d\ude00""#), Ok(Some("\u{1F600}".into())));
+        assert_eq!(parse(r#""a\u00e9\u0041""#), Ok(Some("aéA".into())));
+        // A lone surrogate names no character.
+        assert_eq!(parse(r#""\ud83d""#), Ok(Some("\u{FFFD}".into())));
+        assert_eq!(parse(r#""\ude00x""#), Ok(Some("\u{FFFD}x".into())));
+        assert_eq!(parse(r#""\ud83d\u0041""#), Ok(Some("\u{FFFD}A".into())));
+        assert_eq!(parse(r#""\ud83d\ud83d\ude00""#), Ok(Some("\u{FFFD}\u{1F600}".into())));
+        // Exactly four hex digits: no sign, no short form.
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u004""#, r#""\u00g1""#, r#""\u12"#] {
+            assert!(from_str::<Value>(bad).is_err(), "`{bad}` should not parse");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(from_str::<Value>(&objects).is_err());
+        // Siblings do not add up: depth is how many are open at once.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","));
+        assert!(from_str::<Value>(&wide).is_ok());
+    }
+
+    /// A frame of a hundred thousand brackets is refused, on a thread with
+    /// the default stack a server's reader thread has, instead of
+    /// overflowing it.
+    #[test]
+    fn deep_documents_are_refused_on_a_default_stack() {
+        let text = format!(r#"{{"x":{}"#, "[".repeat(100_000));
+        let parsed = std::thread::spawn(move || from_str::<Value>(&text).is_err()).join();
+        assert_eq!(parsed.ok(), Some(true));
     }
 }

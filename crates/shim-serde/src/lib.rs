@@ -7,6 +7,7 @@
 //! matching [`Deserialize`], and `#[derive(Serialize)]` /
 //! `#[derive(Deserialize)]` via the `serde_derive` shim.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 // Lets the derive macros' `::serde::...` paths resolve inside this crate's
@@ -121,16 +122,34 @@ impl PartialEq<str> for Value {
 /// Lowers a value into a [`Value`] tree.
 pub trait Serialize {
     fn to_value(&self) -> Value;
+
+    /// The tree a writer renders: lowered into a fresh tree by default,
+    /// lent as it stands by a value that already is one, so writing a
+    /// [`Value`] copies nothing.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// Rebuilds a value from a [`Value`] tree.
 pub trait Deserialize: Sized {
     fn from_value(value: &Value) -> Result<Self, String>;
+
+    /// Rebuilds a value from a tree the caller gives up, as a parser does:
+    /// through [`Deserialize::from_value`] by default, while a [`Value`]
+    /// is the tree itself.
+    fn from_owned(value: Value) -> Result<Self, String> {
+        Self::from_value(&value)
+    }
 }
 
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 
@@ -194,11 +213,19 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (*self).to_value()
     }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (*self).as_value()
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
     }
 }
 
@@ -241,6 +268,10 @@ impl Deserialize for Value {
     fn from_value(value: &Value) -> Result<Self, String> {
         Ok(value.clone())
     }
+
+    fn from_owned(value: Value) -> Result<Self, String> {
+        Ok(value)
+    }
 }
 
 #[cfg(test)]
@@ -275,5 +306,22 @@ mod tests {
         assert_eq!(v, "Beta");
         assert_eq!(Kind::from_value(&v).unwrap(), Kind::Beta);
         assert!(Kind::from_value(&Value::String("Gamma".into())).is_err());
+        assert_eq!(Kind::from_owned(v).unwrap(), Kind::Beta);
+    }
+
+    #[test]
+    fn a_value_is_lent_and_taken_as_it_stands() {
+        let v = Value::Array(vec![Value::Number(1.0), Value::String("a".into())]);
+        assert!(matches!(v.as_value(), Cow::Borrowed(b) if std::ptr::eq(b, &v)));
+        assert!(matches!((&&v).as_value(), Cow::Borrowed(b) if std::ptr::eq(b, &v)));
+        assert!(matches!(vec![1u8].as_value(), Cow::Owned(_)));
+        let items = match &v {
+            Value::Array(items) => items.as_ptr(),
+            _ => unreachable!(),
+        };
+        match Value::from_owned(v).unwrap() {
+            Value::Array(back) => assert!(std::ptr::eq(back.as_ptr(), items)),
+            other => panic!("{other:?}"),
+        }
     }
 }
