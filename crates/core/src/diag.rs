@@ -245,39 +245,6 @@ impl DiagCode {
             _ => Severity::Error,
         }
     }
-
-    /// A one-line description for the code catalog (docs, `--explain`).
-    pub fn summary(&self) -> &'static str {
-        match self {
-            DiagCode::E001 => "statement does not parse",
-            DiagCode::E002 => "unknown cube",
-            DiagCode::E003 => "unknown level",
-            DiagCode::E004 => "unknown measure",
-            DiagCode::E005 => "unknown member",
-            DiagCode::E006 => "unknown function in `using`",
-            DiagCode::E007 => "wrong number of arguments",
-            DiagCode::E008 => "unknown labeling function",
-            DiagCode::E009 => "labeling has no rules",
-            DiagCode::E010 => "empty labeling range",
-            DiagCode::E011 => "overlapping labeling ranges",
-            DiagCode::E012 => "invalid benchmark",
-            DiagCode::E013 => "sibling benchmark selects the target's own slice",
-            DiagCode::E014 => "insufficient history for `past k`",
-            DiagCode::E015 => "`using` references the wrong benchmark measure",
-            DiagCode::E016 => "invalid group-by set",
-            DiagCode::E017 => "invalid statement",
-            DiagCode::E018 => "self-contradictory predicates select an empty cube",
-            DiagCode::W101 => "labeling ranges leave gaps",
-            DiagCode::W102 => "benchmark is never used",
-            DiagCode::W103 => "division by a constant-zero benchmark",
-            DiagCode::W104 => "borderline history for `past k`",
-            DiagCode::W105 => "only the naive strategy is feasible on a large target",
-            DiagCode::W106 => "pivot-optimized plan would be very wide",
-            DiagCode::W107 => "duplicate subplan across the workload",
-            DiagCode::W108 => "get target is subsumed by another statement's target",
-            DiagCode::W109 => "statement dominates the workload's estimated cost",
-        }
-    }
 }
 
 impl fmt::Display for DiagCode {

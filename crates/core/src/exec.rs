@@ -244,30 +244,6 @@ impl AssessRunner {
         self.bind(statement, spans).diagnostics
     }
 
-    /// Analyzer-gated execution: binds once, refuses to plan when the
-    /// binding reports errors, and otherwise runs the bound statement. On
-    /// success the third element carries any warnings; on failure every
-    /// diagnostic is returned (an execution error after a clean check is
-    /// mapped through [`Diagnostic::from_error`]).
-    pub fn run_checked(
-        &self,
-        statement: &AssessStatement,
-        spans: Option<&StatementSpans>,
-    ) -> Result<(AssessedCube, ExecutionReport, Vec<Diagnostic>), Vec<Diagnostic>> {
-        let Binding { resolved, mut diagnostics } = self.bind(statement, spans);
-        if diagnostics.iter().any(|d| d.is_error()) {
-            return Err(diagnostics);
-        }
-        match resolved.and_then(|resolved| self.run_with(&resolved, None, false)) {
-            Ok((cube, report, _)) => Ok((cube, report, diagnostics)),
-            Err(e) => {
-                let span = spans.map(|s| s.span).unwrap_or_default();
-                diagnostics.push(Diagnostic::from_error(&e, span));
-                Err(diagnostics)
-            }
-        }
-    }
-
     /// Resolves, plans and executes a statement under a strategy.
     pub fn run(
         &self,

@@ -369,12 +369,6 @@ impl AssessedCube {
         }
         out
     }
-
-    /// Serializes every cell as a JSON array (via [`AssessedCell`]'s
-    /// `Serialize` implementation).
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string_pretty(&self.cells())
-    }
 }
 
 #[cfg(test)]

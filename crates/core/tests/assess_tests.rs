@@ -883,7 +883,7 @@ fn results_export_to_csv_and_json() {
     assert_eq!(lines.len(), 1 + result.len());
     assert_eq!(lines[0], "country,quantity,benchmark.quantity,delta,label");
     assert!(lines[1].starts_with("Italy,256,200,56,"));
-    let json = result.to_json().unwrap();
+    let json = serde_json::to_string_pretty(&result.cells()).unwrap();
     let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
     assert_eq!(parsed.as_array().unwrap().len(), result.len());
     assert_eq!(parsed[0]["coordinate"][0], "Italy");

@@ -11,8 +11,7 @@
 //! entry records the (even) version it was computed under, a lookup under
 //! any other version removes the entry, and an insert is refused when a
 //! mutation was in flight (odd version) or the version moved during the
-//! run. [`ResultCache::invalidate_all`] additionally supports explicit
-//! wholesale invalidation (the protocol's `invalidate_cache` op).
+//! run. This check is the cache's only invalidation.
 //!
 //! Appends are gentler than the version check alone would be:
 //! [`ResultCache::apply_delta`] carries the cache across one committed
@@ -202,17 +201,6 @@ impl<T> ResultCache<T> {
         (patched, evicted)
     }
 
-    /// Drops every entry (explicit invalidation); returns how many were
-    /// dropped.
-    pub fn invalidate_all(&self) -> usize {
-        let mut inner = self.lock();
-        let dropped = inner.entries.len();
-        inner.entries.clear();
-        drop(inner);
-        self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
-        dropped
-    }
-
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -291,17 +279,6 @@ mod tests {
         let cache: ResultCache<u32> = ResultCache::new(0);
         cache.insert("k".into(), 7, 0);
         assert!(cache.lookup("k", 0).is_none());
-    }
-
-    #[test]
-    fn invalidate_all_empties_and_counts() {
-        let cache: ResultCache<u32> = ResultCache::new(4);
-        cache.insert("a".into(), 1, 0);
-        cache.insert("b".into(), 2, 0);
-        assert_eq!(cache.invalidate_all(), 2);
-        assert_eq!(cache.stats().len, 0);
-        assert_eq!(cache.stats().invalidations, 2);
-        assert!(cache.lookup("a", 0).is_none());
     }
 
     #[test]

@@ -309,7 +309,7 @@ impl LineClient {
         self.request(fields)
     }
 
-    /// Fetches the registry snapshots (text exposition plus JSON).
+    /// Fetches the registry snapshots as a text exposition.
     pub fn metrics(&mut self) -> std::io::Result<Value> {
         self.request(vec![("op", s("metrics"))])
     }
@@ -343,10 +343,6 @@ impl LineClient {
 
     pub fn stats(&mut self) -> std::io::Result<Value> {
         self.request(vec![("op", s("stats"))])
-    }
-
-    pub fn history(&mut self) -> std::io::Result<Value> {
-        self.request(vec![("op", s("history"))])
     }
 
     pub fn set_policy(

@@ -11,7 +11,7 @@
 //! and is layered bottom-up:
 //!
 //! * [`protocol`] — the wire format: requests (`auth`, `check`, `run`,
-//!   `explain`, `stats`, `history`, `set_policy`, `cancel`, `ping`) parsed
+//!   `explain`, `stats`, `set_policy`, `cancel`, `ping`, …) parsed
 //!   from JSON lines, responses built back into JSON lines, diagnostics
 //!   rendered via `assess_core::diag`;
 //! * [`tenant`] — tenant identity: the API-key directory loaded from a
@@ -19,7 +19,7 @@
 //!   (max in-flight, max queued, requests/second) and policy ceiling, with
 //!   a built-in anonymous tenant for unauthenticated sessions;
 //! * [`session`] — per-connection state: session id, bound tenant, default
-//!   [`ExecutionPolicy`](assess_core::ExecutionPolicy), statement history,
+//!   [`ExecutionPolicy`](assess_core::ExecutionPolicy), a latency histogram,
 //!   the in-flight run registry used for cancellation, and idle-eviction
 //!   bookkeeping;
 //! * [`admission`] — tenant-aware admission control: per-tenant quotas and
@@ -67,7 +67,7 @@ pub use cache::{cache_key, policy_fingerprint, CacheStats, ResultCache};
 pub use client::{LineClient, RetryPolicy};
 pub use protocol::{parse_request, Op, ProtoError, Request, RunFormat, RunOptions};
 pub use server::{serve, ServerConfig, ServerHandle};
-pub use session::{HistoryEntry, Session, SessionRegistry};
+pub use session::{Session, SessionRegistry};
 pub use shard::{RemoteShard, DEFAULT_SHARD_TIMEOUT};
 pub use subscribe::{apply_diff, DiffFrame, SubscriptionManager};
 pub use tenant::{TenantDirectory, TenantId, TenantSpec, ANONYMOUS};

@@ -96,9 +96,8 @@ pub enum Op {
         statement: String,
     },
     Stats,
-    /// Registry snapshots: Prometheus-style text exposition plus JSON.
+    /// Registry snapshots as one Prometheus-style text exposition.
     Metrics,
-    History,
     SetPolicy {
         deadline_ms: Option<u64>,
         max_rows_scanned: Option<u64>,
@@ -108,7 +107,6 @@ pub enum Op {
     Cancel {
         target: u64,
     },
-    InvalidateCache,
     /// Appends a fact batch: `{"op":"append","id":N,"cube":"SSB",
     /// "rows":{"col":[...], ...}}`. The rows object maps column names to
     /// equal-length arrays of numbers; the server types them against the
@@ -155,10 +153,8 @@ impl Op {
             Op::Explain { .. } => "explain",
             Op::Stats => "stats",
             Op::Metrics => "metrics",
-            Op::History => "history",
             Op::SetPolicy { .. } => "set_policy",
             Op::Cancel { .. } => "cancel",
-            Op::InvalidateCache => "invalidate_cache",
             Op::Append { .. } => "append",
             Op::Subscribe { .. } => "subscribe",
             Op::Unsubscribe { .. } => "unsubscribe",
@@ -267,8 +263,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
         "explain" => Op::Explain { statement: statement(&value)? },
         "stats" => Op::Stats,
         "metrics" => Op::Metrics,
-        "history" => Op::History,
-        "invalidate_cache" => Op::InvalidateCache,
         "set_policy" => Op::SetPolicy {
             deadline_ms: get_u64(&value, "deadline_ms"),
             max_rows_scanned: get_u64(&value, "max_rows_scanned"),
@@ -455,21 +449,6 @@ pub fn overload_response(id: Option<u64>, code: &str, message: &str, retry_after
     error_response_with(id, code, message, vec![("retry_after_ms", n(retry_after_ms))])
 }
 
-/// Like [`error_response`], with diagnostics attached.
-pub fn error_with_diagnostics(
-    id: Option<u64>,
-    code: &str,
-    message: &str,
-    diagnostics: &[Diagnostic],
-    source: Option<&str>,
-) -> Value {
-    let mut value = error_response(id, code, message);
-    if let Value::Object(fields) = &mut value {
-        fields.push(("diagnostics".to_string(), diagnostics_json(diagnostics, source)));
-    }
-    value
-}
-
 /// Renders diagnostics as a JSON array via [`Diagnostic::to_json`].
 pub fn diagnostics_json(diagnostics: &[Diagnostic], source: Option<&str>) -> Value {
     Value::Array(diagnostics.iter().map(|d| d.to_json(source)).collect())
@@ -496,11 +475,6 @@ mod tests {
         assert!(matches!(parse_request(r#"{"op":"ping"}"#).unwrap().op, Op::Ping));
         assert!(matches!(parse_request(r#"{"op":"stats","id":3}"#).unwrap().op, Op::Stats));
         assert!(matches!(parse_request(r#"{"op":"metrics"}"#).unwrap().op, Op::Metrics));
-        assert!(matches!(parse_request(r#"{"op":"history"}"#).unwrap().op, Op::History));
-        assert!(matches!(
-            parse_request(r#"{"op":"invalidate_cache"}"#).unwrap().op,
-            Op::InvalidateCache
-        ));
         let check = parse_request(r#"{"op":"check","statement":"with s by x assess m"}"#).unwrap();
         assert!(matches!(check.op, Op::Check { .. }));
         let cancel = parse_request(r#"{"op":"cancel","target":7}"#).unwrap();

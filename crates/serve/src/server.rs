@@ -13,8 +13,8 @@
 //!   [`ServerConfig::max_sessions`], so the spawn-per-connection readers
 //!   are bounded too;
 //! * each **reader** thread parses request lines and answers quick ops
-//!   (`ping`, `check`, `explain`, `stats`, `history`, `set_policy`,
-//!   `cancel`, `invalidate_cache`) inline. `run` requests pass admission
+//!   (`ping`, `check`, `explain`, `stats`, `metrics`, `set_policy`,
+//!   `cancel`, …) inline. `run` requests pass admission
 //!   control and are enqueued for the executor pool, so the reader stays
 //!   responsive during long runs — that is what makes `cancel` (and
 //!   EOF-triggered cancellation on a dropped connection) work;
@@ -48,7 +48,7 @@ use serde::Value;
 use crate::admission::{self, Admission, FairQueue, Permit, ShedLevel};
 use crate::cache::{cache_key, policy_fingerprint, CacheStats, ResultCache};
 use crate::protocol::{self, n, s, BatchOptions, Op, PartialOptions, RunOptions};
-use crate::session::{HistoryEntry, Session, SessionRegistry};
+use crate::session::{Session, SessionRegistry};
 use crate::shard;
 use crate::statement::{self, Refusal};
 use crate::subscribe::{self, SubscriptionManager};
@@ -121,11 +121,8 @@ impl Default for ServerConfig {
 pub struct CachedResult {
     pub cube: AssessedCube,
     pub strategy: Strategy,
-    pub plan: String,
     pub rows_scanned: usize,
     pub attempts: usize,
-    /// Wall-clock of the original (cold) execution.
-    pub elapsed_ms: u64,
     /// The statement's target query and, unless its benchmark is a
     /// constant, its benchmark query: what the result read, for deciding
     /// whether an append leaves it exact.
@@ -178,7 +175,7 @@ impl RunCounters {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The `runs` object of `stats`, also the `serve` section of `metrics`.
+    /// The `runs` object of `stats`.
     fn to_json(&self) -> Value {
         protocol::obj(vec![
             ("executed", n(self.executed.load(Ordering::Relaxed))),
@@ -307,12 +304,6 @@ impl ServerHandle {
     /// Result-cache counters (also available to clients via `stats`).
     pub fn cache_stats(&self) -> CacheStats {
         self.shared.cache.stats()
-    }
-
-    /// Explicit wholesale cache invalidation, for callers that mutate the
-    /// catalog out-of-band; returns the number of entries dropped.
-    pub fn invalidate_cache(&self) -> usize {
-        self.shared.cache.invalidate_all()
     }
 
     /// Graceful shutdown: stop accepting, let readers notice within one
@@ -622,7 +613,6 @@ fn handle_line(shared: &Arc<Shared>, session: &Arc<Session>, writer: &SharedWrit
         Op::Explain { statement } => explain_response(shared, id, &statement),
         Op::Stats => stats_response(shared, session, id),
         Op::Metrics => metrics_response(shared, id),
-        Op::History => history_response(session, id),
         Op::SetPolicy { deadline_ms, max_rows_scanned, max_output_cells, max_threads } => {
             let policy = ExecutionPolicy {
                 deadline: deadline_ms.map(Duration::from_millis),
@@ -637,10 +627,6 @@ fn handle_line(shared: &Arc<Shared>, session: &Arc<Session>, writer: &SharedWrit
         Op::Cancel { target } => {
             let cancelled = session.cancel_run(target);
             protocol::ok_response(id, vec![("cancelled", Value::Bool(cancelled))])
-        }
-        Op::InvalidateCache => {
-            let dropped = shared.cache.invalidate_all();
-            protocol::ok_response(id, vec![("invalidated", n(dropped as u64))])
         }
         Op::Unsubscribe { target } => {
             let removed = shared.subs.unregister(session.id(), target);
@@ -759,14 +745,6 @@ fn executor_loop(shared: Arc<Shared>) {
             // Cancelled before an executor got to it: nothing is parsed,
             // checked or run, whatever the op.
             shared.runs.refused("cancelled");
-            if let Payload::Run(opts) = &job.payload {
-                job.session.record(HistoryEntry {
-                    statement: opts.statement.clone(),
-                    outcome: "cancelled".to_string(),
-                    elapsed_ms: 0,
-                    cells: 0,
-                });
-            }
             protocol::error_response(Some(job.request_id), "cancelled", "cancelled while queued")
         } else {
             match &job.payload {
@@ -777,9 +755,11 @@ fn executor_loop(shared: Arc<Shared>) {
                 Payload::Partial(opts) => execute_partial(&shared, &job, opts),
             }
         };
+        let elapsed = t0.elapsed();
         let counters = shared.admission.counters(job.permit.tenant());
         counters.completed.fetch_add(1, Ordering::Relaxed);
-        counters.latency.observe(t0.elapsed());
+        counters.latency.observe(elapsed);
+        job.session.observe(elapsed);
         job.session.finish_run(job.request_id);
         let writer = job.writer.clone();
         // Release the admission permit *before* the response goes out: a
@@ -791,32 +771,17 @@ fn executor_loop(shared: Arc<Shared>) {
     }
 }
 
-/// Executes a `run` job. What is `run`'s own around the statement
-/// pipeline: the shared result cache (lookup before, scoped insert after),
-/// soft shedding, the session history and the response's run summary.
+/// Executes a `run` job: the answer of [`run_statement`], or its refusal.
 fn execute_run(shared: &Shared, job: &Job, opts: &RunOptions) -> Value {
-    let t0 = Instant::now();
-    let (response, outcome, cells) = match run_statement(shared, job, opts, t0) {
-        Ok(done) => done,
-        Err(refusal) => (refusal.response(Some(job.request_id), &opts.statement), refusal.code, 0),
-    };
-    job.session.record(HistoryEntry {
-        statement: opts.statement.clone(),
-        outcome: outcome.to_string(),
-        elapsed_ms: ms(t0.elapsed()),
-        cells,
-    });
-    response
+    run_statement(shared, job, opts)
+        .unwrap_or_else(|refusal| refusal.response(Some(job.request_id), &opts.statement))
 }
 
-/// The body of [`execute_run`]: the response, the history outcome
-/// (`cached` / `ok`) and the cell count, or the refusal.
-fn run_statement(
-    shared: &Shared,
-    job: &Job,
-    opts: &RunOptions,
-    t0: Instant,
-) -> Result<(Value, &'static str, usize), Refusal> {
+/// What is `run`'s own around the statement pipeline: the shared result
+/// cache (lookup before, scoped insert after), soft shedding and the
+/// response's run summary.
+fn run_statement(shared: &Shared, job: &Job, opts: &RunOptions) -> Result<Value, Refusal> {
+    let t0 = Instant::now();
     let prepared = statement::prepare(shared, &opts.statement)?;
 
     // Soft shedding: under pressure the run still executes, but trace
@@ -868,7 +833,7 @@ fn run_statement(
                     TraceSpan::new("cache_hit", t0.elapsed()).with_rows(hit.cube.len() as u64)
                 ],
             });
-            return Ok((respond(&hit, true, trace), "cached", hit.cube.len()));
+            return Ok(respond(&hit, true, trace));
         }
     }
 
@@ -886,20 +851,18 @@ fn run_statement(
     let result = CachedResult {
         cube,
         strategy: report.strategy,
-        plan: report.plan,
         rows_scanned: report.rows_scanned,
         attempts: report.attempts.len(),
-        elapsed_ms: ms(t0.elapsed()),
         queries,
     };
-    let (response, cells) = (respond(&result, false, trace), result.cube.len());
+    let response = respond(&result, false, trace);
     // Only cache results the catalog provably did not shift under: same
     // even version before and after the run. Under shedding, skip the
     // insert entirely.
     if opts.cache && shed == ShedLevel::Full && catalog.version() == version_before {
         shared.cache.insert(key, result, version_before);
     }
-    Ok((response, "ok", cells))
+    Ok(response)
 }
 
 /// Executes a `batch` job: every statement is prepared on its own, the
@@ -932,7 +895,6 @@ fn execute_batch(shared: &Shared, job: &Job, opts: &BatchOptions) -> Value {
     let mut items = std::mem::take(&mut outcome.items).into_iter();
 
     let mut ok_count = 0usize;
-    let mut total_cells = 0usize;
     let results: Vec<Value> = slots
         .into_iter()
         .zip(&opts.statements)
@@ -950,7 +912,6 @@ fn execute_batch(shared: &Shared, job: &Job, opts: &BatchOptions) -> Value {
             };
             shared.runs.executed.fetch_add(1, Ordering::Relaxed);
             ok_count += 1;
-            total_cells += cube.len();
             let mut fields = vec![
                 ("ok", Value::Bool(true)),
                 ("strategy", s(report.strategy.acronym())),
@@ -980,22 +941,11 @@ fn execute_batch(shared: &Shared, job: &Job, opts: &BatchOptions) -> Value {
             ])
         })
         .collect();
-    let elapsed_ms = ms(t0.elapsed());
-    job.session.record(HistoryEntry {
-        statement: format!("batch({} statements)", opts.statements.len()),
-        outcome: if ok_count == opts.statements.len() {
-            "ok".to_string()
-        } else {
-            format!("{ok_count}/{} ok", opts.statements.len())
-        },
-        elapsed_ms,
-        cells: total_cells,
-    });
     let mut fields = vec![
         ("batch", Value::Bool(true)),
         ("count", n(opts.statements.len() as u64)),
         ("succeeded", n(ok_count as u64)),
-        ("elapsed_ms", n(elapsed_ms)),
+        ("elapsed_ms", n(ms(t0.elapsed()))),
         ("shared_scans", Value::Array(shared_scans)),
         ("results", Value::Array(results)),
     ];
@@ -1045,19 +995,11 @@ fn execute_partial(shared: &Shared, job: &Job, opts: &PartialOptions) -> Value {
         engine = engine.with_thread_cap(threads);
     }
 
-    let outcome = engine.get_partial(&query);
-    let elapsed_ms = ms(t0.elapsed());
-    job.session.record(HistoryEntry {
-        statement: format!("partial({})", query.cube),
-        outcome: if outcome.is_ok() { "ok" } else { "failed" }.to_string(),
-        elapsed_ms,
-        cells: outcome.as_ref().map_or(0, |partial| partial.partial.len()),
-    });
-    match outcome {
+    match engine.get_partial(&query) {
         Ok(partial) => {
             shared.runs.executed.fetch_add(1, Ordering::Relaxed);
             let mut fields = shard::partial_fields(&partial);
-            fields.push(("elapsed_ms", n(elapsed_ms)));
+            fields.push(("elapsed_ms", n(ms(t0.elapsed()))));
             protocol::ok_response(id, fields)
         }
         Err(e) => {
@@ -1153,13 +1095,6 @@ fn execute_append(shared: &Shared, job: &Job, cube: &str, rows: &Value) -> Value
     let (notified, lagged) = notify_subscriptions(shared, outcome.version());
     drop(guard);
 
-    let elapsed_ms = ms(t0.elapsed());
-    job.session.record(HistoryEntry {
-        statement: format!("append({cube}, {} rows)", outcome.appended()),
-        outcome: "ok".to_string(),
-        elapsed_ms,
-        cells: 0,
-    });
     protocol::ok_response(
         id,
         vec![
@@ -1175,7 +1110,7 @@ fn execute_append(shared: &Shared, job: &Job, cube: &str, rows: &Value) -> Value
             ("cache_evicted", n(evicted as u64)),
             ("subscriptions_notified", n(notified)),
             ("subscriptions_lagged", n(lagged)),
-            ("elapsed_ms", n(elapsed_ms)),
+            ("elapsed_ms", n(ms(t0.elapsed()))),
         ],
     )
 }
@@ -1251,13 +1186,6 @@ fn execute_subscribe(shared: &Shared, job: &Job, statement: &str) -> Value {
             )
         }
     };
-    let elapsed_ms = ms(t0.elapsed());
-    job.session.record(HistoryEntry {
-        statement: statement.to_string(),
-        outcome: format!("subscribed #{}", sub.id()),
-        elapsed_ms,
-        cells,
-    });
     protocol::ok_response(
         id,
         vec![
@@ -1266,7 +1194,7 @@ fn execute_subscribe(shared: &Shared, job: &Job, statement: &str) -> Value {
             ("strategy", s(report.strategy.acronym())),
             ("version", n(shared.engine.catalog().version())),
             ("rows", Value::Array(rows)),
-            ("elapsed_ms", n(elapsed_ms)),
+            ("elapsed_ms", n(ms(t0.elapsed()))),
         ],
     )
 }
@@ -1331,22 +1259,6 @@ fn explain_response(shared: &Shared, id: Option<u64>, statement: &str) -> Value 
         Ok(text) => protocol::ok_response(id, vec![("explain", s(text))]),
         Err(e) => protocol::error_response(id, "explain_error", &e.to_string()),
     }
-}
-
-fn history_response(session: &Session, id: Option<u64>) -> Value {
-    let entries: Vec<Value> = session
-        .history()
-        .into_iter()
-        .map(|entry| {
-            protocol::obj(vec![
-                ("statement", s(entry.statement)),
-                ("outcome", s(entry.outcome)),
-                ("elapsed_ms", n(entry.elapsed_ms)),
-                ("cells", n(entry.cells as u64)),
-            ])
-        })
-        .collect();
-    protocol::ok_response(id, vec![("history", Value::Array(entries))])
 }
 
 fn policy_json(policy: &ExecutionPolicy) -> Value {
@@ -1521,7 +1433,7 @@ fn engine_metrics_json(shared: &Shared) -> Value {
 
 /// The `metrics` verb: one Prometheus-style text exposition over every
 /// registry (core query metrics, engine scan metrics, the scan pool and the
-/// serving layer's own counters), plus the same snapshots as JSON.
+/// serving layer's own counters). `stats` is their JSON form.
 fn metrics_response(shared: &Shared, id: Option<u64>) -> Value {
     let core = obs::query_metrics().snapshot();
     let engine = shared.engine.metrics().snapshot();
@@ -1698,12 +1610,7 @@ fn metrics_response(shared: &Shared, id: Option<u64>) -> Value {
         &latencies,
     );
 
-    let metrics = protocol::obj(vec![
-        ("core", core.to_json()),
-        ("engine", engine_metrics_json(shared)),
-        ("serve", shared.runs.to_json()),
-    ]);
-    protocol::ok_response(id, vec![("exposition", s(exp.finish())), ("metrics", metrics)])
+    protocol::ok_response(id, vec![("exposition", s(exp.finish()))])
 }
 
 #[cfg(test)]

@@ -3,18 +3,18 @@
 //! Every accepted connection opens one [`Session`] in the shared
 //! [`SessionRegistry`]. A session carries the connection's default
 //! [`ExecutionPolicy`] (adjustable via `set_policy`, always clamped by the
-//! server's ceiling at run time), a bounded statement history, and the
-//! in-flight run registry: request id → [`CancelToken`]. Cancellation —
-//! whether from a client `cancel` op or from the connection dropping —
-//! goes through that registry and fires the token every governor of the
-//! run's fallback ladder observes.
+//! server's ceiling at run time), a latency histogram over its admitted
+//! jobs, and the in-flight run registry: request id → [`CancelToken`].
+//! Cancellation — whether from a client `cancel` op or from the connection
+//! dropping — goes through that registry and fires the token every
+//! governor of the run's fallback ladder observes.
 //!
 //! Idle eviction is cooperative: the connection's reader thread polls with
 //! a short socket read timeout, asks [`Session::idle_for`] how long the
 //! session has been quiet, and closes the connection once the server's
 //! idle timeout has passed with nothing in flight.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -25,19 +25,6 @@ use olap_engine::CancelToken;
 
 use crate::tenant::{TenantId, ANONYMOUS};
 
-/// How many statements a session's history retains.
-const HISTORY_CAP: usize = 64;
-
-/// One executed (or attempted) statement in a session's history.
-#[derive(Debug, Clone)]
-pub struct HistoryEntry {
-    pub statement: String,
-    /// `"ok"`, `"cached"`, or the error code (`"cancelled"`, …).
-    pub outcome: String,
-    pub elapsed_ms: u64,
-    pub cells: usize,
-}
-
 /// Per-connection state. All fields are independently locked so the
 /// reader thread and the executor pool can touch one session concurrently.
 pub struct Session {
@@ -47,10 +34,10 @@ pub struct Session {
     /// op with a valid key rebinds it.
     tenant: Mutex<TenantId>,
     policy: Mutex<ExecutionPolicy>,
-    history: Mutex<VecDeque<HistoryEntry>>,
     in_flight: Mutex<HashMap<u64, CancelToken>>,
-    /// Wall-time histogram over this session's recorded statements
-    /// (cache hits included — it measures what the client experienced).
+    /// Wall-time histogram over this session's admitted jobs, from the
+    /// executor's pop to its response (cache hits and refusals included —
+    /// it measures what the client experienced).
     latency: Histogram,
 }
 
@@ -67,7 +54,6 @@ impl Session {
             last_activity: Mutex::new(Instant::now()),
             tenant: Mutex::new(ANONYMOUS),
             policy: Mutex::new(policy),
-            history: Mutex::new(VecDeque::new()),
             in_flight: Mutex::new(HashMap::new()),
             latency: Histogram::new(),
         }
@@ -106,24 +92,14 @@ impl Session {
         *lock(&self.policy) = policy;
     }
 
-    /// Appends to the bounded statement history and feeds the session's
-    /// latency histogram.
-    pub fn record(&self, entry: HistoryEntry) {
-        self.latency.observe(Duration::from_millis(entry.elapsed_ms));
-        let mut history = lock(&self.history);
-        if history.len() >= HISTORY_CAP {
-            history.pop_front();
-        }
-        history.push_back(entry);
+    /// Feeds one admitted job's wall time to the latency histogram.
+    pub fn observe(&self, elapsed: Duration) {
+        self.latency.observe(elapsed);
     }
 
     /// Snapshot of the session's statement-latency histogram.
     pub fn latency_snapshot(&self) -> HistogramSnapshot {
         self.latency.snapshot()
-    }
-
-    pub fn history(&self) -> Vec<HistoryEntry> {
-        lock(&self.history).iter().cloned().collect()
     }
 
     /// Registers a run's cancel token under its request id. Returns
@@ -285,33 +261,11 @@ mod tests {
     }
 
     #[test]
-    fn history_is_bounded() {
-        let registry = SessionRegistry::new(1);
-        let session = registry.open(ExecutionPolicy::default()).unwrap();
-        for i in 0..(HISTORY_CAP + 10) {
-            session.record(HistoryEntry {
-                statement: format!("stmt {i}"),
-                outcome: "ok".into(),
-                elapsed_ms: 1,
-                cells: 0,
-            });
-        }
-        let history = session.history();
-        assert_eq!(history.len(), HISTORY_CAP);
-        assert_eq!(history[0].statement, "stmt 10");
-    }
-
-    #[test]
     fn recording_feeds_the_latency_histogram() {
         let registry = SessionRegistry::new(1);
         let session = registry.open(ExecutionPolicy::default()).unwrap();
         for elapsed_ms in [0, 3, 40] {
-            session.record(HistoryEntry {
-                statement: "stmt".into(),
-                outcome: "ok".into(),
-                elapsed_ms,
-                cells: 0,
-            });
+            session.observe(Duration::from_millis(elapsed_ms));
         }
         let snap = session.latency_snapshot();
         assert_eq!(snap.count, 3);

@@ -78,13 +78,12 @@ impl Refusal {
     /// The top-level error response; `source` is the client's text, for
     /// the rendered carets.
     pub(crate) fn response(&self, id: Option<u64>, source: &str) -> Value {
-        protocol::error_with_diagnostics(
-            id,
-            self.code,
-            &self.message,
-            &self.diagnostics,
-            Some(source),
-        )
+        let mut response = protocol::error_response(id, self.code, &self.message);
+        if let Value::Object(fields) = &mut response {
+            let diagnostics = protocol::diagnostics_json(&self.diagnostics, Some(source));
+            fields.push(("diagnostics".to_string(), diagnostics));
+        }
+        response
     }
 
     /// The per-statement failure object inside a batch `results` array.
