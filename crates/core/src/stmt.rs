@@ -97,7 +97,7 @@ pub fn is_terminated(buffer: &str) -> bool {
 /// `normalize` lowercases exactly these words so `ASSESS` and `assess`
 /// produce the same cache key while member and measure identifiers keep
 /// their case (identifier resolution is case-sensitive).
-const KEYWORDS: &[&str] = &[
+pub const KEYWORDS: &[&str] = &[
     "with",
     "for",
     "by",
@@ -120,14 +120,19 @@ const KEYWORDS: &[&str] = &[
 /// * every maximal run of whitespace (including none, around punctuation)
 ///   becomes exactly one separating space between tokens;
 /// * keywords are lowercased (the parser matches them case-insensitively);
-/// * a trailing `;` is dropped;
-/// * string literals are kept verbatim, quotes included.
+/// * string literals are kept verbatim, quotes included;
+/// * a `+` or `-` right after a word's final `e` or `E` stays in the word,
+///   so a number keeps its exponent sign as the lexer reads it: `1e-5` is
+///   one token and `1e - 5` three.
 ///
-/// Two statements that differ only in comments, layout or keyword case
-/// normalize to identical strings — the equivalence the server's shared
-/// result cache keys on. The normal form is *not* parsed: ill-formed input
-/// still normalizes deterministically (and then misses the cache or fails
-/// in the parser as usual).
+/// Every other character is kept, `;` included, so a text the parser
+/// refuses (`… labels q;`) never shares a normal form with one it accepts.
+/// Two statements normalize to identical strings only if they lex to the
+/// same tokens, up to the ASCII case of an identifier spelled like a
+/// keyword — the equivalence the server's shared result cache keys on. The
+/// normal form is *not* parsed: ill-formed input still normalizes
+/// deterministically (and then misses the cache or fails in the parser as
+/// usual).
 pub fn normalize(statement: &str) -> String {
     let clean = strip_comments(statement);
     let mut out = String::with_capacity(clean.len());
@@ -162,10 +167,18 @@ pub fn normalize(statement: &str) -> String {
         } else if c.is_alphanumeric() || c == '_' || c == '#' || c == '.' {
             // Word-ish run: identifiers, numbers, dotted references. Dots
             // stay inside the run so `SSB_EXPECTED.revenue` and `1.5` stay
-            // single tokens.
+            // single tokens, and so does a `+`/`-` right after an `e` or
+            // `E`: the lexer reads `1e-5` as one number. An identifier
+            // ending in `e` keeps the sign too, which can only key texts
+            // apart, never join them.
             let mut word = String::new();
             while let Some(&d) = chars.peek() {
-                if d.is_alphanumeric() || d == '_' || d == '#' || d == '.' {
+                if d.is_alphanumeric()
+                    || d == '_'
+                    || d == '#'
+                    || d == '.'
+                    || ((d == '+' || d == '-') && word.ends_with(['e', 'E']))
+                {
                     word.push(d);
                     chars.next();
                 } else {
@@ -185,9 +198,7 @@ pub fn normalize(statement: &str) -> String {
         } else {
             // Punctuation: one token per character, so `assess*` and
             // `assess *` normalize identically.
-            if c != ';' {
-                push_token(&mut out, &c.to_string());
-            }
+            push_token(&mut out, &c.to_string());
             chars.next();
         }
     }
@@ -237,9 +248,11 @@ mod tests {
     #[test]
     fn normalize_collapses_whitespace_and_comments() {
         let a = "with SSB  by year,  mfgr\n  assess revenue against 5 labels q;";
-        let b = "with SSB by year, mfgr -- target\nassess revenue against 5 labels q";
+        let b = "with SSB by year, mfgr -- target\nassess revenue against 5 labels q ;";
         assert_eq!(normalize(a), normalize(b));
-        assert_eq!(normalize(a), "with SSB by year , mfgr assess revenue against 5 labels q");
+        assert_eq!(normalize(a), "with SSB by year , mfgr assess revenue against 5 labels q ;");
+        // A `;` is a token like any other punctuation: the parser refuses it.
+        assert_ne!(normalize(a), normalize(a.trim_end_matches(';')));
     }
 
     #[test]
@@ -264,8 +277,26 @@ mod tests {
     fn normalize_is_punctuation_insensitive() {
         assert_eq!(
             normalize("with SSB by year assess* m against past 4 labels q"),
-            normalize("with SSB by year ASSESS * m against PAST 4 labels q;")
+            normalize("with SSB by year ASSESS * m against PAST 4 labels q")
         );
+        assert_ne!(normalize("with SSB by year labels q"), normalize("with SSB by year labels q;"));
         assert_eq!(normalize("labels {[0, 0.9): bad}"), normalize("labels { [ 0 , 0.9 ) : bad }"));
+    }
+
+    #[test]
+    fn normalize_keys_apart_texts_the_parser_refuses() {
+        let t = "with SSB by year assess revenue against 5 labels q";
+        // Each pair lexes differently: the first of each is refused.
+        for (refused, accepted) in [
+            (format!("{t};"), t.to_string()),
+            (t.replace("SSB by", "SSB; by"), t.to_string()),
+            (t.replace("5", "1e - 5"), t.replace("5", "1e-5")),
+            (t.replace("5", "1.5e + 3"), t.replace("5", "1.5e+3")),
+        ] {
+            assert_ne!(normalize(&refused), normalize(&accepted), "{refused}");
+        }
+        assert_eq!(normalize("against 1e-5"), "against 1e-5");
+        assert_eq!(normalize("against .5E+3"), "against .5E+3");
+        assert_eq!(normalize("against a.1e-5"), "against a.1e-5");
     }
 }

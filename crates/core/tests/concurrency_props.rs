@@ -123,6 +123,55 @@ fn mutate(choices: &[(u8, u8)]) -> String {
     out
 }
 
+/// Pieces of statement text for the key-soundness property, split on
+/// spaces: keywords and identifiers, numbers whose exponent sign may be
+/// spaced off (a `~` is a gap inside a piece), punctuation the lexer
+/// refuses (`;`, `+`), and string literals holding `--` or `;`.
+const PIECES: &str = "with SALES by assess against labels past inf benchmark quantity \
+     1e~-~5 1.5e~+~3 .5E~-3 x1e~-~5 2e5e~-~3 e 5 - + ; ; . , ( ) * = 'a--b' 'x;y' 'it''s'";
+
+/// Renders `pieces` as one text: the `sep`-th separator before each piece
+/// and in its gaps (the existing cosmetic rewrites, plus none at all),
+/// keywords in the `case`-th spelling, and a `;` left out when `drop` is 0.
+fn render(pieces: &[(usize, u8, u8, u8)]) -> String {
+    let all: Vec<&str> = PIECES.split(' ').collect();
+    let mut out = String::new();
+    for &(piece, sep, case, drop) in pieces {
+        let text = all[piece];
+        if text == ";" && drop == 0 {
+            continue;
+        }
+        let sep = ["", " ", "  \t", "\n", " -- a comment\n "][usize::from(sep) % 5];
+        out.push_str(sep);
+        if stmt::KEYWORDS.contains(&text) {
+            match case % 3 {
+                0 => out.push_str(text),
+                1 => out.push_str(&text.to_ascii_uppercase()),
+                _ => out.push_str(&(text[..1].to_ascii_uppercase() + &text[1..])),
+            }
+        } else {
+            out.push_str(&text.replace('~', sep));
+        }
+    }
+    out
+}
+
+/// What the served pipeline's lexer reads from a text: its tokens, with an
+/// identifier spelled like a keyword in lower case, or the lexer's message.
+fn lexed(text: &str) -> Result<Vec<assess_sql::Token>, String> {
+    let fold = |token| match token {
+        assess_sql::Token::Ident(word)
+            if stmt::KEYWORDS.iter().any(|k| word.eq_ignore_ascii_case(k)) =>
+        {
+            assess_sql::Token::Ident(word.to_ascii_lowercase())
+        }
+        other => other,
+    };
+    assess_sql::tokenize(&stmt::strip_comments(text))
+        .map(|tokens| tokens.into_iter().map(fold).collect())
+        .map_err(|e| e.message)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -142,6 +191,34 @@ proptest! {
             "mutated statement no longer parses:\n{}",
             mutated
         );
+    }
+
+    /// The cache key is sound: two texts with one normal form lex to the
+    /// same tokens, up to the case of an identifier spelled like a keyword
+    /// (DESIGN §5e), so a hit answers nothing the parser would refuse or
+    /// read differently. The second text repeats the first's pieces with
+    /// its own separators, keyword case and `;`s.
+    #[test]
+    fn one_normal_form_means_one_token_stream(
+        pieces in proptest::collection::vec(
+            (0..PIECES.split(' ').count(), 0u8..5, 0u8..16, 0u8..3, 0u8..3, 0u8..3, 0u8..3),
+            1..24,
+        )
+    ) {
+        // A second separator of 5..16 repeats the first, so that many pairs
+        // share a normal form.
+        let a: Vec<_> =
+            pieces.iter().map(|&(p, sep, _, case, _, drop, _)| (p, sep, case, drop)).collect();
+        let b: Vec<_> = pieces
+            .iter()
+            .map(|&(p, sep, sep_b, _, case, _, drop)| {
+                (p, if sep_b < 5 { sep_b } else { sep }, case, drop)
+            })
+            .collect();
+        let (a, b) = (render(&a), render(&b));
+        if stmt::normalize(&a) == stmt::normalize(&b) {
+            prop_assert_eq!(lexed(&a), lexed(&b), "{:?} and {:?} share a key", a, b);
+        }
     }
 
     /// Semantically different statements never normalize to the same key:

@@ -4,7 +4,10 @@
 //! session. The key is the [`normalized`](assess_core::stmt::normalize)
 //! statement text joined with a [`policy_fingerprint`]: two requests whose
 //! statements differ only in whitespace, comments or keyword case — and
-//! whose effective limits match — share one entry.
+//! whose effective limits match — share one entry. The server looks the
+//! key up before it parses the statement, so two texts share a key only
+//! if they lex to the same tokens (`normalize` keeps `;` and exponent
+//! signs), up to the case of an identifier spelled like a keyword.
 //!
 //! Entries are validated against the catalog's seqlock-style mutation
 //! counter ([`Catalog::version`](olap_storage::Catalog::version)): each
@@ -33,10 +36,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use assess_core::ExecutionPolicy;
 use assess_core::Strategy;
 
-/// Joins the normalized statement and the policy fingerprint into one
-/// cache key. `\u{1}` cannot appear in either part (normalization collapses
-/// control characters in source text into token separators; fingerprints
-/// are ASCII), so the pairing is unambiguous.
+/// Joins the policy fingerprint and the normalized statement into one
+/// cache key. A normalized statement may hold `\u{1}` (`normalize` keeps a
+/// control character as a token of its own), but a fingerprint never does:
+/// it is printable ASCII. So the first `\u{1}` ends the fingerprint, and
+/// the pairing is unambiguous.
 pub fn cache_key(normalized_statement: &str, fingerprint: &str) -> String {
     format!("{fingerprint}\u{1}{normalized_statement}")
 }
@@ -397,8 +401,13 @@ mod tests {
 
     #[test]
     fn cache_key_pairs_unambiguously() {
-        let k1 = cache_key("with s by x assess m", "d=-;r=-;c=-;fb=1;s=auto");
-        let k2 = cache_key("with s by x assess m", "d=5;r=-;c=-;fb=1;s=auto");
-        assert_ne!(k1, k2);
+        let base = policy_fingerprint(&ExecutionPolicy::default(), None);
+        let limited = policy_fingerprint(&ExecutionPolicy::new().with_max_rows_scanned(5), None);
+        assert_ne!(cache_key("with s by x", &base), cache_key("with s by x", &limited));
+        // The first `\u{1}` ends the fingerprint, whatever the statement holds.
+        for statement in ["with s by x", "with \u{1} s", "\u{1}"] {
+            let key = cache_key(statement, &base);
+            assert_eq!(key.split_once('\u{1}'), Some((base.as_str(), statement)));
+        }
     }
 }

@@ -466,6 +466,28 @@ pub fn to_line(value: &Value) -> String {
     line
 }
 
+/// One response line whose members are `head`'s, then those of `body` (an
+/// encoded object, as a cache entry keeps its cells), then `tail`'s: byte
+/// for byte the [`to_line`] of one object holding all three in that order.
+pub(crate) fn spliced_line(head: &Value, body: &str, tail: &Value) -> String {
+    let tail = to_line(tail);
+    let mut line = to_line(head);
+    line.truncate(line.trim_end().len() - 1);
+    line.reserve(body.len() + tail.len());
+    for encoded in [body, &tail] {
+        let members = encoded.trim_end();
+        let members = members.get(1..members.len().saturating_sub(1)).unwrap_or("");
+        if !members.is_empty() {
+            if line.len() > 1 {
+                line.push(',');
+            }
+            line.push_str(members);
+        }
+    }
+    line.push_str("}\n");
+    line
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -689,5 +711,23 @@ mod tests {
         assert_eq!(get_bool(&back, "ok"), Some(false));
         let error = back.get("error").unwrap();
         assert_eq!(get_str(error, "code"), Some("queue_full"));
+    }
+
+    #[test]
+    fn a_spliced_line_is_the_line_of_the_whole_object() {
+        let head = || vec![("cells", n(2)), ("labels", obj(vec![("low", n(1))]))];
+        let body =
+            || vec![("rows", Value::Array(vec![s("a\n\"b\"")])), ("truncated", Value::Bool(true))];
+        let tail = || vec![("shed", s("light"))];
+        let encoded = to_line(&obj(body()));
+        for with_tail in [false, true] {
+            let tail = if with_tail { tail() } else { Vec::new() };
+            let whole = [head(), body(), tail.clone()].concat();
+            assert_eq!(
+                spliced_line(&ok_response(Some(3), head()), &encoded, &obj(tail)),
+                to_line(&ok_response(Some(3), whole))
+            );
+        }
+        assert_eq!(spliced_line(&obj(vec![]), "{}", &obj(vec![])), "{}\n");
     }
 }

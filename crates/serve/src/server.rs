@@ -47,7 +47,7 @@ use serde::Value;
 
 use crate::admission::{self, Admission, FairQueue, Permit, ShedLevel};
 use crate::cache::{cache_key, policy_fingerprint, CacheStats, ResultCache};
-use crate::protocol::{self, n, s, BatchOptions, Op, PartialOptions, RunOptions};
+use crate::protocol::{self, n, s, BatchOptions, Op, PartialOptions, RunFormat, RunOptions};
 use crate::session::{Session, SessionRegistry};
 use crate::shard;
 use crate::statement::{self, Refusal};
@@ -117,7 +117,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// A finished execution as stored in the shared result cache.
+/// A finished execution as stored in the shared result cache. Its memory
+/// is the cube plus at most one encoded body.
 pub struct CachedResult {
     pub cube: AssessedCube,
     pub strategy: Strategy,
@@ -127,6 +128,36 @@ pub struct CachedResult {
     /// constant, its benchmark query: what the result read, for deciding
     /// whether an append leaves it exact.
     pub queries: Vec<CubeQuery>,
+    /// The text the entry was bound from, the catalog version it was bound
+    /// under, and that binding's warnings, which a hit may repeat.
+    text: String,
+    bound_at: u64,
+    warnings: Vec<Diagnostic>,
+    /// The encoded cells ([`statement::cube_body`]) of the one format and
+    /// row limit asked last.
+    body: Mutex<Option<(RunFormat, usize, Arc<str>)>>,
+}
+
+impl CachedResult {
+    /// The encoded cells in `format` for `limit`, filled by the first
+    /// request that needs them and replaced by a request for another
+    /// format or limit. Limits past the cube's length all send the whole
+    /// cube, so they share one body.
+    fn body(&self, format: RunFormat, limit: usize) -> Arc<str> {
+        let limit = match format {
+            RunFormat::Csv => 0,
+            RunFormat::Cells => limit.min(self.cube.len()),
+        };
+        let mut stored = lock(&self.body);
+        match &*stored {
+            Some((f, l, body)) if (*f, *l) == (format, limit) => body.clone(),
+            _ => {
+                let body: Arc<str> = statement::cube_body(&self.cube, format, limit).into();
+                *stored = Some((format, limit, body.clone()));
+                body
+            }
+        }
+    }
 }
 
 type SharedWriter = Arc<Mutex<TcpStream>>;
@@ -491,7 +522,11 @@ impl<R: Read> FrameReader<R> {
 }
 
 fn write_line(writer: &SharedWriter, response: &Value) {
-    let line = protocol::to_line(response);
+    write_encoded(writer, &protocol::to_line(response));
+}
+
+/// Writes one already encoded line.
+fn write_encoded(writer: &SharedWriter, line: &str) {
     let mut stream = lock(writer);
     // A dead peer is detected by the reader (EOF); ignore write errors.
     let _ = stream.write_all(line.as_bytes());
@@ -741,18 +776,23 @@ fn executor_loop(shared: Arc<Shared>) {
         job.permit.mark_running();
         shared.running.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
-        let response = if job.token.is_cancelled() {
+        let line = if job.token.is_cancelled() {
             // Cancelled before an executor got to it: nothing is parsed,
             // checked or run, whatever the op.
             shared.runs.refused("cancelled");
-            protocol::error_response(Some(job.request_id), "cancelled", "cancelled while queued")
+            let id = Some(job.request_id);
+            protocol::to_line(&protocol::error_response(id, "cancelled", "cancelled while queued"))
         } else {
             match &job.payload {
                 Payload::Run(opts) => execute_run(&shared, &job, opts),
-                Payload::Batch(opts) => execute_batch(&shared, &job, opts),
-                Payload::Append { cube, rows } => execute_append(&shared, &job, cube, rows),
-                Payload::Subscribe { statement } => execute_subscribe(&shared, &job, statement),
-                Payload::Partial(opts) => execute_partial(&shared, &job, opts),
+                Payload::Batch(opts) => protocol::to_line(&execute_batch(&shared, &job, opts)),
+                Payload::Append { cube, rows } => {
+                    protocol::to_line(&execute_append(&shared, &job, cube, rows))
+                }
+                Payload::Subscribe { statement } => {
+                    protocol::to_line(&execute_subscribe(&shared, &job, statement))
+                }
+                Payload::Partial(opts) => protocol::to_line(&execute_partial(&shared, &job, opts)),
             }
         };
         let elapsed = t0.elapsed();
@@ -766,23 +806,25 @@ fn executor_loop(shared: Arc<Shared>) {
         // client that has seen this run finish must be able to admit a new
         // one immediately.
         drop(job);
-        write_line(&writer, &response);
+        write_encoded(&writer, &line);
         shared.running.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// Executes a `run` job: the answer of [`run_statement`], or its refusal.
-fn execute_run(shared: &Shared, job: &Job, opts: &RunOptions) -> Value {
-    run_statement(shared, job, opts)
-        .unwrap_or_else(|refusal| refusal.response(Some(job.request_id), &opts.statement))
+/// Executes a `run` job: the line of [`run_statement`], or its refusal's.
+fn execute_run(shared: &Shared, job: &Job, opts: &RunOptions) -> String {
+    run_statement(shared, job, opts).unwrap_or_else(|refusal| {
+        protocol::to_line(&refusal.response(Some(job.request_id), &opts.statement))
+    })
 }
 
 /// What is `run`'s own around the statement pipeline: the shared result
-/// cache (lookup before, scoped insert after), soft shedding and the
-/// response's run summary.
-fn run_statement(shared: &Shared, job: &Job, opts: &RunOptions) -> Result<Value, Refusal> {
+/// cache (looked up before the statement is bound, so a hit neither parses
+/// nor binds; a scoped insert after a run), soft shedding and the
+/// response's run summary. The line is the summary, the entry's stored
+/// cells and the trace, warnings and shed mark after them.
+fn run_statement(shared: &Shared, job: &Job, opts: &RunOptions) -> Result<String, Refusal> {
     let t0 = Instant::now();
-    let prepared = statement::prepare(shared, &opts.statement)?;
 
     // Soft shedding: under pressure the run still executes, but trace
     // capture and cache *inserts* are disabled (lookups stay on — a hit is
@@ -790,9 +832,9 @@ fn run_statement(shared: &Shared, job: &Job, opts: &RunOptions) -> Result<Value,
     let shed = job.permit.shed();
     let want_trace = opts.trace && shed == ShedLevel::Full;
     let limit = opts.limit.unwrap_or(shared.config.default_row_limit);
-    let respond = |result: &CachedResult, cached: bool, trace: Option<TraceTree>| {
+    let respond = |result: &CachedResult, cached, trace: Option<TraceTree>, warnings: &[_]| {
         let labels = result.cube.label_histogram().into_iter();
-        let mut fields = vec![
+        let head = vec![
             ("cached", Value::Bool(cached)),
             ("strategy", s(result.strategy.acronym())),
             ("cells", n(result.cube.len() as u64)),
@@ -801,15 +843,18 @@ fn run_statement(shared: &Shared, job: &Job, opts: &RunOptions) -> Result<Value,
             ("elapsed_ms", n(ms(t0.elapsed()))),
             ("labels", Value::Object(labels.map(|(label, k)| (label, n(k as u64))).collect())),
         ];
-        fields.extend(statement::cube_fields(&result.cube, opts.format, limit));
+        let mut tail = Vec::new();
         if let Some(tree) = trace {
-            fields.push(("trace", tree.to_json()));
+            tail.push(("trace", tree.to_json()));
         }
-        if !prepared.warnings.is_empty() {
-            let warnings = protocol::diagnostics_json(&prepared.warnings, Some(&opts.statement));
-            fields.push(("diagnostics", warnings));
+        if !warnings.is_empty() {
+            tail.push(("diagnostics", protocol::diagnostics_json(warnings, Some(&opts.statement))));
         }
-        mark_shed(protocol::ok_response(Some(job.request_id), fields), shed)
+        protocol::spliced_line(
+            &protocol::ok_response(Some(job.request_id), head),
+            &result.body(opts.format, limit),
+            &mark_shed(protocol::obj(tail), shed),
+        )
     };
 
     let runner =
@@ -823,6 +868,20 @@ fn run_statement(shared: &Shared, job: &Job, opts: &RunOptions) -> Result<Value,
 
     if opts.cache {
         if let Some(hit) = shared.cache.lookup(&key, version_before) {
+            // The stored warnings are this text's when the catalog has not
+            // moved since they were bound (`W105` reads table sizes) and
+            // either there are none or this is the text they were bound
+            // from. Otherwise this text is bound for its warnings only, so
+            // that every diagnostic points into it.
+            let rebound;
+            let warnings = if hit.bound_at == version_before
+                && (hit.warnings.is_empty() || hit.text == opts.statement)
+            {
+                &hit.warnings
+            } else {
+                rebound = statement::prepare(shared, &opts.statement)?.warnings;
+                &rebound
+            };
             shared.runs.cache_hits.fetch_add(1, Ordering::Relaxed);
             // A hit never scans: its trace is a single `cache_hit` leaf
             // (zero scan spans), with the original strategy for context.
@@ -833,10 +892,11 @@ fn run_statement(shared: &Shared, job: &Job, opts: &RunOptions) -> Result<Value,
                     TraceSpan::new("cache_hit", t0.elapsed()).with_rows(hit.cube.len() as u64)
                 ],
             });
-            return Ok(respond(&hit, true, trace));
+            return Ok(respond(&hit, true, trace, warnings));
         }
     }
 
+    let prepared = statement::prepare(shared, &opts.statement)?;
     let (cube, report, trace) =
         statement::execute(shared, &runner, &prepared, opts.strategy, want_trace)?;
     let resolved = &prepared.resolved;
@@ -854,15 +914,19 @@ fn run_statement(shared: &Shared, job: &Job, opts: &RunOptions) -> Result<Value,
         rows_scanned: report.rows_scanned,
         attempts: report.attempts.len(),
         queries,
+        text: opts.statement.clone(),
+        bound_at: version_before,
+        warnings: prepared.warnings,
+        body: Mutex::new(None),
     };
-    let response = respond(&result, false, trace);
+    let line = respond(&result, false, trace, &result.warnings);
     // Only cache results the catalog provably did not shift under: same
     // even version before and after the run. Under shedding, skip the
     // insert entirely.
     if opts.cache && shed == ShedLevel::Full && catalog.version() == version_before {
         shared.cache.insert(key, result, version_before);
     }
-    Ok(response)
+    Ok(line)
 }
 
 /// Executes a `batch` job: every statement is prepared on its own, the

@@ -17,8 +17,9 @@
 //!    (`run`, [`evaluate`]; `batch` executes through `run_batch`, which
 //!    walks the same ladder per statement, and classifies per statement
 //!    with [`Refusal::of`]);
-//! 5. [`cube_fields`] / [`Refusal::response`] / [`Refusal::result_object`] —
-//!    the wire encodings of either outcome.
+//! 5. [`cube_fields`] (encoded once per cache entry by [`cube_body`]) /
+//!    [`Refusal::response`] / [`Refusal::result_object`] — the wire
+//!    encodings of either outcome.
 //!
 //! [`evaluate`] is stages 2–4 back to back, for `subscribe` and the
 //! re-evaluation after an append. Refused and executed statements are
@@ -196,4 +197,10 @@ pub(crate) fn cube_fields(
             vec![("rows", Value::Array(rows)), ("truncated", Value::Bool(cube.len() > limit))]
         }
     }
+}
+
+/// [`cube_fields`] encoded as one JSON object: the cells a cache entry
+/// keeps and a `run` line splices in ([`protocol::spliced_line`]).
+pub(crate) fn cube_body(cube: &AssessedCube, format: RunFormat, limit: usize) -> String {
+    protocol::to_line(&protocol::obj(cube_fields(cube, format, limit)))
 }

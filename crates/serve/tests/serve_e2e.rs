@@ -1780,3 +1780,148 @@ fn partial_runs_under_the_tenant_ceiling() {
 
     handle.shutdown();
 }
+
+// ------------------------------------------------------- served bytes
+
+/// A connection that reads response lines as the server wrote them.
+struct RawLines {
+    stream: std::net::TcpStream,
+    reader: std::io::BufReader<std::net::TcpStream>,
+    next_id: u64,
+}
+
+impl RawLines {
+    fn connect(handle: &ServerHandle) -> RawLines {
+        let stream = std::net::TcpStream::connect(handle.addr()).expect("raw client connects");
+        let reader = std::io::BufReader::new(stream.try_clone().expect("socket clones"));
+        let mut raw = RawLines { stream, reader, next_id: 1 };
+        raw.read_line(); // hello
+        raw
+    }
+
+    fn read_line(&mut self) -> String {
+        let mut line = String::new();
+        std::io::BufRead::read_line(&mut self.reader, &mut line).expect("a response line");
+        line
+    }
+
+    /// Sends one `run` and returns its response line.
+    fn run(&mut self, statement: &str, extra: &[(&str, Value)]) -> String {
+        let mut fields = vec![
+            ("id".to_string(), Value::Number(self.next_id as f64)),
+            ("op".to_string(), Value::String("run".into())),
+            ("statement".to_string(), Value::String(statement.into())),
+        ];
+        fields.extend(extra.iter().map(|(k, v)| (k.to_string(), v.clone())));
+        self.next_id += 1;
+        let request = serde_json::to_string(&Value::Object(fields)).unwrap() + "\n";
+        std::io::Write::write_all(&mut self.stream, request.as_bytes()).unwrap();
+        self.read_line()
+    }
+}
+
+/// A response line without the members a hit and a cold run may differ
+/// in: `id`, `cached`, `elapsed_ms` and the numeric members `also` names.
+fn without_run_stamps(line: &str, also: &[&str]) -> String {
+    let mut out = line.to_string();
+    for key in ["id", "cached", "elapsed_ms"].iter().chain(also) {
+        let key = format!("\"{key}\":");
+        let start = out.find(&key).unwrap_or_else(|| panic!("{key} in {line}"));
+        let end = start + out[start..].find(',').expect("a member follows");
+        out.replace_range(start..=end, "");
+    }
+    out
+}
+
+/// Asserts a cached run of `text` sends the line a `"cache": false` run
+/// of the same text sends, apart from the run stamps and `also`.
+fn assert_hit_is_cold(raw: &mut RawLines, text: &str, format: &[(&str, Value)], also: &[&str]) {
+    let hit = raw.run(text, format);
+    assert!(hit.contains("\"cached\":true"), "not a hit: {hit}");
+    let cold = raw.run(text, &[format, &[("cache", Value::Bool(false))]].concat());
+    assert!(cold.contains("\"cached\":false"), "not cold: {cold}");
+    let (hit, cold) = (without_run_stamps(&hit, also), without_run_stamps(&cold, also));
+    assert_eq!(hit, cold, "{text:?} {format:?}");
+}
+
+/// A hit is looked up before the statement is bound and sends its entry's
+/// stored cells; its line must still be the one a cold run sends, for the
+/// verbatim text, a comment-prefixed one and a keyword-uppercased one, in
+/// every format, whether or not the statement draws a warning (`W105`
+/// points into the text, so a rewritten text's hit rebinds it).
+#[test]
+fn a_hit_sends_the_bytes_of_a_cold_run() {
+    let handle = boot(ServerConfig::default());
+    let mut raw = RawLines::connect(&handle);
+    let formats: [&[(&str, Value)]; 3] =
+        [&[], &[("limit", Value::Number(5.0))], &[("format", Value::String("csv".into()))]];
+    // No view groups by month and nation, so the naive plan scans the fact
+    // table, and `W105` says how many rows that is.
+    const SCANNING: &str = "with SSB by c_nation, month assess revenue against 1300000 \
+         using ratio(revenue, 1300000) labels {[0, 0.5): low, [0.5, 1.5]: par, (1.5, inf]: high}";
+    for (statement, warns) in [(SCANNING, true), (SIBLING, false)] {
+        let first = raw.run(statement, &[]);
+        assert_eq!(first.contains("\"W105\""), warns, "{first}");
+        let texts = [
+            statement.to_string(),
+            format!("-- again\n{statement}"),
+            ["with ", "by ", "assess ", "against ", "using ", "labels "]
+                .iter()
+                .fold(statement.to_string(), |t, w| t.replace(w, &w.to_uppercase())),
+        ];
+        for format in formats {
+            for text in &texts {
+                assert_hit_is_cold(&mut raw, text, format, &[]);
+            }
+        }
+    }
+    handle.shutdown();
+}
+
+/// A `;` and a spaced-off exponent sign are part of the cache key: after
+/// `T` is cached, `T;` and a `;` inside `T` are refused by the parser, not
+/// served from `T`'s entry.
+#[test]
+fn texts_the_parser_refuses_are_not_hits() {
+    let handle = boot(ServerConfig::default());
+    let mut client = connect(&handle);
+    assert_ok(&client.run(SIBLING).unwrap());
+    assert_eq!(client.run(SIBLING).unwrap().get("cached").and_then(Value::as_bool), Some(true));
+    for refused in [format!("{SIBLING};"), SIBLING.replacen("SSB ", "SSB; ", 1)] {
+        let response = client.run(&refused).unwrap();
+        assert_eq!(error_code(&response), Some("parse_error"), "{refused}: {response:?}");
+    }
+    handle.shutdown();
+}
+
+/// An entry patched across an append keeps its cube and stored cells, but
+/// the catalog it was bound under has moved: a hit's warnings are those of
+/// a binding against the grown table, as a cold run's are (`W105` counts
+/// the rows a naive plan scans).
+#[test]
+fn a_patched_entry_answers_like_a_cold_run() {
+    const ASIA_CONSTANT: &str = "with SSB for c_region = 'ASIA' by c_nation, month \
+         assess revenue against 1300000 using ratio(revenue, 1300000) \
+         labels {[0, 0.5): low, [0.5, 1.5]: par, (1.5, inf]: high}";
+    // Its own SF 0.01 dataset: large enough for `W105`, and appended to.
+    let dataset = ssb_data::generate::generate(SsbConfig::with_scale(0.01));
+    let catalog = dataset.catalog.clone();
+    let handle = serve(Engine::new(catalog.clone()), ServerConfig::default()).unwrap();
+    let mut raw = RawLines::connect(&handle);
+    let mut client = connect(&handle);
+    let first = raw.run(ASIA_CONSTANT, &[]);
+    assert!(first.contains("~60000 rows"), "{first}");
+
+    let customer = catalog.table("customer").expect("customer dimension");
+    let region = customer.column("c_region").expect("region column");
+    let europe = (0..customer.n_rows())
+        .find(|&row| region.string_at(row) == Some("EUROPE"))
+        .expect("a EUROPE customer") as i64;
+    let appended = client.append("SSB", wire_batch(&catalog, &[europe; 64])).unwrap();
+    assert_ok(&appended);
+    assert!(appended.get("cache_patched").and_then(Value::as_f64).unwrap_or(0.0) >= 1.0);
+    // The run summary is the entry's own: it scanned the table before the
+    // append. The warning counts the appended rows.
+    assert_hit_is_cold(&mut raw, ASIA_CONSTANT, &[], &["rows_scanned"]);
+    handle.shutdown();
+}
